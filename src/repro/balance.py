@@ -267,6 +267,7 @@ class CellUnionRegion:
         Points are taken in the domain frame as-is (no periodic wrapping;
         periodic images are handled by querying translated points, one
         wrap vector at a time, exactly like the box-based targeting).
+        ``radius`` may also be an ``(n, 1)`` column, one radius per point.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         g = np.asarray(self.grid)

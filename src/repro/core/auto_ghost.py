@@ -48,30 +48,45 @@ class AutoGhostResult:
 
 
 def certify_block(
-    block: VoronoiBlock, seen_region: Bounds
+    block: VoronoiBlock, seen_region: Bounds, region=None, ghost: float = 0.0
 ) -> np.ndarray:
     """Security-radius certification mask for a block's cells.
 
-    ``seen_region`` is the volume whose particles participated in the
+    ``seen_region`` is the box whose particles participated in the
     local computation (block core grown by the ghost).  A cell passes when
     the ball of radius ``2 * max|v - site|`` around its site is contained
     in ``seen_region``.
+
+    An irregular (balanced) block only saw its ``region`` grown by
+    ``ghost`` — less than the box around it — so there the ball must also
+    stay within Chebyshev distance ``ghost`` of the region: its site has
+    to be ``region.within`` the slack ``ghost - 2 r``.  (Unlike the box
+    margin this gives a site deep inside the region no credit for its
+    depth; the ghost the loop settles on is set by boundary sites, which
+    have none either way.)
     """
-    if block.num_cells == 0:
+    ncells = block.num_cells
+    if ncells == 0:
         return np.zeros(0, dtype=bool)
-    ok = np.empty(block.num_cells, dtype=bool)
+    face_off = block.face_offsets.astype(np.int64)
+    slots = face_off[block.cell_face_offsets.astype(np.int64)]
+    nonempty = slots[1:] > slots[:-1]
+    d = (
+        block.vertices[block.face_vertices]
+        - block.sites[np.repeat(np.arange(ncells), np.diff(slots))]
+    )
+    # Cells without faces keep an infinite radius and never certify.
+    reach = np.full(ncells, np.inf)
+    reach[nonempty] = 2.0 * np.sqrt(
+        np.maximum.reduceat(np.einsum("ij,ij->i", d, d), slots[:-1][nonempty])
+    )
     lo, hi = seen_region.as_arrays()
-    for i in range(block.num_cells):
-        faces = block.faces_of_cell(i)
-        used = np.unique(np.concatenate(faces)) if faces else np.empty(0, np.int64)
-        site = block.sites[i]
-        if len(used) == 0:
-            ok[i] = False
-            continue
-        d = block.vertices[used] - site
-        r = float(np.sqrt(np.einsum("ij,ij->i", d, d).max()))
-        margin = float(np.minimum(site - lo, hi - site).min())
-        ok[i] = 2.0 * r <= margin + 1e-12
+    margin = np.minimum(block.sites - lo, hi - block.sites).min(axis=1)
+    ok = reach <= margin + 1e-12
+    if region is not None:
+        slack = ghost - reach + 1e-12
+        ok &= slack >= 0
+        ok[ok] = region.within(block.sites[ok], slack[ok][:, None])
     return ok
 
 
@@ -82,7 +97,7 @@ def tessellate_auto_distributed(
     ids: np.ndarray,
     initial_ghost: float,
     max_iterations: int = 8,
-    backend: str = "qhull",
+    backend: str = "delaunay",
     vmin: float | None = None,
     vmax: float | None = None,
     gid: int | None = None,
@@ -101,6 +116,7 @@ def tessellate_auto_distributed(
         raise ValueError(f"initial_ghost must be positive, got {initial_ghost}")
     gid = comm.rank if gid is None else gid
     block_def = decomposition.block(gid)
+    region = decomposition.block_region(gid)
     ghost_cap = float(decomposition.domain.sizes.min()) / 2.0
 
     ghost = min(initial_ghost, ghost_cap)
@@ -113,7 +129,9 @@ def tessellate_auto_distributed(
             comm, decomposition, positions, ids, ghost=ghost,
             backend=backend, gid=gid,
         )
-        certified = certify_block(block, block_def.ghost_bounds(ghost))
+        certified = certify_block(
+            block, block_def.ghost_bounds(ghost), region=region, ghost=ghost
+        )
         all_present = block.num_cells == n_owned
         local_ok = bool(all_present and certified.all())
         at_cap = ghost >= ghost_cap - 1e-12
@@ -130,20 +148,10 @@ def tessellate_auto_distributed(
             keep &= block.volumes >= vmin
         if vmax is not None:
             keep &= block.volumes <= vmax
-        block = _filter_block(block, keep)
+        block = block.take(np.flatnonzero(keep))
 
     return AutoGhostResult(
         block=block, ghost=ghost, iterations=iteration, certified=global_ok
-    )
-
-
-def _filter_block(block: VoronoiBlock, keep: np.ndarray) -> VoronoiBlock:
-    """Rebuild a block containing only the cells selected by ``keep``."""
-    cells = block.cells()
-    return VoronoiBlock.from_cells(
-        block.gid,
-        block.extents,
-        [c for c, k in zip(cells, keep) if k],
     )
 
 
@@ -154,7 +162,7 @@ def tessellate_auto(
     initial_ghost: float | None = None,
     ids: np.ndarray | None = None,
     periodic: bool = True,
-    backend: str = "qhull",
+    backend: str = "delaunay",
     max_iterations: int = 8,
 ) -> tuple[Tessellation, float, int]:
     """Standalone auto-ghost tessellation.

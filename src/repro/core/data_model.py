@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diy.bounds import Bounds
+from ..geometry.voronoi_flat import segment_gather
 from .cell import VoronoiCell
 
 __all__ = ["VoronoiBlock", "BlockSizeReport", "connectivity_index_dtype",
@@ -189,6 +190,75 @@ class VoronoiBlock:
             site_ids=np.asarray([c.site_id for c in cells], dtype=np.int64),
             volumes=np.asarray([c.volume for c in cells]),
             areas=np.asarray([c.area for c in cells]),
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        gid: int,
+        extents: Bounds,
+        vertex_pool: np.ndarray,
+        face_vertices: np.ndarray,
+        face_lengths: np.ndarray,
+        face_neighbors: np.ndarray,
+        cell_face_counts: np.ndarray,
+        sites: np.ndarray,
+        site_ids: np.ndarray,
+        volumes: np.ndarray,
+        areas: np.ndarray,
+    ) -> "VoronoiBlock":
+        """Assemble a block from concatenated per-cell rows.
+
+        ``face_vertices`` indexes ``vertex_pool``; the pool is compacted to
+        the vertices actually referenced (pool order kept).  Connectivity
+        indices stay int32 while they fit and widen to int64 beyond 2**31
+        entries (silent wraparound otherwise).
+        """
+        used = np.zeros(len(vertex_pool), dtype=bool)
+        used[face_vertices] = True
+        idx_dtype = connectivity_index_dtype(
+            max(len(face_vertices), int(used.sum()))
+        )
+        renumber = np.cumsum(used) - 1
+
+        def offsets(lengths):
+            return np.concatenate([[0], np.cumsum(lengths)]).astype(idx_dtype)
+
+        return cls(
+            gid=gid,
+            extents=extents,
+            vertices=vertex_pool[used],
+            face_vertices=renumber[face_vertices].astype(idx_dtype),
+            face_offsets=offsets(face_lengths),
+            face_neighbors=np.asarray(face_neighbors, dtype=np.int64),
+            cell_face_offsets=offsets(cell_face_counts),
+            sites=sites,
+            site_ids=site_ids,
+            volumes=volumes,
+            areas=areas,
+        )
+
+    def take(self, cells: np.ndarray) -> "VoronoiBlock":
+        """The block restricted to ``cells`` (cell indices, in the order
+        given), with the vertex pool compacted to what they reference."""
+        cells = np.asarray(cells, dtype=np.int64)
+        cell_off = self.cell_face_offsets.astype(np.int64)
+        counts = cell_off[cells + 1] - cell_off[cells]
+        faces = segment_gather(cell_off[cells], counts)
+        face_off = self.face_offsets.astype(np.int64)
+        lengths = face_off[faces + 1] - face_off[faces]
+        return VoronoiBlock.from_rows(
+            self.gid,
+            self.extents,
+            self.vertices,
+            self.face_vertices[segment_gather(face_off[faces], lengths)],
+            lengths,
+            self.face_neighbors[faces],
+            counts,
+            self.sites[cells],
+            self.site_ids[cells],
+            self.volumes[cells],
+            self.areas[cells],
         )
 
     # ------------------------------------------------------------------

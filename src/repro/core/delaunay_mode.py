@@ -222,8 +222,11 @@ def dual_distributed(
     all_pos = np.concatenate([own, ghost_pos]) if len(ghost_pos) else own
     all_ids = np.concatenate([np.asarray(ids, dtype=np.int64), ghost_ids])
 
-    dv = DelaunayVoronoi(all_pos, block_def.ghost_bounds(ghost))
-    vblock = _block_from_flat(
+    # Nothing is withheld here: a block owns every tet whose circumcenter
+    # is in its core, ghost-only tets included, and the lazy path's
+    # certificate (tessellate._thin_block) only speaks for owned stars.
+    dv = DelaunayVoronoi(all_pos, block_def.ghost_bounds(ghost), n_owned=len(own))
+    vblock, _ = _block_from_flat(
         dv, len(own), all_pos, all_ids, gid, block_def.core, vmin, vmax
     )
     if dv.num_tets == 0:

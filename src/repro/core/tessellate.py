@@ -31,11 +31,11 @@ from ..diy.comm import Communicator, run_parallel
 from ..diy.decomposition import Decomposition
 from ..geometry.voronoi_cells import voronoi_cells_clip
 from ..geometry.voronoi_delaunay import DelaunayVoronoi
-from ..geometry.voronoi_flat import FlatVoronoi
+from ..geometry.voronoi_flat import FlatVoronoi, segment_gather
 from ..geometry.voronoi_qhull import voronoi_cells_qhull
 from .cell import VoronoiCell
 from .culling import early_cull_mask, exact_cull_mask, passes_early_cull
-from .data_model import VoronoiBlock, connectivity_index_dtype
+from .data_model import VoronoiBlock
 from .ghost import exchange_ghost_particles
 from .timing import PhaseTimer, TessTimings
 
@@ -47,20 +47,33 @@ _BACKENDS = {"clip": voronoi_cells_clip, "qhull": voronoi_cells_qhull}
 #: "qhull" (FlatVoronoi over scipy Voronoi) is its first-line oracle
 _FLAT_ENGINES = {"delaunay": DelaunayVoronoi, "qhull": FlatVoronoi}
 
+#: Thickness of the ghost shell the first triangulation of a block sees,
+#: in local mean particle spacings (Chebyshev depth to the block's core).
+#: Deeper ghosts are withheld until the certificate asks for them; 2.0
+#: holds ~0.55 of the points of a 4-spacing ghost and leaves a handful of
+#: owned cells per block to repair (sweep in EXPERIMENTS.md).
+_START_SPACINGS = 2.0
 
-def _observe_geometry(fv, n_owned: int) -> None:
+
+def _observe_geometry(fv, n_complete: int, **counts: int) -> None:
     """Surface geometry counters so traces attribute compute time to
-    mesh size (geom.* metrics; merged across ranks by the bridge)."""
+    mesh size (geom.* metrics; merged across ranks by the bridge).
+    Called once per engine built, so ``geom.points_triangulated`` sums
+    every triangulation a block needed; ``counts`` adds further
+    ``geom.<name>`` counters."""
     reg = observe.registry()
+    reg.counter("geom.points_triangulated").inc(fv.num_sites)
     reg.counter("geom.tets").inc(fv.num_tets)
     reg.counter("geom.finite_ridges").inc(fv.num_ridges)
-    reg.counter("geom.complete_cells").inc(int(fv.complete[:n_owned].sum()))
+    reg.counter("geom.complete_cells").inc(n_complete)
     if fv.degenerate_ridges_dropped:
         reg.counter("geom.degenerate_ridges_dropped").inc(
             fv.degenerate_ridges_dropped
         )
     if fv.used_fallback:
         reg.counter("geom.degenerate_fallbacks").inc()
+    for name, value in counts.items():
+        reg.counter(f"geom.{name}").inc(value)
 
 
 def _tessellate_block_flat(
@@ -76,6 +89,7 @@ def _tessellate_block_flat(
     backend: str = "delaunay",
     region=None,
     region_radius: float = 0.0,
+    rank: int = 0,
 ) -> VoronoiBlock:
     """Vectorized block tessellation (production flat path).
 
@@ -86,11 +100,22 @@ def _tessellate_block_flat(
     the block vertex pool comes directly from the engine's global pool,
     already deduplicated.
 
+    The Delaunay engine triangulates lazily (DESIGN.md §11): owned points
+    plus the ghosts within :data:`_START_SPACINGS` of the core first, the
+    deeper ghosts withheld; the exact empty-circumsphere certificate
+    (:meth:`DelaunayVoronoi.star_violations`) then names the owned cells a
+    withheld ghost would change, and those are re-derived from one local
+    patch over all points in hand.  The cells returned are the cells of
+    the triangulation of everything; when nothing can be withheld (or the
+    input is degenerate) that triangulation is what runs.
+
     ``region`` (with ``region_radius``, the ghost thickness) refines
     completeness certification for irregular blocks — see
-    :func:`_region_complete_mask`.
+    :func:`_region_complete_mask`.  ``rank`` labels the trace spans.
     """
     n_owned = len(owned_positions)
+    if n_owned == 0:
+        return VoronoiBlock.from_cells(gid, extents, [])
     all_points = (
         np.concatenate([owned_positions, np.atleast_2d(ghost_positions)])
         if len(ghost_positions)
@@ -99,11 +124,164 @@ def _tessellate_block_flat(
     local_to_global = np.concatenate(
         [np.asarray(owned_ids, dtype=np.int64), np.asarray(ghost_ids, dtype=np.int64)]
     )
-    fv = _FLAT_ENGINES[backend](all_points, container)
-    return _block_from_flat(
-        fv, n_owned, all_points, local_to_global, gid, extents, vmin, vmax,
-        region=region, region_radius=region_radius,
+
+    def assemble(fv, n, subset=slice(None), eligible=None, **observed):
+        return _block_from_flat(
+            fv, n, all_points[subset], local_to_global[subset], gid, extents,
+            vmin, vmax, region=region, region_radius=region_radius,
+            eligible=eligible, **observed,
+        )
+
+    if backend != "delaunay":
+        return assemble(_FLAT_ENGINES[backend](all_points, container), n_owned)[0]
+
+    volume = extents.volume if region is None else region.volume()
+    start = _START_SPACINGS * (volume / n_owned) ** (1.0 / 3.0)
+    lo, hi = extents.as_arrays()
+    if region is None:
+        depth = np.maximum(lo - all_points, all_points - hi).max(axis=1)
+        withheld = depth > start
+        safe_box = extents.grown(start)
+    else:
+        withheld = ~region.within(all_points, start)
+        safe_box = None
+    withheld[:n_owned] = False
+    # Where ghosts do not enclose the block (a non-periodic domain face)
+    # owned sites sit on the hull and no local patch bounds their
+    # neighbors: nothing is gained by withholding.
+    ghosts = all_points[n_owned:]
+    enclosed = ((ghosts < lo).any(axis=0) & (ghosts > hi).any(axis=0)).all()
+
+    block = None
+    if enclosed and withheld.any():
+        block = _thin_block(
+            all_points, n_owned, withheld, safe_box, container, assemble, rank
+        )
+    if block is None:
+        with observe.span("full-pass", rank=rank, cat="core"):
+            fv = DelaunayVoronoi(all_points, container, n_owned=n_owned)
+        block = assemble(fv, n_owned)[0]
+    return block
+
+
+def _thin_block(
+    all_points: np.ndarray,
+    n_owned: int,
+    withheld: np.ndarray,
+    safe_box: Bounds | None,
+    container: Bounds,
+    assemble,
+    rank: int,
+) -> VoronoiBlock | None:
+    """The block from a triangulation without the ``withheld`` ghosts:
+    thin pass, certificate, local repair (DESIGN.md §11).  ``None`` when
+    only the triangulation of everything will do — degenerate input, or a
+    violated owned site on the thin hull."""
+    from scipy.spatial import cKDTree
+
+    def abandon(*engines):
+        if observe.enabled():
+            for engine in engines:
+                _observe_geometry(engine, 0)
+
+    thin = np.flatnonzero(~withheld)
+    with observe.span("thin-pass", rank=rank, cat="core"):
+        fv = DelaunayVoronoi(all_points[thin], container, n_owned=n_owned)
+    if fv.degenerate:
+        return abandon(fv)
+    with observe.span("certificate", rank=rank, cat="core"):
+        bad, hits = fv.star_violations(n_owned, all_points[withheld], safe_box)
+    counts = dict(
+        ghosts_withheld=int(withheld.sum()), certificate_violations=hits,
+        cells_repaired=len(bad), patch_points=0,
     )
+    if len(bad) == 0:
+        return assemble(fv, n_owned, thin, **counts)[0]
+
+    with observe.span("repair", rank=rank, cat="core"):
+        # Whatever points are added, the neighbors of site b afterwards
+        # lie inside the circumspheres of its thin star: b's star in the
+        # patch those spheres select is its star among all points.
+        centers, radii = fv.star_spheres(bad)
+        if not np.isfinite(radii).all():
+            return abandon(fv)  # a hull site: its patch has no bound
+        near = cKDTree(all_points).query_ball_point(centers, radii * (1.0 + 1e-9))
+        patch = np.union1d(np.concatenate(list(near)), bad)
+        pfv = DelaunayVoronoi(all_points[patch], container)
+        if pfv.degenerate:
+            return abandon(fv, pfv)
+        counts["patch_points"] = len(patch)
+        in_patch = np.zeros(len(patch), dtype=bool)
+        in_patch[np.searchsorted(patch, bad)] = True
+        fixed, fixed_kept = assemble(pfv, len(patch), patch, in_patch)
+    sound = np.ones(n_owned, dtype=bool)
+    sound[bad] = False
+    block, kept = assemble(fv, n_owned, thin, sound, **counts)
+    if len(kept) == 0 or len(fixed_kept) == 0:
+        return block if len(fixed_kept) == 0 else fixed
+    return _splice(block, fixed, np.concatenate([kept, patch[fixed_kept]]))
+
+
+def _splice(block: VoronoiBlock, fixed: VoronoiBlock, owned_index: np.ndarray):
+    """``block``'s cells and the repaired cells ``fixed`` as one block in
+    owned order (``owned_index`` of each cell, ``block``'s first).
+
+    Both vertex pools are circumcenters solved in one index order, so a
+    vertex on the seam between a repaired and a sound cell has the same
+    bits in both: it is welded, and the pool lists it once.
+    """
+    def keys(vertices):  # one wrapping uint64 hash per coordinate row
+        bits = np.ascontiguousarray(vertices).view(np.uint64)
+        return (
+            bits[:, 0] * np.uint64(0x9E3779B97F4A7C15)
+            + bits[:, 1] * np.uint64(0xC2B2AE3D27D4EB4F)
+            + bits[:, 2]
+        )
+
+    pool_keys = keys(block.vertices)
+    by_key = np.argsort(pool_keys)
+    twin = by_key[
+        np.minimum(
+            np.searchsorted(pool_keys[by_key], keys(fixed.vertices)),
+            block.num_vertices - 1,
+        )
+    ]
+    welded = np.where(
+        (block.vertices[twin] == fixed.vertices).all(axis=1),
+        twin,
+        block.num_vertices + np.arange(fixed.num_vertices),
+    )
+
+    def both(name):
+        return np.concatenate([getattr(block, name), getattr(fixed, name)])
+
+    return VoronoiBlock.from_rows(
+        block.gid,
+        block.extents,
+        both("vertices"),
+        np.concatenate([block.face_vertices, welded[fixed.face_vertices]]),
+        np.concatenate([np.diff(block.face_offsets), np.diff(fixed.face_offsets)]),
+        both("face_neighbors"),
+        np.concatenate(
+            [np.diff(block.cell_face_offsets), np.diff(fixed.cell_face_offsets)]
+        ),
+        both("sites"),
+        both("site_ids"),
+        both("volumes"),
+        both("areas"),
+    ).take(np.argsort(owned_index, kind="stable"))
+
+
+def _segment_all(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Logical AND of ``values`` over the CSR segments of ``offsets``
+    (``values`` ends at ``offsets[-1]``); an empty segment is True."""
+    out = np.ones(len(offsets) - 1, dtype=bool)
+    nonempty = offsets[1:] > offsets[:-1]
+    if nonempty.any():
+        # Empty segments have zero width, so the nonempty starts alone
+        # still partition ``values``.
+        out[nonempty] = np.logical_and.reduceat(values, offsets[:-1][nonempty])
+    return out
 
 
 def _region_complete_mask(fv, n_owned: int, region, radius: float) -> np.ndarray:
@@ -121,25 +299,11 @@ def _region_complete_mask(fv, n_owned: int, region, radius: float) -> np.ndarray
     radius)`` — exactly the point set the ghost targeting guaranteed.
     """
     vin = region.within(fv.vertices, radius)
-    num_ridges = len(fv.ridge_offsets) - 1
-    ridge_in = np.ones(num_ridges, dtype=bool)
-    if num_ridges:
-        lengths = np.diff(fv.ridge_offsets).astype(np.int64)
-        np.logical_and.at(
-            ridge_in,
-            np.repeat(np.arange(num_ridges), lengths),
-            vin[fv.ridge_flat],
-        )
-    counts = np.diff(fv.cell_ridges_offsets[: n_owned + 1]).astype(np.int64)
+    ridge_in = _segment_all(vin[fv.ridge_flat], fv.ridge_offsets)
     end = int(fv.cell_ridges_offsets[n_owned])
-    cell_in = np.ones(n_owned, dtype=bool)
-    if end:
-        np.logical_and.at(
-            cell_in,
-            np.repeat(np.arange(n_owned), counts),
-            ridge_in[fv.cell_ridges_flat[:end]],
-        )
-    return cell_in
+    return _segment_all(
+        ridge_in[fv.cell_ridges_flat[:end]], fv.cell_ridges_offsets[: n_owned + 1]
+    )
 
 
 def _block_from_flat(
@@ -153,17 +317,24 @@ def _block_from_flat(
     vmax: float | None,
     region=None,
     region_radius: float = 0.0,
-) -> VoronoiBlock:
+    eligible: np.ndarray | None = None,
+    **observed: int,
+) -> tuple[VoronoiBlock, np.ndarray]:
     """Assemble a :class:`VoronoiBlock` from a flat geometry engine.
 
     Shared by the production path and the dual mode
     (:func:`repro.core.delaunay_mode.dual_distributed`), which builds the
     engine itself so the one triangulation can serve both outputs.
+    ``eligible`` masks the first ``n_owned`` sites down to those whose
+    cells this engine answers for (the rest come from another
+    triangulation); ``observed`` are further ``geom.*`` counters to publish.
+    Returns the block and the site indices of its cells.
     """
-    if observe.enabled():
-        _observe_geometry(fv, n_owned)
-
     keep = fv.complete[:n_owned].copy()
+    if eligible is not None:
+        keep &= eligible
+    if observe.enabled():
+        _observe_geometry(fv, int(keep.sum()), **observed)
     if region is not None and keep.any():
         keep &= _region_complete_mask(fv, n_owned, region, region_radius)
     if vmin is not None and keep.any():
@@ -180,66 +351,38 @@ def _block_from_flat(
         keep &= fv.volumes[:n_owned] <= vmax
     kept = np.flatnonzero(keep)
     if len(kept) == 0:
-        return VoronoiBlock.from_cells(gid, extents, [])
+        return VoronoiBlock.from_cells(gid, extents, []), kept
 
     # Ridge ids around each kept cell, concatenated in cell order.
     counts = (
         fv.cell_ridges_offsets[kept + 1] - fv.cell_ridges_offsets[kept]
     ).astype(np.int64)
-    gather = _segment_gather(fv.cell_ridges_offsets[kept], counts)
-    rids = fv.cell_ridges_flat[gather]
-    cell_of_face = np.repeat(kept, counts)
+    rids = fv.cell_ridges_flat[segment_gather(fv.cell_ridges_offsets[kept], counts)]
 
     # Face cycles: concatenate each ridge's ordered vertex cycle.
     face_lengths = (fv.ridge_offsets[rids + 1] - fv.ridge_offsets[rids]).astype(
         np.int64
     )
-    vgather = _segment_gather(fv.ridge_offsets[rids], face_lengths)
-    face_vertices_global = fv.ridge_flat[vgather]
+    face_vertices = fv.ridge_flat[segment_gather(fv.ridge_offsets[rids], face_lengths)]
 
     # Neighbor site across each face, lifted to global particle ids.
     pair = fv.ridge_sites[rids]
-    other = np.where(pair[:, 0] == cell_of_face, pair[:, 1], pair[:, 0])
-    face_neighbors = local_to_global[other]
+    other = np.where(pair[:, 0] == np.repeat(kept, counts), pair[:, 1], pair[:, 0])
 
-    # Compact the vertex pool to the vertices actually used.  Connectivity
-    # indices stay int32 while they fit and widen to int64 beyond 2**31
-    # entries (silent wraparound otherwise — see connectivity_index_dtype).
-    used = np.unique(face_vertices_global)
-    idx_dtype = connectivity_index_dtype(
-        max(len(face_vertices_global), len(used))
+    block = VoronoiBlock.from_rows(
+        gid,
+        extents,
+        fv.vertices,
+        face_vertices,
+        face_lengths,
+        local_to_global[other],
+        counts,
+        all_points[kept],
+        local_to_global[kept],
+        fv.volumes[kept],
+        fv.areas[kept],
     )
-    face_vertices = np.searchsorted(used, face_vertices_global).astype(idx_dtype)
-
-    face_offsets = np.concatenate([[0], np.cumsum(face_lengths)]).astype(idx_dtype)
-    cell_face_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(idx_dtype)
-
-    return VoronoiBlock(
-        gid=gid,
-        extents=extents,
-        vertices=fv.vertices[used],
-        face_vertices=face_vertices,
-        face_offsets=face_offsets,
-        face_neighbors=face_neighbors.astype(np.int64),
-        cell_face_offsets=cell_face_offsets,
-        sites=all_points[kept],
-        site_ids=local_to_global[kept],
-        volumes=fv.volumes[kept],
-        areas=fv.areas[kept],
-    )
-
-
-def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices gathering CSR segments ``[starts[i], starts[i]+lengths[i])``."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out_starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
-    return (
-        np.repeat(starts, lengths)
-        + np.arange(total)
-        - np.repeat(out_starts, lengths)
-    )
+    return block, kept
 
 
 def tessellate_block(
@@ -356,6 +499,7 @@ def tessellate_distributed(
                 backend=backend,
                 region=region,
                 region_radius=ghost,
+                rank=comm.rank,
             )
         else:
             cells = tessellate_block(
@@ -664,7 +808,7 @@ def _multi_block_worker(
                     container=block_def.ghost_bounds(ghost),
                     gid=gid, extents=block_def.core,
                     vmin=vmin, vmax=vmax, backend=backend,
-                    region=region, region_radius=ghost,
+                    region=region, region_radius=ghost, rank=comm.rank,
                 )
             else:
                 if region is not None:

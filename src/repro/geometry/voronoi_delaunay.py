@@ -134,9 +134,22 @@ class DelaunayVoronoi(FlatVoronoiBase):
         ``scipy.spatial.Delaunay`` or a
         :class:`~repro.geometry.delaunay.DelaunayMesh` — to skip the
         qhull call (the one-triangulation-per-block sharing contract).
+    n_owned:
+        When given, only the first ``n_owned`` sites are of interest:
+        Delaunay edges with no owned endpoint are dropped before the ring
+        sort, so no ridge between two ghost sites is ordered, measured or
+        indexed.  Rows ``>= n_owned`` of ``volumes``/``areas``/the cell
+        CSR are then partial and must not be read; the triangulation and
+        ``vertices`` (one circumcenter per tet) are unaffected.
     """
 
-    def __init__(self, points: np.ndarray, box: Bounds, mesh=None):
+    def __init__(
+        self,
+        points: np.ndarray,
+        box: Bounds,
+        mesh=None,
+        n_owned: int | None = None,
+    ):
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must be (n, 3), got {pts.shape}")
@@ -172,32 +185,38 @@ class DelaunayVoronoi(FlatVoronoiBase):
         self._neighbors = nbrs
 
         # ---- dual vertices: all circumcenters, one batched solve --------
-        self.vertices = tet_circumcenters(pts, tets)
+        # Solved from each tet's vertices in index order, not qhull's: a
+        # tet then has the same circumcenter, bit for bit, in any
+        # triangulation that lists its points in the same relative order
+        # (a block's thin pass, repair patch and full pass all do).
+        self.vertices = tet_circumcenters(pts, np.sort(tets, axis=1))
 
         # ---- group tets by Delaunay edge: the dual ridge rings ----------
         # 6 edges per tet, keyed lo*n + hi.  When key and tet id fit in
         # one int64, pack them and sort *values* (roughly twice as fast
         # as argsort + two gathers); else argsort the keys.
         ev = tets[:, _TET_EDGES]  # (m, 6, 2)
-        ekey = (
-            np.minimum(ev[..., 0], ev[..., 1]) * n
-            + np.maximum(ev[..., 0], ev[..., 1])
-        ).ravel()
+        elo = np.minimum(ev[..., 0], ev[..., 1]).ravel()
+        ekey = elo * n + np.maximum(ev[..., 0], ev[..., 1]).ravel()
+        tet_of = np.repeat(np.arange(m, dtype=np.int64), 6)
+        if n_owned is not None and n_owned < n:
+            # Ghost-ghost edges dualize to ridges no owned cell touches.
+            owned_edge = elo < n_owned
+            ekey = ekey[owned_edge]
+            tet_of = tet_of[owned_edge]
         shift = int(m).bit_length()
         if (n * n) >> (63 - shift) == 0:
-            packed = (ekey << shift) | np.repeat(
-                np.arange(m, dtype=np.int64), 6
-            )
+            packed = (ekey << shift) | tet_of
             packed.sort()
             ekey = packed >> shift
             tet_of = packed & ((np.int64(1) << shift) - 1)
         else:
-            tet_of = np.repeat(np.arange(m, dtype=np.int64), 6)
             order = np.argsort(ekey)
             ekey = ekey[order]
             tet_of = tet_of[order]
+        # (ekey[:1] == ekey[:1] is [True], or empty when no edge is left)
         ring_starts = np.flatnonzero(
-            np.concatenate([[True], ekey[1:] != ekey[:-1]])
+            np.concatenate([ekey[:1] == ekey[:1], ekey[1:] != ekey[:-1]])
         )
         ring_lengths = np.diff(np.concatenate([ring_starts, [len(ekey)]]))
         edge_keys = ekey[ring_starts]
@@ -205,8 +224,7 @@ class DelaunayVoronoi(FlatVoronoiBase):
         # ---- unboundedness from convex-hull incidence -------------------
         # neighbors == -1 marks hull facets; their vertices are the
         # unbounded sites and their edges dualize to unbounded ridges.
-        bt, bk = np.nonzero(nbrs == -1)
-        hull_faces = tets[bt[:, None], _TET_FACES[bk]]  # (B, 3)
+        hull_faces = self._hull_faces()
         hull_sites = np.unique(hull_faces)
         fe = hull_faces[:, _FACE_EDGES]
         hull_keys = np.unique(
@@ -315,7 +333,8 @@ class DelaunayVoronoi(FlatVoronoiBase):
         in_tri = np.zeros(n, dtype=bool)
         in_tri[tets.ravel()] = True
         missing = ~in_tri
-        if missing.any():
+        self.merged_sites = int(missing.sum())
+        if self.merged_sites:
             bounded_m = np.zeros(n, dtype=bool)
             if coplanar is not None and len(coplanar):
                 cop = coplanar[coplanar[:, 0] < n]
@@ -449,6 +468,102 @@ class DelaunayVoronoi(FlatVoronoiBase):
             np.concatenate([[0], np.cumsum(new_len[keep_ridge])]),
             keep_ridge,
         )
+
+    # ------------------------------------------------------------------
+    def star_violations(
+        self, n_owned: int, candidates: np.ndarray, safe_box: Bounds | None = None
+    ) -> tuple[np.ndarray, int]:
+        """Owned sites whose cell would change if ``candidates`` were added
+        to the triangulation and could be complete afterwards.
+
+        The exact Delaunay criterion: the star of a site survives the
+        insertion of a point set iff no point lies inside the circumsphere
+        of an incident tet and none lies beyond an incident hull facet (an
+        infinite sphere; some point does iff the site leaves the hull).
+        A star vertex that does survive stays a vertex of the site's
+        cell; if it lies outside :attr:`box`, or the site stays on the
+        hull, the cell is incomplete before and after and the site is not
+        reported.
+
+        ``safe_box`` is a box known to hold no candidate: spheres inside
+        it are skipped before the nearest-candidate query.  The sphere
+        test is conservative (a point within ``1e-9`` relative of a
+        sphere counts as inside).
+
+        Returns the sorted violated site indices ``< n_owned`` and the
+        number of spheres (and hull sites turned interior) found violated.
+        """
+        from scipy.spatial import cKDTree
+
+        if self.num_tets == 0 or len(candidates) == 0:
+            return np.empty(0, dtype=np.int64), 0
+        tets, pts = self._tets, self.points
+        n = len(pts)
+        incident = np.flatnonzero((tets < n_owned).any(axis=1))
+        centers = self.vertices[incident]
+        radii = self._circumradii(incident)
+        hit = np.isinf(radii)  # a sliver without a center: assume the worst
+        probe = ~hit
+        if safe_box is not None:
+            lo, hi = safe_box.as_arrays()
+            rr = radii[:, None]
+            probe &= ((centers - rr < lo) | (centers + rr > hi)).any(axis=1)
+        if probe.any():
+            nearest, _ = cKDTree(candidates).query(centers[probe])
+            hit[probe] = nearest <= radii[probe] * (1.0 + 1e-9)
+        violated = np.zeros(n, dtype=bool)
+        violated[tets[incident[hit]].ravel()] = True
+        hits = int(hit.sum())
+        # Surviving vertices outside the box: incomplete either way.
+        lo, hi = self.box.as_arrays()
+        outside = ~np.all((centers >= lo) & (centers <= hi), axis=1)
+        doomed = np.zeros(n, dtype=bool)
+        doomed[tets[incident[outside & ~hit]].ravel()] = True
+
+        # An owned site on this hull either stays on the hull of all the
+        # points (unbounded either way) or becomes interior (its star
+        # changes, and nothing bounds where its neighbors are).
+        hull_faces = self._hull_faces()
+        hull_owned = np.unique(hull_faces[hull_faces < n_owned])
+        if len(hull_owned):
+            from scipy.spatial import ConvexHull
+
+            stays = np.zeros(n + len(candidates), dtype=bool)
+            stays[ConvexHull(np.concatenate([pts, candidates])).vertices] = True
+            stays = stays[hull_owned]
+            doomed[hull_owned[stays]] = True
+            violated[hull_owned[~stays]] = True
+            hits += int((~stays).sum())
+        return np.flatnonzero((violated & ~doomed)[:n_owned]), hits
+
+    def _circumradii(self, tets) -> np.ndarray:
+        """Circumradius of the selected tets; ``inf`` where a sliver has
+        no finite circumcenter."""
+        d = self.vertices[tets] - self.points[self._tets[tets, 0]]
+        radii = np.sqrt(np.einsum("ij,ij->i", d, d))
+        radii[~np.isfinite(radii)] = np.inf
+        return radii
+
+    def _hull_faces(self) -> np.ndarray:
+        """Vertex triples ``(B, 3)`` of the triangulation's hull facets."""
+        bt, bk = np.nonzero(self._neighbors == -1)
+        return self._tets[bt[:, None], _TET_FACES[bk]]
+
+    def star_spheres(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Circumspheres ``(centers, radii)`` of the tets incident to
+        ``sites``.  A site's cell is the convex hull of its star's
+        circumcenters, so whatever points are added to the triangulation,
+        each of its Delaunay neighbors afterwards lies in one of these
+        balls.  One radius is ``inf`` when a site is on the hull."""
+        wanted = np.zeros(len(self.points), dtype=bool)
+        wanted[sites] = True
+        star = wanted[self._tets].any(axis=1)
+        centers = self.vertices[star]
+        radii = self._circumradii(star)
+        if wanted[self._hull_faces()].any():
+            centers = np.concatenate([centers, self.points[sites[:1]]])
+            radii = np.append(radii, np.inf)
+        return centers, radii
 
     # ------------------------------------------------------------------
     @property

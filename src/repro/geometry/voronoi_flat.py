@@ -34,10 +34,10 @@ import numpy as np
 
 from ..diy.bounds import Bounds
 
-__all__ = ["FlatVoronoi", "FlatVoronoiBase"]
+__all__ = ["FlatVoronoi", "FlatVoronoiBase", "segment_gather"]
 
 
-def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Indices gathering CSR segments ``[starts[i], starts[i]+lengths[i])``."""
     total = int(lengths.sum())
     if total == 0:
@@ -57,7 +57,7 @@ class FlatVoronoiBase:
     ``ridge_sites``, ``ridge_flat``/``ridge_offsets``, ``ridge_areas``,
     ``volumes``/``areas``, ``complete``, ``cell_ridges_flat``/
     ``cell_ridges_offsets`` — plus the geometry counters ``num_tets``,
-    ``degenerate_ridges_dropped``, and ``used_fallback``.
+    ``degenerate_ridges_dropped``, ``used_fallback`` and ``merged_sites``.
     """
 
     #: Delaunay tetrahedra behind the diagram (0 for the Qhull-Voronoi path).
@@ -66,6 +66,19 @@ class FlatVoronoiBase:
     degenerate_ridges_dropped: int = 0
     #: True when the engine fell back to joggled input or an empty diagram.
     used_fallback: bool = False
+    #: sites qhull folded into a representative vertex (exact duplicates).
+    merged_sites: int = 0
+
+    @property
+    def degenerate(self) -> bool:
+        """True when the input was degenerate (joggled or empty diagram,
+        coincident circumcenters, duplicate sites): how qhull broke the
+        ties is specific to this run's point set and order."""
+        return bool(
+            self.used_fallback
+            or self.degenerate_ridges_dropped
+            or self.merged_sites
+        )
 
     def _init_degenerate(self, n: int) -> None:
         self.used_fallback = True
@@ -134,9 +147,9 @@ class FlatVoronoiBase:
         for c0 in range(0, len(sites), chunk):
             sel = sites[c0 : c0 + chunk]
             counts = (cr_off[sel + 1] - cr_off[sel]).astype(np.int64)
-            rids = self.cell_ridges_flat[_segment_gather(cr_off[sel], counts)]
+            rids = self.cell_ridges_flat[segment_gather(cr_off[sel], counts)]
             cyc_len = (r_off[rids + 1] - r_off[rids]).astype(np.int64)
-            vids = self.ridge_flat[_segment_gather(r_off[rids], cyc_len)]
+            vids = self.ridge_flat[segment_gather(r_off[rids], cyc_len)]
             # vertices per cell (with multiplicity across its ridges)
             per_cell = np.zeros(len(sel), dtype=np.int64)
             np.add.at(per_cell, np.repeat(np.arange(len(sel)), counts), cyc_len)
@@ -155,9 +168,9 @@ class FlatVoronoiBase:
             seg_starts = np.concatenate([[0], np.cumsum(k[:-1])])
             kk = k[multi]
             starts = seg_starts[multi]
-            left = np.repeat(uvid[_segment_gather(starts, kk)], np.repeat(kk, kk))
+            left = np.repeat(uvid[segment_gather(starts, kk)], np.repeat(kk, kk))
             right = uvid[
-                _segment_gather(np.repeat(starts, kk), np.repeat(kk, kk))
+                segment_gather(np.repeat(starts, kk), np.repeat(kk, kk))
             ]
             diff = self.vertices[left] - self.vertices[right]
             d2 = np.einsum("ij,ij->i", diff, diff)

@@ -123,6 +123,11 @@ class TestCellUnionRegion:
             for i, p in enumerate(pts):
                 d = np.maximum(los - p, p - (los + h)).max(axis=1)
                 assert bool(got[i]) == bool((d <= radius).any()), (p, radius)
+        # one radius per point, as a column
+        radii = rng.uniform(0.0, 2.0, size=len(pts))
+        got = region.within(pts, radii[:, None])
+        want = [bool(region.within(p[None], r)[0]) for p, r in zip(pts, radii)]
+        assert got.tolist() == want
 
     def test_volume_and_bbox(self):
         mask = np.zeros((2, 2, 2), dtype=bool)

@@ -117,6 +117,45 @@ class TestConnectivityDtype:
         assert again.face_vertices.dtype == np.int64
 
 
+class TestTake:
+    @staticmethod
+    def cells_by_id(block):
+        return {c.site_id: c for c in block.cells()}
+
+    @staticmethod
+    def assert_cell_equal(a, b):
+        np.testing.assert_array_equal(a.site, b.site)
+        np.testing.assert_array_equal(a.neighbor_ids, b.neighbor_ids)
+        assert a.volume == b.volume and a.area == b.area
+        assert len(a.faces) == len(b.faces)
+        for fa, fb in zip(a.faces, b.faces):
+            np.testing.assert_array_equal(a.vertices[fa], b.vertices[fb])
+
+    def real_block(self):
+        pts = np.random.default_rng(5).uniform(0, 6.0, size=(120, 3))
+        return tessellate(pts, Bounds.cube(6.0), nblocks=1, ghost=3.0).blocks[0]
+
+    def test_take_selects_reorders_and_compacts(self):
+        block = self.real_block()
+        picked = np.array([17, 3, 88, 4])
+        sub = block.take(picked)
+        np.testing.assert_array_equal(sub.site_ids, block.site_ids[picked])
+        np.testing.assert_array_equal(sub.volumes, block.volumes[picked])
+        assert sub.num_vertices == len(np.unique(sub.face_vertices))
+        assert sub.num_vertices < block.num_vertices
+        assert sub.face_vertices.dtype == np.int32
+        want = self.cells_by_id(block)
+        for cell in sub.cells():
+            self.assert_cell_equal(cell, want[cell.site_id])
+
+    def test_take_nothing_and_everything(self):
+        block = self.real_block()
+        assert block.take(np.empty(0, dtype=np.int64)).num_cells == 0
+        same = block.take(np.arange(block.num_cells))
+        for name, arr in block.to_arrays().items():
+            np.testing.assert_array_equal(same.to_arrays()[name], arr)
+
+
 class TestIsinSorted:
     def test_basic_membership(self):
         kept = np.array([2, 5, 9], dtype=np.int64)

@@ -228,6 +228,58 @@ class TestNativeFallback:
         )
 
 
+class TestOwnedOnly:
+    """``n_owned=`` drops ghost-ghost ridges and nothing an owned cell
+    reads — with the native kernels and on the NumPy fallback."""
+
+    @pytest.fixture(params=("native", "numpy"))
+    def kernels(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(_native, "_lib", None)
+            monkeypatch.setattr(_native, "_tried", True)
+        elif not _native.available():
+            pytest.skip("native kernels unavailable")
+
+    @pytest.mark.parametrize("n_owned", (1, 120, 399, 400))
+    def test_owned_rows_identical(self, kernels, n_owned):
+        pts = poisson(400, 10.0, 61)
+        box = Bounds.cube(10.0)
+        full = DelaunayVoronoi(pts, box)
+        part = DelaunayVoronoi(pts, box, n_owned=n_owned)
+        # the triangulation and the dual-mode contract are untouched
+        np.testing.assert_array_equal(part.mesh.tetrahedra, full.mesh.tetrahedra)
+        np.testing.assert_array_equal(part.vertices, full.vertices)
+        np.testing.assert_array_equal(part.tet_circumcenters, full.vertices)
+        # every ridge kept has an owned side; none of the owned ones is lost
+        assert (part.ridge_sites.min(axis=1) < n_owned).all()
+        owned_ridges = full.ridge_sites.min(axis=1) < n_owned
+        np.testing.assert_array_equal(
+            part.ridge_sites, full.ridge_sites[owned_ridges]
+        )
+        np.testing.assert_array_equal(
+            part.ridge_areas, full.ridge_areas[owned_ridges]
+        )
+        own = slice(0, n_owned)
+        np.testing.assert_array_equal(part.complete[own], full.complete[own])
+        np.testing.assert_array_equal(part.volumes[own], full.volumes[own])
+        np.testing.assert_array_equal(part.areas[own], full.areas[own])
+        for s in range(0, n_owned, 13):
+            np.testing.assert_array_equal(
+                part.cell_neighbors(s), full.cell_neighbors(s)
+            )
+            for rp, rf in zip(part.cell_ridge_ids(s), full.cell_ridge_ids(s)):
+                np.testing.assert_array_equal(
+                    part.ridge_cycle(rp), full.ridge_cycle(rf)
+                )
+
+    def test_no_owned_edge_left(self, kernels):
+        # every site "owned" is the plain call; none owned leaves no ridge
+        pts = poisson(50, 4.0, 62)
+        dv = DelaunayVoronoi(pts, Bounds.cube(4.0), n_owned=0)
+        assert dv.num_ridges == 0 and dv.num_tets > 0
+        assert dv.cell_ridges_offsets[-1] == 0
+
+
 class TestTessellateParity:
     @pytest.mark.parametrize("nblocks", (1, 2, 4))
     @pytest.mark.parametrize("exec_backend", ("thread", "process"))
