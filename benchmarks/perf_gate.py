@@ -2,8 +2,7 @@
 
 Collects the machine-readable outputs of the backend-scaling sweep
 (:mod:`benchmarks.bench_backend_scaling`), the void-finder kernel bench
-(:mod:`benchmarks.bench_void_scaling`), the geometry-engine bench
-(:mod:`benchmarks.bench_geometry_kernels`), the load-balance bench
+(:mod:`benchmarks.bench_void_scaling`), the load-balance bench
 (:mod:`benchmarks.bench_balance`), the serving-path bench
 (:mod:`benchmarks.bench_serve`), and the trace-overhead bench
 (:mod:`benchmarks.bench_trace_overhead`) plus the process peak RSS into a
@@ -57,10 +56,6 @@ DEFAULT_LIMITS = {
     # persistent rank pool + two-level collectives keep overhead below the
     # per-rank work saved by splitting the domain
     "scaling.process.r4_over_r1": 1.0,
-    # the Delaunay-direct flat engine must stay >= 2.5x faster than the
-    # scipy.spatial.Voronoi flat engine (PR 7 acceptance bar):
-    # delaunay_s / flat_s <= 0.4
-    "geom.delaunay_over_flat": 0.4,
     # dynamic load balancing (PR 8 acceptance bars): on the clustered IC
     # the SFC re-split must bring max/mean particle imbalance under 1.25,
     # starting from a static layout at >= 2.0 (the negated metric turns
@@ -94,8 +89,6 @@ BASELINE_THRESHOLDS = {
     "voids.flat_s": 0.5,
     "tracking.dict_s": 0.5,
     "tracking.flat_s": 0.5,
-    "geom.flat_s": 0.5,
-    "geom.delaunay_s": 0.5,
     # client-side latency quantiles on a loaded shared runner jitter far
     # beyond the default; the absolute serve.* limits carry the contract
     "serve.cold_p50_ms": 2.0,
@@ -122,7 +115,6 @@ def collect(quick: bool = True) -> dict[str, float]:
     """Run the tracked benches; return the flat metrics dict."""
     from bench_backend_scaling import run_sweep
     from bench_balance import run_bench as run_balance_bench
-    from bench_geometry_kernels import run_bench as run_geom_bench
     from bench_serve import run_bench as run_serve_bench
     from bench_trace_overhead import run_bench
     from bench_tracking import run_bench as run_tracking_bench
@@ -158,11 +150,6 @@ def collect(quick: bool = True) -> dict[str, float]:
     metrics["tracking.flat_over_dict"] = (
         tracking["flat_s"] / tracking["dict_s"]
     )
-
-    _, geom = run_geom_bench(quick=quick)
-    metrics["geom.flat_s"] = geom["flat_s"]
-    metrics["geom.delaunay_s"] = geom["delaunay_s"]
-    metrics["geom.delaunay_over_flat"] = geom["delaunay_over_flat"]
 
     _, balance = run_balance_bench(quick=quick)
     metrics["balance.static_imbalance_neg"] = -balance["static_imbalance"]

@@ -186,8 +186,8 @@ int64_t order_rings(const double *verts, const double *pts,
 
 /* Counting sort of ridge ids by site: fills the cell -> ridge CSR
  * (cursor[] must enter holding the per-cell offsets; it is consumed).
- * Side-0 entries are written before side-1 entries for every cell,
- * matching FlatVoronoi's layout. */
+ * Side-0 entries are written before side-1 entries for every cell
+ * (the NumPy fallback's stable-sort layout). */
 void fill_cell_ridges(const int64_t *sites, int64_t R,
                       int64_t *cursor, int64_t *out)
 {

@@ -41,11 +41,6 @@ def _build_tess_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=1, help="block/rank count")
     p.add_argument("--ghost", type=float, default=None,
                    help="ghost-zone size (default: 4 mean spacings)")
-    p.add_argument("--backend", choices=("delaunay", "qhull", "clip"),
-                   default="delaunay",
-                   help="geometry backend (delaunay: Delaunay-direct flat "
-                        "engine; qhull: scipy Voronoi flat engine; clip: "
-                        "per-cell halfspace clipping)")
     p.add_argument("--exec-backend", choices=("thread", "process"),
                    default="thread", dest="exec_backend",
                    help="SPMD execution backend: thread (default; GIL-bound) "
@@ -147,20 +142,29 @@ def tess_main(argv: list[str] | None = None) -> int:
 
     observing = _observe_start(args)
     domain = Bounds.cube(box)
-    tess = tessellate(
-        points,
-        domain,
-        nblocks=args.blocks,
-        ghost=args.ghost,
-        periodic=not args.no_periodic,
-        backend=args.backend,
-        vmin=args.vmin,
-        vmax=args.vmax,
-        output_path=args.output,
-        nranks=args.ranks,
-        exec_backend=args.exec_backend,
-        balance_threshold=args.balance_threshold,
-    )
+    try:
+        tess = tessellate(
+            points,
+            domain,
+            nblocks=args.blocks,
+            ghost=args.ghost,
+            periodic=not args.no_periodic,
+            vmin=args.vmin,
+            vmax=args.vmax,
+            output_path=args.output,
+            nranks=args.ranks,
+            exec_backend=args.exec_backend,
+            balance_threshold=args.balance_threshold,
+        )
+    except ValueError as exc:
+        # tessellate() validates its arguments before any rank starts; a
+        # failure inside the parallel region is a ParallelError, not this.
+        if observing:
+            from . import observe
+
+            observe.disable()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     vols = tess.volumes()
     print(f"points:        {len(points)}")
     print(f"blocks:        {tess.num_blocks}")

@@ -97,7 +97,6 @@ def tessellate_auto_distributed(
     ids: np.ndarray,
     initial_ghost: float,
     max_iterations: int = 8,
-    backend: str = "delaunay",
     vmin: float | None = None,
     vmax: float | None = None,
     gid: int | None = None,
@@ -126,8 +125,7 @@ def tessellate_auto_distributed(
         # No thresholds during certification: a culled cell cannot be
         # checked.  Thresholds apply on the final pass below.
         block, _, _ = tessellate_distributed(
-            comm, decomposition, positions, ids, ghost=ghost,
-            backend=backend, gid=gid,
+            comm, decomposition, positions, ids, ghost=ghost, gid=gid
         )
         certified = certify_block(
             block, block_def.ghost_bounds(ghost), region=region, ghost=ghost
@@ -162,7 +160,6 @@ def tessellate_auto(
     initial_ghost: float | None = None,
     ids: np.ndarray | None = None,
     periodic: bool = True,
-    backend: str = "delaunay",
     max_iterations: int = 8,
 ) -> tuple[Tessellation, float, int]:
     """Standalone auto-ghost tessellation.
@@ -194,7 +191,6 @@ def tessellate_auto(
         return tessellate_auto_distributed(
             comm, decomp, pts[mine], pid[mine],
             initial_ghost=initial_ghost, max_iterations=max_iterations,
-            backend=backend,
         )
 
     results = run_parallel(nblocks, worker)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diy.bounds import Bounds
-from ..geometry.voronoi_flat import segment_gather
+from ..geometry.voronoi_delaunay import segment_gather
 from .cell import VoronoiCell
 
 __all__ = ["VoronoiBlock", "BlockSizeReport", "connectivity_index_dtype",

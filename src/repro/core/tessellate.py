@@ -30,9 +30,7 @@ from ..diy.bounds import Bounds
 from ..diy.comm import Communicator, run_parallel
 from ..diy.decomposition import Decomposition
 from ..geometry.voronoi_cells import voronoi_cells_clip
-from ..geometry.voronoi_delaunay import DelaunayVoronoi
-from ..geometry.voronoi_flat import FlatVoronoi, segment_gather
-from ..geometry.voronoi_qhull import voronoi_cells_qhull
+from ..geometry.voronoi_delaunay import DelaunayVoronoi, segment_gather
 from .cell import VoronoiCell
 from .culling import early_cull_mask, exact_cull_mask, passes_early_cull
 from .data_model import VoronoiBlock
@@ -40,12 +38,6 @@ from .ghost import exchange_ghost_particles
 from .timing import PhaseTimer, TessTimings
 
 __all__ = ["tessellate_block", "tessellate_distributed", "tessellate", "Tessellation"]
-
-#: per-cell oracle backends (cross-validation; see DESIGN.md §11)
-_BACKENDS = {"clip": voronoi_cells_clip, "qhull": voronoi_cells_qhull}
-#: flat whole-block engines; "delaunay" is the production default,
-#: "qhull" (FlatVoronoi over scipy Voronoi) is its first-line oracle
-_FLAT_ENGINES = {"delaunay": DelaunayVoronoi, "qhull": FlatVoronoi}
 
 #: Thickness of the ghost shell the first triangulation of a block sees,
 #: in local mean particle spacings (Chebyshev depth to the block's core).
@@ -77,42 +69,41 @@ def _observe_geometry(fv, n_complete: int, **counts: int) -> None:
 
 
 def _tessellate_block_flat(
+    decomposition: Decomposition,
+    gid: int,
     owned_positions: np.ndarray,
     owned_ids: np.ndarray,
     ghost_positions: np.ndarray,
     ghost_ids: np.ndarray,
-    container: Bounds,
-    gid: int,
-    extents: Bounds,
+    ghost: float,
     vmin: float | None,
     vmax: float | None,
-    backend: str = "delaunay",
-    region=None,
-    region_radius: float = 0.0,
     rank: int = 0,
 ) -> VoronoiBlock:
-    """Vectorized block tessellation (production flat path).
+    """Block ``gid`` of ``decomposition`` from its owned points and the
+    ghosts exchanged at thickness ``ghost`` (steps 2-3 of the pipeline).
 
-    ``backend`` picks the flat geometry engine: ``"delaunay"`` (the
-    Delaunay-direct production engine) or ``"qhull"`` (FlatVoronoi over
-    ``scipy.spatial.Voronoi``, retained as the cross-validation oracle).
-    Semantically identical to :func:`tessellate_block` + ``from_cells``:
-    the block vertex pool comes directly from the engine's global pool,
-    already deduplicated.
+    Fully vectorized: the block's vertex pool and CSR rows come straight
+    from the engine's flat arrays (:func:`_block_from_flat`).
 
-    The Delaunay engine triangulates lazily (DESIGN.md §11): owned points
-    plus the ghosts within :data:`_START_SPACINGS` of the core first, the
-    deeper ghosts withheld; the exact empty-circumsphere certificate
+    The engine triangulates lazily (DESIGN.md §11): owned points plus the
+    ghosts within :data:`_START_SPACINGS` of the core first, the deeper
+    ghosts withheld; the exact empty-circumsphere certificate
     (:meth:`DelaunayVoronoi.star_violations`) then names the owned cells a
     withheld ghost would change, and those are re-derived from one local
     patch over all points in hand.  The cells returned are the cells of
     the triangulation of everything; when nothing can be withheld (or the
     input is degenerate) that triangulation is what runs.
 
-    ``region`` (with ``region_radius``, the ghost thickness) refines
-    completeness certification for irregular blocks — see
-    :func:`_region_complete_mask`.  ``rank`` labels the trace spans.
+    A balanced block's irregular region refines completeness
+    certification — see :func:`_region_complete_mask`.  ``rank`` labels
+    the trace spans.
     """
+    block_def = decomposition.block(gid)
+    extents = block_def.core
+    container = block_def.ghost_bounds(ghost)
+    region = decomposition.block_region(gid)
+    owned_positions = np.atleast_2d(np.asarray(owned_positions, dtype=float))
     n_owned = len(owned_positions)
     if n_owned == 0:
         return VoronoiBlock.from_cells(gid, extents, [])
@@ -128,12 +119,9 @@ def _tessellate_block_flat(
     def assemble(fv, n, subset=slice(None), eligible=None, **observed):
         return _block_from_flat(
             fv, n, all_points[subset], local_to_global[subset], gid, extents,
-            vmin, vmax, region=region, region_radius=region_radius,
+            vmin, vmax, region=region, region_radius=ghost,
             eligible=eligible, **observed,
         )
-
-    if backend != "delaunay":
-        return assemble(_FLAT_ENGINES[backend](all_points, container), n_owned)[0]
 
     volume = extents.volume if region is None else region.volume()
     start = _START_SPACINGS * (volume / n_owned) ** (1.0 / 3.0)
@@ -391,20 +379,19 @@ def tessellate_block(
     ghost_positions: np.ndarray,
     ghost_ids: np.ndarray,
     container: Bounds,
-    backend: str = "clip",
     vmin: float | None = None,
     vmax: float | None = None,
 ) -> list[VoronoiCell]:
-    """Local tessellation of one block (steps 2-3 of the pipeline).
+    """Reference tessellation of one block, cell by cell (steps 2-3 of the
+    pipeline) with :func:`~repro.geometry.voronoi_cells.voronoi_cells_clip`.
 
-    ``container`` is the block's ghost-grown bounds; cells that touch it are
-    incomplete and deleted.  Returns complete cells within the volume
-    thresholds, with *global* neighbor ids.
+    Shares neither code nor library with the production path, which is
+    what makes it the oracle the tests compare :func:`tessellate` against;
+    no production entry point calls it.  ``container`` is the block's
+    ghost-grown bounds; cells that touch it are incomplete and deleted.
+    Returns complete cells within the volume thresholds, with *global*
+    neighbor ids.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}"
-        )
     owned_positions = np.atleast_2d(np.asarray(owned_positions, dtype=float))
     n_owned = len(owned_positions)
     if n_owned == 0:
@@ -418,7 +405,7 @@ def tessellate_block(
         [np.asarray(owned_ids, dtype=np.int64), np.asarray(ghost_ids, dtype=np.int64)]
     )
 
-    geoms = _BACKENDS[backend](all_points, container, sites=np.arange(n_owned))
+    geoms = voronoi_cells_clip(all_points, container, sites=np.arange(n_owned))
 
     cells: list[VoronoiCell] = []
     for geom in geoms:
@@ -452,7 +439,6 @@ def tessellate_distributed(
     positions: np.ndarray,
     ids: np.ndarray,
     ghost: float,
-    backend: str = "delaunay",
     vmin: float | None = None,
     vmax: float | None = None,
     output_path: str | None = None,
@@ -462,19 +448,10 @@ def tessellate_distributed(
 
     Every rank calls this collectively with its owned particles; the rank's
     block is ``gid`` (default: its rank, the one-block-per-process layout).
-    ``backend`` selects the geometry engine: ``"delaunay"`` (production)
-    or ``"qhull"`` for the flat whole-block path, ``"clip"`` for the
-    per-cell oracle.  Returns ``(block, timings, output_bytes)``;
-    ``output_bytes`` is 0 when no ``output_path`` is given.
+    Returns ``(block, timings, output_bytes)``; ``output_bytes`` is 0 when
+    no ``output_path`` is given.
     """
     gid = comm.rank if gid is None else gid
-    block_def = decomposition.block(gid)
-    region = decomposition.block_region(gid)
-    if region is not None and backend not in _FLAT_ENGINES:
-        raise ValueError(
-            "balanced (irregular) decompositions require a flat geometry "
-            f"engine ({sorted(_FLAT_ENGINES)}), not {backend!r}"
-        )
     timer = PhaseTimer(rank=comm.rank)
     stats0 = comm.stats.snapshot()
 
@@ -484,35 +461,10 @@ def tessellate_distributed(
         )
 
     with timer.phase("compute"):
-        if backend in _FLAT_ENGINES:
-            # Production path: fully vectorized flat-array assembly.
-            block = _tessellate_block_flat(
-                np.atleast_2d(np.asarray(positions, dtype=float)),
-                ids,
-                ghost_pos,
-                ghost_ids,
-                container=block_def.ghost_bounds(ghost),
-                gid=gid,
-                extents=block_def.core,
-                vmin=vmin,
-                vmax=vmax,
-                backend=backend,
-                region=region,
-                region_radius=ghost,
-                rank=comm.rank,
-            )
-        else:
-            cells = tessellate_block(
-                positions,
-                ids,
-                ghost_pos,
-                ghost_ids,
-                container=block_def.ghost_bounds(ghost),
-                backend=backend,
-                vmin=vmin,
-                vmax=vmax,
-            )
-            block = VoronoiBlock.from_cells(gid, block_def.core, cells)
+        block = _tessellate_block_flat(
+            decomposition, gid, positions, ids, ghost_pos, ghost_ids,
+            ghost, vmin, vmax, rank=comm.rank,
+        )
 
     output_bytes = 0
     # The output phase is always entered (a ~0 s span when nothing is
@@ -617,7 +569,6 @@ def tessellate(
     ghost: float | None = None,
     ids: np.ndarray | None = None,
     periodic: bool = True,
-    backend: str = "delaunay",
     vmin: float | None = None,
     vmax: float | None = None,
     output_path: str | None = None,
@@ -638,8 +589,7 @@ def tessellate(
     ``exec_backend`` selects the SPMD substrate: ``"thread"`` (default;
     deterministic, GIL-bound) or ``"process"`` (one OS process per rank,
     true hardware parallelism — see :func:`repro.diy.comm.run_parallel`).
-    Results are bit-identical between the two.  ``backend`` remains the
-    *geometry* backend (delaunay/qhull/clip).
+    Results are bit-identical between the two.
 
     ``balance_threshold`` enables dynamic load balancing: if the regular
     decomposition's max/mean per-block particle count exceeds it, the
@@ -666,6 +616,11 @@ def tessellate(
     if ghost is None:
         spacing = (domain.volume / max(len(pts), 1)) ** (1.0 / 3.0)
         ghost = 4.0 * spacing
+    nranks = nblocks if nranks is None else nranks
+    if not 1 <= nranks <= nblocks:
+        raise ValueError(
+            f"nranks must be between 1 and nblocks={nblocks}, got {nranks}"
+        )
 
     decomp = Decomposition.regular(domain, nblocks, periodic=periodic)
     balance_info = None
@@ -687,11 +642,6 @@ def tessellate(
             "rebalanced": False,
         }
         if before["max_over_mean"] > balance_threshold:
-            if backend not in _FLAT_ENGINES:
-                raise ValueError(
-                    "balance_threshold requires a flat geometry engine "
-                    f"({sorted(_FLAT_ENGINES)}), not {backend!r}"
-                )
             hist = compute_cell_counts(pts, domain, balance_grid)
             decomp = rebalance_decomposition(
                 domain, hist, nblocks, periodic=periodic
@@ -702,7 +652,6 @@ def tessellate(
             publish_imbalance(after, prefix="balance.post")
             balance_info["max_over_mean_after"] = after["max_over_mean"]
             balance_info["rebalanced"] = True
-    nranks = nblocks if nranks is None else nranks
     # Module-level workers + plain-data arguments: the whole task pickles,
     # so the process backend can lease persistent pool workers instead of
     # falling back to a fresh fork per call.
@@ -715,7 +664,6 @@ def tessellate(
         pts,
         pid,
         ghost,
-        backend,
         vmin,
         vmax,
         output_path,
@@ -744,7 +692,6 @@ def _single_block_worker(
     pts: np.ndarray,
     pid: np.ndarray,
     ghost: float,
-    backend: str,
     vmin: float | None,
     vmax: float | None,
     output_path: str | None,
@@ -757,7 +704,6 @@ def _single_block_worker(
         pts[mine],
         pid[mine],
         ghost=ghost,
-        backend=backend,
         vmin=vmin,
         vmax=vmax,
         output_path=output_path,
@@ -772,7 +718,6 @@ def _multi_block_worker(
     pts: np.ndarray,
     pid: np.ndarray,
     ghost: float,
-    backend: str,
     vmin: float | None,
     vmax: float | None,
     output_path: str | None,
@@ -795,34 +740,14 @@ def _multi_block_worker(
         ghosts = exchange_ghost_particles_multi(
             decomp, comm, assignment, particles_by_gid, ghost
         )
-    local_blocks = []
     with timer.phase("compute"):
-        for gid in gids:
-            own_pos, own_ids = particles_by_gid[gid]
-            gpos, gid_ids = ghosts[gid]
-            block_def = decomp.block(gid)
-            region = decomp.block_region(gid)
-            if backend in _FLAT_ENGINES:
-                block = _tessellate_block_flat(
-                    np.atleast_2d(own_pos), own_ids, gpos, gid_ids,
-                    container=block_def.ghost_bounds(ghost),
-                    gid=gid, extents=block_def.core,
-                    vmin=vmin, vmax=vmax, backend=backend,
-                    region=region, region_radius=ghost, rank=comm.rank,
-                )
-            else:
-                if region is not None:
-                    raise ValueError(
-                        "balanced (irregular) decompositions require a flat "
-                        f"geometry engine, not {backend!r}"
-                    )
-                cells = tessellate_block(
-                    own_pos, own_ids, gpos, gid_ids,
-                    container=block_def.ghost_bounds(ghost),
-                    backend=backend, vmin=vmin, vmax=vmax,
-                )
-                block = VoronoiBlock.from_cells(gid, block_def.core, cells)
-            local_blocks.append(block)
+        local_blocks = [
+            _tessellate_block_flat(
+                decomp, gid, *particles_by_gid[gid], *ghosts[gid],
+                ghost, vmin, vmax, rank=comm.rank,
+            )
+            for gid in gids
+        ]
     nbytes = 0
     with timer.phase("output"):
         if output_path is not None:

@@ -1,10 +1,12 @@
 """Computational-geometry kernels (the repo's "Qhull" substrate).
 
 Provides convex hulls (native Quickhull and scipy/Qhull backends), convex
-polyhedra with halfspace clipping, two interchangeable Voronoi cell
-constructions, and Delaunay duality helpers.  Everything downstream —
-tess's parallel tessellation and the void analysis — builds on these
-kernels.
+polyhedra with halfspace clipping, Delaunay duality helpers, and two
+Voronoi constructions with different jobs: :class:`DelaunayVoronoi` is
+the engine the tessellation pipeline runs, :func:`voronoi_cells_clip`
+(KD-tree + bisector clipping, no qhull) the independent reference the
+tests hold it to.  Everything downstream — tess's parallel tessellation
+and the void analysis — builds on these kernels.
 """
 
 from .convex_hull import Hull, convex_hull, merge_coplanar_triangles
@@ -13,8 +15,6 @@ from .polyhedron import WALL_IDS, ConvexPolyhedron
 from .predicates import DEFAULT_REL_EPS, classify_against_plane, orient3d, scale_eps
 from .voronoi_cells import VoronoiCellGeometry, voronoi_cells_clip
 from .voronoi_delaunay import DelaunayVoronoi, tet_circumcenters
-from .voronoi_flat import FlatVoronoi
-from .voronoi_qhull import voronoi_cells_qhull
 
 __all__ = [
     "Hull",
@@ -32,17 +32,6 @@ __all__ = [
     "scale_eps",
     "VoronoiCellGeometry",
     "voronoi_cells_clip",
-    "voronoi_cells_qhull",
     "DelaunayVoronoi",
-    "FlatVoronoi",
     "tet_circumcenters",
 ]
-
-
-def voronoi_cells(points, box, sites=None, backend: str = "clip"):
-    """Dispatch to a Voronoi backend (``"clip"`` native or ``"qhull"``)."""
-    if backend == "clip":
-        return voronoi_cells_clip(points, box, sites=sites)
-    if backend == "qhull":
-        return voronoi_cells_qhull(points, box, sites=sites)
-    raise ValueError(f"unknown Voronoi backend {backend!r} (use 'clip' or 'qhull')")

@@ -6,7 +6,7 @@ Voronoi cells contain them in their interiors, and each Voronoi vertex is
 the circumcenter of a Delaunay tetrahedron.  This module exposes that dual
 view — used by the DTFE-style density estimators in
 :mod:`repro.analysis.statistics` and by cross-validation tests of the
-Voronoi backends.
+Voronoi constructions.
 """
 
 from __future__ import annotations

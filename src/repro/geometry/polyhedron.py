@@ -1,6 +1,6 @@
 """Convex polyhedra with halfspace clipping.
 
-:class:`ConvexPolyhedron` is the workhorse of the native Voronoi backend
+:class:`ConvexPolyhedron` is the workhorse of the clip Voronoi reference
 (:mod:`repro.geometry.voronoi_cells`): a Voronoi cell starts as the block's
 ghost-extended bounding box and is cut down by one bisector halfspace per
 relevant neighbor, Voro++-style.  Each face remembers the *generator id* of
@@ -115,7 +115,7 @@ class ConvexPolyhedron:
     def max_vertex_distance(self, point: np.ndarray) -> float:
         """Greatest distance from ``point`` to any vertex.
 
-        This is the 'security radius' test of the native Voronoi backend: a
+        This is the 'security radius' test of the clip Voronoi reference: a
         bisector with a site farther than twice this distance cannot cut the
         cell any further.
         """

@@ -1,13 +1,16 @@
 """Native cell-based Voronoi construction (bisector clipping).
 
-This is the ``clip`` backend of the tessellation: each cell starts as the
-container box and is intersected with one halfspace per nearby site — the
-perpendicular bisector between the cell's own site and that neighbor — in
-increasing distance order.  Iteration stops at the *security radius*: once
-the next candidate site is farther than twice the distance from the site to
-the farthest current cell vertex, no further bisector can cut the cell
-(Rycroft's Voro++ uses the same criterion; the paper cites it as the prior
-shared-memory parallel Voronoi implementation).
+This is ``clip``, the reference the tests hold the production engine
+(:mod:`repro.geometry.voronoi_delaunay`) to — it shares no code and no
+library (no qhull) with it, and no production entry point selects it.
+Each cell starts as the container box and is intersected with one
+halfspace per nearby site — the perpendicular bisector between the cell's
+own site and that neighbor — in increasing distance order.  Iteration
+stops at the *security radius*: once the next candidate site is farther
+than twice the distance from the site to the farthest current cell vertex,
+no further bisector can cut the cell (Rycroft's Voro++ uses the same
+criterion; the paper cites it as the prior shared-memory parallel Voronoi
+implementation).
 
 Every face of the resulting polyhedron carries the index of the neighbor
 site whose bisector generated it (or a negative wall code if the container

@@ -1,11 +1,10 @@
-"""Delaunay-direct flat Voronoi engine (production tessellation path).
+"""The local Voronoi engine: a flat-CSR diagram straight from Delaunay.
 
-:class:`DelaunayVoronoi` builds the same flat-CSR Voronoi interface as
-:class:`~repro.geometry.voronoi_flat.FlatVoronoi` without ever calling
-``scipy.spatial.Voronoi``.  A raw ``scipy.spatial.Delaunay`` is ~2x
-cheaper than the Voronoi call on the same points *and* returns pure
-ndarrays (``simplices``, ``neighbors``), so the whole diagram can be
-derived with array passes and no list-of-lists flattening:
+:class:`DelaunayVoronoi` is the one engine the tessellation pipeline runs
+(the paper's "local cells" step, Fig. 5).  It derives the whole diagram
+from one ``scipy.spatial.Delaunay`` — pure ndarrays (``simplices``,
+``neighbors``), so every later stage is an array pass with no per-cell
+Python geometry:
 
 * Voronoi vertices are the circumcenters of the Delaunay tetrahedra —
   one batched Cramer solve over all tets;
@@ -22,9 +21,15 @@ derived with array passes and no list-of-lists flattening:
   tolerance; rings left with fewer than three distinct vertices are
   dropped as degenerate, so lattice inputs do not fabricate zero-area
   ridges or phantom adjacency;
-* volumes/areas come from the same segmented Newell + bisector-pyramid
-  identity as FlatVoronoi, completeness from hull incidence plus an
-  all-circumcenters-inside-the-container test.
+* ridge areas come from a segmented Newell sum, and cell volumes from
+  the bisector identity: every ridge lies on the perpendicular bisector
+  of its site pair, so the pyramid from either site to the ridge has
+  height ``|s_p - s_q| / 2`` and a cell's volume is ``(1/6) * sum of
+  A_r * d_r`` over its ridges;
+* a cell is complete iff its site is off the hull and every incident
+  circumcenter lies inside the container — the semantics of the
+  independent reference, :func:`repro.geometry.voronoi_cells.
+  voronoi_cells_clip` ("no wall face remains").
 
 The per-ring order/dedup/Newell work runs in a compiled C kernel when
 :mod:`repro._native` can build one (it fuses ~15 NumPy passes into one
@@ -48,9 +53,8 @@ import numpy as np
 
 from .. import _native
 from ..diy.bounds import Bounds
-from .voronoi_flat import FlatVoronoiBase
 
-__all__ = ["DelaunayVoronoi", "tet_circumcenters"]
+__all__ = ["DelaunayVoronoi", "segment_gather", "tet_circumcenters"]
 
 #: the 6 vertex pairs (edges) of a tetrahedron
 _TET_EDGES = np.array(
@@ -66,6 +70,19 @@ _FACE_EDGES = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
 #: relative tolerance (of the container diagonal) under which two ring
 #: circumcenters are the same Voronoi vertex
 _COINCIDENT_RTOL = 1e-9
+
+
+def segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices gathering CSR segments ``[starts[i], starts[i]+lengths[i])``."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    out_starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
+    return (
+        np.repeat(starts, lengths)
+        + np.arange(total)
+        - np.repeat(out_starts, lengths)
+    )
 
 
 def _lstsq_fixup(centers, pts, tets, bad):
@@ -115,13 +132,28 @@ def tet_circumcenters(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return centers
 
 
-class DelaunayVoronoi(FlatVoronoiBase):
+class DelaunayVoronoi:
     """Flat-CSR Voronoi diagram computed directly from a Delaunay mesh.
 
-    Same interface and attribute semantics as :class:`FlatVoronoi` (see
-    its docstring); the vertex pool is the per-tet circumcenter array, so
-    ``vertices[t]`` is the circumcenter of tet ``t`` and
-    :attr:`tet_circumcenters` aliases it.
+    Attributes (all computed in ``__init__``)
+    -----------------------------------------
+    vertices:
+        ``(nv, 3)`` Voronoi vertex coordinates: ``vertices[t]`` is the
+        circumcenter of tet ``t`` (:attr:`tet_circumcenters` aliases it).
+    ridge_sites:
+        ``(R, 2)`` site index pair of each *valid* (finite) ridge.
+    ridge_flat / ridge_offsets:
+        Ordered vertex-index cycles of the valid ridges in CSR form:
+        ridge ``r`` is ``ridge_flat[ridge_offsets[r]:ridge_offsets[r+1]]``.
+    ridge_areas:
+        ``(R,)`` polygon area per valid ridge.
+    volumes / areas:
+        ``(n,)`` per-site cell volume and surface area (partial for
+        incomplete cells — do not use unless ``complete`` is set).
+    complete:
+        ``(n,)`` bool; cell is bounded with every vertex inside the box.
+    cell_ridges_flat / cell_ridges_offsets:
+        CSR mapping from each site to the valid-ridge indices around it.
 
     Parameters
     ----------
@@ -142,6 +174,15 @@ class DelaunayVoronoi(FlatVoronoiBase):
         CSR are then partial and must not be read; the triangulation and
         ``vertices`` (one circumcenter per tet) are unaffected.
     """
+
+    #: Delaunay tetrahedra behind the diagram.
+    num_tets: int = 0
+    #: ridges discarded as coincident-circumcenter slivers.
+    degenerate_ridges_dropped: int = 0
+    #: True when the engine fell back to joggled input or an empty diagram.
+    used_fallback: bool = False
+    #: sites qhull folded into a representative vertex (exact duplicates).
+    merged_sites: int = 0
 
     def __init__(
         self,
@@ -371,14 +412,119 @@ class DelaunayVoronoi(FlatVoronoiBase):
                     [np.arange(R), np.arange(R)]
                 ).astype(np.int64)
                 # Stable sort by site: side-0 entries precede side-1
-                # entries within each cell, each in ridge order
-                # (FlatVoronoi's layout).
+                # entries within each cell, each in ridge order (the
+                # native kernel's layout).
                 self.cell_ridges_flat = rid_both[
                     np.argsort(sites_both, kind="stable")
                 ]
         else:
             self.cell_ridges_offsets = np.zeros(n + 1, dtype=np.int64)
             self.cell_ridges_flat = np.empty(0, dtype=np.int64)
+
+    # ------------------------------------------------------------------
+    @property
+    def degenerate(self) -> bool:
+        """True when the input was degenerate (joggled or empty diagram,
+        coincident circumcenters, duplicate sites): how qhull broke the
+        ties is specific to this run's point set and order."""
+        return bool(
+            self.used_fallback
+            or self.degenerate_ridges_dropped
+            or self.merged_sites
+        )
+
+    def _init_degenerate(self, n: int) -> None:
+        self.used_fallback = True
+        self.vertices = np.empty((0, 3))
+        self.ridge_sites = np.empty((0, 2), dtype=np.int64)
+        self.ridge_flat = np.empty(0, dtype=np.int64)
+        self.ridge_offsets = np.zeros(1, dtype=np.int64)
+        self.ridge_areas = np.empty(0)
+        self.volumes = np.zeros(n)
+        self.areas = np.zeros(n)
+        self.complete = np.zeros(n, dtype=bool)
+        self.cell_ridges_offsets = np.zeros(n + 1, dtype=np.int64)
+        self.cell_ridges_flat = np.empty(0, dtype=np.int64)
+
+    @property
+    def num_sites(self) -> int:
+        return len(self.points)
+
+    @property
+    def num_ridges(self) -> int:
+        """Number of finite ridges."""
+        return len(self.ridge_sites)
+
+    def cell_ridge_ids(self, site: int) -> np.ndarray:
+        """Valid-ridge indices bounding the cell of ``site``."""
+        return self.cell_ridges_flat[
+            self.cell_ridges_offsets[site] : self.cell_ridges_offsets[site + 1]
+        ]
+
+    def ridge_cycle(self, r: int) -> np.ndarray:
+        """Ordered vertex indices (into :attr:`vertices`) of ridge ``r``."""
+        return self.ridge_flat[self.ridge_offsets[r] : self.ridge_offsets[r + 1]]
+
+    def cell_neighbors(self, site: int) -> np.ndarray:
+        """Site indices across each of the cell's ridges."""
+        rs = self.ridge_sites[self.cell_ridge_ids(site)]
+        return np.where(rs[:, 0] == site, rs[:, 1], rs[:, 0])
+
+    def max_vertex_separations(
+        self, sites: np.ndarray | None = None, chunk: int = 2048
+    ) -> np.ndarray:
+        """Batched cell diameters: max pairwise vertex distance per cell.
+
+        Computes, for every requested site (default all), the exact maximum
+        pairwise distance between the distinct vertices of its cell — the
+        conservative early-cull quantity of paper §III-C — with array ops
+        only.  Cells with fewer than two vertices get 0.  ``chunk`` bounds
+        the number of cells expanded to vertex pairs at once, capping the
+        O(sum k_i^2) intermediate memory.
+        """
+        sites = (
+            np.arange(self.num_sites, dtype=np.int64)
+            if sites is None
+            else np.asarray(sites, dtype=np.int64)
+        )
+        out = np.zeros(len(sites))
+        cr_off = self.cell_ridges_offsets
+        r_off = self.ridge_offsets
+        for c0 in range(0, len(sites), chunk):
+            sel = sites[c0 : c0 + chunk]
+            counts = (cr_off[sel + 1] - cr_off[sel]).astype(np.int64)
+            rids = self.cell_ridges_flat[segment_gather(cr_off[sel], counts)]
+            cyc_len = (r_off[rids + 1] - r_off[rids]).astype(np.int64)
+            vids = self.ridge_flat[segment_gather(r_off[rids], cyc_len)]
+            # vertices per cell (with multiplicity across its ridges)
+            per_cell = np.zeros(len(sel), dtype=np.int64)
+            np.add.at(per_cell, np.repeat(np.arange(len(sel)), counts), cyc_len)
+            cell_of = np.repeat(np.arange(len(sel)), per_cell)
+            # distinct (cell, vertex) pairs: duplicates don't change the max
+            # but quadratically inflate the pair expansion below.
+            nv = max(len(self.vertices), 1)
+            uniq = np.unique(cell_of * nv + vids)
+            ucell = uniq // nv
+            uvid = uniq % nv
+            k = np.bincount(ucell, minlength=len(sel)).astype(np.int64)
+            multi = k >= 2
+            if not multi.any():
+                continue
+            # all k_i^2 vertex pairs within each cell's segment
+            seg_starts = np.concatenate([[0], np.cumsum(k[:-1])])
+            kk = k[multi]
+            starts = seg_starts[multi]
+            left = np.repeat(uvid[segment_gather(starts, kk)], np.repeat(kk, kk))
+            right = uvid[
+                segment_gather(np.repeat(starts, kk), np.repeat(kk, kk))
+            ]
+            diff = self.vertices[left] - self.vertices[right]
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            bounds = np.concatenate([[0], np.cumsum(kk * kk)])[:-1]
+            out[c0 + np.flatnonzero(multi)] = np.sqrt(
+                np.maximum.reduceat(d2, bounds)
+            )
+        return out
 
     # ------------------------------------------------------------------
     def _triangulate(self, pts: np.ndarray, mesh):

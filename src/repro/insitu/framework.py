@@ -10,6 +10,7 @@ uses.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Mapping
 from typing import Any, Iterator
 
@@ -48,6 +49,15 @@ class CosmologyToolsFramework:
             if cls is None:
                 raise ValueError(
                     f"unknown tool {tc.tool!r}; registered: {sorted(registry)}"
+                )
+            accepted = inspect.signature(cls).parameters
+            unknown = sorted(set(tc.params) - set(accepted))
+            if unknown and not any(
+                p.kind is p.VAR_KEYWORD for p in accepted.values()
+            ):
+                raise ValueError(
+                    f"unknown parameters for tool {tc.tool!r}: {unknown}; "
+                    f"accepted: {sorted(accepted)}"
                 )
             self.tools.append(cls(**tc.params))
             self._tool_configs.append(tc)

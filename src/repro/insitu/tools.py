@@ -69,7 +69,6 @@ class TessellationTool(AnalysisTool):
     """
 
     ghost: float = 4.0
-    backend: str = "delaunay"
     vmin: float | None = None
     vmax: float | None = None
     output_pattern: str | None = None
@@ -98,7 +97,6 @@ class TessellationTool(AnalysisTool):
                 nblocks=1,
                 ghost=self.ghost,
                 ids=sim.local.ids,
-                backend=self.backend,
                 vmin=self.vmin,
                 vmax=self.vmax,
                 output_path=path,
@@ -109,7 +107,6 @@ class TessellationTool(AnalysisTool):
             sim.positions_mpc(),
             sim.local.ids,
             ghost=self.ghost,
-            backend=self.backend,
             vmin=self.vmin,
             vmax=self.vmax,
             output_path=path,

@@ -294,17 +294,6 @@ class TestBalanceParity:
             frozenset(v.site_ids.tolist()) for v in cat_s.voids
         }
 
-    def test_non_flat_geometry_backend_rejected(self):
-        pts, domain = _clustered(n=400)
-        with pytest.raises(ValueError, match="flat geometry engine"):
-            tessellate(
-                pts,
-                domain,
-                nblocks=2,
-                backend="clip",
-                balance_threshold=1.01,
-            )
-
 
 class TestSimulationRebalance:
     def _spec(self):

@@ -40,6 +40,13 @@ class TestTessCLI:
         np.save(npy, np.zeros((10, 2)))
         assert tess_main([str(npy)]) == 2
 
+    def test_more_ranks_than_blocks_is_a_usage_error(self, capsys):
+        rc = tess_main(["--random", "100", "--blocks", "2", "--ranks", "4"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: nranks must be between 1 and nblocks=2, got 4\n"
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_vmin_culling(self, capsys):
         rc = tess_main(["--random", "400", "--box", "8", "--vmin", "1.5",
                         "--ghost", "3"])

@@ -80,17 +80,6 @@ class TestMultiBlockTessellate:
         m = match_tessellations(multi, reference)
         assert m.cells_matching == m.cells_reference == 700
 
-    def test_clip_backend_multiblock(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 8, size=(250, 3))
-        domain = Bounds.cube(8.0)
-        multi = tessellate(
-            pts, domain, nblocks=4, ghost=3.0, nranks=2, backend="clip"
-        )
-        reference = tessellate(pts, domain, nblocks=4, ghost=3.0)
-        m = match_tessellations(multi, reference)
-        assert m.accuracy_percent == 100.0
-
     def test_output_written_from_multiblock_ranks(self, tmp_path):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 8, size=(300, 3))

@@ -114,7 +114,7 @@ class TestTessellateBlock:
         culled = tessellate(pts, domain, nblocks=1, ghost=3.0, vmax=vmax)
         assert np.all(culled.volumes() <= vmax)
 
-    def test_clip_backend_block_api(self):
+    def test_block_api(self):
         domain = Bounds.cube(6.0)
         pts = random_points(100, 6.0, seed=6)
         cells = tessellate_block(
@@ -123,19 +123,11 @@ class TestTessellateBlock:
             np.empty((0, 3)),
             np.empty(0, dtype=np.int64),
             container=domain,
-            backend="clip",
         )
         assert all(c.volume > 0 for c in cells)
         # No ghosts: every complete cell is interior.
         for c in cells:
             assert np.all(c.neighbor_ids >= 0)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            tessellate_block(
-                np.zeros((1, 3)), np.zeros(1), np.empty((0, 3)), np.empty(0),
-                container=Bounds.cube(1.0), backend="nope",
-            )
 
     def test_empty_block(self):
         cells = tessellate_block(
@@ -145,16 +137,7 @@ class TestTessellateBlock:
         assert cells == []
 
 
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("nblocks", [1, 4])
-    def test_qhull_fast_path_matches_clip(self, nblocks):
-        domain = Bounds.cube(12.0)
-        pts = random_points(600, 12.0, seed=7)
-        fast = tessellate(pts, domain, nblocks=nblocks, ghost=3.0, backend="qhull")
-        ref = tessellate(pts, domain, nblocks=nblocks, ghost=3.0, backend="clip")
-        m = match_tessellations(fast, ref, vol_rtol=1e-7)
-        assert m.cells_parallel == m.cells_reference == m.cells_matching
-
+class TestFaceStatistics:
     def test_fast_path_face_statistics(self):
         domain = Bounds.cube(12.0)
         pts = random_points(800, 12.0, seed=8)
@@ -300,6 +283,13 @@ class TestTessellationContainer:
         v1 = sorted(c.volume for c in cells)
         v2 = sorted(tess.volumes())
         np.testing.assert_allclose(v1, v2)
+
+    @pytest.mark.parametrize("nranks", (0, 4))
+    def test_rank_count_validated_before_any_rank_starts(self, nranks):
+        # a plain ValueError, not a ParallelError from inside the region
+        pts = random_points(50, 4.0, seed=22)
+        with pytest.raises(ValueError, match=f"nblocks=2, got {nranks}"):
+            tessellate(pts, Bounds.cube(4.0), nblocks=2, nranks=nranks)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,21 @@
-"""Tests for the Delaunay-direct flat Voronoi engine (PR 7).
+"""Tests for the production Voronoi engine.
 
 The engine (:class:`repro.geometry.voronoi_delaunay.DelaunayVoronoi`)
-must be indistinguishable from the scipy-Voronoi flat engine
-(:class:`repro.geometry.voronoi_flat.FlatVoronoi`) at its interface:
-identical complete masks, identical adjacency edge sets, and
-volumes/areas matching to 1e-9 relative — on clean Poisson inputs, on
-degenerate inputs (lattices, cocircular rings, coplanar/collinear sets,
-duplicates), with and without the native C kernels, and end-to-end
-through :func:`repro.core.tessellate.tessellate` at several rank counts
-on both execution backends.
+is held to the independent reference
+(:func:`repro.geometry.voronoi_cells.voronoi_cells_clip` — KD-tree +
+halfspace clipping, no qhull): identical complete masks, identical
+per-cell neighbor sets, and volumes/areas matching to 1e-9 relative — on
+clean Poisson inputs, on the jittered grid of the simulation's initial
+conditions and on degenerate inputs (lattices, cocircular rings,
+coplanar/collinear sets, duplicates), with and without the native C
+kernels.  ``tests/test_clip_reference.py`` does the same end to end
+through :func:`repro.core.tessellate.tessellate`.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import _native
 from repro.diy.bounds import Bounds
@@ -22,39 +25,32 @@ from repro.core.delaunay_mode import dual_distributed, tessellate_delaunay
 from repro.core.tessellate import tessellate
 from repro.geometry.voronoi_cells import voronoi_cells_clip
 from repro.geometry.voronoi_delaunay import DelaunayVoronoi, tet_circumcenters
-from repro.geometry.voronoi_flat import FlatVoronoi
+
+from .clip_reference import CLIP_VOL_RTOL
 
 
 def poisson(n, size, seed):
     return np.random.default_rng(seed).uniform(0, size, size=(n, 3))
 
 
-def edge_set(engine):
-    return set(map(tuple, np.sort(engine.ridge_sites, axis=1).tolist()))
-
-
-def assert_engines_agree(pts, box):
-    """Full interface parity between the two flat engines."""
+def assert_agrees_with_clip(pts, box):
+    """The engine against the reference, cell by cell: completeness,
+    volume, surface area and the set of face neighbors."""
     dv = DelaunayVoronoi(pts, box)
-    fv = FlatVoronoi(pts, box)
-    np.testing.assert_array_equal(dv.complete, fv.complete)
-    assert edge_set(dv) == edge_set(fv)
-    done = dv.complete
-    np.testing.assert_allclose(dv.volumes[done], fv.volumes[done], rtol=1e-9)
-    np.testing.assert_allclose(dv.areas[done], fv.areas[done], rtol=1e-9)
-    # Per-cell ridge sets (ids differ between engines; compare by the
-    # site pair each ridge separates).
-    for s in np.flatnonzero(done)[::7]:
-        got = sorted(
-            tuple(np.sort(dv.ridge_sites[r]).tolist())
-            for r in dv.cell_ridge_ids(int(s))
+    cells = voronoi_cells_clip(pts, box)
+    np.testing.assert_array_equal(dv.complete, [c.complete for c in cells])
+    done = np.flatnonzero(dv.complete)
+    np.testing.assert_allclose(
+        dv.volumes[done], [cells[s].volume for s in done], rtol=CLIP_VOL_RTOL
+    )
+    np.testing.assert_allclose(
+        dv.areas[done], [cells[s].surface_area for s in done], rtol=CLIP_VOL_RTOL
+    )
+    for s in done:
+        assert set(dv.cell_neighbors(int(s)).tolist()) == set(
+            cells[s].neighbors.tolist()
         )
-        want = sorted(
-            tuple(np.sort(fv.ridge_sites[r]).tolist())
-            for r in fv.cell_ridge_ids(int(s))
-        )
-        assert got == want
-    return dv, fv
+    return dv, cells
 
 
 class TestStructure:
@@ -92,6 +88,31 @@ class TestStructure:
             d = (v - mid) @ axis
             assert np.max(np.abs(d)) < 1e-8
 
+    def test_cell_neighbors(self):
+        pts = poisson(120, 8.0, 3)
+        dv = DelaunayVoronoi(pts, Bounds.cube(8.0))
+        for s in range(0, 120, 17):
+            nbs = dv.cell_neighbors(s)
+            assert s not in nbs
+            assert len(nbs) == len(dv.cell_ridge_ids(s))
+
+    def test_bisector_volume_identity(self):
+        """V_cell = (1/6) sum A_r d_r over the cell's ridges."""
+        pts = poisson(150, 8.0, 6)
+        dv = DelaunayVoronoi(pts, Bounds.cube(8.0))
+        for s in np.flatnonzero(dv.complete)[:10]:
+            rids = dv.cell_ridge_ids(int(s))
+            d = np.linalg.norm(
+                pts[dv.ridge_sites[rids, 0]] - pts[dv.ridge_sites[rids, 1]],
+                axis=1,
+            )
+            v = float((dv.ridge_areas[rids] * d).sum() / 6.0)
+            assert v == pytest.approx(dv.volumes[s], rel=1e-12)
+
+    def test_bad_shape(self):
+        with pytest.raises(ValueError):
+            DelaunayVoronoi(np.zeros((5, 2)), Bounds.cube(1.0))
+
     def test_circumcenters_equidistant(self):
         pts = poisson(120, 6.0, 3)
         from scipy.spatial import Delaunay
@@ -121,17 +142,32 @@ class TestParity:
     @pytest.mark.parametrize("seed", (0, 1, 2, 3))
     def test_poisson_parity(self, seed):
         pts = poisson(250, 10.0, seed)
-        assert_engines_agree(pts, Bounds.cube(10.0))
+        dv, _ = assert_agrees_with_clip(pts, Bounds.cube(10.0))
+        assert 0 < dv.complete.sum() < len(pts) and not dv.degenerate
 
-    @pytest.mark.parametrize("seed", (0, 5))
-    def test_agrees_with_clip_oracle(self, seed):
-        pts = poisson(180, 9.0, seed)
-        box = Bounds.cube(9.0)
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_jittered_grid_parity(self, seed):
+        # n^3 points on a jittered grid: the HACC initial-condition layout
+        n, size = 6, 12.0
+        rng = np.random.default_rng(seed)
+        base = (np.mgrid[0:n, 0:n, 0:n].reshape(3, -1).T + 0.5) * size / n
+        pts = base + rng.uniform(-0.3, 0.3, size=base.shape) * size / n
+        dv, _ = assert_agrees_with_clip(pts, Bounds.cube(size))
+        assert dv.complete.sum() >= 4**3  # the deep interior
+
+    def test_cell_diameters_match_clip_polyhedra(self):
+        # the early-cull quantity, against the reference's own vertices
+        pts = poisson(120, 6.0, 5)
+        box = Bounds.cube(6.0)
         dv = DelaunayVoronoi(pts, box)
-        cells = voronoi_cells_clip(pts, box)
-        for s, cell in enumerate(cells):
-            if dv.complete[s] and cell.complete:
-                assert dv.volumes[s] == pytest.approx(cell.volume, rel=1e-9)
+        done = np.flatnonzero(dv.complete)
+        cells = voronoi_cells_clip(pts, box, sites=done)
+        np.testing.assert_allclose(
+            dv.max_vertex_separations(done),
+            [c.polyhedron.max_pairwise_vertex_distance() for c in cells],
+            rtol=CLIP_VOL_RTOL,
+        )
+        assert len(done) > 10
 
 
 class TestDegenerate:
@@ -143,7 +179,9 @@ class TestDegenerate:
         side = np.arange(6, dtype=float) + 0.5
         g = np.meshgrid(side, side, side, indexing="ij")
         pts = np.column_stack([a.ravel() for a in g])
-        assert_engines_agree(pts, Bounds.cube(6.0))
+        dv, _ = assert_agrees_with_clip(pts, Bounds.cube(6.0))
+        assert dv.degenerate and dv.degenerate_ridges_dropped > 0
+        assert dv.complete.sum() == 4**3
 
     def test_cocircular_ring(self):
         rng = np.random.default_rng(11)
@@ -154,27 +192,61 @@ class TestDegenerate:
         poles = np.array([[2.0, 2.0, 0.5], [2.0, 2.0, 3.5]])
         extra = rng.uniform(0, 4, size=(40, 3))
         pts = np.concatenate([ring, poles, extra])
-        assert_engines_agree(pts, Bounds.cube(4.0))
+        dv, _ = assert_agrees_with_clip(pts, Bounds.cube(4.0))
+        assert dv.complete.any()
 
     def test_duplicates(self):
+        # The reference declines coincident sites (a degenerate cell for
+        # both twins), so the oracle is clip on the *deduplicated* set:
+        # each coincident pair must carry exactly that one cell — on
+        # whichever twin qhull kept — and every other cell is unchanged.
         rng = np.random.default_rng(12)
         base = rng.uniform(0, 8, size=(100, 3))
         pts = np.concatenate([base, base[::10]])  # 10 exact duplicates
-        # Which member of a coincident pair qhull keeps is its choice;
-        # the contract is only that both engines make the *same* choice
-        # (assert_engines_agree compares the full complete masks).
-        dv, fv = assert_engines_agree(pts, Bounds.cube(8.0))
-        np.testing.assert_allclose(dv.volumes, fv.volumes, rtol=1e-9)
+        original = np.concatenate([np.arange(100), np.arange(0, 100, 10)])
+        box = Bounds.cube(8.0)
+        dv = DelaunayVoronoi(pts, box)
+        assert dv.degenerate and dv.merged_sites == 10
+        cells = voronoi_cells_clip(base, box)
+        for c in voronoi_cells_clip(pts, box)[::10][:10]:
+            assert not c.complete and c.polyhedron is None
+        has_ridges = np.diff(dv.cell_ridges_offsets) > 0
+        for s, want in enumerate(cells):
+            twins = np.flatnonzero(original == s)
+            # one twin is in the triangulation; the other has no ridges
+            # and no volume
+            assert has_ridges[twins].sum() == 1
+            keeper = int(twins[has_ridges[twins]][0])
+            assert np.all(dv.volumes[twins[twins != keeper]] == 0)
+            assert dv.complete[keeper] == want.complete
+            if not want.complete:
+                continue
+            assert dv.volumes[keeper] == pytest.approx(
+                want.volume, rel=CLIP_VOL_RTOL
+            )
+            got = set(original[dv.cell_neighbors(keeper)].tolist())
+            assert got - {s} == set(want.neighbors.tolist())
+        # reciprocity survives the merge: a ridge sits in both its cells
+        for r in range(0, dv.num_ridges, 9):
+            for site in dv.ridge_sites[r]:
+                assert r in dv.cell_ridge_ids(int(site))
+
+    def test_duplicates_through_tessellate_still_tile_the_box(self):
+        pts = poisson(300, 8.0, 3)
+        pts[17] = pts[4]
+        tess = tessellate(pts, Bounds.cube(8.0), nblocks=2, ghost=3.0)
+        assert tess.total_volume() == pytest.approx(8.0**3, rel=1e-9)
+        twins = tess.volumes()[np.isin(tess.site_ids(), (4, 17))]
+        assert sorted(twins > 0) == [False, True]
 
     def test_coplanar_all_incomplete(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 5, size=(80, 3))
         pts[:, 2] = 2.5
-        dv = DelaunayVoronoi(pts, Bounds.cube(5.0))
-        fv = FlatVoronoi(pts, Bounds.cube(5.0))
+        dv, _ = assert_agrees_with_clip(pts, Bounds.cube(5.0))
+        # joggled output is never certified
+        assert dv.used_fallback and dv.degenerate
         assert not dv.complete.any()
-        assert not fv.complete.any()
-        assert dv.used_fallback
 
     def test_collinear_all_incomplete(self):
         pts = np.column_stack([
@@ -193,6 +265,7 @@ class TestDegenerate:
             assert dv.num_sites == n
             assert dv.num_ridges == 0
             assert not dv.complete.any()
+            assert np.all(dv.volumes == 0)
 
 
 class TestNativeFallback:
@@ -280,36 +353,6 @@ class TestOwnedOnly:
         assert dv.cell_ridges_offsets[-1] == 0
 
 
-class TestTessellateParity:
-    @pytest.mark.parametrize("nblocks", (1, 2, 4))
-    @pytest.mark.parametrize("exec_backend", ("thread", "process"))
-    def test_delaunay_matches_qhull(self, nblocks, exec_backend):
-        pts = poisson(400, 10.0, 31)
-        domain = Bounds.cube(10.0)
-        kw = dict(nblocks=nblocks, exec_backend=exec_backend)
-        a = tessellate(pts, domain, backend="delaunay", **kw)
-        b = tessellate(pts, domain, backend="qhull", **kw)
-        assert a.num_cells == b.num_cells
-        ia = np.argsort(a.site_ids())
-        ib = np.argsort(b.site_ids())
-        np.testing.assert_array_equal(a.site_ids()[ia], b.site_ids()[ib])
-        np.testing.assert_allclose(
-            a.volumes()[ia], b.volumes()[ib], rtol=1e-9
-        )
-        np.testing.assert_allclose(a.areas()[ia], b.areas()[ib], rtol=1e-9)
-
-    def test_culling_parity(self):
-        pts = poisson(500, 10.0, 32)
-        domain = Bounds.cube(10.0)
-        vmin = 1000.0 / 500.0 * 0.5
-        a = tessellate(pts, domain, nblocks=2, backend="delaunay", vmin=vmin)
-        b = tessellate(pts, domain, nblocks=2, backend="qhull", vmin=vmin)
-        assert a.num_cells == b.num_cells
-        np.testing.assert_array_equal(
-            np.sort(a.site_ids()), np.sort(b.site_ids())
-        )
-
-
 class TestObserveCounters:
     def test_geom_counters_recorded(self):
         from repro import observe
@@ -380,3 +423,15 @@ class TestDualDistributed:
         tets = np.sort(tets, axis=1)
         tets = tets[np.lexsort(tets.T[::-1])]
         np.testing.assert_array_equal(tets, ref.all_tetrahedra())
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=500), st.integers(min_value=20, max_value=150)
+)
+def test_complete_cells_volumes_positive(seed, n):
+    pts = poisson(n, 8.0, seed)
+    dv = DelaunayVoronoi(pts, Bounds.cube(8.0))
+    assert np.all(dv.volumes[dv.complete] > 0)
+    # Complete cells' volumes cannot exceed the box volume.
+    assert dv.volumes[dv.complete].sum() <= 8.0**3 + 1e-6

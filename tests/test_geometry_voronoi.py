@@ -1,4 +1,4 @@
-"""Tests for the Voronoi backends (clip vs qhull) and Delaunay duality."""
+"""Tests for the clip Voronoi reference and Delaunay duality."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.diy.bounds import Bounds
-from repro.geometry import voronoi_cells
 from repro.geometry.delaunay import circumcenters, circumradii, delaunay
 from repro.geometry.voronoi_cells import voronoi_cells_clip
-from repro.geometry.voronoi_qhull import voronoi_cells_qhull
 
 
 def grid_points(n: int, size: float, jitter: float, seed: int = 0) -> np.ndarray:
@@ -96,66 +94,11 @@ class TestClipBackendBasics:
                 assert c.site in by_site[int(nb)].neighbors
 
 
-class TestQhullBackend:
-    def test_bounded_cells_match_regions(self):
-        pts = grid_points(4, 8.0, jitter=0.25, seed=5)
-        box = Bounds.cube(8.0)
-        cells = voronoi_cells_qhull(pts, box)
-        assert len(cells) == len(pts)
-        complete = [c for c in cells if c.complete]
-        assert complete  # jittered grid has interior bounded cells
-        for c in complete:
-            c.polyhedron.validate()
-            assert c.polyhedron.contains(pts[c.site], rel_eps=1e-7)
-
-    def test_few_points_all_incomplete(self):
-        box = Bounds.cube(2.0)
-        cells = voronoi_cells_qhull(np.random.default_rng(0).uniform(0, 2, (4, 3)), box)
-        assert all(not c.complete for c in cells)
-
-    def test_dispatch(self):
-        pts = grid_points(3, 6.0, jitter=0.2, seed=6)
-        box = Bounds.cube(6.0)
-        a = voronoi_cells(pts, box, backend="clip")
-        b = voronoi_cells(pts, box, backend="qhull")
-        assert len(a) == len(b) == len(pts)
-        with pytest.raises(ValueError):
-            voronoi_cells(pts, box, backend="nope")
-
-
-class TestBackendAgreement:
-    """The two backends must produce identical complete cells."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_complete_cell_volumes_match(self, seed):
-        pts = grid_points(6, 12.0, jitter=0.3, seed=seed)
-        box = Bounds.cube(12.0)
-        clip = {c.site: c for c in voronoi_cells_clip(pts, box)}
-        qh = {c.site: c for c in voronoi_cells_qhull(pts, box)}
-        both = [s for s in clip if clip[s].complete and qh[s].complete]
-        assert len(both) >= 4**3  # the deep interior
-        for s in both:
-            assert clip[s].volume == pytest.approx(qh[s].volume, rel=1e-7)
-            assert clip[s].surface_area == pytest.approx(
-                qh[s].surface_area, rel=1e-7
-            )
-            assert set(map(int, clip[s].neighbors)) == set(map(int, qh[s].neighbors))
-
-    def test_complete_in_clip_implies_qhull_bounded(self):
-        pts = grid_points(5, 10.0, jitter=0.25, seed=7)
-        box = Bounds.cube(10.0)
-        clip = {c.site: c for c in voronoi_cells_clip(pts, box)}
-        qh = {c.site: c for c in voronoi_cells_qhull(pts, box)}
-        for s, c in clip.items():
-            if c.complete:
-                assert qh[s].polyhedron is not None
-
-
 class TestPaperCellStatistics:
     """Paper §III-C2: evolved-universe cells average ~15 faces and ~5
     vertices per face.  A Poisson (random) point process is the standard
     model for which those numbers are known analytically (15.54 faces/cell);
-    our backends must land close."""
+    the reference must land close."""
 
     def test_average_faces_per_cell(self):
         rng = np.random.default_rng(12)

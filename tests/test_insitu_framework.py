@@ -76,6 +76,32 @@ class TestFramework:
         with pytest.raises(ValueError, match="unknown tool"):
             CosmologyToolsFramework(fc)
 
+    @pytest.mark.parametrize("key", ("backend", "backnd"))
+    def test_unknown_tool_parameter(self, key):
+        # a stale deck (the geometry ``backend`` knob is gone) or a typo:
+        # a ValueError naming tool, key and what is accepted — not the
+        # bare TypeError of the tool's constructor
+        fc = FrameworkConfig.from_dict(
+            {"tools": [{"tool": "tessellation", "params": {key: "qhull"}}]}
+        )
+        with pytest.raises(ValueError) as err:
+            CosmologyToolsFramework(fc)
+        message = str(err.value)
+        assert "'tessellation'" in message and repr(key) in message
+        for accepted in ("ghost", "vmin", "vmax", "output_pattern"):
+            assert accepted in message
+
+    def test_custom_tool_taking_any_keyword_is_not_second_guessed(self):
+        class Anything(AnalysisTool):
+            name = "anything"
+
+            def __init__(self, **params):
+                self.params = params
+
+        fc = FrameworkConfig(tools=(ToolConfig(tool="anything", params={"x": 1}),))
+        fw = CosmologyToolsFramework(fc, registry={"anything": Anything})
+        assert fw.tools[0].params == {"x": 1}
+
     def test_serial_run_collects_results(self):
         cfg = SimulationConfig(np_side=8, nsteps=6, seed=1)
         results = run_simulation_with_tools(

@@ -1,6 +1,7 @@
 """Tests for the top-level package facade and public API surface."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -63,3 +64,18 @@ class TestPublicSurfaces:
                 obj = getattr(mod, name)
                 if callable(obj):
                     assert obj.__doc__, f"{module}.{name} lacks a docstring"
+
+    def test_no_geometry_backend_selector(self):
+        """One local Voronoi engine: no tessellation entry point takes a
+        geometry ``backend`` (``exec_backend`` is the SPMD substrate)."""
+        core = importlib.import_module("repro.core")
+        insitu = importlib.import_module("repro.insitu")
+        for fn in (
+            core.tessellate,
+            core.tessellate_distributed,
+            core.tessellate_block,
+            core.tessellate_auto,
+            core.tessellate_auto_distributed,
+            insitu.TessellationTool,
+        ):
+            assert "backend" not in inspect.signature(fn).parameters, fn
