@@ -179,7 +179,8 @@ def find_voids(
 
         mink: list[MinkowskiFunctionals] | None = None
         if compute_minkowski:
-            mink = minkowski_functionals(tess, labeling)
+            with observe.span("minkowski", cat="analysis"):
+                mink = minkowski_functionals(tess, labeling)
 
         return _catalog_from_labeling(
             labeling, comp_vol, vmin, min_cells, mink=mink
