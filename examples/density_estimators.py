@@ -5,9 +5,8 @@ The paper's background (§II-A) argues that tessellation-based density
 estimators adapt to the anisotropic particle distribution where fixed grids
 cannot.  This example reconstructs the density of an evolved snapshot three
 ways and reports how each resolves a dense halo and an empty void, then
-runs the two tessellation-era void finders on the same data: connected
-components of large Voronoi cells (the paper's method) and the watershed
-transform on the DTFE field (WVF), plus the multistream fraction.
+finds the voids of the same snapshot the paper's way: connected components
+of large Voronoi cells.
 
 Run:  python examples/density_estimators.py
 """
@@ -17,15 +16,7 @@ import numpy as np
 from repro.hacc import SimulationConfig, run_simulation
 from repro.hacc.mesh import cic_deposit
 from repro.core import tessellate
-from repro.analysis import (
-    dtfe_density,
-    dtfe_grid,
-    find_voids,
-    fraction_multistream,
-    lagrangian_jacobian,
-    voronoi_density,
-    watershed_voids,
-)
+from repro.analysis import dtfe_density, find_voids, voronoi_density
 
 
 def main() -> None:
@@ -62,23 +53,10 @@ def main() -> None:
         f"{np.quantile(ratio, 0.9):.2f}]"
     )
 
-    # --- void finders on the same snapshot ------------------------------
+    # --- the paper's void finder on the same snapshot --------------------
     cat = find_voids(tess, min_cells=3)
     print(f"\nVoronoi-threshold voids (paper's method): {cat.num_voids} "
           f"(vmin = {cat.vmin:.3f})")
-
-    field = dtfe_grid(pos, domain, grid_size=16)
-    ws = watershed_voids(field, merge_threshold=float(mean_rho))
-    sizes = np.sort(ws.basin_sizes())[::-1]
-    print(f"Watershed (WVF) on the DTFE field: {ws.num_basins} basins, "
-          f"largest {sizes[:5].tolist()} cells")
-
-    # --- multistream classification --------------------------------------
-    J = lagrangian_jacobian(pos, final.ids, cfg.np_side, domain)
-    frac = fraction_multistream(J)
-    print(f"\nMultistream (shell-crossed) mass fraction: {100 * frac:.1f}%")
-    print("single-stream regions are the void interiors; multistream")
-    print("regions trace collapsed walls, filaments, and halos.")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ A production-quality Python implementation of the paper's full stack:
 * :mod:`repro.diy` — data-parallel substrate (block decomposition, thread
   SPMD communicator, neighborhood exchange, blocked parallel I/O);
 * :mod:`repro.hacc` — HACC-style particle-mesh N-body cosmology simulation;
-* :mod:`repro.geometry` — computational-geometry kernels (convex hulls,
-  the Delaunay-direct Voronoi engine and its clip reference);
+* :mod:`repro.geometry` — computational-geometry kernels (the
+  Delaunay-direct Voronoi engine and its clip reference);
 * :mod:`repro.core` — **tess**, the paper's contribution: parallel in situ
   Voronoi tessellation;
 * :mod:`repro.analysis` — postprocessing: thresholding, connected components,

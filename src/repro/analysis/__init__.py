@@ -5,33 +5,19 @@ parallel reading of tess output (via :mod:`repro.core.tess_io`), threshold
 filtering, connected-component labeling, and Minkowski functionals — plus
 the void catalog built on top of them, summary statistics (volume and
 density-contrast histograms with skewness/kurtosis), a friends-of-friends
-halo finder, and the tessellation-based estimators the paper builds on or
-proposes: DTFE density fields, watershed void finding, multistream
-detection, and temporal feature tracking.
+halo finder, DTFE density fields, temporal feature tracking, and the
+query operations the serve tier answers.
 """
 
 from .components import (
     ArrayUnionFind,
     ComponentLabeling,
-    UnionFind,
     connected_components,
-    connected_components_dict,
     connected_components_distributed,
 )
 from .dtfe import dtfe_density, dtfe_grid, voronoi_density
-from .field import deposit_to_grid, sample_cells
 from .halos import Halo, HaloCatalog, fof_halos, fof_halos_distributed
 from .minkowski import MinkowskiFunctionals, minkowski_functionals
-from .percolation import (
-    PercolationPoint,
-    percolation_curve,
-    percolation_threshold,
-)
-from .multistream import (
-    fraction_multistream,
-    lagrangian_jacobian,
-    multistream_grid,
-)
 from .statistics import (
     Histogram,
     cell_density,
@@ -48,7 +34,6 @@ from .tracking import (
     MergerTree,
     local_labeling,
     overlap_matrix,
-    overlap_matrix_dict,
     track_components,
     track_components_distributed,
 )
@@ -71,20 +56,14 @@ from .voids import (
     volume_threshold_for_fraction,
 )
 from .render import ascii_render, slice_field, write_pgm
-from .watershed import WatershedResult, watershed_voids
-from .zobov import ZobovResult, Zone, zobov_voids
 
 __all__ = [
     "ArrayUnionFind",
     "ComponentLabeling",
-    "UnionFind",
     "connected_components",
-    "connected_components_dict",
     "connected_components_distributed",
     "dtfe_density",
     "dtfe_grid",
-    "deposit_to_grid",
-    "sample_cells",
     "voronoi_density",
     "Halo",
     "HaloCatalog",
@@ -92,12 +71,6 @@ __all__ = [
     "fof_halos_distributed",
     "MinkowskiFunctionals",
     "minkowski_functionals",
-    "PercolationPoint",
-    "percolation_curve",
-    "percolation_threshold",
-    "fraction_multistream",
-    "lagrangian_jacobian",
-    "multistream_grid",
     "Histogram",
     "cell_density",
     "density_contrast",
@@ -113,7 +86,6 @@ __all__ = [
     "MergerTree",
     "local_labeling",
     "overlap_matrix",
-    "overlap_matrix_dict",
     "track_components",
     "track_components_distributed",
     "QUERY_OPS",
@@ -130,12 +102,7 @@ __all__ = [
     "find_voids",
     "find_voids_distributed",
     "volume_threshold_for_fraction",
-    "WatershedResult",
-    "watershed_voids",
     "ascii_render",
     "slice_field",
     "write_pgm",
-    "ZobovResult",
-    "Zone",
-    "zobov_voids",
 ]

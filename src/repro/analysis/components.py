@@ -5,7 +5,7 @@ same component; components of large-volume cells *are* the voids (paper
 Figure 9).  Face adjacency comes for free from the tess data model: every
 face stores the global particle id of the site across it.
 
-Two implementations per path:
+Two paths, one kernel:
 
 * :func:`connected_components` — flat-array labeling over an assembled
   tessellation: edges come from the vectorized
@@ -18,9 +18,8 @@ Two implementations per path:
   edge arrays through the tree gather, and the relabeling is broadcast —
   one collective round, independent of component diameter.
 
-The original dict-based :class:`UnionFind` and the per-cell
-:func:`connected_components_dict` survive as the **test oracle**: the
-parity suite asserts the flat kernels produce identical partitions.
+The dict-based labeling these replaced lives with the tests
+(``tests/components_reference.py``) as the parity reference.
 """
 
 from __future__ import annotations
@@ -34,67 +33,8 @@ from ..core.data_model import VoronoiBlock, isin_sorted
 from ..core.tessellate import Tessellation
 from ..diy.comm import Communicator
 
-__all__ = ["UnionFind", "ArrayUnionFind", "ComponentLabeling",
-           "connected_components", "connected_components_dict",
+__all__ = ["ArrayUnionFind", "ComponentLabeling", "connected_components",
            "connected_components_distributed"]
-
-
-class UnionFind:
-    """Union-find over arbitrary hashable keys with path compression.
-
-    The reference (oracle) implementation; production labeling runs on
-    :class:`ArrayUnionFind`.
-    """
-
-    def __init__(self) -> None:
-        self._parent: dict = {}
-        self._rank: dict = {}
-
-    def add(self, x) -> None:
-        """Register ``x`` as a singleton if unseen."""
-        if x not in self._parent:
-            self._parent[x] = x
-            self._rank[x] = 0
-
-    def find(self, x):
-        """Root of ``x`` (must be registered via :meth:`add` first)."""
-        if x not in self._parent:
-            raise KeyError(
-                f"id {x!r} is not registered in this UnionFind; "
-                f"call add({x!r}) before find/union"
-            )
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:  # path compression
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        """Merge the sets containing ``a`` and ``b``."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-
-    def __contains__(self, x) -> bool:
-        return x in self._parent
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    def groups(self) -> dict:
-        """Mapping root -> sorted member list."""
-        out: dict = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), []).append(x)
-        for members in out.values():
-            members.sort()
-        return out
 
 
 class ArrayUnionFind:
@@ -210,44 +150,6 @@ class ComponentLabeling:
         return dict(zip(self.site_ids.tolist(), self.labels.tolist()))
 
 
-def _labeling_from_unionfind(uf: UnionFind) -> ComponentLabeling:
-    groups = uf.groups()
-    roots = sorted(groups)
-    site_ids: list[int] = []
-    labels: list[int] = []
-    for label, root in enumerate(roots):
-        for sid in groups[root]:
-            site_ids.append(sid)
-            labels.append(label)
-    order = np.argsort(site_ids)
-    return ComponentLabeling(
-        site_ids=np.asarray(site_ids, dtype=np.int64)[order],
-        labels=np.asarray(labels, dtype=np.int64)[order],
-    )
-
-
-def _block_edges(
-    block: VoronoiBlock, kept: set[int]
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """Kept cells of a block and their adjacency edges among kept cells.
-
-    Per-cell oracle counterpart of
-    :meth:`~repro.core.data_model.VoronoiBlock.adjacency_edges`.
-    """
-    nodes: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for i in range(block.num_cells):
-        sid = int(block.site_ids[i])
-        if sid not in kept:
-            continue
-        nodes.append(sid)
-        for nb in block.neighbors_of_cell(i):
-            nb = int(nb)
-            if nb >= 0 and nb in kept:
-                edges.append((sid, nb))
-    return nodes, edges
-
-
 def _empty_labeling() -> ComponentLabeling:
     return ComponentLabeling(
         site_ids=np.empty(0, dtype=np.int64), labels=np.empty(0, dtype=np.int64)
@@ -275,28 +177,6 @@ def connected_components(
             if len(src):
                 uf.union_edges(src, dst)
         return ComponentLabeling(site_ids=kept, labels=uf.labels())
-
-
-def connected_components_dict(
-    tess: Tessellation, vmin: float | None = None, vmax: float | None = None
-) -> ComponentLabeling:
-    """Per-cell dict-based labeling — the oracle for the flat kernels."""
-    from .threshold import volume_threshold_mask
-
-    mask = volume_threshold_mask(tess, vmin=vmin, vmax=vmax)
-    kept = set(tess.site_ids()[mask].tolist())
-
-    uf = UnionFind()
-    for block in tess.blocks:
-        nodes, edges = _block_edges(block, kept)
-        for sid in nodes:
-            uf.add(sid)
-        for a, b in edges:
-            # The neighbor may live in another block; register it so the
-            # union is recorded even before that block is visited.
-            uf.add(b)
-            uf.union(a, b)
-    return _labeling_from_unionfind(uf)
 
 
 def connected_components_distributed(

@@ -20,6 +20,7 @@ from ..diy.bounds import Bounds, minimum_image
 from ..diy.comm import Communicator
 from ..diy.decomposition import Decomposition
 from ..core.ghost import exchange_ghost_particles
+from .components import ArrayUnionFind
 
 __all__ = ["Halo", "HaloCatalog", "fof_halos", "fof_halos_distributed"]
 
@@ -56,29 +57,6 @@ class HaloCatalog:
     def mass_function(self, bins: np.ndarray) -> np.ndarray:
         """Halo counts per mass bin (a crude multiplicity function)."""
         return np.histogram(self.masses(), bins=bins)[0]
-
-
-class _ArrayUnionFind:
-    """Index-based union-find with path halving (fast for dense indices)."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def labels(self) -> np.ndarray:
-        """Root of every element (fully compressed)."""
-        return np.asarray([self.find(i) for i in range(len(self.parent))])
 
 
 def _link_pairs(
@@ -151,14 +129,13 @@ def fof_halos(
         raise ValueError("linking_length must be positive")
     pid = np.arange(len(pos), dtype=np.int64) if ids is None else np.asarray(ids)
 
-    uf = _ArrayUnionFind(len(pos))
-    for a, b in _link_pairs(pos, linking_length, domain):
-        uf.union(int(a), int(b))
-    labels = uf.labels()
+    uf = ArrayUnionFind(len(pos))
+    pairs = _link_pairs(pos, linking_length, domain)
+    uf.union_edges(pairs[:, 0], pairs[:, 1])
 
     groups: dict[int, list[int]] = {}
-    for i, root in enumerate(labels):
-        groups.setdefault(int(root), []).append(int(pid[i]))
+    for i, label in enumerate(uf.labels().tolist()):
+        groups.setdefault(label, []).append(int(pid[i]))
     pos_by_id = {int(pid[i]): pos[i] for i in range(len(pos))}
     return _catalog_from_groups(groups, pos_by_id, domain, linking_length, min_members)
 
@@ -200,26 +177,25 @@ def fof_halos_distributed(
     gathered_pos = comm.gather({int(i): p for i, p in zip(pid, pos)}, root=0)
 
     if comm.rank == 0:
-        from .components import UnionFind
-
-        uf = UnionFind()
         pos_by_id: dict[int, np.ndarray] = {}
         for d in gathered_pos:
             pos_by_id.update(d)
-        for i in pos_by_id:
-            uf.add(i)
-        for rank_edges in gathered_edges:
-            for a, b in rank_edges:
-                uf.add(a)
-                uf.add(b)
-                uf.union(a, b)
-        groups_all = uf.groups()
+        links = np.array(
+            [e for rank_edges in gathered_edges for e in rank_edges],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        nodes = np.unique(
+            np.concatenate([np.fromiter(pos_by_id, dtype=np.int64), links.ravel()])
+        )
+        uf = ArrayUnionFind(len(nodes))
+        uf.union_edges(
+            np.searchsorted(nodes, links[:, 0]), np.searchsorted(nodes, links[:, 1])
+        )
         # Keep only real particles (ghost ids duplicate real ones by design).
-        groups = {
-            root: [m for m in members if m in pos_by_id]
-            for root, members in groups_all.items()
-        }
-        groups = {r: m for r, m in groups.items() if m}
+        groups: dict[int, list[int]] = {}
+        for node, label in zip(nodes.tolist(), uf.labels().tolist()):
+            if node in pos_by_id:
+                groups.setdefault(label, []).append(node)
         catalog = _catalog_from_groups(
             groups, pos_by_id, decomposition.domain, linking_length, min_members
         )

@@ -12,8 +12,8 @@ This module is the production time-domain subsystem (DESIGN.md §14):
 * :func:`overlap_matrix` — the flat overlap core: one
   :func:`~repro.core.data_model.index_in_sorted` join of the two
   labelings' site ids plus an ``np.add.at`` pair count — no per-cell
-  Python loop.  :func:`overlap_matrix_dict` is the retained per-cell dict
-  implementation, kept as the parity/bench oracle.
+  Python loop.  The per-cell dict count it replaced is the parity
+  reference in ``tests/tracking_reference.py``.
 * :class:`FeatureTreeBuilder` — incremental, one labeling at a time, with
   a flat-array checkpointable state (:meth:`~FeatureTreeBuilder.state` /
   :meth:`~FeatureTreeBuilder.from_state`) so in situ tracking survives
@@ -52,7 +52,6 @@ __all__ = [
     "FeatureTreeBuilder",
     "MergerTree",
     "overlap_matrix",
-    "overlap_matrix_dict",
     "track_components",
     "track_components_distributed",
     "local_labeling",
@@ -117,7 +116,7 @@ class FeatureTree:
 
 
 # ----------------------------------------------------------------------
-# overlap kernels
+# overlap kernel
 # ----------------------------------------------------------------------
 def overlap_matrix(
     a: ComponentLabeling, b: ComponentLabeling
@@ -149,20 +148,6 @@ def overlap_matrix(
     return pairs // nb, pairs % nb, counts
 
 
-def overlap_matrix_dict(
-    a: ComponentLabeling, b: ComponentLabeling
-) -> dict[tuple[int, int], int]:
-    """Per-cell dict overlap counts — the parity and benchmark oracle."""
-    bmap = b.label_of()
-    out: dict[tuple[int, int], int] = {}
-    for sid, la in zip(a.site_ids.tolist(), a.labels.tolist()):
-        lb = bmap.get(sid)
-        if lb is not None:
-            key = (int(la), int(lb))
-            out[key] = out.get(key, 0) + 1
-    return out
-
-
 # ----------------------------------------------------------------------
 # incremental builder
 # ----------------------------------------------------------------------
@@ -174,18 +159,12 @@ class FeatureTreeBuilder:
     the in situ tracking tool.  Its complete state round-trips through
     flat numpy arrays (:meth:`state` / :meth:`from_state`) so an
     interrupted in situ run restores bit-identically from a checkpoint.
-
-    ``kernel`` selects the overlap implementation: ``"flat"`` (production)
-    or ``"dict"`` (the per-cell oracle) — both produce identical trees.
     """
 
-    def __init__(self, min_overlap: int = 1, kernel: str = "flat") -> None:
+    def __init__(self, min_overlap: int = 1) -> None:
         if min_overlap < 1:
             raise ValueError(f"min_overlap must be >= 1, got {min_overlap}")
-        if kernel not in ("flat", "dict"):
-            raise ValueError(f"unknown overlap kernel {kernel!r}")
         self.min_overlap = int(min_overlap)
-        self.kernel = kernel
         self._steps: list[int] = []
         self._events: list[FeatureEvent] = []
         self._tracks: list[FeatureTrack] = []
@@ -263,20 +242,6 @@ class FeatureTreeBuilder:
         self._tracks.append(track)
         return len(self._tracks) - 1
 
-    def _overlap(
-        self, a: ComponentLabeling, b: ComponentLabeling
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.kernel == "dict":
-            matrix = overlap_matrix_dict(a, b)
-            keys = sorted(matrix)  # (la, lb) lexicographic == flat order
-            la = np.array([k[0] for k in keys], dtype=np.int64)
-            lb = np.array([k[1] for k in keys], dtype=np.int64)
-            n = np.array([matrix[k] for k in keys], dtype=np.int64)
-        else:
-            la, lb, n = overlap_matrix(a, b)
-        keep = n >= self.min_overlap
-        return la[keep], lb[keep], n[keep]
-
     def _link(
         self,
         step: int,
@@ -286,7 +251,9 @@ class FeatureTreeBuilder:
     ) -> None:
         a = self._prev
         prev_step = self._steps[-1]
-        la, lb, n = self._overlap(a, b)
+        la, lb, n = overlap_matrix(a, b)
+        keep = n >= self.min_overlap
+        la, lb, n = la[keep], lb[keep], n[keep]
         na, nb = a.num_components, b.num_components
         kids_of = np.bincount(la, minlength=na)
         pars_of = np.bincount(lb, minlength=nb)
@@ -399,7 +366,12 @@ class FeatureTreeBuilder:
     # ------------------------------------------------------------------
     def state(self) -> dict[str, np.ndarray]:
         """Flat-array snapshot restoring bit-identically via
-        :meth:`from_state` (int64/f8 only — safe to ``np.savez``)."""
+        :meth:`from_state` (int64/f8 only — safe to ``np.savez``).
+
+        ``flags`` is ``[min_overlap, 0, prev_present, with_volumes]``.
+        Slot 1 once named the overlap kernel; it is written as 0 and
+        ignored on read, so snapshots from either kernel restore.
+        """
         arrays = _pack_tree_arrays(self._steps, self._events, self._tracks)
         head = sorted(self._head.items())
         arrays["head_labels"] = np.array(
@@ -424,7 +396,7 @@ class FeatureTreeBuilder:
         arrays["flags"] = np.array(
             [
                 self.min_overlap,
-                0 if self.kernel == "flat" else 1,
+                0,
                 prev_present,
                 -1 if wv is None else int(wv),
             ],
@@ -436,10 +408,7 @@ class FeatureTreeBuilder:
     def from_state(cls, arrays: dict[str, np.ndarray]) -> "FeatureTreeBuilder":
         """Rebuild a builder from a :meth:`state` snapshot."""
         flags = np.asarray(arrays["flags"], dtype=np.int64)
-        builder = cls(
-            min_overlap=int(flags[0]),
-            kernel="flat" if flags[1] == 0 else "dict",
-        )
+        builder = cls(min_overlap=int(flags[0]))
         steps, events, tracks = _unpack_tree_arrays(arrays)
         builder._steps = steps
         builder._events = events
@@ -464,7 +433,6 @@ def track_components(
     labelings: dict[int, ComponentLabeling],
     min_overlap: int = 1,
     volumes: dict[int, np.ndarray] | None = None,
-    kernel: str = "flat",
 ) -> FeatureTree:
     """Build the feature tree over labelings keyed by step index.
 
@@ -477,14 +445,11 @@ def track_components(
     volumes:
         Optional step -> per-label volume array; when given, tracks carry
         aligned volume histories (the merger-tree path).
-    kernel:
-        Overlap implementation: ``"flat"`` (production) or ``"dict"``
-        (the retained per-cell oracle).  Trees are identical.
     """
     steps = sorted(labelings)
     if not steps:
         raise ValueError("no labelings supplied")
-    builder = FeatureTreeBuilder(min_overlap=min_overlap, kernel=kernel)
+    builder = FeatureTreeBuilder(min_overlap=min_overlap)
     for step in steps:
         builder.push(
             step,
@@ -577,7 +542,6 @@ def track_components_distributed(
     labelings: dict[int, ComponentLabeling],
     min_overlap: int = 1,
     cell_volumes: dict[int, np.ndarray] | None = None,
-    kernel: str = "flat",
 ) -> FeatureTree:
     """Feature tree over *per-rank* labelings (collective).
 
@@ -600,11 +564,7 @@ def track_components_distributed(
         )
     if not steps:
         raise ValueError("no labelings supplied")
-    builder = (
-        FeatureTreeBuilder(min_overlap=min_overlap, kernel=kernel)
-        if comm.rank == 0
-        else None
-    )
+    builder = FeatureTreeBuilder(min_overlap=min_overlap) if comm.rank == 0 else None
     for step in steps:
         with observe.span(
             "tracking-gather", rank=comm.rank, cat="analysis", step=step

@@ -12,12 +12,6 @@ In situ mode (inside an SPMD region, with distributed particles)::
 """
 
 from .accuracy import MatchResult, match_tessellations
-from .auto_ghost import (
-    AutoGhostResult,
-    certify_block,
-    tessellate_auto,
-    tessellate_auto_distributed,
-)
 from .cell import VoronoiCell
 from .compact import compact_decode, compact_encode
 from .culling import (
@@ -27,14 +21,7 @@ from .culling import (
     sphere_diameter_for_volume,
 )
 from .data_model import BlockSizeReport, VoronoiBlock
-from .delaunay_mode import (
-    DelaunayBlock,
-    DistributedDelaunay,
-    delaunay_distributed,
-    tessellate_delaunay,
-)
 from .ghost import exchange_ghost_particles, exchange_ghost_particles_multi
-from .hull_mode import convex_hull_distributed, convex_hull_parallel
 from .tess_io import read_tessellation, write_tessellation
 from .tessellate import (
     Tessellation,
@@ -47,10 +34,6 @@ from .timing import PhaseTimer, TessTimings
 __all__ = [
     "MatchResult",
     "match_tessellations",
-    "AutoGhostResult",
-    "certify_block",
-    "tessellate_auto",
-    "tessellate_auto_distributed",
     "VoronoiCell",
     "compact_encode",
     "compact_decode",
@@ -60,14 +43,8 @@ __all__ = [
     "sphere_diameter_for_volume",
     "BlockSizeReport",
     "VoronoiBlock",
-    "DelaunayBlock",
-    "DistributedDelaunay",
-    "delaunay_distributed",
-    "tessellate_delaunay",
     "exchange_ghost_particles",
     "exchange_ghost_particles_multi",
-    "convex_hull_distributed",
-    "convex_hull_parallel",
     "read_tessellation",
     "write_tessellation",
     "Tessellation",

@@ -310,9 +310,7 @@ def _block_from_flat(
 ) -> tuple[VoronoiBlock, np.ndarray]:
     """Assemble a :class:`VoronoiBlock` from a flat geometry engine.
 
-    Shared by the production path and the dual mode
-    (:func:`repro.core.delaunay_mode.dual_distributed`), which builds the
-    engine itself so the one triangulation can serve both outputs.
+    Shared by the full pass, the thin pass and the repair patch.
     ``eligible`` masks the first ``n_owned`` sites down to those whose
     cells this engine answers for (the rest come from another
     triangulation); ``observed`` are further ``geom.*`` counters to publish.

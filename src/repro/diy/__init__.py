@@ -22,7 +22,6 @@ from .decomposition import Block, Decomposition, NeighborLink, factor_into_grid
 from .exchange import Assignment, NeighborExchanger
 from .mpi_io import BlockFileReader, pack_arrays, unpack_arrays, write_blocks
 from .process_backend import RankDiedError, pool_enabled, shutdown_pool
-from .reduction import tree_allreduce, tree_reduce
 from .transport import CommError
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "pack_arrays",
     "unpack_arrays",
     "write_blocks",
-    "tree_allreduce",
-    "tree_reduce",
     "RankDiedError",
     "CommError",
     "pool_enabled",

@@ -1,12 +1,12 @@
-"""Delaunay tetrahedralization and Voronoi-Delaunay duality helpers.
+"""Delaunay tetrahedralization.
 
 The paper notes (§II-B) that the Delaunay tessellation is simply the dual of
 the Voronoi diagram: Delaunay cells have input points at their vertices,
 Voronoi cells contain them in their interiors, and each Voronoi vertex is
-the circumcenter of a Delaunay tetrahedron.  This module exposes that dual
-view — used by the DTFE-style density estimators in
-:mod:`repro.analysis.statistics` and by cross-validation tests of the
-Voronoi constructions.
+the circumcenter of a Delaunay tetrahedron
+(:func:`repro.geometry.voronoi_delaunay.tet_circumcenters`).  This module
+exposes the Delaunay side — the star volumes the DTFE density estimator in
+:mod:`repro.analysis.dtfe` divides by.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DelaunayMesh", "delaunay", "circumcenters", "circumradii"]
+__all__ = ["DelaunayMesh", "delaunay"]
 
 
 @dataclass(frozen=True)
@@ -78,27 +78,3 @@ def delaunay(points: np.ndarray) -> DelaunayMesh:
         neighbors=tri.neighbors.astype(np.int64),
     )
 
-
-def circumcenters(mesh: DelaunayMesh) -> np.ndarray:
-    """Circumcenter of every tetrahedron — the dual Voronoi vertices.
-
-    Solves, per tetrahedron, the linear system equating distances from the
-    center to all four vertices.  Vectorized over all tetrahedra.
-    """
-    p = mesh.points
-    a = p[mesh.tetrahedra[:, 0]]
-    rows = [p[mesh.tetrahedra[:, k]] - a for k in (1, 2, 3)]
-    A = np.stack(rows, axis=1)  # (m, 3, 3)
-    rhs = 0.5 * np.stack(
-        [np.einsum("ij,ij->i", r, r) for r in rows], axis=1
-    )  # (m, 3)
-    centers = np.linalg.solve(A, rhs[..., None])[..., 0]
-    return centers + a
-
-
-def circumradii(mesh: DelaunayMesh) -> np.ndarray:
-    """Circumradius of every tetrahedron."""
-    c = circumcenters(mesh)
-    a = mesh.points[mesh.tetrahedra[:, 0]]
-    d = c - a
-    return np.sqrt(np.einsum("ij,ij->i", d, d))

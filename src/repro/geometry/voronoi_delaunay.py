@@ -38,13 +38,6 @@ paths are exercised by the parity tests.
 
 Qhull's int32 ``simplices`` are promoted to int64 on entry (PR 5's
 id-safety rule: downstream CSR indices must not wrap at 2**31).
-
-The one Delaunay triangulation can be shared: pass a prebuilt
-``scipy.spatial.Delaunay`` (or :class:`~repro.geometry.delaunay.
-DelaunayMesh`) via ``mesh=``, and read :attr:`DelaunayVoronoi.mesh` /
-:attr:`DelaunayVoronoi.tet_circumcenters` to reuse the triangulation for
-the dual output mode (:mod:`repro.core.delaunay_mode`) or DTFE density
-estimation — one qhull call per block, shared by every consumer.
 """
 
 from __future__ import annotations
@@ -139,7 +132,7 @@ class DelaunayVoronoi:
     -----------------------------------------
     vertices:
         ``(nv, 3)`` Voronoi vertex coordinates: ``vertices[t]`` is the
-        circumcenter of tet ``t`` (:attr:`tet_circumcenters` aliases it).
+        circumcenter of tet ``t``.
     ridge_sites:
         ``(R, 2)`` site index pair of each *valid* (finite) ridge.
     ridge_flat / ridge_offsets:
@@ -161,11 +154,6 @@ class DelaunayVoronoi:
         ``(n, 3)`` sites.
     box:
         Container bounds; cells with a vertex outside are incomplete.
-    mesh:
-        Optional prebuilt triangulation of exactly ``points`` — a
-        ``scipy.spatial.Delaunay`` or a
-        :class:`~repro.geometry.delaunay.DelaunayMesh` — to skip the
-        qhull call (the one-triangulation-per-block sharing contract).
     n_owned:
         When given, only the first ``n_owned`` sites are of interest:
         Delaunay edges with no owned endpoint are dropped before the ring
@@ -188,7 +176,6 @@ class DelaunayVoronoi:
         self,
         points: np.ndarray,
         box: Bounds,
-        mesh=None,
         n_owned: int | None = None,
     ):
         pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -201,7 +188,7 @@ class DelaunayVoronoi:
             self._init_degenerate(n)
             return
 
-        tets, nbrs, coplanar = self._triangulate(pts, mesh)
+        tets, nbrs, coplanar = self._triangulate(pts)
         if tets is None:
             self._init_degenerate(n)
             return
@@ -377,7 +364,7 @@ class DelaunayVoronoi:
         self.merged_sites = int(missing.sum())
         if self.merged_sites:
             bounded_m = np.zeros(n, dtype=bool)
-            if coplanar is not None and len(coplanar):
+            if len(coplanar):
                 cop = coplanar[coplanar[:, 0] < n]
                 rep = np.minimum(cop[:, 2], n - 1)
                 bounded_m[cop[:, 0]] = bounded[rep]
@@ -527,22 +514,9 @@ class DelaunayVoronoi:
         return out
 
     # ------------------------------------------------------------------
-    def _triangulate(self, pts: np.ndarray, mesh):
-        """Return int64 ``(tets, neighbors, coplanar)`` from ``mesh`` or a
-        fresh qhull run (with a joggle fallback on degenerate input)."""
-        if mesh is not None:
-            if hasattr(mesh, "tetrahedra"):  # DelaunayMesh
-                return (
-                    np.asarray(mesh.tetrahedra, dtype=np.int64),
-                    np.asarray(mesh.neighbors, dtype=np.int64),
-                    None,
-                )
-            return (
-                np.asarray(mesh.simplices, dtype=np.int64),
-                np.asarray(mesh.neighbors, dtype=np.int64),
-                np.asarray(mesh.coplanar, dtype=np.int64),
-            )
-
+    def _triangulate(self, pts: np.ndarray):
+        """Return int64 ``(tets, neighbors, coplanar)`` from one qhull run
+        (with a joggle fallback on degenerate input)."""
         from scipy.spatial import Delaunay, QhullError
 
         try:
@@ -726,8 +700,3 @@ class DelaunayVoronoi:
         return DelaunayMesh(
             points=self.points, tetrahedra=self._tets, neighbors=self._neighbors
         )
-
-    @property
-    def tet_circumcenters(self) -> np.ndarray:
-        """Per-tet circumcenters — identical to :attr:`vertices`."""
-        return self.vertices

@@ -15,12 +15,10 @@ from .checkpoint import (
     restart_simulation,
     write_checkpoint,
 )
-from .correlation import CorrelationFunction, pair_correlation
 from .cosmology import LCDM, PLANCK_LIKE
 from .initial_conditions import zeldovich_ics
 from .integrator import TimeStepper, compute_accelerations, kdk_step
 from .mesh import cic_deposit, cic_gather, density_contrast
-from .measurements import MeasuredPower, measure_power_spectrum
 from .particles import ParticleSet
 from .poisson import accelerations_from_delta, gravitational_potential
 from .power_spectrum import (
@@ -40,8 +38,6 @@ from .simulation import (
 __all__ = [
     "LCDM",
     "PLANCK_LIKE",
-    "CorrelationFunction",
-    "pair_correlation",
     "BYTES_PER_PARTICLE",
     "read_checkpoint",
     "restart_simulation",
@@ -54,8 +50,6 @@ __all__ = [
     "cic_gather",
     "density_contrast",
     "ParticleSet",
-    "MeasuredPower",
-    "measure_power_spectrum",
     "accelerations_from_delta",
     "gravitational_potential",
     "LinearPowerSpectrum",

@@ -320,7 +320,6 @@ class TrackingTool(AnalysisTool):
     vmin: float | None = None
     vmin_quantile: float = 0.85
     min_overlap: int = 1
-    kernel: str = "flat"
     state_dir: str | None = None
     output: str | None = None
     _builder: Any = field(default=None, init=False, repr=False, compare=False)
@@ -370,9 +369,7 @@ class TrackingTool(AnalysisTool):
                     arrays = {k: np.array(data[k]) for k in data.files}
                 self._builder = FeatureTreeBuilder.from_state(arrays)
                 return self._builder
-        self._builder = FeatureTreeBuilder(
-            min_overlap=self.min_overlap, kernel=self.kernel
-        )
+        self._builder = FeatureTreeBuilder(min_overlap=self.min_overlap)
         return self._builder
 
     def _save_state(self, step: int) -> None:

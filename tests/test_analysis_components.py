@@ -9,8 +9,6 @@ from repro.diy.decomposition import Decomposition
 from repro.core import tessellate, tessellate_distributed
 from repro.analysis.components import (
     ArrayUnionFind,
-    UnionFind,
-    _block_edges,
     connected_components,
     connected_components_distributed,
 )
@@ -19,6 +17,8 @@ from repro.analysis.threshold import (
     kept_site_ids,
     volume_threshold_mask,
 )
+
+from .components_reference import UnionFind, block_edges
 
 
 class TestUnionFind:
@@ -62,7 +62,7 @@ class TestUnionFind:
             uf.find(977)
 
     def test_union_with_unregistered_neighbor_raises(self):
-        """The unregistered-neighbor path the distributed merge guards."""
+        """The unregistered-neighbor path the reference labeling guards."""
         uf = UnionFind()
         uf.add(5)
         with pytest.raises(KeyError, match=r"977"):
@@ -141,7 +141,7 @@ class TestAdjacencyEdges:
         kept_arr = np.unique(tess.site_ids()[mask])
         kept_set = set(kept_arr.tolist())
         for block in tess.blocks:
-            _, oracle_edges = _block_edges(block, kept_set)
+            _, oracle_edges = block_edges(block, kept_set)
             edges = block.adjacency_edges(kept_arr)
             assert sorted(map(tuple, edges.tolist())) == sorted(oracle_edges)
 

@@ -2,7 +2,8 @@
 
 The flat-array component kernels (`ArrayUnionFind`, `adjacency_edges`,
 the packed-edge distributed merge) must produce partitions identical to
-the per-cell dict oracle — up to label renaming — at 1/2/4 ranks on both
+the per-cell dict reference (``tests/components_reference.py``) — up
+to label renaming — at 1/2/4 ranks on both
 execution backends, including a void spanning the periodic seam, plus a
 property test over random thresholds.  Also asserts the distributed merge
 ships numpy int64 edge arrays (no pickled tuple lists) with a
@@ -14,7 +15,6 @@ import pytest
 
 from repro.analysis.components import (
     connected_components,
-    connected_components_dict,
     connected_components_distributed,
 )
 from repro.analysis.voids import find_voids, find_voids_distributed
@@ -22,6 +22,8 @@ from repro.core import tessellate, tessellate_distributed
 from repro.diy.bounds import Bounds
 from repro.diy.comm import run_parallel
 from repro.diy.decomposition import Decomposition
+
+from .components_reference import connected_components_dict
 
 BOX = 10.0
 

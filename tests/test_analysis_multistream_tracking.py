@@ -1,122 +1,10 @@
-"""Tests for multistream detection and temporal feature tracking."""
+"""Tests for temporal feature tracking: event kinds, tracks, end to end."""
 
 import numpy as np
 import pytest
 
-from repro.diy.bounds import Bounds
 from repro.analysis.components import ComponentLabeling
-from repro.analysis.multistream import (
-    fraction_multistream,
-    lagrangian_jacobian,
-    multistream_grid,
-)
 from repro.analysis.tracking import track_components
-
-
-def lattice(np_side, box):
-    spacing = box / np_side
-    q = np.mgrid[0:np_side, 0:np_side, 0:np_side].reshape(3, -1).T
-    return (q + 0.0) * spacing
-
-
-class TestLagrangianJacobian:
-    def test_unperturbed_lattice_jacobian_one(self):
-        box, n = 8.0, 8
-        pos = lattice(n, box)
-        ids = np.arange(n**3)
-        J = lagrangian_jacobian(pos, ids, n, Bounds.cube(box))
-        np.testing.assert_allclose(J, 1.0, atol=1e-12)
-
-    def test_uniform_compression(self):
-        """x = q * 0.5 (about each lattice point's own origin) halves each
-        axis derivative: small sinusoidal compression changes det < 1."""
-        box, n = 8.0, 8
-        q = lattice(n, box)
-        # Sinusoidal displacement along x (single-stream amplitude).
-        amp = 0.1
-        pos = q.copy()
-        pos[:, 0] = (q[:, 0] + amp * np.sin(2 * np.pi * q[:, 0] / box)) % box
-        J = lagrangian_jacobian(pos, np.arange(n**3), n, Bounds.cube(box))
-        assert np.all(J > 0)  # no shell crossing at this amplitude
-        assert J.min() < 1.0 < J.max()  # compression and expansion regions
-
-    def test_shell_crossing_detected(self):
-        """A large-amplitude fold flips the Jacobian sign somewhere."""
-        box, n = 8.0, 16
-        q = lattice(n, box)
-        # Caustic threshold is amp * 2 pi / box > 1 (plus finite-difference
-        # smoothing of ~0.97), i.e. amp > ~1.31 here.
-        amp = 2.0
-        pos = q.copy()
-        pos[:, 0] = (q[:, 0] + amp * np.sin(2 * np.pi * q[:, 0] / box)) % box
-        J = lagrangian_jacobian(pos, np.arange(n**3), n, Bounds.cube(box))
-        assert fraction_multistream(J) > 0.0
-
-    def test_id_permutation_invariance(self):
-        box, n = 6.0, 6
-        pos = lattice(n, box)
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(n**3)
-        J = lagrangian_jacobian(pos[perm], perm, n, Bounds.cube(box))
-        np.testing.assert_allclose(J, 1.0, atol=1e-12)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            lagrangian_jacobian(np.zeros((7, 3)), np.arange(7), 2, Bounds.cube(1.0))
-        with pytest.raises(ValueError):
-            lagrangian_jacobian(
-                np.zeros((8, 3)), np.arange(8) + 1, 2, Bounds.cube(1.0)
-            )
-        with pytest.raises(ValueError):
-            fraction_multistream(np.empty(0))
-
-    def test_evolved_simulation_has_multistream_regions(self):
-        from repro.hacc import SimulationConfig, run_simulation
-
-        cfg = SimulationConfig(np_side=16, nsteps=30, seed=2)
-        final = run_simulation(cfg)
-        pos = final.positions * cfg.cell_size
-        J = lagrangian_jacobian(pos, final.ids, 16, cfg.domain())
-        frac = fraction_multistream(J)
-        assert 0.02 < frac < 0.9  # collapsed regions exist, not everything
-
-
-class TestMultistreamGrid:
-    def test_unperturbed_lattice_single_stream(self):
-        box, n = 4.0, 4
-        # Anisotropic sub-cell shift keeps every grid sample strictly
-        # inside one tetrahedron (a symmetric shift would park samples on
-        # shared tet faces/diagonals and overcount).
-        shift = np.array([0.37, 0.23, 0.11]) * box / n
-        pos = (lattice(n, box) + shift) % box
-        counts = multistream_grid(
-            pos, np.arange(n**3), n, Bounds.cube(box), grid_size=4
-        )
-        assert counts.shape == (4, 4, 4)
-        np.testing.assert_array_equal(counts, 1)
-
-    def test_fold_produces_three_streams(self):
-        box, n = 8.0, 16
-        q = lattice(n, box)
-        pos = q.copy()
-        pos[:, 0] = (q[:, 0] + 1.5 * np.sin(2 * np.pi * q[:, 0] / box)) % box
-        counts = multistream_grid(
-            pos, np.arange(n**3), n, Bounds.cube(box), grid_size=8
-        )
-        assert counts.max() >= 3  # caustic interior
-        assert counts.min() >= 1  # the sheet still covers everything
-
-    def test_mean_stream_count_is_one(self):
-        """The sheet covers space exactly once on average (volume is
-        conserved in Lagrangian coordinates)."""
-        box, n = 8.0, 8
-        q = lattice(n, box)
-        rng = np.random.default_rng(3)
-        pos = (q + rng.normal(0, 0.1, q.shape)) % box
-        counts = multistream_grid(
-            pos, np.arange(n**3), n, Bounds.cube(box), grid_size=8
-        )
-        assert counts.mean() == pytest.approx(1.0, abs=0.1)
 
 
 class TestFeatureTracking:

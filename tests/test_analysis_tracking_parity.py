@@ -1,7 +1,8 @@
 """Parity suite for temporal feature tracking.
 
-The flat overlap kernel, the retained dict oracle, and the distributed
-tracker must produce identical feature trees — bit for bit, including
+The flat overlap kernel, the dict reference
+(``tests/tracking_reference.py``), and the distributed tracker must
+produce identical feature trees — bit for bit, including
 per-track volume histories — at 1/2/4 ranks on both execution backends.
 Also covers: the merge-arbitration bugfix (overlap count beats dict
 insertion order), a periodic-seam void that merges across a step
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import faults, observe
+from repro.analysis import tracking
 from repro.analysis.components import (
     ComponentLabeling,
     connected_components,
@@ -26,7 +28,6 @@ from repro.analysis.tracking import (
     MergerTree,
     local_labeling,
     overlap_matrix,
-    overlap_matrix_dict,
     track_components,
     track_components_distributed,
 )
@@ -34,6 +35,8 @@ from repro.core import tessellate, tessellate_distributed
 from repro.diy.bounds import Bounds
 from repro.diy.comm import ParallelError, run_parallel
 from repro.diy.decomposition import Decomposition
+
+from .tracking_reference import overlap_arrays_dict, overlap_matrix_dict
 
 BOX = 10.0
 
@@ -96,15 +99,17 @@ class TestOverlapKernels:
 
     @pytest.mark.parametrize("kernel", ["flat", "dict"])
     @pytest.mark.parametrize("seed", [10, 11])
-    def test_tree_identical_across_kernels(self, seed, kernel):
+    def test_tree_identical_across_kernels(self, seed, kernel, monkeypatch):
+        """A tree linked on the reference overlap is the production tree."""
         rng = np.random.default_rng(seed)
         labelings = {
             s: _random_labeling(rng, int(rng.integers(10, 300)), 6)
             for s in range(4)
         }
-        assert track_components(labelings, kernel=kernel) == track_components(
-            labelings, kernel="flat"
-        )
+        want = track_components(labelings)
+        if kernel == "dict":
+            monkeypatch.setattr(tracking, "overlap_matrix", overlap_arrays_dict)
+        assert track_components(labelings) == want
 
 
 class TestMergeArbitration:
@@ -168,6 +173,33 @@ class TestBuilderState:
                 resumed.push(s, labelings[s], volumes=v)
         assert resumed.tree() == full.tree()
         assert resumed.last_step == full.last_step == 4
+
+    def test_restores_state_written_with_the_dict_kernel(self, tmp_path):
+        """``flags[1]`` once named the overlap kernel (1 = dict).  Snapshots
+        carrying it still restore, and resume onto the same tree."""
+        rng = np.random.default_rng(8)
+        labelings = {
+            s: _random_labeling(rng, int(rng.integers(20, 200)), 5)
+            for s in range(4)
+        }
+        full = FeatureTreeBuilder(min_overlap=2)
+        for s in range(2):
+            full.push(s, labelings[s])
+        state = full.state()
+        assert state["flags"][1] == 0
+        state["flags"][1] = 1
+        path = tmp_path / "tracking_state_00000001.npz"
+        np.savez(path, **state)
+        with np.load(path) as data:
+            resumed = FeatureTreeBuilder.from_state(
+                {k: np.array(data[k]) for k in data.files}
+            )
+        assert resumed.min_overlap == 2
+        for s in range(2, 4):
+            full.push(s, labelings[s])
+            resumed.push(s, labelings[s])
+        assert resumed.tree() == full.tree()
+        assert resumed.state()["flags"].tolist() == full.state()["flags"].tolist()
 
     def test_rejects_non_monotonic_steps(self):
         builder = FeatureTreeBuilder()

@@ -1,4 +1,4 @@
-"""Tests for the ZOBOV-style zone finder and the slice renderer."""
+"""Tests for the slice renderer."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.diy.bounds import Bounds
 from repro.core import tessellate
 from repro.analysis import connected_components
 from repro.analysis.render import ascii_render, slice_field, write_pgm
-from repro.analysis.zobov import zobov_voids
 
 
 def two_void_points(seed=0, size=12.0):
@@ -18,81 +17,6 @@ def two_void_points(seed=0, size=12.0):
     for c in (np.array([3.0, 3, 3]), np.array([9.0, 9, 9])):
         keep &= np.linalg.norm(pts - c, axis=1) > 2.2
     return pts[keep]
-
-
-class TestZobov:
-    def test_zones_partition_cells(self):
-        pts = two_void_points(1)
-        tess = tessellate(pts, Bounds.cube(12.0), nblocks=2, ghost=4.0)
-        result = zobov_voids(tess)
-        all_members = np.concatenate([z.member_ids for z in result.zones])
-        assert sorted(all_members.tolist()) == sorted(tess.site_ids().tolist())
-
-    def test_cores_are_local_minima(self):
-        pts = two_void_points(2)
-        tess = tessellate(pts, Bounds.cube(12.0), nblocks=1, ghost=4.0)
-        result = zobov_voids(tess)
-        density = {int(s): 1.0 / v for s, v in zip(tess.site_ids(), tess.volumes())}
-        block = tess.blocks[0]
-        nb_of = {
-            int(block.site_ids[i]): block.neighbors_of_cell(i)
-            for i in range(block.num_cells)
-        }
-        for z in result.zones:
-            core = z.core_cell
-            for nb in nb_of[core]:
-                if int(nb) in density:
-                    assert density[int(nb)] >= density[core] - 1e-12
-
-    def test_deep_voids_are_significant(self):
-        pts = two_void_points(3)
-        tess = tessellate(pts, Bounds.cube(12.0), nblocks=1, ghost=4.5)
-        result = zobov_voids(tess)
-        deep = result.significant(min_ratio=1.8)
-        # The two carved pockets give two deep basins (the global minimum
-        # zone counts as infinitely significant), clearly separated in
-        # significance from the Poisson-noise basins (~1.1-1.6).
-        assert len(deep) >= 2
-        # The top two zones' cores sit at the two distinct pockets (their
-        # sites are wall particles whose cells bulge into the hole).
-        sites = np.concatenate([b.sites for b in tess.blocks])
-        ids = np.concatenate([b.site_ids for b in tess.blocks])
-        pos_of = {int(i): s for i, s in zip(ids, sites)}
-        centers = [np.array([3.0, 3, 3]), np.array([9.0, 9, 9])]
-        nearest = [
-            int(np.argmin([np.linalg.norm(pos_of[z.core_cell] - c) for c in centers]))
-            for z in result.zones[:2]
-        ]
-        dists = [
-            np.linalg.norm(pos_of[z.core_cell] - centers[k])
-            for z, k in zip(result.zones[:2], nearest)
-        ]
-        assert sorted(nearest) == [0, 1]  # one core per pocket
-        assert all(d < 3.0 for d in dists)
-
-    def test_global_minimum_zone_never_spills(self):
-        pts = two_void_points(4)
-        tess = tessellate(pts, Bounds.cube(12.0), nblocks=1, ghost=4.0)
-        result = zobov_voids(tess)
-        infinite = [z for z in result.zones if not np.isfinite(z.saddle_density)]
-        assert len(infinite) == 1
-        # It contains the globally largest cell (lowest density).
-        vmax_site = int(tess.site_ids()[np.argmax(tess.volumes())])
-        assert vmax_site in infinite[0].member_ids
-
-    def test_empty_tessellation(self):
-        from repro.core.tessellate import Tessellation
-
-        result = zobov_voids(Tessellation(domain=Bounds.cube(1.0), blocks=[]))
-        assert result.num_zones == 0
-
-    def test_zone_count_reasonable(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(0, 10, size=(500, 3))
-        tess = tessellate(pts, Bounds.cube(10.0), nblocks=2, ghost=4.0)
-        result = zobov_voids(tess)
-        # Poisson noise yields many shallow zones, far fewer than cells.
-        assert 2 <= result.num_zones < 200
 
 
 class TestRender:

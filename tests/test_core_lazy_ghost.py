@@ -17,10 +17,7 @@ import pytest
 from repro import observe
 from repro.balance import clustered_points
 from repro.core import match_tessellations, tessellate
-from repro.core.delaunay_mode import dual_distributed, tessellate_delaunay
 from repro.diy.bounds import Bounds
-from repro.diy.comm import run_parallel
-from repro.diy.decomposition import Decomposition
 from repro.geometry.voronoi_delaunay import DelaunayVoronoi
 
 # ``repro.core.tessellate`` the attribute is the function; this is the module.
@@ -198,7 +195,7 @@ class TestStarViolations:
         dv = DelaunayVoronoi(pts, Bounds.cube(4.0), n_owned=1)
         mesh = dv.mesh
         star = np.flatnonzero((mesh.tetrahedra == 0).any(axis=1))
-        centers = dv.tet_circumcenters[star]
+        centers = dv.vertices[star]
         radii = np.linalg.norm(centers - pts[0], axis=1)
         # Site 0 lies on every star sphere, so a ray from it leaves sphere
         # i at s_i = 2 (c_i - p0).u; just past the last exit is outside
@@ -234,7 +231,7 @@ class TestStarViolations:
         wide = DelaunayVoronoi(pts, Bounds.cube(4.0), n_owned=1)
         assert wide.complete[0]
         star = (wide.mesh.tetrahedra == 0).any(axis=1)
-        centers = wide.tet_circumcenters[star]
+        centers = wide.vertices[star]
         # a box that leaves one star vertex out, and a candidate that
         # violates the sphere around another one
         far = np.argmax(np.abs(centers - pts[0]).max(axis=1))
@@ -310,36 +307,7 @@ class TestDegenerateInputWithholdsNothing:
 
 
 # ----------------------------------------------------------------------
-# (e) the dual mode still owns exactly the standalone Delaunay tets
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("nblocks", (1, 2, 4))
-def test_dual_distributed_is_tet_exact(evolved, nblocks):
-    snaps, domain = evolved
-    pos, ids = snaps[12]
-    pos, ids = pos[::4], ids[::4]  # 1024 sites: large voids, small mesh
-    ghost = 4.0 * (domain.volume / len(pos)) ** (1.0 / 3.0)
-    decomp = Decomposition.regular(domain, nblocks, periodic=True)
-
-    def worker(comm):
-        mine = decomp.locate(pos) == comm.rank
-        return dual_distributed(comm, decomp, pos[mine], ids[mine], ghost=ghost)
-
-    results = run_parallel(nblocks, worker)
-    ref = tessellate_delaunay(pos, domain, nblocks=nblocks, ghost=ghost, ids=ids)
-    tets = np.sort(np.concatenate([d.tetrahedra for _, d in results]), axis=1)
-    np.testing.assert_array_equal(
-        tets[np.lexsort(tets.T[::-1])], ref.all_tetrahedra()
-    )
-    # and its Voronoi half is the production (lazy) tessellation's
-    want = tessellate(pos, domain, nblocks=nblocks, ghost=ghost, ids=ids)
-    for (vblock, _), block in zip(results, want.blocks):
-        np.testing.assert_array_equal(vblock.site_ids, block.site_ids)
-        np.testing.assert_array_equal(cell_neighbors(vblock), cell_neighbors(block))
-        np.testing.assert_allclose(vblock.volumes, block.volumes, rtol=1e-12)
-
-
-# ----------------------------------------------------------------------
-# (f) Table I: under-ghosted rows reproduce exactly
+# (e) Table I: under-ghosted rows reproduce exactly
 # ----------------------------------------------------------------------
 def test_table1_rows_unchanged(evolved):
     snaps, domain = evolved

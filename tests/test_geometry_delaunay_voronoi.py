@@ -19,9 +19,6 @@ from hypothesis import strategies as st
 
 from repro import _native
 from repro.diy.bounds import Bounds
-from repro.diy.comm import run_parallel
-from repro.diy.decomposition import Decomposition
-from repro.core.delaunay_mode import dual_distributed, tessellate_delaunay
 from repro.core.tessellate import tessellate
 from repro.geometry.voronoi_cells import voronoi_cells_clip
 from repro.geometry.voronoi_delaunay import DelaunayVoronoi, tet_circumcenters
@@ -319,10 +316,9 @@ class TestOwnedOnly:
         box = Bounds.cube(10.0)
         full = DelaunayVoronoi(pts, box)
         part = DelaunayVoronoi(pts, box, n_owned=n_owned)
-        # the triangulation and the dual-mode contract are untouched
+        # the triangulation and its circumcenters are untouched
         np.testing.assert_array_equal(part.mesh.tetrahedra, full.mesh.tetrahedra)
         np.testing.assert_array_equal(part.vertices, full.vertices)
-        np.testing.assert_array_equal(part.tet_circumcenters, full.vertices)
         # every ridge kept has an owned side; none of the owned ones is lost
         assert (part.ridge_sites.min(axis=1) < n_owned).all()
         owned_ridges = full.ridge_sites.min(axis=1) < n_owned
@@ -395,34 +391,6 @@ class TestObserveCounters:
         finally:
             observe.disable()
             observe.registry().reset()
-
-
-class TestDualDistributed:
-    @pytest.mark.parametrize("nblocks", (1, 2))
-    def test_one_triangulation_both_outputs(self, nblocks):
-        pts = poisson(350, 10.0, 41)
-        domain = Bounds.cube(10.0)
-        decomp = Decomposition.regular(domain, nblocks, periodic=True)
-        ids = np.arange(len(pts), dtype=np.int64)
-
-        def worker(comm):
-            mine = decomp.locate(pts) == comm.rank
-            return dual_distributed(
-                comm, decomp, pts[mine], ids[mine], ghost=4.0
-            )
-
-        results = run_parallel(nblocks, worker)
-        vcells = sum(b.num_cells for b, _ in results)
-        assert vcells == len(pts)
-        vol = sum(float(b.volumes.sum()) for b, _ in results)
-        assert vol == pytest.approx(domain.volume, rel=1e-9)
-
-        # The dual tet soup matches the standalone Delaunay mode exactly.
-        ref = tessellate_delaunay(pts, domain, nblocks=nblocks, ghost=4.0)
-        tets = np.concatenate([d.tetrahedra for _, d in results])
-        tets = np.sort(tets, axis=1)
-        tets = tets[np.lexsort(tets.T[::-1])]
-        np.testing.assert_array_equal(tets, ref.all_tetrahedra())
 
 
 @settings(max_examples=15, deadline=None)

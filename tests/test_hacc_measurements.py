@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.hacc import (
-    LCDM,
-    LinearPowerSpectrum,
-    SimulationConfig,
-    measure_power_spectrum,
-    zeldovich_ics,
-)
+from repro.hacc import LCDM, LinearPowerSpectrum, SimulationConfig, zeldovich_ics
+
+from .power_reference import measure_power_spectrum
 
 
 class TestMeasurementBasics:

@@ -91,6 +91,18 @@ class TestFramework:
         for accepted in ("ghost", "vmin", "vmax", "output_pattern"):
             assert accepted in message
 
+    def test_stale_tracking_kernel_parameter(self):
+        # the overlap ``kernel`` knob is gone: tracking runs one kernel
+        fc = FrameworkConfig.from_dict(
+            {"tools": [{"tool": "tracking", "params": {"kernel": "dict"}}]}
+        )
+        with pytest.raises(ValueError) as err:
+            CosmologyToolsFramework(fc)
+        message = str(err.value)
+        assert "'tracking'" in message and "['kernel']" in message
+        for accepted in ("min_overlap", "state_dir", "vmin_quantile"):
+            assert accepted in message
+
     def test_custom_tool_taking_any_keyword_is_not_second_guessed(self):
         class Anything(AnalysisTool):
             name = "anything"

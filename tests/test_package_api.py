@@ -74,8 +74,21 @@ class TestPublicSurfaces:
             core.tessellate,
             core.tessellate_distributed,
             core.tessellate_block,
-            core.tessellate_auto,
-            core.tessellate_auto_distributed,
             insitu.TessellationTool,
         ):
             assert "backend" not in inspect.signature(fn).parameters, fn
+
+    def test_no_overlap_kernel_or_mesh_selector(self):
+        """Tracking runs the one flat overlap kernel, and the engine always
+        triangulates the points it is given."""
+        analysis = importlib.import_module("repro.analysis")
+        geometry = importlib.import_module("repro.geometry")
+        insitu = importlib.import_module("repro.insitu")
+        for fn in (
+            analysis.FeatureTreeBuilder,
+            analysis.track_components,
+            analysis.track_components_distributed,
+            insitu.TrackingTool,
+        ):
+            assert "kernel" not in inspect.signature(fn).parameters, fn
+        assert "mesh" not in inspect.signature(geometry.DelaunayVoronoi).parameters

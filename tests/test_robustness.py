@@ -156,26 +156,22 @@ class TestHostileGeometryInputs:
         np.testing.assert_allclose(tess.volumes(), 1.0, rtol=1e-6)
 
     def test_extreme_aspect_point_cloud(self):
-        """A near-planar slab has cells taller than any reasonable fixed
-        ghost guess; the auto-ghost loop grows to the half-box cap and
-        recovers the full periodic partition."""
+        """A near-planar slab has cells taller than any reasonable ghost
+        guess; a ghost at the half-box cap recovers the full periodic
+        partition."""
         from repro.diy.bounds import Bounds
         from repro.core import tessellate
-        from repro.core.auto_ghost import tessellate_auto
 
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 10, size=(200, 3))
         pts[:, 2] = rng.uniform(4.9, 5.1, size=200)  # nearly planar slab
-        # Fixed insufficient ghost: vertical neighbors (periodic images
-        # 4.9 away) are unseen, so most cells are incomplete and deleted.
-        fixed = tessellate(pts, Bounds.cube(10.0), nblocks=1, ghost=4.0)
-        assert fixed.num_cells < 200
-        auto, ghost, _ = tessellate_auto(
-            pts, Bounds.cube(10.0), nblocks=1, initial_ghost=2.0
-        )
-        assert ghost == pytest.approx(5.0)  # grew to the half-box cap
-        assert auto.num_cells == 200
+        # Insufficient ghost: vertical neighbors (periodic images 4.9
+        # away) are unseen, so most cells are incomplete and deleted.
+        short = tessellate(pts, Bounds.cube(10.0), nblocks=1, ghost=4.0)
+        assert short.num_cells < 200
+        capped = tessellate(pts, Bounds.cube(10.0), nblocks=1, ghost=5.0)
+        assert capped.num_cells == 200
         # Cell diameters here approach the box size — past the paper's
         # design envelope (block size ~10x cell size) — so residual
         # boundary error survives even at the ghost cap.
-        assert auto.total_volume() == pytest.approx(1000.0, rel=1e-3)
+        assert capped.total_volume() == pytest.approx(1000.0, rel=1e-3)
