@@ -13,6 +13,7 @@ from .components import (
     ArrayUnionFind,
     ComponentLabeling,
     connected_components,
+    connected_components_at_root,
     connected_components_distributed,
 )
 from .dtfe import dtfe_density, dtfe_grid, voronoi_density
@@ -61,6 +62,7 @@ __all__ = [
     "ArrayUnionFind",
     "ComponentLabeling",
     "connected_components",
+    "connected_components_at_root",
     "connected_components_distributed",
     "dtfe_density",
     "dtfe_grid",

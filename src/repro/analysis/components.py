@@ -13,10 +13,12 @@ Two paths, one kernel:
   and merge through :class:`ArrayUnionFind` (an int64 parent array with
   path halving) — no per-cell Python loop anywhere on the hot path.
 * :func:`connected_components_distributed` — the in situ path: each rank
-  labels its own block locally, boundary edges (faces whose neighbor cell
-  lives on another rank) travel to the root as packed ``(src, dst)`` int64
-  edge arrays through the tree gather, and the relabeling is broadcast —
-  one collective round, independent of component diameter.
+  labels its own block locally, its local links and boundary edges (faces
+  whose neighbor cell lives on another rank) travel to the root as one
+  packed ``(src, dst)`` int64 row array through the tree gather, and the
+  relabeling is broadcast — one collective round, independent of
+  component diameter.  :func:`connected_components_at_root` stops before
+  the broadcast, for consumers that only need the labeling on rank 0.
 
 The dict-based labeling these replaced lives with the tests
 (``tests/components_reference.py``) as the parity reference.
@@ -29,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import observe
-from ..core.data_model import VoronoiBlock, isin_sorted
+from ..core.data_model import VoronoiBlock, index_in_sorted, isin_sorted
 from ..core.tessellate import Tessellation
 from ..diy.comm import Communicator
 
 __all__ = ["ArrayUnionFind", "ComponentLabeling", "connected_components",
-           "connected_components_distributed"]
+           "connected_components_at_root", "connected_components_distributed"]
 
 
 class ArrayUnionFind:
@@ -179,6 +181,84 @@ def connected_components(
         return ComponentLabeling(site_ids=kept, labels=uf.labels())
 
 
+def _local_rows(
+    block: VoronoiBlock, vmin: float | None, vmax: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """This block's half of the distributed merge, as packed int64 rows.
+
+    First one ``(site id, local root)`` row per kept cell, in block order,
+    then one ``(site id, neighbor id)`` row per face of a kept cell whose
+    neighbor this block does not own (it may be kept on another rank; a
+    neighbor owned here and not kept is kept nowhere).  Also returns the
+    block's keep mask.
+    """
+    keep = np.ones(block.num_cells, dtype=bool)
+    if vmin is not None:
+        keep &= block.volumes >= vmin
+    if vmax is not None:
+        keep &= block.volumes <= vmax
+    sids = block.site_ids.astype(np.int64, copy=False)
+    order = np.argsort(sids, kind="stable")
+
+    # Every face of a kept cell, as (owner cell index, neighbor site id),
+    # and the neighbor's cell index where this block owns it.
+    counts = np.diff(block.cell_face_offsets).astype(np.int64)
+    dst = block.face_neighbors.astype(np.int64, copy=False)
+    fmask = np.repeat(keep, counts) & (dst >= 0)
+    src = np.repeat(np.arange(block.num_cells), counts)[fmask]
+    dst = dst[fmask]
+    pos, owned = index_in_sorted(dst, sids[order])
+    nbr = order[pos]
+    internal = owned & keep[nbr]
+
+    # Local labeling over cell indices; any member can stand for its
+    # component, since the root's merge is canonical.
+    uf = ArrayUnionFind(block.num_cells)
+    uf.union_edges(src[internal], nbr[internal])
+    kept = np.flatnonzero(keep)
+    rows = np.concatenate(
+        [
+            np.stack([sids[kept], sids[uf.find_many(kept)]], axis=1),
+            np.stack([sids[src[~owned]], dst[~owned]], axis=1),
+        ]
+    )
+    return np.ascontiguousarray(rows, dtype=np.int64), keep
+
+
+def _merge_rows(gathered: list[np.ndarray]) -> ComponentLabeling:
+    """The root's global labeling from every rank's :func:`_local_rows`:
+    each kept cell is the source of its own link row, so the kept set is
+    the union of the source columns."""
+    merged = np.concatenate(gathered)
+    all_kept = np.unique(merged[:, 0])
+    if len(all_kept) == 0:
+        return _empty_labeling()
+    # Only join cells that actually survived on some rank.
+    merged = merged[isin_sorted(merged[:, 1], all_kept)]
+    guf = ArrayUnionFind(len(all_kept))
+    guf.union_edges(
+        np.searchsorted(all_kept, merged[:, 0]),
+        np.searchsorted(all_kept, merged[:, 1]),
+    )
+    return ComponentLabeling(site_ids=all_kept, labels=guf.labels())
+
+
+def connected_components_at_root(
+    comm: Communicator,
+    block: VoronoiBlock,
+    vmin: float | None = None,
+    vmax: float | None = None,
+) -> ComponentLabeling | None:
+    """The merge of :func:`connected_components_distributed` without its
+    broadcast (collective): the global labeling on rank 0, ``None``
+    elsewhere."""
+    with observe.span("components-local", rank=comm.rank, cat="analysis"):
+        rows, _ = _local_rows(block, vmin, vmax)
+    with observe.span("components-merge", rank=comm.rank, cat="analysis"):
+        gathered = comm.gather(rows, root=0)
+        return _merge_rows(gathered) if comm.rank == 0 else None
+
+
 def connected_components_distributed(
     comm: Communicator,
     block: VoronoiBlock,
@@ -191,67 +271,9 @@ def connected_components_distributed(
     labeling (identical on all ranks).  Cross-block adjacency needs no
     geometry: a face's neighbor id either belongs to a local kept cell or
     to some other rank's cell, and the root resolves the union graph.  The
-    merge traffic is two packed int64 arrays per rank — the kept site ids
-    and the ``(src, dst)`` edge rows (local root links plus unresolved
-    boundary edges) — shipped through the tree gather; no Python tuple
-    lists cross ranks.
+    merge traffic is one packed int64 ``(src, dst)`` row array per rank —
+    a local root link per kept cell plus the unresolved boundary edges —
+    shipped through the tree gather; no Python tuple lists cross ranks.
     """
-    with observe.span("components-local", rank=comm.rank, cat="analysis"):
-        keep = np.ones(block.num_cells, dtype=bool)
-        if vmin is not None:
-            keep &= block.volumes >= vmin
-        if vmax is not None:
-            keep &= block.volumes <= vmax
-        local_kept = np.unique(block.site_ids[keep].astype(np.int64, copy=False))
-
-        # Every face of a kept cell, as (owner site id, neighbor site id).
-        counts = np.diff(block.cell_face_offsets).astype(np.int64)
-        src = np.repeat(block.site_ids.astype(np.int64, copy=False), counts)
-        dst = block.face_neighbors.astype(np.int64, copy=False)
-        fmask = np.repeat(keep, counts) & (dst >= 0)
-        src, dst = src[fmask], dst[fmask]
-
-        internal = isin_sorted(dst, local_kept)
-        # Local labeling over this block's kept cells.
-        uf = ArrayUnionFind(len(local_kept))
-        uf.union_edges(
-            np.searchsorted(local_kept, src[internal]),
-            np.searchsorted(local_kept, dst[internal]),
-        )
-        if len(local_kept):
-            roots = local_kept[
-                uf.find_many(np.arange(len(local_kept), dtype=np.int64))
-            ]
-            local_links = np.stack([local_kept, roots], axis=1)
-        else:
-            local_links = np.empty((0, 2), dtype=np.int64)
-        # Faces whose neighbor is not locally kept *might* be kept on
-        # another rank — defer the decision to the root.
-        boundary = np.stack([src[~internal], dst[~internal]], axis=1)
-        edges = np.ascontiguousarray(
-            np.concatenate([local_links, boundary]), dtype=np.int64
-        )
-
-    with observe.span("components-merge", rank=comm.rank, cat="analysis"):
-        gathered_nodes = comm.gather(local_kept, root=0)
-        gathered_edges = comm.gather(edges, root=0)
-
-        if comm.rank == 0:
-            all_kept = np.unique(np.concatenate(gathered_nodes))
-            if len(all_kept) == 0:
-                labeling = _empty_labeling()
-            else:
-                merged = np.concatenate(gathered_edges)
-                # Only join cells that actually survived on some rank.
-                merged = merged[isin_sorted(merged[:, 1], all_kept)]
-                guf = ArrayUnionFind(len(all_kept))
-                guf.union_edges(
-                    np.searchsorted(all_kept, merged[:, 0]),
-                    np.searchsorted(all_kept, merged[:, 1]),
-                )
-                labeling = ComponentLabeling(
-                    site_ids=all_kept, labels=guf.labels()
-                )
-        else:
-            labeling = None
-        return comm.bcast(labeling, root=0)
+    labeling = connected_components_at_root(comm, block, vmin=vmin, vmax=vmax)
+    return comm.bcast(labeling, root=0)

@@ -10,9 +10,9 @@ voids.
 Two entry points: :func:`find_voids` runs over an assembled
 :class:`~repro.core.tessellate.Tessellation` (postprocessing), while
 :func:`find_voids_distributed` is the in situ path — each rank passes its
-own block, labeling uses the one-collective boundary merge, and per-void
-volumes accumulate through an elementwise allreduce; no rank ever holds
-the global mesh.  Both accumulate volumes with ``searchsorted`` +
+own block, and one gather of merge rows and kept-cell volumes lets the
+root label, accumulate and broadcast the catalog; no rank ever holds the
+global mesh.  Both accumulate volumes with ``searchsorted`` +
 ``np.add.at`` over the labels — no per-void Python summation.
 """
 
@@ -28,8 +28,9 @@ from ..core.tessellate import Tessellation
 from ..diy.comm import Communicator
 from .components import (
     ComponentLabeling,
+    _local_rows,
+    _merge_rows,
     connected_components,
-    connected_components_distributed,
 )
 from .minkowski import MinkowskiFunctionals, minkowski_functionals
 
@@ -197,11 +198,14 @@ def find_voids_distributed(
     """In situ void finding over one block per rank (collective).
 
     Every rank passes its own :class:`VoronoiBlock` and receives the same
-    global :class:`VoidCatalog`: labeling uses the one-collective boundary
-    merge of :func:`connected_components_distributed`, the ``vmin``
-    fraction rule reduces the global volume range, and per-void volumes
-    are an elementwise vector allreduce of each rank's local
-    contributions.  No rank ever gathers the global tessellation.
+    global :class:`VoidCatalog`: the ``vmin`` fraction rule reduces the
+    global volume range, and one tree gather brings each rank's
+    component-merge rows (:func:`connected_components_distributed`'s) and
+    the volumes of its kept cells to the root, which labels, builds the
+    catalog and broadcasts it.  No rank ever gathers the global
+    tessellation.  With block ``gid == rank`` the root accumulates each
+    void's volume over the cells in the assembled tessellation's order, so
+    the catalog equals :func:`find_voids`'s on it bit for bit.
     """
     with observe.span("find-voids-distributed", rank=comm.rank, cat="analysis"):
         if vmin is None:
@@ -217,11 +221,20 @@ def find_voids_distributed(
                 raise ValueError("tessellation has no cells")
             vmin = lo + vmin_fraction * (hi - lo)
 
-        labeling = connected_components_distributed(comm, block, vmin=vmin)
-        local = _component_volumes(
-            labeling,
-            block.site_ids.astype(np.int64, copy=False),
-            block.volumes,
-        )
-        comp_vol = comm.allreduce(local) if comm.size > 1 else local
-        return _catalog_from_labeling(labeling, comp_vol, vmin, min_cells)
+        with observe.span("components-local", rank=comm.rank, cat="analysis"):
+            rows, keep = _local_rows(block, vmin, None)
+        with observe.span("components-merge", rank=comm.rank, cat="analysis"):
+            gathered = comm.gather((rows, block.volumes[keep]), root=0)
+            catalog = None
+            if comm.rank == 0:
+                labeling = _merge_rows([r for r, _ in gathered])
+                # A rank's first rows are its kept cells, in block order.
+                comp_vol = _component_volumes(
+                    labeling,
+                    np.concatenate([r[: len(v), 0] for r, v in gathered]),
+                    np.concatenate([v for _, v in gathered]),
+                )
+                catalog = _catalog_from_labeling(
+                    labeling, comp_vol, vmin, min_cells
+                )
+            return comm.bcast(catalog, root=0)

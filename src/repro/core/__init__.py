@@ -24,6 +24,7 @@ from .data_model import BlockSizeReport, VoronoiBlock
 from .ghost import exchange_ghost_particles, exchange_ghost_particles_multi
 from .tess_io import read_tessellation, write_tessellation
 from .tessellate import (
+    DistributedTessellation,
     Tessellation,
     tessellate,
     tessellate_block,
@@ -48,6 +49,7 @@ __all__ = [
     "read_tessellation",
     "write_tessellation",
     "Tessellation",
+    "DistributedTessellation",
     "tessellate",
     "tessellate_block",
     "tessellate_distributed",

@@ -13,7 +13,8 @@ The pipeline, per block:
 4. optionally write all blocks to a single file in parallel.
 
 Two entry points: :func:`tessellate_distributed` is the SPMD primitive used
-in situ (call it from inside a parallel region with live particles);
+in situ (call it from inside a parallel region with live particles; the
+in situ tools wrap its block in a :class:`DistributedTessellation`);
 :func:`tessellate` is the standalone mode, which decomposes a global point
 set, launches the parallel region, and gathers a :class:`Tessellation`.
 """
@@ -21,6 +22,7 @@ set, launches the parallel region, and gathers a :class:`Tessellation`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -37,7 +39,13 @@ from .data_model import VoronoiBlock
 from .ghost import exchange_ghost_particles
 from .timing import PhaseTimer, TessTimings
 
-__all__ = ["tessellate_block", "tessellate_distributed", "tessellate", "Tessellation"]
+__all__ = [
+    "tessellate_block",
+    "tessellate_distributed",
+    "tessellate",
+    "Tessellation",
+    "DistributedTessellation",
+]
 
 #: Thickness of the ghost shell the first triangulation of a block sees,
 #: in local mean particle spacings (Chebyshev depth to the block's core).
@@ -558,6 +566,96 @@ class Tessellation:
         from .tess_io import write_tessellation_serial
 
         return write_tessellation_serial(path, self)
+
+
+@dataclass
+class DistributedTessellation:
+    """One rank's handle on an in situ tessellation (the SPMD counterpart
+    of :class:`Tessellation`; no rank holds the whole mesh).
+
+    Holds the rank-local :attr:`block`, the cross-rank ``max_with``
+    :attr:`timings`, and :attr:`num_cells` / :meth:`total_volume` /
+    :attr:`output_bytes`, equal on every rank.  Rank 0 additionally holds
+    the ``(site id, volume)`` columns of every block in gid order (16
+    B/cell), so :meth:`site_ids`, :meth:`volumes` and :meth:`total_volume`
+    there are bit-identical to the assembled :class:`Tessellation`'s.
+    Build one with :meth:`collect`; :meth:`assemble` gathers the geometry
+    when a consumer truly needs the whole mesh.
+    """
+
+    domain: Bounds
+    block: VoronoiBlock
+    timings: TessTimings
+    num_cells: int
+    output_bytes: int
+    total: float
+    columns: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def collect(
+        cls,
+        comm: Communicator,
+        domain: Bounds,
+        block: VoronoiBlock,
+        timings: TessTimings,
+        output_bytes: int,
+    ) -> "DistributedTessellation":
+        """Collective: gather each block's id/volume columns and timings
+        to rank 0, broadcast the totals back."""
+        parts = comm.gather(
+            (block.gid, block.site_ids, block.volumes, timings), root=0
+        )
+        columns = meta = None
+        if comm.rank == 0:
+            parts.sort(key=lambda p: p[0])
+            columns = tuple(
+                np.concatenate([p[k] for p in parts]) for k in (1, 2)
+            )
+            reduced = reduce(TessTimings.max_with, (p[3] for p in parts))
+            meta = (len(columns[0]), float(columns[1].sum()), reduced, output_bytes)
+        num_cells, total, reduced, nbytes = comm.bcast(meta, root=0)
+        return cls(domain, block, reduced, num_cells, nbytes, total, columns)
+
+    def _column(self, k: int) -> np.ndarray:
+        if self.columns is None:
+            raise RuntimeError(
+                "the gathered (site id, volume) columns live on rank 0; "
+                "use .block for this rank's cells"
+            )
+        return self.columns[k]
+
+    def site_ids(self) -> np.ndarray:
+        """All generating-particle ids in gid order (rank 0 only)."""
+        return self._column(0)
+
+    def volumes(self) -> np.ndarray:
+        """All cell volumes in gid order (rank 0 only)."""
+        return self._column(1)
+
+    def total_volume(self) -> float:
+        """Sum of kept cell volumes (every rank)."""
+        return self.total
+
+    def assemble(self, comm: Communicator) -> Tessellation | None:
+        """Collective: gather every block into the full :class:`Tessellation`
+        on rank 0 (``None`` elsewhere); counted as
+        ``insitu.mesh_assemblies``."""
+        blocks = comm.gather(self.block, root=0)
+        if comm.rank != 0:
+            return None
+        if observe.enabled():
+            observe.registry().counter("insitu.mesh_assemblies").inc()
+        return self.join_blocks(blocks)
+
+    def join_blocks(self, blocks: list[VoronoiBlock]) -> Tessellation:
+        """The :class:`Tessellation` of every rank's block (e.g. the
+        handles' blocks collected after the parallel region)."""
+        return Tessellation(
+            domain=self.domain,
+            blocks=sorted(blocks, key=lambda b: b.gid),
+            timings=self.timings,
+            output_bytes=self.output_bytes,
+        )
 
 
 def tessellate(

@@ -14,6 +14,7 @@ import inspect
 from collections.abc import Mapping
 from typing import Any, Iterator
 
+from ..core.tessellate import DistributedTessellation
 from ..diy.comm import Communicator, run_parallel
 from ..hacc.simulation import HACCSimulation, SimulationConfig, run_with_recovery
 from ..observe import trace as _trace
@@ -74,7 +75,9 @@ class CosmologyToolsFramework:
         ParaView Catalyst: instead of (or in addition to) writing results
         to storage for postprocessing, a live consumer sees each result the
         moment the in situ tool produces it.  Callbacks run on every rank;
-        rank-dependent consumers should check their communicator.
+        rank-dependent consumers should check their communicator (with
+        one, a tessellation arrives as this rank's
+        :class:`~repro.core.tessellate.DistributedTessellation`).
         """
         if tool_name not in self.results:
             raise ValueError(
@@ -233,10 +236,14 @@ def run_simulation_with_tools(
 ) -> InsituResults:
     """Convenience driver: simulate with tools attached; return results.
 
-    Results are identical on every rank (tools broadcast their gathered
-    outputs), so the rank-0 result store is returned, wrapped in an
+    Analysis products (catalogs, histograms, trees, frames) are identical
+    on every rank, so the rank-0 result store is returned, wrapped in an
     :class:`InsituResults` that also reports the max-over-ranks simulation
-    stepping time.
+    stepping time.  Inside the parallel region a tessellation is a
+    :class:`~repro.core.tessellate.DistributedTessellation` per rank; each
+    rank's result carries its own block back, and here, outside the
+    region and without a collective, those blocks are joined into the
+    plain :class:`~repro.core.tessellate.Tessellation` the store holds.
 
     ``backend`` selects the SPMD substrate — ``"thread"`` (default) or
     ``"process"`` (one OS process per rank; true hardware parallelism for
@@ -275,11 +282,23 @@ def run_simulation_with_tools(
     )
     sim_seconds = max(seconds for _, seconds, _, _ in results)
     return InsituResults(
-        results[0][0],
+        _joined([r[0] for r in results]),
         sim_seconds,
         resumed_step=results[0][2],
         rebalances=max(r[3] for r in results),
     )
+
+
+def _joined(stores: list[dict[str, dict[int, Any]]]) -> dict[str, dict[int, Any]]:
+    """Rank 0's result store with every tessellation handle replaced by the
+    :class:`~repro.core.tessellate.Tessellation` of all ranks' blocks."""
+    for tool, per_step in stores[0].items():
+        for step, result in per_step.items():
+            if isinstance(result, DistributedTessellation):
+                per_step[step] = result.join_blocks(
+                    [store[tool][step].block for store in stores]
+                )
+    return stores[0]
 
 
 def _framework_worker(

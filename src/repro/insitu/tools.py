@@ -3,9 +3,18 @@
 Every tool implements :class:`AnalysisTool`: given the live simulation
 state at a fired step, produce a result.  Tools run inside the SPMD region
 — they receive the rank-local particle view and the communicator and may
-perform collectives (ghost exchanges, gathers).  Results are returned on
-every rank (root-gathered objects are broadcast) so the framework's result
-store is rank-independent.
+perform collectives.  Like the filters of a ParaView pipeline, each tool
+reads the upstream output where it lives and never gathers or rebuilds
+it: with a communicator the tessellation tool returns a
+:class:`~repro.core.tessellate.DistributedTessellation` (this rank's block,
+replicated totals, and on rank 0 the ``(site id, volume)`` columns), and
+the void finder, cell statistics and tracking tools read that block.  No
+rank holds the whole mesh and nothing is tessellated twice per step; the
+only exception is ``VoidFinderTool(compute_minkowski=True)``, which
+assembles the mesh on rank 0.  The analysis products (void catalogs,
+histograms, merger trees, halo catalogs, DTFE frames) are small and
+identical on every rank.  Serial runs (``comm`` is ``None``) see a plain
+:class:`~repro.core.tessellate.Tessellation`.
 """
 
 from __future__ import annotations
@@ -19,8 +28,11 @@ import numpy as np
 from .. import observe
 from ..analysis.halos import HaloCatalog, fof_halos, fof_halos_distributed
 from ..analysis.statistics import Histogram, histogram
-from ..core.tessellate import Tessellation, tessellate_distributed
-from ..core.timing import TessTimings
+from ..core.tessellate import (
+    DistributedTessellation,
+    Tessellation,
+    tessellate_distributed,
+)
 from ..diy.comm import Communicator
 
 __all__ = [
@@ -60,12 +72,23 @@ class AnalysisTool:
         raise NotImplementedError
 
 
+def _tessellation(context, sim, step, a, comm, ghost: float):
+    """The tessellation tool's output at this step or, only when no
+    tessellation tool fired, a tessellation of this tool's own."""
+    tess = (context or {}).get("tessellation")
+    if tess is None:
+        tess = TessellationTool(ghost=ghost).run(sim, step, a, comm)
+    return tess
+
+
 @dataclass
 class TessellationTool(AnalysisTool):
     """Runs tess in situ and (optionally) writes each output to storage.
 
     Parameters mirror :func:`repro.core.tessellate.tessellate_distributed`;
     ``output_pattern`` may contain ``{step}`` which is substituted per fire.
+    Returns a :class:`Tessellation` serially and a
+    :class:`DistributedTessellation` handle with a communicator.
     """
 
     ghost: float = 4.0
@@ -82,7 +105,7 @@ class TessellationTool(AnalysisTool):
         a: float,
         comm: Communicator | None,
         context: dict[str, Any] | None = None,
-    ) -> Tessellation:
+    ) -> Tessellation | DistributedTessellation:
         path = (
             self.output_pattern.format(step=step)
             if self.output_pattern is not None
@@ -111,20 +134,9 @@ class TessellationTool(AnalysisTool):
             vmax=self.vmax,
             output_path=path,
         )
-        blocks = comm.gather(block, root=0)
-        # Critical-path timings (incl. comm-blocked time and message/byte
-        # counters) combine up the binomial reduce tree in rank order.
-        reduced = comm.reduce(timings, op=TessTimings.max_with, root=0)
-        if comm.rank == 0:
-            tess = Tessellation(
-                domain=sim.config.domain(),
-                blocks=blocks,
-                timings=reduced,
-                output_bytes=nbytes,
-            )
-        else:
-            tess = None
-        return comm.bcast(tess, root=0)
+        return DistributedTessellation.collect(
+            comm, sim.config.domain(), block, timings, nbytes
+        )
 
 
 @dataclass
@@ -204,14 +216,15 @@ class VoidFinderTool(AnalysisTool):
     """In situ void finding (paper §V: move component labeling in situ).
 
     Consumes the tessellation tool's result when it ran earlier at the same
-    step (list it first in the config); otherwise tessellates its own block
-    and runs the fully distributed path — component labeling with the
-    one-collective boundary merge plus a vector allreduce of per-void
-    volumes — without ever gathering the global mesh (paper §V's point).
-    ``vmin_fraction`` applies the paper's fraction-of-volume-range
-    threshold rule; an absolute ``vmin`` wins if both are set.  Minkowski
-    functionals need the assembled tessellation, so requesting them falls
-    back to the gather-based path.
+    step (list it first in the config); otherwise tessellates its own
+    block.  With a communicator it runs the fully distributed path on the
+    rank-local block — one gather of component-merge rows and kept-cell
+    volumes, the catalog built on rank 0 and broadcast — without ever
+    gathering the global mesh (paper §V's point).  ``vmin_fraction``
+    applies the paper's fraction-of-volume-range threshold rule; an
+    absolute ``vmin`` wins if both are set.  Minkowski functionals still
+    need the assembled tessellation: requesting them assembles it on rank
+    0, which finds the voids and broadcasts the catalog.
     """
 
     ghost: float = 4.0
@@ -236,39 +249,37 @@ class VoidFinderTool(AnalysisTool):
             volume_threshold_for_fraction,
         )
 
-        tess = (context or {}).get("tessellation")
-        if tess is None and comm is not None and not self.compute_minkowski:
-            block, _, _ = tessellate_distributed(
-                comm,
-                sim.decomposition,
-                sim.positions_mpc(),
-                sim.local.ids,
-                ghost=self.ghost,
-            )
+        tess = _tessellation(context, sim, step, a, comm, self.ghost)
+        if comm is not None and not self.compute_minkowski:
             return find_voids_distributed(
                 comm,
-                block,
+                tess.block,
                 vmin=self.vmin,
                 vmin_fraction=self.vmin_fraction,
                 min_cells=self.min_cells,
             )
-        if tess is None:
-            tess = TessellationTool(ghost=self.ghost).run(sim, step, a, comm)
-        vmin = self.vmin
-        if vmin is None:
-            vmin = volume_threshold_for_fraction(tess, self.vmin_fraction)
-        return find_voids(
-            tess,
-            vmin=vmin,
-            min_cells=self.min_cells,
-            compute_minkowski=self.compute_minkowski,
-        )
+        if comm is not None:
+            tess = tess.assemble(comm)
+        catalog = None
+        if tess is not None:
+            vmin = self.vmin
+            if vmin is None:
+                vmin = volume_threshold_for_fraction(tess, self.vmin_fraction)
+            catalog = find_voids(
+                tess,
+                vmin=vmin,
+                min_cells=self.min_cells,
+                compute_minkowski=self.compute_minkowski,
+            )
+        return catalog if comm is None else comm.bcast(catalog, root=0)
 
 
 @dataclass
 class CellStatisticsTool(AnalysisTool):
     """In situ histogram summaries of cell volumes and density contrast
-    (paper §V: move histogram summary statistics in situ)."""
+    (paper §V: move histogram summary statistics in situ).  With a
+    communicator rank 0 bins the gathered volume column and broadcasts
+    the histograms."""
 
     ghost: float = 4.0
     bins: int = 100
@@ -285,14 +296,17 @@ class CellStatisticsTool(AnalysisTool):
     ) -> dict[str, Histogram]:
         from ..analysis.statistics import density_contrast
 
-        tess = (context or {}).get("tessellation")
-        if tess is None:
-            tess = TessellationTool(ghost=self.ghost).run(sim, step, a, comm)
-        vols = tess.volumes()
-        return {
-            "volume": histogram(vols, bins=self.bins),
-            "density_contrast": histogram(density_contrast(vols), bins=self.bins),
-        }
+        tess = _tessellation(context, sim, step, a, comm, self.ghost)
+        stats = None
+        if comm is None or comm.rank == 0:
+            vols = tess.volumes()
+            stats = {
+                "volume": histogram(vols, bins=self.bins),
+                "density_contrast": histogram(
+                    density_contrast(vols), bins=self.bins
+                ),
+            }
+        return stats if comm is None else comm.bcast(stats, root=0)
 
 
 @dataclass
@@ -312,8 +326,11 @@ class TrackingTool(AnalysisTool):
 
     Incomplete cells (volume 0/NaN) are masked out of the quantile and
     the threshold, never crashing the threshold path.  With a
-    communicator, only packed ``(site id, label)`` rows travel to rank 0
-    per step — the mesh is never gathered.
+    communicator the tool labels the rank-local blocks of the step's
+    tessellation: rank 0 takes the quantile of the gathered volume
+    column, only the packed component-merge rows of the kept cells travel
+    to it, and it links the labeling exactly as the serial path does —
+    the mesh is never gathered.
     """
 
     ghost: float = 4.0
@@ -416,89 +433,45 @@ class TrackingTool(AnalysisTool):
     ):
         from ..analysis.components import (
             connected_components,
-            connected_components_distributed,
+            connected_components_at_root,
         )
-        from ..analysis.tracking import MergerTree, gather_step_rows
+        from ..analysis.tracking import MergerTree
         from ..core.data_model import index_in_sorted
 
-        if comm is None or comm.size == 1:
-            tess = (context or {}).get("tessellation")
-            if tess is None:
-                tess = TessellationTool(ghost=self.ghost).run(
-                    sim, step, a, comm
+        tess = _tessellation(context, sim, step, a, comm, self.ghost)
+        if comm is None:
+            labeling = connected_components(
+                tess, vmin=self._threshold(tess.volumes())
+            )
+        else:
+            vmin = comm.bcast(
+                self._threshold(tess.volumes()) if comm.rank == 0 else None,
+                root=0,
+            )
+            with observe.span(
+                "tracking-gather", rank=comm.rank, cat="analysis", step=step
+            ):
+                labeling = connected_components_at_root(
+                    comm, tess.block, vmin=vmin
                 )
-            vols = tess.volumes()
-            vmin = self._threshold(vols)
-            labeling = connected_components(tess, vmin=vmin)
-            # Per-label volumes accumulated in ascending-site-id order —
-            # the same order the distributed root uses, so sums match
-            # bit for bit.
+        tree = None
+        if comm is None or comm.rank == 0:
+            # Per-label volumes accumulated in ascending-site-id order from
+            # the (site id, volume) columns, which the serial tessellation
+            # and rank 0's handle hold alike — so the sums match bit for bit.
             sids = tess.site_ids().astype(np.int64, copy=False)
             order = np.argsort(sids, kind="stable")
             pos, found = index_in_sorted(labeling.site_ids, sids[order])
             if not found.all():
                 raise RuntimeError("labeled cell missing from tessellation")
-            cell_vols = np.asarray(vols, dtype=float)[order][pos]
+            cell_vols = np.asarray(tess.volumes(), dtype=float)[order][pos]
             comp_vol = np.zeros(labeling.num_components)
             np.add.at(comp_vol, labeling.labels, cell_vols)
             builder = self._get_builder(sim)
             builder.push(step, labeling, volumes=comp_vol)
             self._save_state(step)
             tree = MergerTree.from_tree(builder.tree())
-        else:
-            from ..analysis.tracking import local_labeling
-
-            block, _, _ = tessellate_distributed(
-                comm,
-                sim.decomposition,
-                sim.positions_mpc(),
-                sim.local.ids,
-                ghost=self.ghost,
-            )
-            # Global quantile: every rank ships its valid volumes once;
-            # np.quantile is order-invariant, so the root's threshold is
-            # bit-identical to the serial one.
-            valid = np.ascontiguousarray(
-                np.asarray(block.volumes, dtype=float)[
-                    self._valid_volumes(block.volumes)
-                ]
-            )
-            gathered = comm.gather(valid, root=0)
-            if comm.rank == 0:
-                allv = np.concatenate(gathered)
-                if self.vmin is not None:
-                    vmin = float(self.vmin)
-                elif len(allv) == 0:
-                    vmin = float("inf")
-                else:
-                    vmin = float(np.quantile(allv, self.vmin_quantile))
-            else:
-                vmin = None
-            vmin = comm.bcast(vmin, root=0)
-            labeling = connected_components_distributed(
-                comm, block, vmin=vmin
-            )
-            # Restrict to this rank's owned rows and attach cell volumes.
-            own = np.asarray(block.site_ids, dtype=np.int64)
-            order = np.argsort(own, kind="stable")
-            local = local_labeling(labeling, own)
-            pos, found = index_in_sorted(local.site_ids, own[order])
-            if not found.all():
-                raise RuntimeError("labeled cell missing from local block")
-            cell_vols = np.asarray(block.volumes, dtype=float)[order][pos]
-            with observe.span(
-                "tracking-gather", rank=comm.rank, cat="analysis", step=step
-            ):
-                glab, comp_vol = gather_step_rows(
-                    comm, local, cell_volumes=cell_vols
-                )
-            if comm.rank == 0:
-                builder = self._get_builder(sim)
-                builder.push(step, glab, volumes=comp_vol)
-                self._save_state(step)
-                tree = MergerTree.from_tree(builder.tree())
-            else:
-                tree = None
+        if comm is not None:
             tree = comm.bcast(tree, root=0)
         if observe.enabled():
             observe.registry().counter("tracking.steps").inc()

@@ -123,21 +123,23 @@ def _distributed_worker(comm, pts, ids, decomp, vmin, check_payloads):
 
     if check_payloads:
         comm.gather = orig_gather
-        # The merge must ship packed numpy int64 arrays, never Python
-        # tuple lists (the old per-object path).
-        assert len(payloads) == 2, "expected exactly two gathers (nodes, edges)"
-        nodes, edges = payloads
-        assert isinstance(nodes, np.ndarray) and nodes.dtype == np.int64
-        assert isinstance(edges, np.ndarray) and edges.dtype == np.int64
-        assert edges.ndim == 2 and edges.shape[1] == 2
+        # The merge must ship one packed numpy int64 row array, never
+        # Python tuple lists (the old per-object path): a link row per
+        # kept cell, whose sources are exactly the rank's kept cells.
+        assert len(payloads) == 1, "expected exactly one gather (rows)"
+        (rows,) = payloads
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+        assert rows.ndim == 2 and rows.shape[1] == 2
+        kept = np.sort(block.site_ids[block.volumes >= vmin])
+        np.testing.assert_array_equal(np.unique(rows[:, 0]), kept)
         # CommStats: the merge's collective round happened, and every
-        # rank's sent bytes cover at least its own packed arrays (tree
+        # rank's sent bytes cover at least its own packed rows (tree
         # gather forwards subtree bundles, so intermediate ranks send
         # more, never less; rank counters also include the bcast).
-        assert delta.collective_calls.get("gather") == 2
+        assert delta.collective_calls.get("gather") == 1
         assert delta.collective_calls.get("bcast") == 1
         if comm.size > 1 and comm.rank != 0:
-            assert delta.bytes_sent >= nodes.nbytes + edges.nbytes
+            assert delta.bytes_sent >= rows.nbytes
     return labeling
 
 
