@@ -211,8 +211,7 @@ def run_sweep(quick: bool = False) -> tuple[list[str], dict]:
     lines.append("")
     lines.append(
         "rank pool: forks {forks}  leased {runs_leased}  reused "
-        "{runs_reused}  fallback {fallback_runs}  invalidations "
-        "{invalidations}".format(**pool)
+        "{runs_reused}  invalidations {invalidations}".format(**pool)
     )
     data = {
         "workload": {

@@ -49,8 +49,8 @@ DEFAULT_LIMITS = {
     "trace.overhead_pct": 5.0,
     # strong scaling must not invert: 4 process ranks must beat 1 on the
     # critical-path wall (max per-rank CPU + runtime overhead) — the
-    # persistent rank pool + two-level collectives keep overhead below the
-    # per-rank work saved by splitting the domain
+    # persistent rank pool and O(log P) tree collectives keep overhead
+    # below the per-rank work saved by splitting the domain
     "scaling.process.r4_over_r1": 1.0,
     # dynamic load balancing (PR 8 acceptance bars): on the clustered IC
     # the SFC re-split must bring max/mean particle imbalance under 1.25,

@@ -11,10 +11,8 @@ this reproduction.
 The repartitioner works on a coarse **load grid**: particle counts are
 binned on a regular ``g**3`` grid, the cells are ordered along a Morton
 space-filling curve, and the 1-D load curve is cut into ``nblocks``
-contiguous equal-load segments (:func:`sfc_partition`).  A weighted
-recursive-bisection partitioner (:func:`recursive_bisection_partition`)
-is kept as the cross-check oracle.  Either assignment of coarse cells to
-blocks becomes a :class:`BalancedDecomposition` — a drop-in
+contiguous equal-load segments (:func:`sfc_partition`).  The assignment of
+coarse cells to blocks becomes a :class:`BalancedDecomposition` — a drop-in
 :class:`~repro.diy.decomposition.Decomposition` with the same
 :class:`~repro.diy.decomposition.Block`/:class:`~repro.diy.decomposition.
 NeighborLink` contract, so the existing ghost exchange, neighborhood
@@ -52,7 +50,6 @@ from .diy.decomposition import Block, Decomposition, NeighborLink
 __all__ = [
     "morton_key",
     "sfc_partition",
-    "recursive_bisection_partition",
     "CellUnionRegion",
     "BalancedDecomposition",
     "compute_cell_counts",
@@ -149,67 +146,6 @@ def sfc_partition(cell_counts: np.ndarray, nblocks: int) -> np.ndarray:
     owners = np.empty(ncells, dtype=np.int64)
     owners[order] = owners_ordered
     return owners
-
-
-def recursive_bisection_partition(
-    cell_counts: np.ndarray, nblocks: int
-) -> np.ndarray:
-    """Weighted orthogonal recursive bisection (cross-check oracle).
-
-    Recursively splits the coarse grid along its longest axis at the
-    plane closest to a load split proportional to the block counts on
-    each side (``floor(n/2) : ceil(n/2)``), so any ``nblocks`` works, not
-    just powers of two.  Returns the same flat owner array layout as
-    :func:`sfc_partition`; unlike the SFC cut, every block here is a
-    *box* of coarse cells.
-    """
-    counts = np.asarray(cell_counts, dtype=np.float64)
-    if counts.ndim != 3:
-        raise ValueError(f"cell_counts must be 3-D, got shape {counts.shape}")
-    ncells = counts.size
-    if not 1 <= nblocks <= ncells:
-        raise ValueError(f"cannot cut {ncells} cells into {nblocks} blocks")
-    owners = np.empty(counts.shape, dtype=np.int64)
-
-    def rec(lo: tuple, hi: tuple, gid0: int, n: int) -> None:
-        sl = tuple(slice(a, b) for a, b in zip(lo, hi))
-        if n == 1:
-            owners[sl] = gid0
-            return
-        n_left = n // 2
-        extents = [b - a for a, b in zip(lo, hi)]
-        # Longest splittable axis (needs >= 2 cells; at least one exists
-        # because n <= number of cells in this box).
-        axes = sorted(range(3), key=lambda ax: -extents[ax])
-        axis = next(ax for ax in axes if extents[ax] >= 2)
-        other = tuple(ax for ax in range(3) if ax != axis)
-        marginal = counts[sl].sum(axis=other)
-        cum = np.cumsum(marginal)
-        target = cum[-1] * n_left / n
-        # Plane k puts k cell layers on the left; 1 <= k <= extent-1,
-        # and each side needs at least as many cells as blocks.
-        left_cells_per_layer = int(
-            np.prod([extents[a] for a in other], dtype=np.int64)
-        )
-        k_lo = max(1, -(-n_left // left_cells_per_layer))
-        k_hi = min(
-            extents[axis] - 1,
-            extents[axis]
-            - (-(-(n - n_left) // left_cells_per_layer)),
-        )
-        k = int(np.searchsorted(cum, target, side="left")) + 1
-        if k > 1 and abs(cum[k - 2] - target) <= abs(cum[k - 1] - target):
-            k -= 1
-        k = min(max(k, k_lo), k_hi)
-        mid = list(hi)
-        mid[axis] = lo[axis] + k
-        lo_right = list(lo)
-        lo_right[axis] = lo[axis] + k
-        rec(lo, tuple(mid), gid0, n_left)
-        rec(tuple(lo_right), hi, gid0 + n_left, n - n_left)
-
-    rec((0, 0, 0), counts.shape, 0, nblocks)
-    return owners.ravel()
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +261,7 @@ class BalancedDecomposition(Decomposition):
         Coarse load-grid shape, e.g. ``(16, 16, 16)``.
     cell_owners:
         Flat ``(prod(grid),)`` row-major owner gid per coarse cell,
-        covering ``0..nblocks-1`` (from :func:`sfc_partition` or
-        :func:`recursive_bisection_partition`).
+        covering ``0..nblocks-1`` (from :func:`sfc_partition`).
     """
 
     def __init__(
@@ -477,21 +412,11 @@ def rebalance_decomposition(
     cell_counts: np.ndarray,
     nblocks: int,
     periodic: bool | tuple[bool, ...] = True,
-    method: str = "sfc",
 ) -> BalancedDecomposition:
-    """Build a load-balanced decomposition from a coarse-cell histogram.
-
-    ``method`` selects the partitioner: ``"sfc"`` (Morton curve cut into
-    equal-load segments; production) or ``"rcb"`` (weighted recursive
-    bisection; the cross-check oracle, whose blocks are boxes).
-    """
+    """Build a load-balanced decomposition from a coarse-cell histogram,
+    cutting the Morton curve into equal-load segments."""
     counts = np.asarray(cell_counts)
-    if method == "sfc":
-        owners = sfc_partition(counts, nblocks)
-    elif method == "rcb":
-        owners = recursive_bisection_partition(counts, nblocks)
-    else:
-        raise ValueError(f"unknown method {method!r}; choose 'sfc' or 'rcb'")
+    owners = sfc_partition(counts, nblocks)
     return BalancedDecomposition(domain, counts.shape, owners, periodic=periodic)
 
 

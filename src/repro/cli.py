@@ -228,9 +228,8 @@ def _build_sim_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-kill", default=None, metavar="RANK:STEP",
                    help="fault injection: kill RANK when it enters STEP "
                         "(process exit under --exec-backend process, raised "
-                        "exception under thread)")
-    p.add_argument("--fault-seed", type=int, default=0,
-                   help="seed for the fault-injection RNG")
+                        "exception under thread); 0 <= RANK < --ranks, "
+                        "1 <= STEP <= the deck's nsteps")
     _add_observe_args(p)
     return p
 
@@ -271,8 +270,18 @@ def sim_main(argv: list[str] | None = None) -> int:
         except ValueError:
             print("error: --fault-kill expects RANK:STEP", file=sys.stderr)
             return 2
+        # An out-of-range kill would never fire and the drill would pass
+        # vacuously.
+        if not 0 <= kill_rank < args.ranks:
+            print(f"error: --fault-kill rank {kill_rank} is outside "
+                  f"[0, {args.ranks}) for --ranks {args.ranks}", file=sys.stderr)
+            return 2
+        if not 1 <= kill_step <= cfg.nsteps:
+            print(f"error: --fault-kill step {kill_step} is outside "
+                  f"[1, {cfg.nsteps}] for a deck of {cfg.nsteps} steps",
+                  file=sys.stderr)
+            return 2
         faults.install(faults.FaultSpec(
-            seed=args.fault_seed,
             kill_rank=kill_rank,
             kill_step=kill_step,
             kill_mode="exit" if args.exec_backend == "process" else "raise",

@@ -73,7 +73,6 @@ def exchange_ghost_particles(
     ids: np.ndarray,
     ghost: float,
     assignment: Assignment | None = None,
-    dense: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exchange boundary particles and return this block's ghosts.
 
@@ -96,11 +95,6 @@ def exchange_ghost_particles(
     ghost:
         Ghost-zone thickness, in the same distance units as the domain.
         The paper recommends at least twice the typical cell size.
-    dense:
-        Force the dense alltoall delivery path instead of the default
-        sparse exchange (which only messages ranks with queued particles);
-        results are identical — the knob exists for validation and the
-        communication benchmarks.
 
     Returns
     -------
@@ -123,7 +117,7 @@ def exchange_ghost_particles(
             if mask.any():
                 exchanger.enqueue(gid, link, (pos[mask].copy(), pid[mask].copy()))
 
-    inbox = exchanger.exchange(dense=dense)
+    inbox = exchanger.exchange()
 
     received = inbox.get(gid, [])
     if not received:

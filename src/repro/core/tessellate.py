@@ -500,8 +500,6 @@ def _timings_with_comm(timer: PhaseTimer, comm: Communicator, stats0) -> TessTim
     timings.bytes_recv = delta.bytes_recv
     timings.shm_msgs_sent = delta.shm_msgs_sent
     timings.shm_bytes_sent = delta.shm_bytes_sent
-    timings.msgs_dropped = delta.msgs_dropped
-    timings.msgs_delayed = delta.msgs_delayed
     if observe.enabled():
         observe.absorb_tess_timings(timings, comm.rank)
     return timings
@@ -750,7 +748,7 @@ def tessellate(
             balance_info["rebalanced"] = True
     # Module-level workers + plain-data arguments: the whole task pickles,
     # so the process backend can lease persistent pool workers instead of
-    # falling back to a fresh fork per call.
+    # forking a one-shot pool per call.
     worker = _single_block_worker if nranks == nblocks else _multi_block_worker
     results = run_parallel(
         nranks,

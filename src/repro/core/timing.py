@@ -64,10 +64,6 @@ class TessTimings:
     #: on the process backend; confirms the zero-copy transport was used)
     shm_msgs_sent: int = 0
     shm_bytes_sent: int = 0
-    #: user p2p messages dropped/delayed by fault injection (repro.faults);
-    #: nonzero only when an injector was armed during the run
-    msgs_dropped: int = 0
-    msgs_delayed: int = 0
 
     @property
     def total(self) -> float:
@@ -110,8 +106,6 @@ class TessTimings:
             bytes_recv=self.bytes_recv,
             shm_msgs_sent=self.shm_msgs_sent,
             shm_bytes_sent=self.shm_bytes_sent,
-            msgs_dropped=self.msgs_dropped,
-            msgs_delayed=self.msgs_delayed,
         )
         return row
 

@@ -9,19 +9,11 @@ targeting, and a single-file blocked parallel writer/reader.
 """
 
 from .bounds import Bounds, minimum_image, periodic_translation, wrap_positions
-from .comm import (
-    ANY_SOURCE,
-    ANY_TAG,
-    CommStats,
-    Communicator,
-    ParallelError,
-    Request,
-    run_parallel,
-)
+from .comm import CommStats, Communicator, ParallelError, run_parallel
 from .decomposition import Block, Decomposition, NeighborLink, factor_into_grid
 from .exchange import Assignment, NeighborExchanger
 from .mpi_io import BlockFileReader, pack_arrays, unpack_arrays, write_blocks
-from .process_backend import RankDiedError, pool_enabled, shutdown_pool
+from .process_backend import RankDiedError, shutdown_pool
 from .transport import CommError
 
 __all__ = [
@@ -29,11 +21,8 @@ __all__ = [
     "minimum_image",
     "periodic_translation",
     "wrap_positions",
-    "ANY_SOURCE",
-    "ANY_TAG",
     "CommStats",
     "Communicator",
-    "Request",
     "ParallelError",
     "run_parallel",
     "Block",
@@ -48,6 +37,5 @@ __all__ = [
     "write_blocks",
     "RankDiedError",
     "CommError",
-    "pool_enabled",
     "shutdown_pool",
 ]

@@ -8,11 +8,15 @@ small runs), or one **OS process** per rank with ``backend="process"``
 (true hardware parallelism; arrays travel over pipes/shared memory with
 pickle protocol-5 zero-copy transport — see
 :mod:`repro.diy.process_backend`).  Each rank executes the same function
-with its own :class:`Communicator`.  The API intentionally mirrors mpi4py's
-lowercase (object, pickle-level) interface — ``send``/``recv``/``bcast``/
-``gather``/``allreduce``/``alltoall``/``exscan``/``barrier`` — so that
-porting the library onto real MPI is a mechanical substitution of the
-communicator object.
+with its own :class:`Communicator`.
+
+The communicator offers exactly the collectives the pipeline calls, with
+mpi4py's lowercase (object, pickle-level) names — ``barrier``/``bcast``/
+``gather``/``allreduce``/``allgather``/``exscan``/``alltoall`` plus
+``sparse_alltoall`` for the neighbour exchange — so porting the library
+onto real MPI is a mechanical substitution of the communicator object.
+There is no user point-to-point channel: the collectives' private
+send/receive is the only message path.
 
 The :class:`Communicator` itself is transport-agnostic: collectives,
 matching, tags, and stats are written once against a small world interface
@@ -21,27 +25,21 @@ process backend reuse every tree algorithm verbatim.
 
 Design notes
 ------------
-* Message matching is by ``(source, tag)`` with per-rank mailboxes guarded by
-  a condition variable; messages between a given (source, dest, tag) triple
-  are delivered in send order (MPI's non-overtaking guarantee).
-* **Tag-space isolation**: internal collective traffic travels on a separate
-  mailbox channel, so a user ``recv(ANY_SOURCE, ANY_TAG)`` can *never* match
-  a message belonging to a concurrent ``bcast``/``gather``/``allreduce``.
-  (Tags >= ``Communicator._COLL_TAG`` label internal messages for debugging,
-  but isolation is structural, not tag-value based.)
-* Collectives are tree-based — binomial trees for rooted operations
-  (``bcast``/``gather``/``scatter``/``reduce``), recursive doubling for
-  ``allreduce``/``exscan``, dissemination for ``allgather`` — so every rank
-  sends/receives O(log P) messages instead of the O(P) a root-funneled
-  implementation costs.  The previous linear algorithms are kept as
-  ``linear_*`` reference oracles for tests and benchmarks.  Reduction ops
-  must be associative; commutativity is *not* required (operands always
-  combine in rank order, as MPI specifies).
+* Each rank has one mailbox, guarded by a condition variable.  Messages are
+  matched by ``(source, tag)``; messages between a given (source, dest,
+  tag) triple are delivered in send order (MPI's non-overtaking guarantee).
+  Every collective call reserves its own block of tags, so concurrent
+  rounds never match each other's traffic.
+* Collectives are flat trees — binomial trees for the rooted operations
+  (``bcast``/``gather``), recursive doubling for ``allreduce``/``exscan``,
+  dissemination for ``allgather`` — so every rank sends/receives O(log P)
+  messages.  Reduction ops must be associative; commutativity is *not*
+  required (operands always combine in rank order, as MPI specifies).
 * Collectives must be called by all ranks in the same order, exactly as in
   MPI.
 * Every communicator carries a :class:`CommStats` — per-rank counters for
   messages/bytes sent and received, per-collective call counts, and time
-  blocked in ``recv``/``barrier`` — for communication observability.
+  blocked in receives/barriers — for communication observability.
 * In the thread backend NumPy arrays are passed by reference, not
   serialized: ranks share an address space.  In the process backend they
   are pickled with protocol 5 (buffers out-of-band) and large buffers move
@@ -55,7 +53,6 @@ Design notes
 from __future__ import annotations
 
 import operator
-import os
 import threading
 import time
 from collections import deque
@@ -64,57 +61,21 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .. import faults, observe
+from .. import observe
 from ..observe import trace as _otrace
 
 __all__ = [
     "Communicator",
     "CommStats",
     "ParallelError",
-    "Request",
     "run_parallel",
-    "ANY_SOURCE",
-    "ANY_TAG",
 ]
 
+#: Source wildcard for a matched receive (``sparse_alltoall`` takes its
+#: payloads in arrival order).
 ANY_SOURCE = -1
-ANY_TAG = -1
 
 _DEFAULT_TIMEOUT = 300.0  # seconds; a deadlocked test should fail, not hang
-
-
-def _coll_group_size(size: int) -> int:
-    """Group width for the two-level (topology-aware) collectives.
-
-    Ranks are partitioned into contiguous groups of this many; each group's
-    lowest rank is its *leader*.  Rooted collectives then run in two phases
-    — intra-group to the leader, inter-leader to the root — the way
-    chainermn's node-aware communicators split intra-/inter-node traffic.
-    The result is the same O(log P) total depth with a bounded fan-in at
-    every rank and far fewer messages crossing the leader (inter-"node")
-    level, which is what matters once leaders ride a slower transport.
-
-    ``REPRO_COLL_GROUP`` overrides (clamped to ``[1, size]``; 1 disables
-    grouping).  The default picks the largest power of two <= sqrt(size) so
-    intra and inter trees stay balanced, and disables grouping below four
-    ranks where there is nothing to amortize.  Depends only on ``size`` —
-    never on the backend — so thread and process runs stay message-count
-    identical (the parity suites assert this).
-    """
-    env = os.environ.get("REPRO_COLL_GROUP", "").strip()
-    if env:
-        try:
-            g = int(env)
-        except ValueError:
-            g = 0
-        if g >= 1:
-            return min(g, size)
-    if size < 4:
-        return 1
-    g = 1
-    while g * g <= size:
-        g <<= 1
-    return g >> 1
 
 
 def _payload_nbytes(obj: Any, _depth: int = 0) -> int:
@@ -158,8 +119,8 @@ class CommStats:
         delta = comm.stats.since(before)
 
     ``recv_wait_s``/``barrier_wait_s`` measure wall-clock time blocked inside
-    matched receives (user and internal collective traffic alike) and
-    barriers — the per-rank communication critical path.
+    matched receives and barriers — the per-rank communication critical
+    path.
     """
 
     msgs_sent: int = 0
@@ -173,12 +134,6 @@ class CommStats:
     shm_msgs_sent: int = 0
     #: payload bytes moved through shared-memory segments
     shm_bytes_sent: int = 0
-    #: extra pipe frames used by chunked large-message framing (process
-    #: backend only; a send above the chunk limit counts its chunk frames)
-    chunk_frames_sent: int = 0
-    #: user p2p messages dropped / delayed by fault injection (repro.faults)
-    msgs_dropped: int = 0
-    msgs_delayed: int = 0
     #: collective name -> number of invocations (e.g. {"bcast": 3})
     collective_calls: dict[str, int] = field(default_factory=dict)
 
@@ -198,9 +153,6 @@ class CommStats:
             barrier_wait_s=self.barrier_wait_s,
             shm_msgs_sent=self.shm_msgs_sent,
             shm_bytes_sent=self.shm_bytes_sent,
-            chunk_frames_sent=self.chunk_frames_sent,
-            msgs_dropped=self.msgs_dropped,
-            msgs_delayed=self.msgs_delayed,
             collective_calls=dict(self.collective_calls),
         )
 
@@ -220,9 +172,6 @@ class CommStats:
             barrier_wait_s=self.barrier_wait_s - baseline.barrier_wait_s,
             shm_msgs_sent=self.shm_msgs_sent - baseline.shm_msgs_sent,
             shm_bytes_sent=self.shm_bytes_sent - baseline.shm_bytes_sent,
-            chunk_frames_sent=self.chunk_frames_sent - baseline.chunk_frames_sent,
-            msgs_dropped=self.msgs_dropped - baseline.msgs_dropped,
-            msgs_delayed=self.msgs_delayed - baseline.msgs_delayed,
             collective_calls=calls,
         )
 
@@ -237,36 +186,8 @@ class CommStats:
             "barrier_wait_s": self.barrier_wait_s,
             "shm_msgs_sent": self.shm_msgs_sent,
             "shm_bytes_sent": self.shm_bytes_sent,
-            "chunk_frames_sent": self.chunk_frames_sent,
-            "msgs_dropped": self.msgs_dropped,
-            "msgs_delayed": self.msgs_delayed,
             "collective_calls": dict(self.collective_calls),
         }
-
-
-class Request:
-    """Handle returned by :meth:`Communicator.isend`.
-
-    Sends in this runtime are buffered and complete immediately, so the
-    request is born finished; ``wait``/``test`` exist so mpi4py-ported code
-    calling ``req.wait()`` works unchanged."""
-
-    __slots__ = ("_result",)
-
-    def __init__(self, result: Any = None):
-        self._result = result
-
-    def wait(self) -> Any:
-        """Block until complete (immediate here); returns the result."""
-        return self._result
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check: ``(True, result)``."""
-        return True, self._result
-
-    # mpi4py spellings
-    Wait = wait  # noqa: N815 - mpi4py compatibility
-    Test = test  # noqa: N815 - mpi4py compatibility
 
 
 class ParallelError(RuntimeError):
@@ -306,8 +227,8 @@ class _Mailbox:
 
     def get(
         self, source: int, tag: int, abort: threading.Event, timeout: float
-    ) -> tuple[Any, int, int]:
-        """Blocking matched receive; returns (payload, source, tag)."""
+    ) -> tuple[Any, int]:
+        """Blocking matched receive; returns (payload, source)."""
         with self.lock:
             while True:
                 key = self._match(source, tag)
@@ -315,11 +236,8 @@ class _Mailbox:
                     payload = self.queues[key].popleft()
                     if not self.queues[key]:
                         del self.queues[key]
-                    try:
-                        self.arrivals.remove(key)
-                    except ValueError:
-                        pass
-                    return payload, key[0], key[1]
+                    self.arrivals.remove(key)
+                    return payload, key[0]
                 if abort.is_set():
                     raise _AbortedError(
                         "parallel region aborted while waiting for message"
@@ -330,6 +248,11 @@ class _Mailbox:
                         f"{timeout}s — likely deadlock"
                     )
 
+    def wake(self) -> None:
+        """Wake every receive blocked here (so it can notice an abort)."""
+        with self.lock:
+            self.ready.notify_all()
+
     def clear(self) -> None:
         """Drop every queued message (between pooled tasks: a finished
         region's unconsumed payloads must not leak into the next one)."""
@@ -338,15 +261,13 @@ class _Mailbox:
             self.arrivals.clear()
 
     def _match(self, source: int, tag: int) -> tuple[int, int] | None:
-        if source != ANY_SOURCE and tag != ANY_TAG:
+        if source != ANY_SOURCE:
             key = (source, tag)
-            return key if self.queues.get(key) else None
-        # Wildcard: first arrival that matches.
+            return key if key in self.queues else None
+        # Wildcard source: first arrival carrying this tag.
         for key in self.arrivals:
-            s, t = key
-            if (source in (ANY_SOURCE, s)) and (tag in (ANY_TAG, t)):
-                if self.queues.get(key):
-                    return key
+            if key[1] == tag:
+                return key
         return None
 
 
@@ -373,9 +294,9 @@ class _World:
 
     Any "world" a :class:`Communicator` runs on provides this transport
     interface: ``size``/``timeout``/``abort`` attributes plus
-    ``deliver(dest, source, tag, payload, coll)`` (returns bytes moved via
-    shared memory, 0 here), ``inbox(rank, coll)`` (the local
-    :class:`_Mailbox`), and ``barrier_wait()``.  The process backend
+    ``deliver(dest, source, tag, payload)`` (returns bytes moved via shared
+    memory, 0 here), ``inbox(rank)`` (the rank's :class:`_Mailbox`), and
+    ``barrier_wait()``.  The process backend
     (:mod:`repro.diy.process_backend`) implements the same interface over
     pipes and shared memory, reusing every collective verbatim.
     """
@@ -383,30 +304,18 @@ class _World:
     def __init__(self, size: int, timeout: float | None = None):
         self.size = size
         self.timeout = _DEFAULT_TIMEOUT if timeout is None else float(timeout)
-        self.coll_group = _coll_group_size(size)
-        # User point-to-point traffic and internal collective traffic live in
-        # disjoint mailbox channels: a wildcard user receive scans only the
-        # user channel, so it can never intercept collective messages.
         self.mailboxes = [_Mailbox() for _ in range(size)]
-        self.coll_mailboxes = [_Mailbox() for _ in range(size)]
         self.abort = threading.Event()
         self.barrier = _Barrier(size, self.abort, self.timeout)
 
-    def deliver(
-        self, dest: int, source: int, tag: int, payload: Any, coll: bool = False
-    ) -> tuple[int, int]:
-        """Hand ``payload`` to ``dest``'s mailbox (by reference).
+    def deliver(self, dest: int, source: int, tag: int, payload: Any) -> int:
+        """Hand ``payload`` to ``dest``'s mailbox (by reference); no bytes
+        move through shared memory here."""
+        self.mailboxes[dest].put(source, tag, payload)
+        return 0
 
-        Returns ``(shm_bytes, chunk_frames)`` like the process backend's
-        transport — both always 0 here."""
-        (self.coll_mailboxes if coll else self.mailboxes)[dest].put(
-            source, tag, payload
-        )
-        return 0, 0
-
-    def inbox(self, rank: int, coll: bool) -> _Mailbox:
-        """The mailbox ``rank`` receives on for the given channel."""
-        return (self.coll_mailboxes if coll else self.mailboxes)[rank]
+    def inbox(self, rank: int) -> _Mailbox:
+        return self.mailboxes[rank]
 
     def barrier_wait(self) -> None:
         self.barrier.wait()
@@ -416,17 +325,13 @@ class Communicator:
     """mpi4py-flavored communicator for one rank of a parallel region.
 
     All collective operations must be invoked by every rank of the region in
-    the same order.  Internal collective traffic is carried on a channel
-    disjoint from user point-to-point messages (see module notes), labeled
-    with tags >= ``_COLL_TAG`` for debugging.
-
-    Public collectives are tree-based (O(log P) messages per rank); the
-    ``linear_*`` methods preserve the original O(P) root-funneled algorithms
-    as reference oracles for validation and benchmarking.  Per-rank traffic
-    counters live in :attr:`stats`.
+    the same order.  Collectives are flat trees (O(log P) messages per
+    rank) built on the private :meth:`_send`/:meth:`_recv` pair, each call
+    labeled with its own block of tags.  Per-rank traffic counters live in
+    :attr:`stats`.
     """
 
-    _COLL_TAG = 1 << 20  # base tag for internal collective traffic
+    _COLL_TAG = 1 << 20  # base tag for collective traffic
     _COLL_STRIDE = 64  # tag slots per collective call (one per tree round)
 
     def __init__(self, rank: int, world: _World):
@@ -446,77 +351,11 @@ class Communicator:
         """Number of ranks in the region."""
         return self._world.size
 
-    # mpi4py spellings
-    def Get_rank(self) -> int:  # noqa: N802 - mpi4py compatibility
-        return self._rank
-
-    def Get_size(self) -> int:  # noqa: N802 - mpi4py compatibility
-        return self._world.size
-
     # ------------------------------------------------------------------
-    # point to point
+    # the message path under every collective
     # ------------------------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Send ``obj`` to rank ``dest``.  Buffered; never blocks.
-
-        When a fault injector is armed (:mod:`repro.faults`) the send may be
-        deterministically dropped or delayed; internal collective traffic is
-        never faulted."""
-        self._check_rank(dest)
-        inj = faults.active()
-        if inj is not None:
-            action = inj.on_send(self._rank, dest, tag)
-            if action == "drop":
-                self.stats.msgs_dropped += 1
-                return
-            if action is not None:
-                self.stats.msgs_delayed += 1
-                time.sleep(float(action))
-        self.stats.msgs_sent += 1
-        self.stats.bytes_sent += _payload_nbytes(obj)
-        shm, frames = self._world.deliver(dest, self._rank, tag, obj, coll=False)
-        if shm:
-            self.stats.shm_msgs_sent += 1
-            self.stats.shm_bytes_sent += shm
-        self.stats.chunk_frames_sent += frames
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send; returns a completed :class:`Request`."""
-        self.send(obj, dest, tag)
-        return Request()
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Blocking receive; returns the payload object."""
-        payload, _, _ = self._timed_get(
-            self._world.inbox(self._rank, coll=False), source, tag
-        )
-        return payload
-
-    def recv_with_status(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> tuple[Any, int, int]:
-        """Blocking receive returning ``(payload, source, tag)``."""
-        return self._timed_get(self._world.inbox(self._rank, coll=False), source, tag)
-
-    def _timed_get(
-        self, mailbox: _Mailbox, source: int, tag: int
-    ) -> tuple[Any, int, int]:
-        t0 = time.perf_counter()
-        try:
-            payload, src, t = mailbox.get(
-                source, tag, self._world.abort, self._world.timeout
-            )
-        finally:
-            t1 = time.perf_counter()
-            self.stats.recv_wait_s += t1 - t0
-            if _otrace._enabled:
-                _otrace.record("comm-wait", self._rank, t0, t1, cat="comm")
-        self.stats.msgs_recv += 1
-        self.stats.bytes_recv += _payload_nbytes(payload)
-        return payload, src, t
-
-    # internal collective channel -------------------------------------
-    def _coll_send(self, obj: Any, dest: int, tag: int) -> None:
+    def _send(self, obj: Any, dest: int, tag: int) -> None:
+        """Buffered send to ``dest``; never blocks."""
         self._check_rank(dest)
         if isinstance(obj, np.ndarray) and not obj.flags["C_CONTIGUOUS"]:
             # Pack before shipping: collective payloads are combined and
@@ -526,102 +365,33 @@ class Communicator:
             obj = np.ascontiguousarray(obj)
         self.stats.msgs_sent += 1
         self.stats.bytes_sent += _payload_nbytes(obj)
-        shm, frames = self._world.deliver(dest, self._rank, tag, obj, coll=True)
+        shm = self._world.deliver(dest, self._rank, tag, obj)
         if shm:
             self.stats.shm_msgs_sent += 1
             self.stats.shm_bytes_sent += shm
-        self.stats.chunk_frames_sent += frames
 
-    def _coll_recv(self, source: int, tag: int) -> Any:
-        payload, _, _ = self._timed_get(
-            self._world.inbox(self._rank, coll=True), source, tag
-        )
-        return payload
+    def _recv_from(self, source: int, tag: int) -> tuple[Any, int]:
+        """Blocking matched receive; returns ``(payload, source)``.
+        ``source`` may be :data:`ANY_SOURCE`."""
+        t0 = time.perf_counter()
+        try:
+            payload, src = self._world.inbox(self._rank).get(
+                source, tag, self._world.abort, self._world.timeout
+            )
+        finally:
+            t1 = time.perf_counter()
+            self.stats.recv_wait_s += t1 - t0
+            if _otrace._enabled:
+                _otrace.record("comm-wait", self._rank, t0, t1, cat="comm")
+        self.stats.msgs_recv += 1
+        self.stats.bytes_recv += _payload_nbytes(payload)
+        return payload, src
 
-    def _coll_recv_with_status(self, source: int, tag: int) -> tuple[Any, int, int]:
-        return self._timed_get(self._world.inbox(self._rank, coll=True), source, tag)
-
-    # ------------------------------------------------------------------
-    # two-level topology helpers
-    # ------------------------------------------------------------------
-    def _two_level(self) -> tuple[list[int], int, list[int], int | None] | None:
-        """Group structure for hierarchical collectives, or ``None`` (flat).
-
-        Ranks are split into contiguous groups of ``world.coll_group``; the
-        lowest rank of each group is its leader.  Returns ``(group_ranks,
-        my_position_in_group, leader_ranks, my_position_among_leaders)``
-        with the last item ``None`` on non-leader ranks.  Contiguity is what
-        keeps non-commutative reductions exact: group partials combine in
-        rank order inside each group, and leader partials combine in group
-        order, so the overall association is a rank-ordered fold.
-        """
-        g = getattr(self._world, "coll_group", 1)
-        size = self.size
-        if g <= 1 or g >= size:
-            return None
-        lo = (self._rank // g) * g
-        group = list(range(lo, min(lo + g, size)))
-        leaders = list(range(0, size, g))
-        lpos = lo // g if self._rank == lo else None
-        return group, self._rank - lo, leaders, lpos
-
-    def _bcast_list(
-        self, obj: Any, ranks: list[int], mypos: int, rootpos: int, tag: int
-    ) -> Any:
-        """Binomial broadcast over an ordered rank list (positions virtual)."""
-        n = len(ranks)
-        if n == 1:
-            return obj
-        v = (mypos - rootpos) % n
-        if v != 0:
-            hb = 1 << (v.bit_length() - 1)  # highest set bit: parent link
-            obj = self._coll_recv(ranks[(v - hb + rootpos) % n], tag)
-        k = 1 << v.bit_length()
-        while v + k < n:
-            self._coll_send(obj, ranks[(v + k + rootpos) % n], tag)
-            k <<= 1
-        return obj
-
-    def _reduce_list(
-        self, obj: Any, op: Callable[[Any, Any], Any],
-        ranks: list[int], mypos: int, tag: int,
-    ) -> Any | None:
-        """Binomial reduce to ``ranks[0]``, combining in list order (so a
-        contiguous rank list folds in rank order — non-commutative safe)."""
-        n = len(ranks)
-        acc = obj
-        stride = 1
-        while stride < n:
-            if mypos % (2 * stride) == stride:
-                self._coll_send(acc, ranks[mypos - stride], tag)
-                return None
-            if mypos % (2 * stride) == 0:
-                partner = mypos + stride
-                if partner < n:
-                    # Lower position on the left: preserves list order.
-                    acc = op(acc, self._coll_recv(ranks[partner], tag))
-            stride <<= 1
-        return acc
-
-    def _gather_list(
-        self, items: dict[int, Any], ranks: list[int], mypos: int, tag: int
-    ) -> dict[int, Any] | None:
-        """Binomial gather of ``{global_rank: obj}`` dicts at ``ranks[0]``."""
-        n = len(ranks)
-        subtree = dict(items)
-        k = 1
-        while k < n:
-            if mypos & k:
-                self._coll_send(subtree, ranks[mypos - k], tag)
-                return None
-            child = mypos + k
-            if child < n:
-                subtree.update(self._coll_recv(ranks[child], tag))
-            k <<= 1
-        return subtree
+    def _recv(self, source: int, tag: int) -> Any:
+        return self._recv_from(source, tag)[0]
 
     # ------------------------------------------------------------------
-    # collectives (tree algorithms)
+    # collectives (flat tree algorithms)
     # ------------------------------------------------------------------
     def barrier(self) -> None:
         """Synchronize all ranks."""
@@ -636,29 +406,12 @@ class Communicator:
                 _otrace.record("barrier", self._rank, t0, t1, cat="comm")
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast ``obj`` from ``root``.
-
-        Two-level when the world is grouped (root → leaders → group
-        members, binomial at each level); flat binomial tree otherwise."""
+        """Broadcast ``obj`` from ``root`` down a binomial tree."""
         self._check_rank(root)
         self._count("bcast")
-        tag = self._next_coll_tag()
-        tl = self._two_level()
-        if tl is None:
-            return self._bcast_impl(obj, root, tag)
-        group, gpos, leaders, lpos = tl
-        if root != 0:
-            # One forward hop puts the payload at the global leader; the
-            # hierarchical fan-out below is root-agnostic.
-            if self._rank == root:
-                self._coll_send(obj, 0, tag)
-            if self._rank == 0:
-                obj = self._coll_recv(root, tag)
-        if lpos is not None:
-            obj = self._bcast_list(obj, leaders, lpos, 0, tag + 1)
-        return self._bcast_list(obj, group, gpos, 0, tag + 2)
+        return self._bcast(obj, root, self._next_coll_tag())
 
-    def _bcast_impl(self, obj: Any, root: int, tag: int) -> Any:
+    def _bcast(self, obj: Any, root: int, tag: int) -> Any:
         size, rank = self.size, self._rank
         if size == 1:
             return obj
@@ -666,198 +419,80 @@ class Communicator:
         if vrank != 0:
             hb = 1 << (vrank.bit_length() - 1)  # highest set bit: parent link
             parent = (vrank - hb + root) % size
-            obj = self._coll_recv(parent, tag)
+            obj = self._recv(parent, tag)
         k = 1 << vrank.bit_length()  # children are vrank + 2^j for 2^j > vrank
         while vrank + k < size:
-            self._coll_send(obj, (vrank + k + root) % size, tag)
+            self._send(obj, (vrank + k + root) % size, tag)
             k <<= 1
         return obj
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per rank at ``root`` (rank order); None elsewhere.
 
-        Two-level when the world is grouped (members → leader, leaders →
-        rank 0, one forward to ``root``); flat binomial tree otherwise.
-        Either way each rank forwards its merged subtree once, so no rank
-        receives more than O(log P) bundles."""
+        Binomial tree: each rank forwards its merged subtree once, so no
+        rank receives more than O(log P) bundles."""
         self._check_rank(root)
         self._count("gather")
         tag = self._next_coll_tag()
         size, rank = self.size, self._rank
         if size == 1:
             return [obj]
-        tl = self._two_level()
-        if tl is None:
-            vrank = (rank - root) % size
-            subtree: dict[int, Any] = {vrank: obj}
-            k = 1
-            while k < size:
-                if vrank & k:
-                    self._coll_send(subtree, (vrank - k + root) % size, tag)
-                    return None
-                child = vrank + k
-                if child < size:
-                    subtree.update(self._coll_recv((child + root) % size, tag))
-                k <<= 1
-            return [subtree[(r - root) % size] for r in range(size)]
-        group, gpos, leaders, lpos = tl
-        merged = self._gather_list({rank: obj}, group, gpos, tag)
-        if lpos is not None:
-            merged = self._gather_list(merged, leaders, lpos, tag + 1)
-        if rank == 0:
-            out = [merged[r] for r in range(size)]
-            if root == 0:
-                return out
-            self._coll_send(out, root, tag + 2)
-            return None
-        if rank == root:
-            return self._coll_recv(0, tag + 2)
-        return None
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter ``size`` objects from ``root``; each rank returns its item.
-
-        Binomial (recursive-halving) tree: the root sends log2 P bundles,
-        each internal node forwards halves of its range downward."""
-        self._check_rank(root)
-        self._count("scatter")
-        tag = self._next_coll_tag()
-        size, rank = self.size, self._rank
         vrank = (rank - root) % size
-        if vrank == 0:
-            if objs is None or len(objs) != size:
-                raise ValueError(
-                    f"scatter at root needs exactly {size} items, got "
-                    f"{None if objs is None else len(objs)}"
-                )
-            if size == 1:
-                return objs[0]
-            bundle = {v: objs[(v + root) % size] for v in range(size)}
-            span = 1
-            while span < size:
-                span <<= 1
-        else:
-            lsb = vrank & -vrank  # node owns vrange [vrank, vrank + lsb)
-            parent = (vrank - lsb + root) % size
-            bundle = self._coll_recv(parent, tag)
-            span = lsb
-        while span > 1:
-            half = span >> 1
-            child = vrank + half
+        subtree: dict[int, Any] = {vrank: obj}
+        k = 1
+        while k < size:
+            if vrank & k:
+                self._send(subtree, (vrank - k + root) % size, tag)
+                return None
+            child = vrank + k
             if child < size:
-                sub = {
-                    v: bundle.pop(v)
-                    for v in range(child, min(child + half, size))
-                    if v in bundle
-                }
-                self._coll_send(sub, (child + root) % size, tag)
-            span = half
-        return bundle[vrank]
+                subtree.update(self._recv((child + root) % size, tag))
+            k <<= 1
+        return [subtree[(r - root) % size] for r in range(size)]
 
-    def reduce(
-        self, obj: Any, op: Callable[[Any, Any], Any] = None, root: int = 0
+    def _reduce(
+        self, obj: Any, op: Callable[[Any, Any], Any], tag: int
     ) -> Any | None:
-        """Reduce one contribution per rank to ``root`` with ``op`` (default +).
-
-        Two-level when the world is grouped — members fold to their leader,
-        leaders fold to rank 0, both in rank order so non-commutative ops
-        stay exact; flat binomial tree otherwise.  For a nonzero root the
-        result is forwarded with one extra message."""
-        self._check_rank(root)
-        self._count("reduce")
-        op = op or operator.add
-        tag = self._next_coll_tag()
-        tl = self._two_level()
-        if tl is None:
-            return self._reduce_impl(obj, op, root, tag)
-        group, gpos, leaders, lpos = tl
-        acc = self._reduce_list(obj, op, group, gpos, tag)
-        if lpos is not None:
-            acc = self._reduce_list(acc, op, leaders, lpos, tag + 1)
-        if root == 0:
-            return acc if self._rank == 0 else None
-        if self._rank == 0:
-            self._coll_send(acc, root, tag + 2)
-            return None
-        if self._rank == root:
-            return self._coll_recv(0, tag + 2)
-        return None
-
-    def _reduce_impl(
-        self, obj: Any, op: Callable[[Any, Any], Any], root: int, tag: int
-    ) -> Any | None:
+        """Binomial reduce to rank 0 in rank order; ``None`` elsewhere."""
         rank, size = self._rank, self.size
         acc = obj
         stride = 1
         while stride < size:
             if rank % (2 * stride) == stride:
-                self._coll_send(acc, rank - stride, tag)
-                acc = None
-                break
-            if rank % (2 * stride) == 0:
-                partner = rank + stride
-                if partner < size:
-                    # Lower rank on the left: preserves rank order.
-                    acc = op(acc, self._coll_recv(partner, tag))
+                self._send(acc, rank - stride, tag)
+                return None
+            partner = rank + stride
+            if rank % (2 * stride) == 0 and partner < size:
+                # Lower rank on the left: preserves rank order.
+                acc = op(acc, self._recv(partner, tag))
             stride <<= 1
-        if root == 0:
-            return acc if rank == 0 else None
-        if rank == 0:
-            self._coll_send(acc, root, tag + 1)
-            return None
-        if rank == root:
-            return self._coll_recv(0, tag + 1)
-        return None
+        return acc
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] = None) -> Any:
         """Reduce with ``op`` (default +); every rank gets the result.
 
-        Two-level when the world is grouped: members fold to their leader,
-        leaders allreduce among themselves (recursive doubling when their
-        count is a power of two), and each leader broadcasts back down its
-        group — the chainermn node-aware shape.  Flat worlds use recursive
-        doubling (power-of-two sizes) or binomial reduce + broadcast.  All
-        paths combine in rank order, so non-commutative ops stay exact."""
+        Recursive doubling for power-of-two sizes, binomial reduce +
+        broadcast otherwise.  Both combine in rank order, so
+        non-commutative ops stay exact."""
         self._count("allreduce")
         op = op or operator.add
         tag = self._next_coll_tag()
         rank, size = self._rank, self.size
         if size == 1:
             return obj
-        tl = self._two_level()
-        if tl is None:
-            if size & (size - 1) == 0:  # power of two: recursive doubling
-                acc = obj
-                k = 1
-                rnd = 0
-                while k < size:
-                    partner = rank ^ k
-                    self._coll_send(acc, partner, tag + rnd)
-                    other = self._coll_recv(partner, tag + rnd)
-                    acc = op(acc, other) if partner > rank else op(other, acc)
-                    k <<= 1
-                    rnd += 1
-                return acc
-            result = self._reduce_impl(obj, op, 0, tag)
-            return self._bcast_impl(result, 0, tag + 32)
-        group, gpos, leaders, lpos = tl
-        acc = self._reduce_list(obj, op, group, gpos, tag)
-        if lpos is not None:
-            nl = len(leaders)
-            if nl & (nl - 1) == 0:  # recursive doubling among leaders
-                k = 1
-                rnd = 1
-                while k < nl:
-                    ppos = lpos ^ k
-                    self._coll_send(acc, leaders[ppos], tag + rnd)
-                    other = self._coll_recv(leaders[ppos], tag + rnd)
-                    acc = op(acc, other) if ppos > lpos else op(other, acc)
-                    k <<= 1
-                    rnd += 1
-            else:
-                acc = self._reduce_list(acc, op, leaders, lpos, tag + 1)
-                acc = self._bcast_list(acc, leaders, lpos, 0, tag + 2)
-        return self._bcast_list(acc, group, gpos, 0, tag + 33)
+        if size & (size - 1):
+            return self._bcast(self._reduce(obj, op, tag), 0, tag + 32)
+        acc = obj
+        k = 1
+        rnd = 0
+        while k < size:
+            partner = rank ^ k
+            self._send(acc, partner, tag + rnd)
+            other = self._recv(partner, tag + rnd)
+            acc = op(acc, other) if partner > rank else op(other, acc)
+            k <<= 1
+            rnd += 1
+        return acc
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one object per rank at every rank.
@@ -874,8 +509,8 @@ class Communicator:
         k = 1
         rnd = 0
         while k < size:
-            self._coll_send(dict(known), (rank + k) % size, tag + rnd)
-            known.update(self._coll_recv((rank - k) % size, tag + rnd))
+            self._send(dict(known), (rank + k) % size, tag + rnd)
+            known.update(self._recv((rank - k) % size, tag + rnd))
             k <<= 1
             rnd += 1
         return [known[r] for r in range(size)]
@@ -898,9 +533,9 @@ class Communicator:
         rnd = 0
         while stride < size:
             if rank + stride < size:
-                self._coll_send(acc, rank + stride, tag + rnd)
+                self._send(acc, rank + stride, tag + rnd)
             if rank - stride >= 0:
-                other = self._coll_recv(rank - stride, tag + rnd)
+                other = self._recv(rank - stride, tag + rnd)
                 result = other if result is None else op(other, result)
                 acc = op(other, acc)
             stride <<= 1
@@ -918,12 +553,12 @@ class Communicator:
         tag = self._next_coll_tag()
         for dst in range(self.size):
             if dst != self._rank:
-                self._coll_send(objs[dst], dst, tag)
+                self._send(objs[dst], dst, tag)
         out: list[Any] = [None] * self.size
         out[self._rank] = objs[self._rank]
         for src in range(self.size):
             if src != self._rank:
-                out[src] = self._coll_recv(src, tag)
+                out[src] = self._recv(src, tag)
         return out
 
     def sparse_alltoall(self, outbox: Mapping[int, Any]) -> dict[int, Any]:
@@ -946,93 +581,14 @@ class Communicator:
         tag = self._next_coll_tag()
         for dest in sorted(outbox):
             if dest != self._rank:
-                self._coll_send(outbox[dest], dest, tag)
+                self._send(outbox[dest], dest, tag)
         received: dict[int, Any] = {}
         for _ in range(int(incoming[self._rank])):
-            payload, src, _ = self._coll_recv_with_status(ANY_SOURCE, tag)
+            payload, src = self._recv_from(ANY_SOURCE, tag)
             received[src] = payload
         if self._rank in outbox:
             received[self._rank] = outbox[self._rank]
         return received
-
-    # ------------------------------------------------------------------
-    # linear reference collectives (the original O(P) algorithms)
-    # ------------------------------------------------------------------
-    def linear_bcast(self, obj: Any, root: int = 0) -> Any:
-        """Root-funneled broadcast: root sends to every rank (oracle)."""
-        self._check_rank(root)
-        self._count("linear_bcast")
-        tag = self._next_coll_tag()
-        if self._rank == root:
-            for dst in range(self.size):
-                if dst != root:
-                    self._coll_send(obj, dst, tag)
-            return obj
-        return self._coll_recv(root, tag)
-
-    def linear_gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Root-funneled gather: every rank sends to root (oracle)."""
-        self._check_rank(root)
-        self._count("linear_gather")
-        tag = self._next_coll_tag()
-        if self._rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = obj
-            for src in range(self.size):
-                if src != root:
-                    out[src] = self._coll_recv(src, tag)
-            return out
-        self._coll_send(obj, root, tag)
-        return None
-
-    def linear_scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Root-funneled scatter (oracle)."""
-        self._check_rank(root)
-        self._count("linear_scatter")
-        tag = self._next_coll_tag()
-        if self._rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(
-                    f"scatter at root needs exactly {self.size} items, got "
-                    f"{None if objs is None else len(objs)}"
-                )
-            for dst in range(self.size):
-                if dst != root:
-                    self._coll_send(objs[dst], dst, tag)
-            return objs[root]
-        return self._coll_recv(root, tag)
-
-    def linear_reduce(
-        self, obj: Any, op: Callable[[Any, Any], Any] = None, root: int = 0
-    ) -> Any | None:
-        """Gather-then-fold reduction at root, in rank order (oracle)."""
-        op = op or operator.add
-        vals = self.linear_gather(obj, root=root)
-        if self._rank != root:
-            return None
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = op(acc, v)
-        return acc
-
-    def linear_allreduce(self, obj: Any, op: Callable[[Any, Any], Any] = None) -> Any:
-        """Linear reduce to rank 0 plus linear broadcast (oracle)."""
-        return self.linear_bcast(self.linear_reduce(obj, op=op, root=0), root=0)
-
-    def linear_allgather(self, obj: Any) -> list[Any]:
-        """Linear gather at rank 0 plus linear broadcast (oracle)."""
-        return self.linear_bcast(self.linear_gather(obj, root=0), root=0)
-
-    def linear_exscan(self, value: Any, op: Callable[[Any, Any], Any] = None) -> Any:
-        """Allgather-then-fold exclusive scan (oracle)."""
-        op = op or operator.add
-        vals = self.linear_allgather(value)
-        if self._rank == 0:
-            return None
-        acc = vals[0]
-        for v in vals[1 : self._rank]:
-            acc = op(acc, v)
-        return acc
 
     # ------------------------------------------------------------------
     def _count(self, name: str) -> None:
@@ -1133,10 +689,8 @@ def run_parallel(
                 errors.append(ParallelError(rank, exc))
             world.abort.set()
             world.barrier._barrier.abort()  # wake ranks blocked at a barrier
-            # Wake any rank blocked in a matched receive (either channel).
-            for mb in world.mailboxes + world.coll_mailboxes:
-                with mb.lock:
-                    mb.ready.notify_all()
+            for mb in world.mailboxes:  # and ranks blocked in a receive
+                mb.wake()
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"rank-{r}", daemon=True)

@@ -133,7 +133,7 @@ class NeighborExchanger:
         dest_rank = self.assignment.rank_of(link.gid)
         self._outgoing[dest_rank].append((link.gid, src_gid, payload))
 
-    def exchange(self, *, dense: bool = False) -> dict[int, list[tuple[int, Any]]]:
+    def exchange(self) -> dict[int, list[tuple[int, Any]]]:
         """Deliver all enqueued payloads (collective).
 
         Every rank must call this, even with nothing enqueued.  Returns a
@@ -141,12 +141,10 @@ class NeighborExchanger:
         payload)`` pairs received this round, in deterministic
         (source-rank, enqueue) order.  The outgoing queues are cleared.
 
-        The default path is **sparse**: each rank sends one batch per
-        destination rank with a non-empty queue (plus a small O(log P)
-        header round), so the cost scales with the neighborhood size rather
-        than the dense alltoall's O(P) messages per rank.  ``dense=True``
-        keeps the original alltoall as a reference path for validation and
-        benchmarking; both orders received batches identically.
+        Delivery is **sparse**: each rank sends one batch per destination
+        rank with a non-empty queue (plus a small O(log P) header round),
+        so the cost scales with the neighborhood size rather than a dense
+        alltoall's O(P) messages per rank.
         """
         from .. import observe
 
@@ -160,18 +158,12 @@ class NeighborExchanger:
             reg.counter("exchange.payloads", rank=self.comm.rank).inc(
                 sum(len(q) for q in self._outgoing.values())
             )
-        if dense:
-            sendbufs = [self._outgoing.get(r, []) for r in range(self.comm.size)]
-            self._outgoing.clear()
-            batches = self.comm.alltoall(sendbufs)
-        else:
-            outbox = {r: q for r, q in self._outgoing.items() if q}
-            self._outgoing.clear()
-            received = self.comm.sparse_alltoall(outbox)
-            batches = [received[r] for r in sorted(received)]
+        outbox = {r: q for r, q in self._outgoing.items() if q}
+        self._outgoing.clear()
+        received = self.comm.sparse_alltoall(outbox)
 
         inbox: dict[int, list[tuple[int, Any]]] = {g: [] for g in self.local_gids}
-        for batch in batches:  # in source-rank order
-            for dest_gid, src_gid, payload in batch:
+        for src in sorted(received):  # in source-rank order
+            for dest_gid, src_gid, payload in received[src]:
                 inbox[dest_gid].append((src_gid, payload))
         return inbox

@@ -16,15 +16,10 @@ transport:
   segments so ghost exchange and I/O gathers never serialize element-wise
   (see :mod:`repro.diy.transport`);
 * segment names released by receivers piggyback on subsequent messages
-  back to the owning rank, whose pool recycles them;
-* a single logical message may exceed the ~2 GiB pipe frame cap — the
-  transport splits it into chunk frames transparently
-  (:func:`repro.diy.transport.send_message`).
+  back to the owning rank, whose pool recycles them.
 
-Execution comes in two flavors:
-
-**Persistent rank pool (default).**  The first ``run_parallel`` at a given
-rank count forks a :class:`RankPool` whose workers — and their pooled shm
+Every region runs on a :class:`RankPool`.  The first ``run_parallel`` at a
+given rank count forks a pool whose workers — and their pooled shm
 segments, attached-mapping caches, and pipe mesh — stay alive across
 parallel regions.  Subsequent runs *lease* the pool: the worker function
 and arguments are pickled down per-rank task pipes, results come back over
@@ -34,14 +29,12 @@ injection composes: the active :class:`~repro.faults.FaultSpec` ships with
 each task (pool workers forked long ago cannot inherit it).  Any failed
 run — a raising rank, a dead process, a deadlock — *invalidates* the pool
 (workers are torn down, their ``/dev/shm`` segments swept by name prefix)
-and the next run forks a fresh one.  ``REPRO_POOL=0`` disables pooling;
-:func:`shutdown_pool` (also registered ``atexit``) releases the workers
-explicitly.
+and the next run forks a fresh one.  :func:`shutdown_pool` (also
+registered ``atexit``) releases the workers explicitly.
 
-**Fresh fork (fallback).**  Tasks whose function or arguments don't pickle
-(closures over live objects) transparently fall back to the original
-fork-per-region path, where everything is inherited by reference and only
-results cross back.
+A task whose function or arguments don't pickle (a closure over live
+objects) gets a *one-shot* pool instead: its workers inherit the task
+through fork, run it once, and exit.  Results must pickle either way.
 
 Failure semantics mirror the thread backend: the first raising rank aborts
 the region (a shared event plus a broken barrier wake the peers) and the
@@ -72,7 +65,6 @@ from . import transport
 from .comm import (
     _DEFAULT_TIMEOUT,
     _AbortedError,
-    _coll_group_size,
     _Mailbox,
     Communicator,
     ParallelError,
@@ -83,19 +75,16 @@ __all__ = [
     "RankDiedError",
     "RankPool",
     "shutdown_pool",
-    "pool_enabled",
 ]
 
 _POLL_S = 0.05  # receiver-thread poll interval (also the abort latency)
 _DETECT_POLL_S = 0.2  # parent's dead-child detection poll interval
 
-#: Control tag (collective channel) used to quiesce the pipe mesh between
-#: pooled tasks.  Negative tags can never collide with user or collective
-#: traffic (user tags are >= 0; collective tags are >= _COLL_TAG).
+#: Control tag used to quiesce the pipe mesh between pooled tasks.  A
+#: negative tag can never collide with collective traffic (tags >= _COLL_TAG).
 _FLUSH_TAG = -2
 
 _pool_seq = itertools.count()  # distinct shm prefixes across pool generations
-_region_seq = itertools.count()  # distinct shm prefixes across fresh regions
 
 #: Always-on pool lifecycle counters (cheap introspection for tests and the
 #: scaling bench).  Mirrored into the observe metrics registry as
@@ -103,9 +92,8 @@ _region_seq = itertools.count()  # distinct shm prefixes across fresh regions
 #: CommStats and friends are absorbed.
 pool_counters: dict[str, int] = {
     "forks": 0,  # worker processes ever forked into pools
-    "runs_leased": 0,  # run_parallel calls served by a pool
+    "runs_leased": 0,  # run_parallel calls served by a persistent pool
     "runs_reused": 0,  # of those, served by already-warm workers
-    "fallback_runs": 0,  # unpicklable tasks that fell back to fresh fork
     "invalidations": 0,  # pools torn down by a failed run
 }
 
@@ -133,20 +121,17 @@ class _ProcessWorld:
         conns: dict[int, connection.Connection],
         barrier,
         abort_mp,
-        timeout: float,
-        shm_prefix: str | None = None,
+        shm_prefix: str,
     ) -> None:
         self.rank = rank
         self.size = size
-        self.timeout = timeout
-        self.coll_group = _coll_group_size(size)
+        self.timeout = _DEFAULT_TIMEOUT
         self.abort = threading.Event()  # local mirror of the shared flag
         self._abort_mp = abort_mp
         self._barrier_mp = barrier
         self._conns = conns
         self._send_locks = {peer: threading.Lock() for peer in conns}
-        self._user_mb = _Mailbox()
-        self._coll_mb = _Mailbox()
+        self._mb = _Mailbox()
         self.pool = transport.ShmPool(prefix=shm_prefix)
         self._attached: dict[str, Any] = {}  # peer segment name -> mapping
         self._leases: list[tuple[int, transport.SegmentLease]] = []
@@ -161,15 +146,9 @@ class _ProcessWorld:
         self._recv_thread.start()
 
     # -- Communicator transport interface ------------------------------
-    def deliver(
-        self, dest: int, source: int, tag: int, payload: Any, coll: bool = False
-    ) -> tuple[int, int]:
-        """Ship ``payload`` to ``dest``; returns ``(shm_bytes, chunk_frames)``
-        — bytes moved via shared memory and extra pipe frames used by
-        chunked framing (0 for an ordinary single-frame send)."""
-        if dest == self.rank:
-            self.inbox(dest, coll).put(source, tag, payload)
-            return 0, 0
+    def deliver(self, dest: int, source: int, tag: int, payload: Any) -> int:
+        """Ship ``payload`` to peer ``dest``; returns the bytes moved via
+        shared memory."""
         t0 = time.perf_counter() if _otrace._enabled else 0.0
         meta, descriptors, shm_bytes = transport.encode_payload(payload, self.pool)
         if _otrace._enabled and shm_bytes:
@@ -183,12 +162,10 @@ class _ProcessWorld:
             )
         with self._release_lock:
             releases = self._pending_release.pop(dest, [])
-        wire = pickle.dumps(
-            (releases, source, tag, coll, meta, descriptors), protocol=5
-        )
+        wire = pickle.dumps((releases, source, tag, meta, descriptors), protocol=5)
         try:
             with self._send_locks[dest]:
-                frames = transport.send_message(self._conns[dest], wire)
+                transport.send_message(self._conns[dest], wire)
         except (BrokenPipeError, OSError):
             # A broken data pipe means the peer process is gone — this rank
             # is a secondary casualty either way.  The authoritative
@@ -198,11 +175,11 @@ class _ProcessWorld:
             raise _AbortedError(
                 "parallel region aborted while sending (peer pipe closed)"
             ) from None
-        return shm_bytes, frames
+        return shm_bytes
 
-    def inbox(self, rank: int, coll: bool) -> _Mailbox:
+    def inbox(self, rank: int) -> _Mailbox:
         assert rank == self.rank, "a rank process only reads its own mailbox"
-        return self._coll_mb if coll else self._user_mb
+        return self._mb
 
     def barrier_wait(self) -> None:
         if self.abort.is_set() or self._abort_mp.is_set():
@@ -224,18 +201,20 @@ class _ProcessWorld:
         by_conn = {conn: peer for peer, conn in self._conns.items()}
         while not self._stop.is_set():
             if self._abort_mp.is_set() and not self.abort.is_set():
-                self._local_abort()
+                self.abort.set()
+                self._mb.wake()
             try:
                 ready = connection.wait(list(by_conn), timeout=_POLL_S)
             except OSError:
                 break
             for conn in ready:
                 try:
-                    msg, _ = transport.recv_message(conn)
-                except (EOFError, OSError, transport.CommError):
+                    releases, source, tag, meta, descriptors = (
+                        transport.recv_message(conn)
+                    )
+                except (EOFError, OSError):
                     del by_conn[conn]
                     continue
-                releases, source, tag, coll, meta, descriptors = msg
                 for name in releases:
                     self.pool.recycle(name)
                 payload, lease = transport.decode_payload(
@@ -243,7 +222,7 @@ class _ProcessWorld:
                 )
                 if lease is not None:
                     self._leases.append((source, lease))
-                self.inbox(self.rank, coll).put(source, tag, payload)
+                self._mb.put(source, tag, payload)
             self._reap_leases()
 
     def _reap_leases(self) -> None:
@@ -264,29 +243,23 @@ class _ProcessWorld:
                 for owner, names in freed.items():
                     self._pending_release[owner].extend(names)
 
-    def _local_abort(self) -> None:
-        self.abort.set()
-        for mb in (self._user_mb, self._coll_mb):
-            with mb.lock:
-                mb.ready.notify_all()
-
-    # -- pooled-task lifecycle ------------------------------------------
+    # -- task lifecycle --------------------------------------------------
     def flush_task(self) -> None:
-        """Quiesce the pipe mesh at the end of a pooled task.
+        """Quiesce the pipe mesh at the end of a task.
 
         Every rank sends a flush marker to every peer and waits for the
         peers' markers.  Pipes are FIFO per (source, dest), so receiving a
         peer's marker proves everything that peer sent this task has
-        already been drained into the local mailboxes — the mesh carries no
+        already been drained into the local mailbox — the mesh carries no
         in-flight traffic that could leak into the next task.  Callers run
         this only after the finish barrier (all ranks done sending).
         Pending shm release names piggyback on the markers, exactly as on
         ordinary messages.
         """
         for peer in sorted(self._conns):
-            self.deliver(peer, self.rank, _FLUSH_TAG, None, coll=True)
+            self.deliver(peer, self.rank, _FLUSH_TAG, None)
         for peer in sorted(self._conns):
-            self._coll_mb.get(peer, _FLUSH_TAG, self.abort, self.timeout)
+            self._mb.get(peer, _FLUSH_TAG, self.abort, self.timeout)
 
     def end_task(self) -> None:
         """Drop task-local message state so the next lease starts clean.
@@ -294,8 +267,7 @@ class _ProcessWorld:
         Unconsumed payloads die here; their shm leases go idle and the
         receiver thread queues the segment names for release on the next
         task's traffic (or they fall to the pool shutdown sweep)."""
-        self._user_mb.clear()
-        self._coll_mb.clear()
+        self._mb.clear()
 
     def shutdown(self) -> None:
         self._stop.set()
@@ -307,7 +279,12 @@ class _ProcessWorld:
             transport.close_segment_quietly(shm)
         self._attached = {}
         self.pool.shutdown()
-        for conn in self._conns.values():
+        _close_all(self._conns.values())
+
+
+def _close_all(conns) -> None:
+    for conn in conns:
+        if conn is not None:
             try:
                 conn.close()
             except OSError:
@@ -378,46 +355,6 @@ def _run_task(
     return status
 
 
-def _child_main(
-    rank: int,
-    size: int,
-    func: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    conns: dict[int, connection.Connection],
-    extra_conns: list[connection.Connection],
-    barrier,
-    finish_barrier,
-    abort_mp,
-    timeout: float,
-    result_conn: connection.Connection,
-    shm_prefix: str,
-) -> None:
-    """Fresh-fork worker: run one task, report, tear down, exit."""
-    # Fork gave us every pipe end; keep only ours so peers see EOF promptly.
-    for conn in extra_conns:
-        try:
-            conn.close()
-        except OSError:
-            pass
-    world = _ProcessWorld(
-        rank, size, conns, barrier, abort_mp, timeout, shm_prefix=shm_prefix
-    )
-    world.start()
-    status = _run_task(
-        world, rank, func, args, kwargs, barrier, finish_barrier, abort_mp, timeout
-    )
-    _send_status(result_conn, status)
-    # Drop the last local references to result payloads before teardown so
-    # shm-backed arrays die and their mappings close cleanly.
-    del status
-    world.shutdown()
-    try:
-        result_conn.close()
-    except OSError:
-        pass
-
-
 def _pool_main(
     rank: int,
     size: int,
@@ -426,39 +363,36 @@ def _pool_main(
     barrier,
     finish_barrier,
     abort_mp,
-    task_conn: connection.Connection,
+    task_conn: connection.Connection | None,
     result_conn: connection.Connection,
     shm_prefix: str,
+    task: tuple | None,
 ) -> None:
-    """Pool worker: serve tasks off the task pipe until stopped.
+    """Pool worker: run tasks until stopped.
 
-    Each iteration runs one parallel-region task against the same
-    long-lived world (same pipes, same shm pool, same attached-segment
-    cache), then quiesces the mesh so the next task starts from a clean
-    slate.  Any failure leaves the shared barriers broken and the abort
-    flag set — the parent invalidates the whole pool, so no recovery is
-    attempted here.
+    A persistent pool's worker reads each task off its task pipe; a
+    one-shot pool's worker (no task pipe) runs the ``task`` it inherited
+    through fork and exits.  Each task runs against the same long-lived
+    world (same pipes, same shm pool, same attached-segment cache), then
+    quiesces the mesh so the next task starts from a clean slate.  Any
+    failure leaves the shared barriers broken and the abort flag set — the
+    parent invalidates the whole pool, so no recovery is attempted here.
     """
-    for conn in extra_conns:
-        try:
-            conn.close()
-        except OSError:
-            pass
-    world = _ProcessWorld(
-        rank, size, conns, barrier, abort_mp, _DEFAULT_TIMEOUT,
-        shm_prefix=shm_prefix,
-    )
+    # Fork gave us every pipe end; keep only ours so peers see EOF promptly.
+    _close_all(extra_conns)
+    world = _ProcessWorld(rank, size, conns, barrier, abort_mp, shm_prefix)
     world.start()
     while True:
-        try:
-            task, _ = transport.recv_message(task_conn)
-        except Exception:  # EOF/OSError: parent gone or shutting down
-            break
+        if task_conn is not None:
+            try:
+                task = transport.recv_message(task_conn)
+            except Exception:  # EOF/OSError: parent gone or shutting down
+                break
         if task[0] != "run":
             break  # explicit ("stop",) from shutdown_pool
         _, func, args, kwargs, spec, timeout = task
-        # Fault specs ship with the task: this worker forked before the
-        # caller armed its injector, so fork inheritance cannot apply.
+        # Fault specs ship with the task: a persistent worker forked before
+        # the caller armed its injector, so fork inheritance cannot apply.
         faults.clear()
         if spec is not None:
             faults.install(spec)
@@ -483,18 +417,16 @@ def _pool_main(
         # reaches the parent, a peer may receive the *next* task and start
         # sending — a clear() after that point would eat the new task's
         # first messages.  Post-flush, clearing here is race-free: the
-        # mailboxes hold only this task's leftovers.
+        # mailbox holds only this task's leftovers.
         world.end_task()
         _send_status(result_conn, status)
+        # Drop the last local references to result payloads before teardown
+        # so shm-backed arrays die and their mappings close cleanly.
         del status
-        if abort_mp.is_set():
-            break  # pool invalidated; the parent reaps this worker
+        if abort_mp.is_set() or task_conn is None:
+            break  # invalidated (the parent reaps this worker) or one-shot
     world.shutdown()
-    for conn in (task_conn, result_conn):
-        try:
-            conn.close()
-        except OSError:
-            pass
+    _close_all((task_conn, result_conn))
 
 
 # ----------------------------------------------------------------------
@@ -528,11 +460,11 @@ def _await_results(
 ) -> tuple[list[Any], list[ParallelError]]:
     """Collect one ("ok"/"err", payload) status per rank.
 
-    Shared by the fresh-fork path and the pool.  A child that exited
-    without delivering a result (killed by the OS, or ``os._exit`` from
-    fault injection) is detected within ~``_DETECT_POLL_S`` as a
-    :class:`RankDiedError`, not after the full recv timeout; a region that
-    produces nothing past the timeout grace window is declared deadlocked.
+    A child that exited without delivering a result (killed by the OS, or
+    ``os._exit`` from fault injection) is detected within
+    ~``_DETECT_POLL_S`` as a :class:`RankDiedError`, not after the full
+    recv timeout; a region that produces nothing past the timeout grace
+    window is declared deadlocked.
     """
     results: list[Any] = [None] * len(procs)
     errors: list[ParallelError] = []
@@ -548,21 +480,21 @@ def _await_results(
         abort_all()
         errors.append(ParallelError(rank, exc))
 
+    def died(rank: int) -> RankDiedError:
+        return RankDiedError(
+            f"rank {rank} process died without a result "
+            f"(exit code {procs[rank].exitcode})"
+        )
+
     while pending:
         ready = connection.wait(list(pending), timeout=_DETECT_POLL_S)
         for conn in ready:
             rank = pending.pop(conn)
             try:
-                (kind, payload), _ = transport.recv_message(conn)
+                kind, payload = transport.recv_message(conn)
             except (EOFError, OSError):
                 procs[rank].join(timeout=1.0)  # reap so exitcode is readable
-                declare_failed(
-                    rank,
-                    RankDiedError(
-                        f"rank {rank} process died without a result "
-                        f"(exit code {procs[rank].exitcode})"
-                    ),
-                )
+                declare_failed(rank, died(rank))
                 continue
             if kind == "ok":
                 results[rank] = payload
@@ -574,13 +506,7 @@ def _await_results(
         for conn, rank in list(pending.items()):
             if procs[rank].exitcode is not None and not conn.poll():
                 del pending[conn]
-                declare_failed(
-                    rank,
-                    RankDiedError(
-                        f"rank {rank} process died without a result "
-                        f"(exit code {procs[rank].exitcode})"
-                    ),
-                )
+                declare_failed(rank, died(rank))
         if not ready and pending and time.monotonic() > deadline:
             abort_all()
             for conn, rank in pending.items():
@@ -597,27 +523,25 @@ def _await_results(
     return results, errors
 
 
-def _raise_first(errors: list[ParallelError]) -> None:
-    # Prefer the originating failure over secondary teardown errors.
-    errors.sort(key=lambda e: (isinstance(e.original, _AbortedError), e.rank))
-    raise errors[0]
-
-
 class RankPool:
-    """A persistent set of forked rank workers, reused across regions.
+    """A set of forked rank workers serving parallel-region tasks.
 
     Forking ``nranks`` processes, building the O(n²) pipe mesh, and warming
     each rank's shm pool costs far more than a small tessellation step — a
-    pool pays it once and amortizes it over every subsequent
+    persistent pool pays it once and amortizes it over every subsequent
     ``run_parallel`` at the same rank count.  :meth:`run` leases the
-    workers for one task; any failure (raising rank, dead process,
-    deadlock, unreachable pipe) permanently invalidates the pool — its
-    workers are terminated and every shm segment carrying the pool's name
-    prefix is swept from ``/dev/shm`` — and the caller's next run forks a
-    replacement.  :meth:`shutdown` releases a healthy pool gracefully.
+    workers for one pickled task.  Passing ``task`` instead builds a
+    *one-shot* pool whose workers inherit that task through fork (it need
+    not pickle), run it once and exit; :meth:`collect` gathers its results.
+
+    Any failure (raising rank, dead process, deadlock, unreachable pipe)
+    permanently invalidates the pool — its workers are terminated and every
+    shm segment carrying the pool's name prefix is swept from ``/dev/shm``
+    — and the caller's next run forks a replacement.  :meth:`shutdown`
+    releases a healthy pool gracefully.
     """
 
-    def __init__(self, nranks: int) -> None:
+    def __init__(self, nranks: int, task: tuple | None = None) -> None:
         ctx = get_context("fork")
         self.nranks = nranks
         self.generation = next(_pool_seq)
@@ -632,29 +556,25 @@ class RankPool:
             for i in range(nranks)
             for j in range(i + 1, nranks)
         }
-        task_pipes = [ctx.Pipe(duplex=False) for _ in range(nranks)]
+        # One-shot workers inherit their task; only a persistent pool
+        # needs task pipes.
+        task_pipes = (
+            [ctx.Pipe(duplex=False) for _ in range(nranks)] if task is None else []
+        )
         result_pipes = [ctx.Pipe(duplex=False) for _ in range(nranks)]
-        all_data_conns = [c for pair in pair_pipes.values() for c in pair]
+        data_conns = [c for pair in pair_pipes.values() for c in pair]
+        every_conn = data_conns + [c for p in task_pipes + result_pipes for c in p]
+        self.task_conns = [w for _, w in task_pipes]
+        self.result_conns = [r for r, _ in result_pipes]
         self.procs: list = []
         try:
             for rank in range(nranks):
                 conns = _rank_conns(pair_pipes, rank)
-                mine = set(map(id, conns.values()))
-                mine.add(id(task_pipes[rank][0]))
-                mine.add(id(result_pipes[rank][1]))
-                # Everything a child does not own gets closed post-fork:
-                # other pairs' data conns, every task write-end and result
-                # read-end (parent's side), and the task/result ends that
-                # belong to other ranks.
-                extra = [c for c in all_data_conns if id(c) not in mine]
-                for r, (read_end, write_end) in enumerate(task_pipes):
-                    extra.append(write_end)
-                    if r != rank:
-                        extra.append(read_end)
-                for r, (read_end, write_end) in enumerate(result_pipes):
-                    extra.append(read_end)
-                    if r != rank:
-                        extra.append(write_end)
+                task_conn = task_pipes[rank][0] if task_pipes else None
+                mine = {id(c) for c in conns.values()}
+                mine |= {id(task_conn), id(result_pipes[rank][1])}
+                # Everything a child does not own gets closed post-fork.
+                extra = [c for c in every_conn if id(c) not in mine]
                 self.procs.append(
                     _spawn_rank(
                         ctx,
@@ -667,25 +587,23 @@ class RankPool:
                             self.barrier,
                             self.finish_barrier,
                             self.abort_mp,
-                            task_pipes[rank][0],
+                            task_conn,
                             result_pipes[rank][1],
                             f"{self.shm_prefix}.r{rank}",
+                            task,
                         ),
                         rank,
                     )
                 )
         except BaseException:
+            # A failed spawn must not strand the ranks already started.
             self._abort_all()
             self._kill()
+            _close_all(every_conn)
             raise
-        for conn in all_data_conns:
-            conn.close()
-        for read_end, _ in task_pipes:
-            read_end.close()
-        for _, write_end in result_pipes:
-            write_end.close()
-        self.task_conns = [w for _, w in task_pipes]
-        self.result_conns = [r for r, _ in result_pipes]
+        # The parent keeps only the task write-ends and result read-ends.
+        _close_all(data_conns + [r for r, _ in task_pipes])
+        _close_all(w for _, w in result_pipes)
         _pool_count("forks", nranks)
 
     def _abort_all(self) -> None:
@@ -713,6 +631,10 @@ class RankPool:
             raise ParallelError(
                 sent, RankDiedError(f"rank {sent} pool worker unreachable: {exc}")
             ) from exc
+        return self.collect(timeout)
+
+    def collect(self, timeout: float) -> list[Any]:
+        """Wait for the running task's results, in rank order."""
         pending = {conn: rank for rank, conn in enumerate(self.result_conns)}
         results, errors = _await_results(
             self.procs, pending, self._abort_all, timeout
@@ -756,28 +678,21 @@ class RankPool:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=5.0)
-        for conn in getattr(self, "task_conns", []) + getattr(
-            self, "result_conns", []
-        ):
-            try:
-                conn.close()
-            except OSError:
-                pass
+        _close_all(self.task_conns + self.result_conns)
         # Reclaim segments of workers that never ran their own shutdown
         # (terminated, or hard-killed by fault injection).
         transport.unlink_segments(self.shm_prefix)
 
 
+def _raise_first(errors: list[ParallelError]) -> None:
+    # Prefer the originating failure over secondary teardown errors.
+    errors.sort(key=lambda e: (isinstance(e.original, _AbortedError), e.rank))
+    raise errors[0]
+
+
 _pools: dict[int, RankPool] = {}
 _pools_lock = threading.Lock()
 _atexit_armed = False
-
-
-def pool_enabled() -> bool:
-    """Whether run_parallel leases pooled workers (REPRO_POOL, default on)."""
-    return os.environ.get("REPRO_POOL", "1").strip().lower() not in (
-        "0", "false", "off",
-    )
 
 
 def _get_pool(nranks: int) -> RankPool:
@@ -814,145 +729,33 @@ def run_parallel_processes(
     args: tuple,
     kwargs: dict,
     recv_timeout: float | None = None,
-    use_pool: bool | None = None,
 ) -> list[Any]:
     """Run ``func(comm, ...)`` on ``nranks`` forked processes (rank order).
 
     See :func:`repro.diy.comm.run_parallel`; this is its ``"process"``
-    backend.  Requires POSIX ``fork``.
-
-    By default (``use_pool=None``) the task is pickled and leased to the
-    persistent :class:`RankPool` for this rank count (honoring
-    ``REPRO_POOL``); tasks that don't pickle — closures over live objects —
-    transparently fall back to a fresh fork per region, where the worker
-    function and arguments are inherited rather than serialized.  Results
-    must pickle on every path.
+    backend.  Requires POSIX ``fork``.  The task is pickled and leased to
+    the persistent :class:`RankPool` for this rank count; a task that
+    doesn't pickle runs on a one-shot pool whose workers inherit it.
+    Results must pickle either way.
     """
     if not hasattr(os, "fork"):
         raise RuntimeError(
             "backend='process' requires POSIX fork; use backend='thread'"
         )
     timeout = _DEFAULT_TIMEOUT if recv_timeout is None else float(recv_timeout)
-
-    if use_pool is None:
-        use_pool = pool_enabled()
-    if use_pool:
-        injector = faults.active()
-        spec = injector.spec if injector is not None else None
-        try:
-            task_wire = pickle.dumps(
-                ("run", func, args, kwargs, spec, timeout), protocol=5
-            )
-        except Exception:
-            task_wire = None
-            _pool_count("fallback_runs")
-        if task_wire is not None:
-            pool = _get_pool(nranks)
-            _pool_count("runs_leased")
-            if pool.runs:
-                _pool_count("runs_reused")
-            return pool.run(task_wire, timeout)
-
-    ctx = get_context("fork")
-    region_prefix = f"repro-{os.getpid()}-f{next(_region_seq)}"
-    pair_pipes = {
-        (i, j): ctx.Pipe(duplex=True)
-        for i in range(nranks)
-        for j in range(i + 1, nranks)
-    }
-    result_pipes = [ctx.Pipe(duplex=False) for _ in range(nranks)]
-    abort_mp = ctx.Event()
-    barrier = ctx.Barrier(nranks)
-    finish_barrier = ctx.Barrier(nranks)
-
-    def abort_all() -> None:
-        abort_mp.set()
-        for b in (barrier, finish_barrier):
-            try:
-                b.abort()
-            except Exception:
-                pass
-
-    all_data_conns = [c for pair in pair_pipes.values() for c in pair]
-    procs: list = []
+    injector = faults.active()
+    spec = injector.spec if injector is not None else None
+    task = ("run", func, args, kwargs, spec, timeout)
     try:
-        for rank in range(nranks):
-            conns = _rank_conns(pair_pipes, rank)
-            mine = set(map(id, conns.values())) | {id(result_pipes[rank][1])}
-            extra = [c for c in all_data_conns if id(c) not in mine]
-            extra += [w for r, (_, w) in enumerate(result_pipes) if r != rank]
-            extra += [r_conn for r_conn, _ in result_pipes]
-            procs.append(
-                _spawn_rank(
-                    ctx,
-                    _child_main,
-                    (
-                        rank,
-                        nranks,
-                        func,
-                        args,
-                        kwargs,
-                        conns,
-                        extra,
-                        barrier,
-                        finish_barrier,
-                        abort_mp,
-                        timeout,
-                        result_pipes[rank][1],
-                        f"{region_prefix}.r{rank}",
-                    ),
-                    rank,
-                )
-            )
-    except BaseException:
-        # A failed spawn must not strand the ranks already started: abort
-        # them, join-or-terminate every child, and reclaim their segments.
-        abort_all()
-        for proc in procs:
-            proc.join(timeout=2.0)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for conn in all_data_conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for read_end, write_end in result_pipes:
-            for conn in (read_end, write_end):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        transport.unlink_segments(region_prefix)
-        raise
-
-    # The parent needs only the result read-ends.
-    for conn in all_data_conns:
-        conn.close()
-    for _, write_end in result_pipes:
-        write_end.close()
-
-    pending = {result_pipes[rank][0]: rank for rank in range(nranks)}
-    results, errors = _await_results(procs, pending, abort_all, timeout)
-
-    for proc in procs:
-        proc.join(timeout=10.0)
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-    for read_end, _ in result_pipes:
+        task_wire = pickle.dumps(task, protocol=5)
+    except Exception:
+        pool = RankPool(nranks, task)
         try:
-            read_end.close()
-        except OSError:
-            pass
-
-    if errors:
-        # Ranks that died hard (os._exit, SIGTERM) never unlinked their
-        # pooled segments — sweep them so repeated fault-injection runs
-        # don't exhaust /dev/shm.
-        transport.unlink_segments(region_prefix)
-        _raise_first(errors)
-    return results
+            return pool.collect(timeout)
+        finally:
+            pool.shutdown()
+    pool = _get_pool(nranks)
+    _pool_count("runs_leased")
+    if pool.runs:
+        _pool_count("runs_reused")
+    return pool.run(task_wire, timeout)

@@ -27,15 +27,11 @@ stream and each descriptor is ``("raw", bytes)`` for an inline buffer or
 Pipe framing
 ------------
 ``multiprocessing.connection.Connection.send_bytes`` stores each frame's
-length in a C ``int``, so a single frame is capped just below 2 GiB (and
-pickle itself historically hits ``INT_MAX`` limits in the same place).
-:func:`send_message`/:func:`recv_message` hide that cap: a wire blob above
-:data:`CHUNK_LIMIT` bytes travels as a small pickled header
-``(CHUNK_HEADER, nchunks, total)`` followed by ``nchunks`` raw slices, each
-safely under the frame limit, reassembled on the receive side.  With
-chunking disabled (``REPRO_CHUNK_LIMIT=0``) an oversized frame raises a
-:class:`CommError` naming the payload size instead of an opaque
-``struct.error``/``OSError`` from deep inside the pipe code.
+length in a C ``int``, so a single frame is capped just below 2 GiB.  One
+message is one frame: large arrays ride shared memory, so the pickled wire
+blob stays small, and a frame above the cap raises a :class:`CommError`
+naming its size instead of an opaque ``struct.error``/``OSError`` from deep
+inside the pipe code.
 """
 
 from __future__ import annotations
@@ -50,8 +46,6 @@ import numpy as np
 
 __all__ = [
     "SHM_THRESHOLD",
-    "CHUNK_LIMIT",
-    "CHUNK_HEADER",
     "CommError",
     "ShmPool",
     "SegmentLease",
@@ -65,19 +59,8 @@ __all__ = [
 
 #: Buffers at or above this many bytes ride in shared memory instead of the
 #: pipe.  Kept below the typical 64 KiB pipe buffer so inline messages
-#: rarely block the sender.  Overridable for testing via the environment.
-SHM_THRESHOLD = int(os.environ.get("REPRO_SHM_THRESHOLD", 1 << 15))
-
-#: A single pipe frame larger than this many bytes is split into chunks
-#: (header frame + raw slices).  Must stay below the ~2 GiB C ``int`` cap
-#: of ``Connection.send_bytes``; 0 disables chunking, making oversized
-#: frames raise :class:`CommError`.  Overridable via the environment.
-CHUNK_LIMIT = int(os.environ.get("REPRO_CHUNK_LIMIT", 1 << 28))
-
-#: First element of the pickled chunk header frame.  Ordinary wire messages
-#: are 6-tuples starting with a list (the piggybacked release names), so a
-#: tuple starting with this marker is unambiguous.
-CHUNK_HEADER = "__repro_chunks__"
+#: rarely block the sender.
+SHM_THRESHOLD = 1 << 15
 
 #: Hard per-frame cap of Connection.send_bytes (length is a C int; leave
 #: headroom for the protocol's own header).
@@ -89,7 +72,7 @@ _ALIGN = 64  # buffer alignment within a segment
 
 class CommError(RuntimeError):
     """Transport-level failure with an actionable message (e.g. a payload
-    too large for a single pipe frame while chunking is disabled)."""
+    too large for a single pipe frame)."""
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
@@ -143,59 +126,27 @@ def unlink_segments(prefix: str) -> int:
     return removed
 
 
-def send_message(conn, wire: bytes) -> int:
-    """Send one logical message over ``conn``, chunking oversized frames.
+def send_message(conn, wire: bytes) -> None:
+    """Send one message over ``conn`` as a single frame.
 
-    Returns the number of extra frames used (0 for a normal single-frame
-    send, ``nchunks`` when the chunked path engaged).  The caller must hold
-    whatever send lock serializes writers on ``conn`` for the whole call —
-    the header and its chunks must be contiguous on the stream.
-
-    Raises :class:`CommError` when the message exceeds the single-frame pipe
-    cap and chunking is disabled (``REPRO_CHUNK_LIMIT=0``).
+    Raises :class:`CommError` naming the size when ``wire`` exceeds the
+    pipe's frame cap.
     """
-    total = len(wire)
-    limit = min(CHUNK_LIMIT, _PIPE_MAX) if CHUNK_LIMIT > 0 else 0
-    if limit <= 0 or total <= limit:
-        if total > _PIPE_MAX:
-            raise CommError(
-                f"message of {total} bytes exceeds the {_PIPE_MAX}-byte pipe "
-                f"frame limit and chunked transport is disabled "
-                f"(REPRO_CHUNK_LIMIT={CHUNK_LIMIT}); re-enable chunking or "
-                f"move the payload into shared memory"
-            )
-        conn.send_bytes(wire)
-        return 0
-    nchunks = -(-total // limit)
-    conn.send_bytes(pickle.dumps((CHUNK_HEADER, nchunks, total), protocol=5))
-    view = memoryview(wire)
-    for i in range(nchunks):
-        conn.send_bytes(view[i * limit : (i + 1) * limit])
-    return nchunks
-
-
-def recv_message(conn) -> tuple[object, int]:
-    """Receive one logical message sent by :func:`send_message`.
-
-    Returns ``(payload_object, extra_frames)`` where ``extra_frames`` is 0
-    for a plain message and the chunk count when reassembly happened.
-    Propagates ``EOFError``/``OSError`` from the underlying pipe unchanged
-    so callers keep their existing dead-peer handling.
-    """
-    obj = pickle.loads(conn.recv_bytes())
-    if not (isinstance(obj, tuple) and obj and obj[0] == CHUNK_HEADER):
-        return obj, 0
-    _, nchunks, total = obj
-    buf = bytearray(total)
-    view = memoryview(buf)
-    offset = 0
-    for _ in range(nchunks):
-        offset += conn.recv_bytes_into(view, offset)
-    if offset != total:
+    if len(wire) > _PIPE_MAX:
         raise CommError(
-            f"chunked message truncated: expected {total} bytes, got {offset}"
+            f"message of {len(wire)} bytes exceeds the {_PIPE_MAX}-byte pipe "
+            f"frame limit; move the payload into shared memory"
         )
-    return pickle.loads(buf), nchunks
+    conn.send_bytes(wire)
+
+
+def recv_message(conn) -> object:
+    """Receive one message sent by :func:`send_message`.
+
+    Propagates ``EOFError``/``OSError`` from the underlying pipe unchanged
+    so callers keep their dead-peer handling.
+    """
+    return pickle.loads(conn.recv_bytes())
 
 
 class ShmPool:
@@ -327,16 +278,16 @@ class SegmentLease:
 
 
 def encode_payload(
-    obj: object, pool: ShmPool, threshold: int | None = None
+    obj: object, pool: ShmPool
 ) -> tuple[bytes, list[tuple], int]:
     """Serialize ``obj`` into ``(meta, descriptors, shm_bytes)``.
 
     ``meta`` is the protocol-5 pickle stream with buffers elided;
     ``descriptors`` carries one entry per out-of-band buffer; ``shm_bytes``
     is how many payload bytes were diverted into shared memory (0 when the
-    payload was inline-only).
+    payload was inline-only).  Buffers of at least :data:`SHM_THRESHOLD`
+    bytes go to shared memory.
     """
-    threshold = SHM_THRESHOLD if threshold is None else threshold
     buffers: list[pickle.PickleBuffer] = []
     meta = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
 
@@ -350,7 +301,7 @@ def encode_payload(
             raws.append(memoryview(pb).tobytes(order="A"))
 
     descriptors: list[tuple] = [()] * len(raws)
-    large = [i for i, r in enumerate(raws) if r.nbytes >= threshold]
+    large = [i for i, r in enumerate(raws) if r.nbytes >= SHM_THRESHOLD]
     shm_bytes = 0
     if large:
         # Pack all large buffers of this message into one pooled segment.

@@ -1,11 +1,11 @@
-"""Deterministic, seeded fault injection for the SPMD runtime.
+"""Deterministic fault injection for the SPMD runtime.
 
 Long campaigns *will* lose ranks mid-run (HACC treats checkpoint/restart as
 a first-class capability for exactly this reason), so the fault-tolerance
 path needs to be exercisable on demand, deterministically, in tests and CI.
 This module provides that harness: a :class:`FaultSpec` describes which
 faults to inject, :func:`install` arms a process-wide :class:`FaultInjector`,
-and the runtime consults it at three seams:
+and the runtime consults it at two seams:
 
 * **rank death** — :meth:`FaultInjector.on_step` is called by
   :meth:`repro.hacc.simulation.HACCSimulation.step` at the start of every
@@ -13,12 +13,6 @@ and the runtime consults it at three seams:
   raising :class:`RankKilledError` (thread backend) or via ``os._exit``
   (process backend — a hard crash the parent must detect by exit-code
   polling, see :mod:`repro.diy.process_backend`);
-* **message faults** — :meth:`FaultInjector.on_send` is consulted by
-  :meth:`repro.diy.comm.Communicator.send` for user point-to-point traffic
-  and can drop a message or delay it, driven by a per-rank seeded RNG so
-  two runs with the same spec inject identical faults.  Internal collective
-  traffic is never faulted (a dropped tree edge would deadlock every rank
-  by construction, which is not an interesting failure mode to test);
 * **torn checkpoint writes** — :meth:`FaultInjector.torn_write` is
   consulted by :func:`repro.diy.mpi_io.write_blocks`; when armed, the rank
   writes only a fraction of its first payload into the *temp* file and then
@@ -26,7 +20,7 @@ and the runtime consults it at three seams:
   write protocol guarantees the previous checkpoint survives.
 
 Both execution backends see the same injector: threads share the module
-global, and forked rank processes inherit it.
+global, and rank processes receive its spec with each task.
 
 The injector is process-global state; tests must pair :func:`install` with
 :func:`clear` (``try/finally``) so faults never leak across tests.
@@ -35,10 +29,7 @@ The injector is process-global state; tests must pair :func:`install` with
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "FaultSpec",
@@ -61,18 +52,13 @@ class TornWriteError(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Declarative description of the faults to inject (all seeded).
+    """Declarative description of the faults to inject.
 
     ``kill_rank``/``kill_step`` name the rank that dies and the 1-based
     step at whose *start* it dies (i.e. after ``kill_step - 1`` completed
     steps).  ``kill_mode`` is ``"raise"`` (thread backend: raise
     :class:`RankKilledError`) or ``"exit"`` (process backend: hard
     ``os._exit`` — no teardown, no result, exactly like a crashed node).
-
-    ``drop_rate``/``delay_rate`` fault user point-to-point sends with the
-    given probabilities (delayed messages sleep ``delay_s`` before
-    delivery); draws come from a per-rank ``default_rng([seed, rank])``
-    stream, so the same spec injects the same faults in the same order.
 
     ``tear_rank``/``tear_step`` arm a torn checkpoint write: during the
     collective block write that rank writes only ``tear_fraction`` of its
@@ -81,14 +67,10 @@ class FaultSpec:
     step (for tests that write checkpoints outside a stepping loop).
     """
 
-    seed: int = 0
     kill_rank: int | None = None
     kill_step: int | None = None
     kill_mode: str = "raise"
     kill_exitcode: int = 87
-    drop_rate: float = 0.0
-    delay_rate: float = 0.0
-    delay_s: float = 0.0
     tear_rank: int | None = None
     tear_step: int | None = None
     tear_fraction: float = 0.5
@@ -98,8 +80,6 @@ class FaultSpec:
         for mode in (self.kill_mode, self.tear_mode):
             if mode not in ("raise", "exit"):
                 raise ValueError(f"fault mode must be 'raise' or 'exit', got {mode!r}")
-        if not 0.0 <= self.drop_rate + self.delay_rate <= 1.0:
-            raise ValueError("drop_rate + delay_rate must be within [0, 1]")
         if not 0.0 <= self.tear_fraction < 1.0:
             raise ValueError(
                 f"tear_fraction must be in [0, 1), got {self.tear_fraction}"
@@ -111,20 +91,7 @@ class FaultInjector:
 
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
-        self._lock = threading.Lock()
-        self._rngs: dict[int, np.random.Generator] = {}
         self._steps: dict[int, int] = {}  # rank -> step currently executing
-        #: messages dropped / delayed so far on this process (observability)
-        self.dropped = 0
-        self.delayed = 0
-
-    # ------------------------------------------------------------------
-    def _rng(self, rank: int) -> np.random.Generator:
-        with self._lock:
-            rng = self._rngs.get(rank)
-            if rng is None:
-                rng = self._rngs[rank] = np.random.default_rng([self.spec.seed, rank])
-            return rng
 
     def _die(self, exc: BaseException, mode: str) -> None:
         if mode == "exit":
@@ -148,25 +115,6 @@ class FaultInjector:
                 ),
                 s.kill_mode,
             )
-
-    def on_send(self, rank: int, dest: int, tag: int) -> str | float | None:
-        """Fault decision for a user p2p send.
-
-        Returns ``"drop"``, a delay in seconds, or ``None`` (deliver
-        normally).  Deterministic given the spec seed and the per-rank
-        send order.
-        """
-        s = self.spec
-        if s.drop_rate <= 0.0 and s.delay_rate <= 0.0:
-            return None
-        u = float(self._rng(rank).random())
-        if u < s.drop_rate:
-            self.dropped += 1
-            return "drop"
-        if u < s.drop_rate + s.delay_rate:
-            self.delayed += 1
-            return s.delay_s
-        return None
 
     def torn_write(self, rank: int) -> float | None:
         """Fraction of the first payload to write before crashing, or None."""

@@ -7,8 +7,8 @@ accelerations back to particle positions.  Both use the standard CIC
 
 The deposit scatter-add is a single ``np.bincount`` over raveled flat mesh
 indices of all 8 trilinear corners — ``np.add.at`` performs the same
-reduction but through the much slower buffered ufunc.at machinery, so it is
-kept only as a reference oracle (:func:`cic_deposit_add_at`) for the tests.
+reduction but through the much slower buffered ufunc.at machinery; it
+survives only as the test oracle in ``tests/cic_reference.py``.
 
 Positions are in *grid units* ``[0, ng)``; callers convert from physical
 coordinates by dividing by the cell size.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cic_deposit", "cic_deposit_add_at", "cic_gather", "density_contrast"]
+__all__ = ["cic_deposit", "cic_gather", "density_contrast"]
 
 
 def _cic_weights(pos: np.ndarray, ng: int):
@@ -78,35 +78,6 @@ def cic_deposit(
                 np.multiply(wxy, wz, out=wgt[sl])
                 corner += 1
     return np.bincount(flat, weights=wgt, minlength=ng**3).reshape(ng, ng, ng)
-
-
-def cic_deposit_add_at(
-    positions: np.ndarray, ng: int, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Reference CIC deposit using ``np.add.at`` (the original implementation).
-
-    Kept as the oracle the tests validate :func:`cic_deposit`'s bincount
-    scatter against; not used on the hot path.
-    """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError(f"positions must be (n, 3), got {pos.shape}")
-    w = np.ones(len(pos)) if weights is None else np.asarray(weights, dtype=float)
-    if len(w) != len(pos):
-        raise ValueError("weights length must match positions")
-
-    i0, i1, f = _cic_weights(pos, ng)
-    g = 1.0 - f
-    mesh = np.zeros((ng, ng, ng))
-    # The 8 corner contributions of the trilinear kernel.
-    for dx, wx in ((0, g[:, 0]), (1, f[:, 0])):
-        ix = i0[:, 0] if dx == 0 else i1[:, 0]
-        for dy, wy in ((0, g[:, 1]), (1, f[:, 1])):
-            iy = i0[:, 1] if dy == 0 else i1[:, 1]
-            for dz, wz in ((0, g[:, 2]), (1, f[:, 2])):
-                iz = i0[:, 2] if dz == 0 else i1[:, 2]
-                np.add.at(mesh, (ix, iy, iz), w * wx * wy * wz)
-    return mesh
 
 
 def cic_gather(field: np.ndarray, positions: np.ndarray) -> np.ndarray:

@@ -300,7 +300,7 @@ class HACCSimulation:
         the coarse load histogram, deterministically build the same
         :class:`~repro.balance.BalancedDecomposition`, and migrate
         particles to their new owners through the existing all-to-all
-        (chunked transport on the process backend).  Particle state is
+        (shared-memory transport on the process backend).  Particle state is
         untouched — only ownership changes — so analysis results match a
         static-decomposition run.
         """

@@ -6,12 +6,12 @@ and friends duck-typed, so ``repro.observe`` stays import-light and free
 of cycles.  Three jobs:
 
 * **absorption** — map the existing per-layer counters
-  (CommStats, TessTimings, RecoveryStats, the fault injector) onto the
+  (CommStats, TessTimings, RecoveryStats) onto the
   process-wide metrics registry, keyed by rank, without touching their
   public fields;
 * **rank finalization** — :func:`rank_finished` runs once per rank at
   parallel-region end (both backends) and records the rank's
-  communication totals, memory high-water marks, and fault counters;
+  communication totals and memory high-water marks;
 * **process-backend transport** — :func:`process_worker` wraps a region
   worker so each forked rank ships its span buffer and metrics snapshot
   back with its result, and :func:`absorb_process_results` folds them
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable
 
-from .. import faults
 from . import trace
 from .metrics import peak_rss_bytes, registry
 
@@ -45,9 +44,6 @@ _COMM_COUNTERS = (
     "barrier_wait_s",
     "shm_msgs_sent",
     "shm_bytes_sent",
-    "chunk_frames_sent",
-    "msgs_dropped",
-    "msgs_delayed",
 )
 
 _TESS_PHASES = ("exchange", "compute", "output")
@@ -94,18 +90,11 @@ def absorb_recovery_stats(recovery: Any, rank: int) -> None:
 
 
 def rank_finished(comm: Any) -> None:
-    """Per-rank region-end hook: absorb communication totals, memory
-    high-water marks, and fault-injection counters for ``comm.rank``."""
+    """Per-rank region-end hook: absorb communication totals and memory
+    high-water marks for ``comm.rank``."""
     rank = comm.rank
     absorb_comm_stats(comm.stats, rank)
     registry().gauge("mem.peak_rss_bytes", rank=rank).set_max(peak_rss_bytes())
-    injector = faults.active()
-    if injector is not None:
-        reg = registry()
-        if injector.dropped:
-            reg.counter("faults.injected_drops", rank=rank).inc(injector.dropped)
-        if injector.delayed:
-            reg.counter("faults.injected_delays", rank=rank).inc(injector.delayed)
 
 
 _WRAP_KEY = "__repro_observe_wrapped__"
@@ -117,9 +106,9 @@ class process_worker:  # noqa: N801 - factory-style callable, keeps old name
     A *picklable* callable (not a closure): persistent pool workers receive
     their task over a pipe, so the wrapper must serialize along with the
     user function.  It also carries the parent's trace-enabled flag and
-    capacity — a pool worker was forked before ``observe.enable()`` ran in
-    the parent, so fork inheritance (which the fresh-fork path relies on)
-    cannot arm tracing there; the wrapper re-arms it on entry instead.
+    capacity — a persistent pool worker was forked before
+    ``observe.enable()`` ran in the parent, so fork inheritance cannot arm
+    tracing there; the wrapper re-arms it on entry instead.
 
     On the way out it clears any inherited observe state so only events
     recorded inside the region travel back, then bundles the child's span

@@ -20,13 +20,14 @@ from repro.balance import (
     load_imbalance,
     morton_key,
     rebalance_decomposition,
-    recursive_bisection_partition,
     sfc_partition,
 )
 from repro.core.accuracy import match_tessellations
 from repro.core.tessellate import tessellate
 from repro.diy.bounds import Bounds
 from repro.diy.decomposition import Decomposition
+
+from .balance_reference import recursive_bisection_partition
 
 BOX = 16.0
 

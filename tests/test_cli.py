@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from repro.cli import sim_main, tess_main
 
@@ -167,3 +168,26 @@ class TestSimCLI:
     def test_bad_fault_kill_spec(self, tmp_path):
         deck = self._deck(tmp_path, [{"tool": "statistics"}])
         assert sim_main([deck, "--fault-kill", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("spec,names", [
+        ("2:3", "rank 2"),   # --ranks 2: only ranks 0 and 1 exist
+        ("-1:3", "rank -1"),
+        ("1:5", "step 5"),   # the deck has 4 steps
+        ("0:0", "step 0"),   # steps are 1-based
+    ])
+    def test_fault_kill_out_of_range_is_a_usage_error(
+        self, tmp_path, capsys, spec, names
+    ):
+        """A kill that can never fire would let a fault drill pass
+        vacuously: reject it up front with one error line."""
+        deck = self._deck(tmp_path, [{"tool": "statistics"}])
+        assert sim_main([deck, "--ranks", "2", f"--fault-kill={spec}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --fault-kill ")
+        assert names in captured.err and captured.err.count("\n") == 1
+
+    def test_fault_seed_flag_is_gone(self, tmp_path):
+        deck = self._deck(tmp_path, [{"tool": "statistics"}])
+        with pytest.raises(SystemExit):
+            sim_main([deck, "--fault-seed", "1"])

@@ -1,14 +1,13 @@
-"""Tests for the thread-SPMD communicator (repro.diy.comm)."""
+"""Tests for the thread-SPMD communicator (repro.diy.comm).
+
+The communicator has no user point-to-point channel; the private
+``_send``/``_recv`` pair every collective is built on is tested directly.
+"""
 
 import numpy as np
 import pytest
 
-from repro.diy.comm import (
-    ANY_SOURCE,
-    ANY_TAG,
-    ParallelError,
-    run_parallel,
-)
+from repro.diy.comm import ANY_SOURCE, ParallelError, run_parallel
 
 
 class TestRunParallel:
@@ -48,25 +47,28 @@ class TestRunParallel:
         def f(comm):
             if comm.rank == 0:
                 raise RuntimeError("early death")
-            comm.recv(source=0, tag=9)  # never sent
+            comm.bcast(None, root=0)  # waits on rank 0, which never sends
 
         with pytest.raises(ParallelError) as exc:
             run_parallel(2, f)
         assert exc.value.rank == 0
 
     def test_mpi4py_spellings(self):
+        # mpi4py's attribute spellings (mpi4py.MPI.Comm.rank / .size).
         def f(comm):
-            return (comm.Get_rank(), comm.Get_size())
+            return (comm.rank, comm.size)
 
         assert run_parallel(3, f) == [(0, 3), (1, 3), (2, 3)]
 
 
 class TestPointToPoint:
+    """The private message path under every collective."""
+
     def test_send_recv_pairwise(self):
         def f(comm):
             peer = comm.size - 1 - comm.rank
-            comm.send(("hello", comm.rank), dest=peer, tag=7)
-            msg, src = comm.recv(source=peer, tag=7)
+            comm._send(("hello", comm.rank), peer, 7)
+            msg, src = comm._recv(peer, 7)
             assert msg == "hello" and src == peer
             return True
 
@@ -76,38 +78,49 @@ class TestPointToPoint:
         def f(comm):
             if comm.rank == 0:
                 for i in range(20):
-                    comm.send(i, dest=1, tag=3)
+                    comm._send(i, 1, 3)
                 return None
-            return [comm.recv(source=0, tag=3) for _ in range(20)]
+            return [comm._recv(0, 3) for _ in range(20)]
 
         assert run_parallel(2, f)[1] == list(range(20))
 
     def test_tag_matching(self):
         def f(comm):
             if comm.rank == 0:
-                comm.send("a", dest=1, tag=1)
-                comm.send("b", dest=1, tag=2)
+                comm._send("a", 1, 1)
+                comm._send("b", 1, 2)
                 return None
             # Receive out of send order by tag.
-            b = comm.recv(source=0, tag=2)
-            a = comm.recv(source=0, tag=1)
+            b = comm._recv(0, 2)
+            a = comm._recv(0, 1)
             return (a, b)
 
         assert run_parallel(2, f)[1] == ("a", "b")
 
-    def test_any_source_any_tag(self):
+    def test_any_source(self):
         def f(comm):
             if comm.rank == 0:
-                got = {comm.recv(ANY_SOURCE, ANY_TAG) for _ in range(comm.size - 1)}
+                got = {comm._recv_from(ANY_SOURCE, 5) for _ in range(comm.size - 1)}
                 return got
-            comm.send(comm.rank, dest=0, tag=comm.rank)
+            comm._send(comm.rank * 10, 0, 5)
             return None
 
-        assert run_parallel(4, f)[0] == {1, 2, 3}
+        assert run_parallel(4, f)[0] == {(10, 1), (20, 2), (30, 3)}
+
+    def test_any_source_matches_only_its_tag(self):
+        def f(comm):
+            if comm.rank == 1:
+                comm._send("other", 0, 4)
+                comm._send("mine", 0, 5)
+                return None
+            got = comm._recv_from(ANY_SOURCE, 5)
+            return got, comm._recv(1, 4)
+
+        assert run_parallel(2, f)[0] == (("mine", 1), "other")
 
     def test_send_to_invalid_rank(self):
         def f(comm):
-            comm.send(1, dest=5)
+            comm._send(1, 5, 0)
 
         with pytest.raises(ParallelError):
             run_parallel(2, f)
@@ -115,9 +128,9 @@ class TestPointToPoint:
     def test_numpy_payloads(self):
         def f(comm):
             if comm.rank == 0:
-                comm.send(np.arange(10.0), dest=1, tag=0)
+                comm._send(np.arange(10.0), 1, 0)
                 return None
-            arr = comm.recv(source=0, tag=0)
+            arr = comm._recv(0, 0)
             return float(arr.sum())
 
         assert run_parallel(2, f)[1] == 45.0
@@ -152,25 +165,13 @@ class TestCollectives:
 
         assert run_parallel(3, f) == [["a", "b", "c"]] * 3
 
-    def test_scatter(self):
-        def f(comm):
-            objs = [i * 100 for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
-
-        assert run_parallel(4, f) == [0, 100, 200, 300]
-
-    def test_scatter_wrong_length_raises(self):
-        def f(comm):
-            return comm.scatter([1] if comm.rank == 0 else None, root=0)
-
-        with pytest.raises(ParallelError):
-            run_parallel(2, f)
-
     def test_reduce_default_sum(self):
         def f(comm):
-            return comm.reduce(comm.rank + 1, root=0)
+            return comm.allreduce(comm.rank + 1)
 
-        assert run_parallel(4, f)[0] == 10
+        # 4 ranks recursive-double; 5 reduce down a binomial tree first.
+        for n in (4, 5):
+            assert run_parallel(n, f) == [n * (n + 1) // 2] * n
 
     def test_allreduce_custom_op(self):
         def f(comm):
@@ -214,9 +215,9 @@ class TestCollectives:
 
     def test_collectives_interleaved_with_p2p(self):
         def f(comm):
-            comm.send(comm.rank, dest=(comm.rank + 1) % comm.size, tag=0)
+            comm._send(comm.rank, (comm.rank + 1) % comm.size, 0)
             total = comm.allreduce(comm.rank)
-            left = comm.recv(source=(comm.rank - 1) % comm.size, tag=0)
+            left = comm._recv((comm.rank - 1) % comm.size, 0)
             return (total, left)
 
         out = run_parallel(4, f)

@@ -1,66 +1,18 @@
-"""Tests for the scalable communication layer: tag-space isolation,
-tree collectives vs. the linear reference oracles, the sparse exchange
-path, and the CommStats observability counters."""
+"""Tests for the scalable communication layer: tree collectives against
+their closed-form values, the sparse exchange path, and the CommStats
+observability counters."""
 
+import functools
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from repro.diy.bounds import Bounds
-from repro.diy.comm import (
-    ANY_SOURCE,
-    ANY_TAG,
-    ParallelError,
-    Request,
-    run_parallel,
-)
+from repro.diy.comm import ParallelError, run_parallel
 from repro.diy.decomposition import Decomposition
 from repro.diy.exchange import NeighborExchanger
-
-
-class TestTagIsolation:
-    def test_wildcard_recv_cannot_steal_collective_traffic(self):
-        """Regression: a user recv(ANY_SOURCE, ANY_TAG) posted while a
-        collective's internal message sits in the mailbox must match the
-        user message, not the collective payload.
-
-        On the old single-channel matching logic the wildcard matched the
-        first arrival — the bcast payload — silently corrupting both the
-        user receive and the broadcast."""
-
-        def worker(comm):
-            if comm.rank == 0:
-                comm.bcast("collective-secret", root=0)
-                comm.send("user-msg", dest=1, tag=5)
-                comm.send("ready", dest=1, tag=7)
-                return None
-            comm.recv(source=0, tag=7)  # both earlier messages have arrived
-            payload, src, tag = comm.recv_with_status(ANY_SOURCE, ANY_TAG)
-            got = comm.bcast(None, root=0)
-            return payload, src, tag, got
-
-        payload, src, tag, got = run_parallel(2, worker)[1]
-        assert payload == "user-msg"
-        assert (src, tag) == (0, 5)
-        assert got == "collective-secret"
-
-    def test_wildcard_recv_during_repeated_collectives(self):
-        """Wildcard receives interleaved with many collectives stay clean."""
-
-        def worker(comm):
-            out = []
-            for i in range(20):
-                if comm.rank == 0:
-                    comm.send(("user", i), dest=1, tag=3)
-                total = comm.allreduce(1)
-                assert total == comm.size
-                if comm.rank == 1:
-                    out.append(comm.recv(ANY_SOURCE, ANY_TAG))
-            return out
-
-        out = run_parallel(3, worker)[1]
-        assert out == [("user", i) for i in range(20)]
 
 
 # Non-commutative ops exercise the rank-order guarantee: string
@@ -69,9 +21,15 @@ def _concat(a, b):
     return a + b
 
 
+def _fold(op, values):
+    """The linear, message-free reference: fold contributions in rank order."""
+    return functools.reduce(op, values)
+
+
 class TestTreeVsLinearOracles:
-    """Tree collectives must produce results identical to the original
-    linear algorithms, for every size 1-9 and every root."""
+    """Tree collectives must equal the linear fold of every rank's
+    contribution, computed without message passing, for every size 1-9
+    and every root."""
 
     SIZES = list(range(1, 10))
 
@@ -80,9 +38,8 @@ class TestTreeVsLinearOracles:
         def worker(comm):
             for root in range(comm.size):
                 value = {"root": root, "data": list(range(root))}
-                tree = comm.bcast(value if comm.rank == root else None, root=root)
-                lin = comm.linear_bcast(value if comm.rank == root else None, root=root)
-                assert tree == lin == value
+                got = comm.bcast(value if comm.rank == root else None, root=root)
+                assert got == value
             return True
 
         assert all(run_parallel(n, worker))
@@ -91,52 +48,33 @@ class TestTreeVsLinearOracles:
     def test_gather(self, n):
         def worker(comm):
             for root in range(comm.size):
-                tree = comm.gather(f"r{comm.rank}", root=root)
-                lin = comm.linear_gather(f"r{comm.rank}", root=root)
-                assert tree == lin
+                got = comm.gather(f"r{comm.rank}", root=root)
                 if comm.rank == root:
-                    assert tree == [f"r{i}" for i in range(comm.size)]
+                    assert got == [f"r{i}" for i in range(comm.size)]
                 else:
-                    assert tree is None
-            return True
-
-        assert all(run_parallel(n, worker))
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_scatter(self, n):
-        def worker(comm):
-            for root in range(comm.size):
-                objs = [i * 10 for i in range(comm.size)] if comm.rank == root else None
-                tree = comm.scatter(objs, root=root)
-                objs = [i * 10 for i in range(comm.size)] if comm.rank == root else None
-                lin = comm.linear_scatter(objs, root=root)
-                assert tree == lin == comm.rank * 10
+                    assert got is None
             return True
 
         assert all(run_parallel(n, worker))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_reduce_non_commutative(self, n):
-        def worker(comm):
-            for root in range(comm.size):
-                tree = comm.reduce(f"[{comm.rank}]", op=_concat, root=root)
-                lin = comm.linear_reduce(f"[{comm.rank}]", op=_concat, root=root)
-                assert tree == lin
-                if comm.rank == root:
-                    assert tree == "".join(f"[{i}]" for i in range(comm.size))
-            return True
+        """The binomial reduce to rank 0 (``allreduce``'s first half on
+        non-power-of-two sizes), tested at every size."""
 
-        assert all(run_parallel(n, worker))
+        def worker(comm):
+            return comm._reduce(f"[{comm.rank}]", _concat, comm._next_coll_tag())
+
+        out = run_parallel(n, worker)
+        assert out[0] == _fold(_concat, [f"[{i}]" for i in range(n)])
+        assert all(r is None for r in out[1:])
 
     @pytest.mark.parametrize("n", SIZES)
     def test_allreduce_non_commutative(self, n):
         def worker(comm):
-            tree = comm.allreduce(f"[{comm.rank}]", op=_concat)
-            lin = comm.linear_allreduce(f"[{comm.rank}]", op=_concat)
-            assert tree == lin
-            return tree
+            return comm.allreduce(f"[{comm.rank}]", op=_concat)
 
-        expected = "".join(f"[{i}]" for i in range(n))
+        expected = _fold(_concat, [f"[{i}]" for i in range(n)])
         assert run_parallel(n, worker) == [expected] * n
 
     @pytest.mark.parametrize("n", SIZES)
@@ -152,10 +90,7 @@ class TestTreeVsLinearOracles:
     @pytest.mark.parametrize("n", SIZES)
     def test_allgather(self, n):
         def worker(comm):
-            tree = comm.allgather((comm.rank, "x" * comm.rank))
-            lin = comm.linear_allgather((comm.rank, "x" * comm.rank))
-            assert tree == lin
-            return tree
+            return comm.allgather((comm.rank, "x" * comm.rank))
 
         expected = [(i, "x" * i) for i in range(n)]
         assert run_parallel(n, worker) == [expected] * n
@@ -163,15 +98,12 @@ class TestTreeVsLinearOracles:
     @pytest.mark.parametrize("n", SIZES)
     def test_exscan_non_commutative(self, n):
         def worker(comm):
-            tree = comm.exscan(f"[{comm.rank}]", op=_concat)
-            lin = comm.linear_exscan(f"[{comm.rank}]", op=_concat)
-            assert tree == lin
-            return tree
+            return comm.exscan(f"[{comm.rank}]", op=_concat)
 
         out = run_parallel(n, worker)
         assert out[0] is None
         for r in range(1, n):
-            assert out[r] == "".join(f"[{i}]" for i in range(r))
+            assert out[r] == _fold(_concat, [f"[{i}]" for i in range(r)])
 
     @pytest.mark.parametrize("n", SIZES)
     def test_exscan_offsets(self, n):
@@ -186,105 +118,46 @@ class TestTreeVsLinearOracles:
             assert out[r] == sum(100 * (i + 1) for i in range(r))
 
     def test_tree_message_counts_logarithmic(self):
-        """The busiest rank sends/receives O(log P), not O(P)."""
-
-        def worker(comm):
-            s0 = comm.stats.snapshot()
-            comm.bcast("x" if comm.rank == 0 else None, root=0)
-            bcast_sent = comm.stats.since(s0).msgs_sent
-            s1 = comm.stats.snapshot()
-            comm.linear_bcast("x" if comm.rank == 0 else None, root=0)
-            linear_sent = comm.stats.since(s1).msgs_sent
-            return bcast_sent, linear_sent
-
-        n = 8
-        out = run_parallel(n, worker)
-        assert max(t for t, _ in out) == 3  # log2(8)
-        assert max(l for _, l in out) == n - 1  # root funnels to everyone
-
-
-class TestTwoLevelTopology:
-    """The topology-aware (group + leader) collectives: group sizing,
-    the REPRO_COLL_GROUP override, and exactness against the linear
-    oracles for uneven group widths."""
-
-    def test_auto_group_sizes(self):
-        from repro.diy.comm import _coll_group_size
-
-        # Below four ranks there is nothing to amortize.
-        assert [_coll_group_size(n) for n in (1, 2, 3)] == [1, 1, 1]
-        # Largest power of two <= sqrt(size) keeps both trees balanced.
-        assert _coll_group_size(4) == 2
-        assert _coll_group_size(8) == 2
-        assert _coll_group_size(16) == 4
-        assert _coll_group_size(64) == 8
-        assert _coll_group_size(100) == 8
-
-    def test_env_override_clamped(self, monkeypatch):
-        from repro.diy.comm import _coll_group_size
-
-        monkeypatch.setenv("REPRO_COLL_GROUP", "3")
-        assert _coll_group_size(6) == 3
-        monkeypatch.setenv("REPRO_COLL_GROUP", "99")
-        assert _coll_group_size(6) == 6  # clamped to size
-        monkeypatch.setenv("REPRO_COLL_GROUP", "1")
-        assert _coll_group_size(6) == 1  # grouping disabled
-        monkeypatch.setenv("REPRO_COLL_GROUP", "garbage")
-        assert _coll_group_size(6) == 2  # fall back to the auto rule
-
-    @pytest.mark.parametrize("group", ["1", "2", "3", "4"])
-    def test_forced_group_widths_match_oracles(self, group, monkeypatch):
-        """Every group width — including uneven trailing groups (3 on 6
-        ranks leaves none, 4 leaves a half group) — must reproduce the
-        linear reference results exactly, non-commutative ops included."""
-        monkeypatch.setenv("REPRO_COLL_GROUP", group)
-
-        def worker(comm):
-            for root in range(comm.size):
-                v = {"root": root}
-                assert comm.bcast(v if comm.rank == root else None, root=root) == v
-                assert comm.gather(f"r{comm.rank}", root=root) == (
-                    [f"r{i}" for i in range(comm.size)]
-                    if comm.rank == root else None
-                )
-                tree = comm.reduce(f"[{comm.rank}]", op=_concat, root=root)
-                if comm.rank == root:
-                    assert tree == "".join(f"[{i}]" for i in range(comm.size))
-            assert comm.allreduce(f"[{comm.rank}]", op=_concat) == "".join(
-                f"[{i}]" for i in range(comm.size)
-            )
-            return True
-
-        assert all(run_parallel(6, worker))
-
-    def test_busiest_rank_message_count_stays_logarithmic(self):
-        """At 8 ranks the two-level bcast must not regress the O(log P)
-        bound the flat tree achieved (the root still sends exactly 3)."""
+        """The busiest rank sends O(log P), not O(P); the tree has P-1 edges."""
 
         def worker(comm):
             s0 = comm.stats.snapshot()
             comm.bcast("x" if comm.rank == 0 else None, root=0)
             return comm.stats.since(s0).msgs_sent
 
-        assert max(run_parallel(8, worker)) == 3
+        n = 8
+        sent = run_parallel(n, worker)
+        assert max(sent) == 3  # log2(8)
+        assert sum(sent) == n - 1
 
 
 class TestSparseExchange:
     def test_sparse_matches_dense_periodic_2x2x2(self):
+        """Every link's payload arrives, in (source rank, enqueue) order —
+        the closed-form all-pairs delivery a dense alltoall would make."""
         decomp = Decomposition(Bounds.cube(8.0), (2, 2, 2), periodic=True)
 
-        def worker(comm, dense):
+        def payload(gid, link):
+            return (gid, link.gid, tuple(link.direction))
+
+        def worker(comm):
             ex = NeighborExchanger(decomp, comm)
             gid = comm.rank
             for link in decomp.block(gid).links:
-                ex.enqueue(gid, link, (gid, link.gid, tuple(link.direction)))
-            inbox = ex.exchange(dense=dense)
-            return inbox[gid]
+                ex.enqueue(gid, link, payload(gid, link))
+            return ex.exchange()[gid]
 
-        dense = run_parallel(8, worker, True)
-        sparse = run_parallel(8, worker, False)
-        assert sparse == dense
-        assert all(len(batch) > 0 for batch in sparse)
+        expected = [
+            [
+                (src, payload(src, link))
+                for src in range(8)
+                for link in decomp.block(src).links
+                if link.gid == gid
+            ]
+            for gid in range(8)
+        ]
+        assert run_parallel(8, worker) == expected
+        assert all(len(batch) > 0 for batch in expected)
 
     def test_sparse_skips_silent_ranks(self):
         """Only ranks with queued payloads send payload messages."""
@@ -322,28 +195,39 @@ class TestSparseExchange:
         out = run_parallel(2, worker)
         assert out == [{0: []}, {1: []}]
 
-    def test_ghost_exchange_dense_flag_equivalent(self):
-        decomp = Decomposition(Bounds.cube(4.0), (2, 2, 2), periodic=True)
+    def test_ghost_exchange_matches_brute_force(self):
+        """Each block receives exactly the periodic images of other blocks'
+        particles within ``ghost`` (Chebyshev) of its box."""
+        box, ghost = 4.0, 1.0
+        decomp = Decomposition(Bounds.cube(box), (2, 2, 2), periodic=True)
         rng = np.random.default_rng(7)
-        pts = rng.uniform(0, 4.0, size=(160, 3))
+        pts = rng.uniform(0, box, size=(160, 3))
         ids = np.arange(160, dtype=np.int64)
         owners = decomp.locate(pts)
 
         from repro.core.ghost import exchange_ghost_particles
 
-        def worker(comm, dense):
+        def worker(comm):
             mine = owners == comm.rank
             gpos, gids = exchange_ghost_particles(
-                decomp, comm, comm.rank, pts[mine], ids[mine], ghost=1.0,
-                dense=dense,
+                decomp, comm, comm.rank, pts[mine], ids[mine], ghost=ghost
             )
-            return np.sort(gids), np.round(gpos[np.argsort(gids)], 9)
+            return sorted(zip(gids.tolist(), map(tuple, np.round(gpos, 9))))
 
-        dense = run_parallel(8, worker, True)
-        sparse = run_parallel(8, worker, False)
-        for (di, dp), (si, sp) in zip(dense, sparse):
-            np.testing.assert_array_equal(di, si)
-            assert len(di) > 0
+        def expected(gid):
+            lo, hi = decomp.block(gid).core.as_arrays()
+            out = set()
+            for wrap in itertools.product((-1, 0, 1), repeat=3):
+                img = pts + box * np.asarray(wrap, dtype=float)
+                dist = np.maximum(np.maximum(lo - img, img - hi), 0.0).max(axis=1)
+                for i in np.flatnonzero((dist <= ghost) & (owners != gid)):
+                    out.add((int(ids[i]), tuple(np.round(img[i], 9))))
+            return sorted(out)
+
+        got = run_parallel(8, worker)
+        for gid in range(8):
+            assert got[gid] == expected(gid)
+            assert len(got[gid]) > 0
 
 
 class TestCommStats:
@@ -352,9 +236,9 @@ class TestCommStats:
 
         def worker(comm):
             if comm.rank == 0:
-                comm.send(payload, dest=1, tag=1)
+                comm._send(payload, 1, 1)
             else:
-                comm.recv(source=0, tag=1)
+                comm._recv(0, 1)
             return comm.stats.as_dict()
 
         s0, s1 = run_parallel(2, worker)
@@ -380,9 +264,7 @@ class TestCommStats:
         def worker(comm):
             if comm.rank == 0:
                 time.sleep(0.08)
-                comm.send("late", dest=1, tag=1)
-                return 0.0
-            comm.recv(source=0, tag=1)
+            comm.bcast("late", root=0)
             return comm.stats.recv_wait_s
 
         waited = run_parallel(2, worker)[1]
@@ -414,27 +296,14 @@ class TestCommStats:
         ]
 
 
-class TestRequest:
-    def test_isend_returns_completed_request(self):
-        def worker(comm):
-            if comm.rank == 0:
-                req = comm.isend({"k": 1}, dest=1, tag=2)
-                assert isinstance(req, Request)
-                assert req.wait() is None
-                flag, _ = req.test()
-                assert flag
-                return True
-            return comm.recv(source=0, tag=2)
-
-        out = run_parallel(2, worker)
-        assert out == [True, {"k": 1}]
-
-
 class TestConfigurableTimeout:
     def test_recv_timeout_argument(self):
+        """A rank that skips a collective leaves its peers waiting; the
+        timeout turns that deadlock into a prompt error."""
+
         def worker(comm):
             if comm.rank == 1:
-                comm.recv(source=0, tag=9)  # never sent
+                comm.bcast(None, root=0)  # rank 0 never joins
 
         t0 = time.perf_counter()
         with pytest.raises(ParallelError) as exc:

@@ -19,10 +19,8 @@ from repro.diy.comm import ParallelError, run_parallel
 # transport layer (no processes involved)
 # ----------------------------------------------------------------------
 class TestEncodeDecode:
-    def _roundtrip(self, obj, pool, threshold=None):
-        meta, descriptors, shm_bytes = transport.encode_payload(
-            obj, pool, threshold=threshold
-        )
+    def _roundtrip(self, obj, pool):
+        meta, descriptors, shm_bytes = transport.encode_payload(obj, pool)
         attached = {}
 
         def attach(name):
@@ -99,21 +97,18 @@ class TestEncodeDecode:
             transport.close_segment_quietly(shm)
         pool.shutdown()
 
-    def test_threshold_override(self):
+    def test_threshold_override(self, monkeypatch):
+        monkeypatch.setattr(transport, "SHM_THRESHOLD", 256)
         pool = transport.ShmPool()
         arr = np.arange(64, dtype=np.float64)  # 512 bytes
-        _, _, shm_bytes, _ = self._roundtrip(arr, pool, threshold=256)
+        _, _, shm_bytes, _ = self._roundtrip(arr, pool)
         assert shm_bytes == arr.nbytes
         pool.shutdown()
 
 
-class TestChunkedFraming:
-    """send_message/recv_message: framing above the pipe's C-int cap.
-
-    Real >2 GiB payloads are not testable in CI; the limits are module
-    attributes precisely so these tests can shrink them and exercise the
-    exact code paths a 2 GiB message would take.
-    """
+class TestPipeFraming:
+    """send_message/recv_message: one frame per message, checked against
+    the pipe's C-int frame cap."""
 
     def _pipe(self):
         from multiprocessing import Pipe
@@ -122,65 +117,20 @@ class TestChunkedFraming:
 
     def test_small_message_is_single_frame(self):
         a, b = self._pipe()
-        wire = pickle.dumps(list(range(100)), protocol=5)
-        assert transport.send_message(a, wire) == 0
-        obj, frames = transport.recv_message(b)
-        assert obj == list(range(100)) and frames == 0
+        transport.send_message(a, pickle.dumps(list(range(100)), protocol=5))
+        assert transport.recv_message(b) == list(range(100))
+        assert not b.poll()  # nothing but the one frame was sent
 
-    def test_oversized_message_chunks_and_reassembles(self, monkeypatch):
-        monkeypatch.setattr(transport, "CHUNK_LIMIT", 1024)
-        a, b = self._pipe()
-        payload = {"arr": list(range(4000)), "tag": "big"}
-        wire = pickle.dumps(payload, protocol=5)
-        expected = -(-len(wire) // 1024)
-        assert expected > 1
-        assert transport.send_message(a, wire) == expected
-        obj, frames = transport.recv_message(b)
-        assert obj == payload
-        assert frames == expected
-
-    def test_chunk_boundary_exact_multiple(self, monkeypatch):
-        monkeypatch.setattr(transport, "CHUNK_LIMIT", 256)
-        a, b = self._pipe()
-        body = bytes(256 * 4 - 37)  # pickle overhead lands off-boundary
-        wire = pickle.dumps(body, protocol=5)
-        sent = transport.send_message(a, wire)
-        obj, frames = transport.recv_message(b)
-        assert obj == body and frames == sent > 0
-
-    def test_disabled_chunking_raises_commerror_naming_size(self, monkeypatch):
-        monkeypatch.setattr(transport, "CHUNK_LIMIT", 0)
+    def test_oversized_frame_raises_commerror_naming_size(self, monkeypatch):
+        """No chunking: a frame above the cap raises an actionable error
+        naming its size instead of failing deep inside the pipe code."""
         monkeypatch.setattr(transport, "_PIPE_MAX", 4096)
-        a, _ = self._pipe()
+        a, b = self._pipe()
         wire = pickle.dumps(bytes(10_000), protocol=5)
         with pytest.raises(transport.CommError) as exc:
             transport.send_message(a, wire)
-        # The error must be actionable: payload size and the knob by name.
         assert str(len(wire)) in str(exc.value)
-        assert "REPRO_CHUNK_LIMIT" in str(exc.value)
-
-    def test_end_to_end_chunked_send_between_ranks(self, monkeypatch):
-        # Keep the array out of shared memory so the wire blob itself is
-        # large, then force chunking at 4 KiB.  The closure worker defeats
-        # pickling, so the fresh-fork path runs and inherits both patches.
-        monkeypatch.setattr(transport, "SHM_THRESHOLD", 1 << 30)
-        monkeypatch.setattr(transport, "CHUNK_LIMIT", 4096)
-        marker = object()  # unpicklable closure cell
-
-        def worker(comm, _marker=marker):
-            if comm.rank == 0:
-                comm.send(np.arange(40_000, dtype=np.float64), dest=1, tag=7)
-                total = -1.0
-            else:
-                arr = comm.recv(source=0, tag=7)
-                total = float(arr.sum())
-            comm.barrier()
-            return total, comm.stats.chunk_frames_sent
-
-        results = run_parallel(2, worker, backend="process")
-        assert results[1][0] == float(np.arange(40_000).sum())
-        assert results[0][1] > 0  # sender used chunk frames
-        assert results[1][1] == 0
+        assert not b.poll()  # nothing partial hit the pipe
 
 
 class TestShmPool:
@@ -220,10 +170,6 @@ def _collective_workout(comm):
     out = {
         "bcast": comm.bcast({"root": 0, "arr": big} if rank == 0 else None),
         "gathered": comm.gather(rank * 2, root=0),
-        "scattered": comm.scatter(
-            [f"item{i}" for i in range(size)] if rank == 0 else None
-        ),
-        "reduced": comm.reduce(rank + 1, root=0),
         "allreduced": comm.allreduce(float(big.sum())),
         "allgathered": comm.allgather(rank),
         "exscan": comm.exscan(rank + 1),
@@ -270,11 +216,8 @@ class TestProcessCollectives:
 
     def test_large_payloads_use_shared_memory(self):
         def worker(comm):
-            if comm.rank == 0:
-                comm.send(np.zeros(100_000), dest=1, tag=3)
-            elif comm.rank == 1:
-                arr = comm.recv(source=0, tag=3)
-                assert arr.shape == (100_000,)
+            arr = comm.bcast(np.zeros(100_000) if comm.rank == 0 else None)
+            assert arr.shape == (100_000,)
             comm.barrier()
             return comm.stats.shm_msgs_sent, comm.stats.shm_bytes_sent
 
@@ -298,14 +241,14 @@ class TestProcessCollectives:
             peer = 1 - comm.rank
             for i in range(rounds):
                 if comm.rank == 0:
-                    comm.send(np.full(50_000, i, dtype=np.float64), peer, tag=i)
-                    reply = comm.recv(source=peer, tag=i)
+                    comm._send(np.full(50_000, i, dtype=np.float64), peer, i)
+                    reply = comm._recv(peer, i)
                     assert reply[0] == -i
                 else:
-                    got = comm.recv(source=peer, tag=i)
+                    got = comm._recv(peer, i)
                     assert got[0] == i
                     del got  # drop the shm view so the lease goes idle
-                    comm.send(np.full(50_000, -i, dtype=np.float64), peer, tag=i)
+                    comm._send(np.full(50_000, -i, dtype=np.float64), peer, i)
                 time.sleep(0.06)  # let the receiver thread reap idle leases
             comm.barrier()
             return comm._world.pool.created
@@ -331,7 +274,7 @@ class TestProcessFailures:
         def worker(comm):
             if comm.rank == 0:
                 raise RuntimeError("early death")
-            comm.recv(source=0, tag=9)  # never sent
+            comm.bcast(None, root=0)  # waits on rank 0, which never sends
 
         with pytest.raises(ParallelError) as exc:
             run_parallel(2, worker, backend="process")
@@ -340,7 +283,7 @@ class TestProcessFailures:
     def test_deadlock_times_out(self):
         def worker(comm):
             if comm.rank == 0:
-                comm.recv(source=1, tag=42)  # rank 1 never sends
+                comm.bcast(None, root=1)  # rank 1 never joins
 
         with pytest.raises(ParallelError):
             run_parallel(2, worker, backend="process", recv_timeout=1.5)

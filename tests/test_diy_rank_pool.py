@@ -5,8 +5,8 @@ forked rank workers (and their shm segments and pipe mesh) alive across
 ``run_parallel`` regions.  These tests pin the lease contract: the same
 worker processes serve consecutive runs with bit-identical results, any
 failure invalidates the pool and sweeps its shared memory, unpicklable
-tasks fall back to fresh forks, and no exit path — including a failed
-spawn — leaves live child processes behind.
+tasks run on a one-shot pool of fresh forks, and no exit path — including
+a failed spawn — leaves live child processes behind.
 """
 
 import os
@@ -14,12 +14,9 @@ import os
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.diy.comm import ParallelError, run_parallel
-from repro.diy.process_backend import (
-    pool_counters,
-    pool_enabled,
-    shutdown_pool,
-)
+from repro.diy.process_backend import pool_counters, shutdown_pool
 
 
 @pytest.fixture(autouse=True)
@@ -44,12 +41,13 @@ def _pid_worker(comm):
 
 
 def _collective_worker(comm, seed):
-    """Collectives + large p2p: the traffic mix of a tessellation step."""
+    """Collectives + a large neighbour exchange: the traffic mix of a
+    tessellation step."""
     rng = np.random.default_rng(seed + comm.rank)
     big = rng.standard_normal(20_000)  # > SHM_THRESHOLD, rides shm
     peer = (comm.rank + 1) % comm.size
-    comm.send(big, dest=peer, tag=1)
-    echoed = comm.recv(source=(comm.rank - 1) % comm.size, tag=1)
+    inbox = comm.sparse_alltoall({peer: big})
+    echoed = inbox[(comm.rank - 1) % comm.size]
     total = comm.allreduce(float(big.sum()))
     gathered = comm.gather(comm.rank * 2, root=0)
     comm.barrier()
@@ -80,14 +78,19 @@ class TestPoolReuse:
         assert pool_counters["runs_reused"] == before["runs_reused"] + 1
 
     @pytest.mark.parametrize("nranks", (1, 2, 4))
-    def test_pooled_results_identical_to_fresh_fork(self, nranks, monkeypatch):
-        assert pool_enabled()
+    def test_pooled_results_identical_to_fresh_fork(self, nranks):
         pooled = run_parallel(nranks, _collective_worker, 9, backend="process")
         pooled2 = run_parallel(nranks, _collective_worker, 9, backend="process")
         shutdown_pool()
-        monkeypatch.setenv("REPRO_POOL", "0")
-        assert not pool_enabled()
-        fresh = run_parallel(nranks, _collective_worker, 9, backend="process")
+        leased = pool_counters["runs_leased"]
+        live = []  # closing over a live list defeats pickle: one-shot pool
+
+        def fresh_worker(comm, seed):
+            live.append(comm.rank)
+            return _collective_worker(comm, seed)
+
+        fresh = run_parallel(nranks, fresh_worker, 9, backend="process")
+        assert pool_counters["runs_leased"] == leased
         # Bit-identical payloads; only the worker PIDs may differ.
         assert [r[:3] for r in pooled] == [r[:3] for r in fresh]
         assert [r[:3] for r in pooled] == [r[:3] for r in pooled2]
@@ -149,12 +152,14 @@ class TestPoolInvalidation:
             return os.getpid()
 
         before = dict(pool_counters)
+        baseline = _repro_segments()
         first = run_parallel(2, worker, backend="process")
         second = run_parallel(2, worker, backend="process")
-        assert pool_counters["fallback_runs"] == before["fallback_runs"] + 2
+        # Each region forks a one-shot pool; nothing is leased or kept.
+        assert pool_counters["forks"] == before["forks"] + 4
         assert pool_counters["runs_leased"] == before["runs_leased"]
-        # Fresh forks every region: distinct worker processes each time.
         assert set(first).isdisjoint(second)
+        assert _repro_segments() == baseline
 
 
 class TestSpawnFailure:
@@ -177,13 +182,14 @@ class TestSpawnFailure:
         return spawned
 
     def test_fresh_fork_spawn_failure_leaves_no_children(self, monkeypatch):
-        from repro.diy.process_backend import run_parallel_processes
+        live = []  # closing over a live list defeats pickle: one-shot pool
+
+        def worker(comm):
+            live.append(comm.rank)
 
         spawned = self._arm_failing_spawn(monkeypatch, fail_at=2)
         with pytest.raises(OSError, match="fork"):
-            run_parallel_processes(
-                4, _pid_worker, (), {}, use_pool=False
-            )
+            run_parallel(4, worker, backend="process")
         assert len(spawned) == 2
         for proc in spawned:
             proc.join(timeout=10.0)
@@ -209,21 +215,18 @@ class TestTaskWire:
     def test_fault_spec_ships_with_pooled_task(self):
         """Pool workers forked before the injector was armed must still see
         it: the active FaultSpec rides the task wire."""
-        from repro import faults
-
         run_parallel(2, _pid_worker, backend="process")  # warm the pool
-        faults.install(faults.FaultSpec(seed=5, delay_rate=1.0, delay_s=0.0))
+        spec = faults.FaultSpec(kill_rank=1, kill_step=99, kill_mode="exit")
+        faults.install(spec)
         try:
-            delayed = run_parallel(2, _delay_probe, backend="process")
+            seen = run_parallel(2, _fault_probe, backend="process")
         finally:
             faults.clear()
-        assert delayed[0] >= 1
+        assert seen == [spec, spec]
+        # ...and is disarmed again for the next lease.
+        assert run_parallel(2, _fault_probe, backend="process") == [None, None]
 
 
-def _delay_probe(comm):
-    if comm.rank == 0:
-        comm.send("x", dest=1, tag=1)
-    else:
-        comm.recv(source=0, tag=1)
-    comm.barrier()
-    return comm.stats.msgs_delayed
+def _fault_probe(comm):
+    injector = faults.active()
+    return injector.spec if injector is not None else None

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.hacc.mesh import cic_deposit, cic_gather, density_contrast
 from repro.hacc.poisson import accelerations_from_delta, gravitational_potential
 
+from .cic_reference import cic_deposit_add_at
+
 
 class TestCICDeposit:
     def test_mass_conservation(self):
@@ -60,6 +62,17 @@ class TestCICDeposit:
         mesh = cic_deposit(pos, ng)
         assert mesh.sum() == pytest.approx(n, rel=1e-9)
         assert np.all(mesh >= 0)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_add_at_oracle(self, weighted):
+        rng = np.random.default_rng(4)
+        pos = rng.uniform(-8, 24, size=(2000, 3))  # includes out-of-box
+        w = rng.uniform(0.5, 2.0, size=2000) if weighted else None
+        np.testing.assert_allclose(
+            cic_deposit(pos, 16, weights=w),
+            cic_deposit_add_at(pos, 16, weights=w),
+            rtol=1e-12, atol=1e-12,
+        )
 
 
 class TestCICGather:

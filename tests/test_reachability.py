@@ -250,3 +250,65 @@ def test_reexports_resolve_to_the_defining_module():
     }
     # importing a package alone reaches none of what it re-exports
     assert walker.walk(["repro.core"], []) == {"repro.core"}
+
+
+# ----------------------------------------------------------------------
+# the runtime keeps only what the pipeline calls
+# ----------------------------------------------------------------------
+COMM = SRC / "repro" / "diy" / "comm.py"
+RETIRED_ENV_KNOBS = (
+    "REPRO_COLL_GROUP",
+    "REPRO_CHUNK_LIMIT",
+    "REPRO_POOL",
+    "REPRO_SHM_THRESHOLD",
+)
+
+
+def communicator_methods() -> set[str]:
+    """Public methods (properties excluded) of ``Communicator``."""
+    cls = next(
+        node
+        for node in parse(COMM).body
+        if isinstance(node, ast.ClassDef) and node.name == "Communicator"
+    )
+    return {
+        node.name
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and not any(
+            isinstance(d, ast.Name) and d.id == "property"
+            for d in node.decorator_list
+        )
+    }
+
+
+def src_files() -> list[pathlib.Path]:
+    return sorted((SRC / "repro").rglob("*.py"))
+
+
+def test_every_communicator_method_has_a_caller():
+    """A collective with no call site in ``src/`` outside ``comm.py`` is
+    machinery nothing exercises: delete it rather than keep it as an
+    oracle.  Matching is by method name on any ``x.<name>(...)`` call."""
+    called: set[str] = set()
+    for path in src_files():
+        if path == COMM:
+            continue
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    uncalled = sorted(communicator_methods() - called)
+    assert not uncalled, (
+        f"Communicator methods nothing under src/ calls: {uncalled}"
+    )
+
+
+def test_retired_env_knobs_are_not_read():
+    readers = sorted(
+        f"{path.relative_to(SRC)}: {node.value}"
+        for path in src_files()
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Constant) and node.value in RETIRED_ENV_KNOBS
+    )
+    assert not readers, f"retired environment knobs still read: {readers}"

@@ -17,8 +17,8 @@ class TestDeadlockDetection:
         monkeypatch.setattr(comm_mod, "_DEFAULT_TIMEOUT", 0.2)
 
         def worker(comm):
-            if comm.rank == 1:
-                comm.recv(source=0, tag=42)  # rank 0 never sends
+            if comm.rank == 0:
+                comm.gather("x", root=0)  # rank 1 never contributes
 
         with pytest.raises(ParallelError) as exc:
             run_parallel(2, worker)
