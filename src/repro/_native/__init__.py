@@ -23,6 +23,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 
@@ -35,6 +36,10 @@ _CFLAGS = ["-O3", "-fPIC", "-shared"]
 _lib = None
 _tried = False
 _error: str | None = None
+#: first use may come from several threads at once (thread-backend ranks,
+#: a block's slabs): one builds, the others wait for its answer instead of
+#: taking the NumPy path meanwhile
+_first_use = threading.Lock()
 
 
 def _cache_dir() -> str:
@@ -105,14 +110,16 @@ def lib():
     """The loaded kernel library, or ``None`` if unavailable."""
     global _lib, _tried, _error
     if not _tried:
-        _tried = True
-        if os.environ.get("REPRO_NO_NATIVE"):
-            _error = "disabled by REPRO_NO_NATIVE"
-        else:
-            try:
-                _lib = _declare(_build())
-            except Exception as exc:  # noqa: BLE001 - fallback by design
-                _error = f"{type(exc).__name__}: {exc}"
+        with _first_use:
+            if not _tried:
+                if os.environ.get("REPRO_NO_NATIVE"):
+                    _error = "disabled by REPRO_NO_NATIVE"
+                else:
+                    try:
+                        _lib = _declare(_build())
+                    except Exception as exc:  # noqa: BLE001 - fallback by design
+                        _error = f"{type(exc).__name__}: {exc}"
+                _tried = True
     return _lib
 
 

@@ -21,6 +21,9 @@ set, launches the parallel region, and gathers a :class:`Tessellation`.
 
 from __future__ import annotations
 
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterator
@@ -37,7 +40,7 @@ from .cell import VoronoiCell
 from .culling import early_cull_mask, exact_cull_mask, passes_early_cull
 from .data_model import VoronoiBlock
 from .ghost import exchange_ghost_particles
-from .timing import PhaseTimer, TessTimings
+from .timing import PhaseTimer, TessTimings, credit_cpu
 
 __all__ = [
     "tessellate_block",
@@ -53,6 +56,22 @@ __all__ = [
 #: holds ~0.55 of the points of a 4-spacing ghost and leaves a handful of
 #: owned cells per block to repair (sweep in EXPERIMENTS.md).
 _START_SPACINGS = 2.0
+
+#: Fewest owned sites a slab of a block's thin pass holds: a thinner slab
+#: triangulates more seam shell than it takes off the other threads
+#: (sweep in EXPERIMENTS.md).
+_MIN_SLAB_SITES = 512
+
+
+def _slab_count(ranks: int) -> int:
+    """Threads one block's thin pass may use: the cores this process can
+    run on, shared among the ``ranks`` ranks of the parallel region (the
+    thread and process backends place every rank on this machine)."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // ranks)
 
 
 def _observe_geometry(fv, n_complete: int, **counts: int) -> None:
@@ -87,6 +106,7 @@ def _tessellate_block_flat(
     vmin: float | None,
     vmax: float | None,
     rank: int = 0,
+    slabs: int = 1,
 ) -> VoronoiBlock:
     """Block ``gid`` of ``decomposition`` from its owned points and the
     ghosts exchanged at thickness ``ghost`` (steps 2-3 of the pipeline).
@@ -102,6 +122,10 @@ def _tessellate_block_flat(
     patch over all points in hand.  The cells returned are the cells of
     the triangulation of everything; when nothing can be withheld (or the
     input is degenerate) that triangulation is what runs.
+
+    That thin pass runs as up to ``slabs`` slabs on as many threads
+    (:func:`_slab_parts`, at least :data:`_MIN_SLAB_SITES` owned sites
+    each); the cells do not depend on the slab count.
 
     A balanced block's irregular region refines completeness
     certification — see :func:`_region_complete_mask`.  ``rank`` labels
@@ -124,11 +148,11 @@ def _tessellate_block_flat(
         [np.asarray(owned_ids, dtype=np.int64), np.asarray(ghost_ids, dtype=np.int64)]
     )
 
-    def assemble(fv, n, subset=slice(None), eligible=None, **observed):
+    def assemble(fv, sites, subset=slice(None), **observed):
         return _block_from_flat(
-            fv, n, all_points[subset], local_to_global[subset], gid, extents,
-            vmin, vmax, region=region, region_radius=ghost,
-            eligible=eligible, **observed,
+            fv, sites, all_points[subset], local_to_global[subset], gid,
+            extents, vmin, vmax, region=region, region_radius=ghost,
+            **observed,
         )
 
     volume = extents.volume if region is None else region.volume()
@@ -150,29 +174,79 @@ def _tessellate_block_flat(
 
     block = None
     if enclosed and withheld.any():
-        block = _thin_block(
-            all_points, n_owned, withheld, safe_box, container, assemble, rank
+        parts = _slab_parts(
+            all_points, n_owned, withheld, start, extents, safe_box,
+            max(1, min(slabs, n_owned // _MIN_SLAB_SITES)),
         )
+        block = _thin_block(all_points, withheld, parts, container, assemble, rank)
     if block is None:
         with observe.span("full-pass", rank=rank, cat="core"):
-            fv = DelaunayVoronoi(all_points, container, n_owned=n_owned)
-        block = assemble(fv, n_owned)[0]
+            fv = DelaunayVoronoi(
+                all_points, container, owned=np.arange(len(all_points)) < n_owned
+            )
+        block = assemble(fv, np.arange(n_owned))[0]
     return block
+
+
+def _slab_parts(
+    all_points: np.ndarray,
+    n_owned: int,
+    withheld: np.ndarray,
+    start: float,
+    extents: Bounds,
+    safe_box: Bounds | None,
+    count: int,
+) -> list[tuple[np.ndarray, np.ndarray, Bounds | None]]:
+    """The thin pass cut into ``count`` slabs across the block's longest
+    axis, with equal owned counts: ``(subset, owned, safe_box)`` per slab.
+
+    ``subset`` lists, in block order, the points a slab triangulates: its
+    owned sites plus every point not ``withheld`` within ``start`` of the
+    slab along the axis (the same shell depth the block keeps on its other
+    sides, here drawn from the neighbouring slabs' owned sites too);
+    ``owned`` masks the slab's own sites in it.  Each slab's triangulation
+    then sees its points in the block's relative order, so a tet two
+    slabs share has the same circumcenter bits in both.  ``safe_box`` is
+    the block's narrowed to the slab: no point outside ``subset`` lies in
+    it.  One slab is the unsliced thin pass.
+    """
+    lo, hi = extents.as_arrays()
+    axis = int(np.argmax(hi - lo))
+    x = all_points[:, axis]
+    cuts = np.sort(x[:n_owned])[np.arange(1, count) * n_owned // count]
+    slab_of = np.searchsorted(cuts, x[:n_owned], side="right")
+    edges = np.concatenate([[-np.inf], cuts, [np.inf]])
+    parts = []
+    for k in range(count):
+        below, above = edges[k] - start, edges[k + 1] + start
+        subset = np.flatnonzero(~withheld & (x >= below) & (x <= above))
+        owned = subset < n_owned
+        owned[owned] = slab_of[subset[owned]] == k
+        if not owned.any():
+            continue  # tied cut coordinates left this slab no site
+        safe = safe_box
+        if safe_box is not None:
+            slo, shi = safe_box.as_arrays()
+            slo[axis] = max(slo[axis], below)
+            shi[axis] = min(shi[axis], above)
+            safe = Bounds.from_arrays(slo, shi)
+        parts.append((subset, owned, safe))
+    return parts
 
 
 def _thin_block(
     all_points: np.ndarray,
-    n_owned: int,
     withheld: np.ndarray,
-    safe_box: Bounds | None,
+    parts: list[tuple[np.ndarray, np.ndarray, Bounds | None]],
     container: Bounds,
     assemble,
     rank: int,
 ) -> VoronoiBlock | None:
-    """The block from a triangulation without the ``withheld`` ghosts:
-    thin pass, certificate, local repair (DESIGN.md §11).  ``None`` when
-    only the triangulation of everything will do — degenerate input, or a
-    violated owned site on the thin hull."""
+    """The block from triangulations without the ``withheld`` ghosts:
+    thin pass and certificate per slab of ``parts`` (one thread each),
+    then one local repair (DESIGN.md §11).  ``None`` when only the
+    triangulation of everything will do — degenerate input, or a violated
+    owned site on a thin hull."""
     from scipy.spatial import cKDTree
 
     def abandon(*engines):
@@ -180,52 +254,94 @@ def _thin_block(
             for engine in engines:
                 _observe_geometry(engine, 0)
 
-    thin = np.flatnonzero(~withheld)
-    with observe.span("thin-pass", rank=rank, cat="core"):
-        fv = DelaunayVoronoi(all_points[thin], container, n_owned=n_owned)
-    if fv.degenerate:
-        return abandon(fv)
-    with observe.span("certificate", rank=rank, cat="core"):
-        bad, hits = fv.star_violations(n_owned, all_points[withheld], safe_box)
+    def certify(part):
+        subset, owned, safe = part
+        with observe.span("thin-pass", rank=rank, cat="core"):
+            fv = DelaunayVoronoi(all_points[subset], container, owned=owned)
+        if fv.degenerate:
+            return fv, None, 0
+        # A slab's candidates are every point it did not triangulate:
+        # withheld ghosts and the other slabs' sites beyond its shell.
+        unseen = np.ones(len(all_points), dtype=bool)
+        unseen[subset] = False
+        with observe.span("certificate", rank=rank, cat="core"):
+            return (fv, *fv.star_violations(owned, all_points[unseen], safe))
+
+    def lent(part):  # a slab on a pool thread, and the CPU it took
+        cpu0 = time.thread_time()
+        return certify(part), time.thread_time() - cpu0
+
+    # The calling thread takes the first slab itself: one thread (and one
+    # malloc arena holding its high-water mark) fewer.
+    with ThreadPoolExecutor(max(1, len(parts) - 1)) as threads:
+        others = [threads.submit(lent, part) for part in parts[1:]]
+        certified = [certify(parts[0])]
+        for job in others:
+            result, cpu = job.result()
+            certified.append(result)
+            credit_cpu(cpu)
+    engines = [fv for fv, _, _ in certified]
+    if any(bad is None for _, bad, _ in certified):
+        return abandon(*engines)
+    bad = np.sort(
+        np.concatenate([p[0][b] for p, (_, b, _) in zip(parts, certified)])
+    )
     counts = dict(
-        ghosts_withheld=int(withheld.sum()), certificate_violations=hits,
+        ghosts_withheld=int(withheld.sum()),
+        certificate_violations=sum(hits for _, _, hits in certified),
         cells_repaired=len(bad), patch_points=0,
     )
-    if len(bad) == 0:
-        return assemble(fv, n_owned, thin, **counts)[0]
+    if len(parts) > 1:
+        counts["slabs"] = len(parts)
 
-    with observe.span("repair", rank=rank, cat="core"):
-        # Whatever points are added, the neighbors of site b afterwards
-        # lie inside the circumspheres of its thin star: b's star in the
-        # patch those spheres select is its star among all points.
-        centers, radii = fv.star_spheres(bad)
-        if not np.isfinite(radii).all():
-            return abandon(fv)  # a hull site: its patch has no bound
-        near = cKDTree(all_points).query_ball_point(centers, radii * (1.0 + 1e-9))
-        patch = np.union1d(np.concatenate(list(near)), bad)
-        pfv = DelaunayVoronoi(all_points[patch], container)
-        if pfv.degenerate:
-            return abandon(fv, pfv)
-        counts["patch_points"] = len(patch)
-        in_patch = np.zeros(len(patch), dtype=bool)
-        in_patch[np.searchsorted(patch, bad)] = True
-        fixed, fixed_kept = assemble(pfv, len(patch), patch, in_patch)
-    sound = np.ones(n_owned, dtype=bool)
-    sound[bad] = False
-    block, kept = assemble(fv, n_owned, thin, sound, **counts)
-    if len(kept) == 0 or len(fixed_kept) == 0:
-        return block if len(fixed_kept) == 0 else fixed
-    return _splice(block, fixed, np.concatenate([kept, patch[fixed_kept]]))
+    repaired = []  # (block, owned index of each of its cells)
+    if len(bad):
+        with observe.span("repair", rank=rank, cat="core"):
+            # Whatever points are added, the neighbors of site b afterwards
+            # lie inside the circumspheres of its thin star: b's star in
+            # the patch those spheres select is its star among all points.
+            spheres = [fv.star_spheres(b) for fv, b, _ in certified if len(b)]
+            centers = np.concatenate([c for c, _ in spheres])
+            radii = np.concatenate([r for _, r in spheres])
+            if not np.isfinite(radii).all():
+                return abandon(*engines)  # a hull site: its patch has no bound
+            near = cKDTree(all_points).query_ball_point(
+                centers, radii * (1.0 + 1e-9)
+            )
+            patch = np.union1d(np.concatenate(list(near)), bad)
+            pfv = DelaunayVoronoi(all_points[patch], container)
+            if pfv.degenerate:
+                return abandon(*engines, pfv)
+            counts["patch_points"] = len(patch)
+            fixed, fixed_kept = assemble(pfv, np.searchsorted(patch, bad), patch)
+            repaired.append((fixed, patch[fixed_kept]))
+    pieces = []
+    for k, ((subset, owned, _), (fv, violated, _)) in enumerate(
+        zip(parts, certified)
+    ):
+        sound = owned.copy()
+        sound[violated] = False
+        block, kept = assemble(
+            fv, np.flatnonzero(sound), subset, **(counts if k == 0 else {})
+        )
+        pieces.append((block, subset[kept]))
+    return _weld(pieces + repaired)
 
 
-def _splice(block: VoronoiBlock, fixed: VoronoiBlock, owned_index: np.ndarray):
-    """``block``'s cells and the repaired cells ``fixed`` as one block in
-    owned order (``owned_index`` of each cell, ``block``'s first).
+def _weld(pieces: list[tuple[VoronoiBlock, np.ndarray]]) -> VoronoiBlock:
+    """The cells of ``(block, owned index of each cell)`` pieces as one
+    block in owned order.
 
-    Both vertex pools are circumcenters solved in one index order, so a
-    vertex on the seam between a repaired and a sound cell has the same
-    bits in both: it is welded, and the pool lists it once.
+    Every piece's vertex pool holds circumcenters solved in one index
+    order, so a vertex on a seam between pieces (slab and slab, sound
+    cell and repaired cell) has the same bits in each: it is welded onto
+    its first occurrence, and the pool lists it once.
     """
+    filled = [p for p in pieces if p[0].num_cells]
+    if len(filled) <= 1:
+        return (filled or pieces)[0][0]
+    blocks = [block for block, _ in filled]
+
     def keys(vertices):  # one wrapping uint64 hash per coordinate row
         bits = np.ascontiguousarray(vertices).view(np.uint64)
         return (
@@ -234,38 +350,50 @@ def _splice(block: VoronoiBlock, fixed: VoronoiBlock, owned_index: np.ndarray):
             + bits[:, 2]
         )
 
-    pool_keys = keys(block.vertices)
-    by_key = np.argsort(pool_keys)
-    twin = by_key[
-        np.minimum(
-            np.searchsorted(pool_keys[by_key], keys(fixed.vertices)),
-            block.num_vertices - 1,
-        )
-    ]
-    welded = np.where(
-        (block.vertices[twin] == fixed.vertices).all(axis=1),
-        twin,
-        block.num_vertices + np.arange(fixed.num_vertices),
-    )
+    pool = blocks[0].vertices
+    face_vertices = [blocks[0].face_vertices]
+    for block in blocks[1:]:
+        pool_keys = keys(pool)
+        by_key = np.argsort(pool_keys)
+        twin = by_key[
+            np.minimum(
+                np.searchsorted(pool_keys[by_key], keys(block.vertices)),
+                len(pool) - 1,
+            )
+        ]
+        seen = (pool[twin] == block.vertices).all(axis=1)
+        index = np.where(seen, twin, len(pool) + np.cumsum(~seen) - 1)
+        pool = np.concatenate([pool, block.vertices[~seen]])
+        face_vertices.append(index[block.face_vertices])
 
-    def both(name):
-        return np.concatenate([getattr(block, name), getattr(fixed, name)])
+    def joined(name):
+        return np.concatenate([getattr(b, name) for b in blocks])
 
+    def starts_and_lengths(name):  # CSR offsets of the joined pieces
+        offsets = [getattr(b, name).astype(np.int64) for b in blocks]
+        lengths = np.concatenate([np.diff(o) for o in offsets])
+        return np.concatenate([[0], np.cumsum(lengths)[:-1]]), lengths
+
+    # Gather the joined rows in owned order once (no intermediate block).
+    order = np.argsort(np.concatenate([i for _, i in filled]), kind="stable")
+    cell_start, cell_faces = starts_and_lengths("cell_face_offsets")
+    faces = segment_gather(cell_start[order], cell_faces[order])
+    face_start, face_length = starts_and_lengths("face_offsets")
     return VoronoiBlock.from_rows(
-        block.gid,
-        block.extents,
-        both("vertices"),
-        np.concatenate([block.face_vertices, welded[fixed.face_vertices]]),
-        np.concatenate([np.diff(block.face_offsets), np.diff(fixed.face_offsets)]),
-        both("face_neighbors"),
-        np.concatenate(
-            [np.diff(block.cell_face_offsets), np.diff(fixed.cell_face_offsets)]
-        ),
-        both("sites"),
-        both("site_ids"),
-        both("volumes"),
-        both("areas"),
-    ).take(np.argsort(owned_index, kind="stable"))
+        blocks[0].gid,
+        blocks[0].extents,
+        pool,
+        np.concatenate(face_vertices)[
+            segment_gather(face_start[faces], face_length[faces])
+        ],
+        face_length[faces],
+        joined("face_neighbors")[faces],
+        cell_faces[order],
+        joined("sites")[order],
+        joined("site_ids")[order],
+        joined("volumes")[order],
+        joined("areas")[order],
+    )
 
 
 def _segment_all(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -280,8 +408,9 @@ def _segment_all(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _region_complete_mask(fv, n_owned: int, region, radius: float) -> np.ndarray:
-    """Completeness of owned cells against an irregular populated region.
+def _region_complete_mask(fv, sites: np.ndarray, region, radius: float) -> np.ndarray:
+    """Completeness of the cells of ``sites`` against an irregular
+    populated region.
 
     A cell is certifiably complete only if every vertex of every one of
     its ridges lies inside the region actually populated with particles.
@@ -296,15 +425,17 @@ def _region_complete_mask(fv, n_owned: int, region, radius: float) -> np.ndarray
     """
     vin = region.within(fv.vertices, radius)
     ridge_in = _segment_all(vin[fv.ridge_flat], fv.ridge_offsets)
-    end = int(fv.cell_ridges_offsets[n_owned])
+    starts = fv.cell_ridges_offsets[sites]
+    counts = fv.cell_ridges_offsets[sites + 1] - starts
     return _segment_all(
-        ridge_in[fv.cell_ridges_flat[:end]], fv.cell_ridges_offsets[: n_owned + 1]
+        ridge_in[fv.cell_ridges_flat[segment_gather(starts, counts)]],
+        np.concatenate([[0], np.cumsum(counts)]),
     )
 
 
 def _block_from_flat(
     fv,
-    n_owned: int,
+    sites: np.ndarray,
     all_points: np.ndarray,
     local_to_global: np.ndarray,
     gid: int,
@@ -313,37 +444,34 @@ def _block_from_flat(
     vmax: float | None,
     region=None,
     region_radius: float = 0.0,
-    eligible: np.ndarray | None = None,
     **observed: int,
 ) -> tuple[VoronoiBlock, np.ndarray]:
     """Assemble a :class:`VoronoiBlock` from a flat geometry engine.
 
-    Shared by the full pass, the thin pass and the repair patch.
-    ``eligible`` masks the first ``n_owned`` sites down to those whose
-    cells this engine answers for (the rest come from another
-    triangulation); ``observed`` are further ``geom.*`` counters to publish.
-    Returns the block and the site indices of its cells.
+    Shared by the full pass, the thin pass slabs and the repair patch.
+    ``sites`` are the ascending site indices whose cells this engine
+    answers for (the rest come from another triangulation); ``observed``
+    are further ``geom.*`` counters to publish.  Returns the block and the
+    site indices of its cells.
     """
-    keep = fv.complete[:n_owned].copy()
-    if eligible is not None:
-        keep &= eligible
+    keep = fv.complete[sites]
     if observe.enabled():
         _observe_geometry(fv, int(keep.sum()), **observed)
     if region is not None and keep.any():
-        keep &= _region_complete_mask(fv, n_owned, region, region_radius)
+        keep &= _region_complete_mask(fv, sites, region, region_radius)
     if vmin is not None and keep.any():
         # Step 3c: conservative early cull on the max vertex separation
         # (isodiametric bound) before the exact threshold — any cell it
         # removes fails the exact cull too, so results are unchanged.
-        sites = np.flatnonzero(keep)
-        keep[sites] = early_cull_mask(
-            fv.max_vertex_separations(sites), vmin
+        alive = np.flatnonzero(keep)
+        keep[alive] = early_cull_mask(
+            fv.max_vertex_separations(sites[alive]), vmin
         )
     if vmin is not None:
-        keep &= fv.volumes[:n_owned] >= vmin
+        keep &= fv.volumes[sites] >= vmin
     if vmax is not None:
-        keep &= fv.volumes[:n_owned] <= vmax
-    kept = np.flatnonzero(keep)
+        keep &= fv.volumes[sites] <= vmax
+    kept = sites[keep]
     if len(kept) == 0:
         return VoronoiBlock.from_cells(gid, extents, []), kept
 
@@ -469,7 +597,7 @@ def tessellate_distributed(
     with timer.phase("compute"):
         block = _tessellate_block_flat(
             decomposition, gid, positions, ids, ghost_pos, ghost_ids,
-            ghost, vmin, vmax, rank=comm.rank,
+            ghost, vmin, vmax, rank=comm.rank, slabs=_slab_count(comm.size),
         )
 
     output_bytes = 0
@@ -835,10 +963,11 @@ def _multi_block_worker(
             decomp, comm, assignment, particles_by_gid, ghost
         )
     with timer.phase("compute"):
+        slabs = _slab_count(comm.size)
         local_blocks = [
             _tessellate_block_flat(
                 decomp, gid, *particles_by_gid[gid], *ghosts[gid],
-                ghost, vmin, vmax, rank=comm.rank,
+                ghost, vmin, vmax, rank=comm.rank, slabs=slabs,
             )
             for gid in gids
         ]

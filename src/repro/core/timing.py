@@ -15,9 +15,10 @@ Two clocks are recorded per phase:
   wall time is the honest scaling metric (see
   ``benchmarks/bench_backend_scaling.py``).
 * **cpu** (``time.thread_time``) — CPU time consumed by this rank's thread
-  only.  This is the faithful stand-in for per-rank time on a real MPI
-  machine and is what the GIL-bound scaling benchmarks (Figure 10,
-  Table II) report.
+  only, plus what helper threads spent on its behalf (a block's slab
+  threads, :func:`credit_cpu`).  This is the faithful stand-in for
+  per-rank time on a real MPI machine and is what the GIL-bound scaling
+  benchmarks (Figure 10, Table II) report.
 
 :class:`PhaseTimer` accepts arbitrary phase names (callers time whatever
 stages they define); :attr:`PhaseTimer.timings` projects the canonical
@@ -32,15 +33,29 @@ communicator's :class:`~repro.diy.comm.CommStats`.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from ..observe import trace as _trace
 
-__all__ = ["TessTimings", "PhaseTimer"]
+__all__ = ["TessTimings", "PhaseTimer", "credit_cpu"]
 
 _CORE_PHASES = ("exchange", "compute", "output")
+
+#: CPU seconds helper threads spent for the current thread
+_lent = threading.local()
+
+
+def credit_cpu(seconds: float) -> None:
+    """Count ``seconds`` of CPU that helper threads spent for the calling
+    thread (which waited for them) into its :class:`PhaseTimer` phases."""
+    _lent.seconds = getattr(_lent, "seconds", 0.0) + seconds
+
+
+def _thread_cpu() -> float:
+    return time.thread_time() + getattr(_lent, "seconds", 0.0)
 
 
 @dataclass
@@ -145,12 +160,12 @@ class PhaseTimer:
         depth = self._active.get(name, 0)
         self._active[name] = depth + 1
         w0 = time.perf_counter()
-        c0 = time.thread_time()
+        c0 = _thread_cpu()
         try:
             yield
         finally:
             w1 = time.perf_counter()
-            c1 = time.thread_time()
+            c1 = _thread_cpu()
             self._active[name] = depth
             if depth == 0:
                 # Outermost entry only: nested same-name entries are

@@ -71,11 +71,7 @@ def segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     if total == 0:
         return np.empty(0, dtype=np.int64)
     out_starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
-    return (
-        np.repeat(starts, lengths)
-        + np.arange(total)
-        - np.repeat(out_starts, lengths)
-    )
+    return np.repeat(starts - out_starts, lengths) + np.arange(total)
 
 
 def _lstsq_fixup(centers, pts, tets, bad):
@@ -154,12 +150,12 @@ class DelaunayVoronoi:
         ``(n, 3)`` sites.
     box:
         Container bounds; cells with a vertex outside are incomplete.
-    n_owned:
-        When given, only the first ``n_owned`` sites are of interest:
-        Delaunay edges with no owned endpoint are dropped before the ring
-        sort, so no ridge between two ghost sites is ordered, measured or
-        indexed.  Rows ``>= n_owned`` of ``volumes``/``areas``/the cell
-        CSR are then partial and must not be read; the triangulation and
+    owned:
+        When given, a ``(n,)`` bool mask of the sites of interest: Delaunay
+        edges with no owned endpoint are dropped before the ring sort, so
+        no ridge between two ghost sites is ordered, measured or indexed.
+        Rows of unowned sites in ``volumes``/``areas``/the cell CSR are
+        then partial and must not be read; the triangulation and
         ``vertices`` (one circumcenter per tet) are unaffected.
     """
 
@@ -176,7 +172,7 @@ class DelaunayVoronoi:
         self,
         points: np.ndarray,
         box: Bounds,
-        n_owned: int | None = None,
+        owned: np.ndarray | None = None,
     ):
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
@@ -225,11 +221,12 @@ class DelaunayVoronoi:
         # as argsort + two gathers); else argsort the keys.
         ev = tets[:, _TET_EDGES]  # (m, 6, 2)
         elo = np.minimum(ev[..., 0], ev[..., 1]).ravel()
-        ekey = elo * n + np.maximum(ev[..., 0], ev[..., 1]).ravel()
+        ehi = np.maximum(ev[..., 0], ev[..., 1]).ravel()
+        ekey = elo * n + ehi
         tet_of = np.repeat(np.arange(m, dtype=np.int64), 6)
-        if n_owned is not None and n_owned < n:
+        if owned is not None and not owned.all():
             # Ghost-ghost edges dualize to ridges no owned cell touches.
-            owned_edge = elo < n_owned
+            owned_edge = owned[elo] | owned[ehi]
             ekey = ekey[owned_edge]
             tet_of = tet_of[owned_edge]
         shift = int(m).bit_length()
@@ -591,10 +588,11 @@ class DelaunayVoronoi:
 
     # ------------------------------------------------------------------
     def star_violations(
-        self, n_owned: int, candidates: np.ndarray, safe_box: Bounds | None = None
+        self, owned: np.ndarray, candidates: np.ndarray, safe_box: Bounds | None = None
     ) -> tuple[np.ndarray, int]:
-        """Owned sites whose cell would change if ``candidates`` were added
-        to the triangulation and could be complete afterwards.
+        """Owned sites (``owned``: bool mask over the sites) whose cell
+        would change if ``candidates`` were added to the triangulation and
+        could be complete afterwards.
 
         The exact Delaunay criterion: the star of a site survives the
         insertion of a point set iff no point lies inside the circumsphere
@@ -610,8 +608,8 @@ class DelaunayVoronoi:
         test is conservative (a point within ``1e-9`` relative of a
         sphere counts as inside).
 
-        Returns the sorted violated site indices ``< n_owned`` and the
-        number of spheres (and hull sites turned interior) found violated.
+        Returns the sorted violated owned site indices and the number of
+        spheres (and hull sites turned interior) found violated.
         """
         from scipy.spatial import cKDTree
 
@@ -619,7 +617,7 @@ class DelaunayVoronoi:
             return np.empty(0, dtype=np.int64), 0
         tets, pts = self._tets, self.points
         n = len(pts)
-        incident = np.flatnonzero((tets < n_owned).any(axis=1))
+        incident = np.flatnonzero(owned[tets].any(axis=1))
         centers = self.vertices[incident]
         radii = self._circumradii(incident)
         hit = np.isinf(radii)  # a sliver without a center: assume the worst
@@ -644,7 +642,7 @@ class DelaunayVoronoi:
         # points (unbounded either way) or becomes interior (its star
         # changes, and nothing bounds where its neighbors are).
         hull_faces = self._hull_faces()
-        hull_owned = np.unique(hull_faces[hull_faces < n_owned])
+        hull_owned = np.unique(hull_faces[owned[hull_faces]])
         if len(hull_owned):
             from scipy.spatial import ConvexHull
 
@@ -654,7 +652,7 @@ class DelaunayVoronoi:
             doomed[hull_owned[stays]] = True
             violated[hull_owned[~stays]] = True
             hits += int((~stays).sum())
-        return np.flatnonzero((violated & ~doomed)[:n_owned]), hits
+        return np.flatnonzero(violated & ~doomed & owned), hits
 
     def _circumradii(self, tets) -> np.ndarray:
         """Circumradius of the selected tets; ``inf`` where a sliver has

@@ -88,6 +88,14 @@ def evolved():
     return snaps, cfg.domain()
 
 
+@pytest.fixture
+def one_slab(monkeypatch):
+    """Pin each block's thin pass to one slab, so the shell and certificate
+    counters below do not depend on this machine's core count (the slabs
+    have their own suite, tests/test_core_slabs.py)."""
+    monkeypatch.setattr(TESS, "_slab_count", lambda ranks: 1)
+
+
 # ----------------------------------------------------------------------
 # (a) cell-for-cell equality across decompositions, backends, ghosts
 # ----------------------------------------------------------------------
@@ -133,7 +141,7 @@ def test_enclosed_block_of_a_non_periodic_domain():
 # ----------------------------------------------------------------------
 # (b) the certificate fires where voids opened, and only there
 # ----------------------------------------------------------------------
-def test_certificate_fires_on_evolved_voids(evolved):
+def test_certificate_fires_on_evolved_voids(evolved, one_slab):
     snaps, domain = evolved
     pos, ids = snaps[12]
     run = lambda: tessellate(pos, domain, nblocks=1, ghost=4.0, ids=ids)
@@ -171,7 +179,7 @@ def test_trace_shows_where_compute_went(evolved):
             assert compute[rank][0] <= t0 <= t1 <= compute[rank][1]
 
 
-def test_certificate_silent_on_near_uniform_field(evolved):
+def test_certificate_silent_on_near_uniform_field(evolved, one_slab):
     snaps, domain = evolved
     pos, ids = snaps[4]
     run = lambda: tessellate(pos, domain, nblocks=2, ghost=4.0, ids=ids)
@@ -186,13 +194,18 @@ def test_certificate_silent_on_near_uniform_field(evolved):
 # ----------------------------------------------------------------------
 # (c) the certificate's two tests, on hand-built cases
 # ----------------------------------------------------------------------
+def first(pts):
+    """Owned mask of the hand-built cases: site 0 only."""
+    return np.arange(len(pts)) < 1
+
+
 class TestStarViolations:
     def test_point_just_inside_and_just_outside_a_circumsphere(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 4.0, size=(60, 3))
         # site 0 is the one owned site, well inside the cloud
         pts[0] = (2.0, 2.0, 2.0)
-        dv = DelaunayVoronoi(pts, Bounds.cube(4.0), n_owned=1)
+        dv = DelaunayVoronoi(pts, Bounds.cube(4.0), owned=first(pts))
         mesh = dv.mesh
         star = np.flatnonzero((mesh.tetrahedra == 0).any(axis=1))
         centers = dv.vertices[star]
@@ -211,13 +224,13 @@ class TestStarViolations:
         else:
             pytest.fail("no probing direction found")
 
-        sites, hits = dv.star_violations(1, outside[None])
+        sites, hits = dv.star_violations(first(pts), outside[None])
         assert len(sites) == 0 and hits == 0
-        sites, hits = dv.star_violations(1, inside[None])
+        sites, hits = dv.star_violations(first(pts), inside[None])
         assert sites.tolist() == [0] and hits >= 1
         # a box that holds no candidate prefilters without changing answers
         safe = Bounds.from_arrays(pts[0] - 1e-3, pts[0] + 1e-3)
-        assert dv.star_violations(1, inside[None], safe_box=safe)[0].tolist() == [0]
+        assert dv.star_violations(first(pts), inside[None], safe_box=safe)[0].tolist() == [0]
         # the repair patch: the star's own circumspheres
         c, r = dv.star_spheres(sites)
         order = np.lexsort(c.T)
@@ -228,7 +241,7 @@ class TestStarViolations:
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 4.0, size=(60, 3))
         pts[0] = (2.0, 2.0, 2.0)
-        wide = DelaunayVoronoi(pts, Bounds.cube(4.0), n_owned=1)
+        wide = DelaunayVoronoi(pts, Bounds.cube(4.0), owned=first(pts))
         assert wide.complete[0]
         star = (wide.mesh.tetrahedra == 0).any(axis=1)
         centers = wide.vertices[star]
@@ -238,16 +251,16 @@ class TestStarViolations:
         half = 0.5 * (np.abs(centers[far] - pts[0]).max()
                       + np.sort(np.abs(centers - pts[0]).max(axis=1))[-2])
         tight = Bounds.from_arrays(pts[0] - half, pts[0] + half)
-        dv = DelaunayVoronoi(pts, tight, n_owned=1)
+        dv = DelaunayVoronoi(pts, tight, owned=first(pts))
         assert not dv.complete[0]
         other = (far + 1) % len(centers)
         candidate = centers[other][None]
-        assert wide.star_violations(1, candidate)[0].tolist() == [0]
+        assert wide.star_violations(first(pts), candidate)[0].tolist() == [0]
         if np.linalg.norm(candidate[0] - centers[far]) > np.linalg.norm(
             pts[0] - centers[far]
         ):
             # the far vertex survives and lies outside: nothing to repair
-            assert len(dv.star_violations(1, candidate)[0]) == 0
+            assert len(dv.star_violations(first(pts), candidate)[0]) == 0
 
     def test_point_just_beyond_and_just_behind_hull_facets(self):
         # an apex over a ring over a floor: the apex's hull facets all
@@ -258,20 +271,20 @@ class TestStarViolations:
              (-0.2, 0.1, -0.3)]
         )
         box = Bounds.from_arrays(np.full(3, -10.0), np.full(3, 10.0))
-        dv = DelaunayVoronoi(pts, box, n_owned=1)
+        dv = DelaunayVoronoi(pts, box, owned=first(pts))
         assert not dv.degenerate and not dv.complete[0]
 
         # beyond every facet of the apex: it leaves the hull, its cell
         # closes, and no bounded patch holds its new neighbors
         beyond = np.array([[0.0, 0.0, 1.0 + 1e-6]])
-        sites, hits = dv.star_violations(1, beyond)
+        sites, hits = dv.star_violations(first(pts), beyond)
         assert sites.tolist() == [0] and hits >= 1
         assert np.isinf(dv.star_spheres(sites)[1]).any()
 
         # behind them (inside the hull), or beyond only some of them: the
         # apex stays on the hull, unbounded either way — nothing to fix
         for candidate in ([0.0, 0.0, 1.0 - 1e-6], [2.0, 0.0, 0.9]):
-            assert len(dv.star_violations(1, np.array([candidate]))[0]) == 0
+            assert len(dv.star_violations(first(pts), np.array([candidate]))[0]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -345,12 +345,16 @@ class TestRegionCompleteMask:
         mask[:2, :2, :] = mask[2, 0, :] = True
         region = CellUnionRegion(domain, (4, 4, 4), mask)
         pts = rng.uniform(0.0, 8.0, size=(400, 3))
-        fv = DelaunayVoronoi(pts, domain, n_owned=250)
-        got = _region_complete_mask(fv, 250, region, 0.5)
+        fv = DelaunayVoronoi(pts, domain, owned=np.arange(400) < 250)
         vin = region.within(fv.vertices, 0.5)
         want = [
             all(vin[fv.ridge_cycle(r)].all() for r in fv.cell_ridge_ids(s))
             for s in range(250)
         ]
+        got = _region_complete_mask(fv, np.arange(250), region, 0.5)
         assert got.tolist() == want
         assert 0 < sum(want) < 250
+        # any ascending subset of the sites (a slab's, a repair patch's)
+        sites = np.arange(3, 250, 7)
+        got = _region_complete_mask(fv, sites, region, 0.5)
+        assert got.tolist() == [want[s] for s in sites]

@@ -273,6 +273,31 @@ class TestNativeFallback:
         else:
             assert _native.build_error()
 
+    def test_concurrent_first_use_gets_one_answer(self, monkeypatch):
+        # Slabs and thread-backend ranks may reach the loader together; a
+        # thread that saw the first one start must wait for its answer,
+        # not take the NumPy path (whose sums differ in the last bits).
+        import threading
+
+        want = _native.lib()
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_tried", False)
+        start = threading.Barrier(8)
+        got = []
+
+        def first_use():
+            start.wait()
+            got.append(_native.lib())
+
+        threads = [threading.Thread(target=first_use) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(got) == 8
+        assert all((lib is None) == (want is None) for lib in got)
+        assert len({id(lib) for lib in got}) == 1
+
     def test_numpy_fallback_parity(self, monkeypatch):
         pts = poisson(300, 10.0, 21)
         box = Bounds.cube(10.0)
@@ -299,7 +324,7 @@ class TestNativeFallback:
 
 
 class TestOwnedOnly:
-    """``n_owned=`` drops ghost-ghost ridges and nothing an owned cell
+    """``owned=`` drops ghost-ghost ridges and nothing an owned cell
     reads — with the native kernels and on the NumPy fallback."""
 
     @pytest.fixture(params=("native", "numpy"))
@@ -310,29 +335,29 @@ class TestOwnedOnly:
         elif not _native.available():
             pytest.skip("native kernels unavailable")
 
-    @pytest.mark.parametrize("n_owned", (1, 120, 399, 400))
-    def test_owned_rows_identical(self, kernels, n_owned):
+    @staticmethod
+    def check_owned_rows(owned):
         pts = poisson(400, 10.0, 61)
         box = Bounds.cube(10.0)
         full = DelaunayVoronoi(pts, box)
-        part = DelaunayVoronoi(pts, box, n_owned=n_owned)
+        part = DelaunayVoronoi(pts, box, owned=owned)
         # the triangulation and its circumcenters are untouched
         np.testing.assert_array_equal(part.mesh.tetrahedra, full.mesh.tetrahedra)
         np.testing.assert_array_equal(part.vertices, full.vertices)
         # every ridge kept has an owned side; none of the owned ones is lost
-        assert (part.ridge_sites.min(axis=1) < n_owned).all()
-        owned_ridges = full.ridge_sites.min(axis=1) < n_owned
+        assert owned[part.ridge_sites].any(axis=1).all()
+        owned_ridges = owned[full.ridge_sites].any(axis=1)
         np.testing.assert_array_equal(
             part.ridge_sites, full.ridge_sites[owned_ridges]
         )
         np.testing.assert_array_equal(
             part.ridge_areas, full.ridge_areas[owned_ridges]
         )
-        own = slice(0, n_owned)
+        own = np.flatnonzero(owned)
         np.testing.assert_array_equal(part.complete[own], full.complete[own])
         np.testing.assert_array_equal(part.volumes[own], full.volumes[own])
         np.testing.assert_array_equal(part.areas[own], full.areas[own])
-        for s in range(0, n_owned, 13):
+        for s in own[::13]:
             np.testing.assert_array_equal(
                 part.cell_neighbors(s), full.cell_neighbors(s)
             )
@@ -341,10 +366,18 @@ class TestOwnedOnly:
                     part.ridge_cycle(rp), full.ridge_cycle(rf)
                 )
 
+    @pytest.mark.parametrize("n_owned", (1, 120, 399, 400))
+    def test_owned_rows_identical(self, kernels, n_owned):
+        self.check_owned_rows(np.arange(400) < n_owned)
+
+    def test_scattered_owned_rows_identical(self, kernels):
+        # a slab of a block owns sites interleaved with its shell's
+        self.check_owned_rows(np.arange(400) % 3 == 1)
+
     def test_no_owned_edge_left(self, kernels):
         # every site "owned" is the plain call; none owned leaves no ridge
         pts = poisson(50, 4.0, 62)
-        dv = DelaunayVoronoi(pts, Bounds.cube(4.0), n_owned=0)
+        dv = DelaunayVoronoi(pts, Bounds.cube(4.0), owned=np.zeros(50, bool))
         assert dv.num_ridges == 0 and dv.num_tets > 0
         assert dv.cell_ridges_offsets[-1] == 0
 
