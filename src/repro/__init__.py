@@ -6,7 +6,7 @@ A production-quality Python implementation of the paper's full stack:
   SPMD communicator, neighborhood exchange, blocked parallel I/O);
 * :mod:`repro.hacc` — HACC-style particle-mesh N-body cosmology simulation;
 * :mod:`repro.geometry` — computational-geometry kernels (the
-  Delaunay-direct Voronoi engine and its clip reference);
+  Delaunay-direct Voronoi engine);
 * :mod:`repro.core` — **tess**, the paper's contribution: parallel in situ
   Voronoi tessellation;
 * :mod:`repro.analysis` — postprocessing: thresholding, connected components,
@@ -35,7 +35,7 @@ __all__ = ["Bounds", "run_parallel", "__version__"]
 
 
 def __getattr__(name: str):  # lazy public API to keep import light
-    if name in {"tessellate", "tessellate_points", "Tessellation"}:
+    if name in {"tessellate", "Tessellation"}:
         from . import core
 
         return getattr(core, name)

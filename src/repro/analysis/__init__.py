@@ -14,7 +14,6 @@ from .components import (
     ComponentLabeling,
     connected_components,
     connected_components_at_root,
-    connected_components_distributed,
 )
 from .dtfe import dtfe_density, dtfe_grid, voronoi_density
 from .halos import Halo, HaloCatalog, fof_halos, fof_halos_distributed
@@ -26,17 +25,15 @@ from .statistics import (
     histogram,
     volume_range_concentration,
 )
-from .threshold import density_threshold_mask, kept_site_ids, volume_threshold_mask
+from .threshold import volume_threshold_mask
 from .tracking import (
     FeatureEvent,
     FeatureTrack,
     FeatureTree,
     FeatureTreeBuilder,
     MergerTree,
-    local_labeling,
     overlap_matrix,
     track_components,
-    track_components_distributed,
 )
 from .query import (
     QUERY_OPS,
@@ -63,7 +60,6 @@ __all__ = [
     "ComponentLabeling",
     "connected_components",
     "connected_components_at_root",
-    "connected_components_distributed",
     "dtfe_density",
     "dtfe_grid",
     "voronoi_density",
@@ -78,18 +74,14 @@ __all__ = [
     "density_contrast",
     "histogram",
     "volume_range_concentration",
-    "density_threshold_mask",
-    "kept_site_ids",
     "volume_threshold_mask",
     "FeatureEvent",
     "FeatureTrack",
     "FeatureTree",
     "FeatureTreeBuilder",
     "MergerTree",
-    "local_labeling",
     "overlap_matrix",
     "track_components",
-    "track_components_distributed",
     "QUERY_OPS",
     "QueryError",
     "query_components",

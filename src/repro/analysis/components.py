@@ -12,13 +12,12 @@ Two paths, one kernel:
   :meth:`~repro.core.data_model.VoronoiBlock.adjacency_edges` CSR masking
   and merge through :class:`ArrayUnionFind` (an int64 parent array with
   path halving) — no per-cell Python loop anywhere on the hot path.
-* :func:`connected_components_distributed` — the in situ path: each rank
-  labels its own block locally, its local links and boundary edges (faces
-  whose neighbor cell lives on another rank) travel to the root as one
-  packed ``(src, dst)`` int64 row array through the tree gather, and the
-  relabeling is broadcast — one collective round, independent of
-  component diameter.  :func:`connected_components_at_root` stops before
-  the broadcast, for consumers that only need the labeling on rank 0.
+* :func:`connected_components_at_root` — the in situ path: each rank
+  labels its own block locally, and its local links and boundary edges
+  (faces whose neighbor cell lives on another rank) travel to the root as
+  one packed ``(src, dst)`` int64 row array through the tree gather — one
+  collective round, independent of component diameter — where the global
+  labeling is resolved.
 
 The dict-based labeling these replaced lives with the tests
 (``tests/components_reference.py``) as the parity reference.
@@ -36,7 +35,7 @@ from ..core.tessellate import Tessellation
 from ..diy.comm import Communicator
 
 __all__ = ["ArrayUnionFind", "ComponentLabeling", "connected_components",
-           "connected_components_at_root", "connected_components_distributed"]
+           "connected_components_at_root"]
 
 
 class ArrayUnionFind:
@@ -249,31 +248,18 @@ def connected_components_at_root(
     vmin: float | None = None,
     vmax: float | None = None,
 ) -> ComponentLabeling | None:
-    """The merge of :func:`connected_components_distributed` without its
-    broadcast (collective): the global labeling on rank 0, ``None``
-    elsewhere."""
-    with observe.span("components-local", rank=comm.rank, cat="analysis"):
-        rows, _ = _local_rows(block, vmin, vmax)
-    with observe.span("components-merge", rank=comm.rank, cat="analysis"):
-        gathered = comm.gather(rows, root=0)
-        return _merge_rows(gathered) if comm.rank == 0 else None
-
-
-def connected_components_distributed(
-    comm: Communicator,
-    block: VoronoiBlock,
-    vmin: float | None = None,
-    vmax: float | None = None,
-) -> ComponentLabeling:
     """In situ labeling: local flat pass + one boundary merge at the root.
 
-    Collective; every rank passes its own block and receives the *global*
-    labeling (identical on all ranks).  Cross-block adjacency needs no
+    Collective; every rank passes its own block, and rank 0 receives the
+    *global* labeling (``None`` elsewhere).  Cross-block adjacency needs no
     geometry: a face's neighbor id either belongs to a local kept cell or
     to some other rank's cell, and the root resolves the union graph.  The
     merge traffic is one packed int64 ``(src, dst)`` row array per rank —
     a local root link per kept cell plus the unresolved boundary edges —
     shipped through the tree gather; no Python tuple lists cross ranks.
     """
-    labeling = connected_components_at_root(comm, block, vmin=vmin, vmax=vmax)
-    return comm.bcast(labeling, root=0)
+    with observe.span("components-local", rank=comm.rank, cat="analysis"):
+        rows, _ = _local_rows(block, vmin, vmax)
+    with observe.span("components-merge", rank=comm.rank, cat="analysis"):
+        gathered = comm.gather(rows, root=0)
+        return _merge_rows(gathered) if comm.rank == 0 else None

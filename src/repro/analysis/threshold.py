@@ -1,10 +1,10 @@
-"""Volume / density threshold filtering (plugin filter #2, paper §III-D).
+"""Volume threshold filtering (plugin filter #2, paper §III-D).
 
 The characteristic cell-volume distribution is strongly skewed toward zero
 (75% of cells in the smallest 10% of the volume range — Figure 8), so a
 simple threshold dramatically reduces the cell set while retaining every
-cell that contributes to a void.  These filters operate on an assembled
-:class:`~repro.core.tessellate.Tessellation` and return flat masks aligned
+cell that contributes to a void.  The filter operates on an assembled
+:class:`~repro.core.tessellate.Tessellation` and returns a flat mask aligned
 with the concatenated cell order (block by block).
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core.tessellate import Tessellation
 
-__all__ = ["volume_threshold_mask", "density_threshold_mask", "kept_site_ids"]
+__all__ = ["volume_threshold_mask"]
 
 
 def volume_threshold_mask(
@@ -28,32 +28,3 @@ def volume_threshold_mask(
     if vmax is not None:
         keep &= v <= vmax
     return keep
-
-
-def density_threshold_mask(
-    tess: Tessellation, dmin: float | None = None, dmax: float | None = None
-) -> np.ndarray:
-    """Keep-mask on unit-mass cell density ``1 / volume``.
-
-    Low-density cells are void material; ``dmax`` keeps them (the dual of a
-    ``vmin`` volume threshold).
-    """
-    v = tess.volumes()
-    with np.errstate(divide="ignore"):
-        d = np.where(v > 0, 1.0 / v, np.inf)
-    keep = np.ones(len(v), dtype=bool)
-    if dmin is not None:
-        keep &= d >= dmin
-    if dmax is not None:
-        keep &= d <= dmax
-    return keep
-
-
-def kept_site_ids(tess: Tessellation, mask: np.ndarray) -> np.ndarray:
-    """Site ids of the cells selected by ``mask``."""
-    ids = tess.site_ids()
-    if len(mask) != len(ids):
-        raise ValueError(
-            f"mask length {len(mask)} does not match cell count {len(ids)}"
-        )
-    return ids[mask]

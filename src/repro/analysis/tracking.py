@@ -18,11 +18,10 @@ This module is the production time-domain subsystem (DESIGN.md §14):
   a flat-array checkpointable state (:meth:`~FeatureTreeBuilder.state` /
   :meth:`~FeatureTreeBuilder.from_state`) so in situ tracking survives
   checkpoint/restart bit-identically.
-* :func:`track_components` / :func:`track_components_distributed` — the
-  postprocessing and in situ drivers.  The distributed path links
-  *per-rank* labelings: each step's ``(site id, label)`` rows travel to
-  the root through the tree gather (never any mesh geometry), the root
-  advances the builder, and the finished tree is broadcast.
+* :func:`track_components` — the postprocessing driver.  In situ, the
+  tracking tool (:class:`repro.insitu.tools.TrackingTool`) advances one
+  builder on rank 0 from the component-merge rows of the rank-local
+  blocks; no mesh geometry travels.
 * :class:`MergerTree` — the stable on-disk form: flat arrays for the
   per-track label/size/volume histories and the event log, saved as a
   versioned ``.npz`` with a JSON meta record.
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import observe
-from ..core.data_model import index_in_sorted, isin_sorted
+from ..core.data_model import index_in_sorted
 from .components import ComponentLabeling
 
 __all__ = [
@@ -53,9 +52,6 @@ __all__ = [
     "MergerTree",
     "overlap_matrix",
     "track_components",
-    "track_components_distributed",
-    "local_labeling",
-    "gather_step_rows",
 ]
 
 #: on-disk merger-tree format identifier (bump on incompatible changes)
@@ -155,10 +151,10 @@ class FeatureTreeBuilder:
     """Incremental feature-tree assembly, one labeling per :meth:`push`.
 
     The builder is the single tracking engine behind
-    :func:`track_components`, :func:`track_components_distributed`, and
-    the in situ tracking tool.  Its complete state round-trips through
-    flat numpy arrays (:meth:`state` / :meth:`from_state`) so an
-    interrupted in situ run restores bit-identically from a checkpoint.
+    :func:`track_components` and the in situ tracking tool.  Its complete
+    state round-trips through flat numpy arrays (:meth:`state` /
+    :meth:`from_state`) so an interrupted in situ run restores
+    bit-identically from a checkpoint.
     """
 
     def __init__(self, min_overlap: int = 1) -> None:
@@ -427,7 +423,7 @@ class FeatureTreeBuilder:
 
 
 # ----------------------------------------------------------------------
-# drivers
+# driver
 # ----------------------------------------------------------------------
 def track_components(
     labelings: dict[int, ComponentLabeling],
@@ -457,129 +453,6 @@ def track_components(
             volumes=None if volumes is None else volumes[step],
         )
     return builder.tree()
-
-
-def local_labeling(
-    labeling: ComponentLabeling, owned_ids: np.ndarray
-) -> ComponentLabeling:
-    """Restrict a global labeling to the rows whose site id is owned.
-
-    The labels are kept *global* (not re-densified) so per-rank
-    restrictions remain linkable by :func:`track_components_distributed`.
-    """
-    owned = np.unique(np.asarray(owned_ids, dtype=np.int64))
-    mask = isin_sorted(
-        np.asarray(labeling.site_ids, dtype=np.int64), owned
-    )
-    return ComponentLabeling(
-        site_ids=np.asarray(labeling.site_ids, dtype=np.int64)[mask],
-        labels=np.asarray(labeling.labels, dtype=np.int64)[mask],
-    )
-
-
-def gather_step_rows(
-    comm,
-    labeling: ComponentLabeling,
-    cell_volumes: np.ndarray | None = None,
-    root: int = 0,
-) -> tuple[ComponentLabeling | None, np.ndarray | None]:
-    """Gather per-rank ``(site id, label)`` rows into the root's global
-    labeling (collective).
-
-    Each rank contributes the rows of its *local* labeling (global label
-    values, each cell owned by exactly one rank) as one packed int64
-    array through the tree gather — no mesh geometry ever travels.  On
-    the root the rows are merged in site-id order and, when
-    ``cell_volumes`` (aligned with the local rows) is supplied, per-label
-    volumes accumulate in that same order so the sums are bit-identical
-    to a serial accumulation.  Non-root ranks return ``(None, None)``.
-    """
-    rows = np.ascontiguousarray(
-        np.stack(
-            [
-                np.asarray(labeling.site_ids, dtype=np.int64),
-                np.asarray(labeling.labels, dtype=np.int64),
-            ],
-            axis=1,
-        )
-        if len(labeling.site_ids)
-        else np.empty((0, 2), dtype=np.int64)
-    )
-    gathered = comm.gather(rows, root=root)
-    gathered_vols = None
-    if cell_volumes is not None:
-        if len(cell_volumes) != len(labeling.site_ids):
-            raise ValueError(
-                f"cell_volumes has {len(cell_volumes)} entries for "
-                f"{len(labeling.site_ids)} labeled cells"
-            )
-        gathered_vols = comm.gather(
-            np.ascontiguousarray(cell_volumes, dtype=np.float64), root=root
-        )
-    if comm.rank != root:
-        return None, None
-    merged = np.concatenate(gathered)
-    order = np.argsort(merged[:, 0], kind="stable")
-    sids = merged[order, 0]
-    labels = merged[order, 1]
-    if len(sids) > 1 and np.any(sids[1:] == sids[:-1]):
-        dup = int(sids[np.flatnonzero(sids[1:] == sids[:-1])[0]])
-        raise ValueError(
-            f"site id {dup} labeled on more than one rank; per-rank "
-            f"labelings must partition the kept cells"
-        )
-    glab = ComponentLabeling(site_ids=sids, labels=labels)
-    comp_vol = None
-    if gathered_vols is not None:
-        vols = np.concatenate(gathered_vols)[order]
-        comp_vol = np.zeros(glab.num_components)
-        np.add.at(comp_vol, labels, vols)
-    return glab, comp_vol
-
-
-def track_components_distributed(
-    comm,
-    labelings: dict[int, ComponentLabeling],
-    min_overlap: int = 1,
-    cell_volumes: dict[int, np.ndarray] | None = None,
-) -> FeatureTree:
-    """Feature tree over *per-rank* labelings (collective).
-
-    Every rank passes its own local restriction of each step's labeling
-    (globally consistent labels — e.g. the output of
-    :func:`~repro.analysis.components.connected_components_distributed`
-    restricted via :func:`local_labeling`) and receives the identical
-    global :class:`FeatureTree`.  Per step, only the packed
-    ``(site id, label)`` int64 rows (plus optional per-cell volumes) move
-    through the existing tree gather; no rank ever gathers mesh geometry,
-    and the root advances one :class:`FeatureTreeBuilder` exactly as the
-    serial oracle would on the reassembled labelings.
-    """
-    steps = sorted(labelings)
-    ref = comm.bcast(steps, root=0)
-    if ref != steps:
-        raise ValueError(
-            f"rank {comm.rank} has steps {steps}, rank 0 has {ref}; all "
-            f"ranks must track the same step sequence"
-        )
-    if not steps:
-        raise ValueError("no labelings supplied")
-    builder = FeatureTreeBuilder(min_overlap=min_overlap) if comm.rank == 0 else None
-    for step in steps:
-        with observe.span(
-            "tracking-gather", rank=comm.rank, cat="analysis", step=step
-        ):
-            glab, comp_vol = gather_step_rows(
-                comm,
-                labelings[step],
-                cell_volumes=None
-                if cell_volumes is None
-                else cell_volumes[step],
-            )
-        if comm.rank == 0:
-            builder.push(step, glab, volumes=comp_vol)
-    tree = builder.tree() if comm.rank == 0 else None
-    return comm.bcast(tree, root=0)
 
 
 # ----------------------------------------------------------------------

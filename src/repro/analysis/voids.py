@@ -200,7 +200,7 @@ def find_voids_distributed(
     Every rank passes its own :class:`VoronoiBlock` and receives the same
     global :class:`VoidCatalog`: the ``vmin`` fraction rule reduces the
     global volume range, and one tree gather brings each rank's
-    component-merge rows (:func:`connected_components_distributed`'s) and
+    component-merge rows (:func:`connected_components_at_root`'s) and
     the volumes of its kept cells to the root, which labels, builds the
     catalog and broadcasts it.  No rank ever gathers the global
     tessellation.  With block ``gid == rank`` the root accumulates each

@@ -14,12 +14,7 @@ In situ mode (inside an SPMD region, with distributed particles)::
 from .accuracy import MatchResult, match_tessellations
 from .cell import VoronoiCell
 from .compact import compact_decode, compact_encode
-from .culling import (
-    early_cull_mask,
-    exact_cull_mask,
-    passes_early_cull,
-    sphere_diameter_for_volume,
-)
+from .culling import early_cull_mask, sphere_diameter_for_volume
 from .data_model import BlockSizeReport, VoronoiBlock
 from .ghost import exchange_ghost_particles, exchange_ghost_particles_multi
 from .tess_io import read_tessellation, write_tessellation
@@ -27,7 +22,6 @@ from .tessellate import (
     DistributedTessellation,
     Tessellation,
     tessellate,
-    tessellate_block,
     tessellate_distributed,
 )
 from .timing import PhaseTimer, TessTimings
@@ -39,8 +33,6 @@ __all__ = [
     "compact_encode",
     "compact_decode",
     "early_cull_mask",
-    "exact_cull_mask",
-    "passes_early_cull",
     "sphere_diameter_for_volume",
     "BlockSizeReport",
     "VoronoiBlock",
@@ -51,7 +43,6 @@ __all__ = [
     "Tessellation",
     "DistributedTessellation",
     "tessellate",
-    "tessellate_block",
     "tessellate_distributed",
     "PhaseTimer",
     "TessTimings",

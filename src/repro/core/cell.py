@@ -1,7 +1,7 @@
 """The per-cell record produced by the parallel tessellation.
 
 A :class:`VoronoiCell` is the tessellation-level view of one Voronoi cell:
-geometry from the backend plus *global* identity — the generating particle's
+geometry plus *global* identity — the generating particle's
 simulation-wide id and, per face, the global id of the neighboring particle
 (or a negative wall code).  Global ids are what make cells from different
 blocks stitchable: connected-component labeling and accuracy comparison both
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..geometry.voronoi_cells import VoronoiCellGeometry
 
 __all__ = ["VoronoiCell"]
 
@@ -48,37 +46,6 @@ class VoronoiCell:
     neighbor_ids: np.ndarray
     volume: float
     area: float
-
-    @classmethod
-    def from_geometry(
-        cls,
-        geom: VoronoiCellGeometry,
-        site_position: np.ndarray,
-        local_to_global: np.ndarray,
-        global_site_id: int,
-    ) -> "VoronoiCell":
-        """Lift a backend cell to global ids.
-
-        ``local_to_global`` maps indices into the block's local point array
-        (owned + ghost) to global particle ids.
-        """
-        poly = geom.polyhedron
-        if poly is None:
-            raise ValueError("cannot build a VoronoiCell from a degenerate geometry")
-        neighbor_ids = np.where(
-            poly.face_ids >= 0,
-            local_to_global[np.clip(poly.face_ids, 0, None)],
-            poly.face_ids,
-        ).astype(np.int64)
-        return cls(
-            site_id=int(global_site_id),
-            site=np.asarray(site_position, dtype=float),
-            vertices=poly.vertices.copy(),
-            faces=[np.asarray(f, dtype=np.int64) for f in poly.faces],
-            neighbor_ids=neighbor_ids,
-            volume=poly.volume(),
-            area=poly.surface_area(),
-        )
 
     @property
     def num_faces(self) -> int:

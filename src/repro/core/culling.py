@@ -21,12 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "sphere_diameter_for_volume",
-    "early_cull_mask",
-    "passes_early_cull",
-    "exact_cull_mask",
-]
+__all__ = ["sphere_diameter_for_volume", "early_cull_mask"]
 
 
 def sphere_diameter_for_volume(volume: float) -> float:
@@ -36,29 +31,10 @@ def sphere_diameter_for_volume(volume: float) -> float:
     return 2.0 * (3.0 * volume / (4.0 * np.pi)) ** (1.0 / 3.0)
 
 
-def passes_early_cull(max_vertex_separation: float, vmin: float | None) -> bool:
-    """True if a cell with this diameter could still have volume >= vmin."""
-    if vmin is None or vmin <= 0.0:
-        return True
-    return max_vertex_separation >= sphere_diameter_for_volume(vmin)
-
-
 def early_cull_mask(max_separations: np.ndarray, vmin: float | None) -> np.ndarray:
-    """Vectorized :func:`passes_early_cull` over many cells."""
+    """Keep-mask of the cells whose diameter (max vertex separation) could
+    still hold a volume >= ``vmin``."""
     seps = np.asarray(max_separations, dtype=float)
     if vmin is None or vmin <= 0.0:
         return np.ones(len(seps), dtype=bool)
     return seps >= sphere_diameter_for_volume(vmin)
-
-
-def exact_cull_mask(
-    volumes: np.ndarray, vmin: float | None = None, vmax: float | None = None
-) -> np.ndarray:
-    """Keep-mask for exact volumes within ``[vmin, vmax]``."""
-    v = np.asarray(volumes, dtype=float)
-    keep = np.ones(len(v), dtype=bool)
-    if vmin is not None:
-        keep &= v >= vmin
-    if vmax is not None:
-        keep &= v <= vmax
-    return keep

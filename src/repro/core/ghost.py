@@ -65,73 +65,6 @@ def _dedup_ghosts(
     return positions[unique_idx], ids[unique_idx]
 
 
-def exchange_ghost_particles(
-    decomposition: Decomposition,
-    comm: Communicator,
-    gid: int,
-    positions: np.ndarray,
-    ids: np.ndarray,
-    ghost: float,
-    assignment: Assignment | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exchange boundary particles and return this block's ghosts.
-
-    Collective over ``comm``.  Each rank calls with its own block ``gid``
-    and locally owned particles; the return value is the concatenated ghost
-    particles received from neighbors, with periodic images already
-    translated into this block's frame.
-
-    Parameters
-    ----------
-    decomposition:
-        Global block layout (periodic links included if the domain is
-        periodic).
-    comm, gid:
-        This rank's communicator and block id (one block per rank here; use
-        the underlying :class:`NeighborExchanger` directly for multi-block
-        ranks).
-    positions, ids:
-        Owned particle positions ``(n, 3)`` and global ids ``(n,)``.
-    ghost:
-        Ghost-zone thickness, in the same distance units as the domain.
-        The paper recommends at least twice the typical cell size.
-
-    Returns
-    -------
-    (ghost_positions, ghost_ids)
-        Particles from neighboring blocks within this block's grown bounds.
-    """
-    if ghost < 0:
-        raise ValueError(f"ghost must be nonnegative, got {ghost}")
-    pos = np.asarray(positions, dtype=float)
-    pid = np.asarray(ids, dtype=np.int64)
-    if len(pos) != len(pid):
-        raise ValueError("positions and ids length mismatch")
-
-    exchanger = NeighborExchanger(
-        decomposition, comm, assignment=assignment, transform=_translate_particles
-    )
-
-    if ghost > 0 and len(pos) > 0:
-        for link, mask in decomposition.neighbors_near_points(gid, pos, ghost):
-            if mask.any():
-                exchanger.enqueue(gid, link, (pos[mask].copy(), pid[mask].copy()))
-
-    inbox = exchanger.exchange()
-
-    received = inbox.get(gid, [])
-    if not received:
-        return np.empty((0, 3)), np.empty(0, dtype=np.int64)
-    ghost_pos = np.concatenate([p for _, (p, _) in received])
-    ghost_ids = np.concatenate([i for _, (_, i) in received])
-
-    # A particle can arrive through several links (e.g. a corner particle
-    # reaching the same neighbor directly and through a periodic seam maps
-    # to distinct images, but the same image can be delivered twice when
-    # grids are tiny).  Deduplicate on (id, translated position).
-    return _dedup_ghosts(ghost_pos, ghost_ids)
-
-
 def exchange_ghost_particles_multi(
     decomposition: Decomposition,
     comm: Communicator,
@@ -143,10 +76,10 @@ def exchange_ghost_particles_multi(
 
     ``particles_by_gid`` maps each locally owned block gid to its
     ``(positions, ids)``; the return maps each local gid to its received
-    ghosts.  Semantically identical to calling
-    :func:`exchange_ghost_particles` once per block, but a single
-    collective round, so ranks with different block counts stay in step —
-    the configuration DIY supports when blocks outnumber processes.
+    ghosts (positions and ids, deduplicated, periodic images translated
+    into the block's frame).  One collective round whatever the block
+    count, so ranks with different block counts stay in step — the
+    configuration DIY supports when blocks outnumber processes.
     """
     if ghost < 0:
         raise ValueError(f"ghost must be nonnegative, got {ghost}")
@@ -164,6 +97,8 @@ def exchange_ghost_particles_multi(
         for gid, (pos, pid) in particles_by_gid.items():
             pos = np.asarray(pos, dtype=float)
             pid = np.asarray(pid, dtype=np.int64)
+            if len(pos) != len(pid):
+                raise ValueError("positions and ids length mismatch")
             if len(pos) == 0:
                 continue
             for link, mask in decomposition.neighbors_near_points(gid, pos, ghost):
@@ -181,5 +116,31 @@ def exchange_ghost_particles_multi(
             continue
         gpos = np.concatenate([p for _, (p, _) in received])
         gids_arr = np.concatenate([i for _, (_, i) in received])
+        # On tiny grids the same image of a particle can arrive through
+        # two links: deduplicate on (id, translated position).
         out[gid] = _dedup_ghosts(gpos, gids_arr)
     return out
+
+
+def exchange_ghost_particles(
+    decomposition: Decomposition,
+    comm: Communicator,
+    gid: int,
+    positions: np.ndarray,
+    ids: np.ndarray,
+    ghost: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exchange boundary particles and return block ``gid``'s ghosts.
+
+    The one-block-per-rank case of :func:`exchange_ghost_particles_multi`
+    (collective): each rank calls with its own block ``gid`` (its rank)
+    and locally owned particles ``positions`` ``(n, 3)`` / ``ids`` ``(n,)``;
+    the return value is the ghost particles received from neighbors within
+    ``ghost`` of the block, with periodic images already translated into
+    this block's frame.  The paper recommends a ghost thickness of at
+    least twice the typical cell size.
+    """
+    assignment = Assignment(decomposition.nblocks, comm.size)
+    return exchange_ghost_particles_multi(
+        decomposition, comm, assignment, {gid: (positions, ids)}, ghost
+    )[gid]

@@ -12,7 +12,6 @@ import numpy as np
 
 from ..diy.bounds import Bounds
 from ..diy.comm import Communicator, run_parallel
-from ..diy.decomposition import Decomposition
 from ..diy.mpi_io import BlockFileReader, pack_arrays, unpack_arrays, write_blocks
 from .data_model import VoronoiBlock
 from .timing import TessTimings
@@ -80,24 +79,25 @@ def scan_block_extents(
 def write_tessellation(
     path: str,
     comm: Communicator,
-    block: VoronoiBlock,
-    decomposition: Decomposition,
+    blocks: list[VoronoiBlock],
+    domain: Bounds,
+    nblocks: int,
 ) -> int:
-    """Collective write of one block per rank; returns total file bytes."""
-    blob = _payload(block, decomposition.domain)
-    return write_blocks(
-        path, comm, [(block.gid, blob)], nblocks_total=decomposition.nblocks
-    )
+    """Collective write of this rank's ``blocks`` (any number, one per rank
+    in the paper's layout) into the ``nblocks``-block file at ``path``;
+    returns total file bytes."""
+    blobs = [(b.gid, _payload(b, domain)) for b in blocks]
+    return write_blocks(path, comm, blobs, nblocks_total=nblocks)
 
 
 def write_tessellation_serial(path: str, tess) -> int:
     """Write an assembled :class:`Tessellation` from a single caller."""
-
-    def worker(comm: Communicator) -> int:
-        blobs = [(b.gid, _payload(b, tess.domain)) for b in tess.blocks]
-        return write_blocks(path, comm, blobs, nblocks_total=len(tess.blocks))
-
-    return run_parallel(1, worker)[0]
+    return run_parallel(
+        1,
+        lambda comm: write_tessellation(
+            path, comm, tess.blocks, tess.domain, len(tess.blocks)
+        ),
+    )[0]
 
 
 def read_blocks(

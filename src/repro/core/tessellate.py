@@ -34,16 +34,16 @@ from .. import observe
 from ..diy.bounds import Bounds
 from ..diy.comm import Communicator, run_parallel
 from ..diy.decomposition import Decomposition
-from ..geometry.voronoi_cells import voronoi_cells_clip
+from ..diy.exchange import Assignment
 from ..geometry.voronoi_delaunay import DelaunayVoronoi, segment_gather
 from .cell import VoronoiCell
-from .culling import early_cull_mask, exact_cull_mask, passes_early_cull
+from .culling import early_cull_mask
 from .data_model import VoronoiBlock
-from .ghost import exchange_ghost_particles
+from .ghost import exchange_ghost_particles_multi
+from .tess_io import write_tessellation
 from .timing import PhaseTimer, TessTimings, credit_cpu
 
 __all__ = [
-    "tessellate_block",
     "tessellate_distributed",
     "tessellate",
     "Tessellation",
@@ -507,66 +507,6 @@ def _block_from_flat(
     return block, kept
 
 
-def tessellate_block(
-    owned_positions: np.ndarray,
-    owned_ids: np.ndarray,
-    ghost_positions: np.ndarray,
-    ghost_ids: np.ndarray,
-    container: Bounds,
-    vmin: float | None = None,
-    vmax: float | None = None,
-) -> list[VoronoiCell]:
-    """Reference tessellation of one block, cell by cell (steps 2-3 of the
-    pipeline) with :func:`~repro.geometry.voronoi_cells.voronoi_cells_clip`.
-
-    Shares neither code nor library with the production path, which is
-    what makes it the oracle the tests compare :func:`tessellate` against;
-    no production entry point calls it.  ``container`` is the block's
-    ghost-grown bounds; cells that touch it are incomplete and deleted.
-    Returns complete cells within the volume thresholds, with *global*
-    neighbor ids.
-    """
-    owned_positions = np.atleast_2d(np.asarray(owned_positions, dtype=float))
-    n_owned = len(owned_positions)
-    if n_owned == 0:
-        return []
-    all_points = (
-        np.concatenate([owned_positions, np.atleast_2d(ghost_positions)])
-        if len(ghost_positions)
-        else owned_positions
-    )
-    local_to_global = np.concatenate(
-        [np.asarray(owned_ids, dtype=np.int64), np.asarray(ghost_ids, dtype=np.int64)]
-    )
-
-    geoms = voronoi_cells_clip(all_points, container, sites=np.arange(n_owned))
-
-    cells: list[VoronoiCell] = []
-    for geom in geoms:
-        if not geom.complete or geom.polyhedron is None:
-            continue  # step 3b: delete incomplete cells
-        # Step 3c: conservative early cull before the exact metrics.
-        if not passes_early_cull(
-            geom.polyhedron.max_pairwise_vertex_distance(), vmin
-        ):
-            continue
-        cell = VoronoiCell.from_geometry(
-            geom,
-            site_position=all_points[geom.site],
-            local_to_global=local_to_global,
-            global_site_id=int(local_to_global[geom.site]),
-        )
-        cells.append(cell)
-
-    # Step 3e: exact volume thresholds.
-    if cells and (vmin is not None or vmax is not None):
-        keep = exact_cull_mask(
-            np.asarray([c.volume for c in cells]), vmin=vmin, vmax=vmax
-        )
-        cells = [c for c, k in zip(cells, keep) if k]
-    return cells
-
-
 def tessellate_distributed(
     comm: Communicator,
     decomposition: Decomposition,
@@ -576,45 +516,64 @@ def tessellate_distributed(
     vmin: float | None = None,
     vmax: float | None = None,
     output_path: str | None = None,
-    gid: int | None = None,
 ) -> tuple[VoronoiBlock, TessTimings, int]:
     """SPMD tessellation over already-distributed particles (in situ mode).
 
     Every rank calls this collectively with its owned particles; the rank's
-    block is ``gid`` (default: its rank, the one-block-per-process layout).
-    Returns ``(block, timings, output_bytes)``; ``output_bytes`` is 0 when
-    no ``output_path`` is given.
+    block is its rank (the one-block-per-process layout).  Returns
+    ``(block, timings, output_bytes)``; ``output_bytes`` is 0 when no
+    ``output_path`` is given.
     """
-    gid = comm.rank if gid is None else gid
+    blocks, timings, nbytes = _tessellate_rank(
+        comm, decomposition, {comm.rank: (positions, ids)},
+        ghost, vmin, vmax, output_path,
+    )
+    return blocks[0], timings, nbytes
+
+
+def _tessellate_rank(
+    comm: Communicator,
+    decomposition: Decomposition,
+    particles_by_gid: dict[int, tuple[np.ndarray, np.ndarray]],
+    ghost: float,
+    vmin: float | None,
+    vmax: float | None,
+    output_path: str | None,
+) -> tuple[list[VoronoiBlock], TessTimings, int]:
+    """This rank's blocks from its owned ``(positions, ids)`` per gid —
+    one gid in the paper's layout, several (round-robin, DIY-style) when
+    blocks outnumber ranks: one ghost exchange, the blocks, one collective
+    write.  Returns ``(blocks in gid order, timings, output_bytes)``."""
     timer = PhaseTimer(rank=comm.rank)
     stats0 = comm.stats.snapshot()
-
     with timer.phase("exchange"):
-        ghost_pos, ghost_ids = exchange_ghost_particles(
-            decomposition, comm, gid, positions, ids, ghost
+        ghosts = exchange_ghost_particles_multi(
+            decomposition,
+            comm,
+            Assignment(decomposition.nblocks, comm.size),
+            particles_by_gid,
+            ghost,
         )
-
     with timer.phase("compute"):
-        block = _tessellate_block_flat(
-            decomposition, gid, positions, ids, ghost_pos, ghost_ids,
-            ghost, vmin, vmax, rank=comm.rank, slabs=_slab_count(comm.size),
-        )
-
+        slabs = _slab_count(comm.size)
+        blocks = [
+            _tessellate_block_flat(
+                decomposition, gid, *particles_by_gid[gid], *ghosts[gid],
+                ghost, vmin, vmax, rank=comm.rank, slabs=slabs,
+            )
+            for gid in sorted(particles_by_gid)
+        ]
     output_bytes = 0
     # The output phase is always entered (a ~0 s span when nothing is
     # written) so the canonical exchange/compute/output triple appears on
     # every traced run, matching the paper's Table II breakdown.
     with timer.phase("output"):
         if output_path is not None:
-            from .tess_io import write_tessellation
-
             output_bytes = write_tessellation(
-                output_path,
-                comm,
-                block,
-                decomposition,
+                output_path, comm, blocks, decomposition.domain,
+                decomposition.nblocks,
             )
-    return block, _timings_with_comm(timer, comm, stats0), output_bytes
+    return blocks, _timings_with_comm(timer, comm, stats0), output_bytes
 
 
 def _timings_with_comm(timer: PhaseTimer, comm: Communicator, stats0) -> TessTimings:
@@ -874,15 +833,13 @@ def tessellate(
             publish_imbalance(after, prefix="balance.post")
             balance_info["max_over_mean_after"] = after["max_over_mean"]
             balance_info["rebalanced"] = True
-    # Module-level workers + plain-data arguments: the whole task pickles,
+    # A module-level worker + plain-data arguments: the whole task pickles,
     # so the process backend can lease persistent pool workers instead of
     # forking a one-shot pool per call.
-    worker = _single_block_worker if nranks == nblocks else _multi_block_worker
     results = run_parallel(
         nranks,
-        worker,
+        _rank_worker,
         decomp,
-        nranks,
         pts,
         pid,
         ghost,
@@ -907,10 +864,9 @@ def tessellate(
     )
 
 
-def _single_block_worker(
+def _rank_worker(
     comm: Communicator,
     decomp: Decomposition,
-    nranks: int,
     pts: np.ndarray,
     pid: np.ndarray,
     ghost: float,
@@ -918,67 +874,13 @@ def _single_block_worker(
     vmax: float | None,
     output_path: str | None,
 ):
-    """Rank worker for the one-block-per-rank configuration (picklable)."""
-    mine = decomp.locate(pts) == comm.rank
-    block, timings, nbytes = tessellate_distributed(
-        comm,
-        decomp,
-        pts[mine],
-        pid[mine],
-        ghost=ghost,
-        vmin=vmin,
-        vmax=vmax,
-        output_path=output_path,
-    )
-    return [block], timings, nbytes
-
-
-def _multi_block_worker(
-    comm: Communicator,
-    decomp: Decomposition,
-    nranks: int,
-    pts: np.ndarray,
-    pid: np.ndarray,
-    ghost: float,
-    vmin: float | None,
-    vmax: float | None,
-    output_path: str | None,
-):
-    """Rank worker handling several blocks per rank (round-robin,
-    DIY-style).  Module-level and argument-driven so the task pickles and
-    the persistent rank pool can serve it."""
-    from ..diy.exchange import Assignment
-    from .ghost import exchange_ghost_particles_multi
-
-    assignment = Assignment(decomp.nblocks, nranks)
+    """Rank worker of :func:`tessellate`: the blocks the round-robin
+    assignment gives this rank (picklable)."""
     owners = decomp.locate(pts)
-    timer = PhaseTimer(rank=comm.rank)
-    stats0 = comm.stats.snapshot()
-    gids = assignment.gids_of(comm.rank)
     particles_by_gid = {
-        gid: (pts[owners == gid], pid[owners == gid]) for gid in gids
+        gid: (pts[owners == gid], pid[owners == gid])
+        for gid in Assignment(decomp.nblocks, comm.size).gids_of(comm.rank)
     }
-    with timer.phase("exchange"):
-        ghosts = exchange_ghost_particles_multi(
-            decomp, comm, assignment, particles_by_gid, ghost
-        )
-    with timer.phase("compute"):
-        slabs = _slab_count(comm.size)
-        local_blocks = [
-            _tessellate_block_flat(
-                decomp, gid, *particles_by_gid[gid], *ghosts[gid],
-                ghost, vmin, vmax, rank=comm.rank, slabs=slabs,
-            )
-            for gid in gids
-        ]
-    nbytes = 0
-    with timer.phase("output"):
-        if output_path is not None:
-            from ..diy.mpi_io import write_blocks
-            from .tess_io import _payload
-
-            blobs = [(b.gid, _payload(b, decomp.domain)) for b in local_blocks]
-            nbytes = write_blocks(
-                output_path, comm, blobs, nblocks_total=decomp.nblocks
-            )
-    return local_blocks, _timings_with_comm(timer, comm, stats0), nbytes
+    return _tessellate_rank(
+        comm, decomp, particles_by_gid, ghost, vmin, vmax, output_path
+    )

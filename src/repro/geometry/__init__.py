@@ -1,31 +1,19 @@
 """Computational-geometry kernels (the repo's "Qhull" substrate).
 
-Provides convex polyhedra with halfspace clipping, the Delaunay mesh the
-DTFE estimator reads, and two
-Voronoi constructions with different jobs: :class:`DelaunayVoronoi` is
-the engine the tessellation pipeline runs, :func:`voronoi_cells_clip`
-(KD-tree + bisector clipping, no qhull) the independent reference the
-tests hold it to.  Everything downstream — tess's parallel tessellation
-and the void analysis — builds on these kernels.
+:class:`DelaunayVoronoi` is the one Voronoi engine: the tessellation
+pipeline runs it on every block, from one ``scipy.spatial.Delaunay``.
+:func:`delaunay` gives the Delaunay mesh the DTFE estimator reads.  The
+independent clip reference the tests hold the engine to (KD-tree +
+bisector clipping, no qhull) lives with the tests, in
+``tests/clip_voronoi.py``.
 """
 
 from .delaunay import DelaunayMesh, delaunay
-from .polyhedron import WALL_IDS, ConvexPolyhedron
-from .predicates import DEFAULT_REL_EPS, classify_against_plane, orient3d, scale_eps
-from .voronoi_cells import VoronoiCellGeometry, voronoi_cells_clip
 from .voronoi_delaunay import DelaunayVoronoi, tet_circumcenters
 
 __all__ = [
     "DelaunayMesh",
     "delaunay",
-    "WALL_IDS",
-    "ConvexPolyhedron",
-    "DEFAULT_REL_EPS",
-    "classify_against_plane",
-    "orient3d",
-    "scale_eps",
-    "VoronoiCellGeometry",
-    "voronoi_cells_clip",
     "DelaunayVoronoi",
     "tet_circumcenters",
 ]

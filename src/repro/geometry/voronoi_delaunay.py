@@ -28,8 +28,8 @@ Python geometry:
   A_r * d_r`` over its ridges;
 * a cell is complete iff its site is off the hull and every incident
   circumcenter lies inside the container — the semantics of the
-  independent reference, :func:`repro.geometry.voronoi_cells.
-  voronoi_cells_clip` ("no wall face remains").
+  independent clip reference the tests hold it to
+  (``tests/clip_voronoi.py``: "no wall face remains").
 
 The per-ring order/dedup/Newell work runs in a compiled C kernel when
 :mod:`repro._native` can build one (it fuses ~15 NumPy passes into one

@@ -20,7 +20,7 @@ from .initial_conditions import zeldovich_ics
 from .integrator import TimeStepper, compute_accelerations, kdk_step
 from .mesh import cic_deposit, cic_gather, density_contrast
 from .particles import ParticleSet
-from .poisson import accelerations_from_delta, gravitational_potential
+from .poisson import accelerations_from_delta
 from .power_spectrum import (
     LinearPowerSpectrum,
     transfer_bbks,
@@ -51,7 +51,6 @@ __all__ = [
     "density_contrast",
     "ParticleSet",
     "accelerations_from_delta",
-    "gravitational_potential",
     "LinearPowerSpectrum",
     "transfer_bbks",
     "transfer_eisenstein_hu",

@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["gravitational_potential", "accelerations_from_delta"]
+__all__ = ["accelerations_from_delta"]
 
 
 @functools.lru_cache(maxsize=8)
@@ -67,35 +67,6 @@ def _cic_window_sq(ng: int) -> np.ndarray:
     out = (wx * wy * wz) ** 2
     out.setflags(write=False)
     return out
-
-
-def gravitational_potential(
-    delta: np.ndarray, prefactor: float, deconvolve: bool = False
-) -> np.ndarray:
-    """Solve ``laplacian(phi) = prefactor * delta`` on a periodic mesh.
-
-    Parameters
-    ----------
-    delta:
-        ``(ng, ng, ng)`` source field (zero mean; the k=0 mode is dropped).
-    prefactor:
-        Right-hand-side scale, e.g. ``1.5 * omega_m / a``.
-    deconvolve:
-        Divide out the squared CIC window (compensates deposit+gather
-        smoothing).
-    """
-    d = np.asarray(delta, dtype=float)
-    ng = d.shape[0]
-    if d.shape != (ng, ng, ng):
-        raise ValueError(f"delta must be cubic, got {d.shape}")
-    kx, ky, kz = _k_grids(ng)
-    k2 = kx**2 + ky**2 + kz**2
-    dk = np.fft.rfftn(d)
-    if deconvolve:
-        dk /= np.maximum(_cic_window_sq(ng), 1e-12)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phik = np.where(k2 > 0, -prefactor * dk / k2, 0.0)
-    return np.fft.irfftn(phik, s=d.shape, axes=(0, 1, 2))
 
 
 def accelerations_from_delta(

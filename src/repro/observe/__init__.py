@@ -54,7 +54,6 @@ from .export import (
     phase_criticals,
     span_summary,
     write_chrome_trace,
-    write_jsonl,
     write_metrics,
 )
 from .metrics import (
@@ -91,7 +90,6 @@ __all__ = [
     "dropped_events",
     "chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
     "span_summary",
     "phase_criticals",
     "metrics_report",

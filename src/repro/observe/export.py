@@ -10,7 +10,7 @@ Two consumers, two formats:
   normalized to the earliest recorded span, and thread-CPU seconds plus
   user attributes ride in ``args``.
 * **Flat summaries** (:func:`span_summary`, :func:`phase_criticals`,
-  :func:`write_metrics`, :func:`write_jsonl`) — machine-readable dicts for
+  :func:`write_metrics`) — machine-readable dicts for
   benchmark tables and the CI perf-regression gate: per-span-name totals,
   per-phase max-over-ranks seconds (the paper's critical-path convention),
   and the full metrics-registry snapshot.
@@ -27,7 +27,6 @@ from .metrics import registry
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
     "span_summary",
     "phase_criticals",
     "metrics_report",
@@ -81,31 +80,6 @@ def write_chrome_trace(path: str, events: list[tuple] | None = None) -> int:
     with open(path, "w") as f:
         json.dump(doc, f)
     return sum(1 for ev in doc["traceEvents"] if ev["ph"] == "X")
-
-
-def write_jsonl(path: str, events: list[tuple] | None = None) -> int:
-    """Write one JSON object per span to ``path`` (flat event log)."""
-    if events is None:
-        events = trace.raw_events()
-    n = 0
-    with open(path, "w") as f:
-        for name, rank, t0, t1, cpu, cat, attrs in sorted(
-            events, key=lambda ev: ev[trace.T0]
-        ):
-            row = {
-                "name": name,
-                "rank": rank,
-                "t0": t0,
-                "t1": t1,
-                "wall_s": t1 - t0,
-                "cpu_s": cpu,
-                "cat": cat,
-            }
-            if attrs:
-                row["attrs"] = attrs
-            f.write(json.dumps(row) + "\n")
-            n += 1
-    return n
 
 
 def span_summary(events: list[tuple] | None = None) -> dict[str, Any]:

@@ -10,11 +10,11 @@ demands between them:
 
 * :mod:`~repro.serve.store` — multi-snapshot catalog manifest with
   ETag-style content versioning over mmap'd, CRC-validated block files;
-* :mod:`~repro.serve.cache` — sharded LRU block cache with a byte budget
+* :mod:`~repro.serve.cache` — one-lock LRU block cache with a byte budget
   and per-key miss coalescing;
 * :mod:`~repro.serve.batching` — same-block request batching onto a
-  worker pool, with a bounded in-flight queue (503 + Retry-After
-  backpressure);
+  worker pool inside a fixed 2 ms window, with a bounded in-flight queue
+  (503 + Retry-After backpressure);
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.protocol` — the
   asyncio server and its minimal HTTP/1.1 wire layer;
 * :mod:`~repro.serve.client` — the async load generator CI drives.

@@ -4,11 +4,14 @@ NumPy-heavy query kernels run on a thread pool; the event loop only
 parses, routes, and frames.  Two mechanisms sit between them:
 
 * **same-block batching** — queries are grouped by *batch key* (the
-  snapshot etag plus the gid set they touch).  Arrivals within a short
-  window ride one executor dispatch: the first query faults the blocks
-  into the cache and the rest reuse them while the arrays are hot in
-  LLC, instead of interleaving with unrelated work.  One batch is one
+  snapshot etag plus the gid set they touch).  Arrivals within
+  :data:`WINDOW_S` ride one executor dispatch: the first query faults the
+  blocks into the cache and the rest reuse them while the arrays are hot
+  in LLC, instead of interleaving with unrelated work.  One batch is one
   ``serve.batch.dispatches``; ``serve.batch.size`` records occupancy.
+  The window also paces the event loop: under the GIL it throttles the
+  light connections while a heavy kernel runs (without it the pipeline
+  benchmark's ``serve_mix`` heavy p50 was 18 % slower on a 2-vCPU box).
 * **bounded in-flight queue** — at most ``max_inflight`` queries may be
   queued-or-running.  Beyond that, :meth:`QueryBatcher.submit` raises
   :class:`ServerBusy` and the protocol layer answers **503 with
@@ -25,7 +28,10 @@ from typing import Any, Callable, Hashable
 
 from ..observe import registry
 
-__all__ = ["QueryBatcher", "ServerBusy"]
+__all__ = ["QueryBatcher", "ServerBusy", "WINDOW_S"]
+
+#: Seconds a batch key's first job waits for same-key arrivals.
+WINDOW_S = 0.002
 
 
 class ServerBusy(RuntimeError):
@@ -54,13 +60,11 @@ class QueryBatcher:
     def __init__(
         self,
         max_workers: int = 4,
-        window_s: float = 0.002,
         max_inflight: int = 128,
         retry_after_s: float = 0.05,
     ):
         if max_inflight <= 0:
             raise ValueError(f"max_inflight must be positive, got {max_inflight}")
-        self.window_s = float(window_s)
         self.max_inflight = int(max_inflight)
         self.retry_after_s = float(retry_after_s)
         self._executor = ThreadPoolExecutor(
@@ -94,9 +98,9 @@ class QueryBatcher:
         queue = self._pending.get(batch_key)
         if queue is None:
             # First job for this key opens the window; it flushes the
-            # whole group after window_s regardless of later arrivals.
+            # whole group after WINDOW_S regardless of later arrivals.
             self._pending[batch_key] = [job]
-            loop.call_later(self.window_s, self._flush, batch_key, loop)
+            loop.call_later(WINDOW_S, self._flush, batch_key, loop)
         else:
             queue.append(job)
         return await job.future

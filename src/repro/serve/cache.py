@@ -1,4 +1,4 @@
-"""Sharded LRU block cache with a byte budget and miss coalescing.
+"""LRU block cache with a byte budget and miss coalescing.
 
 Decoded :class:`~repro.core.data_model.VoronoiBlock`\\ s are the unit of
 caching — decode cost (CRC check plus array materialization) is paid once
@@ -6,20 +6,18 @@ per ``(etag, gid)`` and every query against that block reuses the arrays.
 
 Design points, each load-bearing under concurrency:
 
-* **sharding** — keys hash onto independent shards, each with its own
-  lock and LRU order, so readers hitting different shards never contend.
-  The byte budget is split evenly across shards (the classic
-  approximation: global LRU order is not preserved, eviction pressure
-  is).
-* **miss coalescing** — a shard tracks in-flight loads by key; the first
-  requester becomes the *leader* and performs the read outside the lock,
-  followers wait on the leader's :class:`~concurrent.futures.Future`.
-  N concurrent requests for one cold block cost exactly one underlying
-  read (``serve.cache.loads`` counts reads, ``serve.cache.coalesced``
-  counts followers — the coalescing test asserts both).
-* **admission** — an entry larger than a whole shard's budget is returned
-  to the caller but never admitted (``serve.cache.oversized``); caching
-  it would evict an entire shard for one self-evicting tenant.
+* **one lock, one LRU** — lookups and insertions are a dict operation
+  under one lock; the byte budget bounds the whole cache.
+* **miss coalescing** — the cache tracks in-flight loads by key; the
+  first requester becomes the *leader* and performs the read outside the
+  lock, followers wait on the leader's
+  :class:`~concurrent.futures.Future`.  N concurrent requests for one cold
+  block cost exactly one underlying read (``serve.cache.loads`` counts
+  reads, ``serve.cache.coalesced`` counts followers — the coalescing test
+  asserts both).
+* **admission** — an entry larger than the whole budget is returned to
+  the caller but never admitted (``serve.cache.oversized``); caching it
+  would evict everything for one self-evicting tenant.
 * **etag invalidation** — keys embed the snapshot etag, so a republished
   snapshot can never get stale hits; :meth:`BlockCache.evict_stale`
   reclaims the dead bytes eagerly when the catalog manifest changes.
@@ -42,17 +40,6 @@ __all__ = ["BlockCache", "CacheStats"]
 Key = Hashable
 #: a loader returns (value, nbytes) — nbytes is what the entry costs
 Loader = Callable[[], tuple[Any, int]]
-
-
-class _Shard:
-    __slots__ = ("lock", "entries", "loading", "bytes")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        # key -> (value, nbytes), in LRU order (last = most recent)
-        self.entries: OrderedDict[Key, tuple[Any, int]] = OrderedDict()
-        self.loading: dict[Key, Future] = {}
-        self.bytes = 0
 
 
 class CacheStats:
@@ -78,17 +65,17 @@ class CacheStats:
 
 
 class BlockCache:
-    """Thread-safe sharded LRU cache keyed by ``(etag, gid)`` tuples."""
+    """Thread-safe LRU cache keyed by ``(etag, gid)`` tuples."""
 
-    def __init__(self, max_bytes: int, nshards: int = 8):
+    def __init__(self, max_bytes: int):
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        if nshards <= 0:
-            raise ValueError(f"nshards must be positive, got {nshards}")
         self.max_bytes = int(max_bytes)
-        self.nshards = int(nshards)
-        self.shard_budget = max(1, self.max_bytes // self.nshards)
-        self._shards = [_Shard() for _ in range(self.nshards)]
+        self._lock = threading.Lock()
+        # key -> (value, nbytes), in LRU order (last = most recent)
+        self._entries: OrderedDict[Key, tuple[Any, int]] = OrderedDict()
+        self._loading: dict[Key, Future] = {}
+        self.nbytes = 0
         self.stats = CacheStats()
         reg = registry()
         self._m_hits = reg.counter("serve.cache.hits")
@@ -99,43 +86,32 @@ class BlockCache:
         self._m_oversized = reg.counter("serve.cache.oversized")
         self._m_bytes = reg.gauge("serve.cache.bytes")
 
-    # ------------------------------------------------------------------
-    def _shard(self, key: Key) -> _Shard:
-        return self._shards[hash(key) % self.nshards]
-
-    @property
-    def nbytes(self) -> int:
-        """Current cached bytes across shards."""
-        return sum(s.bytes for s in self._shards)
-
     def __len__(self) -> int:
-        return sum(len(s.entries) for s in self._shards)
+        return len(self._entries)
 
     def __contains__(self, key: Key) -> bool:
-        shard = self._shard(key)
-        with shard.lock:
-            return key in shard.entries
+        with self._lock:
+            return key in self._entries
 
     # ------------------------------------------------------------------
     def get(self, key: Key, loader: Loader) -> Any:
         """The cached value for ``key``, loading it via ``loader`` on a
         miss.  Concurrent misses for one key perform one load."""
-        shard = self._shard(key)
         leader = False
-        with shard.lock:
-            entry = shard.entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
             if entry is not None:
-                shard.entries.move_to_end(key)
+                self._entries.move_to_end(key)
                 self.stats.hits += 1
                 self._m_hits.inc()
                 return entry[0]
-            fut = shard.loading.get(key)
+            fut = self._loading.get(key)
             if fut is not None:
                 self.stats.coalesced += 1
                 self._m_coalesced.inc()
             else:
                 fut = Future()
-                shard.loading[key] = fut
+                self._loading[key] = fut
                 self.stats.misses += 1
                 self._m_misses.inc()
                 leader = True
@@ -147,17 +123,16 @@ class BlockCache:
             self._m_loads.inc()
             value, nbytes = loader()
         except BaseException as exc:
-            with shard.lock:
-                shard.loading.pop(key, None)
+            with self._lock:
+                self._loading.pop(key, None)
             fut.set_exception(exc)
             raise
-        with shard.lock:
-            shard.loading.pop(key, None)
-            if nbytes <= self.shard_budget:
-                shard.entries[key] = (value, nbytes)
-                shard.entries.move_to_end(key)
-                shard.bytes += nbytes
-                self._evict_locked(shard)
+        with self._lock:
+            self._loading.pop(key, None)
+            if nbytes <= self.max_bytes:
+                self._entries[key] = (value, nbytes)
+                self.nbytes += nbytes
+                self._evict_locked()
             else:
                 self.stats.oversized += 1
                 self._m_oversized.inc()
@@ -165,10 +140,10 @@ class BlockCache:
         fut.set_result(value)
         return value
 
-    def _evict_locked(self, shard: _Shard) -> None:
-        while shard.bytes > self.shard_budget and len(shard.entries) > 1:
-            _, (_, nbytes) = shard.entries.popitem(last=False)
-            shard.bytes -= nbytes
+    def _evict_locked(self) -> None:
+        while self.nbytes > self.max_bytes and len(self._entries) > 1:
+            _, (_, nbytes) = self._entries.popitem(last=False)
+            self.nbytes -= nbytes
             self.stats.evictions += 1
             self._m_evictions.inc()
 
@@ -176,27 +151,22 @@ class BlockCache:
     def evict_stale(self, valid_etags: set[str]) -> int:
         """Drop entries whose key's etag is no longer live; returns the
         number evicted.  Called when the catalog manifest changes."""
-        dropped = 0
-        for shard in self._shards:
-            with shard.lock:
-                stale = [
-                    k
-                    for k in shard.entries
-                    if isinstance(k, tuple) and k and k[0] not in valid_etags
-                ]
-                for key in stale:
-                    _, nbytes = shard.entries.pop(key)
-                    shard.bytes -= nbytes
-                    dropped += 1
-                    self.stats.evictions += 1
-                    self._m_evictions.inc()
-        if dropped:
-            self._m_bytes.set(self.nbytes)
-        return dropped
+        with self._lock:
+            stale = [
+                k
+                for k in self._entries
+                if isinstance(k, tuple) and k and k[0] not in valid_etags
+            ]
+            for key in stale:
+                self.nbytes -= self._entries.pop(key)[1]
+                self.stats.evictions += 1
+                self._m_evictions.inc()
+            if stale:
+                self._m_bytes.set(self.nbytes)
+        return len(stale)
 
     def clear(self) -> None:
-        for shard in self._shards:
-            with shard.lock:
-                shard.entries.clear()
-                shard.bytes = 0
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
         self._m_bytes.set(0)

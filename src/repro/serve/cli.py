@@ -56,12 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 = ephemeral, printed on startup)")
     s.add_argument("--cache-mb", type=float, default=256.0,
                    help="block cache byte budget (default 256 MiB)")
-    s.add_argument("--shards", type=int, default=8,
-                   help="cache shard count (default 8)")
     s.add_argument("--workers", type=int, default=4,
                    help="query worker threads (default 4)")
-    s.add_argument("--window-ms", type=float, default=2.0,
-                   help="batching window (default 2 ms)")
     s.add_argument("--max-inflight", type=int, default=128,
                    help="bounded in-flight queue; beyond it requests get "
                         "503 + Retry-After (default 128)")
@@ -142,9 +138,7 @@ async def _serve(args) -> int:
         host=args.host,
         port=args.port,
         cache_bytes=int(args.cache_mb * 1024 * 1024),
-        cache_shards=args.shards,
         workers=args.workers,
-        batch_window_s=args.window_ms / 1e3,
         max_inflight=args.max_inflight,
     )
     server = TessServer(store, config)
@@ -253,9 +247,31 @@ def _cmd_load(args) -> int:
     return asyncio.run(_load(args, host or "127.0.0.1", int(port_s)))
 
 
+#: per subcommand, the options that must be positive
+_POSITIVE = {
+    "serve": ("cache_mb", "workers", "max_inflight"),
+    "load": ("requests", "concurrency"),
+}
+
+
+def _usage_error(args) -> str | None:
+    """What is wrong with the parsed options, if anything."""
+    for name in _POSITIVE.get(args.command, ()):
+        value = getattr(args, name)
+        if not value > 0:
+            return f"--{name.replace('_', '-')} must be positive, got {value}"
+    if args.command == "serve" and not 0 <= args.port <= 65535:
+        return f"--port must be in 0..65535, got {args.port}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro-serve``; returns a process exit code."""
     args = _build_parser().parse_args(argv)
+    problem = _usage_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     if args.command == "build":
         return _cmd_build(args)
     if args.command == "serve":

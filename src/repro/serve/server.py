@@ -2,7 +2,7 @@
 
 One event loop owns admission, routing, and framing; the NumPy-heavy
 query kernels run on :class:`~repro.serve.batching.QueryBatcher`'s worker
-pool against blocks faulted in through the sharded
+pool against blocks faulted in through the
 :class:`~repro.serve.cache.BlockCache`.  The flow for ``POST /query``:
 
 1. parse + validate the spec (400 on garbage — before any I/O),
@@ -59,9 +59,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port lands on TessServer.port
     cache_bytes: int = 256 * 1024 * 1024
-    cache_shards: int = 8
     workers: int = 4
-    batch_window_s: float = 0.002
     max_inflight: int = 128
     retry_after_s: float = 0.05
 
@@ -78,12 +76,9 @@ class TessServer:
     def __init__(self, store: CatalogStore, config: ServeConfig | None = None):
         self.store = store
         self.config = config or ServeConfig()
-        self.cache = BlockCache(
-            self.config.cache_bytes, nshards=self.config.cache_shards
-        )
+        self.cache = BlockCache(self.config.cache_bytes)
         self.batcher = QueryBatcher(
             max_workers=self.config.workers,
-            window_s=self.config.batch_window_s,
             max_inflight=self.config.max_inflight,
             retry_after_s=self.config.retry_after_s,
         )

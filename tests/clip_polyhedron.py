@@ -1,7 +1,7 @@
 """Convex polyhedra with halfspace clipping.
 
 :class:`ConvexPolyhedron` is the workhorse of the clip Voronoi reference
-(:mod:`repro.geometry.voronoi_cells`): a Voronoi cell starts as the block's
+(:mod:`tests.clip_voronoi`): a Voronoi cell starts as the block's
 ghost-extended bounding box and is cut down by one bisector halfspace per
 relevant neighbor, Voro++-style.  Each face remembers the *generator id* of
 the halfspace that produced it — a neighboring site index for bisector
@@ -10,7 +10,7 @@ drives both completeness detection (a cell with any wall face may be
 unbounded in truth) and cell adjacency for connected-component labeling.
 
 Geometric robustness comes from tolerant vertex classification (see
-:mod:`repro.geometry.predicates`) and from recomputing derived quantities
+:mod:`tests.clip_predicates`) and from recomputing derived quantities
 (volume, area) in an orientation-free way: face normals are re-oriented
 against the centroid rather than trusting stored winding.
 """
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..diy.bounds import Bounds
-from .predicates import DEFAULT_REL_EPS, INSIDE, ON, OUTSIDE, scale_eps
+from repro.diy.bounds import Bounds
+
+from .clip_predicates import DEFAULT_REL_EPS, INSIDE, ON, OUTSIDE, scale_eps
 
 __all__ = ["ConvexPolyhedron", "WALL_IDS"]
 

@@ -1,9 +1,10 @@
 """Geometric predicates and tolerance policy.
 
-All tolerance decisions in the geometry subpackage go through this module so
-the rest of the code never hardcodes epsilons.  Tolerances are *relative*:
-they scale with the extent of the object being tested, which keeps the
-kernels stable whether a simulation box is 1 or 10^4 Mpc/h across.
+All tolerance decisions of the clip reference (:mod:`tests.clip_polyhedron`,
+:mod:`tests.clip_voronoi`) go through this module so the rest of the code
+never hardcodes epsilons.  Tolerances are *relative*: they scale with the
+extent of the object being tested, which keeps the kernels stable whether
+a simulation box is 1 or 10^4 Mpc/h across.
 """
 
 from __future__ import annotations

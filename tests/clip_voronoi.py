@@ -2,7 +2,7 @@
 
 This is ``clip``, the reference the tests hold the production engine
 (:mod:`repro.geometry.voronoi_delaunay`) to — it shares no code and no
-library (no qhull) with it, and no production entry point selects it.
+library (no qhull) with it, and it lives with the tests.
 Each cell starts as the container box and is intersected with one
 halfspace per nearby site — the perpendicular bisector between the cell's
 own site and that neighbor — in increasing distance order.  Iteration
@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..diy.bounds import Bounds
-from .polyhedron import ConvexPolyhedron
-from .predicates import DEFAULT_REL_EPS
+from repro.diy.bounds import Bounds
+
+from .clip_polyhedron import ConvexPolyhedron
+from .clip_predicates import DEFAULT_REL_EPS
 
 __all__ = ["VoronoiCellGeometry", "voronoi_cells_clip"]
 

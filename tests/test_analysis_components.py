@@ -10,13 +10,9 @@ from repro.core import tessellate, tessellate_distributed
 from repro.analysis.components import (
     ArrayUnionFind,
     connected_components,
-    connected_components_distributed,
+    connected_components_at_root,
 )
-from repro.analysis.threshold import (
-    density_threshold_mask,
-    kept_site_ids,
-    volume_threshold_mask,
-)
+from repro.analysis.threshold import volume_threshold_mask
 
 from .components_reference import UnionFind, block_edges
 
@@ -177,24 +173,6 @@ class TestThresholdMasks:
         assert mask.sum() == (v >= vmin).sum()
         assert np.all(v[mask] >= vmin)
 
-    def test_density_mask_is_dual(self):
-        domain = Bounds.cube(10.0)
-        tess = tessellate(two_cluster_points(1), domain, nblocks=1, ghost=4.0)
-        v = tess.volumes()
-        vmin = float(np.median(v))
-        np.testing.assert_array_equal(
-            volume_threshold_mask(tess, vmin=vmin),
-            density_threshold_mask(tess, dmax=1.0 / vmin),
-        )
-
-    def test_kept_site_ids(self):
-        domain = Bounds.cube(10.0)
-        tess = tessellate(two_cluster_points(2), domain, nblocks=1, ghost=4.0)
-        mask = volume_threshold_mask(tess, vmin=0.0)
-        assert len(kept_site_ids(tess, mask)) == tess.num_cells
-        with pytest.raises(ValueError):
-            kept_site_ids(tess, mask[:-1])
-
 
 class TestConnectedComponents:
     def test_all_cells_one_component(self):
@@ -273,13 +251,11 @@ class TestDistributedComponents:
             block, _, _ = tessellate_distributed(
                 comm, decomp, pts[mine], ids[mine], ghost=4.0
             )
-            return connected_components_distributed(comm, block, vmin=vmin)
+            return connected_components_at_root(comm, block, vmin=vmin)
 
         labelings = run_parallel(4, worker)
-        # All ranks hold the identical global labeling.
-        for lab in labelings:
-            np.testing.assert_array_equal(lab.site_ids, labelings[0].site_ids)
-            np.testing.assert_array_equal(lab.labels, labelings[0].labels)
+        # Rank 0 holds the global labeling, the others nothing.
+        assert all(lab is None for lab in labelings[1:])
         lab = labelings[0]
         assert lab.num_components == ref.num_components
         def partition(l):

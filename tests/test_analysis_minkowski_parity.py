@@ -28,8 +28,8 @@ from repro.analysis.minkowski import minkowski_functionals
 from repro.analysis.voids import find_voids
 from repro.core import Tessellation, VoronoiBlock, VoronoiCell, tessellate
 from repro.diy.bounds import Bounds
-from repro.geometry.polyhedron import ConvexPolyhedron
 
+from .clip_polyhedron import ConvexPolyhedron
 from .minkowski_reference import minkowski_reference
 
 #: Flat vs reference.  Both evaluate the same per-face and per-edge

@@ -59,7 +59,7 @@ class TestMinkowskiSingleCell:
         from repro.core.cell import VoronoiCell
         from repro.core.data_model import VoronoiBlock
         from repro.core.tessellate import Tessellation
-        from repro.geometry.polyhedron import ConvexPolyhedron
+        from .clip_polyhedron import ConvexPolyhedron
 
         box = Bounds.cube(2.0)
         poly = ConvexPolyhedron.from_bounds(box)

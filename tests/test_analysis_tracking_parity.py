@@ -1,9 +1,10 @@
 """Parity suite for temporal feature tracking.
 
 The flat overlap kernel, the dict reference
-(``tests/tracking_reference.py``), and the distributed tracker must
-produce identical feature trees — bit for bit, including
-per-track volume histories — at 1/2/4 ranks on both execution backends.
+(``tests/tracking_reference.py``), and the in situ tracking tool on
+rank-local blocks must produce identical feature trees — bit for bit,
+including per-track volume histories — at 1/2/4 ranks on both execution
+backends.
 Also covers: the merge-arbitration bugfix (overlap count beats dict
 insertion order), a periodic-seam void that merges across a step
 boundary, checkpointable builder state, the merger-tree on-disk format,
@@ -18,23 +19,24 @@ import pytest
 
 from repro import faults, observe
 from repro.analysis import tracking
-from repro.analysis.components import (
-    ComponentLabeling,
-    connected_components,
-    connected_components_distributed,
-)
+from repro.analysis.components import ComponentLabeling, connected_components
 from repro.analysis.tracking import (
     FeatureTreeBuilder,
     MergerTree,
-    local_labeling,
     overlap_matrix,
     track_components,
-    track_components_distributed,
 )
-from repro.core import tessellate, tessellate_distributed
+from repro.core import (
+    DistributedTessellation,
+    TessTimings,
+    Tessellation,
+    tessellate,
+    tessellate_distributed,
+)
 from repro.diy.bounds import Bounds
 from repro.diy.comm import ParallelError, run_parallel
 from repro.diy.decomposition import Decomposition
+from repro.insitu import TrackingTool
 
 from .tracking_reference import overlap_arrays_dict, overlap_matrix_dict
 
@@ -246,78 +248,64 @@ class TestMergerTreeFormat:
 
 
 # ----------------------------------------------------------------------
-# distributed == serial, bit-identically
+# in situ tool on rank-local blocks == serial, bit-identically
 # ----------------------------------------------------------------------
-def _synthetic_tracking_worker(comm, step_arrays, min_overlap):
-    """One rank: restrict each step's global labeling to the site ids this
-    rank owns (round-robin by id) and run the distributed tracker."""
-    labelings, cell_volumes = {}, {}
-    for step, (sids, labels, vols) in step_arrays.items():
-        mine = sids % comm.size == comm.rank
-        labelings[step] = ComponentLabeling(
-            site_ids=sids[mine], labels=labels[mine]
+class _StubSim:
+    """Bare sim stand-in for context-driven tool runs."""
+
+    recovery = None
+
+
+def _drifting_steps(seed=3, nsteps=4, n=300):
+    """Uniform clouds whose particles drift between steps (ids kept)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, BOX, size=(n, 3))
+    steps = {}
+    for step in range(nsteps):
+        steps[step] = pts
+        pts = np.mod(pts + rng.normal(scale=0.3, size=pts.shape), BOX)
+    return steps
+
+
+def _tool_on_blocks_worker(comm, step_blocks, domain):
+    """One rank: hand its block of each step to the tracking tool inside
+    the in situ handle, as the tessellation tool does."""
+    tool = TrackingTool(vmin_quantile=0.8)
+    for step, blocks in step_blocks.items():
+        handle = DistributedTessellation.collect(
+            comm, domain, blocks[comm.rank], TessTimings(), 0
         )
-        cell_volumes[step] = vols[mine]
-    return track_components_distributed(
-        comm, labelings, min_overlap=min_overlap, cell_volumes=cell_volumes
-    )
+        tree = tool.run(
+            _StubSim(), step, 1.0, comm, context={"tessellation": handle}
+        )
+    return tree
 
 
 @pytest.mark.parametrize("exec_backend", ["thread", "process"])
 @pytest.mark.parametrize("nranks", [1, 2, 4])
 def test_distributed_matches_serial_bit_identically(nranks, exec_backend):
-    """Per-rank linked trees == the serial oracle, volumes included."""
-    rng = np.random.default_rng(3)
-    labelings = {
-        s: _random_labeling(rng, int(rng.integers(50, 300)), 7)
-        for s in range(4)
+    """The tool on rank-local blocks == the tool on the same blocks
+    assembled: every merger-tree array, volume histories included."""
+    domain = Bounds.cube(BOX)
+    step_blocks = {
+        step: tessellate(pts, domain, nblocks=nranks, ghost=4.0).blocks
+        for step, pts in _drifting_steps().items()
     }
-    step_arrays = {}
-    serial_vols = {}
-    for s, lab in labelings.items():
-        cell_vols = rng.uniform(0.5, 2.0, size=len(lab.site_ids))
-        step_arrays[s] = (lab.site_ids, lab.labels, cell_vols)
-        # Serial per-label sums in ascending-site-id order — the same
-        # order the distributed root accumulates in.
-        comp = np.zeros(lab.num_components)
-        np.add.at(comp, lab.labels, cell_vols)
-        serial_vols[s] = comp
-
-    ref = track_components(labelings, volumes=serial_vols)
+    serial = TrackingTool(vmin_quantile=0.8)
+    for step, blocks in step_blocks.items():
+        ref = serial.run(
+            _StubSim(), step, 1.0, None,
+            context={"tessellation": Tessellation(domain, blocks)},
+        )
+    assert ref.num_events > 0
     trees = run_parallel(
-        nranks,
-        _synthetic_tracking_worker,
-        step_arrays,
-        1,
+        nranks, _tool_on_blocks_worker, step_blocks, domain,
         backend=exec_backend,
     )
     for tree in trees:  # identical on every rank, bit for bit
-        assert tree == ref
-        for got, want in zip(tree.tracks, ref.tracks):
-            assert got.volumes == want.volumes
-
-
-def _mismatched_steps_worker(comm):
-    steps = {0: _labeling([(0, 1)])}
-    if comm.rank == 1:
-        steps[1] = _labeling([(0, 1)])
-    return track_components_distributed(comm, steps)
-
-
-def test_distributed_rejects_mismatched_step_sets():
-    with pytest.raises(ParallelError, match="same step sequence"):
-        run_parallel(2, _mismatched_steps_worker)
-
-
-def _duplicate_owner_worker(comm):
-    # Both ranks claim site id 0 — the root must refuse to link it.
-    lab = _labeling([(0, 1 + comm.rank)])
-    return track_components_distributed(comm, {0: lab})
-
-
-def test_distributed_rejects_duplicate_ownership():
-    with pytest.raises(ParallelError, match="more than one rank"):
-        run_parallel(2, _duplicate_owner_worker)
+        assert set(tree.arrays) == set(ref.arrays)
+        for key in ref.arrays:
+            np.testing.assert_array_equal(tree.arrays[key], ref.arrays[key])
 
 
 # ----------------------------------------------------------------------
@@ -404,22 +392,21 @@ def test_seam_void_merges_across_step_boundary(seam_merge_case):
     ), f"no merge linking seam void {strip0} with mid {mid0}: {merges}"
 
 
-def _seam_tracking_worker(comm, steps, decomp, vmins):
-    """One rank: tessellate + label each step distributed, restrict to the
-    rank's own block rows, and link across steps."""
-    labelings = {}
+def _seam_tracking_worker(comm, steps, decomp):
+    """One rank: tessellate each step in situ and run the tracking tool on
+    its block, thresholded at the fixture's 0.95 volume quantile."""
+    tool = TrackingTool(vmin_quantile=0.95)
     for step, (pts, ids) in steps.items():
         mine = decomp.locate(pts) == comm.rank
-        block, _, _ = tessellate_distributed(
-            comm, decomp, pts[mine], ids[mine], ghost=4.0
+        handle = DistributedTessellation.collect(
+            comm,
+            decomp.domain,
+            *tessellate_distributed(comm, decomp, pts[mine], ids[mine], ghost=4.0),
         )
-        glab = connected_components_distributed(
-            comm, block, vmin=vmins[step]
+        tree = tool.run(
+            _StubSim(), step, 1.0, comm, context={"tessellation": handle}
         )
-        labelings[step] = local_labeling(
-            glab, np.asarray(block.site_ids, dtype=np.int64)
-        )
-    return track_components_distributed(comm, labelings)
+    return tree.to_tree()
 
 
 @pytest.mark.parametrize("exec_backend", ["thread", "process"])
@@ -427,35 +414,28 @@ def _seam_tracking_worker(comm, steps, decomp, vmins):
 def test_seam_merge_distributed_matches_serial(
     seam_merge_case, nranks, exec_backend
 ):
-    steps, vmins, labelings = seam_merge_case
+    """The cross-rank seam merge: the tool's tree over blocks cut through
+    the seam void has the serial labelings' events and tracks (the tool's
+    tracks also carry volume histories, which the serial tree lacks)."""
+    steps, _, labelings = seam_merge_case
     ref = track_components(labelings)
     decomp = Decomposition.regular(Bounds.cube(BOX), nranks, periodic=True)
     trees = run_parallel(
-        nranks,
-        _seam_tracking_worker,
-        steps,
-        decomp,
-        vmins,
-        backend=exec_backend,
+        nranks, _seam_tracking_worker, steps, decomp, backend=exec_backend
     )
     for tree in trees:
-        assert tree == ref
+        assert tree.events == ref.events
+        assert [(t.steps, t.labels, t.sizes) for t in tree.tracks] == [
+            (t.steps, t.labels, t.sizes) for t in ref.tracks
+        ]
 
 
 # ----------------------------------------------------------------------
 # in situ tool: invalid-cell masking, observe counters, kill-and-resume
 # ----------------------------------------------------------------------
-class _StubSim:
-    """Bare sim stand-in for context-driven serial tool runs."""
-
-    recovery = None
-
-
 def test_tool_threshold_masks_invalid_cells(seam_merge_case):
     """Incomplete cells (volume 0/NaN) must not crash or poison the
     quantile-threshold path of the tracking tool."""
-    from repro.insitu import TrackingTool
-
     steps, _, _ = seam_merge_case
     pts0, ids0 = steps[0]
     tess = tessellate(pts0, Bounds.cube(BOX), nblocks=1, ghost=4.0, ids=ids0)
@@ -483,16 +463,12 @@ def test_tool_threshold_masks_invalid_cells(seam_merge_case):
 
 
 def test_tool_threshold_all_invalid_keeps_nothing():
-    from repro.insitu import TrackingTool
-
     tool = TrackingTool(vmin_quantile=0.5)
     vols = np.array([np.nan, 0.0, -2.0])
     assert tool._threshold(vols) == float("inf")
 
 
 def test_tool_emits_observe_counters(seam_merge_case):
-    from repro.insitu import TrackingTool
-
     _, _, labelings = seam_merge_case
     observe.enable()
     try:

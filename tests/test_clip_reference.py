@@ -11,16 +11,10 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import (
-    Tessellation,
-    VoronoiBlock,
-    match_tessellations,
-    tessellate,
-    tessellate_block,
-)
+from repro.core import Tessellation, VoronoiBlock, match_tessellations, tessellate
 from repro.diy.bounds import Bounds
 
-from .clip_reference import CLIP_VOL_RTOL, clip_reference
+from .clip_reference import CLIP_VOL_RTOL, clip_reference, tessellate_block
 
 
 def poisson_case():

@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.culling import (
-    early_cull_mask,
-    exact_cull_mask,
-    passes_early_cull,
-    sphere_diameter_for_volume,
-)
+from repro.core.culling import early_cull_mask, sphere_diameter_for_volume
 from repro.core.timing import PhaseTimer, TessTimings
+
+from .clip_reference import exact_cull_mask, passes_early_cull
 
 
 class TestSphereDiameter:

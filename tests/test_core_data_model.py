@@ -13,7 +13,10 @@ from repro.core.data_model import (
     index_in_sorted,
     isin_sorted,
 )
-from repro.geometry.polyhedron import ConvexPolyhedron
+
+from .clip_polyhedron import ConvexPolyhedron
+from .clip_reference import cell_from_geometry
+from .clip_voronoi import VoronoiCellGeometry
 
 
 def cube_cell(site_id: int, origin: float, size: float = 1.0) -> VoronoiCell:
@@ -244,12 +247,9 @@ class TestCellProperties:
         np.testing.assert_array_equal(c.real_neighbors(), [5, 7, 9])
 
     def test_degenerate_geometry_rejected(self):
-        from repro.core.cell import VoronoiCell
-        from repro.geometry.voronoi_cells import VoronoiCellGeometry
-
         geom = VoronoiCellGeometry(site=0, polyhedron=None, complete=False)
         with pytest.raises(ValueError):
-            VoronoiCell.from_geometry(geom, np.zeros(3), np.arange(1), 0)
+            cell_from_geometry(geom, np.zeros(3), np.arange(1), 0)
 
     def test_zero_volume_density_inf(self):
         c = cube_cell(1, 0.0)

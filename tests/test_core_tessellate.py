@@ -11,10 +11,11 @@ from repro.core import (
     match_tessellations,
     read_tessellation,
     tessellate,
-    tessellate_block,
     tessellate_distributed,
 )
 from repro.core.ghost import exchange_ghost_particles
+
+from .clip_reference import tessellate_block
 
 
 def random_points(n: int, size: float, seed: int = 0) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The engine (:class:`repro.geometry.voronoi_delaunay.DelaunayVoronoi`)
 is held to the independent reference
-(:func:`repro.geometry.voronoi_cells.voronoi_cells_clip` — KD-tree +
+(:func:`tests.clip_voronoi.voronoi_cells_clip` — KD-tree +
 halfspace clipping, no qhull): identical complete masks, identical
 per-cell neighbor sets, and volumes/areas matching to 1e-9 relative — on
 clean Poisson inputs, on the jittered grid of the simulation's initial
@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from repro import _native
 from repro.diy.bounds import Bounds
 from repro.core.tessellate import tessellate
-from repro.geometry.voronoi_cells import voronoi_cells_clip
 from repro.geometry.voronoi_delaunay import DelaunayVoronoi, tet_circumcenters
 
 from .clip_reference import CLIP_VOL_RTOL
+from .clip_voronoi import voronoi_cells_clip
 
 
 def poisson(n, size, seed):

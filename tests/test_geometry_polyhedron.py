@@ -1,4 +1,4 @@
-"""Tests for ConvexPolyhedron (repro.geometry.polyhedron)."""
+"""Tests for ConvexPolyhedron (tests.clip_polyhedron)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.diy.bounds import Bounds
-from repro.geometry.polyhedron import WALL_IDS, ConvexPolyhedron
+from .clip_polyhedron import WALL_IDS, ConvexPolyhedron
 
 
 def unit_cube() -> ConvexPolyhedron:

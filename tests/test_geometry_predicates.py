@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.predicates import (
+from .clip_predicates import (
     DEFAULT_REL_EPS,
     INSIDE,
     ON,

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.diy.bounds import Bounds
 from repro.geometry.delaunay import delaunay
-from repro.geometry.voronoi_cells import voronoi_cells_clip
 from repro.geometry.voronoi_delaunay import tet_circumcenters
+
+from .clip_voronoi import voronoi_cells_clip
 
 
 def grid_points(n: int, size: float, jitter: float, seed: int = 0) -> np.ndarray:

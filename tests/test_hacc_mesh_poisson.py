@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hacc.mesh import cic_deposit, cic_gather, density_contrast
-from repro.hacc.poisson import accelerations_from_delta, gravitational_potential
+from repro.hacc.poisson import accelerations_from_delta
 
 from .cic_reference import cic_deposit_add_at
 
@@ -133,16 +133,6 @@ class TestDensityContrast:
 
 
 class TestPoisson:
-    def test_single_mode_analytic(self):
-        """laplacian(phi) = delta for one Fourier mode has phi = -delta/k^2."""
-        ng = 32
-        kx = 2 * np.pi * 3 / ng  # mode m=3 in grid units
-        x = np.arange(ng)
-        delta = np.cos(kx * x)[:, None, None] * np.ones((1, ng, ng))
-        phi = gravitational_potential(delta, prefactor=1.0)
-        expect = -np.cos(kx * x) / kx**2
-        np.testing.assert_allclose(phi[:, 0, 0], expect, atol=1e-10)
-
     def test_acceleration_is_minus_gradient(self):
         ng = 32
         m = 2
@@ -156,16 +146,16 @@ class TestPoisson:
         np.testing.assert_allclose(g[..., 2], 0.0, atol=1e-12)
 
     def test_mean_mode_dropped(self):
-        phi = gravitational_potential(np.full((8, 8, 8), 5.0), prefactor=1.0)
-        np.testing.assert_allclose(phi, 0.0, atol=1e-12)
+        g = accelerations_from_delta(np.full((8, 8, 8), 5.0), prefactor=1.0)
+        np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_prefactor_linear(self):
         rng = np.random.default_rng(4)
         delta = rng.normal(size=(8, 8, 8))
         delta -= delta.mean()
-        p1 = gravitational_potential(delta, prefactor=1.0)
-        p2 = gravitational_potential(delta, prefactor=2.5)
-        np.testing.assert_allclose(p2, 2.5 * p1, atol=1e-12)
+        g1 = accelerations_from_delta(delta, prefactor=1.0)
+        g2 = accelerations_from_delta(delta, prefactor=2.5)
+        np.testing.assert_allclose(g2, 2.5 * g1, atol=1e-12)
 
     def test_point_mass_attracts(self):
         """Particles around an overdensity accelerate toward it."""
@@ -190,6 +180,6 @@ class TestPoisson:
 
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError):
-            gravitational_potential(np.zeros((4, 4, 5)), 1.0)
+            accelerations_from_delta(np.zeros((4, 4, 5)), 1.0)
         with pytest.raises(ValueError):
             accelerations_from_delta(np.zeros((4, 5, 4)), 1.0)

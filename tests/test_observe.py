@@ -125,16 +125,6 @@ class TestChromeExport:
         doc = json.loads(path.read_text())
         _validate_chrome(doc, {0})
 
-    def test_write_jsonl(self, tmp_path):
-        observe.enable()
-        trace.record("a", 0, 0.0, 1.0)
-        trace.record("b", 1, 0.5, 2.0)
-        path = tmp_path / "spans.jsonl"
-        assert observe.write_jsonl(str(path)) == 2
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["name"] for r in rows] == ["a", "b"]
-        assert rows[1]["wall_s"] == pytest.approx(1.5)
-
 
 class TestMetricsRegistry:
     def test_counter_gauge_histogram(self):

@@ -73,7 +73,6 @@ class TestPublicSurfaces:
         for fn in (
             core.tessellate,
             core.tessellate_distributed,
-            core.tessellate_block,
             insitu.TessellationTool,
         ):
             assert "backend" not in inspect.signature(fn).parameters, fn
@@ -87,7 +86,6 @@ class TestPublicSurfaces:
         for fn in (
             analysis.FeatureTreeBuilder,
             analysis.track_components,
-            analysis.track_components_distributed,
             insitu.TrackingTool,
         ):
             assert "kernel" not in inspect.signature(fn).parameters, fn

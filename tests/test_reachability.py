@@ -312,3 +312,212 @@ def test_retired_env_knobs_are_not_read():
         if isinstance(node, ast.Constant) and node.value in RETIRED_ENV_KNOBS
     )
     assert not readers, f"retired environment knobs still read: {readers}"
+
+
+# ----------------------------------------------------------------------
+# every definition reachable
+# ----------------------------------------------------------------------
+EXAMPLES = REPO / "examples"
+PERF_GATE = BENCH / "perf_gate.py"
+DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def def_root_scripts() -> list[pathlib.Path]:
+    """The module walk's bench roots, the documented public API
+    (``examples/*.py``) and ``perf_gate.py``, whose benches it follows."""
+    return bench_roots() + sorted(EXAMPLES.glob("*.py")) + [PERF_GATE]
+
+
+def assigned_names(node: ast.stmt) -> list[str]:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [
+        n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+    ]
+
+
+class DefWalker:
+    """Top-level definitions reached from the roots by name.
+
+    A reached definition's whole node (decorators, defaults, body, and a
+    class's methods) is scanned for the names it loads; each resolves in
+    its file to a top-level definition or, through any import in the file
+    (function-local ones included), to the module that defines it.
+    ``pkg.a.b`` attribute chains on a name bound to a module resolve the
+    same way.  Reaching a definition reaches its module's import-time code
+    (the top-level statements that are not definitions or imports).  A
+    package ``__init__`` binding resolves to the definition behind it, so a
+    re-export alone keeps nothing alive.
+    """
+
+    def __init__(self) -> None:
+        self.reached: set[tuple[str, str]] = set()
+        self.unresolved: set[str] = set()
+        self._index: dict[str, tuple[dict, list, dict, dict]] = {}
+        self._todo: list[tuple[str | None, ast.AST]] = []
+        self._scripts: set[pathlib.Path] = set()
+
+    # -- per-file tables ------------------------------------------------------
+    @staticmethod
+    def bindings(tree: ast.Module, package: str | None, top_only: bool) -> dict:
+        """Local name -> ``("module", M)`` or ``("from", M, name)`` for the
+        repro imports in ``tree`` (top-level ones only, or all)."""
+        out = {}
+        nodes = tree.body if top_only else ast.walk(tree)
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "repro":
+                        bound = a.name if a.asname else "repro"
+                        out[a.asname or "repro"] = ("module", bound)
+            elif isinstance(node, ast.ImportFrom):
+                base = absolute(node.module, node.level, package)
+                if base is not None and base.split(".")[0] == "repro":
+                    for a in node.names:
+                        out[a.asname or a.name] = ("from", base, a.name)
+        return out
+
+    def index(self, module: str):
+        """``(defs, init, exports, names)`` of a module: top-level
+        definitions and assignments by name, its import-time statements,
+        its top-level import bindings, and every import binding in it."""
+        if module not in self._index:
+            path = module_path(module)
+            tree = parse(path)
+            package = module if is_package(module) else module.rpartition(".")[0]
+            defs: dict[str, list[ast.AST]] = {}
+            init: list[ast.AST] = []
+            for node in tree.body:
+                if isinstance(node, DEF_NODES):
+                    defs.setdefault(node.name, []).append(node)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    for name in assigned_names(node):
+                        defs.setdefault(name, []).append(node)
+                elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    init.append(node)
+            self._index[module] = (
+                defs,
+                init,
+                self.bindings(tree, package, top_only=True),
+                self.bindings(tree, package, top_only=False),
+            )
+        return self._index[module]
+
+    # -- resolution -----------------------------------------------------------
+    def lookup(self, module: str, name: str):
+        """What ``module.name`` is: ``("def", M, name)``, ``("module", M)``
+        or None (outside repro, or unresolved)."""
+        if module.split(".")[0] != "repro" or module_path(module) is None:
+            return None
+        defs, _, exports, _ = self.index(module)
+        if name in defs:
+            return ("def", module, name)
+        if name in exports:
+            return self.target(exports[name])
+        if module_path(f"{module}.{name}") is not None:
+            return ("module", f"{module}.{name}")
+        if "__getattr__" in defs:  # a lazy facade: whatever it imports
+            return ("def", module, "__getattr__")
+        self.unresolved.add(f"{module}.{name}")
+        return None
+
+    def target(self, binding):
+        """What an import binding names (see :meth:`lookup`)."""
+        if binding[0] == "module":
+            return binding if module_path(binding[1]) is not None else None
+        return self.lookup(binding[1], binding[2])
+
+    # -- the walk ---------------------------------------------------------------
+    def reach(self, found) -> None:
+        if found is None:
+            return
+        if found[0] == "module":
+            key = (found[1], "")  # the module's import-time code
+            nodes = self.index(found[1])[1]
+        else:
+            key = (found[1], found[2])
+            nodes = self.index(found[1])[0][found[2]]
+            self.reach(("module", found[1]))
+        if key not in self.reached:
+            self.reached.add(key)
+            self._todo.extend((found[1], node) for node in nodes)
+
+    def scan(self, module: str | None, node: ast.AST, names=None) -> None:
+        """Reach every definition ``node`` names: code of ``module``, or of
+        a script (``module`` None) with import bindings ``names``."""
+        defs = {}
+        if module is not None:
+            defs, _, _, names = self.index(module)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                if sub.id in defs:
+                    self.reach(("def", module, sub.id))
+                elif sub.id in names:
+                    self.reach(self.target(names[sub.id]))
+            elif isinstance(sub, ast.Attribute):
+                chain = []
+                inner = sub
+                while isinstance(inner, ast.Attribute):
+                    chain.append(inner.attr)
+                    inner = inner.value
+                if not (isinstance(inner, ast.Name) and inner.id in names):
+                    continue
+                found = self.target(names[inner.id])
+                for attr in reversed(chain):
+                    if found is None or found[0] != "module":
+                        break
+                    found = self.lookup(found[1], attr)
+                    self.reach(found)
+
+    def script(self, path: pathlib.Path) -> None:
+        if path in self._scripts:
+            return
+        self._scripts.add(path)
+        tree = parse(path)
+        self.scan(None, tree, self.bindings(tree, None, top_only=False))
+        for node in ast.walk(tree):  # sibling scripts it imports
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [node.module]
+            for name in names:
+                sibling = path.parent / f"{name}.py"
+                if sibling.is_file():
+                    self.script(sibling)
+
+    def walk(self, modules, scripts) -> set[tuple[str, str]]:
+        """Roots: each of ``modules``' import-time code and public names,
+        and the whole of each script."""
+        for module in modules:
+            self.reach(("module", module))
+            for name in self.index(module)[0]:
+                if not name.startswith("_"):
+                    self.reach(("def", module, name))
+        for path in scripts:
+            self.script(path)
+        while self._todo:
+            self.scan(*self._todo.pop())
+        return self.reached
+
+
+def all_definitions() -> set[tuple[str, str]]:
+    """Top-level functions and classes of every non-``__init__`` module."""
+    out = set()
+    for module in all_modules():
+        for node in parse(module_path(module)).body:
+            if isinstance(node, DEF_NODES):
+                out.add((module, node.name))
+    return out
+
+
+def test_every_definition_is_reached_from_a_root():
+    walker = DefWalker()
+    reached = walker.walk(ROOT_MODULES, def_root_scripts())
+    assert not walker.unresolved, (
+        f"names the walk cannot resolve: {sorted(walker.unresolved)}"
+    )
+    unreached = sorted(f"{m}.{n}" for m, n in all_definitions() - reached)
+    assert not unreached, (
+        "functions and classes under src/repro that no deck, CLI, query op, "
+        f"example or bench reaches: {unreached}"
+    )

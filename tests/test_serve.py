@@ -65,7 +65,7 @@ def _loader(value, nbytes):
 
 class TestBlockCache:
     def test_hit_after_miss(self):
-        cache = BlockCache(max_bytes=1000, nshards=1)
+        cache = BlockCache(max_bytes=1000)
         assert cache.get("k", _loader("v", 10)) == "v"
         assert cache.get("k", _loader("OTHER", 10)) == "v"  # no reload
         assert cache.stats.misses == 1
@@ -74,7 +74,7 @@ class TestBlockCache:
         assert cache.nbytes == 10
 
     def test_eviction_under_byte_pressure(self):
-        cache = BlockCache(max_bytes=100, nshards=1)
+        cache = BlockCache(max_bytes=100)
         for i in range(4):  # 4 x 30 = 120 bytes > 100 budget
             cache.get(f"k{i}", _loader(i, 30))
         assert cache.stats.evictions == 1
@@ -83,7 +83,7 @@ class TestBlockCache:
         assert all(f"k{i}" in cache for i in (1, 2, 3))
 
     def test_eviction_respects_lru_recency(self):
-        cache = BlockCache(max_bytes=100, nshards=1)
+        cache = BlockCache(max_bytes=100)
         for i in range(3):
             cache.get(f"k{i}", _loader(i, 30))
         cache.get("k0", _loader("X", 30))  # touch k0: now k1 is LRU
@@ -92,7 +92,7 @@ class TestBlockCache:
         assert "k0" in cache
 
     def test_oversized_entry_not_admitted(self):
-        cache = BlockCache(max_bytes=100, nshards=1)
+        cache = BlockCache(max_bytes=100)
         assert cache.get("big", _loader("v", 500)) == "v"
         assert "big" not in cache
         assert cache.stats.oversized == 1
@@ -103,7 +103,7 @@ class TestBlockCache:
     def test_miss_coalescing_one_load(self):
         import time
 
-        cache = BlockCache(max_bytes=10_000, nshards=1)
+        cache = BlockCache(max_bytes=10_000)
         loads = []
         nthreads = 8
 
@@ -111,7 +111,7 @@ class TestBlockCache:
             # Hold the load open until every other thread has arrived and
             # registered as a coalesced follower — they cannot hit (the
             # entry is not inserted yet) and cannot load (the key is in
-            # the shard's loading map), so the condition must be reached.
+            # the cache's loading map), so the condition must be reached.
             loads.append(1)
             deadline = time.monotonic() + 10.0
             while cache.stats.coalesced < nthreads - 1:
@@ -136,7 +136,7 @@ class TestBlockCache:
         assert cache.stats.coalesced == nthreads - 1
 
     def test_loader_failure_propagates_and_does_not_poison(self):
-        cache = BlockCache(max_bytes=1000, nshards=1)
+        cache = BlockCache(max_bytes=1000)
 
         def boom():
             raise OSError("disk on fire")
@@ -147,7 +147,7 @@ class TestBlockCache:
         assert cache.get("k", _loader("ok", 4)) == "ok"
 
     def test_evict_stale_by_etag(self):
-        cache = BlockCache(max_bytes=10_000, nshards=2)
+        cache = BlockCache(max_bytes=10_000)
         for gid in range(3):
             cache.get(("old", gid), _loader(gid, 10))
             cache.get(("new", gid), _loader(gid, 10))

@@ -207,9 +207,7 @@ def test_batcher_busy_rejection_unit():
     import threading
 
     async def scenario():
-        batcher = QueryBatcher(
-            max_workers=1, window_s=0.001, max_inflight=1, retry_after_s=0.01
-        )
+        batcher = QueryBatcher(max_workers=1, max_inflight=1, retry_after_s=0.01)
         gate = threading.Event()
         first = asyncio.ensure_future(
             batcher.submit("a", lambda: gate.wait(5))
@@ -226,7 +224,7 @@ def test_batcher_busy_rejection_unit():
 
 def test_batching_groups_same_key_jobs():
     async def scenario():
-        batcher = QueryBatcher(max_workers=2, window_s=0.05)
+        batcher = QueryBatcher(max_workers=2)
         jobs = [
             batcher.submit("same-key", lambda i=i: i) for i in range(5)
         ]
@@ -274,6 +272,35 @@ def test_cli_build_creates_catalog(tmp_path, capsys):
         assert snap.domain.volume == pytest.approx(BOX**3)
     finally:
         built.close()
+
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("serve", "--workers", "0"),
+        ("serve", "--cache-mb", "-1"),
+        ("serve", "--max-inflight", "0"),
+        ("serve", "--port", "65536"),
+        ("serve", "--port", "-1"),
+        ("load", "--requests", "0"),
+        ("load", "--concurrency", "0"),
+    ],
+)
+def test_cli_rejects_bad_values_with_one_error_line(
+    tmp_path, capsys, command, flag, value
+):
+    """A bad option value is a usage error: one ``error:`` line naming the
+    option, exit code 2, and no server started or request sent."""
+    from repro.serve.cli import main
+
+    if command == "serve":
+        rc = main([command, str(tmp_path), flag, value])
+    else:  # an unreachable target: a load that got through would fail fast
+        rc = main([command, "127.0.0.1:9", flag, value, "--wait-s", "0.1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
 
 
 def test_healthz(store):
