@@ -27,7 +27,6 @@ update-baseline:
 
 bench:
 	$(PY) benchmarks/bench_backend_scaling.py --quick
-	$(PY) benchmarks/bench_balance.py --quick
 	$(PY) benchmarks/bench_serve.py --quick
 	$(PY) benchmarks/bench_trace_overhead.py --quick
 

@@ -1,8 +1,7 @@
 """CI perf-regression gate over the tracked benchmark metrics.
 
 Collects the machine-readable outputs of the backend-scaling sweep
-(:mod:`benchmarks.bench_backend_scaling`), the load-balance bench
-(:mod:`benchmarks.bench_balance`), the serving-path bench
+(:mod:`benchmarks.bench_backend_scaling`), the serving-path bench
 (:mod:`benchmarks.bench_serve`), and the trace-overhead bench
 (:mod:`benchmarks.bench_trace_overhead`) plus the process peak RSS into a
 flat ``{metric: value}`` dict, writes it to ``BENCH_pr.json``, and — with
@@ -52,14 +51,6 @@ DEFAULT_LIMITS = {
     # persistent rank pool and O(log P) tree collectives keep overhead
     # below the per-rank work saved by splitting the domain
     "scaling.process.r4_over_r1": 1.0,
-    # dynamic load balancing (PR 8 acceptance bars): on the clustered IC
-    # the SFC re-split must bring max/mean particle imbalance under 1.25,
-    # starting from a static layout at >= 2.0 (the negated metric turns
-    # the gate's max-cap into a min-bar on the static imbalance), and the
-    # 4-rank balanced critical-path wall must beat the static one
-    "balance.post_imbalance": 1.25,
-    "balance.static_imbalance_neg": -2.0,
-    "balance.r4_balanced_over_static": 1.0,
     # tessellation service (PR 9 acceptance bars): client-side p99 latency
     # under concurrent load must stay bounded cold (first touch faults every
     # block through mmap+CRC+decode) and warm (pure queueing + kernel time),
@@ -74,8 +65,6 @@ DEFAULT_LIMITS = {
 #: metrics jitter well beyond 25% between identical runs on a shared box
 BASELINE_THRESHOLDS = {
     "trace.disabled_span_ns": 1.0,
-    "balance.r4_static_crit_s": 0.5,
-    "balance.r4_balanced_crit_s": 0.5,
     "mem.peak_rss_bytes": 0.5,
     # client-side latency quantiles on a loaded shared runner jitter far
     # beyond the default; the absolute serve.* limits carry the contract
@@ -102,7 +91,6 @@ def _noise_floor(metric: str) -> float:
 def collect(quick: bool = True) -> dict[str, float]:
     """Run the tracked benches; return the flat metrics dict."""
     from bench_backend_scaling import run_sweep
-    from bench_balance import run_bench as run_balance_bench
     from bench_serve import run_bench as run_serve_bench
     from bench_trace_overhead import run_bench
 
@@ -124,13 +112,6 @@ def collect(quick: bool = True) -> dict[str, float]:
     )
     # strong-scaling headline (absolute-capped below 1.0 in DEFAULT_LIMITS)
     metrics["scaling.process.r4_over_r1"] = scaling["r4_over_r1"]["process"]
-
-    _, balance = run_balance_bench(quick=quick)
-    metrics["balance.static_imbalance_neg"] = -balance["static_imbalance"]
-    metrics["balance.post_imbalance"] = balance["post_imbalance"]
-    metrics["balance.r4_static_crit_s"] = balance["static_crit_s"]
-    metrics["balance.r4_balanced_crit_s"] = balance["balanced_crit_s"]
-    metrics["balance.r4_balanced_over_static"] = balance["balanced_over_static"]
 
     _, serve = run_serve_bench(quick=quick)
     metrics["serve.cold_p50_ms"] = serve["cold_p50_ms"]

@@ -49,12 +49,6 @@ def _build_tess_parser() -> argparse.ArgumentParser:
                    help="rank count (default: one rank per block)")
     p.add_argument("--vmin", type=float, default=None, help="minimum cell volume")
     p.add_argument("--vmax", type=float, default=None, help="maximum cell volume")
-    p.add_argument("--balance-threshold", type=float, default=None,
-                   metavar="R", dest="balance_threshold",
-                   help="rebalance the decomposition along a space-filling "
-                        "curve when the max/mean per-block particle count "
-                        "exceeds R (e.g. 1.5); results are identical, only "
-                        "the work distribution changes")
     p.add_argument("--no-periodic", action="store_true",
                    help="treat the domain as bounded (boundary cells deleted)")
     p.add_argument("--voids", action="store_true",
@@ -134,8 +128,17 @@ def tess_main(argv: list[str] | None = None) -> int:
         box = args.box or 16.0
         points = rng.uniform(0.0, box, size=(args.random, 3))
     else:
-        points = np.load(args.points)
-        if points.ndim != 2 or points.shape[1] != 3:
+        try:
+            points = np.load(args.points)
+        except OSError as exc:
+            print(f"error: cannot read {args.points}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
+        except ValueError:  # not .npy, or an object array needing pickle
+            print(f"error: {args.points} is not a .npy array", file=sys.stderr)
+            return 2
+        if (not isinstance(points, np.ndarray) or points.ndim != 2
+                or points.shape[1] != 3):
             print(f"error: {args.points} is not an (n, 3) array", file=sys.stderr)
             return 2
         box = args.box or float(np.ceil(points.max() + 1e-9))
@@ -154,7 +157,6 @@ def tess_main(argv: list[str] | None = None) -> int:
             output_path=args.output,
             nranks=args.ranks,
             exec_backend=args.exec_backend,
-            balance_threshold=args.balance_threshold,
         )
     except ValueError as exc:
         # tessellate() validates its arguments before any rank starts; a
@@ -168,13 +170,6 @@ def tess_main(argv: list[str] | None = None) -> int:
     vols = tess.volumes()
     print(f"points:        {len(points)}")
     print(f"blocks:        {tess.num_blocks}")
-    if tess.balance is not None:
-        b = tess.balance
-        state = "rebalanced" if b["rebalanced"] else "kept static"
-        print(f"balance:       {state}, max/mean "
-              f"{b['max_over_mean_before']:.3g} -> "
-              f"{b['max_over_mean_after']:.3g} "
-              f"(threshold {b['threshold']:.3g})")
     print(f"cells kept:    {tess.num_cells}")
     if tess.num_cells:
         print(f"volume range:  [{vols.min():.6g}, {vols.max():.6g}]")
@@ -219,12 +214,6 @@ def _build_sim_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="restart from the newest valid checkpoint in the "
                         "checkpoint directory, skipping completed analysis")
-    p.add_argument("--balance-threshold", type=float, default=None,
-                   metavar="R", dest="balance_threshold",
-                   help="dynamic load balancing: re-split the domain along "
-                        "a space-filling curve whenever the max/mean "
-                        "per-rank particle count exceeds R after migration "
-                        "(overrides the deck's balance_threshold)")
     p.add_argument("--fault-kill", default=None, metavar="RANK:STEP",
                    help="fault injection: kill RANK when it enters STEP "
                         "(process exit under --exec-backend process, raised "
@@ -234,56 +223,112 @@ def _build_sim_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: the JSON types a deck may give a simulation field of each annotated type
+_DECK_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _deck_value_ok(value, annotation: str) -> bool:
+    base, _, rest = annotation.partition(" | ")
+    if value is None:
+        return rest == "None"
+    # JSON true/false are not numbers, though Python's bool is an int
+    return isinstance(value, _DECK_TYPES.get(base, ())) and (
+        isinstance(value, bool) == (base == "bool")
+    )
+
+
+def _read_deck(path: str):
+    """The deck's simulation and framework configs, checked in full (tool
+    names, parameters and schedules too) so that a bad deck is a usage
+    error before any rank starts; raises ``ValueError``."""
+    import dataclasses
+
+    from .hacc import SimulationConfig
+    from .insitu import CosmologyToolsFramework, FrameworkConfig
+
+    try:
+        with open(path) as f:
+            deck = json.load(f)
+    except OSError as exc:
+        raise ValueError(f"cannot read deck {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"deck {path} is not valid JSON: {exc}") from None
+    if not isinstance(deck, dict):
+        raise ValueError(
+            f"deck {path} must be a JSON object, got {type(deck).__name__}"
+        )
+    sim_spec = deck.get("simulation", {})
+    if not isinstance(sim_spec, dict):
+        raise ValueError("the deck's 'simulation' section must be an object")
+    if not deck.get("tools"):
+        raise ValueError("deck has no 'tools' section")
+    fields = dataclasses.fields(SimulationConfig)
+    extra = set(sim_spec) - {f.name for f in fields}
+    if extra:
+        raise ValueError(f"unknown simulation keys {sorted(extra)}")
+    for f in fields:
+        if f.name in sim_spec and not _deck_value_ok(sim_spec[f.name], f.type):
+            raise ValueError(
+                f"simulation {f.name} must be {f.type}, got {sim_spec[f.name]!r}"
+            )
+    cfg = SimulationConfig(**sim_spec)
+    framework = FrameworkConfig.from_dict({"tools": deck["tools"]})
+    CosmologyToolsFramework(framework)  # unknown tools and parameters
+    for tc in framework.tools:
+        tc.schedule(cfg.nsteps)  # steps outside the run
+    return cfg, framework
+
+
+def _fault_kill(spec: str, ranks: int, nsteps: int) -> tuple[int, int]:
+    """``RANK:STEP`` of ``--fault-kill``, checked against the run."""
+    try:
+        rank_s, step_s = spec.split(":")
+        kill_rank, kill_step = int(rank_s), int(step_s)
+    except ValueError:
+        raise ValueError("--fault-kill expects RANK:STEP") from None
+    # An out-of-range kill would never fire and the drill would pass
+    # vacuously.
+    if not 0 <= kill_rank < ranks:
+        raise ValueError(f"--fault-kill rank {kill_rank} is outside "
+                         f"[0, {ranks}) for --ranks {ranks}")
+    if not 1 <= kill_step <= nsteps:
+        raise ValueError(f"--fault-kill step {kill_step} is outside "
+                         f"[1, {nsteps}] for a deck of {nsteps} steps")
+    return kill_rank, kill_step
+
+
 def sim_main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro-sim``; returns a process exit code."""
     args = _build_sim_parser().parse_args(argv)
 
-    from .hacc import SimulationConfig
     from .insitu import run_simulation_with_tools
 
-    with open(args.deck) as f:
-        deck = json.load(f)
-    sim_spec = deck.get("simulation", {})
-    tools_spec = {"tools": deck.get("tools", [])}
-    if not tools_spec["tools"]:
-        print("error: deck has no 'tools' section", file=sys.stderr)
+    try:
+        if args.ranks < 1:
+            raise ValueError(f"--ranks must be positive, got {args.ranks}")
+        if args.checkpoint_every < 0:
+            raise ValueError(
+                f"--checkpoint-every must be >= 0, got {args.checkpoint_every}"
+            )
+        cfg, framework = _read_deck(args.deck)
+        kill = (
+            None if args.fault_kill is None
+            else _fault_kill(args.fault_kill, args.ranks, cfg.nsteps)
+        )
+    except (TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    fields = SimulationConfig.__dataclass_fields__  # type: ignore[attr-defined]
-    known = {f.name for f in fields.values()}
-    extra = set(sim_spec) - known
-    if extra:
-        print(f"error: unknown simulation keys {sorted(extra)}", file=sys.stderr)
-        return 2
-    cfg = SimulationConfig(**sim_spec)
 
     ckpt_dir = args.checkpoint_dir
     if ckpt_dir is None and (args.checkpoint_every > 0 or args.resume):
         ckpt_dir = args.deck + ".ckpts"
 
-    if args.fault_kill is not None:
+    if kill is not None:
         from . import faults
 
-        try:
-            rank_s, step_s = args.fault_kill.split(":")
-            kill_rank, kill_step = int(rank_s), int(step_s)
-        except ValueError:
-            print("error: --fault-kill expects RANK:STEP", file=sys.stderr)
-            return 2
-        # An out-of-range kill would never fire and the drill would pass
-        # vacuously.
-        if not 0 <= kill_rank < args.ranks:
-            print(f"error: --fault-kill rank {kill_rank} is outside "
-                  f"[0, {args.ranks}) for --ranks {args.ranks}", file=sys.stderr)
-            return 2
-        if not 1 <= kill_step <= cfg.nsteps:
-            print(f"error: --fault-kill step {kill_step} is outside "
-                  f"[1, {cfg.nsteps}] for a deck of {cfg.nsteps} steps",
-                  file=sys.stderr)
-            return 2
         faults.install(faults.FaultSpec(
-            kill_rank=kill_rank,
-            kill_step=kill_step,
+            kill_rank=kill[0],
+            kill_step=kill[1],
             kill_mode="exit" if args.exec_backend == "process" else "raise",
         ))
 
@@ -294,11 +339,10 @@ def sim_main(argv: list[str] | None = None) -> int:
     )
     try:
         results = run_simulation_with_tools(
-            cfg, tools_spec, nranks=args.ranks, backend=args.exec_backend,
+            cfg, framework, nranks=args.ranks, backend=args.exec_backend,
             checkpoint_dir=ckpt_dir,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
-            balance_threshold=args.balance_threshold,
         )
     except Exception as exc:  # noqa: BLE001 - report the crash, exit nonzero
         print(f"error: simulation failed: {exc}", file=sys.stderr)
@@ -307,14 +351,12 @@ def sim_main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         return 1
     finally:
-        if args.fault_kill is not None:
+        if kill is not None:
             from . import faults
 
             faults.clear()
     if results.resumed_step >= 0:
         print(f"resumed from checkpoint at step {results.resumed_step}")
-    if results.rebalances:
-        print(f"rebalanced domain {results.rebalances} time(s)")
     for tool, per_step in results.items():
         for step, result in sorted(per_step.items()):
             print(f"[{tool} @ step {step}] {_describe(result)}")

@@ -125,16 +125,12 @@ def _tessellate_block_flat(
 
     That thin pass runs as up to ``slabs`` slabs on as many threads
     (:func:`_slab_parts`, at least :data:`_MIN_SLAB_SITES` owned sites
-    each); the cells do not depend on the slab count.
-
-    A balanced block's irregular region refines completeness
-    certification — see :func:`_region_complete_mask`.  ``rank`` labels
+    each); the cells do not depend on the slab count.  ``rank`` labels
     the trace spans.
     """
     block_def = decomposition.block(gid)
     extents = block_def.core
     container = block_def.ghost_bounds(ghost)
-    region = decomposition.block_region(gid)
     owned_positions = np.atleast_2d(np.asarray(owned_positions, dtype=float))
     n_owned = len(owned_positions)
     if n_owned == 0:
@@ -151,20 +147,13 @@ def _tessellate_block_flat(
     def assemble(fv, sites, subset=slice(None), **observed):
         return _block_from_flat(
             fv, sites, all_points[subset], local_to_global[subset], gid,
-            extents, vmin, vmax, region=region, region_radius=ghost,
-            **observed,
+            extents, vmin, vmax, **observed,
         )
 
-    volume = extents.volume if region is None else region.volume()
-    start = _START_SPACINGS * (volume / n_owned) ** (1.0 / 3.0)
+    start = _START_SPACINGS * (extents.volume / n_owned) ** (1.0 / 3.0)
     lo, hi = extents.as_arrays()
-    if region is None:
-        depth = np.maximum(lo - all_points, all_points - hi).max(axis=1)
-        withheld = depth > start
-        safe_box = extents.grown(start)
-    else:
-        withheld = ~region.within(all_points, start)
-        safe_box = None
+    depth = np.maximum(lo - all_points, all_points - hi).max(axis=1)
+    withheld = depth > start
     withheld[:n_owned] = False
     # Where ghosts do not enclose the block (a non-periodic domain face)
     # owned sites sit on the hull and no local patch bounds their
@@ -175,7 +164,7 @@ def _tessellate_block_flat(
     block = None
     if enclosed and withheld.any():
         parts = _slab_parts(
-            all_points, n_owned, withheld, start, extents, safe_box,
+            all_points, n_owned, withheld, start, extents,
             max(1, min(slabs, n_owned // _MIN_SLAB_SITES)),
         )
         block = _thin_block(all_points, withheld, parts, container, assemble, rank)
@@ -194,9 +183,8 @@ def _slab_parts(
     withheld: np.ndarray,
     start: float,
     extents: Bounds,
-    safe_box: Bounds | None,
     count: int,
-) -> list[tuple[np.ndarray, np.ndarray, Bounds | None]]:
+) -> list[tuple[np.ndarray, np.ndarray, Bounds]]:
     """The thin pass cut into ``count`` slabs across the block's longest
     axis, with equal owned counts: ``(subset, owned, safe_box)`` per slab.
 
@@ -207,8 +195,8 @@ def _slab_parts(
     ``owned`` masks the slab's own sites in it.  Each slab's triangulation
     then sees its points in the block's relative order, so a tet two
     slabs share has the same circumcenter bits in both.  ``safe_box`` is
-    the block's narrowed to the slab: no point outside ``subset`` lies in
-    it.  One slab is the unsliced thin pass.
+    the block's core grown by ``start``, narrowed to the slab: no point
+    outside ``subset`` lies in it.  One slab is the unsliced thin pass.
     """
     lo, hi = extents.as_arrays()
     axis = int(np.argmax(hi - lo))
@@ -216,6 +204,7 @@ def _slab_parts(
     cuts = np.sort(x[:n_owned])[np.arange(1, count) * n_owned // count]
     slab_of = np.searchsorted(cuts, x[:n_owned], side="right")
     edges = np.concatenate([[-np.inf], cuts, [np.inf]])
+    safe_box = extents.grown(start)
     parts = []
     for k in range(count):
         below, above = edges[k] - start, edges[k + 1] + start
@@ -224,20 +213,17 @@ def _slab_parts(
         owned[owned] = slab_of[subset[owned]] == k
         if not owned.any():
             continue  # tied cut coordinates left this slab no site
-        safe = safe_box
-        if safe_box is not None:
-            slo, shi = safe_box.as_arrays()
-            slo[axis] = max(slo[axis], below)
-            shi[axis] = min(shi[axis], above)
-            safe = Bounds.from_arrays(slo, shi)
-        parts.append((subset, owned, safe))
+        slo, shi = safe_box.as_arrays()
+        slo[axis] = max(slo[axis], below)
+        shi[axis] = min(shi[axis], above)
+        parts.append((subset, owned, Bounds.from_arrays(slo, shi)))
     return parts
 
 
 def _thin_block(
     all_points: np.ndarray,
     withheld: np.ndarray,
-    parts: list[tuple[np.ndarray, np.ndarray, Bounds | None]],
+    parts: list[tuple[np.ndarray, np.ndarray, Bounds]],
     container: Bounds,
     assemble,
     rank: int,
@@ -396,43 +382,6 @@ def _weld(pieces: list[tuple[VoronoiBlock, np.ndarray]]) -> VoronoiBlock:
     )
 
 
-def _segment_all(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Logical AND of ``values`` over the CSR segments of ``offsets``
-    (``values`` ends at ``offsets[-1]``); an empty segment is True."""
-    out = np.ones(len(offsets) - 1, dtype=bool)
-    nonempty = offsets[1:] > offsets[:-1]
-    if nonempty.any():
-        # Empty segments have zero width, so the nonempty starts alone
-        # still partition ``values``.
-        out[nonempty] = np.logical_and.reduceat(values, offsets[:-1][nonempty])
-    return out
-
-
-def _region_complete_mask(fv, sites: np.ndarray, region, radius: float) -> np.ndarray:
-    """Completeness of the cells of ``sites`` against an irregular
-    populated region.
-
-    A cell is certifiably complete only if every vertex of every one of
-    its ridges lies inside the region actually populated with particles.
-    For a regular block that region is the ghost-grown core box — the
-    engine's ``container`` — but a balanced block owns a *union of coarse
-    cells*, and its ghost exchange only fills that union grown by the
-    ghost radius.  The container (the bounding box grown by the ghost) is
-    necessarily larger, so the engine's certificate alone would keep
-    cells whose geometry leaks into unpopulated corners of the box.  This
-    mask re-certifies each owned cell against ``region.within(vertices,
-    radius)`` — exactly the point set the ghost targeting guaranteed.
-    """
-    vin = region.within(fv.vertices, radius)
-    ridge_in = _segment_all(vin[fv.ridge_flat], fv.ridge_offsets)
-    starts = fv.cell_ridges_offsets[sites]
-    counts = fv.cell_ridges_offsets[sites + 1] - starts
-    return _segment_all(
-        ridge_in[fv.cell_ridges_flat[segment_gather(starts, counts)]],
-        np.concatenate([[0], np.cumsum(counts)]),
-    )
-
-
 def _block_from_flat(
     fv,
     sites: np.ndarray,
@@ -442,8 +391,6 @@ def _block_from_flat(
     extents: Bounds,
     vmin: float | None,
     vmax: float | None,
-    region=None,
-    region_radius: float = 0.0,
     **observed: int,
 ) -> tuple[VoronoiBlock, np.ndarray]:
     """Assemble a :class:`VoronoiBlock` from a flat geometry engine.
@@ -457,8 +404,6 @@ def _block_from_flat(
     keep = fv.complete[sites]
     if observe.enabled():
         _observe_geometry(fv, int(keep.sum()), **observed)
-    if region is not None and keep.any():
-        keep &= _region_complete_mask(fv, sites, region, region_radius)
     if vmin is not None and keep.any():
         # Step 3c: conservative early cull on the max vertex separation
         # (isodiametric bound) before the exact threshold — any cell it
@@ -600,9 +545,6 @@ class Tessellation:
     blocks: list[VoronoiBlock]
     timings: TessTimings = field(default_factory=TessTimings)
     output_bytes: int = 0
-    #: load-balance record of standalone runs with a ``balance_threshold``
-    #: (before/after max-over-mean imbalance and whether a re-split fired)
-    balance: dict | None = None
 
     @property
     def num_blocks(self) -> int:
@@ -755,8 +697,6 @@ def tessellate(
     output_path: str | None = None,
     nranks: int | None = None,
     exec_backend: str = "thread",
-    balance_threshold: float | None = None,
-    balance_grid: int = 16,
 ) -> Tessellation:
     """Standalone-mode parallel tessellation of a global point set.
 
@@ -771,13 +711,6 @@ def tessellate(
     deterministic, GIL-bound) or ``"process"`` (one OS process per rank,
     true hardware parallelism — see :func:`repro.diy.comm.run_parallel`).
     Results are bit-identical between the two.
-
-    ``balance_threshold`` enables dynamic load balancing: if the regular
-    decomposition's max/mean per-block particle count exceeds it, the
-    domain is re-split along a space-filling curve into equal-load blocks
-    (:mod:`repro.balance`) before the parallel region launches.  The
-    coarse load grid has ``balance_grid`` cells per axis.  Analysis
-    results are identical either way; only the work distribution changes.
 
     Parameters mirror the distributed primitive; see
     :func:`tessellate_distributed`.
@@ -804,35 +737,6 @@ def tessellate(
         )
 
     decomp = Decomposition.regular(domain, nblocks, periodic=periodic)
-    balance_info = None
-    if balance_threshold is not None and nblocks > 1:
-        from ..balance import (
-            compute_cell_counts,
-            load_imbalance,
-            publish_imbalance,
-            rebalance_decomposition,
-        )
-
-        counts = np.bincount(decomp.locate(pts), minlength=decomp.nblocks)
-        before = load_imbalance(counts)
-        publish_imbalance(before)
-        balance_info = {
-            "threshold": balance_threshold,
-            "max_over_mean_before": before["max_over_mean"],
-            "max_over_mean_after": before["max_over_mean"],
-            "rebalanced": False,
-        }
-        if before["max_over_mean"] > balance_threshold:
-            hist = compute_cell_counts(pts, domain, balance_grid)
-            decomp = rebalance_decomposition(
-                domain, hist, nblocks, periodic=periodic
-            )
-            after = load_imbalance(
-                np.bincount(decomp.locate(pts), minlength=nblocks)
-            )
-            publish_imbalance(after, prefix="balance.post")
-            balance_info["max_over_mean_after"] = after["max_over_mean"]
-            balance_info["rebalanced"] = True
     # A module-level worker + plain-data arguments: the whole task pickles,
     # so the process backend can lease persistent pool workers instead of
     # forking a one-shot pool per call.
@@ -860,7 +764,6 @@ def tessellate(
         blocks=blocks,
         timings=timings,
         output_bytes=results[0][2],
-        balance=balance_info,
     )
 
 

@@ -12,7 +12,7 @@ with its own :class:`Communicator`.
 
 The communicator offers exactly the collectives the pipeline calls, with
 mpi4py's lowercase (object, pickle-level) names — ``barrier``/``bcast``/
-``gather``/``allreduce``/``allgather``/``exscan``/``alltoall`` plus
+``gather``/``allreduce``/``exscan``/``alltoall`` plus
 ``sparse_alltoall`` for the neighbour exchange — so porting the library
 onto real MPI is a mechanical substitution of the communicator object.
 There is no user point-to-point channel: the collectives' private
@@ -31,10 +31,10 @@ Design notes
   Every collective call reserves its own block of tags, so concurrent
   rounds never match each other's traffic.
 * Collectives are flat trees — binomial trees for the rooted operations
-  (``bcast``/``gather``), recursive doubling for ``allreduce``/``exscan``,
-  dissemination for ``allgather`` — so every rank sends/receives O(log P)
-  messages.  Reduction ops must be associative; commutativity is *not*
-  required (operands always combine in rank order, as MPI specifies).
+  (``bcast``/``gather``), recursive doubling for ``allreduce``/``exscan``
+  — so every rank sends/receives O(log P) messages.  Reduction ops must
+  be associative; commutativity is *not* required (operands always
+  combine in rank order, as MPI specifies).
 * Collectives must be called by all ranks in the same order, exactly as in
   MPI.
 * Every communicator carries a :class:`CommStats` — per-rank counters for
@@ -493,27 +493,6 @@ class Communicator:
             k <<= 1
             rnd += 1
         return acc
-
-    def allgather(self, obj: Any) -> list[Any]:
-        """Gather one object per rank at every rank.
-
-        Dissemination (Bruck) algorithm: in round k each rank forwards all
-        items it knows to rank+2^k and learns from rank-2^k, completing in
-        ceil(log2 P) rounds for any P."""
-        self._count("allgather")
-        tag = self._next_coll_tag()
-        rank, size = self._rank, self.size
-        if size == 1:
-            return [obj]
-        known: dict[int, Any] = {rank: obj}
-        k = 1
-        rnd = 0
-        while k < size:
-            self._send(dict(known), (rank + k) % size, tag + rnd)
-            known.update(self._recv((rank - k) % size, tag + rnd))
-            k <<= 1
-            rnd += 1
-        return [known[r] for r in range(size)]
 
     def exscan(self, value: Any, op: Callable[[Any, Any], Any] = None) -> Any:
         """Exclusive prefix reduction; rank 0 receives ``None``.

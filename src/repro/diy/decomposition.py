@@ -160,10 +160,9 @@ class Decomposition:
         silently return a *valid-looking* wrong block for bad gids.
         """
         if not 0 <= int(gid) < self.nblocks:
-            grid = f" (grid {self.grid})" if self.grid is not None else ""
             raise ValueError(
                 f"gid {gid} out of range for decomposition with "
-                f"{self.nblocks} blocks{grid}"
+                f"{self.nblocks} blocks (grid {self.grid})"
             )
 
     def block(self, gid: int) -> Block:
@@ -174,17 +173,6 @@ class Decomposition:
     def blocks(self) -> tuple[Block, ...]:
         """All blocks in gid order."""
         return self._blocks
-
-    def block_region(self, gid: int):
-        """The exact owned region of block ``gid``, or ``None``.
-
-        Regular blocks are boxes, fully described by ``block(gid).core``;
-        irregular decompositions (``repro.balance.BalancedDecomposition``)
-        override this to return the union-of-cells region that ghost
-        targeting and completeness certification must use.
-        """
-        self._check_gid(gid)
-        return None
 
     def gid_of_coords(self, coords: tuple[int, ...]) -> int:
         """Row-major gid of grid coordinates."""
@@ -203,8 +191,8 @@ class Decomposition:
         return tuple(reversed(coords))
 
     # ------------------------------------------------------------------
-    def _grid_indices(self, points: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
-        """Per-axis cell indices of points on a regular ``grid`` subdivision.
+    def _grid_indices(self, points: np.ndarray) -> np.ndarray:
+        """Per-axis block-grid indices of points.
 
         Out-of-domain coordinates are **wrapped** on periodic axes (same
         modulo rule as :func:`~repro.diy.bounds.wrap_positions`, including
@@ -233,11 +221,11 @@ class Decomposition:
         wrapped = shifted % sizes
         wrapped = np.where(wrapped >= sizes, 0.0, wrapped)
         coords = np.where(per, wrapped, shifted)
-        cell = sizes / np.asarray(grid, dtype=float)
+        cell = sizes / np.asarray(self.grid, dtype=float)
         idx = np.floor(coords / cell).astype(np.int64)
         # Non-periodic upper face (and float round-up near a cell face)
         # lands in the last cell.
-        return np.clip(idx, 0, np.asarray(grid) - 1)
+        return np.clip(idx, 0, np.asarray(self.grid) - 1)
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Vectorized owner lookup: gid of the block containing each point.
@@ -247,7 +235,7 @@ class Decomposition:
         :meth:`_grid_indices`), so float drift during migration can never
         silently misassign a particle to an edge block.
         """
-        idx = self._grid_indices(points, self.grid)
+        idx = self._grid_indices(points)
         gids = np.zeros(len(idx), dtype=np.int64)
         for axis, g in enumerate(self.grid):
             gids = gids * g + idx[:, axis]

@@ -149,10 +149,8 @@ class NeighborExchanger:
         from .. import observe
 
         if observe.enabled():
-            # Exchange-traffic counters feed the same dashboard as the
-            # balance gauges: after a rebalance the payload volume per
-            # round shows whether the irregular blocks' tight region
-            # targeting held ghost traffic down.
+            # Exchange-traffic counters: the payload volume per round
+            # shows whether near-point targeting held ghost traffic down.
             reg = observe.registry()
             reg.counter("exchange.rounds", rank=self.comm.rank).inc()
             reg.counter("exchange.payloads", rank=self.comm.rank).inc(

@@ -34,7 +34,7 @@ class ParticleSet:
     annotations:
         Optional named per-particle arrays (first axis length ``n``).
         Dtypes and keys survive selection, concatenation, and migration —
-        including zero-row selections, which rebalancing legitimately
+        including zero-row selections, which migration legitimately
         produces on ranks with no outgoing particles.
     """
 

@@ -70,28 +70,10 @@ class SimulationConfig:
     deconvolve: bool = False
     ng: int | None = None
     box: float | None = None
-    #: dynamic load balancing (:mod:`repro.balance`): when the max/mean
-    #: per-rank particle count exceeds this after a migration, the domain
-    #: is re-split along a space-filling curve into equal-load blocks and
-    #: particles migrate to their new owners.  ``None`` disables it.
-    balance_threshold: float | None = None
-    #: coarse load-grid cells per axis for the repartitioner
-    balance_grid: int = 16
-    #: check the imbalance gauges every this many steps
-    balance_every: int = 1
 
     def __post_init__(self) -> None:
         if self.np_side < 2:
             raise ValueError(f"np_side must be >= 2, got {self.np_side}")
-        if self.balance_threshold is not None and self.balance_threshold <= 1.0:
-            raise ValueError(
-                f"balance_threshold must exceed 1.0 (perfect balance), "
-                f"got {self.balance_threshold}"
-            )
-        if self.balance_grid < 2:
-            raise ValueError(f"balance_grid must be >= 2, got {self.balance_grid}")
-        if self.balance_every < 1:
-            raise ValueError(f"balance_every must be >= 1, got {self.balance_every}")
 
     @property
     def mesh_size(self) -> int:
@@ -185,9 +167,6 @@ class HACCSimulation:
         #: Voronoi cell density of the paper's §V proposal); populated by
         #: checkpoint restart, invalidated when particles migrate.
         self.cell_density: np.ndarray | None = None
-        #: dynamic-load-balance bookkeeping (see :meth:`_maybe_rebalance`)
-        self.rebalances = 0
-        self.last_imbalance: float | None = None
 
         # Every rank generates the identical realization deterministically
         # and keeps its own block's particles (replicated IC generation).
@@ -259,7 +238,6 @@ class HACCSimulation:
             )
             self.step_index += 1
             self._migrate()
-            self._maybe_rebalance()
         self.step_records.append(
             StepRecord(self.step_index, self.a, time.perf_counter() - t0)
         )
@@ -290,60 +268,6 @@ class HACCSimulation:
         # The annotation indexes the pre-migration particle order; drop it
         # rather than silently misalign it.
         self.cell_density = None
-
-    def _maybe_rebalance(self) -> bool:
-        """Re-split the domain when the load imbalance crosses the threshold.
-
-        Collective: every rank shares its particle count (the max/mean and
-        max/min gauges are published through ``repro.observe``), and when
-        max/mean exceeds ``config.balance_threshold`` all ranks allreduce
-        the coarse load histogram, deterministically build the same
-        :class:`~repro.balance.BalancedDecomposition`, and migrate
-        particles to their new owners through the existing all-to-all
-        (shared-memory transport on the process backend).  Particle state is
-        untouched — only ownership changes — so analysis results match a
-        static-decomposition run.
-        """
-        cfg = self.config
-        if cfg.balance_threshold is None or self.comm is None:
-            return False
-        if self.step_index % cfg.balance_every != 0:
-            return False
-        from ..balance import (
-            compute_cell_counts,
-            load_imbalance,
-            publish_imbalance,
-            rebalance_decomposition,
-        )
-
-        counts = np.asarray(self.comm.allgather(self.num_local), dtype=np.int64)
-        gauges = load_imbalance(counts)
-        publish_imbalance(gauges)
-        self.last_imbalance = gauges["max_over_mean"]
-        if gauges["max_over_mean"] <= cfg.balance_threshold:
-            return False
-        with _trace.span(
-            "rebalance", rank=self.gid, cat="sim", step=self.step_index
-        ):
-            hist = self.comm.allreduce(
-                compute_cell_counts(
-                    self.positions_mpc(), cfg.domain(), cfg.balance_grid
-                )
-            )
-            self.decomposition = rebalance_decomposition(
-                cfg.domain(), hist, self.comm.size, periodic=True
-            )
-            self.block = self.decomposition.block(self.gid)
-            self._migrate()
-        self.rebalances += 1
-        post = load_imbalance(
-            np.asarray(self.comm.allgather(self.num_local), dtype=np.int64)
-        )
-        publish_imbalance(post, prefix="balance.post")
-        self.last_imbalance = post["max_over_mean"]
-        if observe.enabled():
-            observe.registry().counter("balance.rebalances").inc()
-        return True
 
     def run(self, hooks: dict[int, list[Hook]] | list[Hook] | None = None) -> None:
         """Run all remaining steps, firing hooks after selected steps.

@@ -81,6 +81,8 @@ class FrameworkConfig:
             raise ValueError("config must contain a nonempty 'tools' list")
         tools = []
         for e in entries:
+            if not isinstance(e, dict) or "tool" not in e:
+                raise ValueError(f"tool entry needs a 'tool' name, got {e!r}")
             known = {"tool", "steps", "every", "include_final", "params"}
             extra = set(e) - known
             if extra:

@@ -164,7 +164,6 @@ class CosmologyToolsFramework:
             sim = HACCSimulation(sim_config, comm=comm)
             sim.run(hooks=table)
         self._simulation_seconds = sim.simulation_seconds()
-        self._rebalances = sim.rebalances
         return self
 
     @property
@@ -177,11 +176,6 @@ class CosmologyToolsFramework:
         """Step the last :meth:`run` resumed from (-1 if it started fresh
         or ran without checkpointing)."""
         return getattr(self, "_resumed_step", -1)
-
-    @property
-    def rebalances(self) -> int:
-        """Dynamic-load-balance re-splits the last :meth:`run` performed."""
-        return getattr(self, "_rebalances", 0)
 
 
 class InsituResults(Mapping):
@@ -199,14 +193,11 @@ class InsituResults(Mapping):
         results: dict[str, dict[int, Any]],
         simulation_seconds: float,
         resumed_step: int = -1,
-        rebalances: int = 0,
     ) -> None:
         self._results = results
         self.simulation_seconds = simulation_seconds
         #: step the run resumed from (-1 for a fresh / non-checkpointed run)
         self.resumed_step = resumed_step
-        #: dynamic-load-balance re-splits performed during the run
-        self.rebalances = rebalances
 
     def __getitem__(self, tool_name: str) -> dict[int, Any]:
         return self._results[tool_name]
@@ -232,7 +223,6 @@ def run_simulation_with_tools(
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
     resume: bool = False,
-    balance_threshold: float | None = None,
 ) -> InsituResults:
     """Convenience driver: simulate with tools attached; return results.
 
@@ -255,18 +245,9 @@ def run_simulation_with_tools(
     crash-recovery path of :meth:`CosmologyToolsFramework.run`; on a
     resumed run :attr:`InsituResults.resumed_step` reports the restart
     point and only steps after it appear in the result store.
-
-    ``balance_threshold`` (when not ``None``) overrides the simulation
-    config's dynamic load-balancing threshold (see
-    :attr:`~repro.hacc.simulation.SimulationConfig.balance_threshold`);
-    :attr:`InsituResults.rebalances` reports how many re-splits fired.
     """
     if isinstance(framework_config, dict):
         framework_config = FrameworkConfig.from_dict(framework_config)
-    if balance_threshold is not None:
-        from dataclasses import replace
-
-        sim_config = replace(sim_config, balance_threshold=balance_threshold)
 
     # Module-level worker + picklable configs: the process backend can lease
     # persistent pool workers for the whole simulation instead of forking.
@@ -280,12 +261,11 @@ def run_simulation_with_tools(
         resume,
         backend=backend,
     )
-    sim_seconds = max(seconds for _, seconds, _, _ in results)
+    sim_seconds = max(seconds for _, seconds, _ in results)
     return InsituResults(
         _joined([r[0] for r in results]),
         sim_seconds,
         resumed_step=results[0][2],
-        rebalances=max(r[3] for r in results),
     )
 
 
@@ -318,4 +298,4 @@ def _framework_worker(
         checkpoint_every=checkpoint_every,
         resume=resume,
     )
-    return fw.results, fw.simulation_seconds, fw.resumed_step, fw.rebalances
+    return fw.results, fw.simulation_seconds, fw.resumed_step

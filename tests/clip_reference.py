@@ -6,7 +6,7 @@ built with plain NumPy offsets, through the clip-only
 :func:`tessellate_block` (KD-tree + halfspace clipping,
 :mod:`tests.clip_voronoi`).  No ``Decomposition``, no ghost exchange, no
 qhull, no flat arrays — so agreement with :func:`repro.core.tessellate` at
-any block count, static or balanced, is evidence about production and not
+any block count is evidence about production and not
 about shared code.
 """
 

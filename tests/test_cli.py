@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import sim_main, tess_main
 
+from .clustered import clustered_points
+
 
 class TestTessCLI:
     def test_random_points_run(self, capsys):
@@ -64,19 +66,14 @@ class TestTessCLI:
         kept = int(out.split("cells kept:")[1].split()[0])
         assert kept < 300  # boundary cells deleted
 
-    def test_balance_threshold_rebalances_clustered_input(
-        self, tmp_path, capsys
-    ):
-        from repro.balance import clustered_points
-
+    def test_clustered_input_tiles_the_box(self, tmp_path, capsys):
         pts = clustered_points(600, 8.0, seed=14)
         npy = tmp_path / "clustered.npy"
         np.save(npy, pts)
         rc = tess_main([str(npy), "--box", "8", "--blocks", "4",
-                        "--ghost", "4", "--balance-threshold", "1.5"])
+                        "--ghost", "4"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "balance:       rebalanced" in out
         assert "cells kept:    600" in out
         assert "total volume:  512" in out
 
@@ -127,18 +124,6 @@ class TestSimCLI:
         rc = sim_main([deck])
         assert rc == 0
         assert "histogram n=" in capsys.readouterr().out
-
-    def test_balance_threshold_flag(self, tmp_path, capsys):
-        deck = self._deck(
-            tmp_path,
-            [{"tool": "statistics", "every": 2}],
-            sim={"np_side": 8, "nsteps": 2, "seed": 5},
-        )
-        rc = sim_main([deck, "--ranks", "2", "--balance-threshold", "1.001"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "rebalanced domain" in out
-        assert "histogram n=512" in out
 
     def test_kill_and_resume_cycle(self, tmp_path, capsys):
         """--fault-kill crashes the run after its checkpoints are on disk;
@@ -191,3 +176,51 @@ class TestSimCLI:
         deck = self._deck(tmp_path, [{"tool": "statistics"}])
         with pytest.raises(SystemExit):
             sim_main([deck, "--fault-seed", "1"])
+
+
+def _deck_text(sim=None, tools=({"tool": "statistics"},)):
+    return json.dumps(
+        {"simulation": sim or {"np_side": 8, "nsteps": 2}, "tools": list(tools)}
+    )
+
+
+@pytest.mark.parametrize(
+    "main, content, flags, message",
+    [
+        (sim_main, None, [], "cannot read deck"),
+        (sim_main, "{not json", [], "is not valid JSON"),
+        (sim_main, "[1, 2]", [], "must be a JSON object, got list"),
+        (sim_main, _deck_text({"np_side": 1}), [], "np_side must be >= 2"),
+        (sim_main, _deck_text({"np_side": "8"}), [], "np_side must be int"),
+        (sim_main, _deck_text({"np_side": 8, "balance_threshold": 1.1}), [],
+         "unknown simulation keys ['balance_threshold']"),
+        (sim_main, _deck_text(tools=[{"tool": "warp_drive"}]), [],
+         "unknown tool 'warp_drive'"),
+        (sim_main, _deck_text(), ["--ranks", "0"], "--ranks must be positive"),
+        (sim_main, _deck_text(), ["--checkpoint-every", "-1"],
+         "--checkpoint-every must be >= 0"),
+        (tess_main, None, [], "cannot read"),
+        (tess_main, "0 0 0\n", [], "is not a .npy array"),
+    ],
+    ids=[
+        "sim-missing-deck", "sim-malformed-json", "sim-deck-not-an-object",
+        "sim-np_side-out-of-range", "sim-np_side-mistyped",
+        "sim-balance_threshold-key", "sim-unknown-tool", "sim-ranks-0",
+        "sim-checkpoint-every-negative", "tess-missing-points",
+        "tess-points-not-npy",
+    ],
+)
+def test_cli_rejects_bad_input_with_one_error_line(
+    tmp_path, capsys, main, content, flags, message
+):
+    """Bad input is a usage error: one ``error:`` line saying what is
+    wrong, exit code 2, and no rank started."""
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    rc = main([str(path), *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""

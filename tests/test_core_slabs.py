@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from repro import observe
-from repro.balance import clustered_points
 from repro.core import tessellate
 from repro.diy.bounds import Bounds
 from repro.diy.decomposition import Decomposition
+
+from .clustered import clustered_points
 
 # ``repro.core.tessellate`` the attribute is the function; this is the module.
 TESS = importlib.import_module("repro.core.tessellate")
@@ -132,15 +133,12 @@ CLUSTERED = clustered_points(3000, BOX, seed=4)
 
 
 @pytest.mark.parametrize("periodic", (True, False))
-@pytest.mark.parametrize("balanced", (False, True))
-def test_clustered_blocks_and_balanced_regions(balanced, periodic):
+def test_clustered_blocks(periodic):
     kw = dict(
         nblocks=2, ghost=4.0 * BOX / len(CLUSTERED) ** (1.0 / 3.0),
-        periodic=periodic, balance_threshold=1.05 if balanced else None,
+        periodic=periodic,
     )
     want = slabbed(1, CLUSTERED, Bounds.cube(BOX), **kw)
-    if balanced:
-        assert want.balance["rebalanced"]
     got, counters = slabbed_counters(3, CLUSTERED, Bounds.cube(BOX), **kw)
     # a periodic block is cut (a block too small for two slabs adds
     # nothing to the counter); a non-periodic domain face leaves a block

@@ -319,43 +319,3 @@ class TestAccuracyMatcher:
         m = match_tessellations(t, t)
         assert m.accuracy_percent == 100.0
         assert m.cells_matching == m.cells_parallel
-
-
-class TestRegionCompleteMask:
-    def test_segment_all_handles_empty_segments(self):
-        from repro.core.tessellate import _segment_all
-
-        values = np.array([True, False, True, True, True])
-        offsets = np.array([0, 0, 2, 2, 2, 5, 5])
-        assert _segment_all(values, offsets).tolist() == [
-            True, False, True, True, True, True
-        ]
-        assert _segment_all(np.empty(0, bool), np.zeros(3, int)).tolist() == [
-            True, True
-        ]
-        assert len(_segment_all(np.empty(0, bool), np.zeros(1, int))) == 0
-
-    def test_matches_per_cell_definition(self):
-        from repro.balance import CellUnionRegion
-        from repro.core.tessellate import _region_complete_mask
-        from repro.geometry.voronoi_delaunay import DelaunayVoronoi
-
-        rng = np.random.default_rng(12)
-        domain = Bounds.cube(8.0)
-        mask = np.zeros((4, 4, 4), dtype=bool)
-        mask[:2, :2, :] = mask[2, 0, :] = True
-        region = CellUnionRegion(domain, (4, 4, 4), mask)
-        pts = rng.uniform(0.0, 8.0, size=(400, 3))
-        fv = DelaunayVoronoi(pts, domain, owned=np.arange(400) < 250)
-        vin = region.within(fv.vertices, 0.5)
-        want = [
-            all(vin[fv.ridge_cycle(r)].all() for r in fv.cell_ridge_ids(s))
-            for s in range(250)
-        ]
-        got = _region_complete_mask(fv, np.arange(250), region, 0.5)
-        assert got.tolist() == want
-        assert 0 < sum(want) < 250
-        # any ascending subset of the sites (a slab's, a repair patch's)
-        sites = np.arange(3, 250, 7)
-        got = _region_complete_mask(fv, sites, region, 0.5)
-        assert got.tolist() == [want[s] for s in sites]

@@ -159,12 +159,6 @@ class TestCollectives:
         assert out[0] == [0, 1, 4, 9]
         assert out[1] is None
 
-    def test_allgather(self):
-        def f(comm):
-            return comm.allgather(chr(ord("a") + comm.rank))
-
-        assert run_parallel(3, f) == [["a", "b", "c"]] * 3
-
     def test_reduce_default_sum(self):
         def f(comm):
             return comm.allreduce(comm.rank + 1)

@@ -88,14 +88,6 @@ class TestTreeVsLinearOracles:
             np.testing.assert_allclose(row, total)
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_allgather(self, n):
-        def worker(comm):
-            return comm.allgather((comm.rank, "x" * comm.rank))
-
-        expected = [(i, "x" * i) for i in range(n)]
-        assert run_parallel(n, worker) == [expected] * n
-
-    @pytest.mark.parametrize("n", SIZES)
     def test_exscan_non_commutative(self, n):
         def worker(comm):
             return comm.exscan(f"[{comm.rank}]", op=_concat)

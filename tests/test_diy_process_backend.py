@@ -171,7 +171,6 @@ def _collective_workout(comm):
         "bcast": comm.bcast({"root": 0, "arr": big} if rank == 0 else None),
         "gathered": comm.gather(rank * 2, root=0),
         "allreduced": comm.allreduce(float(big.sum())),
-        "allgathered": comm.allgather(rank),
         "exscan": comm.exscan(rank + 1),
         "alltoall": comm.alltoall([(rank, d) for d in range(size)]),
         "sparse": sorted(

@@ -207,3 +207,65 @@ class TestSimulation:
             return sim.num_global()
 
         assert run_parallel(2, worker) == [512, 512]
+
+
+class TestParticleSetEdgeCases:
+    def _pset(self, n=5, seed=0):
+        from repro.hacc.particles import ParticleSet
+
+        rng = np.random.default_rng(seed)
+        return ParticleSet(
+            positions=rng.random((n, 3)),
+            velocities=rng.random((n, 3)),
+            ids=np.arange(n, dtype=np.int64),
+            annotations={"phi": rng.random(n)},
+        )
+
+    def test_concatenate_empty_list(self):
+        from repro.hacc.particles import ParticleSet
+
+        empty = ParticleSet.concatenate([])
+        assert len(empty) == 0
+        assert empty.ids.dtype == np.int64
+
+    def test_zero_row_selection_roundtrips(self):
+        p = self._pset()
+        sel = p.select(np.array([], dtype=np.int64))
+        assert len(sel) == 0
+        assert sel.positions.dtype == p.positions.dtype
+        assert sel.ids.dtype == np.int64
+        assert set(sel.annotations) == {"phi"}
+        # An empty *float* index array (np.where on nothing, list []) must
+        # coerce rather than crash.
+        sel2 = p.select(np.array([]))
+        assert len(sel2) == 0
+
+    def test_concatenate_with_empty_parts(self):
+        from repro.hacc.particles import ParticleSet
+
+        p = self._pset(n=4)
+        empty = ParticleSet.empty()
+        out = ParticleSet.concatenate([empty, p, empty])
+        assert len(out) == 4
+        assert set(out.annotations) == {"phi"}
+        np.testing.assert_array_equal(out.ids, p.ids)
+
+    def test_concatenate_mismatched_annotations_raise(self):
+        p1 = self._pset(n=3, seed=1)
+        p2 = self._pset(n=2, seed=2)
+        p2.annotations["rho"] = np.zeros(2)
+        from repro.hacc.particles import ParticleSet
+
+        with pytest.raises(ValueError, match="rho"):
+            ParticleSet.concatenate([p1, p2])
+
+    def test_annotation_shape_validated(self):
+        from repro.hacc.particles import ParticleSet
+
+        with pytest.raises(ValueError):
+            ParticleSet(
+                positions=np.zeros((3, 3)),
+                velocities=np.zeros((3, 3)),
+                ids=np.arange(3, dtype=np.int64),
+                annotations={"phi": np.zeros(2)},
+            )

@@ -76,7 +76,7 @@ def test_tracking_follows_the_culled_tessellation(
 TRAFFIC_CFG = SimulationConfig(np_side=10, nsteps=8, seed=3)
 MESH_TYPES = (VoronoiBlock, Tessellation, DistributedTessellation)
 COLLECTIVES = (
-    "gather", "bcast", "allreduce", "allgather", "alltoall",
+    "gather", "bcast", "allreduce", "alltoall",
     "sparse_alltoall", "exscan",
 )
 
