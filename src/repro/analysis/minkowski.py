@@ -28,8 +28,12 @@ CSR connectivity (``face_vertices``/``face_offsets``/``face_neighbors``/
 2. Area vectors and centres of the boundary faces come from segmented
    (``np.add.reduceat``) Newell sums; zero-area sliver faces are dropped.
 3. Vertices are welded across faces and blocks by quantising their
-   coordinates to integers at 1e-8 and one ``np.unique`` over
-   ``(component, qx, qy, qz)`` rows.
+   coordinates to integers at 1e-8.  One ``np.lexsort`` over the
+   ``(component, qx, qy, qz)`` int64 columns orders the rows; a run-start
+   mask on the sorted rows marks each distinct vertex, and its cumulative
+   sum, scattered back through the sort order, is every row's welded id.
+   The ids come out in lexicographic row order, and no key is packed, so
+   any key range (negative on non-periodic axes) is exact.
 4. Edges become packed ``lo * nv + hi`` keys of welded vertex ids (the
    ids are per component, so the key carries the component); an edge seen
    exactly twice gets the dihedral term, any other multiplicity is a
@@ -222,6 +226,25 @@ def _weld_keys(pts: np.ndarray, domain: Bounds, periodic: np.ndarray) -> np.ndar
     return keys
 
 
+def _weld(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an int64 ``(n, k)`` array, in lexicographic order,
+    and per row the index of its distinct row.
+
+    One ``np.lexsort`` over the columns (first column most significant),
+    a run-start mask on the sorted rows and a cumulative sum: the same
+    rows and inverse as ``np.unique(rows, axis=0, return_inverse=True)``,
+    which sorts the rows as one structured dtype with a generic
+    comparator and costs several times more.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    vid = np.empty(len(rows), dtype=np.int64)
+    vid[order] = np.cumsum(start) - 1
+    return ordered[start], vid
+
+
 def minkowski_functionals(
     tess: Tessellation, labeling: ComponentLabeling
 ) -> list[MinkowskiFunctionals]:
@@ -271,12 +294,9 @@ def minkowski_functionals(
 
     # 3. weld vertices per component
     vert_comp = np.repeat(face_comp, lengths)
-    welded, vid = np.unique(
-        np.column_stack([vert_comp, _weld_keys(pts, tess.domain, periodic)]),
-        axis=0,
-        return_inverse=True,
+    welded, vid = _weld(
+        np.column_stack([vert_comp, _weld_keys(pts, tess.domain, periodic)])
     )
-    vid = vid.ravel()
 
     # 4. pair edges on packed keys; the stable sort keeps occurrences in
     # face order, so each pair's first member is the edge's first sighting

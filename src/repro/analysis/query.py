@@ -330,7 +330,9 @@ def run_query(
     ``region`` (optional) restricts it spatially, and the remaining keys
     are per-op parameters.  Unknown ops or parameters raise
     :class:`QueryError` naming the offender, so a typo'd request fails
-    with a 400, not a silent default.
+    with a 400, not a silent default.  So does a ``top`` that is not a
+    non-negative integer (``-3`` would slice off the last three,
+    ``true`` would read as 1).
     """
     op = spec.get("op")
     if op not in QUERY_OPS:
@@ -348,6 +350,9 @@ def run_query(
             raise QueryError(
                 "profile queries take 'center'/'rmax', not 'region'"
             )
+    top = spec.get("top", 0)
+    if isinstance(top, bool) or not isinstance(top, int) or top < 0:
+        raise QueryError(f"top must be a non-negative integer, got {top!r}")
     kwargs = {k: spec[k] for k in spec if k in allowed}
     try:
         if op in _REGION_OPS:

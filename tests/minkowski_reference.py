@@ -14,6 +14,11 @@ periodic when a face between two cells of one component crosses the box
 on it (reflecting one site through the face plane lands a box length
 away from the other), and on periodic axes vertex keys are taken modulo
 the box and the convexity test's face-centre offset by minimum image.
+
+:func:`weld_reference` is the vertex weld as the flat kernel first wrote
+it, ``np.unique(rows, axis=0, return_inverse=True)``; the weld test
+(``tests/test_analysis_minkowski_weld.py``) holds the kernel's
+``_weld`` to it element for element.
 """
 
 import numpy as np
@@ -155,3 +160,10 @@ def minkowski_reference(
             )
         )
     return out
+
+
+def weld_reference(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(component, qx, qy, qz)`` rows in lexicographic order and
+    each row's index among them, by numpy's row-wise ``np.unique``."""
+    welded, vid = np.unique(rows, axis=0, return_inverse=True)
+    return welded, vid.ravel()

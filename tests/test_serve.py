@@ -308,6 +308,18 @@ class TestQueries:
             with pytest.raises(QueryError):
                 run_query(domain, blocks, spec)
 
+    @pytest.mark.parametrize("top", [-1, True, 2.5, "2"])
+    @pytest.mark.parametrize("op", ["voids", "components", "halos", "minkowski"])
+    def test_top_must_be_a_non_negative_int(self, query_inputs, op, top):
+        # a negative top slices off the tail, True reads as 1
+        domain, blocks = query_inputs
+        with pytest.raises(QueryError, match="top"):
+            run_query(domain, blocks, {"op": op, "top": top})
+
+    def test_top_zero_accepted(self, query_inputs):
+        domain, blocks = query_inputs
+        assert run_query(domain, blocks, {"op": "halos", "top": 0})["halos"] == []
+
     def test_region_bounds_validation(self):
         domain = Bounds.cube(BOX)
         assert region_bounds(None, domain) is None

@@ -151,16 +151,23 @@ def test_query_error_statuses(store):
             )
             not_json = await _request(server.port, "POST", "/query")
             wrong_method = await _request(server.port, "GET", "/query")
+            negative_top = await _request(
+                server.port, "POST", "/query", {"op": "halos", "top": -3}
+            )
         finally:
             await server.close()
-        return unknown, missing, not_json, wrong_method
+        return unknown, missing, not_json, wrong_method, negative_top
 
-    unknown, missing, not_json, wrong_method = asyncio.run(scenario())
+    unknown, missing, not_json, wrong_method, negative_top = asyncio.run(
+        scenario()
+    )
     assert unknown.status == 400
     assert "unknown op" in unknown.json()["error"]
     assert missing.status == 404
     assert not_json.status == 400
     assert wrong_method.status == 405
+    assert negative_top.status == 400
+    assert "top" in negative_top.json()["error"]
 
 
 def test_http_backpressure_503_with_retry_after(store, monkeypatch):
