@@ -25,7 +25,6 @@ from .statistics import (
     histogram,
     volume_range_concentration,
 )
-from .threshold import volume_threshold_mask
 from .tracking import (
     FeatureEvent,
     FeatureTrack,
@@ -74,7 +73,6 @@ __all__ = [
     "density_contrast",
     "histogram",
     "volume_range_concentration",
-    "volume_threshold_mask",
     "FeatureEvent",
     "FeatureTrack",
     "FeatureTree",

@@ -5,19 +5,18 @@ same component; components of large-volume cells *are* the voids (paper
 Figure 9).  Face adjacency comes for free from the tess data model: every
 face stores the global particle id of the site across it.
 
-Two paths, one kernel:
+One labeling kernel, whatever the rank count.  Each input part emits
+packed int64 ``(id, id)`` rows — a set of blocks through
+:func:`_local_rows`, a particle set for the FOF halo finder through
+:func:`~repro.analysis.halos._halo_part` — and :func:`_merge_rows` turns
+the rows of every part into one canonical :class:`ComponentLabeling`:
 
-* :func:`connected_components` — flat-array labeling over an assembled
-  tessellation: edges come from the vectorized
-  :meth:`~repro.core.data_model.VoronoiBlock.adjacency_edges` CSR masking
-  and merge through :class:`ArrayUnionFind` (an int64 parent array with
-  path halving) — no per-cell Python loop anywhere on the hot path.
-* :func:`connected_components_at_root` — the in situ path: each rank
-  labels its own block locally, and its local links and boundary edges
-  (faces whose neighbor cell lives on another rank) travel to the root as
-  one packed ``(src, dst)`` int64 row array through the tree gather — one
-  collective round, independent of component diameter — where the global
-  labeling is resolved.
+* :func:`connected_components` is the in-process case: one part holding
+  every block of an assembled tessellation, merged in place.
+* :func:`connected_components_at_root` is the in situ case: each rank
+  emits the rows of its own block, and one tree gather brings them to the
+  root — one collective round, independent of component diameter — where
+  the same merge runs.
 
 The dict-based labeling these replaced lives with the tests
 (``tests/components_reference.py``) as the parity reference.
@@ -26,6 +25,7 @@ The dict-based labeling these replaced lives with the tests
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -114,8 +114,8 @@ class ArrayUnionFind:
     def labels(self) -> np.ndarray:
         """Dense component label per index, ordered by minimum member."""
         roots = self.find_many(np.arange(len(self.parent), dtype=np.int64))
-        _, labels = np.unique(roots, return_inverse=True)
-        return labels.astype(np.int64)
+        # a root is its own parent, and roots ascend with their index
+        return np.cumsum(roots == np.arange(len(roots)), dtype=np.int64)[roots] - 1
 
 
 @dataclass
@@ -142,6 +142,15 @@ class ComponentLabeling:
         """Cell count of each component, indexed by label."""
         return np.bincount(self.labels, minlength=self.num_components)
 
+    def grouping(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds)`` such that ``site_ids[order[bounds[l] :
+        bounds[l + 1]]]`` are the members of component ``l``, ascending
+        (one stable sort of the labels)."""
+        order = np.argsort(self.labels, kind="stable")
+        bounds = np.zeros(self.num_components + 1, dtype=np.int64)
+        np.cumsum(self.sizes(), out=bounds[1:])
+        return order, bounds
+
     def members(self, label: int) -> np.ndarray:
         """Site ids belonging to component ``label``."""
         return self.site_ids[self.labels == label]
@@ -160,51 +169,42 @@ def _empty_labeling() -> ComponentLabeling:
 def connected_components(
     tess: Tessellation, vmin: float | None = None, vmax: float | None = None
 ) -> ComponentLabeling:
-    """Label components of face-adjacent cells within the volume band.
-
-    Flat-array path: one :meth:`adjacency_edges` call per block and one
-    bulk :meth:`ArrayUnionFind.union_edges` per edge batch.
-    """
-    from .threshold import volume_threshold_mask
-
+    """Label components of face-adjacent cells within the volume band:
+    :func:`_merge_rows` over the rows of ``tess``'s blocks, one part."""
     with observe.span("components-flat", cat="analysis"):
-        mask = volume_threshold_mask(tess, vmin=vmin, vmax=vmax)
-        kept = np.unique(tess.site_ids()[mask].astype(np.int64, copy=False))
-        if len(kept) == 0:
-            return _empty_labeling()
-        uf = ArrayUnionFind(len(kept))
-        for block in tess.blocks:
-            src, dst = block.adjacency_edges(kept, return_indices=True)
-            if len(src):
-                uf.union_edges(src, dst)
-        return ComponentLabeling(site_ids=kept, labels=uf.labels())
+        return _merge_rows([_local_rows(tess.blocks, vmin, vmax)[0]])
 
 
 def _local_rows(
-    block: VoronoiBlock, vmin: float | None, vmax: float | None
+    blocks: Sequence[VoronoiBlock], vmin: float | None, vmax: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """This block's half of the distributed merge, as packed int64 rows.
+    """One part's rows for :func:`_merge_rows`, as packed int64 pairs.
 
-    First one ``(site id, local root)`` row per kept cell, in block order,
-    then one ``(site id, neighbor id)`` row per face of a kept cell whose
-    neighbor this block does not own (it may be kept on another rank; a
-    neighbor owned here and not kept is kept nowhere).  Also returns the
-    block's keep mask.
+    A part is the blocks one labeling pass holds: a rank's own block, or
+    every block of an assembled tessellation.  First one ``(site id, local
+    root)`` row per kept cell, in block order, then one ``(site id,
+    neighbor id)`` row per face of a kept cell whose neighbor the part
+    does not own (it may be kept elsewhere; a neighbor owned here and not
+    kept is kept nowhere).  Also returns the kept cells' volumes, aligned
+    with the first rows.
     """
-    keep = np.ones(block.num_cells, dtype=bool)
+    if not blocks:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    volumes = np.concatenate([b.volumes for b in blocks])
+    keep = np.ones(len(volumes), dtype=bool)
     if vmin is not None:
-        keep &= block.volumes >= vmin
+        keep &= volumes >= vmin
     if vmax is not None:
-        keep &= block.volumes <= vmax
-    sids = block.site_ids.astype(np.int64, copy=False)
+        keep &= volumes <= vmax
+    sids = np.concatenate([b.site_ids for b in blocks]).astype(np.int64, copy=False)
     order = np.argsort(sids, kind="stable")
 
     # Every face of a kept cell, as (owner cell index, neighbor site id),
-    # and the neighbor's cell index where this block owns it.
-    counts = np.diff(block.cell_face_offsets).astype(np.int64)
-    dst = block.face_neighbors.astype(np.int64, copy=False)
+    # and the neighbor's cell index where this part owns it.
+    counts = np.concatenate([np.diff(b.cell_face_offsets) for b in blocks])
+    dst = np.concatenate([b.face_neighbors for b in blocks])
     fmask = np.repeat(keep, counts) & (dst >= 0)
-    src = np.repeat(np.arange(block.num_cells), counts)[fmask]
+    src = np.repeat(np.arange(len(sids)), counts)[fmask]
     dst = dst[fmask]
     pos, owned = index_in_sorted(dst, sids[order])
     nbr = order[pos]
@@ -212,7 +212,7 @@ def _local_rows(
 
     # Local labeling over cell indices; any member can stand for its
     # component, since the root's merge is canonical.
-    uf = ArrayUnionFind(block.num_cells)
+    uf = ArrayUnionFind(len(sids))
     uf.union_edges(src[internal], nbr[internal])
     kept = np.flatnonzero(keep)
     rows = np.concatenate(
@@ -221,25 +221,29 @@ def _local_rows(
             np.stack([sids[src[~owned]], dst[~owned]], axis=1),
         ]
     )
-    return np.ascontiguousarray(rows, dtype=np.int64), keep
+    return np.ascontiguousarray(rows, dtype=np.int64), volumes[kept]
 
 
-def _merge_rows(gathered: list[np.ndarray]) -> ComponentLabeling:
-    """The root's global labeling from every rank's :func:`_local_rows`:
-    each kept cell is the source of its own link row, so the kept set is
-    the union of the source columns."""
-    merged = np.concatenate(gathered)
-    all_kept = np.unique(merged[:, 0])
-    if len(all_kept) == 0:
+def _merge_rows(parts: list[np.ndarray]) -> ComponentLabeling:
+    """The global labeling from every part's ``(id, id)`` rows.
+
+    Each kept node is the source of at least one row of its own part (its
+    link to a local root, or to itself), so the kept set is the union of
+    the source columns; a row whose target is kept nowhere is dropped.
+    Labels are canonical — ordered by each component's smallest id — so
+    the result depends on the rows' graph, not on how parts split it.
+    """
+    merged = np.concatenate([np.empty((0, 2), dtype=np.int64), *parts])
+    if len(merged) == 0:
         return _empty_labeling()
-    # Only join cells that actually survived on some rank.
-    merged = merged[isin_sorted(merged[:, 1], all_kept)]
-    guf = ArrayUnionFind(len(all_kept))
-    guf.union_edges(
-        np.searchsorted(all_kept, merged[:, 0]),
-        np.searchsorted(all_kept, merged[:, 1]),
+    sources = np.sort(merged[:, 0])
+    kept = sources[np.concatenate(([True], sources[1:] != sources[:-1]))]
+    merged = merged[isin_sorted(merged[:, 1], kept)]
+    uf = ArrayUnionFind(len(kept))
+    uf.union_edges(
+        np.searchsorted(kept, merged[:, 0]), np.searchsorted(kept, merged[:, 1])
     )
-    return ComponentLabeling(site_ids=all_kept, labels=guf.labels())
+    return ComponentLabeling(site_ids=kept, labels=uf.labels())
 
 
 def connected_components_at_root(
@@ -259,7 +263,7 @@ def connected_components_at_root(
     shipped through the tree gather; no Python tuple lists cross ranks.
     """
     with observe.span("components-local", rank=comm.rank, cat="analysis"):
-        rows, _ = _local_rows(block, vmin, vmax)
+        rows, _ = _local_rows([block], vmin, vmax)
     with observe.span("components-merge", rank=comm.rank, cat="analysis"):
         gathered = comm.gather(rows, root=0)
         return _merge_rows(gathered) if comm.rank == 0 else None

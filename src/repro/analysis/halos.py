@@ -2,11 +2,16 @@
 
 Halos are the high-density counterpart of voids: groups of particles whose
 pairwise separations chain below a linking length ``b`` (in units of the
-mean inter-particle spacing, conventionally b ~ 0.2).  The serial finder
-uses a periodic KD-tree pair query plus an array union-find; the
-distributed finder reuses tess's ghost-exchange machinery — linking is
-local to owned + ghost particles, and group fragments that span ranks are
-merged at the root through their shared global particle ids.
+mean inter-particle spacing, conventionally b ~ 0.2).  FOF is one more
+client of the labeling merge the void finder uses
+(:mod:`~repro.analysis.components`): a particle set emits packed int64
+rows — one ``(id, id)`` row per owned particle, then one per KD-tree pair
+closer than the linking length, in global-id space — and
+:func:`~repro.analysis.components._merge_rows` labels the groups.
+:func:`fof_halos` merges the rows of one global particle set in process;
+:func:`fof_halos_distributed` links each rank's owned + ghost particles
+(tess's ghost exchange) and gathers the rows, with the owned positions
+aligned to them, at the root.  Both then run the same catalog body.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..diy.bounds import Bounds, minimum_image
+from ..diy.bounds import Bounds, minimum_image, wrap_positions
 from ..diy.comm import Communicator
 from ..diy.decomposition import Decomposition
 from ..core.ghost import exchange_ghost_particles
-from .components import ArrayUnionFind
+from .components import _merge_rows
 
 __all__ = ["Halo", "HaloCatalog", "fof_halos", "fof_halos_distributed"]
 
@@ -74,28 +79,76 @@ def _link_pairs(
     return pairs
 
 
-def _catalog_from_groups(
-    groups: dict[int, list[int]],
-    pos_by_id: dict[int, np.ndarray],
+def _checked(
+    positions: np.ndarray,
+    ids: np.ndarray | None,
+    linking_length: float,
+    min_members: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, ids)`` as float64 ``(n, 3)`` and int64 ``(n,)``
+    arrays; raises ``ValueError`` naming the first bad argument."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ValueError(f"positions must be (n, 3), got {pos.shape}")
+    pid = np.asarray(np.arange(len(pos)) if ids is None else ids, dtype=np.int64)
+    if pid.shape != (len(pos),):
+        raise ValueError(
+            f"ids must hold one id per position ({len(pos)}), got shape {pid.shape}"
+        )
+    if not (np.isfinite(linking_length) and linking_length > 0):
+        raise ValueError(f"linking_length must be finite and > 0, got {linking_length}")
+    if min_members < 1:
+        raise ValueError(f"min_members must be >= 1, got {min_members}")
+    return pos, pid
+
+
+def _halo_part(
+    pos: np.ndarray,
+    pid: np.ndarray,
+    owned: int,
+    linking_length: float,
+    domain: Bounds | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One particle set's merge rows and the positions of its first
+    ``owned`` particles, which the first ``owned`` rows ``(id, id)``
+    stand for; the rest of ``pos``/``pid`` are ghosts, linked but
+    counted where they are owned."""
+    pairs = _link_pairs(pos, linking_length, domain)
+    rows = np.concatenate(
+        [np.stack([pid[:owned], pid[:owned]], axis=1), pid[pairs]]
+    )
+    return rows, pos[:owned]
+
+
+def _halo_catalog(
+    parts: list[tuple[np.ndarray, np.ndarray]],
     domain: Bounds | None,
     linking_length: float,
     min_members: int,
 ) -> HaloCatalog:
-    catalog = HaloCatalog(linking_length=linking_length, min_members=min_members)
-    for members in groups.values():
-        if len(members) < min_members:
-            continue
-        ids = np.asarray(sorted(members), dtype=np.int64)
-        pts = np.asarray([pos_by_id[int(i)] for i in ids])
-        ref = pts[0]
-        if domain is not None:
-            rel = minimum_image(pts - ref, domain)
-            from ..diy.bounds import wrap_positions
+    """The catalog from every part's :func:`_halo_part`: merge, group by
+    label, and centre each group on its id-ordered member positions."""
+    labeling = _merge_rows([rows for rows, _ in parts])
+    pid = np.concatenate([rows[: len(p), 0] for rows, p in parts])
+    if len(labeling.site_ids) != len(pid):
+        raise ValueError(
+            f"ids must be unique: {len(pid)} particles carry "
+            f"{len(labeling.site_ids)} distinct ids"
+        )
+    pos = np.concatenate([p for _, p in parts])[np.argsort(pid)]
 
+    catalog = HaloCatalog(linking_length=linking_length, min_members=min_members)
+    order, bounds = labeling.grouping()
+    for label in np.flatnonzero(labeling.sizes() >= min_members).tolist():
+        members = order[bounds[label] : bounds[label + 1]]
+        pts = pos[members]
+        if domain is not None:
+            ref = pts[0]
+            rel = minimum_image(pts - ref, domain)
             center = wrap_positions((ref + rel.mean(axis=0))[None, :], domain)[0]
         else:
             center = pts.mean(axis=0)
-        catalog.halos.append(Halo(members=ids, center=center))
+        catalog.halos.append(Halo(members=labeling.site_ids[members], center=center))
     catalog.halos.sort(key=lambda h: (-h.mass, int(h.members[0])))
     return catalog
 
@@ -120,24 +173,11 @@ def fof_halos(
     min_members:
         Minimum group size to report (the classic choice is 10-20).
     ids:
-        Global particle ids (default ``arange``).
+        Global particle ids, unique, one per position (default ``arange``).
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError(f"positions must be (n, 3), got {pos.shape}")
-    if linking_length <= 0:
-        raise ValueError("linking_length must be positive")
-    pid = np.arange(len(pos), dtype=np.int64) if ids is None else np.asarray(ids)
-
-    uf = ArrayUnionFind(len(pos))
-    pairs = _link_pairs(pos, linking_length, domain)
-    uf.union_edges(pairs[:, 0], pairs[:, 1])
-
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(uf.labels().tolist()):
-        groups.setdefault(label, []).append(int(pid[i]))
-    pos_by_id = {int(pid[i]): pos[i] for i in range(len(pos))}
-    return _catalog_from_groups(groups, pos_by_id, domain, linking_length, min_members)
+    pos, pid = _checked(positions, ids, linking_length, min_members)
+    part = _halo_part(pos, pid, len(pos), linking_length, domain)
+    return _halo_catalog([part], domain, linking_length, min_members)
 
 
 def fof_halos_distributed(
@@ -153,52 +193,28 @@ def fof_halos_distributed(
 
     Each rank links its owned + ghost particles (ghost thickness = the
     linking length suffices: any cross-rank link has both endpoints within
-    one linking length of the boundary).  Edges are expressed in global ids
-    and merged at the root; the full catalog is broadcast back.
+    one linking length of the boundary).  Its rows, in global ids, and its
+    owned positions are gathered at the root, which runs :func:`fof_halos`'s
+    catalog body on them; the catalog is broadcast back.
     """
+    pos, pid = _checked(positions, ids, linking_length, min_members)
     gid = comm.rank if gid is None else gid
-    pos = np.asarray(positions, dtype=float)
-    pid = np.asarray(ids, dtype=np.int64)
-
     ghost_pos, ghost_ids = exchange_ghost_particles(
         decomposition, comm, gid, pos, pid, ghost=1.001 * linking_length
     )
-    all_pos = np.concatenate([pos, ghost_pos]) if len(ghost_pos) else pos
-    all_ids = np.concatenate([pid, ghost_ids])
-
     # Local linking in the block's frame (non-periodic: ghosts already
     # carry translated periodic images).
-    edges: list[tuple[int, int]] = []
-    if len(all_pos) > 1:
-        for a, b in _link_pairs(all_pos, linking_length, domain=None):
-            edges.append((int(all_ids[a]), int(all_ids[b])))
-
-    gathered_edges = comm.gather(edges, root=0)
-    gathered_pos = comm.gather({int(i): p for i, p in zip(pid, pos)}, root=0)
-
+    part = _halo_part(
+        np.concatenate([pos, ghost_pos]) if len(ghost_pos) else pos,
+        np.concatenate([pid, ghost_ids]),
+        len(pos),
+        linking_length,
+        None,
+    )
+    gathered = comm.gather(part, root=0)
+    catalog = None
     if comm.rank == 0:
-        pos_by_id: dict[int, np.ndarray] = {}
-        for d in gathered_pos:
-            pos_by_id.update(d)
-        links = np.array(
-            [e for rank_edges in gathered_edges for e in rank_edges],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        nodes = np.unique(
-            np.concatenate([np.fromiter(pos_by_id, dtype=np.int64), links.ravel()])
+        catalog = _halo_catalog(
+            gathered, decomposition.domain, linking_length, min_members
         )
-        uf = ArrayUnionFind(len(nodes))
-        uf.union_edges(
-            np.searchsorted(nodes, links[:, 0]), np.searchsorted(nodes, links[:, 1])
-        )
-        # Keep only real particles (ghost ids duplicate real ones by design).
-        groups: dict[int, list[int]] = {}
-        for node, label in zip(nodes.tolist(), uf.labels().tolist()):
-            if node in pos_by_id:
-                groups.setdefault(label, []).append(node)
-        catalog = _catalog_from_groups(
-            groups, pos_by_id, decomposition.domain, linking_length, min_members
-        )
-    else:
-        catalog = None
     return comm.bcast(catalog, root=0)

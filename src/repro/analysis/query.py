@@ -23,6 +23,7 @@ surfaces via the ``blocks`` field of each response.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -319,6 +320,22 @@ QUERY_OPS: dict[str, tuple[Any, frozenset[str]]] = {
 _COMMON_KEYS = frozenset({"op", "step", "region"})
 #: ops whose handler takes a region= keyword
 _REGION_OPS = frozenset({"voids", "components", "halos", "minkowski"})
+#: parameters that must be non-negative ints (``true`` would read as 1,
+#: ``-3`` as a slice from the end)
+_COUNT_KEYS = frozenset({"top", "min_cells", "min_members", "nbins"})
+#: parameters that must be finite numbers (JSON ``NaN`` parses, and
+#: ``NaN <= 0`` is False); ``_OPTIONAL_KEYS`` may also be null
+_REAL_KEYS = frozenset({"vmin", "vmax", "vmin_fraction", "linking_fraction", "rmax"})
+_OPTIONAL_KEYS = frozenset({"vmin", "vmax"})
+
+
+def _finite(value: Any) -> bool:
+    """A real JSON number: not a bool, not NaN or an infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def run_query(
@@ -330,9 +347,10 @@ def run_query(
     ``region`` (optional) restricts it spatially, and the remaining keys
     are per-op parameters.  Unknown ops or parameters raise
     :class:`QueryError` naming the offender, so a typo'd request fails
-    with a 400, not a silent default.  So does a ``top`` that is not a
-    non-negative integer (``-3`` would slice off the last three,
-    ``true`` would read as 1).
+    with a 400, not a silent default.  So do a count (``top``,
+    ``min_cells``, ``min_members``, ``nbins``) that is not a non-negative
+    integer and a real parameter or ``center`` coordinate that is not a
+    finite number.
     """
     op = spec.get("op")
     if op not in QUERY_OPS:
@@ -350,9 +368,20 @@ def run_query(
             raise QueryError(
                 "profile queries take 'center'/'rmax', not 'region'"
             )
-    top = spec.get("top", 0)
-    if isinstance(top, bool) or not isinstance(top, int) or top < 0:
-        raise QueryError(f"top must be a non-negative integer, got {top!r}")
+    for key in _COUNT_KEYS & spec.keys():
+        value = spec[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise QueryError(f"{key} must be a non-negative integer, got {value!r}")
+    for key in _REAL_KEYS & spec.keys():
+        value = spec[key]
+        if not (value is None and key in _OPTIONAL_KEYS) and not _finite(value):
+            raise QueryError(f"{key} must be a finite number, got {value!r}")
+    if "center" in spec and not (
+        isinstance(spec["center"], list) and all(map(_finite, spec["center"]))
+    ):
+        raise QueryError(
+            f"center must be a list of finite numbers, got {spec['center']!r}"
+        )
     kwargs = {k: spec[k] for k in spec if k in allowed}
     try:
         if op in _REGION_OPS:

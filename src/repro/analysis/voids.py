@@ -7,13 +7,16 @@ of convex cells.  A ~10% volume threshold is the paper's recommended
 starting point; at the paper's small scale it reveals roughly 7-10 distinct
 voids.
 
-Two entry points: :func:`find_voids` runs over an assembled
+Two entry points, one body: :func:`find_voids` runs over an assembled
 :class:`~repro.core.tessellate.Tessellation` (postprocessing), while
 :func:`find_voids_distributed` is the in situ path — each rank passes its
-own block, and one gather of merge rows and kept-cell volumes lets the
-root label, accumulate and broadcast the catalog; no rank ever holds the
-global mesh.  Both accumulate volumes with ``searchsorted`` +
-``np.add.at`` over the labels — no per-void Python summation.
+own block, and one gather brings every rank's component-merge rows and
+kept-cell volumes to the root; no rank ever holds the global mesh.  Either
+way the parts (all blocks as one, or one per rank) go through the same
+:func:`_void_catalog`:
+the row merge of :mod:`~repro.analysis.components`, per-void volumes
+accumulated with ``np.add.at`` over the labels, and one stable-sort
+grouping of the members.
 """
 
 from __future__ import annotations
@@ -26,12 +29,7 @@ from .. import observe
 from ..core.data_model import VoronoiBlock
 from ..core.tessellate import Tessellation
 from ..diy.comm import Communicator
-from .components import (
-    ComponentLabeling,
-    _local_rows,
-    _merge_rows,
-    connected_components,
-)
+from .components import _local_rows, _merge_rows
 from .minkowski import MinkowskiFunctionals, minkowski_functionals
 
 __all__ = ["Void", "VoidCatalog", "find_voids", "find_voids_distributed",
@@ -93,52 +91,41 @@ def volume_threshold_for_fraction(
     return lo + fraction_of_range * (hi - lo)
 
 
-def _component_volumes(
-    labeling: ComponentLabeling, site_ids: np.ndarray, volumes: np.ndarray
-) -> np.ndarray:
-    """Summed cell volume per component label (vectorized accumulation).
-
-    ``site_ids``/``volumes`` are aligned cell arrays covering (at least)
-    every labeled site; cells absent from the labeling are ignored, so the
-    same kernel serves the global and the per-block (distributed) case.
-    """
-    ncomp = labeling.num_components
-    comp_vol = np.zeros(ncomp)
-    if ncomp == 0 or len(site_ids) == 0:
-        return comp_vol
-    pos = np.searchsorted(labeling.site_ids, site_ids)
-    pos[pos == len(labeling.site_ids)] = len(labeling.site_ids) - 1
-    present = labeling.site_ids[pos] == site_ids
-    np.add.at(comp_vol, labeling.labels[pos[present]], volumes[present])
-    return comp_vol
-
-
-def _catalog_from_labeling(
-    labeling: ComponentLabeling,
-    comp_vol: np.ndarray,
+def _void_catalog(
+    parts: list[tuple[np.ndarray, np.ndarray]],
     vmin: float,
     min_cells: int,
-    mink: list[MinkowskiFunctionals] | None = None,
+    tess: Tessellation | None = None,
 ) -> VoidCatalog:
-    """Assemble the catalog from labels + per-component volumes."""
-    catalog = VoidCatalog(vmin=float(vmin))
-    ncomp = labeling.num_components
-    if ncomp == 0:
-        return catalog
-    # Group member site ids by label in one stable sort; site_ids are
-    # ascending, so each group comes out ascending too.
-    order = np.argsort(labeling.labels, kind="stable")
-    bounds = np.searchsorted(
-        labeling.labels[order], np.arange(ncomp + 1), side="left"
+    """The catalog from every part's :func:`_local_rows` at ``vmin`` (rows
+    and kept-cell volumes), with Minkowski functionals when the assembled
+    ``tess`` is given.
+
+    Each void's volume is summed over its cells in part order — the
+    assembled tessellation's order when the parts hold blocks ``0, 1, …``
+    in turn — so the catalog does not depend on which rank held which
+    block.
+    """
+    labeling = _merge_rows([rows for rows, _ in parts])
+    comp_vol = np.zeros(labeling.num_components)
+    sids = np.concatenate([rows[: len(vols), 0] for rows, vols in parts])
+    np.add.at(
+        comp_vol,
+        labeling.labels[np.searchsorted(labeling.site_ids, sids)],
+        np.concatenate([vols for _, vols in parts]),
     )
-    for label in range(ncomp):
-        members = labeling.site_ids[order[bounds[label] : bounds[label + 1]]]
-        if len(members) < min_cells:
-            continue
+    mink: list[MinkowskiFunctionals] | None = None
+    if tess is not None:
+        with observe.span("minkowski", cat="analysis"):
+            mink = minkowski_functionals(tess, labeling)
+
+    catalog = VoidCatalog(vmin=float(vmin))
+    order, bounds = labeling.grouping()
+    for label in np.flatnonzero(labeling.sizes() >= min_cells).tolist():
         catalog.voids.append(
             Void(
                 label=label,
-                site_ids=members,
+                site_ids=labeling.site_ids[order[bounds[label] : bounds[label + 1]]],
                 volume=float(comp_vol[label]),
                 minkowski=mink[label] if mink is not None else None,
             )
@@ -169,22 +156,12 @@ def find_voids(
     """
     if vmin is None:
         vmin = volume_threshold_for_fraction(tess)
-
     with observe.span("find-voids", cat="analysis"):
-        labeling = connected_components(tess, vmin=vmin)
-        comp_vol = _component_volumes(
-            labeling,
-            tess.site_ids().astype(np.int64, copy=False),
-            tess.volumes(),
-        )
-
-        mink: list[MinkowskiFunctionals] | None = None
-        if compute_minkowski:
-            with observe.span("minkowski", cat="analysis"):
-                mink = minkowski_functionals(tess, labeling)
-
-        return _catalog_from_labeling(
-            labeling, comp_vol, vmin, min_cells, mink=mink
+        return _void_catalog(
+            [_local_rows(tess.blocks, vmin, None)],
+            vmin,
+            min_cells,
+            tess if compute_minkowski else None,
         )
 
 
@@ -200,12 +177,11 @@ def find_voids_distributed(
     Every rank passes its own :class:`VoronoiBlock` and receives the same
     global :class:`VoidCatalog`: the ``vmin`` fraction rule reduces the
     global volume range, and one tree gather brings each rank's
-    component-merge rows (:func:`connected_components_at_root`'s) and
-    the volumes of its kept cells to the root, which labels, builds the
-    catalog and broadcasts it.  No rank ever gathers the global
-    tessellation.  With block ``gid == rank`` the root accumulates each
-    void's volume over the cells in the assembled tessellation's order, so
-    the catalog equals :func:`find_voids`'s on it bit for bit.
+    :func:`_local_rows` to the root, which runs :func:`find_voids`'s body on
+    the gathered parts and broadcasts the catalog.  No rank ever gathers
+    the global tessellation.  With block ``gid == rank`` the parts arrive
+    in the assembled tessellation's block order, so the catalog equals
+    :func:`find_voids`'s on it bit for bit.
     """
     with observe.span("find-voids-distributed", rank=comm.rank, cat="analysis"):
         if vmin is None:
@@ -222,19 +198,10 @@ def find_voids_distributed(
             vmin = lo + vmin_fraction * (hi - lo)
 
         with observe.span("components-local", rank=comm.rank, cat="analysis"):
-            rows, keep = _local_rows(block, vmin, None)
+            part = _local_rows([block], vmin, None)
         with observe.span("components-merge", rank=comm.rank, cat="analysis"):
-            gathered = comm.gather((rows, block.volumes[keep]), root=0)
-            catalog = None
-            if comm.rank == 0:
-                labeling = _merge_rows([r for r, _ in gathered])
-                # A rank's first rows are its kept cells, in block order.
-                comp_vol = _component_volumes(
-                    labeling,
-                    np.concatenate([r[: len(v), 0] for r, v in gathered]),
-                    np.concatenate([v for _, v in gathered]),
-                )
-                catalog = _catalog_from_labeling(
-                    labeling, comp_vol, vmin, min_cells
-                )
+            gathered = comm.gather(part, root=0)
+            catalog = (
+                _void_catalog(gathered, vmin, min_cells) if comm.rank == 0 else None
+            )
             return comm.bcast(catalog, root=0)

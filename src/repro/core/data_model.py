@@ -289,44 +289,6 @@ class VoronoiBlock:
             self.cell_face_offsets[i] : self.cell_face_offsets[i + 1]
         ]
 
-    def adjacency_edges(
-        self, kept_ids: np.ndarray, return_indices: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Face-adjacency edges among kept cells, as an ``(n, 2)`` array.
-
-        ``kept_ids`` must be a sorted, unique int64 array of global site
-        ids.  Returns one ``(cell site id, neighbor site id)`` row per
-        face whose owning cell and across-face neighbor are both kept —
-        computed by masking the CSR ``face_neighbors``/``cell_face_offsets``
-        connectivity directly, with no per-cell loop.  The neighbor may
-        live in another block; edges are directed (each shared face inside
-        the block yields both orientations across the two cells' rows).
-
-        With ``return_indices=True`` the result is a ``(src, dst)`` pair
-        of index arrays into ``kept_ids`` instead of site-id rows, saving
-        the caller's re-``searchsorted`` on the labeling hot path.  The
-        owner side is resolved per *cell* before the CSR expansion, so the
-        only face-sized binary search is the neighbor lookup.
-        """
-        kept = np.asarray(kept_ids, dtype=np.int64)
-        sids = self.site_ids.astype(np.int64, copy=False)
-        if len(kept) == 0 or self.num_cells == 0:
-            if return_indices:
-                empty = np.empty(0, dtype=np.int64)
-                return empty, empty.copy()
-            return np.empty((0, 2), dtype=np.int64)
-        cell_pos, cell_in = index_in_sorted(sids, kept)
-        counts = np.diff(self.cell_face_offsets).astype(np.int64)
-        valid = np.repeat(cell_in, counts)
-        dst = self.face_neighbors.astype(np.int64, copy=False)
-        valid &= dst >= 0
-        dst_pos, dst_in = index_in_sorted(dst[valid], kept)
-        src_idx = np.repeat(cell_pos, counts)[valid][dst_in]
-        dst_idx = dst_pos[dst_in]
-        if return_indices:
-            return src_idx, dst_idx
-        return np.stack([kept[src_idx], kept[dst_idx]], axis=1)
-
     def cells(self) -> list[VoronoiCell]:
         """Rebuild per-cell records (copies; for analysis convenience)."""
         out = []

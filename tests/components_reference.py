@@ -3,10 +3,9 @@
 :class:`UnionFind` (hashable keys, path compression, union by rank) and
 :func:`connected_components_dict` (one ``set`` probe and one ``union`` per
 face, block by block) are the per-cell form that
-:func:`repro.analysis.components.connected_components` replaced with
-:class:`~repro.analysis.components.ArrayUnionFind` over
-:meth:`~repro.core.data_model.VoronoiBlock.adjacency_edges`.  They share no
-code with the flat kernels.  Nothing under ``src/`` can select them; the
+:func:`repro.analysis.components.connected_components` replaced with the
+packed-row merge over :class:`~repro.analysis.components.ArrayUnionFind`.
+They share no code with the flat kernels.  Nothing under ``src/`` can select them; the
 parity suites (``tests/test_analysis_components*.py``) assert the flat and
 distributed kernels reproduce them.
 """
@@ -14,7 +13,6 @@ distributed kernels reproduce them.
 import numpy as np
 
 from repro.analysis.components import ComponentLabeling
-from repro.analysis.threshold import volume_threshold_mask
 from repro.core.data_model import VoronoiBlock
 from repro.core.tessellate import Tessellation
 
@@ -77,8 +75,7 @@ def block_edges(
     block: VoronoiBlock, kept: set[int]
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """Kept cells of a block and their adjacency edges among kept cells,
-    cell by cell — the counterpart of
-    :meth:`~repro.core.data_model.VoronoiBlock.adjacency_edges`."""
+    cell by cell."""
     nodes: list[int] = []
     edges: list[tuple[int, int]] = []
     for i in range(block.num_cells):
@@ -97,7 +94,12 @@ def connected_components_dict(
     tess: Tessellation, vmin: float | None = None, vmax: float | None = None
 ) -> ComponentLabeling:
     """Per-cell dict-based labeling of the cells within the volume band."""
-    mask = volume_threshold_mask(tess, vmin=vmin, vmax=vmax)
+    v = tess.volumes()
+    mask = np.ones(len(v), dtype=bool)
+    if vmin is not None:
+        mask &= v >= vmin
+    if vmax is not None:
+        mask &= v <= vmax
     kept = set(tess.site_ids()[mask].tolist())
 
     uf = UnionFind()

@@ -12,9 +12,8 @@ from repro.analysis.components import (
     connected_components,
     connected_components_at_root,
 )
-from repro.analysis.threshold import volume_threshold_mask
 
-from .components_reference import UnionFind, block_edges
+from .components_reference import UnionFind
 
 
 class TestUnionFind:
@@ -127,27 +126,6 @@ class TestArrayUnionFind:
         assert flat_groups == groups
 
 
-class TestAdjacencyEdges:
-    @pytest.mark.parametrize("quantile", [0.0, 0.5, 0.9])
-    def test_matches_per_cell_oracle(self, quantile):
-        domain = Bounds.cube(10.0)
-        tess = tessellate(two_cluster_points(9), domain, nblocks=4, ghost=4.0)
-        vmin = float(np.quantile(tess.volumes(), quantile))
-        mask = tess.volumes() >= vmin
-        kept_arr = np.unique(tess.site_ids()[mask])
-        kept_set = set(kept_arr.tolist())
-        for block in tess.blocks:
-            _, oracle_edges = block_edges(block, kept_set)
-            edges = block.adjacency_edges(kept_arr)
-            assert sorted(map(tuple, edges.tolist())) == sorted(oracle_edges)
-
-    def test_empty_kept(self):
-        domain = Bounds.cube(10.0)
-        tess = tessellate(two_cluster_points(10), domain, nblocks=1, ghost=4.0)
-        edges = tess.blocks[0].adjacency_edges(np.empty(0, dtype=np.int64))
-        assert edges.shape == (0, 2)
-
-
 def two_cluster_points(seed=0):
     """Two well-separated tight clusters plus a background.
 
@@ -161,17 +139,6 @@ def two_cluster_points(seed=0):
     bg = rng.uniform(0, 10, size=(250, 3))
     pts = np.clip(np.vstack([a, b, bg]), 0.001, 9.999)
     return pts
-
-
-class TestThresholdMasks:
-    def test_volume_mask(self):
-        domain = Bounds.cube(10.0)
-        tess = tessellate(two_cluster_points(), domain, nblocks=1, ghost=4.0)
-        v = tess.volumes()
-        vmin = float(np.median(v))
-        mask = volume_threshold_mask(tess, vmin=vmin)
-        assert mask.sum() == (v >= vmin).sum()
-        assert np.all(v[mask] >= vmin)
 
 
 class TestConnectedComponents:
@@ -208,6 +175,17 @@ class TestConnectedComponents:
         lom = lab.label_of()
         for sid, l in zip(lab.site_ids, lab.labels):
             assert lom[int(sid)] == int(l)
+
+    def test_grouping_lists_each_components_members(self):
+        domain = Bounds.cube(10.0)
+        tess = tessellate(two_cluster_points(5), domain, nblocks=2, ghost=4.0)
+        lab = connected_components(tess, vmin=float(np.median(tess.volumes())))
+        order, bounds = lab.grouping()
+        assert len(bounds) == lab.num_components + 1
+        for l in range(lab.num_components):
+            np.testing.assert_array_equal(
+                lab.site_ids[order[bounds[l] : bounds[l + 1]]], lab.members(l)
+            )
 
     def test_empty_threshold(self):
         domain = Bounds.cube(10.0)

@@ -1,8 +1,8 @@
 """Parity suite: dict oracle == flat kernels == distributed labeling.
 
-The flat-array component kernels (`ArrayUnionFind`, `adjacency_edges`,
-the packed-edge root merge of `connected_components_at_root`, which the
-in situ void finder and tracking tool run) must produce partitions
+The flat-array component kernels (`ArrayUnionFind` and the packed-row
+merge that `connected_components`, `connected_components_at_root`, the
+void finders and the tracking tool all run) must produce partitions
 identical to the per-cell dict reference
 (``tests/components_reference.py``) — up to label renaming — at 1/2/4
 ranks on both execution backends, including a void spanning the periodic

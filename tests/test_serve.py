@@ -316,6 +316,45 @@ class TestQueries:
         with pytest.raises(QueryError, match="top"):
             run_query(domain, blocks, {"op": op, "top": top})
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"op": "voids", "vmin_fraction": float("nan")}, "vmin_fraction"),
+            ({"op": "voids", "vmin": float("inf")}, "vmin"),
+            ({"op": "voids", "min_cells": -2}, "min_cells"),
+            ({"op": "voids", "min_cells": True}, "min_cells"),
+            ({"op": "components", "vmax": float("nan")}, "vmax"),
+            ({"op": "components", "vmin": True}, "vmin"),
+            ({"op": "components", "vmin": "0.5"}, "vmin"),
+            ({"op": "halos", "linking_fraction": True}, "linking_fraction"),
+            ({"op": "halos", "linking_fraction": float("nan")}, "linking_fraction"),
+            ({"op": "halos", "min_members": 1.5}, "min_members"),
+            ({"op": "halos", "min_members": -1}, "min_members"),
+            ({"op": "minkowski", "vmin_fraction": float("-inf")}, "vmin_fraction"),
+            ({"op": "profile", "center": [4, 4, 4], "rmax": float("nan")}, "rmax"),
+            ({"op": "profile", "center": [4, 4, 4], "rmax": 2.0, "nbins": True},
+             "nbins"),
+            ({"op": "profile", "center": [float("nan"), 4, 4], "rmax": 2.0},
+             "center"),
+            ({"op": "profile", "center": [True, 4, 4], "rmax": 2.0}, "center"),
+            ({"op": "profile", "center": "4,4,4", "rmax": 2.0}, "center"),
+        ],
+    )
+    def test_numeric_params_must_be_finite_and_typed(self, query_inputs, spec, key):
+        # JSON parses a bare NaN; NaN <= 0 is False and true reads as 1
+        domain, blocks = query_inputs
+        with pytest.raises(QueryError, match=rf"^{key} must be"):
+            run_query(domain, blocks, spec)
+
+    def test_numeric_params_accept_ints_and_null_bounds(self, query_inputs):
+        domain, blocks = query_inputs
+        for spec in (
+            {"op": "components", "vmin": None, "vmax": None},
+            {"op": "voids", "vmin": 0, "min_cells": 0},
+            {"op": "profile", "center": [4, 4, 4], "rmax": 2},
+        ):
+            assert run_query(domain, blocks, spec)["op"] == spec["op"]
+
     def test_top_zero_accepted(self, query_inputs):
         domain, blocks = query_inputs
         assert run_query(domain, blocks, {"op": "halos", "top": 0})["halos"] == []

@@ -154,12 +154,17 @@ def test_query_error_statuses(store):
             negative_top = await _request(
                 server.port, "POST", "/query", {"op": "halos", "top": -3}
             )
+            # json.dumps writes the bare NaN literal, which json.loads reads
+            nan_fraction = await _request(
+                server.port, "POST", "/query",
+                {"op": "voids", "step": 0, "vmin_fraction": float("nan")},
+            )
         finally:
             await server.close()
-        return unknown, missing, not_json, wrong_method, negative_top
+        return unknown, missing, not_json, wrong_method, negative_top, nan_fraction
 
-    unknown, missing, not_json, wrong_method, negative_top = asyncio.run(
-        scenario()
+    unknown, missing, not_json, wrong_method, negative_top, nan_fraction = (
+        asyncio.run(scenario())
     )
     assert unknown.status == 400
     assert "unknown op" in unknown.json()["error"]
@@ -168,6 +173,8 @@ def test_query_error_statuses(store):
     assert wrong_method.status == 405
     assert negative_top.status == 400
     assert "top" in negative_top.json()["error"]
+    assert nan_fraction.status == 400
+    assert "vmin_fraction" in nan_fraction.json()["error"]
 
 
 def test_http_backpressure_503_with_retry_after(store, monkeypatch):
