@@ -6,10 +6,13 @@ a full tessellation costs ~450 bytes/particle and a volume-culled one
 ~100 bytes/particle (vs 40 B/particle for a raw HACC checkpoint); ~7% of
 the bytes are floating-point geometry and ~93% mesh connectivity.
 
-This repo stores float64 geometry and int32/int64 connectivity (the paper
-used 32-bit floats), so absolute bytes/particle run higher; the structural
-ratios — faces/cell, vertices/face, culled-vs-full reduction, geometry
-fraction — are the reproduced quantities.
+Bytes/particle are tess file bytes.  The file keeps float64 geometry (the
+paper used 32-bit floats) but stores the connectivity losslessly in the
+narrowest integer dtypes its values need (DESIGN.md §7.1), which puts full
+output below the paper's ~450 B/particle.  The geometry fraction is of the
+in-memory arrays (float64 geometry, int32/int64 connectivity), so it runs
+higher than the paper's ~7%; the structural ratios — faces/cell,
+vertices/face, culled-vs-full reduction — are the reproduced quantities.
 """
 
 import numpy as np
@@ -70,8 +73,9 @@ def test_datamodel_statistics(benchmark, evolved_snapshot_32, tmp_path):
         f"{'culled cells kept':<38} {culled.num_cells / n_particles:>10.1%} {'':>8}",
         f"{'HACC checkpoint B/particle':<38} {BYTES_PER_PARTICLE:>10d} {'40':>8}",
         "",
-        "(float64 geometry here vs the paper's float32; ratios are the",
-        " reproduced shapes, absolute bytes run ~2x higher)",
+        "(B/particle: tess file bytes, float64 geometry + narrow-integer",
+        " connectivity; geometry fraction: in-memory arrays, float64 here",
+        " vs the paper's float32)",
     ]
     write_report("datamodel_sizes", lines)
 

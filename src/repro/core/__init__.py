@@ -13,7 +13,6 @@ In situ mode (inside an SPMD region, with distributed particles)::
 
 from .accuracy import MatchResult, match_tessellations
 from .cell import VoronoiCell
-from .compact import compact_decode, compact_encode
 from .culling import early_cull_mask, sphere_diameter_for_volume
 from .data_model import BlockSizeReport, VoronoiBlock
 from .ghost import exchange_ghost_particles, exchange_ghost_particles_multi
@@ -30,8 +29,6 @@ __all__ = [
     "MatchResult",
     "match_tessellations",
     "VoronoiCell",
-    "compact_encode",
-    "compact_decode",
     "early_cull_mask",
     "sphere_diameter_for_volume",
     "BlockSizeReport",

@@ -2,7 +2,8 @@
 
 Each process maintains one :class:`VoronoiBlock` for the cells it owns.
 Following the paper's data model, *vertices are listed once per block* and
-integer indices connect vertices into faces and faces into cells:
+integer indices connect vertices into faces and faces into cells.  In
+memory a block holds:
 
 * ``vertices``            (nv, 3) float64 — deduplicated block vertex pool
 * ``face_vertices``       flat int32 — concatenated face vertex cycles
@@ -13,10 +14,15 @@ integer indices connect vertices into faces and faces into cells:
 * ``site_ids``            (ncells,) int64
 * ``volumes``/``areas``   (ncells,) float64
 
-The byte accounting (:meth:`VoronoiBlock.size_report`) reproduces the
-paper's observation that roughly 7% of the output is floating-point
-geometry and 93% mesh connectivity, and its ~450 B/particle (full) vs
-~100 B/particle (culled) totals.
+(the int32 arrays widen to int64 past 2**31 entries,
+:func:`connectivity_index_dtype`).  On disk the connectivity is stored
+narrower — counts instead of offsets, neighbour ids as deltas, every array
+in the narrowest integer dtype its values need — and decoded back to
+exactly these arrays; :mod:`repro.core.tess_io` owns that payload.
+
+The byte accounting (:meth:`VoronoiBlock.size_report`) is of the in-memory
+arrays; it reproduces the paper's observation that most of a
+tessellation is mesh connectivity, not floating-point geometry.
 """
 
 from __future__ import annotations
@@ -30,21 +36,28 @@ from ..geometry.voronoi_delaunay import segment_gather
 from .cell import VoronoiCell
 
 __all__ = ["VoronoiBlock", "BlockSizeReport", "connectivity_index_dtype",
-           "index_in_sorted", "isin_sorted"]
+           "narrowest_int_dtype", "index_in_sorted", "isin_sorted"]
 
-#: connectivity arrays stay int32 while their values fit; beyond this the
-#: assembly must widen (silent wraparound otherwise)
-_INT32_LIMIT = np.iinfo(np.int32).max
+
+def narrowest_int_dtype(lo: int, hi: int, kind: str, floor: int = 1) -> np.dtype:
+    """Narrowest integer dtype of ``kind`` (``"i"`` signed, ``"u"``
+    unsigned), at least ``floor`` bytes wide, that holds ``[lo, hi]``."""
+    for size in (1, 2, 4, 8):
+        dtype = np.dtype(f"{kind}{size}")
+        info = np.iinfo(dtype)
+        if size >= floor and info.min <= lo and hi <= info.max:
+            return dtype
+    raise OverflowError(f"no {kind}-integer dtype holds [{lo}, {hi}]")
 
 
 def connectivity_index_dtype(max_value: int) -> np.dtype:
-    """Narrowest safe dtype for connectivity indices up to ``max_value``.
+    """In-memory dtype for connectivity indices up to ``max_value``.
 
-    int32 keeps the paper's ~93%-connectivity byte budget small for every
-    realistic block; blocks whose vertex pool or face-vertex count reaches
-    2**31 entries widen to int64 instead of silently overflowing.
+    int32 for every realistic block; blocks whose vertex pool or
+    face-vertex count reaches 2**31 entries widen to int64 instead of
+    silently overflowing.
     """
-    return np.dtype(np.int64 if max_value > _INT32_LIMIT else np.int32)
+    return narrowest_int_dtype(0, max_value, "i", floor=4)
 
 
 def isin_sorted(values: np.ndarray, sorted_unique: np.ndarray) -> np.ndarray:

@@ -125,7 +125,9 @@ class Snapshot:
         ``(block, nbytes)`` — the shape :class:`~repro.serve.cache.BlockCache`
         loaders return.  ``nbytes`` is the decoded arrays' footprint, which
         is what actually occupies cache memory."""
-        block, _ = block_from_payload(self.reader.read_block_view(gid))
+        block, _ = block_from_payload(
+            self.reader.read_block_view(gid), self.reader.path, gid
+        )
         nbytes = sum(
             a.nbytes for a in block.to_arrays().values()
         )
@@ -216,8 +218,8 @@ class CatalogStore:
         """Write ``tess`` as the snapshot for ``step`` and commit it to
         the manifest.  Both writes are atomic; a republish of an existing
         step changes its etag (and thereby invalidates cached blocks)."""
-        if step < 0:
-            raise CatalogError(f"step must be >= 0, got {step}")
+        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+            raise CatalogError(f"step must be an int >= 0, got {step!r}")
         rel = f"step-{step:06d}.tess"
         path = os.path.join(self.root, rel)
         tess.write(path)

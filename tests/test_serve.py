@@ -237,6 +237,19 @@ class TestCatalogStore:
     def test_refresh_without_change_is_noop(self, catalog):
         assert catalog.refresh() is False
 
+    @pytest.mark.parametrize("step", [True, False, 1.5, "3", -1, None])
+    def test_publish_rejects_a_step_that_is_not_a_non_negative_int(
+        self, tmp_path, step
+    ):
+        store = CatalogStore(tmp_path)
+        try:
+            with pytest.raises(CatalogError, match="step"):
+                store.publish(step, _tess(seed=12))
+            assert store.steps() == []
+            assert sorted(p.name for p in tmp_path.iterdir()) == []
+        finally:
+            store.close()
+
 
 # ----------------------------------------------------------------------
 # query kernels
