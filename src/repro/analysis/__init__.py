@@ -26,9 +26,6 @@ from .statistics import (
     volume_range_concentration,
 )
 from .tracking import (
-    FeatureEvent,
-    FeatureTrack,
-    FeatureTree,
     FeatureTreeBuilder,
     MergerTree,
     overlap_matrix,
@@ -73,9 +70,6 @@ __all__ = [
     "density_contrast",
     "histogram",
     "volume_range_concentration",
-    "FeatureEvent",
-    "FeatureTrack",
-    "FeatureTree",
     "FeatureTreeBuilder",
     "MergerTree",
     "overlap_matrix",

@@ -7,36 +7,26 @@ by *overlap* — two components at successive steps correspond when they
 share member cells.  Because tess cells are keyed by global particle ids,
 overlap is exact set intersection: no geometric matching is needed.
 
-This module is the production time-domain subsystem (DESIGN.md §14):
+The tree has one representation, :class:`MergerTree`'s flat columns
+(DESIGN.md §14).  :class:`FeatureTreeBuilder` takes one labeling per push
+and appends the new events as columns and one step-major ``(track, step,
+label, size, volume)`` row per component, so a push costs the new step,
+not the history; its state is the same columns plus the head and the
+previous labeling, so in situ tracking (``TrackingTool``, rank 0) resumes
+bit-identically.  The dict overlap and object builder these replaced are
+the parity oracles in ``tests/tracking_reference.py``.
 
-* :func:`overlap_matrix` — the flat overlap core: one
-  :func:`~repro.core.data_model.index_in_sorted` join of the two
-  labelings' site ids plus an ``np.add.at`` pair count — no per-cell
-  Python loop.  The per-cell dict count it replaced is the parity
-  reference in ``tests/tracking_reference.py``.
-* :class:`FeatureTreeBuilder` — incremental, one labeling at a time, with
-  a flat-array checkpointable state (:meth:`~FeatureTreeBuilder.state` /
-  :meth:`~FeatureTreeBuilder.from_state`) so in situ tracking survives
-  checkpoint/restart bit-identically.
-* :func:`track_components` — the postprocessing driver.  In situ, the
-  tracking tool (:class:`repro.insitu.tools.TrackingTool`) advances one
-  builder on rank 0 from the component-merge rows of the rank-local
-  blocks; no mesh geometry travels.
-* :class:`MergerTree` — the stable on-disk form: flat arrays for the
-  per-track label/size/volume histories and the event log, saved as a
-  versioned ``.npz`` with a JSON meta record.
-
-Transitions are classified as continuation, merge, split, birth, or
-death, and tracks follow the largest-overlap chain.  At a merge the
-surviving track is arbitrated by overlap count (ties to the smaller
-label) — not by dict insertion order.
+Transitions are continuation, merge, split, birth, or death; tracks follow
+the largest-overlap chain (ties to the smaller label).  Within one push,
+deaths and splits come first by ascending parent label, then births,
+merges and continuations by ascending child label.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,76 +34,33 @@ from .. import observe
 from ..core.data_model import index_in_sorted
 from .components import ComponentLabeling
 
-__all__ = [
-    "FeatureEvent",
-    "FeatureTrack",
-    "FeatureTree",
-    "FeatureTreeBuilder",
-    "MergerTree",
-    "overlap_matrix",
-    "track_components",
-]
+__all__ = ["FeatureTreeBuilder", "MergerTree", "overlap_matrix", "track_components"]
 
 #: on-disk merger-tree format identifier (bump on incompatible changes)
 MERGER_TREE_FORMAT = "repro-merger-tree-1"
 
 _EVENT_KINDS = ("continuation", "merge", "split", "birth", "death")
+_CONTINUATION, _MERGE, _SPLIT, _BIRTH, _DEATH = range(len(_EVENT_KINDS))
+
+#: integer columns of a tree, in on-disk order (``track_volumes`` is f8)
+_TREE_KEYS = (
+    "steps", "event_kinds", "event_steps", "event_from_offsets",
+    "event_from_labels", "event_to_offsets", "event_to_labels",
+    "event_shared", "track_offsets", "track_steps", "track_labels",
+    "track_sizes",
+)
+_STATE_KEYS = ("head_labels", "head_tracks", "prev_site_ids", "prev_labels", "flags")
+#: the builder's column chunks, each seeded with an empty one of its type
+_CHUNKS = {
+    key: np.empty((0, 2) if key == "event_steps" else 0,
+                  np.float64 if key == "track_volumes" else np.int64)
+    for key in ("event_kinds", "event_steps", "event_from_counts",
+                "event_from_labels", "event_to_counts", "event_to_labels",
+                "event_shared", "track_ids", "track_steps", "track_labels",
+                "track_sizes", "track_volumes")
+}
 
 
-@dataclass(frozen=True)
-class FeatureEvent:
-    """One labeled transition between consecutive steps."""
-
-    kind: str  # "continuation" | "merge" | "split" | "birth" | "death"
-    step_from: int | None
-    step_to: int | None
-    labels_from: tuple[int, ...]
-    labels_to: tuple[int, ...]
-    shared_cells: int
-
-
-@dataclass
-class FeatureTrack:
-    """A single feature followed through time (largest-overlap chain).
-
-    ``volumes`` is populated only when per-label volumes were supplied to
-    the tracker (the merger-tree path); it is then aligned with ``steps``.
-    """
-
-    steps: list[int] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
-    volumes: list[float] = field(default_factory=list)
-
-    @property
-    def lifetime(self) -> int:
-        """Number of steps the feature persists."""
-        return len(self.steps)
-
-
-@dataclass
-class FeatureTree:
-    """All events and tracks across a sequence of labelings."""
-
-    steps: list[int]
-    events: list[FeatureEvent]
-    tracks: list[FeatureTrack]
-
-    def events_at(self, step_to: int) -> list[FeatureEvent]:
-        """Events arriving at a given step."""
-        return [e for e in self.events if e.step_to == step_to]
-
-    def counts(self) -> dict[str, int]:
-        """Event counts by kind."""
-        out: dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
-
-
-# ----------------------------------------------------------------------
-# overlap kernel
-# ----------------------------------------------------------------------
 def overlap_matrix(
     a: ComponentLabeling, b: ComponentLabeling
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,48 +70,33 @@ def overlap_matrix(
     every component pair that shares at least one cell, ordered
     lexicographically by ``(label_a, label_b)``.  One
     :func:`~repro.core.data_model.index_in_sorted` join of the sorted site
-    ids plus an ``np.add.at`` accumulation — no per-cell Python loop.
+    ids plus one ``np.unique`` count — no per-cell Python loop.
     """
     na, nb = a.num_components, b.num_components
-    empty = np.empty(0, dtype=np.int64)
     if na == 0 or nb == 0:
-        return empty, empty.copy(), empty.copy()
-    pos, mask = index_in_sorted(
-        np.asarray(a.site_ids, dtype=np.int64),
-        np.asarray(b.site_ids, dtype=np.int64),
-    )
-    if not mask.any():
-        return empty, empty.copy(), empty.copy()
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+    pos, mask = index_in_sorted(a.site_ids, b.site_ids)
     la = np.asarray(a.labels, dtype=np.int64)[mask]
     lb = np.asarray(b.labels, dtype=np.int64)[pos[mask]]
-    key = la * np.int64(nb) + lb
-    pairs, inverse = np.unique(key, return_inverse=True)
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    np.add.at(counts, inverse, 1)
-    return pairs // nb, pairs % nb, counts
+    pairs, counts = np.unique(la * np.int64(nb) + lb, return_counts=True)
+    return pairs // nb, pairs % nb, counts.astype(np.int64)
 
 
-# ----------------------------------------------------------------------
-# incremental builder
-# ----------------------------------------------------------------------
 class FeatureTreeBuilder:
-    """Incremental feature-tree assembly, one labeling per :meth:`push`.
-
-    The builder is the single tracking engine behind
-    :func:`track_components` and the in situ tracking tool.  Its complete
-    state round-trips through flat numpy arrays (:meth:`state` /
-    :meth:`from_state`) so an interrupted in situ run restores
-    bit-identically from a checkpoint.
-    """
+    """Incremental feature-tree assembly, one labeling per :meth:`push`:
+    the one engine behind :func:`track_components` and the in situ tool.
+    The tree is kept as appended column chunks that :meth:`tree` joins."""
 
     def __init__(self, min_overlap: int = 1) -> None:
         if min_overlap < 1:
             raise ValueError(f"min_overlap must be >= 1, got {min_overlap}")
         self.min_overlap = int(min_overlap)
         self._steps: list[int] = []
-        self._events: list[FeatureEvent] = []
-        self._tracks: list[FeatureTrack] = []
-        self._head: dict[int, int] = {}  # label at last step -> track index
+        # Event columns (label counts in place of offsets) and step-major
+        # track rows keyed by track id.
+        self._cols = {key: [empty] for key, empty in _CHUNKS.items()}
+        self._num_tracks = 0
+        self._head = np.empty(0, dtype=np.int64)  # last step's label -> track
         self._prev: ComponentLabeling | None = None
         self._with_volumes: bool | None = None
 
@@ -173,12 +105,8 @@ class FeatureTreeBuilder:
         """Most recently pushed step (``None`` before the first push)."""
         return self._steps[-1] if self._steps else None
 
-    # ------------------------------------------------------------------
     def push(
-        self,
-        step: int,
-        labeling: ComponentLabeling,
-        volumes: np.ndarray | None = None,
+        self, step: int, labeling: ComponentLabeling, volumes: np.ndarray | None = None
     ) -> None:
         """Link ``labeling`` (at ``step``) to the previously pushed one.
 
@@ -199,237 +127,173 @@ class FeatureTreeBuilder:
             raise ValueError(
                 "per-label volumes must be supplied on every push or never"
             )
-        if with_volumes and len(volumes) != labeling.num_components:
+        nb = labeling.num_components
+        if with_volumes and len(volumes) != nb:
             raise ValueError(
-                f"volumes has {len(volumes)} entries for "
-                f"{labeling.num_components} components"
+                f"volumes has {len(volumes)} entries for {nb} components"
             )
-        sizes = labeling.sizes()
         with observe.span("tracking-link", cat="analysis", step=step):
             if self._prev is None:
-                new_head: dict[int, int] = {}
-                for label in range(labeling.num_components):
-                    new_head[label] = self._start_track(
-                        step, label, sizes, volumes
-                    )
-                self._head = new_head
+                head = np.full(nb, -1, dtype=np.int64)
             else:
-                self._link(step, labeling, sizes, volumes)
+                head = self._link(step, labeling)
+            # Every component gets one row: claimed ones extend their
+            # parent's track, the rest start tracks by ascending label.
+            new = np.flatnonzero(head < 0)
+            head[new] = self._num_tracks + np.arange(len(new))
+            self._num_tracks += len(new)
+            self._append(
+                track_ids=head,
+                track_steps=np.full(nb, step, dtype=np.int64),
+                track_labels=np.arange(nb, dtype=np.int64),
+                track_sizes=labeling.sizes().astype(np.int64),
+            )
+            if with_volumes:
+                self._append(track_volumes=np.array(volumes, np.float64))
+        self._head = head
         self._steps.append(step)
         self._prev = labeling
 
-    def tree(self) -> FeatureTree:
-        """Snapshot of the accumulated feature tree."""
-        return FeatureTree(
-            steps=list(self._steps),
-            events=list(self._events),
-            tracks=list(self._tracks),
-        )
+    def tree(self) -> MergerTree:
+        """Snapshot of the accumulated tree (fresh arrays)."""
+        c = {key: np.concatenate(chunks) for key, chunks in self._cols.items()}
+        tracks = c.pop("track_ids")
+        order = np.argsort(tracks, kind="stable")  # step-major -> track-major
+        for key in ("track_steps", "track_labels", "track_sizes", "track_volumes"):
+            c[key] = c[key][order] if len(c[key]) else c[key]
+        c["track_offsets"] = _offsets(np.bincount(tracks, minlength=self._num_tracks))
+        for side in ("from", "to"):
+            c[f"event_{side}_offsets"] = _offsets(c.pop(f"event_{side}_counts"))
+        c["steps"] = np.array(self._steps, dtype=np.int64)
+        return MergerTree({key: c[key] for key in _TREE_KEYS + ("track_volumes",)})
 
-    # ------------------------------------------------------------------
-    def _start_track(
-        self, step: int, label: int, sizes: np.ndarray, volumes
-    ) -> int:
-        track = FeatureTrack(
-            steps=[step], labels=[int(label)], sizes=[int(sizes[label])]
-        )
-        if volumes is not None:
-            track.volumes.append(float(volumes[label]))
-        self._tracks.append(track)
-        return len(self._tracks) - 1
+    def _append(self, **columns: np.ndarray) -> None:
+        for key, col in columns.items():
+            self._cols[key].append(col)
 
-    def _link(
-        self,
-        step: int,
-        b: ComponentLabeling,
-        sizes_b: np.ndarray,
-        volumes_b,
-    ) -> None:
+    def _link(self, step: int, b: ComponentLabeling) -> np.ndarray:
+        """Append the events from the last step to ``b``; return the
+        track each of ``b``'s labels continues (-1: none)."""
         a = self._prev
-        prev_step = self._steps[-1]
         la, lb, n = overlap_matrix(a, b)
         keep = n >= self.min_overlap
-        la, lb, n = la[keep], lb[keep], n[keep]
+        la, lb, n = la[keep], lb[keep], n[keep]  # still (la, lb)-sorted
         na, nb = a.num_components, b.num_components
         kids_of = np.bincount(la, minlength=na)
         pars_of = np.bincount(lb, minlength=nb)
-        shared_a = np.zeros(na, dtype=np.int64)
-        np.add.at(shared_a, la, n)
-        shared_b = np.zeros(nb, dtype=np.int64)
-        np.add.at(shared_b, lb, n)
-        # Links arrive sorted by (la, lb); group boundaries per la come
-        # straight from searchsorted.  For per-lb groups, resort.
-        a_bounds = np.searchsorted(la, np.arange(na + 1))
-        order_b = np.lexsort((la, lb))
-        b_bounds = np.searchsorted(lb[order_b], np.arange(nb + 1))
+        shared_a = np.bincount(la, weights=n, minlength=na).astype(np.int64)
+        shared_b = np.bincount(lb, weights=n, minlength=nb).astype(np.int64)
+        one = pars_of == 1
+        parent = np.zeros(nb, dtype=np.int64)
+        parent[lb] = la  # the parent of each single-parent child
+        cont = np.zeros(nb, dtype=bool)
+        cont[one] = kids_of[parent[one]] == 1
 
-        counts_before = len(self._events)
-        for x in range(na):
-            k = int(kids_of[x])
-            if k == 0:
-                self._events.append(
-                    FeatureEvent("death", prev_step, step, (x,), (), 0)
-                )
-            elif k > 1:
-                kids = lb[a_bounds[x] : a_bounds[x + 1]]  # ascending lb
-                self._events.append(
-                    FeatureEvent(
-                        "split",
-                        prev_step,
-                        step,
-                        (x,),
-                        tuple(int(v) for v in kids),
-                        int(shared_a[x]),
-                    )
-                )
-        for y in range(nb):
-            p = int(pars_of[y])
-            group = order_b[b_bounds[y] : b_bounds[y + 1]]  # ascending la
-            if p == 0:
-                self._events.append(
-                    FeatureEvent("birth", prev_step, step, (), (y,), 0)
-                )
-            elif p > 1:
-                self._events.append(
-                    FeatureEvent(
-                        "merge",
-                        prev_step,
-                        step,
-                        tuple(int(v) for v in la[group]),
-                        (y,),
-                        int(shared_b[y]),
-                    )
-                )
-            elif int(kids_of[la[group[0]]]) == 1:
-                self._events.append(
-                    FeatureEvent(
-                        "continuation",
-                        prev_step,
-                        step,
-                        (int(la[group[0]]),),
-                        (y,),
-                        int(n[group[0]]),
-                    )
-                )
+        # Deaths and splits by ascending parent, then births, merges and
+        # continuations by ascending child; label lists are CSR columns.
+        xs = np.flatnonzero(kids_of != 1)
+        ys = np.flatnonzero(~one | cont)
+        by_b = np.lexsort((la, lb))
+        to_b = ((pars_of[lb] > 1) | cont[lb])[by_b]
+        kinds = np.concatenate([
+            np.where(kids_of[xs] == 0, _DEATH, _SPLIT),
+            np.where(pars_of[ys] == 0, _BIRTH,
+                     np.where(pars_of[ys] > 1, _MERGE, _CONTINUATION)),
+        ])
+        self._append(
+            event_kinds=kinds,
+            event_steps=np.tile(np.int64([self._steps[-1], step]), (len(kinds), 1)),
+            event_from_counts=np.concatenate([np.ones_like(xs), pars_of[ys]]),
+            event_from_labels=np.concatenate([xs, la[by_b][to_b]]),
+            event_to_counts=np.concatenate([kids_of[xs], np.ones_like(ys)]),
+            event_to_labels=np.concatenate([lb[kids_of[la] > 1], ys]),
+            event_shared=np.concatenate([shared_a[xs], shared_b[ys]]),
+        )
         if observe.enabled():
-            tallies: dict[str, int] = {}
-            for e in self._events[counts_before:]:
-                tallies[e.kind] = tallies.get(e.kind, 0) + 1
-            reg = observe.registry()
-            for kind, plural in (
-                ("birth", "births"),
-                ("death", "deaths"),
-                ("merge", "merges"),
-                ("split", "splits"),
-            ):
-                if tallies.get(kind):
-                    reg.counter(f"tracking.{plural}").inc(tallies[kind])
+            tally = np.bincount(kinds, minlength=len(_EVENT_KINDS))
+            for code in (_BIRTH, _DEATH, _MERGE, _SPLIT):
+                if tally[code]:
+                    name = f"tracking.{_EVENT_KINDS[code]}s"
+                    observe.registry().counter(name).inc(int(tally[code]))
 
-        # Extend tracks.  Each parent nominates its largest-overlap child
-        # (ties: smaller child label); a child nominated by several
-        # parents is claimed by the largest-overlap parent (ties: smaller
-        # parent label) — overlap arbitration, never dict insertion order.
-        new_head: dict[int, int] = {}
+        # Each parent nominates its largest-overlap child (ties: smaller
+        # child label); a child nominated by several parents is claimed by
+        # the largest-overlap parent (ties: smaller parent label) — overlap
+        # arbitration, never dict insertion order.
+        head = np.full(nb, -1, dtype=np.int64)
         if len(la):
             order_best = np.lexsort((lb, -n, la))
-            la_sorted = la[order_best]
-            first = np.ones(len(la_sorted), dtype=bool)
-            first[1:] = la_sorted[1:] != la_sorted[:-1]
-            chosen = order_best[first]  # one link per parent
+            chosen = order_best[_first_of_runs(la[order_best])]
             cla, clb, cn = la[chosen], lb[chosen], n[chosen]
             order_claim = np.lexsort((cla, -cn, clb))
-            clb_sorted = clb[order_claim]
-            firstc = np.ones(len(clb_sorted), dtype=bool)
-            firstc[1:] = clb_sorted[1:] != clb_sorted[:-1]
-            for w in order_claim[firstc]:
-                x, y = int(cla[w]), int(clb[w])
-                ti = self._head[x]
-                track = self._tracks[ti]
-                track.steps.append(step)
-                track.labels.append(y)
-                track.sizes.append(int(sizes_b[y]))
-                if volumes_b is not None:
-                    track.volumes.append(float(volumes_b[y]))
-                new_head[y] = ti
-        # Births (and merge losers' children) start fresh tracks.
-        for y in range(nb):
-            if y not in new_head:
-                new_head[y] = self._start_track(step, y, sizes_b, volumes_b)
-        self._head = new_head
+            won = order_claim[_first_of_runs(clb[order_claim])]
+            head[clb[won]] = self._head[cla[won]]
+        return head
 
-    # ------------------------------------------------------------------
-    # checkpointable state
-    # ------------------------------------------------------------------
     def state(self) -> dict[str, np.ndarray]:
         """Flat-array snapshot restoring bit-identically via
         :meth:`from_state` (int64/f8 only — safe to ``np.savez``).
 
-        ``flags`` is ``[min_overlap, 0, prev_present, with_volumes]``.
-        Slot 1 once named the overlap kernel; it is written as 0 and
-        ignored on read, so snapshots from either kernel restore.
+        The :meth:`tree` columns, ``head_labels``/``head_tracks`` (each
+        last-step label's track), ``prev_site_ids``/``prev_labels`` and
+        ``flags = [min_overlap, 0, prev_present, with_volumes]``; slot 1
+        once named the overlap kernel and is ignored on read.
         """
-        arrays = _pack_tree_arrays(self._steps, self._events, self._tracks)
-        head = sorted(self._head.items())
-        arrays["head_labels"] = np.array(
-            [k for k, _ in head], dtype=np.int64
-        )
-        arrays["head_tracks"] = np.array(
-            [v for _, v in head], dtype=np.int64
-        )
-        if self._prev is not None:
-            arrays["prev_site_ids"] = np.asarray(
-                self._prev.site_ids, dtype=np.int64
+        arrays = self.tree().arrays
+        prev, wv = self._prev, self._with_volumes
+        arrays["head_labels"] = np.arange(len(self._head), dtype=np.int64)
+        arrays["head_tracks"] = self._head.copy()
+        for key, attr in (("prev_site_ids", "site_ids"), ("prev_labels", "labels")):
+            arrays[key] = np.asarray(
+                [] if prev is None else getattr(prev, attr), dtype=np.int64
             )
-            arrays["prev_labels"] = np.asarray(
-                self._prev.labels, dtype=np.int64
-            )
-            prev_present = 1
-        else:
-            arrays["prev_site_ids"] = np.empty(0, dtype=np.int64)
-            arrays["prev_labels"] = np.empty(0, dtype=np.int64)
-            prev_present = 0
-        wv = self._with_volumes
-        arrays["flags"] = np.array(
-            [
-                self.min_overlap,
-                0,
-                prev_present,
-                -1 if wv is None else int(wv),
-            ],
-            dtype=np.int64,
-        )
+        flags = [self.min_overlap, 0, prev is not None, -1 if wv is None else wv]
+        arrays["flags"] = np.array(flags, dtype=np.int64)
         return arrays
 
     @classmethod
     def from_state(cls, arrays: dict[str, np.ndarray]) -> "FeatureTreeBuilder":
-        """Rebuild a builder from a :meth:`state` snapshot."""
-        flags = np.asarray(arrays["flags"], dtype=np.int64)
+        """Rebuild a builder from a :meth:`state` snapshot (checked first:
+        a malformed one raises ``ValueError`` naming the array)."""
+        _check_arrays(arrays, "tracking state", state=True)
+        flags = arrays["flags"]
         builder = cls(min_overlap=int(flags[0]))
-        steps, events, tracks = _unpack_tree_arrays(arrays)
-        builder._steps = steps
-        builder._events = events
-        builder._tracks = tracks
-        builder._head = {
-            int(k): int(v)
-            for k, v in zip(arrays["head_labels"], arrays["head_tracks"])
-        }
+        builder._steps = arrays["steps"].tolist()
+        track_counts = np.diff(arrays["track_offsets"])
+        builder._num_tracks = len(track_counts)
+        for key in set(builder._cols) & set(arrays):
+            builder._cols[key].append(np.array(arrays[key]))
+        builder._append(
+            event_from_counts=np.diff(arrays["event_from_offsets"]),
+            event_to_counts=np.diff(arrays["event_to_offsets"]),
+            track_ids=np.repeat(np.arange(len(track_counts)), track_counts),
+        )
+        builder._head = np.array(arrays["head_tracks"])
         if flags[2]:
             builder._prev = ComponentLabeling(
-                site_ids=np.asarray(arrays["prev_site_ids"], dtype=np.int64),
-                labels=np.asarray(arrays["prev_labels"], dtype=np.int64),
+                site_ids=np.array(arrays["prev_site_ids"]),
+                labels=np.array(arrays["prev_labels"]),
             )
         builder._with_volumes = None if flags[3] < 0 else bool(flags[3])
         return builder
 
 
-# ----------------------------------------------------------------------
-# driver
-# ----------------------------------------------------------------------
+def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal sorted keys."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return first
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
 def track_components(
     labelings: dict[int, ComponentLabeling],
     min_overlap: int = 1,
     volumes: dict[int, np.ndarray] | None = None,
-) -> FeatureTree:
+) -> MergerTree:
     """Build the feature tree over labelings keyed by step index.
 
     Parameters
@@ -447,144 +311,84 @@ def track_components(
         raise ValueError("no labelings supplied")
     builder = FeatureTreeBuilder(min_overlap=min_overlap)
     for step in steps:
-        builder.push(
-            step,
-            labelings[step],
-            volumes=None if volumes is None else volumes[step],
-        )
+        vols = None if volumes is None else volumes[step]
+        builder.push(step, labelings[step], volumes=vols)
     return builder.tree()
 
 
-# ----------------------------------------------------------------------
-# merger-tree on-disk format
-# ----------------------------------------------------------------------
-def _pack_tree_arrays(
-    steps: list[int],
-    events: list[FeatureEvent],
-    tracks: list[FeatureTrack],
-) -> dict[str, np.ndarray]:
-    ev_kinds = np.array(
-        [_EVENT_KINDS.index(e.kind) for e in events], dtype=np.int64
-    )
-    ev_steps = np.array(
-        [
-            (
-                -1 if e.step_from is None else e.step_from,
-                -1 if e.step_to is None else e.step_to,
-            )
-            for e in events
-        ],
-        dtype=np.int64,
-    ).reshape(len(events), 2)
-    ev_from_offsets = np.cumsum(
-        [0] + [len(e.labels_from) for e in events], dtype=np.int64
-    )
-    ev_from = np.array(
-        [l for e in events for l in e.labels_from], dtype=np.int64
-    )
-    ev_to_offsets = np.cumsum(
-        [0] + [len(e.labels_to) for e in events], dtype=np.int64
-    )
-    ev_to = np.array([l for e in events for l in e.labels_to], dtype=np.int64)
-    ev_shared = np.array([e.shared_cells for e in events], dtype=np.int64)
+def _check_arrays(arrays: dict, source: str, state: bool = False) -> None:
+    """Refuse tree (or, with ``state``, builder-state) arrays that are not
+    well formed, with a ``ValueError`` naming ``source`` and the array."""
 
-    tr_offsets = np.cumsum(
-        [0] + [len(t.steps) for t in tracks], dtype=np.int64
-    )
-    tr_steps = np.array(
-        [s for t in tracks for s in t.steps], dtype=np.int64
-    )
-    tr_labels = np.array(
-        [l for t in tracks for l in t.labels], dtype=np.int64
-    )
-    tr_sizes = np.array([s for t in tracks for s in t.sizes], dtype=np.int64)
-    tr_volumes = np.array(
-        [v for t in tracks for v in t.volumes], dtype=np.float64
-    )
-    return {
-        "steps": np.asarray(steps, dtype=np.int64),
-        "event_kinds": ev_kinds,
-        "event_steps": ev_steps,
-        "event_from_offsets": ev_from_offsets,
-        "event_from_labels": ev_from,
-        "event_to_offsets": ev_to_offsets,
-        "event_to_labels": ev_to,
-        "event_shared": ev_shared,
-        "track_offsets": tr_offsets,
-        "track_steps": tr_steps,
-        "track_labels": tr_labels,
-        "track_sizes": tr_sizes,
-        "track_volumes": tr_volumes,
-    }
+    def bad(key: str, why: str) -> ValueError:
+        return ValueError(f"{source}: merger-tree array {key!r} {why}")
 
-
-def _unpack_tree_arrays(
-    arrays: dict[str, np.ndarray],
-) -> tuple[list[int], list[FeatureEvent], list[FeatureTrack]]:
-    steps = [int(s) for s in arrays["steps"]]
-    events: list[FeatureEvent] = []
-    ev_steps = np.asarray(arrays["event_steps"], dtype=np.int64).reshape(-1, 2)
-    fo = arrays["event_from_offsets"]
-    to = arrays["event_to_offsets"]
-    for i, code in enumerate(arrays["event_kinds"]):
-        sf, st = int(ev_steps[i, 0]), int(ev_steps[i, 1])
-        events.append(
-            FeatureEvent(
-                kind=_EVENT_KINDS[int(code)],
-                step_from=None if sf < 0 else sf,
-                step_to=None if st < 0 else st,
-                labels_from=tuple(
-                    int(v)
-                    for v in arrays["event_from_labels"][fo[i] : fo[i + 1]]
-                ),
-                labels_to=tuple(
-                    int(v)
-                    for v in arrays["event_to_labels"][to[i] : to[i + 1]]
-                ),
-                shared_cells=int(arrays["event_shared"][i]),
-            )
-        )
-    tracks: list[FeatureTrack] = []
-    off = arrays["track_offsets"]
-    has_volumes = len(arrays["track_volumes"]) > 0
-    for i in range(len(off) - 1):
-        lo, hi = int(off[i]), int(off[i + 1])
-        tracks.append(
-            FeatureTrack(
-                steps=[int(v) for v in arrays["track_steps"][lo:hi]],
-                labels=[int(v) for v in arrays["track_labels"][lo:hi]],
-                sizes=[int(v) for v in arrays["track_sizes"][lo:hi]],
-                volumes=[
-                    float(v) for v in arrays["track_volumes"][lo:hi]
-                ]
-                if has_volumes
-                else [],
-            )
-        )
-    return steps, events, tracks
+    for key in _TREE_KEYS + ("track_volumes",) + (_STATE_KEYS if state else ()):
+        if key not in arrays:
+            raise bad(key, "is missing")
+        arr, tail = arrays[key], (2,) if key == "event_steps" else ()
+        want = np.dtype(np.float64 if key == "track_volumes" else np.int64)
+        ok = getattr(arr, "dtype", None) == want and np.ndim(arr) == 1 + len(tail)
+        if not ok or np.shape(arr)[1:] != tail:
+            got = f"{getattr(arr, 'dtype', type(arr).__name__)} {np.shape(arr)}"
+            raise bad(key, f"is {got}, expected {want} {('n',) + tail}")
+    n = len(arrays["event_kinds"])
+    rows = len(arrays["track_steps"])
+    lengths = {"event_steps": n, "event_shared": n, "track_labels": rows,
+               "track_sizes": rows, "track_volumes": rows}
+    for key, want in lengths.items():
+        got = len(arrays[key])
+        if got != want and not (key == "track_volumes" and got == 0):
+            raise bad(key, f"has {got} rows, expected {want}")
+    if n and not 0 <= arrays["event_kinds"].min() <= arrays["event_kinds"].max() < 5:
+        raise bad("event_kinds", f"holds a code outside 0..4 {_EVENT_KINDS}")
+    for off_key, col_key, size in (
+        ("event_from_offsets", "event_from_labels", n + 1),
+        ("event_to_offsets", "event_to_labels", n + 1),
+        ("track_offsets", "track_steps", len(arrays["track_offsets"])),
+    ):
+        off, end = arrays[off_key], len(arrays[col_key])
+        if len(off) != size or not size or off[0] != 0 or off[-1] != end or (
+            np.any(np.diff(off) < 0)
+        ):
+            raise bad(off_key, f"must rise from 0 to len({col_key}) = {end}")
+    if not state:
+        return
+    head, prev = arrays["head_tracks"], arrays["prev_labels"]
+    nprev = int(prev.max()) + 1 if len(prev) else 0
+    ntracks = len(arrays["track_offsets"]) - 1
+    if len(arrays["flags"]) != 4:
+        raise bad("flags", "must hold 4 entries")
+    if len(arrays["track_volumes"]) != (rows if arrays["flags"][3] == 1 else 0):
+        raise bad("track_volumes", "disagrees with the with_volumes flag")
+    if len(arrays["prev_site_ids"]) != len(prev):
+        raise bad("prev_site_ids", "must match prev_labels in length")
+    if not np.array_equal(arrays["head_labels"], np.arange(len(head))):
+        raise bad("head_labels", "must be 0..n-1, one per head_tracks entry")
+    if len(head) != nprev or (nprev and not 0 <= head.min() <= head.max() < ntracks):
+        raise bad("head_tracks", f"must name one of {ntracks} tracks for "
+                                 f"each of {nprev} previous labels")
 
 
 @dataclass
 class MergerTree:
-    """Merger-tree output in its stable on-disk form (flat arrays).
+    """The feature tree as flat int64/f8 columns — its one representation.
 
-    Per-track step/label/size/volume histories plus the event log, all as
-    int64/f8 arrays addressed by offsets — the exact layout written to
-    disk by :meth:`save` (a versioned ``.npz`` with a JSON ``meta``
-    record), so a load reproduces the saved tree bit for bit.
+    ``steps``; the event log (``event_kinds`` coded by ``_EVENT_KINDS``,
+    ``(from, to)`` ``event_steps``, CSR ``event_{from,to}_offsets`` /
+    ``_labels``, ``event_shared``); and the track histories as a
+    track-major CSR (``track_offsets`` over ``track_steps`` /
+    ``track_labels`` / ``track_sizes`` / ``track_volumes``, the last empty
+    without volumes).  :meth:`save` writes exactly these to a versioned
+    ``.npz``, so a load reproduces the tree bit for bit.
     """
 
     arrays: dict[str, np.ndarray]
 
     @classmethod
-    def from_tree(cls, tree: FeatureTree) -> "MergerTree":
-        """Pack a :class:`FeatureTree` into the on-disk layout."""
-        return cls(arrays=_pack_tree_arrays(tree.steps, tree.events, tree.tracks))
-
-    def to_tree(self) -> FeatureTree:
-        """Unpack back into the in-memory :class:`FeatureTree`."""
-        steps, events, tracks = _unpack_tree_arrays(self.arrays)
-        return FeatureTree(steps=steps, events=events, tracks=tracks)
+    def from_tree(cls, tree: "MergerTree") -> "MergerTree":
+        """The tree itself: :func:`track_components` already returns one."""
+        return tree
 
     @property
     def num_tracks(self) -> int:
@@ -599,12 +403,9 @@ class MergerTree:
         return self.arrays["steps"]
 
     def counts(self) -> dict[str, int]:
-        """Event counts by kind."""
-        out: dict[str, int] = {}
-        for code in self.arrays["event_kinds"]:
-            kind = _EVENT_KINDS[int(code)]
-            out[kind] = out.get(kind, 0) + 1
-        return out
+        """Event counts by kind (kinds that occur only)."""
+        tally = np.bincount(self.arrays["event_kinds"], minlength=len(_EVENT_KINDS))
+        return {k: int(c) for k, c in zip(_EVENT_KINDS, tally) if c}
 
     def save(self, path: str) -> None:
         """Write the tree as a versioned ``.npz``, atomically."""
@@ -624,15 +425,25 @@ class MergerTree:
 
     @classmethod
     def load(cls, path: str) -> "MergerTree":
-        """Read a tree written by :meth:`save`, validating the format."""
+        """Read a tree written by :meth:`save`, checking the format and
+        every array (``ValueError`` naming the path and the array)."""
         with np.load(path) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta.get("format") != MERGER_TREE_FORMAT:
+            if "meta" not in data.files:
+                raise ValueError(f"{path}: merger-tree array 'meta' is missing")
+            try:
+                meta = json.loads(str(data["meta"]))
+            except ValueError:
+                meta = None
+            fmt = meta.get("format") if isinstance(meta, dict) else None
+            if fmt != MERGER_TREE_FORMAT:
                 raise ValueError(
-                    f"{path}: unknown merger-tree format "
-                    f"{meta.get('format')!r} (expected {MERGER_TREE_FORMAT})"
+                    f"{path}: unknown merger-tree format {fmt!r} "
+                    f"(expected {MERGER_TREE_FORMAT})"
                 )
-            arrays = {
-                k: np.array(data[k]) for k in data.files if k != "meta"
-            }
-        return cls(arrays=arrays)
+            arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
+        _check_arrays(arrays, path)
+        tree = cls(arrays=arrays)
+        if meta.get("num_tracks") != tree.num_tracks:
+            raise ValueError(f"{path}: merger-tree array 'meta' has num_tracks "
+                             f"{meta.get('num_tracks')!r}, not {tree.num_tracks}")
+        return tree

@@ -315,14 +315,16 @@ class TrackingTool(AnalysisTool):
 
     At each fired step the tool thresholds the tessellation (quantile of
     the valid cell volumes, or an absolute ``vmin``), labels connected
-    components, and links them to the previous step's labeling through a
+    components, and pushes the labeling with its per-label volumes into a
     :class:`~repro.analysis.tracking.FeatureTreeBuilder` — the same
     engine as the offline drivers, so the in situ tree is bit-identical
-    to postprocessing the saved labelings.  The running tree state lives
-    on rank 0 and is snapshotted to ``state_dir`` (atomic npz) after
-    every push, so a checkpoint/resume via the recovery driver restores
-    the prior labeling bit-identically; every rank returns the current
-    :class:`~repro.analysis.tracking.MergerTree` snapshot.
+    to postprocessing the saved labelings.  The builder lives on rank 0;
+    its ``state()`` columns are snapshotted to ``state_dir`` (atomic npz)
+    after every push, and a resume restores the newest snapshot at or
+    before the restart step, refusing one built with another
+    ``min_overlap``.  Every rank returns ``builder.tree()``, the
+    :class:`~repro.analysis.tracking.MergerTree` columns so far, which
+    ``output`` (a path pattern with ``{step}``) also saves.
 
     Incomplete cells (volume 0/NaN) are masked out of the quantile and
     the threshold, never crashing the threshold path.  With a
@@ -382,9 +384,20 @@ class TrackingTool(AnalysisTool):
                     if step <= resumed:
                         best = max(best, step)
             if best >= 0:
-                with np.load(self._state_path(best)) as data:
+                path = self._state_path(best)
+                with np.load(path) as data:
                     arrays = {k: np.array(data[k]) for k in data.files}
-                self._builder = FeatureTreeBuilder.from_state(arrays)
+                try:
+                    builder = FeatureTreeBuilder.from_state(arrays)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from exc
+                if builder.min_overlap != self.min_overlap:
+                    raise ValueError(
+                        f"{path}: tracking state was built with min_overlap="
+                        f"{builder.min_overlap}, but the tool has min_overlap="
+                        f"{self.min_overlap}; resume with the same value"
+                    )
+                self._builder = builder
                 return self._builder
         self._builder = FeatureTreeBuilder(min_overlap=self.min_overlap)
         return self._builder
@@ -435,7 +448,6 @@ class TrackingTool(AnalysisTool):
             connected_components,
             connected_components_at_root,
         )
-        from ..analysis.tracking import MergerTree
         from ..core.data_model import index_in_sorted
 
         tess = _tessellation(context, sim, step, a, comm, self.ghost)
@@ -470,7 +482,7 @@ class TrackingTool(AnalysisTool):
             builder = self._get_builder(sim)
             builder.push(step, labeling, volumes=comp_vol)
             self._save_state(step)
-            tree = MergerTree.from_tree(builder.tree())
+            tree = builder.tree()
         if comm is not None:
             tree = comm.bcast(tree, root=0)
         if observe.enabled():

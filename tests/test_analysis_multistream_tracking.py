@@ -27,8 +27,8 @@ class TestFeatureTracking:
         counts = tree.counts()
         assert counts.get("continuation") == 2
         assert not counts.get("merge") and not counts.get("split")
-        assert len(tree.tracks) == 2
-        assert all(t.lifetime == 2 for t in tree.tracks)
+        assert tree.num_tracks == 2
+        assert np.diff(tree.arrays["track_offsets"]).tolist() == [2, 2]
 
     def test_merge(self):
         l0 = self._labeling([(1, 2), (3, 4)])
@@ -36,8 +36,7 @@ class TestFeatureTracking:
         tree = track_components({0: l0, 1: l1})
         assert tree.counts().get("merge") == 1
         # One track survives the merge; the loser's track ends.
-        alive = [t for t in tree.tracks if 1 in t.steps]
-        assert len(alive) == 1
+        assert int((tree.arrays["track_steps"] == 1).sum()) == 1
 
     def test_split(self):
         l0 = self._labeling([(1, 2, 3, 4)])
@@ -46,8 +45,8 @@ class TestFeatureTracking:
         assert tree.counts().get("split") == 1
         # Both children exist as tracks at step 1 (one continues the
         # parent, one is freshly started).
-        heads = [t for t in tree.tracks if t.steps[-1] == 1]
-        assert len(heads) == 2
+        last_rows = tree.arrays["track_offsets"][1:] - 1
+        assert int((tree.arrays["track_steps"][last_rows] == 1).sum()) == 2
 
     def test_birth_and_death(self):
         l0 = self._labeling([(1, 2)])
@@ -69,8 +68,8 @@ class TestFeatureTracking:
         l0 = self._labeling([(1, 2, 3)])
         l1 = self._labeling([(1, 2, 3, 4, 5)])
         tree = track_components({0: l0, 1: l1})
-        t = tree.tracks[0]
-        assert t.sizes == [3, 5]
+        off = tree.arrays["track_offsets"]
+        assert tree.arrays["track_sizes"][off[0] : off[1]].tolist() == [3, 5]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -81,8 +80,8 @@ class TestFeatureTracking:
             s: self._labeling([tuple(range(s, s + 5))]) for s in range(4)
         }
         tree = track_components(seq)
-        assert len(tree.tracks) == 1
-        assert tree.tracks[0].lifetime == 4
+        assert tree.num_tracks == 1
+        assert tree.arrays["track_offsets"].tolist() == [0, 4]
 
     def test_void_growth_in_simulation(self):
         """End-to-end: voids tracked across tessellation outputs."""
@@ -103,7 +102,7 @@ class TestFeatureTracking:
             vmin = float(np.quantile(v, 0.8))
             labelings[step] = connected_components(tess, vmin=vmin)
         tree = track_components(labelings, min_overlap=1)
-        assert tree.steps == sorted(results["tessellation"])
-        assert len(tree.tracks) >= 1
+        assert tree.steps.tolist() == sorted(results["tessellation"])
+        assert tree.num_tracks >= 1
         # At least one feature persists across multiple outputs.
-        assert max(t.lifetime for t in tree.tracks) >= 2
+        assert np.diff(tree.arrays["track_offsets"]).max() >= 2

@@ -1,13 +1,14 @@
 """Parity suite for temporal feature tracking.
 
-The flat overlap kernel, the dict reference
-(``tests/tracking_reference.py``), and the in situ tracking tool on
-rank-local blocks must produce identical feature trees — bit for bit,
-including per-track volume histories — at 1/2/4 ranks on both execution
-backends.
+The flat overlap kernel and the column builder must reproduce the
+object-based references (``tests/tracking_reference.py``) key for key
+after every push, and the in situ tracking tool on rank-local blocks must
+produce identical merger-tree columns — bit for bit, including per-track
+volume histories — at 1/2/4 ranks on both execution backends.
 Also covers: the merge-arbitration bugfix (overlap count beats dict
 insertion order), a periodic-seam void that merges across a step
-boundary, checkpointable builder state, the merger-tree on-disk format,
+boundary, invariance under a strictly increasing remap of site ids,
+checkpointable builder state, the merger-tree on-disk format,
 invalid-cell masking in the in situ tool's threshold path, and
 kill-and-resume producing a bit-identical tree.
 """
@@ -38,7 +39,12 @@ from repro.diy.comm import ParallelError, run_parallel
 from repro.diy.decomposition import Decomposition
 from repro.insitu import TrackingTool
 
-from .tracking_reference import overlap_arrays_dict, overlap_matrix_dict
+from .tracking_reference import (
+    ReferenceTreeBuilder,
+    assert_same_columns,
+    overlap_arrays_dict,
+    overlap_matrix_dict,
+)
 
 BOX = 10.0
 
@@ -111,7 +117,109 @@ class TestOverlapKernels:
         want = track_components(labelings)
         if kernel == "dict":
             monkeypatch.setattr(tracking, "overlap_matrix", overlap_arrays_dict)
-        assert track_components(labelings) == want
+        assert_same_columns(track_components(labelings).arrays, want.arrays)
+
+
+def _cut_labeling(rng, span=400, cuts=8):
+    """Components as runs of a random id subset between random cut points,
+    so consecutive steps overlap in every event kind."""
+    ids = np.sort(rng.choice(span, size=int(rng.integers(0, 240)), replace=False))
+    cut = np.sort(rng.choice(span, size=cuts, replace=False))
+    _, labels = np.unique(np.searchsorted(cut, ids), return_inverse=True)
+    return ComponentLabeling(
+        site_ids=ids.astype(np.int64), labels=labels.astype(np.int64)
+    )
+
+
+#: the three merge-arbitration cases of TestMergeArbitration, as groups
+ARBITRATION_CASES = {
+    "overlap_winner": ([(0, 1), (10, 11, 12, 13)], [(1, 10, 11, 12)]),
+    "merge_tie": ([(0, 1), (10, 11)], [(1, 10)]),
+    "split_tie": ([(0, 1, 2, 3)], [(0, 1), (2, 3)]),
+}
+
+
+def _assert_matches_reference(sequence, min_overlap, resume_at=None):
+    """Push ``(step, labeling, volumes)`` into the builder and the object
+    reference; their states (tree columns included) agree key for key
+    after every push, across a state round trip at ``resume_at``."""
+    builder = FeatureTreeBuilder(min_overlap=min_overlap)
+    ref = ReferenceTreeBuilder(min_overlap=min_overlap)
+    for step, labeling, volumes in sequence:
+        builder.push(step, labeling, volumes=volumes)
+        ref.push(step, labeling, volumes=volumes)
+        assert_same_columns(builder.tree().arrays, ref.tree_arrays())
+        assert_same_columns(builder.state(), ref.state())
+        if step == resume_at:
+            builder = FeatureTreeBuilder.from_state(builder.state())
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("min_overlap", [1, 2])
+    @pytest.mark.parametrize("volumes", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_labelings(self, seed, volumes, min_overlap):
+        rng = np.random.default_rng(100 + seed)
+        sequence = []
+        for step in range(0, 21, 3):
+            lab = _cut_labeling(rng) if step % 2 else _random_labeling(
+                rng, int(rng.integers(1, 300)), 8
+            )
+            vols = rng.uniform(0.5, 2.0, lab.num_components) if volumes else None
+            sequence.append((step, lab, vols))
+        _assert_matches_reference(sequence, min_overlap, resume_at=9)
+
+    @pytest.mark.parametrize("case", sorted(ARBITRATION_CASES))
+    def test_arbitration_cases(self, case):
+        groups0, groups1 = ARBITRATION_CASES[case]
+        sequence = [(0, _labeling(groups0), None), (1, _labeling(groups1), None)]
+        _assert_matches_reference(sequence, 1)
+
+    def test_empty_labelings(self):
+        empty = ComponentLabeling(
+            site_ids=np.empty(0, dtype=np.int64),
+            labels=np.empty(0, dtype=np.int64),
+        )
+        sequence = [(0, empty, None), (1, _labeling([(0, 1)]), None),
+                    (2, empty, None), (3, empty, None)]
+        _assert_matches_reference(sequence, 1, resume_at=2)
+
+
+def _remap_ids(labelings, seed):
+    """Every labeling (site ids below 5000) with its site ids sent through
+    one strictly increasing map, sparse enough that the id join takes its
+    binary-search path instead of the lookup table."""
+    rng = np.random.default_rng(seed)
+    new_ids = np.sort(rng.choice(1 << 40, size=5000, replace=False))
+    return {
+        step: ComponentLabeling(site_ids=new_ids[lab.site_ids], labels=lab.labels)
+        for step, lab in labelings.items()
+    }
+
+
+class TestIdRemapRelation:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_labelings(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        labelings = {s: _cut_labeling(rng) for s in range(0, 10, 2)}
+        vols = {
+            s: rng.uniform(0.5, 2.0, lab.num_components)
+            for s, lab in labelings.items()
+        }
+        want = track_components(labelings, min_overlap=2, volumes=vols)
+        got = track_components(
+            _remap_ids(labelings, seed), min_overlap=2, volumes=vols
+        )
+        assert want.num_events > 0
+        assert_same_columns(got.arrays, want.arrays)
+
+    def test_seam_merge_case(self, seam_merge_case):
+        _, _, labelings = seam_merge_case
+        want = track_components(labelings)
+        assert want.counts().get("merge")
+        assert_same_columns(
+            track_components(_remap_ids(labelings, 5)).arrays, want.arrays
+        )
 
 
 class TestMergeArbitration:
@@ -123,32 +231,35 @@ class TestMergeArbitration:
         parent 1 shares 3.  The old head-iteration claim handed the child
         to parent 0.
         """
-        step0 = _labeling([(0, 1), (10, 11, 12, 13)])
-        step1 = _labeling([(1, 10, 11, 12)])
+        step0, step1 = map(_labeling, ARBITRATION_CASES["overlap_winner"])
         tree = track_components({0: step0, 1: step1})
 
         assert tree.counts() == {"merge": 1}
-        (event,) = tree.events
-        assert event.labels_from == (0, 1) and event.labels_to == (0,)
-        by_start = {t.labels[0]: t for t in tree.tracks if t.steps[0] == 0}
-        assert by_start[1].steps == [0, 1]  # overlap winner continues
-        assert by_start[0].steps == [0]  # insertion-order winner loses
+        a = tree.arrays
+        assert a["event_from_labels"].tolist() == [0, 1]
+        assert a["event_to_labels"].tolist() == [0]
+        # tracks 0 and 1 start at step 0 from labels 0 and 1
+        assert a["track_labels"][a["track_offsets"][:-1]].tolist() == [0, 1]
+        steps = np.split(a["track_steps"], a["track_offsets"][1:-1])
+        assert steps[1].tolist() == [0, 1]  # overlap winner continues
+        assert steps[0].tolist() == [0]  # insertion-order winner loses
 
     def test_merge_tie_breaks_to_smaller_parent_label(self):
-        step0 = _labeling([(0, 1), (10, 11)])
-        step1 = _labeling([(1, 10)])  # both parents share exactly 1 cell
-        tree = track_components({0: step0, 1: step1})
-        by_start = {t.labels[0]: t for t in tree.tracks if t.steps[0] == 0}
-        assert by_start[0].steps == [0, 1]
-        assert by_start[1].steps == [0]
+        # both parents share exactly 1 cell
+        step0, step1 = map(_labeling, ARBITRATION_CASES["merge_tie"])
+        a = track_components({0: step0, 1: step1}).arrays
+        assert a["track_labels"][a["track_offsets"][:-1]].tolist() == [0, 1]
+        steps = np.split(a["track_steps"], a["track_offsets"][1:-1])
+        assert steps[0].tolist() == [0, 1]
+        assert steps[1].tolist() == [0]
 
     def test_split_child_tie_breaks_to_smaller_child_label(self):
-        step0 = _labeling([(0, 1, 2, 3)])
-        step1 = _labeling([(0, 1), (2, 3)])  # equal 2-cell overlaps
-        tree = track_components({0: step0, 1: step1})
-        parent = next(t for t in tree.tracks if t.steps[0] == 0)
-        assert parent.steps == [0, 1]
-        assert parent.labels == [0, 0]  # smaller child label claimed
+        # equal 2-cell overlaps
+        step0, step1 = map(_labeling, ARBITRATION_CASES["split_tie"])
+        a = track_components({0: step0, 1: step1}).arrays
+        lo, hi = a["track_offsets"][:2]  # track 0: the step-0 parent
+        assert a["track_steps"][lo:hi].tolist() == [0, 1]
+        assert a["track_labels"][lo:hi].tolist() == [0, 0]  # smaller child
 
 
 class TestBuilderState:
@@ -173,7 +284,8 @@ class TestBuilderState:
                 resumed = FeatureTreeBuilder.from_state(full.state())
             elif s > 2:
                 resumed.push(s, labelings[s], volumes=v)
-        assert resumed.tree() == full.tree()
+        assert_same_columns(resumed.tree().arrays, full.tree().arrays)
+        assert_same_columns(resumed.state(), full.state())
         assert resumed.last_step == full.last_step == 4
 
     def test_restores_state_written_with_the_dict_kernel(self, tmp_path):
@@ -200,8 +312,7 @@ class TestBuilderState:
         for s in range(2, 4):
             full.push(s, labelings[s])
             resumed.push(s, labelings[s])
-        assert resumed.tree() == full.tree()
-        assert resumed.state()["flags"].tolist() == full.state()["flags"].tolist()
+        assert_same_columns(resumed.state(), full.state())
 
     def test_rejects_non_monotonic_steps(self):
         builder = FeatureTreeBuilder()
@@ -229,15 +340,12 @@ class TestMergerTreeFormat:
         }
         tree = track_components(labelings, volumes=vols)
         mt = MergerTree.from_tree(tree)
-        assert mt.to_tree() == tree
+        assert mt is tree
 
         path = str(tmp_path / "tree.npz")
         mt.save(path)
         loaded = MergerTree.load(path)
-        assert set(loaded.arrays) == set(mt.arrays)
-        for key in mt.arrays:
-            np.testing.assert_array_equal(loaded.arrays[key], mt.arrays[key])
-        assert loaded.to_tree() == tree
+        assert_same_columns(loaded.arrays, mt.arrays)
         assert loaded.counts() == tree.counts()
 
     def test_load_rejects_unknown_format(self, tmp_path):
@@ -384,11 +492,15 @@ def test_seam_void_merges_across_step_boundary(seam_merge_case):
     mid1 = _labels_of(labelings[1], MID_IDS)
     assert len(strip1) == 1 and strip1 & mid1
 
-    tree = track_components(labelings)
-    merges = [e for e in tree.events_at(1) if e.kind == "merge"]
+    a = track_components(labelings).arrays
+    froms = np.split(a["event_from_labels"], a["event_from_offsets"][1:-1])
+    merges = [
+        set(f.tolist())
+        for f, kind, (_, to) in zip(froms, a["event_kinds"], a["event_steps"])
+        if kind == 1 and to == 1  # merges arriving at step 1
+    ]
     assert any(
-        strip0 <= set(e.labels_from) and mid0 & set(e.labels_from)
-        for e in merges
+        strip0 <= f and mid0 & f for f in merges
     ), f"no merge linking seam void {strip0} with mid {mid0}: {merges}"
 
 
@@ -406,7 +518,7 @@ def _seam_tracking_worker(comm, steps, decomp):
         tree = tool.run(
             _StubSim(), step, 1.0, comm, context={"tessellation": handle}
         )
-    return tree.to_tree()
+    return tree
 
 
 @pytest.mark.parametrize("exec_backend", ["thread", "process"])
@@ -424,10 +536,7 @@ def test_seam_merge_distributed_matches_serial(
         nranks, _seam_tracking_worker, steps, decomp, backend=exec_backend
     )
     for tree in trees:
-        assert tree.events == ref.events
-        assert [(t.steps, t.labels, t.sizes) for t in tree.tracks] == [
-            (t.steps, t.labels, t.sizes) for t in ref.tracks
-        ]
+        assert_same_columns(tree.arrays, ref.arrays, volumes_rtol=None)
 
 
 # ----------------------------------------------------------------------
@@ -453,10 +562,6 @@ def test_tool_threshold_masks_invalid_cells(seam_merge_case):
     mt = tool.run(_StubSim(), 0, 1.0, None, context={"tessellation": tess})
     assert mt.num_tracks > 0
     bad = {int(tess.blocks[0].site_ids[i]) for i in range(3)}
-    tree = mt.to_tree()
-    labeled = set()
-    for track in tree.tracks:
-        labeled.add(track.labels[0])
     # none of the corrupted cells may have been kept
     kept = set(tool._builder._prev.site_ids.tolist())
     assert not (bad & kept)
@@ -557,12 +662,8 @@ def test_tool_structure_identical_across_rank_counts(tmp_path, nranks):
     ref = _tool_tree_runs(cfg, 1, "thread", str(tmp_path / "s1"))
     got = _tool_tree_runs(cfg, nranks, "thread", str(tmp_path / f"s{nranks}"))
     for step in ref["tracking"]:
-        t_ref = ref["tracking"][step].to_tree()
-        t_got = got["tracking"][step].to_tree()
-        assert t_got.events == t_ref.events
-        assert len(t_got.tracks) == len(t_ref.tracks)
-        for a, b in zip(t_got.tracks, t_ref.tracks):
-            assert a.steps == b.steps
-            assert a.labels == b.labels
-            assert a.sizes == b.sizes
-            np.testing.assert_allclose(a.volumes, b.volumes, rtol=1e-9)
+        assert_same_columns(
+            got["tracking"][step].arrays,
+            ref["tracking"][step].arrays,
+            volumes_rtol=1e-9,
+        )
