@@ -40,6 +40,8 @@ __all__ = [
     "QueryError",
     "QUERY_OPS",
     "region_bounds",
+    "check_query",
+    "call_query",
     "run_query",
     "query_voids",
     "query_components",
@@ -65,7 +67,13 @@ def region_bounds(
     """
     if region is None:
         return None
-    arr = np.asarray(region, dtype=float)
+    try:
+        arr = np.asarray(region, dtype=float)
+    except (TypeError, ValueError):
+        raise QueryError(
+            f"region must be [[lo]*{domain.dim}, [hi]*{domain.dim}] numbers, "
+            f"got {region!r}"
+        ) from None
     if arr.shape != (2, domain.dim):
         raise QueryError(
             f"region must be [[lo]*{domain.dim}, [hi]*{domain.dim}], "
@@ -181,10 +189,6 @@ def query_halos(
     ``linking_fraction`` is the classic ``b`` — the linking length is
     ``b`` times the mean inter-site spacing of the loaded block set.
     """
-    if not 0 < linking_fraction < 10:
-        raise QueryError(
-            f"linking_fraction must be in (0, 10), got {linking_fraction}"
-        )
     sites, ids = _sites_with_ids(blocks)
     if not len(ids):
         return {"op": "halos", "num_halos": 0, "halos": []}
@@ -228,14 +232,6 @@ def query_profile(
     over its cells' summed volume.  Distances are periodic minimum-image.
     """
     ctr = np.asarray(center, dtype=float)
-    if ctr.shape != (domain.dim,):
-        raise QueryError(
-            f"center must have {domain.dim} coordinates, got {list(center)!r}"
-        )
-    if rmax <= 0:
-        raise QueryError(f"rmax must be positive, got {rmax}")
-    if not 1 <= nbins <= 4096:
-        raise QueryError(f"nbins must be in [1, 4096], got {nbins}")
     counts = np.zeros(nbins, dtype=np.int64)
     volsum = np.zeros(nbins)
     edges = np.linspace(0.0, rmax, nbins + 1)
@@ -338,26 +334,28 @@ def _finite(value: Any) -> bool:
     )
 
 
-def run_query(
-    domain: Bounds, blocks: Sequence[VoronoiBlock], spec: dict[str, Any]
-) -> dict[str, Any]:
-    """Dispatch one validated query spec onto its handler.
+def check_query(
+    domain: Bounds, spec: dict[str, Any]
+) -> tuple[str, dict[str, Any]]:
+    """Check one query spec; return its op and the handler's arguments.
 
-    ``spec`` is the client's JSON object: ``op`` selects the handler,
-    ``region`` (optional) restricts it spatially, and the remaining keys
-    are per-op parameters.  Unknown ops or parameters raise
-    :class:`QueryError` naming the offender, so a typo'd request fails
-    with a 400, not a silent default.  So do a count (``top``,
+    ``spec`` is the client's JSON object: ``op`` selects the handler
+    (``QUERY_OPS[op]``), ``region`` (optional) restricts it spatially, and
+    the remaining keys are per-op parameters.  Unknown ops or parameters
+    raise :class:`QueryError` naming the offender, so a typo'd request
+    fails with a 400, not a silent default.  So do a count (``top``,
     ``min_cells``, ``min_members``, ``nbins``) that is not a non-negative
-    integer and a real parameter or ``center`` coordinate that is not a
-    finite number.
+    integer, a real parameter or ``center`` coordinate that is not a
+    finite number, and a value outside its op's range.  The returned
+    keyword arguments carry ``region`` parsed to :class:`Bounds` for the
+    ops that take one, so :func:`call_query` needs no further checks.
     """
     op = spec.get("op")
     if op not in QUERY_OPS:
         raise QueryError(
             f"unknown op {op!r}; expected one of {sorted(QUERY_OPS)}"
         )
-    handler, allowed = QUERY_OPS[op]
+    allowed = QUERY_OPS[op][1]
     extra = set(spec) - allowed - _COMMON_KEYS
     if extra:
         raise QueryError(f"unknown {op} parameters {sorted(extra)}")
@@ -382,12 +380,44 @@ def run_query(
         raise QueryError(
             f"center must be a list of finite numbers, got {spec['center']!r}"
         )
+    if op == "profile":
+        if len(spec["center"]) != domain.dim:
+            raise QueryError(
+                f"center must have {domain.dim} coordinates, got {spec['center']!r}"
+            )
+        if spec["rmax"] <= 0:
+            raise QueryError(f"rmax must be positive, got {spec['rmax']}")
+        if not 1 <= spec.get("nbins", 1) <= 4096:
+            raise QueryError(f"nbins must be in [1, 4096], got {spec['nbins']}")
+    if op == "halos" and not 0 < spec.get("linking_fraction", 0.2) < 10:
+        raise QueryError(
+            f"linking_fraction must be in (0, 10), got {spec['linking_fraction']}"
+        )
     kwargs = {k: spec[k] for k in spec if k in allowed}
+    if op in _REGION_OPS:
+        kwargs["region"] = region_bounds(spec.get("region"), domain)
+    return op, kwargs
+
+
+def call_query(
+    op: str,
+    domain: Bounds,
+    blocks: Sequence[VoronoiBlock],
+    kwargs: dict[str, Any],
+) -> dict[str, Any]:
+    """Run ``op``'s handler over ``blocks`` with :func:`check_query`'s
+    arguments.  A ``TypeError``/``ValueError`` the kernel raises on them
+    (FOF's ``min_members >= 1``, say) is the client's: a :class:`QueryError`."""
     try:
-        if op in _REGION_OPS:
-            kwargs["region"] = region_bounds(spec.get("region"), domain)
-        return handler(domain, blocks, **kwargs)
-    except QueryError:
-        raise
+        return QUERY_OPS[op][0](domain, blocks, **kwargs)
     except (TypeError, ValueError) as exc:
         raise QueryError(f"bad {op} parameters: {exc}") from exc
+
+
+def run_query(
+    domain: Bounds, blocks: Sequence[VoronoiBlock], spec: dict[str, Any]
+) -> dict[str, Any]:
+    """Check one query spec (:func:`check_query`) and run it over
+    ``blocks`` (:func:`call_query`)."""
+    op, kwargs = check_query(domain, spec)
+    return call_query(op, domain, blocks, kwargs)

@@ -12,11 +12,11 @@ demands between them:
   ETag-style content versioning over mmap'd, CRC-validated block files;
 * :mod:`~repro.serve.cache` — one-lock LRU block cache with a byte budget
   and per-key miss coalescing;
-* :mod:`~repro.serve.batching` — same-block request batching onto a
-  worker pool inside a fixed 2 ms window, with a bounded in-flight queue
-  (503 + Retry-After backpressure);
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.protocol` — the
-  asyncio server and its minimal HTTP/1.1 wire layer;
+  asyncio server and its minimal HTTP/1.1 wire layer: each query is
+  checked on the event loop, admitted under a bound on queries in
+  flight (503 + Retry-After beyond it), and its kernel runs straight on
+  a worker pool;
 * :mod:`~repro.serve.client` — the async load generator CI drives.
 
 Quickstart::
@@ -32,7 +32,6 @@ Per-request spans and ``serve.*`` metrics flow through
 
 from __future__ import annotations
 
-from .batching import QueryBatcher, ServerBusy
 from .cache import BlockCache, CacheStats
 from .client import LoadReport, default_query_mix, run_load, wait_ready
 from .server import ServeConfig, TessServer
@@ -44,9 +43,7 @@ __all__ = [
     "CatalogError",
     "CatalogStore",
     "LoadReport",
-    "QueryBatcher",
     "ServeConfig",
-    "ServerBusy",
     "Snapshot",
     "SnapshotInfo",
     "TessServer",

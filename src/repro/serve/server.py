@@ -1,21 +1,24 @@
 """The asyncio tessellation query server.
 
-One event loop owns admission, routing, and framing; the NumPy-heavy
-query kernels run on :class:`~repro.serve.batching.QueryBatcher`'s worker
-pool against blocks faulted in through the
-:class:`~repro.serve.cache.BlockCache`.  The flow for ``POST /query``:
+One event loop owns checking, admission, routing, and framing; the
+NumPy-heavy query kernels run on one worker pool against blocks faulted
+in through the :class:`~repro.serve.cache.BlockCache`.  The flow for
+``POST /query``:
 
-1. parse + validate the spec (400 on garbage — before any I/O),
+1. parse the body (400 on garbage),
 2. refresh the catalog manifest (one ``stat``; on change, evict cache
-   entries whose snapshot etag died),
-3. resolve the query region to the gid set of intersecting blocks via
-   the snapshot's extents index,
-4. submit to the batcher keyed by ``(etag, gids)`` — overload is rejected
-   *here* with 503 + Retry-After, before pool or cache memory is
-   committed,
+   entries whose snapshot etag died) and resolve ``step`` to a snapshot
+   (400 if it is not an integer, 404 if it is not published),
+3. check the spec once with :func:`repro.analysis.query.check_query`
+   (400 naming the bad key, before any slot or block is committed) and
+   resolve its region to the gid set of intersecting blocks via the
+   snapshot's extents index,
+4. admit it — beyond ``max_inflight`` queries in flight the answer is
+   503 + Retry-After — and submit its kernel straight to the pool; the
+   slot is held until the kernel finishes,
 5. on a worker thread: pull each block through the cache (misses
    coalesce; one cold read per block however many queries want it) and
-   run the :func:`repro.analysis.query.run_query` kernel,
+   run :func:`repro.analysis.query.call_query`,
 6. frame the JSON result with the snapshot ``ETag``.
 
 Every request is wrapped in a ``repro.observe`` span (``serve-request``,
@@ -29,14 +32,14 @@ from __future__ import annotations
 
 import asyncio
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.query import QueryError, region_bounds, run_query
+from ..analysis.query import QueryError, call_query, check_query
 from ..diy.bounds import Bounds
 from ..observe import registry, span
-from .batching import QueryBatcher, ServerBusy
 from .cache import BlockCache
 from .protocol import (
     HttpRequest,
@@ -51,6 +54,9 @@ from .store import CatalogError, CatalogStore, Snapshot
 
 __all__ = ["ServeConfig", "TessServer"]
 
+#: Seconds a client rejected at the admission bound is told to wait.
+RETRY_AFTER_S = 0.05
+
 
 @dataclass
 class ServeConfig:
@@ -61,13 +67,16 @@ class ServeConfig:
     cache_bytes: int = 256 * 1024 * 1024
     workers: int = 4
     max_inflight: int = 128
-    retry_after_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.cache_bytes <= 0:
             raise ValueError(f"cache_bytes must be positive, got {self.cache_bytes}")
         if self.workers <= 0:
             raise ValueError(f"workers must be positive, got {self.workers}")
+        if self.max_inflight <= 0:
+            raise ValueError(
+                f"max_inflight must be positive, got {self.max_inflight}"
+            )
 
 
 class TessServer:
@@ -77,17 +86,18 @@ class TessServer:
         self.store = store
         self.config = config or ServeConfig()
         self.cache = BlockCache(self.config.cache_bytes)
-        self.batcher = QueryBatcher(
-            max_workers=self.config.workers,
-            max_inflight=self.config.max_inflight,
-            retry_after_s=self.config.retry_after_s,
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.config.workers, thread_name_prefix="serve-query"
         )
+        self._inflight = 0
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
         self._started = time.monotonic()
         reg = registry()
         self._m_latency = reg.reservoir("serve.request_ms")
         self._m_connections = reg.counter("serve.connections")
+        self._m_busy = reg.counter("serve.busy_rejections")
+        self._m_inflight = reg.gauge("serve.inflight")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -108,7 +118,7 @@ class TessServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self.batcher.shutdown()
+        self._executor.shutdown(wait=True, cancel_futures=True)
         self.store.close()
 
     # ------------------------------------------------------------------
@@ -188,16 +198,16 @@ class TessServer:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _profile_gids(self, snapshot: Snapshot, spec: dict) -> list[int]:
-        """Blocks a profile query needs: those intersecting the
-        center±rmax box, or every block when the ball wraps a periodic
-        boundary (minimum-image distances may then reach any block)."""
-        domain = snapshot.domain
-        center = np.asarray(spec.get("center", ()), dtype=float)
-        rmax = float(spec.get("rmax", 0.0))
-        if center.shape != (domain.dim,) or rmax <= 0:
-            raise QueryError("profile queries require 'center' and 'rmax' > 0")
-        lo, hi = domain.as_arrays()
+    def _gids(self, snapshot: Snapshot, kwargs: dict) -> list[int]:
+        """Blocks a checked query needs: those intersecting its region,
+        or for a profile the center±rmax box — every block when that
+        ball wraps a periodic boundary (minimum-image distances may then
+        reach any block)."""
+        if "center" not in kwargs:
+            return snapshot.gids_for_region(kwargs.get("region"))
+        center = np.asarray(kwargs["center"], dtype=float)
+        rmax = kwargs["rmax"]
+        lo, hi = snapshot.domain.as_arrays()
         if np.any(center - rmax < lo) or np.any(center + rmax > hi):
             return snapshot.gids_for_region(None)
         ball = Bounds.from_arrays(center - rmax, center + rmax)
@@ -214,24 +224,27 @@ class TessServer:
         if not steps:
             return op, error_response(404, "catalog is empty")
         step = spec.get("step", steps[-1])
-        if not isinstance(step, int):
+        if isinstance(step, bool) or not isinstance(step, int):
             return op, error_response(400, f"step must be an integer, got {step!r}")
         try:
             snapshot = self.store.snapshot(step)
         except CatalogError as exc:
             return op, error_response(404, str(exc))
-
         try:
-            if op == "profile":
-                gids = self._profile_gids(snapshot, spec)
-            else:
-                region = region_bounds(spec.get("region"), snapshot.domain)
-                gids = snapshot.gids_for_region(region)
+            op, kwargs = check_query(snapshot.domain, spec)
         except QueryError as exc:
             return op, error_response(400, str(exc))
+        gids = self._gids(snapshot, kwargs)
 
+        if self._inflight >= self.config.max_inflight:
+            self._m_busy.inc()
+            return op, error_response(
+                503,
+                "busy",
+                headers={"retry-after": f"{RETRY_AFTER_S:.3f}"},
+                retry_after_s=RETRY_AFTER_S,
+            )
         etag = snapshot.etag
-        domain = snapshot.domain
 
         def kernel() -> dict:
             blocks = [
@@ -240,17 +253,19 @@ class TessServer:
                 )
                 for gid in gids
             ]
-            return run_query(domain, blocks, spec)
+            return call_query(op, snapshot.domain, blocks, kwargs)
 
+        self._inflight += 1
+        self._m_inflight.set_max(self._inflight)
+        loop = asyncio.get_running_loop()
+        future = self._executor.submit(kernel)
+        # The slot belongs to the kernel: a cancelled awaiter frees it
+        # only once the kernel returns (or is cancelled before it starts).
+        future.add_done_callback(
+            lambda _: loop.call_soon_threadsafe(self._release)
+        )
         try:
-            result = await self.batcher.submit((etag, tuple(gids)), kernel)
-        except ServerBusy as exc:
-            return op, error_response(
-                503,
-                "busy",
-                headers={"retry-after": f"{exc.retry_after_s:.3f}"},
-                retry_after_s=exc.retry_after_s,
-            )
+            result = await asyncio.wrap_future(future)
         except QueryError as exc:
             return op, error_response(400, str(exc))
 
@@ -258,6 +273,9 @@ class TessServer:
         result["etag"] = etag
         result["blocks"] = len(gids)
         return op, json_response(200, result, headers={"etag": f'"{etag}"'})
+
+    def _release(self) -> None:
+        self._inflight -= 1
 
     # ------------------------------------------------------------------
     # metrics
@@ -267,7 +285,7 @@ class TessServer:
         snap = registry().as_dict()
         out: dict[str, object] = {
             "uptime_s": time.monotonic() - self._started,
-            "inflight": self.batcher.inflight,
+            "inflight": self._inflight,
             "cache": self.cache.stats.as_dict(),
             "cache_bytes": self.cache.nbytes,
             "latency_ms": {

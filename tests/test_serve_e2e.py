@@ -5,6 +5,7 @@ port through the load-generator client — the same concurrent-load shape
 the CI service job runs, scaled down.  Covers: zero errors at >= 32
 in-flight on a cold then warm cache, catalog conditional GETs (304),
 HTTP-level backpressure (503 + Retry-After at the admission limit),
+admission accounting (a slot is held exactly while its kernel runs),
 republish visibility through a live server, and the metrics endpoint.
 
 pytest-asyncio is not a dependency; each test owns its loop via
@@ -19,18 +20,17 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.query import QUERY_OPS, QueryError
 from repro.core import tessellate
 from repro.diy.bounds import Bounds
 from repro.serve import (
     CatalogStore,
-    QueryBatcher,
     ServeConfig,
-    ServerBusy,
     TessServer,
     default_query_mix,
     run_load,
 )
-from repro.serve.protocol import read_response, render_request
+from repro.serve.protocol import HttpRequest, read_response, render_request
 
 BOX = 8.0
 NPOINTS = 300
@@ -138,6 +138,17 @@ def test_republish_visible_through_live_server(store):
     assert after.headers["etag"] == f'"{after.json()["etag"]}"'
 
 
+#: Specs that are checked, and answered 400 naming the key, before any
+#: gid is resolved or admission slot taken.
+MALFORMED = [
+    ("rmax", {"op": "profile", "center": [4, 4, 4], "rmax": "abc"}),
+    ("center", {"op": "profile", "center": ["a", 4, 4], "rmax": 2.0}),
+    ("region", {"op": "voids", "region": [[0, 0, 0], ["x", 1, 1]]}),
+    ("region", {"op": "voids", "region": "abc"}),
+    ("step", {"op": "voids", "step": True}),
+]
+
+
 def test_query_error_statuses(store):
     async def scenario():
         server = TessServer(store, ServeConfig(port=0))
@@ -159,13 +170,17 @@ def test_query_error_statuses(store):
                 server.port, "POST", "/query",
                 {"op": "voids", "step": 0, "vmin_fraction": float("nan")},
             )
+            malformed = [
+                (key, await _request(server.port, "POST", "/query", spec))
+                for key, spec in MALFORMED
+            ]
         finally:
             await server.close()
-        return unknown, missing, not_json, wrong_method, negative_top, nan_fraction
+        return (unknown, missing, not_json, wrong_method, negative_top,
+                nan_fraction, malformed)
 
-    unknown, missing, not_json, wrong_method, negative_top, nan_fraction = (
-        asyncio.run(scenario())
-    )
+    (unknown, missing, not_json, wrong_method, negative_top, nan_fraction,
+     malformed) = asyncio.run(scenario())
     assert unknown.status == 400
     assert "unknown op" in unknown.json()["error"]
     assert missing.status == 404
@@ -175,25 +190,24 @@ def test_query_error_statuses(store):
     assert "top" in negative_top.json()["error"]
     assert nan_fraction.status == 400
     assert "vmin_fraction" in nan_fraction.json()["error"]
+    for key, resp in malformed:
+        assert resp.status == 400, (key, resp.status, resp.json())
+        assert key in resp.json()["error"], (key, resp.json())
 
 
 def test_http_backpressure_503_with_retry_after(store, monkeypatch):
     import time
 
-    import repro.serve.server as server_mod
+    real_voids, allowed = QUERY_OPS["voids"]
 
-    real_run_query = server_mod.run_query
-
-    def slow_run_query(domain, blocks, spec):
+    def slow_voids(domain, blocks, **kwargs):
         time.sleep(0.2)
-        return real_run_query(domain, blocks, spec)
+        return real_voids(domain, blocks, **kwargs)
 
-    monkeypatch.setattr(server_mod, "run_query", slow_run_query)
+    monkeypatch.setitem(QUERY_OPS, "voids", (slow_voids, allowed))
 
     async def scenario():
-        config = ServeConfig(
-            port=0, workers=1, max_inflight=1, retry_after_s=0.01
-        )
+        config = ServeConfig(port=0, workers=1, max_inflight=1)
         server = TessServer(store, config)
         await server.start()
         try:
@@ -217,36 +231,101 @@ def test_http_backpressure_503_with_retry_after(store, monkeypatch):
             assert resp.json()["error"] == "busy"
 
 
-def test_batcher_busy_rejection_unit():
+def test_admission_slot_held_until_kernel_returns(store, monkeypatch):
+    """``GET /metrics`` reads ``inflight`` 1 while a gated kernel runs and
+    0 once it has returned, whatever the outcome: a 200, a kernel
+    ``QueryError`` (400), a kernel exception (500), or a client that hung
+    up mid-kernel.  A request whose awaiting task is cancelled keeps its
+    slot until its kernel returns."""
     import threading
 
+    real_voids, allowed = QUERY_OPS["voids"]
+    entered, release = threading.Event(), threading.Event()
+    outcome = {"raise": None}
+
+    def gated_voids(domain, blocks, **kwargs):
+        entered.set()
+        release.wait(10)
+        if outcome["raise"] is not None:
+            raise outcome["raise"]
+        return real_voids(domain, blocks, **kwargs)
+
+    monkeypatch.setitem(QUERY_OPS, "voids", (gated_voids, allowed))
+    body = json.dumps({"op": "voids"}).encode()
+
     async def scenario():
-        batcher = QueryBatcher(max_workers=1, max_inflight=1, retry_after_s=0.01)
-        gate = threading.Event()
-        first = asyncio.ensure_future(
-            batcher.submit("a", lambda: gate.wait(5))
-        )
-        await asyncio.sleep(0.01)  # first job is admitted and in flight
-        with pytest.raises(ServerBusy):
-            await batcher.submit("b", lambda: "never runs")
-        gate.set()
-        assert await first is True
-        batcher.shutdown()
+        server = TessServer(store, ServeConfig(port=0, workers=1))
+        await server.start()
+        port = server.port
 
-    asyncio.run(scenario())
+        async def inflight():
+            return (await _request(port, "GET", "/metrics")).json()["inflight"]
 
+        async def settled():
+            for _ in range(200):
+                if await inflight() == 0:
+                    return 0
+                await asyncio.sleep(0.025)
+            return await inflight()
 
-def test_batching_groups_same_key_jobs():
-    async def scenario():
-        batcher = QueryBatcher(max_workers=2)
-        jobs = [
-            batcher.submit("same-key", lambda i=i: i) for i in range(5)
-        ]
-        results = await asyncio.gather(*jobs)
-        batcher.shutdown()
-        return results
+        def arm(exc=None):
+            outcome["raise"] = exc
+            entered.clear()
+            release.clear()
 
-    assert asyncio.run(scenario()) == [0, 1, 2, 3, 4]
+        async def inside():
+            """``inflight`` once a kernel has entered the gate."""
+            assert await asyncio.to_thread(entered.wait, 10)
+            return await inflight()
+
+        seen = {}
+        try:
+            for name, exc in (
+                ("ok", None),
+                ("kernel QueryError", QueryError("rejected in the kernel")),
+                ("kernel exception", RuntimeError("kernel crashed")),
+            ):
+                arm(exc)
+                pending = asyncio.ensure_future(
+                    _request(port, "POST", "/query", {"op": "voids"})
+                )
+                held = await inside()
+                release.set()
+                status = (await pending).status
+                seen[name] = (held, status, await inflight())
+
+            arm()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(render_request("POST", "/query", body))
+            await writer.drain()
+            held = await inside()
+            writer.close()
+            release.set()
+            seen["client hung up"] = (held, None, await settled())
+
+            arm()
+            task = asyncio.ensure_future(
+                server._dispatch(HttpRequest("POST", "/query", body=body))
+            )
+            held = await inside()
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            still_held = await inflight()
+            release.set()
+            seen["awaiter cancelled"] = (held, still_held, await settled())
+        finally:
+            release.set()
+            await server.close()
+        return seen
+
+    seen = asyncio.run(scenario())
+    assert seen == {
+        "ok": (1, 200, 0),
+        "kernel QueryError": (1, 400, 0),
+        "kernel exception": (1, 500, 0),
+        "client hung up": (1, None, 0),
+        "awaiter cancelled": (1, 1, 0),
+    }
 
 
 def test_metrics_endpoint(store):
