@@ -42,16 +42,13 @@ def main() -> None:
             nblocks=1,
             ghost=4.0,
             ids=sim.local.ids,
-        ) if comm.size == 1 else None
-        if tess is not None:
-            density_by_id = dict(
-                zip(tess.site_ids().tolist(), (1.0 / tess.volumes()).tolist())
-            )
-            scalar = np.array(
-                [density_by_id.get(int(i), 0.0) for i in sim.local.ids]
-            )
-        else:
-            scalar = None
+        )
+        density_by_id = dict(
+            zip(tess.site_ids().tolist(), (1.0 / tess.volumes()).tolist())
+        )
+        scalar = np.array(
+            [density_by_id.get(int(i), 0.0) for i in sim.local.ids]
+        )
         nbytes = write_checkpoint(path, comm, sim, scalar=scalar)
         # Continue to the end for the reference result.
         while sim.step_index < cfg.nsteps:

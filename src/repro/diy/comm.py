@@ -340,6 +340,12 @@ class Communicator:
         self._coll_seq = 0  # per-rank collective sequence number
         self.stats = CommStats()
 
+    @classmethod
+    def one_rank(cls, recv_timeout: float | None = None) -> "Communicator":
+        """The communicator of a 1-rank region: what every SPMD entry point
+        runs on when handed ``comm=None`` (a serial run is the 1-rank run)."""
+        return cls(0, _World(1, timeout=recv_timeout))
+
     # ------------------------------------------------------------------
     @property
     def rank(self) -> int:
@@ -614,9 +620,9 @@ def run_parallel(
     ``recv_timeout`` bounds how long a matched receive or barrier may block
     before the region is declared deadlocked (default 300 s).
 
-    ``nranks == 1`` runs inline on the calling thread for either backend
-    (serial mode — the paper's standalone/serial configuration) which keeps
-    single-rank paths easy to debug and profile.
+    ``nranks == 1`` runs inline on the calling thread for either backend,
+    on :meth:`Communicator.one_rank` — the serial mode, and the same
+    communicator every SPMD entry point makes of ``comm=None``.
     """
     if nranks < 1:
         raise ValueError(f"nranks must be >= 1, got {nranks}")
@@ -643,8 +649,6 @@ def run_parallel(
             nranks, func, args, kwargs, recv_timeout=recv_timeout
         )
 
-    world = _World(nranks, timeout=recv_timeout)
-
     def call(comm: Communicator) -> Any:
         result = func(comm, *args, **kwargs)
         if observe.enabled():
@@ -654,8 +658,9 @@ def run_parallel(
         return result
 
     if nranks == 1:
-        return [call(Communicator(0, world))]
+        return [call(Communicator.one_rank(recv_timeout))]
 
+    world = _World(nranks, timeout=recv_timeout)
     results: list[Any] = [None] * nranks
     errors: list[ParallelError] = []
     errors_lock = threading.Lock()

@@ -37,7 +37,7 @@ import struct
 
 import numpy as np
 
-from ..diy.comm import Communicator, run_parallel
+from ..diy.comm import Communicator
 from ..diy.mpi_io import BlockFileReader, CheckpointError, write_blocks
 from ..observe import trace as _trace
 from .particles import ParticleSet
@@ -149,12 +149,10 @@ def write_checkpoint(
     ``scalar`` optionally fills the per-particle annotation slot (e.g. the
     Voronoi cell density from an in situ tessellation).  ``precision`` is
     ``"f4"`` (the paper's 40 B/particle analysis budget) or ``"f8"`` (exact
-    restart, as HACC's own restart dumps).  ``comm=None`` writes serially.
+    restart, as HACC's own restart dumps).  ``comm=None`` writes one block
+    on the 1-rank communicator.
     """
-    if comm is None:
-        return run_parallel(
-            1, lambda c: write_checkpoint(path, c, sim, scalar, precision)
-        )[0]
+    comm = Communicator.one_rank() if comm is None else comm
     with _trace.span(
         "checkpoint", rank=comm.rank, cat="io", step=sim.step_index
     ):
@@ -246,7 +244,8 @@ def restart_simulation(
     writing rank count, each rank takes its own block's particles *in
     stored order*, so resuming an ``"f8"``-precision checkpoint reproduces
     the uninterrupted run bit for bit; otherwise particles are
-    redistributed under the current decomposition.
+    redistributed under the current decomposition.  ``comm=None``
+    restarts on the 1-rank communicator.
 
     The per-particle scalar annotation (the Voronoi cell density of the
     paper's §V proposal) is redistributed alongside the particles and
@@ -258,8 +257,7 @@ def restart_simulation(
             f"checkpoint is a {np_side}^3 run; config says {config.np_side}^3"
         )
     sim = HACCSimulation(config, comm=comm)
-    nranks = 1 if comm is None else comm.size
-    if len(blocks) == nranks:
+    if len(blocks) == sim.comm.size:
         # Same layout as the writer: adopt this rank's block verbatim.
         particles, scalar = blocks[sim.gid]
         sim.local = particles

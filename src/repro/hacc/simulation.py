@@ -133,7 +133,8 @@ class HACCSimulation:
     config:
         The input deck.
     comm:
-        Communicator; ``None`` runs serially (a single implicit rank).
+        Communicator; ``None`` means the 1-rank one (a serial run is the
+        1-rank run, :meth:`~repro.diy.comm.Communicator.one_rank`).
     decomposition:
         Block decomposition of the domain; defaults to one near-cubic block
         per rank.  Must have exactly ``comm.size`` blocks (one per rank,
@@ -147,17 +148,16 @@ class HACCSimulation:
         decomposition: Decomposition | None = None,
     ) -> None:
         self.config = config
-        self.comm = comm
-        nranks = 1 if comm is None else comm.size
+        self.comm = comm = Communicator.one_rank() if comm is None else comm
         self.decomposition = decomposition or Decomposition.regular(
-            config.domain(), nranks, periodic=True
+            config.domain(), comm.size, periodic=True
         )
-        if self.decomposition.nblocks != nranks:
+        if self.decomposition.nblocks != comm.size:
             raise ValueError(
                 f"decomposition has {self.decomposition.nblocks} blocks for "
-                f"{nranks} ranks; HACCSimulation runs one block per rank"
+                f"{comm.size} ranks; HACCSimulation runs one block per rank"
             )
-        self.gid = 0 if comm is None else comm.rank
+        self.gid = comm.rank
         self.block = self.decomposition.block(self.gid)
         self.stepper = TimeStepper(config.a_init, config.a_final, config.nsteps)
         self.a = config.a_init
@@ -202,17 +202,13 @@ class HACCSimulation:
         return len(self.local)
 
     def num_global(self) -> int:
-        """Total particle count across ranks (collective in parallel)."""
-        if self.comm is None:
-            return len(self.local)
+        """Total particle count across ranks (collective)."""
         return int(self.comm.allreduce(len(self.local)))
 
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
     def _global_mass_mesh(self, local_mesh: np.ndarray) -> np.ndarray:
-        if self.comm is None:
-            return local_mesh
         return self.comm.allreduce(local_mesh)
 
     def step(self) -> None:
@@ -250,24 +246,26 @@ class HACCSimulation:
             )
 
     def _migrate(self) -> None:
-        """Send particles that drifted out of this block to their owners."""
-        if self.comm is None:
-            return
+        """Send particles that drifted out of this block to their owners.
+
+        :attr:`local` is rebuilt, and :attr:`cell_density` dropped, only
+        when a particle left or arrived; otherwise both stay as they are.
+        """
         owners = self.decomposition.locate(self.positions_mpc())
         staying = owners == self.gid
-        outbox: list[ParticleSet] = []
-        for rank in range(self.comm.size):
-            if rank == self.comm.rank:
-                outbox.append(ParticleSet.empty())
-            else:
-                outbox.append(self.local.select(owners == rank))
-        arrivals = self.comm.alltoall(outbox)
-        self.local = ParticleSet.concatenate(
-            [self.local.select(staying)] + [p for p in arrivals if len(p)]
-        )
-        # The annotation indexes the pre-migration particle order; drop it
-        # rather than silently misalign it.
-        self.cell_density = None
+        outbox = [
+            ParticleSet.empty() if rank == self.gid
+            else self.local.select(owners == rank)
+            for rank in range(self.comm.size)
+        ]
+        arrivals = [p for p in self.comm.alltoall(outbox) if len(p)]
+        if arrivals or not staying.all():
+            self.local = ParticleSet.concatenate(
+                [self.local.select(staying)] + arrivals
+            )
+            # The annotation indexes the pre-migration particle order; drop
+            # it rather than silently misalign it.
+            self.cell_density = None
 
     def run(self, hooks: dict[int, list[Hook]] | list[Hook] | None = None) -> None:
         """Run all remaining steps, firing hooks after selected steps.
@@ -322,7 +320,8 @@ def run_with_recovery(
     validation — torn files from a mid-write crash are skipped — and hooks
     for already-completed steps (in situ analysis included) are *not*
     re-fired.  The default ``"f8"`` precision makes a same-rank-count
-    resume reproduce the uninterrupted run bit for bit.
+    resume reproduce the uninterrupted run bit for bit.  ``comm=None`` is
+    the 1-rank run.
 
     Returns the finished simulation; ``sim.recovery`` is a
     :class:`RecoveryStats` describing what this invocation did.
@@ -334,10 +333,10 @@ def run_with_recovery(
         write_checkpoint,
     )
 
-    if comm is None or comm.rank == 0:
+    comm = Communicator.one_rank() if comm is None else comm
+    if comm.rank == 0:
         os.makedirs(checkpoint_dir, exist_ok=True)
-    if comm is not None:
-        comm.barrier()
+    comm.barrier()
 
     sim: HACCSimulation | None = None
     resumed_step = -1
@@ -346,10 +345,9 @@ def run_with_recovery(
         # deterministic, but one decision broadcast keeps ranks agreeing
         # even if the directory changes under a concurrent scan).
         found = None
-        if comm is None or comm.rank == 0:
+        if comm.rank == 0:
             found = find_latest_checkpoint(checkpoint_dir, config)
-        if comm is not None:
-            found = comm.bcast(found, root=0)
+        found = comm.bcast(found, root=0)
         if found is not None:
             resumed_step, path = found
             sim = restart_simulation(path, config, comm=comm)
@@ -397,15 +395,15 @@ def run_simulation(
 ) -> ParticleSet:
     """Run a complete simulation and return the final global particles.
 
-    Serial (``nranks=1``) runs inline; parallel runs launch the SPMD region
-    internally and concatenate the per-rank survivors (positions in grid
-    units, as in :class:`HACCSimulation`).  ``backend`` selects the SPMD
+    Launches the SPMD region (``nranks=1`` inline) and concatenates the
+    per-rank survivors (positions in grid units, as in
+    :class:`HACCSimulation`).  ``backend`` selects the SPMD
     substrate (``"thread"`` or ``"process"``); see
     :func:`repro.diy.comm.run_parallel`.
     """
 
     def worker(comm: Communicator) -> ParticleSet:
-        sim = HACCSimulation(config, comm=comm if comm.size > 1 else None)
+        sim = HACCSimulation(config, comm=comm)
         sim.run(hooks=hooks)
         return sim.local
 

@@ -74,10 +74,10 @@ class CosmologyToolsFramework:
         This is the run-time consumption mode the paper implements through
         ParaView Catalyst: instead of (or in addition to) writing results
         to storage for postprocessing, a live consumer sees each result the
-        moment the in situ tool produces it.  Callbacks run on every rank;
-        rank-dependent consumers should check their communicator (with
-        one, a tessellation arrives as this rank's
-        :class:`~repro.core.tessellate.DistributedTessellation`).
+        moment the in situ tool produces it.  Callbacks run on every rank
+        and see what the tool returned there: at every rank count, 1
+        included, a tessellation arrives as this rank's
+        :class:`~repro.core.tessellate.DistributedTessellation`.
         """
         if tool_name not in self.results:
             raise ValueError(
@@ -94,18 +94,14 @@ class CosmologyToolsFramework:
         return cls
 
     # ------------------------------------------------------------------
-    def hooks_for(self, sim: HACCSimulation, comm: Communicator | None):
-        """Hook table for ``HACCSimulation.run`` firing the scheduled tools."""
-        return self._hook_table(sim.config.nsteps, comm)
-
-    def _hook_table(self, nsteps: int, comm: Communicator | None):
+    def _hook_table(self, nsteps: int, comm: Communicator):
         table: dict[int, list] = {}
         for tool, tc in zip(self.tools, self._tool_configs):
             for step in tc.schedule(nsteps):
                 table.setdefault(step, []).append(self._make_hook(tool, comm))
         return table
 
-    def _make_hook(self, tool: AnalysisTool, comm: Communicator | None):
+    def _make_hook(self, tool: AnalysisTool, comm: Communicator):
         def hook(sim: HACCSimulation, step: int, a: float) -> None:
             # Tools earlier in the config see a context of results already
             # produced at this step, so e.g. the void finder can consume
@@ -117,7 +113,7 @@ class CosmologyToolsFramework:
             }
             with _trace.span(
                 "insitu-tool",
-                rank=comm.rank if comm is not None else 0,
+                rank=comm.rank,
                 cat="insitu",
                 tool=tool.name,
                 step=step,
@@ -138,8 +134,9 @@ class CosmologyToolsFramework:
         checkpoint_every: int = 0,
         resume: bool = False,
     ) -> "CosmologyToolsFramework":
-        """Run a full simulation with this framework attached (one rank's
-        view when ``comm`` is given; serial otherwise).  Returns ``self``.
+        """Run a full simulation with this framework attached: one rank's
+        view of ``comm``'s region, or the 1-rank run when ``comm`` is
+        ``None``.  Returns ``self``.
 
         With ``checkpoint_dir`` set the run goes through
         :func:`repro.hacc.simulation.run_with_recovery`: every
@@ -149,6 +146,7 @@ class CosmologyToolsFramework:
         interrupted run already analyzed (their results for those steps
         live in the earlier run's output, not in :attr:`results`).
         """
+        comm = Communicator.one_rank() if comm is None else comm
         table = self._hook_table(sim_config.nsteps, comm)
         if checkpoint_dir is not None:
             sim = run_with_recovery(
@@ -293,7 +291,7 @@ def _framework_worker(
     fw = CosmologyToolsFramework(framework_config)
     fw.run(
         sim_config,
-        comm=comm if comm.size > 1 else None,
+        comm=comm,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
         resume=resume,

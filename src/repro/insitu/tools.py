@@ -5,7 +5,7 @@ state at a fired step, produce a result.  Tools run inside the SPMD region
 — they receive the rank-local particle view and the communicator and may
 perform collectives.  Like the filters of a ParaView pipeline, each tool
 reads the upstream output where it lives and never gathers or rebuilds
-it: with a communicator the tessellation tool returns a
+it: the tessellation tool returns a
 :class:`~repro.core.tessellate.DistributedTessellation` (this rank's block,
 replicated totals, and on rank 0 the ``(site id, volume)`` columns), and
 the void finder, cell statistics and tracking tools read that block.  No
@@ -13,26 +13,28 @@ rank holds the whole mesh and nothing is tessellated twice per step; the
 only exception is ``VoidFinderTool(compute_minkowski=True)``, which
 assembles the mesh on rank 0.  The analysis products (void catalogs,
 histograms, merger trees, halo catalogs, DTFE frames) are small and
-identical on every rank.  Serial runs (``comm`` is ``None``) see a plain
-:class:`~repro.core.tessellate.Tessellation`.
+identical on every rank.  A serial run is the 1-rank run: every tool has
+one path, the same at every rank count, and always gets a communicator.
+
+Each tool checks its parameters when it is built (``ValueError`` naming
+the tool and the parameter), so a bad deck fails before any rank starts.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
+import string
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from .. import observe
-from ..analysis.halos import HaloCatalog, fof_halos, fof_halos_distributed
+from ..analysis.halos import HaloCatalog, fof_halos_distributed
 from ..analysis.statistics import Histogram, histogram
-from ..core.tessellate import (
-    DistributedTessellation,
-    Tessellation,
-    tessellate_distributed,
-)
+from ..core.tessellate import DistributedTessellation, tessellate_distributed
 from ..diy.comm import Communicator
 
 __all__ = [
@@ -59,17 +61,72 @@ class AnalysisTool:
         sim,
         step: int,
         a: float,
-        comm: Communicator | None,
+        comm: Communicator,
         context: dict[str, Any] | None = None,
     ) -> Any:
         """Analyze the live state; called at each scheduled step.
 
         ``sim`` is the rank's :class:`~repro.hacc.simulation.HACCSimulation`;
-        ``comm`` is ``None`` in serial runs.  ``context`` maps names of
-        tools already run at this step to their results, enabling tool
-        chaining (e.g. void finding over the tessellation tool's output).
+        ``comm`` is the region's communicator, the 1-rank one in a serial
+        run.  ``context`` maps names of tools already run at this step to
+        their results, enabling tool chaining (e.g. void finding over the
+        tessellation tool's output).
         """
         raise NotImplementedError
+
+
+def _check_number(
+    tool: AnalysisTool,
+    field: str,
+    lo: float = -math.inf,
+    hi: float = math.inf,
+    *,
+    integer: bool = False,
+    above: bool = False,
+    optional: bool = False,
+) -> None:
+    """Raise ``ValueError`` unless ``tool.<field>`` is a finite number (an
+    integer when ``integer``) in ``[lo, hi]``, or ``(lo, hi]`` when
+    ``above``; ``None`` passes when ``optional``."""
+    value = getattr(tool, field)
+    if value is None and optional:
+        return
+    kind = numbers.Integral if integer else numbers.Real
+    try:
+        ok = (
+            isinstance(value, kind)
+            and not isinstance(value, bool)
+            and (integer or math.isfinite(value))
+        )
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{tool.name} {field} must be {what}, got {value!r}")
+    if value < lo or value > hi or (above and value == lo):
+        bounds = [f"{'>' if above else '>='} {lo:g}"] if lo > -math.inf else []
+        bounds += [f"<= {hi:g}"] if hi < math.inf else []
+        raise ValueError(
+            f"{tool.name} {field} must be {' and '.join(bounds)}, got {value!r}"
+        )
+
+
+def _check_pattern(tool: AnalysisTool, field: str) -> None:
+    """Raise ``ValueError`` unless ``tool.<field>`` is ``None`` or a path
+    pattern whose only replacement field is ``{step}``."""
+    value = getattr(tool, field)
+    if value is None:
+        return
+    try:
+        fields = {f for _, f, _, _ in string.Formatter().parse(value)}
+        ok = fields <= {None, "step"} and isinstance(value.format(step=0), str)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"{tool.name} {field} must be a path pattern whose only field "
+            f"is {{step}}, got {value!r}"
+        )
 
 
 def _tessellation(context, sim, step, a, comm, ghost: float):
@@ -87,8 +144,8 @@ class TessellationTool(AnalysisTool):
 
     Parameters mirror :func:`repro.core.tessellate.tessellate_distributed`;
     ``output_pattern`` may contain ``{step}`` which is substituted per fire.
-    Returns a :class:`Tessellation` serially and a
-    :class:`DistributedTessellation` handle with a communicator.
+    Returns this rank's :class:`DistributedTessellation` handle at every
+    rank count.
     """
 
     ghost: float = 4.0
@@ -98,32 +155,30 @@ class TessellationTool(AnalysisTool):
 
     name = "tessellation"
 
+    def __post_init__(self) -> None:
+        _check_number(self, "ghost", 0.0)
+        _check_number(self, "vmin", 0.0, optional=True)
+        _check_number(self, "vmax", 0.0, optional=True)
+        if None not in (self.vmin, self.vmax) and self.vmin > self.vmax:
+            raise ValueError(
+                f"tessellation vmin {self.vmin!r} exceeds vmax "
+                f"{self.vmax!r}: no cell would be kept"
+            )
+        _check_pattern(self, "output_pattern")
+
     def run(
         self,
         sim,
         step: int,
         a: float,
-        comm: Communicator | None,
+        comm: Communicator,
         context: dict[str, Any] | None = None,
-    ) -> Tessellation | DistributedTessellation:
+    ) -> DistributedTessellation:
         path = (
             self.output_pattern.format(step=step)
             if self.output_pattern is not None
             else None
         )
-        if comm is None:
-            from ..core.tessellate import tessellate
-
-            return tessellate(
-                sim.positions_mpc(),
-                sim.config.domain(),
-                nblocks=1,
-                ghost=self.ghost,
-                ids=sim.local.ids,
-                vmin=self.vmin,
-                vmax=self.vmax,
-                output_path=path,
-            )
         block, timings, nbytes = tessellate_distributed(
             comm,
             sim.decomposition,
@@ -153,24 +208,20 @@ class HaloFinderTool(AnalysisTool):
 
     name = "halo_finder"
 
+    def __post_init__(self) -> None:
+        _check_number(self, "linking_length", 0.0, above=True)
+        _check_number(self, "min_members", 1, integer=True)
+
     def run(
         self,
         sim,
         step: int,
         a: float,
-        comm: Communicator | None,
+        comm: Communicator,
         context: dict[str, Any] | None = None,
     ) -> HaloCatalog:
         spacing = sim.config.box_size / sim.config.np_side
         b_abs = self.linking_length * spacing
-        if comm is None:
-            return fof_halos(
-                sim.positions_mpc(),
-                b_abs,
-                domain=sim.config.domain(),
-                min_members=self.min_members,
-                ids=sim.local.ids,
-            )
         return fof_halos_distributed(
             comm,
             sim.decomposition,
@@ -194,19 +245,22 @@ class StatisticsTool(AnalysisTool):
 
     name = "statistics"
 
+    def __post_init__(self) -> None:
+        _check_number(self, "bins", 1, integer=True)
+
     def run(
         self,
         sim,
         step: int,
         a: float,
-        comm: Communicator | None,
+        comm: Communicator,
         context: dict[str, Any] | None = None,
     ) -> Histogram:
         from ..hacc.mesh import cic_deposit, density_contrast
 
-        mesh = cic_deposit(sim.local.positions, sim.config.mesh_size)
-        if comm is not None:
-            mesh = comm.allreduce(mesh)
+        mesh = comm.allreduce(
+            cic_deposit(sim.local.positions, sim.config.mesh_size)
+        )
         delta = density_contrast(mesh)
         return histogram(delta.ravel(), bins=self.bins)
 
@@ -217,10 +271,10 @@ class VoidFinderTool(AnalysisTool):
 
     Consumes the tessellation tool's result when it ran earlier at the same
     step (list it first in the config); otherwise tessellates its own
-    block.  With a communicator it runs the fully distributed path on the
-    rank-local block — one gather of component-merge rows and kept-cell
-    volumes, the catalog built on rank 0 and broadcast — without ever
-    gathering the global mesh (paper §V's point).  ``vmin_fraction``
+    block.  It runs the fully distributed path on the rank-local block —
+    one gather of component-merge rows and kept-cell volumes, the catalog
+    built on rank 0 and broadcast — without ever gathering the global
+    mesh (paper §V's point).  ``vmin_fraction``
     applies the paper's fraction-of-volume-range threshold rule; an
     absolute ``vmin`` wins if both are set.  Minkowski functionals still
     need the assembled tessellation: requesting them assembles it on rank
@@ -235,12 +289,23 @@ class VoidFinderTool(AnalysisTool):
 
     name = "void_finder"
 
+    def __post_init__(self) -> None:
+        _check_number(self, "ghost", 0.0)
+        _check_number(self, "vmin", 0.0, optional=True)
+        _check_number(self, "vmin_fraction", 0.0, 1.0)
+        _check_number(self, "min_cells", 1, integer=True)
+        if not isinstance(self.compute_minkowski, bool):
+            raise ValueError(
+                f"{self.name} compute_minkowski must be true or false, "
+                f"got {self.compute_minkowski!r}"
+            )
+
     def run(
         self,
         sim,
         step: int,
         a: float,
-        comm: Communicator | None,
+        comm: Communicator,
         context: dict[str, Any] | None = None,
     ):
         from ..analysis.voids import (
@@ -250,7 +315,7 @@ class VoidFinderTool(AnalysisTool):
         )
 
         tess = _tessellation(context, sim, step, a, comm, self.ghost)
-        if comm is not None and not self.compute_minkowski:
+        if not self.compute_minkowski:
             return find_voids_distributed(
                 comm,
                 tess.block,
@@ -258,8 +323,7 @@ class VoidFinderTool(AnalysisTool):
                 vmin_fraction=self.vmin_fraction,
                 min_cells=self.min_cells,
             )
-        if comm is not None:
-            tess = tess.assemble(comm)
+        tess = tess.assemble(comm)
         catalog = None
         if tess is not None:
             vmin = self.vmin
@@ -271,34 +335,37 @@ class VoidFinderTool(AnalysisTool):
                 min_cells=self.min_cells,
                 compute_minkowski=self.compute_minkowski,
             )
-        return catalog if comm is None else comm.bcast(catalog, root=0)
+        return comm.bcast(catalog, root=0)
 
 
 @dataclass
 class CellStatisticsTool(AnalysisTool):
     """In situ histogram summaries of cell volumes and density contrast
-    (paper §V: move histogram summary statistics in situ).  With a
-    communicator rank 0 bins the gathered volume column and broadcasts
-    the histograms."""
+    (paper §V: move histogram summary statistics in situ).  Rank 0 bins
+    the gathered volume column and broadcasts the histograms."""
 
     ghost: float = 4.0
     bins: int = 100
 
     name = "cell_statistics"
 
+    def __post_init__(self) -> None:
+        _check_number(self, "ghost", 0.0)
+        _check_number(self, "bins", 1, integer=True)
+
     def run(
         self,
         sim,
         step: int,
         a: float,
-        comm: Communicator | None,
+        comm: Communicator,
         context: dict[str, Any] | None = None,
     ) -> dict[str, Histogram]:
         from ..analysis.statistics import density_contrast
 
         tess = _tessellation(context, sim, step, a, comm, self.ghost)
         stats = None
-        if comm is None or comm.rank == 0:
+        if comm.rank == 0:
             vols = tess.volumes()
             stats = {
                 "volume": histogram(vols, bins=self.bins),
@@ -306,7 +373,7 @@ class CellStatisticsTool(AnalysisTool):
                     density_contrast(vols), bins=self.bins
                 ),
             }
-        return stats if comm is None else comm.bcast(stats, root=0)
+        return comm.bcast(stats, root=0)
 
 
 @dataclass
@@ -327,12 +394,12 @@ class TrackingTool(AnalysisTool):
     ``output`` (a path pattern with ``{step}``) also saves.
 
     Incomplete cells (volume 0/NaN) are masked out of the quantile and
-    the threshold, never crashing the threshold path.  With a
-    communicator the tool labels the rank-local blocks of the step's
-    tessellation: rank 0 takes the quantile of the gathered volume
-    column, only the packed component-merge rows of the kept cells travel
-    to it, and it links the labeling exactly as the serial path does —
-    the mesh is never gathered.
+    the threshold, never crashing the threshold path.  The tool labels
+    the rank-local blocks of the step's tessellation: rank 0 takes the
+    quantile of the gathered volume column, only the packed
+    component-merge rows of the kept cells travel to it, and it links the
+    labeling exactly as :func:`~repro.analysis.components.connected_components`
+    would on the joined mesh — the mesh is never gathered.
     """
 
     ghost: float = 4.0
@@ -346,6 +413,17 @@ class TrackingTool(AnalysisTool):
     name = "tracking"
 
     _STATE_PREFIX = "tracking_state_"
+
+    def __post_init__(self) -> None:
+        _check_number(self, "ghost", 0.0)
+        _check_number(self, "vmin", 0.0, optional=True)
+        _check_number(self, "vmin_quantile", 0.0, 1.0)
+        _check_number(self, "min_overlap", 1, integer=True)
+        if self.state_dir is not None and not isinstance(self.state_dir, str):
+            raise ValueError(
+                f"{self.name} state_dir must be a path, got {self.state_dir!r}"
+            )
+        _check_pattern(self, "output")
 
     def _state_path(self, step: int) -> str:
         return os.path.join(
@@ -441,36 +519,26 @@ class TrackingTool(AnalysisTool):
         sim,
         step: int,
         a: float,
-        comm: Communicator | None,
+        comm: Communicator,
         context: dict[str, Any] | None = None,
     ):
-        from ..analysis.components import (
-            connected_components,
-            connected_components_at_root,
-        )
+        from ..analysis.components import connected_components_at_root
         from ..core.data_model import index_in_sorted
 
         tess = _tessellation(context, sim, step, a, comm, self.ghost)
-        if comm is None:
-            labeling = connected_components(
-                tess, vmin=self._threshold(tess.volumes())
-            )
-        else:
-            vmin = comm.bcast(
-                self._threshold(tess.volumes()) if comm.rank == 0 else None,
-                root=0,
-            )
-            with observe.span(
-                "tracking-gather", rank=comm.rank, cat="analysis", step=step
-            ):
-                labeling = connected_components_at_root(
-                    comm, tess.block, vmin=vmin
-                )
+        vmin = comm.bcast(
+            self._threshold(tess.volumes()) if comm.rank == 0 else None,
+            root=0,
+        )
+        with observe.span(
+            "tracking-gather", rank=comm.rank, cat="analysis", step=step
+        ):
+            labeling = connected_components_at_root(comm, tess.block, vmin=vmin)
         tree = None
-        if comm is None or comm.rank == 0:
+        if comm.rank == 0:
             # Per-label volumes accumulated in ascending-site-id order from
-            # the (site id, volume) columns, which the serial tessellation
-            # and rank 0's handle hold alike — so the sums match bit for bit.
+            # rank 0's (site id, volume) columns, which hold the joined
+            # mesh's cells in its order — so the sums match it bit for bit.
             sids = tess.site_ids().astype(np.int64, copy=False)
             order = np.argsort(sids, kind="stable")
             pos, found = index_in_sorted(labeling.site_ids, sids[order])
@@ -483,11 +551,10 @@ class TrackingTool(AnalysisTool):
             builder.push(step, labeling, volumes=comp_vol)
             self._save_state(step)
             tree = builder.tree()
-        if comm is not None:
-            tree = comm.bcast(tree, root=0)
+        tree = comm.bcast(tree, root=0)
         if observe.enabled():
             observe.registry().counter("tracking.steps").inc()
-        if self.output is not None and (comm is None or comm.rank == 0):
+        if self.output is not None and comm.rank == 0:
             out = self.output.format(step=step)
             os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
             tree.save(out)
@@ -500,11 +567,11 @@ class DTFETool(AnalysisTool):
 
     Emits the paper's §II-A density reconstruction as a regular-grid
     frame at every fired step (the Kaehler 2016-style evolution-movie
-    workload).  With a communicator the particle positions are gathered
-    at rank 0 (positions only — never the mesh), the field is computed
-    once, and the frame broadcast so the result store is
-    rank-independent.  ``output_pattern`` may contain ``{step}``; frames
-    are written atomically as ``.npy`` by rank 0.
+    workload).  The particle positions are gathered at rank 0 (positions
+    only — never the mesh), the field is computed once, and the frame
+    broadcast so the result store is rank-independent.  ``output_pattern``
+    may contain ``{step}``; frames are written atomically as ``.npy`` by
+    rank 0.
     """
 
     grid_size: int = 16
@@ -513,37 +580,35 @@ class DTFETool(AnalysisTool):
 
     name = "dtfe"
 
+    def __post_init__(self) -> None:
+        _check_number(self, "grid_size", 1, integer=True)
+        _check_number(self, "pad_fraction", 0.0, above=True)
+        _check_pattern(self, "output_pattern")
+
     def run(
         self,
         sim,
         step: int,
         a: float,
-        comm: Communicator | None,
+        comm: Communicator,
         context: dict[str, Any] | None = None,
     ) -> np.ndarray:
         from ..analysis.dtfe import dtfe_grid
 
-        domain = sim.config.domain()
         pts = np.ascontiguousarray(sim.positions_mpc(), dtype=float)
-        if comm is None or comm.size == 1:
+        gathered = comm.gather(pts, root=0)
+        grid = None
+        if comm.rank == 0:
             grid = dtfe_grid(
-                pts, domain, self.grid_size, pad_fraction=self.pad_fraction
+                np.concatenate(gathered),
+                sim.config.domain(),
+                self.grid_size,
+                pad_fraction=self.pad_fraction,
             )
-        else:
-            gathered = comm.gather(pts, root=0)
-            if comm.rank == 0:
-                grid = dtfe_grid(
-                    np.concatenate(gathered),
-                    domain,
-                    self.grid_size,
-                    pad_fraction=self.pad_fraction,
-                )
-            else:
-                grid = None
-            grid = comm.bcast(grid, root=0)
+        grid = comm.bcast(grid, root=0)
         if observe.enabled():
             observe.registry().counter("dtfe.frames").inc()
-        if self.output_pattern is not None and (comm is None or comm.rank == 0):
+        if self.output_pattern is not None and comm.rank == 0:
             out = self.output_pattern.format(step=step)
             os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
             tmp = f"{out}.tmp.{os.getpid()}"

@@ -35,7 +35,7 @@ from repro.core import (
     tessellate_distributed,
 )
 from repro.diy.bounds import Bounds
-from repro.diy.comm import ParallelError, run_parallel
+from repro.diy.comm import Communicator, ParallelError, run_parallel
 from repro.diy.decomposition import Decomposition
 from repro.insitu import TrackingTool
 
@@ -375,6 +375,24 @@ def _drifting_steps(seed=3, nsteps=4, n=300):
     return steps
 
 
+def _serial_tree(tessellations, vmin_quantile):
+    """The tool's tree from the serial library on assembled meshes:
+    ``connected_components`` at the tool's threshold, per-label volumes
+    summed in ascending site-id order, then ``track_components``."""
+    threshold = TrackingTool(vmin_quantile=vmin_quantile)._threshold
+    labelings, volumes = {}, {}
+    for step, tess in tessellations.items():
+        vols = tess.volumes()
+        labeling = connected_components(tess, vmin=threshold(vols))
+        sids = tess.site_ids()
+        order = np.argsort(sids, kind="stable")
+        at = np.searchsorted(sids[order], labeling.site_ids)
+        volumes[step] = np.zeros(labeling.num_components)
+        np.add.at(volumes[step], labeling.labels, vols[order][at])
+        labelings[step] = labeling
+    return track_components(labelings, volumes=volumes)
+
+
 def _tool_on_blocks_worker(comm, step_blocks, domain):
     """One rank: hand its block of each step to the tracking tool inside
     the in situ handle, as the tessellation tool does."""
@@ -399,12 +417,11 @@ def test_distributed_matches_serial_bit_identically(nranks, exec_backend):
         step: tessellate(pts, domain, nblocks=nranks, ghost=4.0).blocks
         for step, pts in _drifting_steps().items()
     }
-    serial = TrackingTool(vmin_quantile=0.8)
-    for step, blocks in step_blocks.items():
-        ref = serial.run(
-            _StubSim(), step, 1.0, None,
-            context={"tessellation": Tessellation(domain, blocks)},
-        )
+    ref = _serial_tree(
+        {step: Tessellation(domain, blocks)
+         for step, blocks in step_blocks.items()},
+        vmin_quantile=0.8,
+    )
     assert ref.num_events > 0
     trees = run_parallel(
         nranks, _tool_on_blocks_worker, step_blocks, domain,
@@ -559,7 +576,11 @@ def test_tool_threshold_masks_invalid_cells(seam_merge_case):
     tool = TrackingTool(vmin_quantile=0.9)
     assert tool._threshold(tess.volumes()) == expected_vmin
 
-    mt = tool.run(_StubSim(), 0, 1.0, None, context={"tessellation": tess})
+    comm = Communicator.one_rank()
+    handle = DistributedTessellation.collect(
+        comm, tess.domain, tess.blocks[0], TessTimings(), 0
+    )
+    mt = tool.run(_StubSim(), 0, 1.0, comm, context={"tessellation": handle})
     assert mt.num_tracks > 0
     bad = {int(tess.blocks[0].site_ids[i]) for i in range(3)}
     # none of the corrupted cells may have been kept

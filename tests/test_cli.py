@@ -184,6 +184,10 @@ def _deck_text(sim=None, tools=({"tool": "statistics"},)):
     )
 
 
+def _tool_deck(tool, **params):
+    return _deck_text(tools=[{"tool": tool, "params": params}])
+
+
 @pytest.mark.parametrize(
     "main, content, flags, message",
     [
@@ -199,6 +203,24 @@ def _deck_text(sim=None, tools=({"tool": "statistics"},)):
         (sim_main, _deck_text(), ["--ranks", "0"], "--ranks must be positive"),
         (sim_main, _deck_text(), ["--checkpoint-every", "-1"],
          "--checkpoint-every must be >= 0"),
+        (sim_main, _tool_deck("void_finder", vmin_fraction="abc"), [],
+         "void_finder vmin_fraction must be a finite number, got 'abc'"),
+        (sim_main, _tool_deck("void_finder", min_cells="x"), [],
+         "void_finder min_cells must be an integer, got 'x'"),
+        (sim_main, _tool_deck("tracking", vmin_quantile=2.0), [],
+         "tracking vmin_quantile must be >= 0 and <= 1, got 2.0"),
+        (sim_main, _tool_deck("dtfe", grid_size=0), [],
+         "dtfe grid_size must be >= 1, got 0"),
+        (sim_main, _tool_deck("tessellation", vmin=5, vmax=1), [],
+         "tessellation vmin 5 exceeds vmax 1"),
+        # 1e309 overflows to an infinite float when the JSON is read.
+        (sim_main, _tool_deck("void_finder", vmin_fraction=0.5).replace(
+            "0.5", "1e309"), [],
+         "void_finder vmin_fraction must be a finite number, got inf"),
+        (sim_main, _tool_deck("tessellation",
+                              output_pattern="/nonexistent/{foo}.tess"), [],
+         "tessellation output_pattern must be a path pattern whose only "
+         "field is {step}"),
         (tess_main, None, [], "cannot read"),
         (tess_main, "0 0 0\n", [], "is not a .npy array"),
     ],
@@ -206,8 +228,11 @@ def _deck_text(sim=None, tools=({"tool": "statistics"},)):
         "sim-missing-deck", "sim-malformed-json", "sim-deck-not-an-object",
         "sim-np_side-out-of-range", "sim-np_side-mistyped",
         "sim-balance_threshold-key", "sim-unknown-tool", "sim-ranks-0",
-        "sim-checkpoint-every-negative", "tess-missing-points",
-        "tess-points-not-npy",
+        "sim-checkpoint-every-negative", "sim-vmin_fraction-mistyped",
+        "sim-min_cells-mistyped", "sim-vmin_quantile-out-of-range",
+        "sim-dtfe-grid_size-0", "sim-tess-vmin-above-vmax",
+        "sim-vmin_fraction-infinite", "sim-output_pattern-unknown-field",
+        "tess-missing-points", "tess-points-not-npy",
     ],
 )
 def test_cli_rejects_bad_input_with_one_error_line(

@@ -157,6 +157,23 @@ class TestRestart:
         for nranks in (2, 4):  # same and different rank count
             assert sum(run_parallel(nranks, reader)) == 512
 
+    def test_one_rank_step_keeps_the_restart_annotation(self, tmp_path):
+        """At one rank no particle changes owner, so a step after a restart
+        neither rebuilds ``sim.local`` nor drops its scalar annotation:
+        ``cell_density`` stays aligned with ``local.ids``."""
+        cfg = SimulationConfig(np_side=8, nsteps=4, seed=12)
+        path = str(tmp_path / "one.ckpt")
+        sim = HACCSimulation(cfg)
+        sim.step()
+        write_checkpoint(path, None, sim, scalar=sim.local.ids.astype(float),
+                         precision="f8")
+        resumed = restart_simulation(path, cfg)
+        resumed.step()
+        assert resumed.cell_density is not None
+        np.testing.assert_array_equal(
+            resumed.cell_density, resumed.local.ids.astype(float)
+        )
+
 
 class TestCheckpointValidation:
     def test_empty_file_rejected_with_named_error(self, tmp_path):

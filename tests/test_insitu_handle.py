@@ -262,7 +262,7 @@ def test_insitu_voids_match_joined_tessellation(nranks, backend, cull):
 
 
 # ----------------------------------------------------------------------
-# an explicit 1-rank communicator gives the serial answer
+# the 1-rank run gives the serial library answer
 # ----------------------------------------------------------------------
 ONE_RANK_CFG = SimulationConfig(np_side=8, nsteps=4, seed=6)
 ONE_RANK_DECK = {
@@ -279,10 +279,74 @@ ONE_RANK_DECK = {
 }
 
 
-def _one_rank_worker(comm, pass_comm: bool):
-    fw = CosmologyToolsFramework(FrameworkConfig.from_dict(ONE_RANK_DECK))
-    fw.run(ONE_RANK_CFG, comm if pass_comm else None)
-    return fw.results
+class _Particles(AnalysisTool):
+    """First tool of every firing: the particles the other tools see."""
+
+    name = "particles"
+
+    def run(self, sim, step, a, comm, context=None):
+        return (
+            sim.positions_mpc().copy(),
+            sim.local.positions.copy(),
+            sim.local.ids.copy(),
+        )
+
+
+def _library_products(particles, handles) -> dict[str, dict[int, object]]:
+    """Each tool's product on ``ONE_RANK_DECK`` from the serial library
+    functions, step by step: ``tessellate``, ``fof_halos``, the histogram
+    of the CIC contrast, ``find_voids`` / the cell histograms /
+    ``connected_components`` + ``FeatureTreeBuilder`` on the joined mesh,
+    and ``dtfe_grid``."""
+    from repro.analysis import connected_components, fof_halos, histogram
+    from repro.analysis.dtfe import dtfe_grid
+    from repro.analysis.statistics import density_contrast
+    from repro.analysis.tracking import FeatureTreeBuilder
+    from repro.core import tessellate
+    from repro.hacc.mesh import cic_deposit
+    from repro.hacc.mesh import density_contrast as mesh_contrast
+
+    cfg, domain = ONE_RANK_CFG, ONE_RANK_CFG.domain()
+    builder = FeatureTreeBuilder(min_overlap=1)
+    out: dict[str, dict[int, object]] = {}
+    for step, (pos, grid_pos, ids) in sorted(particles.items()):
+        joined = handles[step].join_blocks([handles[step].block])
+        vols = joined.volumes()
+        labeling = connected_components(
+            joined, vmin=float(np.quantile(vols[vols > 0], 0.7))
+        )
+        sids = joined.site_ids()
+        order = np.argsort(sids, kind="stable")
+        at = np.searchsorted(sids[order], labeling.site_ids)
+        comp_vol = np.zeros(labeling.num_components)
+        np.add.at(comp_vol, labeling.labels, vols[order][at])
+        builder.push(step, labeling, volumes=comp_vol)
+        products = {
+            "tessellation": tessellate(
+                pos, domain, nblocks=1, ghost=3.5, ids=ids
+            ),
+            "halo_finder": fof_halos(
+                pos, 0.3 * cfg.box_size / cfg.np_side, domain=domain,
+                min_members=2, ids=ids,
+            ),
+            "statistics": histogram(
+                mesh_contrast(cic_deposit(grid_pos, cfg.mesh_size)).ravel(),
+                bins=20,
+            ),
+            "void_finder": find_voids(
+                joined, vmin=volume_threshold_for_fraction(joined, 0.1),
+                min_cells=1,
+            ),
+            "cell_statistics": {
+                "volume": histogram(vols, bins=20),
+                "density_contrast": histogram(density_contrast(vols), bins=20),
+            },
+            "tracking": builder.tree(),
+            "dtfe": dtfe_grid(pos, domain, 6, pad_fraction=0.25),
+        }
+        for tool, product in products.items():
+            out.setdefault(tool, {})[step] = product
+    return out
 
 
 def _assert_same(got, want, where: str) -> None:
@@ -315,12 +379,22 @@ def _assert_same(got, want, where: str) -> None:
 
 
 def test_one_rank_communicator_gives_the_serial_answer():
-    """``run_parallel(1, ...)`` with the communicator passed through (not
-    ``None``) takes every tool's distributed path on one rank."""
-    (serial,) = run_parallel(1, _one_rank_worker, False)
-    (one_rank,) = run_parallel(1, _one_rank_worker, True)
-    assert set(one_rank) == {t["tool"] for t in ONE_RANK_DECK["tools"]}
-    for tool, per_step in serial.items():
-        assert sorted(one_rank[tool]) == sorted(per_step) == [2, 4]
-        for step, want in per_step.items():
-            _assert_same(one_rank[tool][step], want, f"{tool}@{step}")
+    """``fw.run(cfg)`` runs every tool on the 1-rank communicator, and each
+    product equals the serial library function's on the same step, bit
+    for bit."""
+    deck = {"tools": [{"tool": "particles", "every": 2}]
+            + ONE_RANK_DECK["tools"]}
+    fw = CosmologyToolsFramework(
+        FrameworkConfig.from_dict(deck),
+        registry={**TOOL_REGISTRY, "particles": _Particles},
+    )
+    fw.run(ONE_RANK_CFG)
+    got = fw.results
+    want = _library_products(got["particles"], got["tessellation"])
+    assert set(got) - {"particles"} == set(want) == {
+        t["tool"] for t in ONE_RANK_DECK["tools"]
+    }
+    for tool, per_step in want.items():
+        assert sorted(got[tool]) == sorted(per_step) == [2, 4]
+        for step, product in per_step.items():
+            _assert_same(got[tool][step], product, f"{tool}@{step}")

@@ -64,7 +64,9 @@ class TestLiveSubscription:
         )
         written = []
 
-        def render(step, a, tess):
+        def render(step, a, handle):
+            # The 1-rank run's handle holds the whole mesh in its block.
+            tess = handle.join_blocks([handle.block])
             path = str(tmp_path / f"slice_{step}.pgm")
             write_pgm(path, slice_field(tess, resolution=16))
             written.append(path)
