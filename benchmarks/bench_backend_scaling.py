@@ -1,19 +1,18 @@
-"""Backend scaling — wall-clock speedup of thread vs process execution.
+"""Rank scaling — critical-path speedup of the process ranks.
 
 Extends the Table II / Figure 10 story with a *true-parallelism* column:
-the thread backend shares one GIL, so its wall-clock barely improves with
-rank count no matter how many cores exist; the process backend runs one OS
-process per rank and scales with the hardware (speedup saturates at the
-machine's core count — on a single-core container both backends are flat
-and the process column mainly shows transport overhead is small).
+ranks are OS processes, one per rank, so the run scales with the hardware
+(speedup saturates at the machine's core count — on a single-core
+container elapsed wall is flat and the sweep mainly shows transport
+overhead is small).
 
 The workload is the paper's small-scale Table II configuration: a 20^3 =
 8000-particle snapshot evolved 10 steps, then one distributed tessellation
 (ghost exchange + Voronoi + block gather, the in situ tool's traffic
 pattern).  Per-rank CommStats bytes are reported so the run confirms the
-shared-memory transport is actually exercised on the process backend.
+shared-memory transport is actually exercised between rank processes.
 
-Two timings are recorded per (backend, ranks) point:
+Two timings are recorded per rank count:
 
 * **wall_s** — elapsed wall-clock around the whole parallel region,
   best-of-N after one untimed warmup run (the warmup pays the persistent
@@ -80,7 +79,7 @@ def run_sweep(quick: bool = False) -> tuple[list[str], dict]:
     """Run the sweep; returns ``(report_lines, data)``.
 
     ``data`` is the machine-readable form consumed by the perf gate
-    (:mod:`benchmarks.perf_gate`): one entry per (backend, ranks) run with
+    (:mod:`benchmarks.perf_gate`): one entry per rank count with
     the best-of-N wall seconds, per-phase max-over-ranks seconds (the
     paper's critical-path convention), and bytes moved.
     """
@@ -95,7 +94,7 @@ def run_sweep(quick: bool = False) -> tuple[list[str], dict]:
     cores = os.cpu_count() or 1
 
     lines = [
-        "Backend scaling: critical-path speedup (thread vs process)",
+        "Rank scaling: critical-path speedup of the process ranks",
         f"workload: {np_side}^3 = {np_side**3} particles (Table II config), "
         f"{nsteps} steps evolved, one distributed tessellation + block gather",
         f"machine: {cores} core(s) visible — elapsed wall saturates at "
@@ -104,106 +103,87 @@ def run_sweep(quick: bool = False) -> tuple[list[str], dict]:
         "timing: one untimed warmup leases/forks the rank pool, then "
         "best-of-N over warm runs",
         "",
-        f"{'backend':>8} {'ranks':>5} {'wall_s':>8} {'crit_s':>8} "
+        f"{'ranks':>5} {'wall_s':>8} {'crit_s':>8} "
         f"{'speedup':>8} {'cells':>6} {'max_bytes_sent':>14} "
         f"{'max_shm_bytes':>13}",
     ]
     repeats = 2 if quick else 3
-    largest_stats: dict[str, list[dict]] = {}
     runs: list[dict] = []
-    for backend in ("thread", "process"):
-        base = None
-        for nranks in rank_counts:
-            decomp = Decomposition.regular(cfg.domain(), nranks, periodic=True)
-            # Warmup (untimed): first entry pays the pool's fork + child
-            # import cost on the process backend; its wall is kept as the
-            # cold-start figure.
+    base = None
+    for nranks in rank_counts:
+        decomp = Decomposition.regular(cfg.domain(), nranks, periodic=True)
+        # Warmup (untimed): first entry pays the pool's fork + child import
+        # cost; its wall is kept as the cold-start figure.
+        t0 = time.perf_counter()
+        results = run_parallel(nranks, _tess_worker, decomp, pts, pid, ghost, vmin)
+        cold_wall = time.perf_counter() - t0
+        wall = float("inf")
+        for _ in range(repeats):  # best-of-N: shields against CI noise
             t0 = time.perf_counter()
-            results = run_parallel(
-                nranks, _tess_worker, decomp, pts, pid, ghost, vmin,
-                backend=backend,
+            attempt = run_parallel(
+                nranks, _tess_worker, decomp, pts, pid, ghost, vmin
             )
-            cold_wall = time.perf_counter() - t0
-            wall = float("inf")
-            for _ in range(repeats):  # best-of-N: shields against CI noise
-                t0 = time.perf_counter()
-                attempt = run_parallel(
-                    nranks, _tess_worker, decomp, pts, pid, ghost, vmin,
-                    backend=backend,
-                )
-                elapsed = time.perf_counter() - t0
-                if elapsed < wall:
-                    wall, results = elapsed, attempt
-            ncells = results[0][0]
-            stats = [r[1] for r in results]
-            rows = [r[2] for r in results]
-            rank_cpu = [r[3] for r in results]
-            # Critical-path wall for the best run: the slowest rank's own
-            # CPU plus whatever the elapsed wall spent outside any rank
-            # (pickling, pipes, scheduling).  Equals wall on 1 rank.
-            crit = max(rank_cpu) + max(wall - sum(rank_cpu), 0.0)
-            base = crit if base is None else base
-            if nranks == rank_counts[-1]:
-                largest_stats[backend] = stats
-            runs.append({
-                "backend": backend,
-                "ranks": nranks,
-                "wall_s": wall,
-                "cold_wall_s": cold_wall,
-                "crit_wall_s": crit,
-                "cpu_max_s": max(rank_cpu),
-                "cells": ncells,
-                "bytes_sent": max(s["bytes_sent"] for s in stats),
-                "shm_bytes_sent": max(s["shm_bytes_sent"] for s in stats),
-                # per-phase max over ranks: the critical-path seconds the
-                # paper's Table II reports
-                "phase_max_s": {
-                    phase: max(r[f"{phase}_s"] for r in rows)
-                    for phase in ("exchange", "compute", "output")
-                },
-            })
-            lines.append(
-                f"{backend:>8} {nranks:>5} {wall:>8.3f} {crit:>8.3f} "
-                f"{base / crit:>7.2f}x {ncells:>6} "
-                f"{max(s['bytes_sent'] for s in stats):>14} "
-                f"{max(s['shm_bytes_sent'] for s in stats):>13}"
-            )
-        lines.append("")
+            elapsed = time.perf_counter() - t0
+            if elapsed < wall:
+                wall, results = elapsed, attempt
+        ncells = results[0][0]
+        stats = [r[1] for r in results]
+        rows = [r[2] for r in results]
+        rank_cpu = [r[3] for r in results]
+        # Critical-path wall for the best run: the slowest rank's own CPU
+        # plus whatever the elapsed wall spent outside any rank (pickling,
+        # pipes, scheduling).  Equals wall on 1 rank.
+        crit = max(rank_cpu) + max(wall - sum(rank_cpu), 0.0)
+        base = crit if base is None else base
+        largest_stats = stats
+        runs.append({
+            "ranks": nranks,
+            "wall_s": wall,
+            "cold_wall_s": cold_wall,
+            "crit_wall_s": crit,
+            "cpu_max_s": max(rank_cpu),
+            "cells": ncells,
+            "bytes_sent": max(s["bytes_sent"] for s in stats),
+            "shm_bytes_sent": max(s["shm_bytes_sent"] for s in stats),
+            # per-phase max over ranks: the critical-path seconds the
+            # paper's Table II reports
+            "phase_max_s": {
+                phase: max(r[f"{phase}_s"] for r in rows)
+                for phase in ("exchange", "compute", "output")
+            },
+        })
+        lines.append(
+            f"{nranks:>5} {wall:>8.3f} {crit:>8.3f} "
+            f"{base / crit:>7.2f}x {ncells:>6} "
+            f"{max(s['bytes_sent'] for s in stats):>14} "
+            f"{max(s['shm_bytes_sent'] for s in stats):>13}"
+        )
+    lines.append("")
 
-    lines.append("per-rank CommStats bytes, largest run of each backend:")
-    for backend, stats in largest_stats.items():
-        for rank, s in enumerate(stats):
-            lines.append(
-                f"  {backend} rank {rank}: sent {s['bytes_sent']:>9} B "
-                f"recv {s['bytes_recv']:>9} B shm {s['shm_bytes_sent']:>9} B "
-                f"msgs {s['msgs_sent']:>3} collectives "
-                f"{sum(s['collective_calls'].values()):>3}"
-            )
-    shm_total = sum(s["shm_bytes_sent"] for s in largest_stats["process"])
+    lines.append("per-rank CommStats bytes, largest run:")
+    for rank, s in enumerate(largest_stats):
+        lines.append(
+            f"  rank {rank}: sent {s['bytes_sent']:>9} B "
+            f"recv {s['bytes_recv']:>9} B shm {s['shm_bytes_sent']:>9} B "
+            f"msgs {s['msgs_sent']:>3} collectives "
+            f"{sum(s['collective_calls'].values()):>3}"
+        )
+    shm_total = sum(s["shm_bytes_sent"] for s in largest_stats)
     lines.append("")
     lines.append(
         f"shared-memory transport exercised: {shm_total} bytes via shm "
-        f"segments at {rank_counts[-1]} process ranks"
+        f"segments at {rank_counts[-1]} ranks"
     )
 
     # The strong-scaling headline the perf gate enforces: 4 ranks must beat
     # 1 rank on the critical path (scaling.process.r4_over_r1 < 1).
-    def _crit(backend: str, ranks: int) -> float:
-        return next(
-            r["crit_wall_s"] for r in runs
-            if r["backend"] == backend and r["ranks"] == ranks
-        )
-
-    r4_over_r1 = {
-        backend: _crit(backend, 4) / _crit(backend, 1)
-        for backend in ("thread", "process")
-    }
+    crit_of = {r["ranks"]: r["crit_wall_s"] for r in runs}
+    r4_over_r1 = crit_of[4] / crit_of[1]
     lines.append("")
-    for backend, ratio in r4_over_r1.items():
-        lines.append(
-            f"{backend} crit-wall r4/r1 = {ratio:.3f} "
-            f"({'scales' if ratio < 1.0 else 'inverted'})"
-        )
+    lines.append(
+        f"crit-wall r4/r1 = {r4_over_r1:.3f} "
+        f"({'scales' if r4_over_r1 < 1.0 else 'inverted'})"
+    )
 
     from repro.diy.process_backend import pool_counters
 

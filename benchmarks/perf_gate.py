@@ -100,18 +100,17 @@ def collect(quick: bool = True) -> dict[str, float]:
 
     _, scaling = run_sweep(quick=quick)
     for run in scaling["runs"]:
-        key = f"scaling.{run['backend']}.r{run['ranks']}"
+        key = f"scaling.process.r{run['ranks']}"
         metrics[f"{key}.wall_s"] = run["wall_s"]
         metrics[f"{key}.crit_wall_s"] = run["crit_wall_s"]
         metrics[f"{key}.bytes_sent"] = float(run["bytes_sent"])
         for phase, seconds in run["phase_max_s"].items():
             metrics[f"{key}.{phase}_max_s"] = seconds
     metrics["scaling.process.shm_bytes_sent"] = float(
-        max(r["shm_bytes_sent"] for r in scaling["runs"]
-            if r["backend"] == "process")
+        max(r["shm_bytes_sent"] for r in scaling["runs"])
     )
     # strong-scaling headline (absolute-capped below 1.0 in DEFAULT_LIMITS)
-    metrics["scaling.process.r4_over_r1"] = scaling["r4_over_r1"]["process"]
+    metrics["scaling.process.r4_over_r1"] = scaling["r4_over_r1"]
 
     _, serve = run_serve_bench(quick=quick)
     metrics["serve.cold_p50_ms"] = serve["cold_p50_ms"]

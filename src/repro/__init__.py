@@ -2,7 +2,7 @@
 
 A production-quality Python implementation of the paper's full stack:
 
-* :mod:`repro.diy` — data-parallel substrate (block decomposition, thread
+* :mod:`repro.diy` — data-parallel substrate (block decomposition, process
   SPMD communicator, neighborhood exchange, blocked parallel I/O);
 * :mod:`repro.hacc` — HACC-style particle-mesh N-body cosmology simulation;
 * :mod:`repro.geometry` — computational-geometry kernels (the

@@ -36,9 +36,9 @@ _CFLAGS = ["-O3", "-fPIC", "-shared"]
 _lib = None
 _tried = False
 _error: str | None = None
-#: first use may come from several threads at once (thread-backend ranks,
-#: a block's slabs): one builds, the others wait for its answer instead of
-#: taking the NumPy path meanwhile
+#: first use may come from several threads at once (a block's slabs): one
+#: builds, the others wait for its answer instead of taking the NumPy path
+#: meanwhile
 _first_use = threading.Lock()
 
 

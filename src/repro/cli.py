@@ -41,10 +41,6 @@ def _build_tess_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=1, help="block/rank count")
     p.add_argument("--ghost", type=float, default=None,
                    help="ghost-zone size (default: 4 mean spacings)")
-    p.add_argument("--exec-backend", choices=("thread", "process"),
-                   default="thread", dest="exec_backend",
-                   help="SPMD execution backend: thread (default; GIL-bound) "
-                        "or process (one OS process per rank)")
     p.add_argument("--ranks", type=int, default=None,
                    help="rank count (default: one rank per block)")
     p.add_argument("--vmin", type=float, default=None, help="minimum cell volume")
@@ -100,17 +96,16 @@ def _observe_finish(args) -> None:
     observe.disable()
 
 
-def _release_pool(args) -> None:
+def _release_pool() -> None:
     """Release persistent rank-pool workers at the end of a CLI run.
 
     The pool amortizes fork cost across the run's parallel regions; once
     the command is done its workers (and their shm segments) should not
     outlive the visible work.  An ``atexit`` hook would release them anyway
     — this just does it at the natural end of the run."""
-    if getattr(args, "exec_backend", None) == "process":
-        from .diy.process_backend import shutdown_pool
+    from .diy.process_backend import shutdown_pool
 
-        shutdown_pool()
+    shutdown_pool()
 
 
 def tess_main(argv: list[str] | None = None) -> int:
@@ -156,7 +151,6 @@ def tess_main(argv: list[str] | None = None) -> int:
             vmax=args.vmax,
             output_path=args.output,
             nranks=args.ranks,
-            exec_backend=args.exec_backend,
         )
     except ValueError as exc:
         # tessellate() validates its arguments before any rank starts; a
@@ -191,7 +185,7 @@ def tess_main(argv: list[str] | None = None) -> int:
         print(f"wrote:         {args.output} ({tess.output_bytes} bytes)")
     if observing:
         _observe_finish(args)
-    _release_pool(args)
+    _release_pool()
     return 0
 
 
@@ -202,10 +196,6 @@ def _build_sim_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("deck", help="JSON input deck (simulation + tools sections)")
     p.add_argument("--ranks", type=int, default=1, help="rank count")
-    p.add_argument("--exec-backend", choices=("thread", "process"),
-                   default="thread", dest="exec_backend",
-                   help="SPMD execution backend: thread (default; GIL-bound) "
-                        "or process (one OS process per rank)")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                    help="write a crash-consistent checkpoint every N steps "
                         "(0 disables checkpointing)")
@@ -216,8 +206,8 @@ def _build_sim_parser() -> argparse.ArgumentParser:
                         "checkpoint directory, skipping completed analysis")
     p.add_argument("--fault-kill", default=None, metavar="RANK:STEP",
                    help="fault injection: kill RANK when it enters STEP "
-                        "(process exit under --exec-backend process, raised "
-                        "exception under thread); 0 <= RANK < --ranks, "
+                        "(a forked rank exits hard; at --ranks 1 the inline "
+                        "rank raises); 0 <= RANK < --ranks, "
                         "1 <= STEP <= the deck's nsteps")
     _add_observe_args(p)
     return p
@@ -329,7 +319,7 @@ def sim_main(argv: list[str] | None = None) -> int:
         faults.install(faults.FaultSpec(
             kill_rank=kill[0],
             kill_step=kill[1],
-            kill_mode="exit" if args.exec_backend == "process" else "raise",
+            kill_mode="exit",
         ))
 
     observing = _observe_start(args)
@@ -339,7 +329,7 @@ def sim_main(argv: list[str] | None = None) -> int:
     )
     try:
         results = run_simulation_with_tools(
-            cfg, framework, nranks=args.ranks, backend=args.exec_backend,
+            cfg, framework, nranks=args.ranks,
             checkpoint_dir=ckpt_dir,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
@@ -362,7 +352,7 @@ def sim_main(argv: list[str] | None = None) -> int:
             print(f"[{tool} @ step {step}] {_describe(result)}")
     if observing:
         _observe_finish(args)
-    _release_pool(args)
+    _release_pool()
     return 0
 
 

@@ -13,10 +13,10 @@ ghosts remain identifiable (duplicate resolution and neighbor labeling both
 need the ids).
 
 Received ghosts are deduplicated and sorted deterministically, so the
-exchange yields bit-identical results on both execution backends of
-:func:`repro.diy.comm.run_parallel` (thread ranks and process ranks); on
-the process backend the position/id arrays ride the zero-copy
-shared-memory transport once they exceed the inline threshold.
+exchange yields bit-identical results whatever order the ranks of
+:func:`repro.diy.comm.run_parallel` deliver them in; between ranks the
+position/id arrays ride the zero-copy shared-memory transport once they
+exceed the inline threshold.
 """
 
 from __future__ import annotations

@@ -65,8 +65,8 @@ _MIN_SLAB_SITES = 512
 
 def _slab_count(ranks: int) -> int:
     """Threads one block's thin pass may use: the cores this process can
-    run on, shared among the ``ranks`` ranks of the parallel region (the
-    thread and process backends place every rank on this machine)."""
+    run on, shared among the ``ranks`` ranks of the parallel region (every
+    rank process runs on this machine)."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
@@ -696,7 +696,6 @@ def tessellate(
     vmax: float | None = None,
     output_path: str | None = None,
     nranks: int | None = None,
-    exec_backend: str = "thread",
 ) -> Tessellation:
     """Standalone-mode parallel tessellation of a global point set.
 
@@ -706,11 +705,6 @@ def tessellate(
     ghosts of thickness ``ghost`` (default: 4 mean inter-particle
     spacings, following the paper's accuracy study), tessellates, and
     gathers the result.
-
-    ``exec_backend`` selects the SPMD substrate: ``"thread"`` (default;
-    deterministic, GIL-bound) or ``"process"`` (one OS process per rank,
-    true hardware parallelism — see :func:`repro.diy.comm.run_parallel`).
-    Results are bit-identical between the two.
 
     Parameters mirror the distributed primitive; see
     :func:`tessellate_distributed`.
@@ -738,7 +732,7 @@ def tessellate(
 
     decomp = Decomposition.regular(domain, nblocks, periodic=periodic)
     # A module-level worker + plain-data arguments: the whole task pickles,
-    # so the process backend can lease persistent pool workers instead of
+    # so the ranks lease persistent pool workers instead of
     # forking a one-shot pool per call.
     results = run_parallel(
         nranks,
@@ -750,7 +744,6 @@ def tessellate(
         vmin,
         vmax,
         output_path,
-        backend=exec_backend,
     )
     blocks = sorted(
         (b for local_blocks, _, _ in results for b in local_blocks),

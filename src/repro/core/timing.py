@@ -7,18 +7,14 @@ maximum over ranks per phase — the critical-path time.
 
 Two clocks are recorded per phase:
 
-* **wall** (``time.perf_counter``) — elapsed real time.  On the default
-  thread backend ranks share the GIL, so wall time on one rank includes
-  time spent waiting for other ranks' bytecode and is *not* comparable to
-  a distributed-memory run; on the process backend
-  (``run_parallel(..., backend="process")``) ranks are OS processes and
-  wall time is the honest scaling metric (see
-  ``benchmarks/bench_backend_scaling.py``).
+* **wall** (``time.perf_counter``) — elapsed real time.  Ranks are OS
+  processes (:func:`repro.diy.comm.run_parallel`), so wall time is the
+  honest scaling metric (see ``benchmarks/bench_backend_scaling.py``).
 * **cpu** (``time.thread_time``) — CPU time consumed by this rank's thread
   only, plus what helper threads spent on its behalf (a block's slab
   threads, :func:`credit_cpu`).  This is the faithful stand-in for
-  per-rank time on a real MPI machine and is what the GIL-bound scaling
-  benchmarks (Figure 10, Table II) report.
+  per-rank time on a real MPI machine and is what the scaling benchmarks
+  (Figure 10, Table II) report.
 
 :class:`PhaseTimer` accepts arbitrary phase names (callers time whatever
 stages they define); :attr:`PhaseTimer.timings` projects the canonical
@@ -76,7 +72,7 @@ class TessTimings:
     bytes_sent: int = 0
     bytes_recv: int = 0
     #: messages/bytes that traveled via shared-memory segments (nonzero only
-    #: on the process backend; confirms the zero-copy transport was used)
+    #: between forked ranks; confirms the zero-copy transport was used)
     shm_msgs_sent: int = 0
     shm_bytes_sent: int = 0
 

@@ -3,9 +3,9 @@
 This subpackage reimplements the slice of DIY (Peterka et al., LDAV 2011)
 that the paper's tess library depends on: regular block decomposition with
 26-connectivity and periodic boundary neighbors, an MPI-like communicator
-(here an in-process thread SPMD runtime), a neighborhood enqueue/exchange
-pattern with per-link periodic coordinate transforms and near-point
-targeting, and a single-file blocked parallel writer/reader.
+(here an SPMD runtime of forked rank processes), a neighborhood
+enqueue/exchange pattern with per-link periodic coordinate transforms and
+near-point targeting, and a single-file blocked parallel writer/reader.
 """
 
 from .bounds import Bounds, minimum_image, periodic_translation, wrap_positions

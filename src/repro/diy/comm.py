@@ -1,14 +1,12 @@
-"""SPMD runtime with an mpi4py-style communicator (thread + process backends).
+"""SPMD runtime with an mpi4py-style communicator; ranks are processes.
 
-The paper's stack runs on MPI across Blue Gene/P nodes.  This module provides
-the same programming model with two interchangeable execution backends:
-:func:`run_parallel` launches one **thread** per rank by default
-(deterministic, cheap, shared address space — the right tool for tests and
-small runs), or one **OS process** per rank with ``backend="process"``
-(true hardware parallelism; arrays travel over pipes/shared memory with
-pickle protocol-5 zero-copy transport — see
-:mod:`repro.diy.process_backend`).  Each rank executes the same function
-with its own :class:`Communicator`.
+The paper's stack runs one MPI process per rank across Blue Gene/P nodes.
+:func:`run_parallel` gives the same programming model: it runs one forked
+**OS process** per rank (distributed memory — arrays travel over pipes and
+shared memory with pickle protocol-5 zero-copy transport, see
+:mod:`repro.diy.process_backend`), and a 1-rank region inline on the
+calling thread.  Each rank executes the same function with its own
+:class:`Communicator`.
 
 The communicator offers exactly the collectives the pipeline calls, with
 mpi4py's lowercase (object, pickle-level) names — ``barrier``/``bcast``/
@@ -20,8 +18,8 @@ send/receive is the only message path.
 
 The :class:`Communicator` itself is transport-agnostic: collectives,
 matching, tags, and stats are written once against a small world interface
-(``deliver``/``inbox``/``barrier_wait``), which is exactly what lets the
-process backend reuse every tree algorithm verbatim.
+(``deliver``/``inbox``/``barrier_wait``), which the process backend's
+per-rank world and the inline 1-rank world both implement.
 
 Design notes
 ------------
@@ -40,12 +38,11 @@ Design notes
 * Every communicator carries a :class:`CommStats` — per-rank counters for
   messages/bytes sent and received, per-collective call counts, and time
   blocked in receives/barriers — for communication observability.
-* In the thread backend NumPy arrays are passed by reference, not
-  serialized: ranks share an address space.  In the process backend they
-  are pickled with protocol 5 (buffers out-of-band) and large buffers move
-  through pooled shared-memory segments.  Either way, senders must not
-  mutate a buffer after sending it; all call sites in this package send
-  freshly built arrays or copies.
+* Payloads are pickled with protocol 5 (buffers out-of-band) and large
+  buffers move through pooled shared-memory segments, so a rank never
+  aliases another rank's arrays.  Senders must not mutate a buffer after
+  sending it; all call sites in this package send freshly built arrays or
+  copies.
 * Exceptions raised in any rank cancel the whole parallel region and are
   re-raised in the caller, with the originating rank attached.
 """
@@ -130,7 +127,7 @@ class CommStats:
     recv_wait_s: float = 0.0
     barrier_wait_s: float = 0.0
     #: messages whose payload (partly) traveled via shared memory
-    #: (process backend only; always 0 on the thread backend)
+    #: (between forked ranks only; always 0 on the inline 1-rank region)
     shm_msgs_sent: int = 0
     #: payload bytes moved through shared-memory segments
     shm_bytes_sent: int = 0
@@ -271,54 +268,35 @@ class _Mailbox:
         return None
 
 
-class _Barrier:
-    """A reusable barrier that honors the abort flag."""
-
-    def __init__(self, n: int, abort: threading.Event, timeout: float):
-        self._barrier = threading.Barrier(n)
-        self._abort = abort
-        self._timeout = timeout
-
-    def wait(self) -> None:
-        if self._abort.is_set():
-            self._barrier.abort()
-            raise _AbortedError("parallel region aborted at barrier")
-        try:
-            self._barrier.wait(timeout=self._timeout)
-        except threading.BrokenBarrierError:
-            raise _AbortedError("barrier broken (a peer rank failed)") from None
-
-
-class _World:
-    """Shared state for one thread-backend parallel region.
+class _InlineWorld:
+    """The world of an inline 1-rank region (:meth:`Communicator.one_rank`).
 
     Any "world" a :class:`Communicator` runs on provides this transport
     interface: ``size``/``timeout``/``abort`` attributes plus
     ``deliver(dest, source, tag, payload)`` (returns bytes moved via shared
-    memory, 0 here), ``inbox(rank)`` (the rank's :class:`_Mailbox`), and
+    memory), ``inbox(rank)`` (the rank's :class:`_Mailbox`), and
     ``barrier_wait()``.  The process backend
-    (:mod:`repro.diy.process_backend`) implements the same interface over
-    pipes and shared memory, reusing every collective verbatim.
+    (:mod:`repro.diy.process_backend`) implements it over pipes and shared
+    memory; here the one rank's messages go to its own mailbox and a
+    barrier has nobody to wait for.
     """
 
-    def __init__(self, size: int, timeout: float | None = None):
-        self.size = size
+    size = 1
+
+    def __init__(self, timeout: float | None = None):
         self.timeout = _DEFAULT_TIMEOUT if timeout is None else float(timeout)
-        self.mailboxes = [_Mailbox() for _ in range(size)]
         self.abort = threading.Event()
-        self.barrier = _Barrier(size, self.abort, self.timeout)
+        self._mailbox = _Mailbox()
 
     def deliver(self, dest: int, source: int, tag: int, payload: Any) -> int:
-        """Hand ``payload`` to ``dest``'s mailbox (by reference); no bytes
-        move through shared memory here."""
-        self.mailboxes[dest].put(source, tag, payload)
+        self._mailbox.put(source, tag, payload)
         return 0
 
     def inbox(self, rank: int) -> _Mailbox:
-        return self.mailboxes[rank]
+        return self._mailbox
 
     def barrier_wait(self) -> None:
-        self.barrier.wait()
+        pass
 
 
 class Communicator:
@@ -334,7 +312,7 @@ class Communicator:
     _COLL_TAG = 1 << 20  # base tag for collective traffic
     _COLL_STRIDE = 64  # tag slots per collective call (one per tree round)
 
-    def __init__(self, rank: int, world: _World):
+    def __init__(self, rank: int, world: Any):
         self._rank = rank
         self._world = world
         self._coll_seq = 0  # per-rank collective sequence number
@@ -344,7 +322,7 @@ class Communicator:
     def one_rank(cls, recv_timeout: float | None = None) -> "Communicator":
         """The communicator of a 1-rank region: what every SPMD entry point
         runs on when handed ``comm=None`` (a serial run is the 1-rank run)."""
-        return cls(0, _World(1, timeout=recv_timeout))
+        return cls(0, _InlineWorld(recv_timeout))
 
     # ------------------------------------------------------------------
     @property
@@ -597,7 +575,7 @@ def run_parallel(
     func: Callable[..., Any],
     *args: Any,
     recv_timeout: float | None = None,
-    backend: str = "thread",
+    backend: str = "process",
     **kwargs: Any,
 ) -> list[Any]:
     """Run ``func(comm, *args, **kwargs)`` on ``nranks`` ranks; return results.
@@ -607,86 +585,51 @@ def run_parallel(
     is aborted and a :class:`ParallelError` wrapping the first failure is
     raised.
 
-    ``backend`` selects the execution substrate:
+    Each rank is one forked OS process.  Payloads move over pipes with
+    pickle protocol-5 out-of-band buffers, large arrays through pooled
+    shared-memory segments (see :mod:`repro.diy.process_backend`).  A
+    picklable ``func`` and arguments lease the persistent rank pool for
+    this rank count; anything else (a closure) runs on a one-shot pool.
+    Requires ``os.fork`` (Linux/macOS).  Results must be picklable.
 
-    * ``"thread"`` (default) — one thread per rank, shared address space,
-      messages passed by reference.  Deterministic and cheap; GIL-bound.
-    * ``"process"`` — one forked OS process per rank; true hardware
-      parallelism.  Payloads move over pipes with pickle protocol-5
-      out-of-band buffers, large arrays through pooled shared-memory
-      segments (see :mod:`repro.diy.process_backend`).  Requires a
-      platform with ``os.fork`` (Linux/macOS).  Results must be picklable.
+    ``nranks == 1`` runs inline on the calling thread, on
+    :meth:`Communicator.one_rank` — the serial mode, and the same
+    communicator every SPMD entry point makes of ``comm=None``.
 
     ``recv_timeout`` bounds how long a matched receive or barrier may block
     before the region is declared deadlocked (default 300 s).
 
-    ``nranks == 1`` runs inline on the calling thread for either backend,
-    on :meth:`Communicator.one_rank` — the serial mode, and the same
-    communicator every SPMD entry point makes of ``comm=None``.
+    ``backend`` is a compatibility shim, not a choice: ``"process"`` at any
+    rank count, or ``"thread"`` at 1 rank (which runs inline either way);
+    anything else raises ``ValueError``.
     """
     if nranks < 1:
         raise ValueError(f"nranks must be >= 1, got {nranks}")
-    if backend not in ("thread", "process"):
-        raise ValueError(f"unknown backend {backend!r} (use 'thread' or 'process')")
-
-    if backend == "process" and nranks > 1:
-        from .process_backend import run_parallel_processes
-
-        if observe.enabled():
-            # Forked ranks record observations into their own copies of
-            # the observe state; the wrapper ships each rank's span
-            # buffer and metrics back with its result for the parent to
-            # merge into the globally-ordered trace.
-            wrapped = run_parallel_processes(
-                nranks,
-                observe.process_worker(func),
-                args,
-                kwargs,
-                recv_timeout=recv_timeout,
-            )
-            return observe.absorb_process_results(wrapped)
-        return run_parallel_processes(
-            nranks, func, args, kwargs, recv_timeout=recv_timeout
+    if backend != "process" and not (backend == "thread" and nranks == 1):
+        raise ValueError(
+            f"backend={backend!r} is not supported at {nranks} rank(s): "
+            "ranks are processes"
         )
 
-    def call(comm: Communicator) -> Any:
+    if nranks == 1:
+        comm = Communicator.one_rank(recv_timeout)
         result = func(comm, *args, **kwargs)
         if observe.enabled():
-            # Thread ranks share the observe state; only the region-end
-            # absorption (comm totals, memory high-water) is per rank.
             observe.rank_finished(comm)
-        return result
+        return [result]
 
-    if nranks == 1:
-        return [call(Communicator.one_rank(recv_timeout))]
+    from .process_backend import run_parallel_processes
 
-    world = _World(nranks, timeout=recv_timeout)
-    results: list[Any] = [None] * nranks
-    errors: list[ParallelError] = []
-    errors_lock = threading.Lock()
-
-    def runner(rank: int) -> None:
-        try:
-            results[rank] = call(Communicator(rank, world))
-        except BaseException as exc:  # noqa: BLE001 - must propagate everything
-            with errors_lock:
-                errors.append(ParallelError(rank, exc))
-            world.abort.set()
-            world.barrier._barrier.abort()  # wake ranks blocked at a barrier
-            for mb in world.mailboxes:  # and ranks blocked in a receive
-                mb.wake()
-
-    threads = [
-        threading.Thread(target=runner, args=(r,), name=f"rank-{r}", daemon=True)
-        for r in range(nranks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-    if errors:
-        # Prefer the originating failure over secondary teardown errors.
-        errors.sort(key=lambda e: (isinstance(e.original, _AbortedError), e.rank))
-        raise errors[0]
-    return results
+    if observe.enabled():
+        # Forked ranks record observations into their own copies of the
+        # observe state; the wrapper ships each rank's span buffer and
+        # metrics back with its result for the parent to merge into the
+        # globally-ordered trace.
+        wrapped = run_parallel_processes(
+            nranks, observe.process_worker(func), args, kwargs,
+            recv_timeout=recv_timeout,
+        )
+        return observe.absorb_process_results(wrapped)
+    return run_parallel_processes(
+        nranks, func, args, kwargs, recv_timeout=recv_timeout
+    )

@@ -241,6 +241,30 @@ class Decomposition:
             gids = gids * g + idx[:, axis]
         return gids
 
+    def locate_from(self, gid: int, points: np.ndarray) -> np.ndarray:
+        """:meth:`locate`, bit for bit, for points most of which lie in
+        block ``gid`` (a rank's own particles after a step).
+
+        A point inside the domain whose grid coordinate ``(p - lo) / cell``
+        falls in ``[c, c + 1)`` on every axis, ``c`` the block's grid
+        coordinates, is exactly one :meth:`locate` would give ``gid``: the
+        wrap is the identity there and the floor is ``c``.  Those skip the
+        wrap and the grid index; only the rest go through :meth:`locate`.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        lo, _ = self.domain.as_arrays()
+        sizes = self.domain.sizes
+        shifted = pts - lo
+        q = shifted / (sizes / np.asarray(self.grid, dtype=float))
+        c = np.asarray(self.coords_of_gid(gid), dtype=float)
+        inside = (
+            (shifted >= 0.0) & (shifted < sizes) & (q >= c) & (q < c + 1.0)
+        ).all(axis=1)
+        owners = np.full(len(pts), gid, dtype=np.int64)
+        if not inside.all():
+            owners[~inside] = self.locate(pts[~inside])
+        return owners
+
     # ------------------------------------------------------------------
     def neighbors_near_point(
         self, gid: int, point: np.ndarray, radius: float

@@ -22,11 +22,11 @@ default).  Multiple blocks per rank are supported, which also gives a serial
 mode: one rank holding all blocks exchanges with itself.
 
 The exchanger is written purely against the :class:`Communicator` contract,
-so it runs unchanged on either execution backend of
-:func:`repro.diy.comm.run_parallel` — thread ranks (payloads pass by
-reference) or process ranks (payloads move with pickle protocol-5
-zero-copy/shared-memory transport).  Enqueued payloads must not be mutated
-after :meth:`NeighborExchanger.enqueue`; every call site in this package
+so it runs unchanged on the process ranks of
+:func:`repro.diy.comm.run_parallel` (payloads move with pickle protocol-5
+zero-copy/shared-memory transport) and on the inline 1-rank communicator.
+Enqueued payloads must not be mutated after
+:meth:`NeighborExchanger.enqueue`; every call site in this package
 enqueues private copies.
 """
 
@@ -138,8 +138,9 @@ class NeighborExchanger:
 
         Every rank must call this, even with nothing enqueued.  Returns a
         mapping from each locally owned gid to the list of ``(src_gid,
-        payload)`` pairs received this round, in deterministic
-        (source-rank, enqueue) order.  The outgoing queues are cleared.
+        payload)`` pairs received this round, in deterministic (source
+        gid, enqueue) order — the same whatever the blocks' assignment to
+        ranks.  The outgoing queues are cleared.
 
         Delivery is **sparse**: each rank sends one batch per destination
         rank with a non-empty queue (plus a small O(log P) header round),
@@ -164,4 +165,6 @@ class NeighborExchanger:
         for src in sorted(received):  # in source-rank order
             for dest_gid, src_gid, payload in received[src]:
                 inbox[dest_gid].append((src_gid, payload))
+        for batch in inbox.values():
+            batch.sort(key=lambda entry: entry[0])  # stable: enqueue order kept
         return inbox

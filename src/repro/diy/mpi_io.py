@@ -6,9 +6,9 @@ footer index of ``(gid, offset, size, crc32)`` records and a trailing pointer
 to the footer.  On real MPI this is ``MPI_File_write_at_all``; here each rank
 performs positioned writes (``os.pwrite``) on a private descriptor into the
 shared file, which keeps the exact offset arithmetic and collective
-structure of the original — and works identically whether ranks are threads
-or OS processes (``run_parallel(..., backend="process")``), since nothing
-but the communicator is shared between ranks.
+structure of the original — ranks are OS processes
+(:func:`~repro.diy.comm.run_parallel`), and nothing but the communicator
+and the file are shared between them.
 
 Crash consistency
 -----------------

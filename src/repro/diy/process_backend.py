@@ -1,16 +1,16 @@
-"""Process SPMD backend: one OS process per rank, pipes + shared memory.
+"""Process SPMD runtime: one OS process per rank, pipes + shared memory.
 
-This is the second execution backend of :func:`repro.diy.comm.run_parallel`
-(``backend="process"``).  Each rank is a forked OS process, so rank code
-runs with true hardware parallelism — the GIL bounds only a single rank,
-not the region.  The :class:`~repro.diy.comm.Communicator` contract (and
-therefore every tree collective, the neighbor exchange, the parallel
-writer, and CommStats) is carried unchanged on top of a different
-transport:
+This is how :func:`repro.diy.comm.run_parallel` runs a region of two or
+more ranks.  Each rank is a forked OS process, so rank code runs with true
+hardware parallelism — the GIL bounds only a single rank, not the region —
+and, as under MPI, a rank can never alias another rank's arrays.  The
+:class:`~repro.diy.comm.Communicator` contract (and therefore every tree
+collective, the neighbor exchange, the parallel writer, and CommStats) is
+carried on this transport:
 
 * every rank pair shares a duplex pipe; a per-rank receiver thread drains
-  all pipes into the same :class:`~repro.diy.comm._Mailbox` matching
-  structures the thread backend uses;
+  all pipes into the rank's :class:`~repro.diy.comm._Mailbox` matching
+  structure;
 * payloads are serialized with pickle protocol 5 — NumPy buffers move
   out-of-band, and large ones ride pooled ``multiprocessing.shared_memory``
   segments so ghost exchange and I/O gathers never serialize element-wise
@@ -25,22 +25,26 @@ parallel regions.  Subsequent runs *lease* the pool: the worker function
 and arguments are pickled down per-rank task pipes, results come back over
 per-rank result pipes, and a flush round quiesces the data pipes between
 tasks so no message from one region can leak into the next.  Fault
-injection composes: the active :class:`~repro.faults.FaultSpec` ships with
-each task (pool workers forked long ago cannot inherit it).  Any failed
-run — a raising rank, a dead process, a deadlock — *invalidates* the pool
-(workers are torn down, their ``/dev/shm`` segments swept by name prefix)
-and the next run forks a fresh one.  :func:`shutdown_pool` (also
+injection composes: the armed :class:`~repro.faults.FaultInjector` ships
+with each task (pool workers forked long ago cannot inherit it).  Any
+failed run — a raising rank, a dead process, a deadlock — *invalidates* the
+pool (workers are torn down, their ``/dev/shm`` segments swept by name
+prefix) and the next run forks a fresh one.  :func:`shutdown_pool` (also
 registered ``atexit``) releases the workers explicitly.
+
+Pool workers fork once per rank count and unpickle each task by import
+path, so module state patched in the parent after the fork is not seen by
+the ranks: pass such state in as arguments.
 
 A task whose function or arguments don't pickle (a closure over live
 objects) gets a *one-shot* pool instead: its workers inherit the task
 through fork, run it once, and exit.  Results must pickle either way.
 
-Failure semantics mirror the thread backend: the first raising rank aborts
-the region (a shared event plus a broken barrier wake the peers) and the
-parent re-raises a :class:`~repro.diy.comm.ParallelError` naming that rank.
-A rank that dies without a result (crash, ``os._exit``, OOM-kill) surfaces
-as :class:`RankDiedError` within a short detection bound, and the shared
+Failure semantics: the first raising rank aborts the region (a shared
+event plus a broken barrier wake the peers) and the parent re-raises a
+:class:`~repro.diy.comm.ParallelError` naming that rank.  A rank that dies
+without a result (crash, ``os._exit``, OOM-kill) surfaces as
+:class:`RankDiedError` within a short detection bound, and the shared
 memory it leased is reclaimed by a prefix sweep so repeated
 fault-injection runs cannot exhaust ``/dev/shm``.
 """
@@ -342,12 +346,11 @@ def _run_task(
         status = ("err", _portable_exception(exc))
     if status[0] == "ok":
         # Rendezvous before teardown/reuse: a peer may still be sending to
-        # this rank (buffered sends never fail in the thread backend, so
-        # they must not fail here either).  This is a *separate* barrier
-        # object from the user-visible one — mixing the two would let a
-        # finished rank's arrival complete a peer's in-progress user
-        # barrier cycle.  A broken barrier means some rank already failed —
-        # proceed; the primary error wins at the parent.
+        # this rank (a buffered send must never fail).  This is a
+        # *separate* barrier object from the user-visible one — mixing the
+        # two would let a finished rank's arrival complete a peer's
+        # in-progress user barrier cycle.  A broken barrier means some rank
+        # already failed — proceed; the primary error wins at the parent.
         try:
             finish_barrier.wait(timeout=timeout)
         except threading.BrokenBarrierError:
@@ -390,12 +393,10 @@ def _pool_main(
                 break
         if task[0] != "run":
             break  # explicit ("stop",) from shutdown_pool
-        _, func, args, kwargs, spec, timeout = task
-        # Fault specs ship with the task: a persistent worker forked before
-        # the caller armed its injector, so fork inheritance cannot apply.
-        faults.clear()
-        if spec is not None:
-            faults.install(spec)
+        _, func, args, kwargs, injector, timeout = task
+        # The armed injector ships with the task: a persistent worker forked
+        # before the caller armed it, so fork inheritance cannot apply.
+        faults.adopt(injector)
         try:
             status = _run_task(
                 world, rank, func, args, kwargs, barrier, finish_barrier,
@@ -732,20 +733,16 @@ def run_parallel_processes(
 ) -> list[Any]:
     """Run ``func(comm, ...)`` on ``nranks`` forked processes (rank order).
 
-    See :func:`repro.diy.comm.run_parallel`; this is its ``"process"``
-    backend.  Requires POSIX ``fork``.  The task is pickled and leased to
-    the persistent :class:`RankPool` for this rank count; a task that
-    doesn't pickle runs on a one-shot pool whose workers inherit it.
+    See :func:`repro.diy.comm.run_parallel`, which runs every region of two
+    or more ranks here.  Requires POSIX ``fork``.  The task is pickled and
+    leased to the persistent :class:`RankPool` for this rank count; a task
+    that doesn't pickle runs on a one-shot pool whose workers inherit it.
     Results must pickle either way.
     """
     if not hasattr(os, "fork"):
-        raise RuntimeError(
-            "backend='process' requires POSIX fork; use backend='thread'"
-        )
+        raise RuntimeError("multi-rank regions require POSIX fork")
     timeout = _DEFAULT_TIMEOUT if recv_timeout is None else float(recv_timeout)
-    injector = faults.active()
-    spec = injector.spec if injector is not None else None
-    task = ("run", func, args, kwargs, spec, timeout)
+    task = ("run", func, args, kwargs, faults.active(), timeout)
     try:
         task_wire = pickle.dumps(task, protocol=5)
     except Exception:

@@ -10,17 +10,19 @@ and the runtime consults it at two seams:
 * **rank death** — :meth:`FaultInjector.on_step` is called by
   :meth:`repro.hacc.simulation.HACCSimulation.step` at the start of every
   step; when the (rank, step) matches the spec the rank dies, either by
-  raising :class:`RankKilledError` (thread backend) or via ``os._exit``
-  (process backend — a hard crash the parent must detect by exit-code
-  polling, see :mod:`repro.diy.process_backend`);
+  raising :class:`RankKilledError` or via ``os._exit`` (a hard crash the
+  parent must detect by exit-code polling, see
+  :mod:`repro.diy.process_backend`);
 * **torn checkpoint writes** — :meth:`FaultInjector.torn_write` is
   consulted by :func:`repro.diy.mpi_io.write_blocks`; when armed, the rank
   writes only a fraction of its first payload into the *temp* file and then
   crashes, simulating a rank lost mid-checkpoint.  The crash-consistent
   write protocol guarantees the previous checkpoint survives.
 
-Both execution backends see the same injector: threads share the module
-global, and rank processes receive its spec with each task.
+Rank processes receive the armed injector with each task.  A hard exit
+only ever ends a forked rank: in the process that armed the injector (an
+inline 1-rank region), ``"exit"`` raises like ``"raise"``, so the caller
+sees the failure instead of vanishing with it.
 
 The injector is process-global state; tests must pair :func:`install` with
 :func:`clear` (``try/finally``) so faults never leak across tests.
@@ -37,17 +39,18 @@ __all__ = [
     "RankKilledError",
     "TornWriteError",
     "install",
+    "adopt",
     "clear",
     "active",
 ]
 
 
 class RankKilledError(RuntimeError):
-    """Raised (thread backend) when fault injection kills a rank."""
+    """Raised when fault injection kills a rank without a hard exit."""
 
 
 class TornWriteError(RuntimeError):
-    """Raised (thread backend) when fault injection tears a block write."""
+    """Raised when fault injection tears a block write without a hard exit."""
 
 
 @dataclass(frozen=True)
@@ -56,9 +59,10 @@ class FaultSpec:
 
     ``kill_rank``/``kill_step`` name the rank that dies and the 1-based
     step at whose *start* it dies (i.e. after ``kill_step - 1`` completed
-    steps).  ``kill_mode`` is ``"raise"`` (thread backend: raise
-    :class:`RankKilledError`) or ``"exit"`` (process backend: hard
-    ``os._exit`` — no teardown, no result, exactly like a crashed node).
+    steps).  ``kill_mode`` is ``"raise"`` (raise :class:`RankKilledError`)
+    or ``"exit"`` (a forked rank ends with a hard ``os._exit`` — no
+    teardown, no result, exactly like a crashed node; the process that
+    armed the injector raises instead).
 
     ``tear_rank``/``tear_step`` arm a torn checkpoint write: during the
     collective block write that rank writes only ``tear_fraction`` of its
@@ -91,10 +95,11 @@ class FaultInjector:
 
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
+        self.pid = os.getpid()  # the process that armed it never hard-exits
         self._steps: dict[int, int] = {}  # rank -> step currently executing
 
     def _die(self, exc: BaseException, mode: str) -> None:
-        if mode == "exit":
+        if mode == "exit" and os.getpid() != self.pid:
             # A hard crash: no Python teardown, no result pipe message.  The
             # parent must notice via exit-code polling, exactly as a real
             # cluster scheduler notices a dead node.
@@ -144,6 +149,13 @@ def install(spec: FaultSpec) -> FaultInjector:
     global _active
     _active = FaultInjector(spec)
     return _active
+
+
+def adopt(injector: FaultInjector | None) -> None:
+    """Arm ``injector``, shipped from the process that armed it (a rank
+    worker running a task); ``None`` disarms."""
+    global _active
+    _active = injector
 
 
 def clear() -> None:

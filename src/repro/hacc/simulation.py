@@ -251,7 +251,7 @@ class HACCSimulation:
         :attr:`local` is rebuilt, and :attr:`cell_density` dropped, only
         when a particle left or arrived; otherwise both stay as they are.
         """
-        owners = self.decomposition.locate(self.positions_mpc())
+        owners = self.decomposition.locate_from(self.gid, self.positions_mpc())
         staying = owners == self.gid
         outbox = [
             ParticleSet.empty() if rank == self.gid
@@ -391,21 +391,25 @@ def run_simulation(
     config: SimulationConfig,
     nranks: int = 1,
     hooks: dict[int, list[Hook]] | list[Hook] | None = None,
-    backend: str = "thread",
 ) -> ParticleSet:
     """Run a complete simulation and return the final global particles.
 
     Launches the SPMD region (``nranks=1`` inline) and concatenates the
     per-rank survivors (positions in grid units, as in
-    :class:`HACCSimulation`).  ``backend`` selects the SPMD
-    substrate (``"thread"`` or ``"process"``); see
-    :func:`repro.diy.comm.run_parallel`.
+    :class:`HACCSimulation`).
     """
+    return ParticleSet.concatenate(
+        run_parallel(nranks, _run_worker, config, hooks)
+    )
 
-    def worker(comm: Communicator) -> ParticleSet:
-        sim = HACCSimulation(config, comm=comm)
-        sim.run(hooks=hooks)
-        return sim.local
 
-    parts = run_parallel(nranks, worker, backend=backend)
-    return ParticleSet.concatenate(parts)
+def _run_worker(
+    comm: Communicator,
+    config: SimulationConfig,
+    hooks: dict[int, list[Hook]] | list[Hook] | None,
+) -> ParticleSet:
+    """Rank worker of :func:`run_simulation` (picklable unless ``hooks``
+    hold closures)."""
+    sim = HACCSimulation(config, comm=comm)
+    sim.run(hooks=hooks)
+    return sim.local

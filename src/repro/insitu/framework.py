@@ -217,7 +217,6 @@ def run_simulation_with_tools(
     sim_config: SimulationConfig,
     framework_config: FrameworkConfig | dict,
     nranks: int = 1,
-    backend: str = "thread",
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
     resume: bool = False,
@@ -233,12 +232,6 @@ def run_simulation_with_tools(
     region and without a collective, those blocks are joined into the
     plain :class:`~repro.core.tessellate.Tessellation` the store holds.
 
-    ``backend`` selects the SPMD substrate — ``"thread"`` (default) or
-    ``"process"`` (one OS process per rank; true hardware parallelism for
-    compute-bound in situ analysis) — see
-    :func:`repro.diy.comm.run_parallel`.  Tool results are identical
-    between the two.
-
     ``checkpoint_dir``/``checkpoint_every``/``resume`` enable the
     crash-recovery path of :meth:`CosmologyToolsFramework.run`; on a
     resumed run :attr:`InsituResults.resumed_step` reports the restart
@@ -247,7 +240,7 @@ def run_simulation_with_tools(
     if isinstance(framework_config, dict):
         framework_config = FrameworkConfig.from_dict(framework_config)
 
-    # Module-level worker + picklable configs: the process backend can lease
+    # Module-level worker + picklable configs: the ranks lease
     # persistent pool workers for the whole simulation instead of forking.
     results = run_parallel(
         nranks,
@@ -257,7 +250,6 @@ def run_simulation_with_tools(
         checkpoint_dir,
         checkpoint_every,
         resume,
-        backend=backend,
     )
     sim_seconds = max(seconds for _, seconds, _ in results)
     return InsituResults(

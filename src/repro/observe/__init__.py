@@ -21,9 +21,9 @@ Three parts:
   ``chrome://tracing``, one track per rank) and flat JSON summaries for
   CI perf gating.
 
-Cross-rank merge is automatic: the thread backend shares this module's
-state, and the process backend ships each forked rank's buffers back
-with its result (:mod:`repro.observe.bridge`), so after any
+Cross-rank merge is automatic: each forked rank ships its buffers back
+with its result (:mod:`repro.observe.bridge`), and an inline 1-rank
+region records straight into this module's state, so after any
 ``run_parallel`` region the parent holds the globally-ordered trace.
 
 Quickstart::
@@ -31,7 +31,7 @@ Quickstart::
     from repro import observe
 
     observe.enable()
-    ...  # run a simulation / tessellation (any backend)
+    ...  # run a simulation / tessellation (any rank count)
     observe.write_chrome_trace("trace.json")   # load in ui.perfetto.dev
     observe.write_metrics("metrics.json")
 

@@ -10,9 +10,9 @@ of cycles.  Three jobs:
   process-wide metrics registry, keyed by rank, without touching their
   public fields;
 * **rank finalization** — :func:`rank_finished` runs once per rank at
-  parallel-region end (both backends) and records the rank's
+  parallel-region end (inline or forked) and records the rank's
   communication totals and memory high-water marks;
-* **process-backend transport** — :func:`process_worker` wraps a region
+* **forked-rank transport** — :func:`process_worker` wraps a region
   worker so each forked rank ships its span buffer and metrics snapshot
   back with its result, and :func:`absorb_process_results` folds them
   into the parent and unwraps the user results.
@@ -101,7 +101,7 @@ _WRAP_KEY = "__repro_observe_wrapped__"
 
 
 class process_worker:  # noqa: N801 - factory-style callable, keeps old name
-    """Wrap a process-backend region worker for observation transport.
+    """Wrap a forked-rank region worker for observation transport.
 
     A *picklable* callable (not a closure): persistent pool workers receive
     their task over a pipe, so the wrapper must serialize along with the

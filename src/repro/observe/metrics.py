@@ -164,7 +164,7 @@ class MetricsRegistry:
     """Get-or-create store of named, labeled metrics.
 
     Thread-safe for creation; individual metric updates are simple
-    attribute writes (rank threads update disjoint labeled metrics, and
+    attribute writes (threads update disjoint labeled metrics, and
     Python's attribute assignment is atomic enough for observability
     counters).
     """

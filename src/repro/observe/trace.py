@@ -19,11 +19,11 @@ Design rules:
   a bounded ``deque``; when a rank's buffer is full the oldest events are
   overwritten and a drop counter advances (observability must never OOM
   the run it observes).
-* **Ranks never share a buffer entry.**  On the thread backend all ranks
-  share this module's state and are distinguished by the ``rank`` they
-  pass; on the process backend each forked rank inherits the enabled flag
-  and records into its own copy, which the runtime ships back to the
-  parent at region end (see :func:`repro.observe.bridge.process_worker`).
+* **Ranks never share a buffer entry.**  Each forked rank records into
+  its own copy of this module's state, which the runtime ships back to
+  the parent at region end (see
+  :func:`repro.observe.bridge.process_worker`); the parent files events
+  by the ``rank`` they carry.
 
 Event tuple layout (kept as a tuple for append speed)::
 

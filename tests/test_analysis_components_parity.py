@@ -5,7 +5,7 @@ merge that `connected_components`, `connected_components_at_root`, the
 void finders and the tracking tool all run) must produce partitions
 identical to the per-cell dict reference
 (``tests/components_reference.py``) — up to label renaming — at 1/2/4
-ranks on both execution backends, including a void spanning the periodic
+ranks, including a void spanning the periodic
 seam, plus a property test over random thresholds.  Also asserts the
 merge ships numpy int64 edge arrays (no pickled tuple lists) with a
 CommStats/bytes check.
@@ -144,17 +144,15 @@ def _distributed_worker(comm, pts, ids, decomp, vmin, check_payloads):
     return labeling
 
 
-@pytest.mark.parametrize("exec_backend", ["thread", "process"])
 @pytest.mark.parametrize("nranks", [1, 2, 4])
-def test_distributed_matches_oracle(seam_case, nranks, exec_backend):
+def test_distributed_matches_oracle(seam_case, nranks):
     pts, serial, vmin = seam_case
     ids = np.arange(len(pts), dtype=np.int64)
     decomp = Decomposition.regular(Bounds.cube(BOX), nranks, periodic=True)
     ref = partition(connected_components_dict(serial, vmin=vmin))
 
     labelings = run_parallel(
-        nranks, _distributed_worker, pts, ids, decomp, vmin, True,
-        backend=exec_backend,
+        nranks, _distributed_worker, pts, ids, decomp, vmin, True
     )
     assert all(lab is None for lab in labelings[1:])  # the root's alone
     assert partition(labelings[0]) == ref
@@ -170,15 +168,14 @@ def _voids_worker(comm, pts, ids, decomp, vmin_fraction):
     )
 
 
-@pytest.mark.parametrize("exec_backend", ["thread", "process"])
-def test_find_voids_distributed_matches_serial(seam_case, exec_backend):
+def test_find_voids_distributed_matches_serial(seam_case):
     pts, serial, _ = seam_case
     ids = np.arange(len(pts), dtype=np.int64)
     decomp = Decomposition.regular(Bounds.cube(BOX), 4, periodic=True)
     ref = find_voids(serial, min_cells=2)
 
     catalogs = run_parallel(
-        4, _voids_worker, pts, ids, decomp, 0.1, backend=exec_backend
+        4, _voids_worker, pts, ids, decomp, 0.1
     )
     for catalog in catalogs:
         assert catalog.vmin == pytest.approx(ref.vmin)

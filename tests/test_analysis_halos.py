@@ -3,7 +3,7 @@
 Serial and distributed FOF share one body (rows -> root merge -> catalog),
 so besides comparing them with each other both are held bit for bit —
 members and centre bits — to the kd-tree + dict finder in
-``tests/halos_reference.py``, at 1/2/4/8 ranks on both execution backends.
+``tests/halos_reference.py``, at 1/2/4/8 ranks.
 """
 
 import numpy as np
@@ -116,15 +116,7 @@ class TestDistributedFOF:
         ids = np.arange(len(pts), dtype=np.int64)
         ref = fof_halos(pts, 0.4, domain, min_members=10, ids=ids)
         decomp = Decomposition.regular(domain, nranks, periodic=True)
-
-        def worker(comm):
-            mine = decomp.locate(pts) == comm.rank
-            return fof_halos_distributed(
-                comm, decomp, pts[mine], ids[mine],
-                linking_length=0.4, min_members=10,
-            )
-
-        catalogs = run_parallel(nranks, worker)
+        catalogs = run_parallel(nranks, _distributed_worker, pts, ids, decomp, 0.4, 10)
         for cat in catalogs:
             assert cat.num_halos == ref.num_halos
             got = sorted(tuple(h.members) for h in cat.halos)
@@ -139,14 +131,7 @@ class TestDistributedFOF:
         ids = np.arange(40, dtype=np.int64)
         decomp = Decomposition.regular(domain, 8, periodic=True)
         ref = fof_halos(pts, 0.5, domain, min_members=10, ids=ids)
-
-        def worker(comm):
-            mine = decomp.locate(pts) == comm.rank
-            return fof_halos_distributed(
-                comm, decomp, pts[mine], ids[mine], 0.5, min_members=10
-            )
-
-        cat = run_parallel(8, worker)[0]
+        cat = run_parallel(8, _distributed_worker, pts, ids, decomp, 0.5, 10)[0]
         assert cat.num_halos == ref.num_halos == 1
         assert cat.halos[0].mass == 40
         assert_same_catalog(cat, fof_halos_dict(pts, 0.5, domain, 10, ids=ids))
@@ -242,18 +227,16 @@ class TestReferenceParity:
         assert want.num_halos >= 1
         assert_same_catalog(fof_halos(pts, length, domain, min_members, ids), want)
 
-    @pytest.mark.parametrize("exec_backend", ["thread", "process"])
     @pytest.mark.parametrize("nranks", [1, 2, 4, 8])
     @pytest.mark.parametrize("case", ["clustered", "seam", "evolved"])
     def test_distributed_matches_dict_reference(
-        self, evolved, case, nranks, exec_backend
+        self, evolved, case, nranks
     ):
         pts, ids, length, min_members, domain = _case(case, evolved)
         want = fof_halos_dict(pts, length, domain, min_members, ids=ids)
         decomp = Decomposition.regular(domain, nranks, periodic=True)
         catalogs = run_parallel(
-            nranks, _distributed_worker, pts, ids, decomp, length, min_members,
-            backend=exec_backend,
+            nranks, _distributed_worker, pts, ids, decomp, length, min_members
         )
         for cat in catalogs:
             assert_same_catalog(cat, want)

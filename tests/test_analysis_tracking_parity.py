@@ -4,7 +4,7 @@ The flat overlap kernel and the column builder must reproduce the
 object-based references (``tests/tracking_reference.py``) key for key
 after every push, and the in situ tracking tool on rank-local blocks must
 produce identical merger-tree columns — bit for bit, including per-track
-volume histories — at 1/2/4 ranks on both execution backends.
+volume histories — at 1/2/4 ranks.
 Also covers: the merge-arbitration bugfix (overlap count beats dict
 insertion order), a periodic-seam void that merges across a step
 boundary, invariance under a strictly increasing remap of site ids,
@@ -407,9 +407,8 @@ def _tool_on_blocks_worker(comm, step_blocks, domain):
     return tree
 
 
-@pytest.mark.parametrize("exec_backend", ["thread", "process"])
 @pytest.mark.parametrize("nranks", [1, 2, 4])
-def test_distributed_matches_serial_bit_identically(nranks, exec_backend):
+def test_distributed_matches_serial_bit_identically(nranks):
     """The tool on rank-local blocks == the tool on the same blocks
     assembled: every merger-tree array, volume histories included."""
     domain = Bounds.cube(BOX)
@@ -424,8 +423,7 @@ def test_distributed_matches_serial_bit_identically(nranks, exec_backend):
     )
     assert ref.num_events > 0
     trees = run_parallel(
-        nranks, _tool_on_blocks_worker, step_blocks, domain,
-        backend=exec_backend,
+        nranks, _tool_on_blocks_worker, step_blocks, domain
     )
     for tree in trees:  # identical on every rank, bit for bit
         assert set(tree.arrays) == set(ref.arrays)
@@ -538,10 +536,9 @@ def _seam_tracking_worker(comm, steps, decomp):
     return tree
 
 
-@pytest.mark.parametrize("exec_backend", ["thread", "process"])
 @pytest.mark.parametrize("nranks", [1, 2, 4])
 def test_seam_merge_distributed_matches_serial(
-    seam_merge_case, nranks, exec_backend
+    seam_merge_case, nranks
 ):
     """The cross-rank seam merge: the tool's tree over blocks cut through
     the seam void has the serial labelings' events and tracks (the tool's
@@ -550,7 +547,7 @@ def test_seam_merge_distributed_matches_serial(
     ref = track_components(labelings)
     decomp = Decomposition.regular(Bounds.cube(BOX), nranks, periodic=True)
     trees = run_parallel(
-        nranks, _seam_tracking_worker, steps, decomp, backend=exec_backend
+        nranks, _seam_tracking_worker, steps, decomp
     )
     for tree in trees:
         assert_same_columns(tree.arrays, ref.arrays, volumes_rtol=None)
@@ -609,8 +606,7 @@ def test_tool_emits_observe_counters(seam_merge_case):
         observe.reset_all()
 
 
-def _tool_tree_runs(cfg, nranks, backend, state_dir, ckpt_dir=None,
-                    resume=False):
+def _tool_tree_runs(cfg, nranks, state_dir, ckpt_dir=None, resume=False):
     from repro.insitu import run_simulation_with_tools
 
     fw = {
@@ -629,37 +625,30 @@ def _tool_tree_runs(cfg, nranks, backend, state_dir, ckpt_dir=None,
             "checkpoint_every": 2,
             "resume": resume,
         }
-    return run_simulation_with_tools(
-        cfg, fw, nranks=nranks, backend=backend, **kwargs
-    )
+    return run_simulation_with_tools(cfg, fw, nranks=nranks, **kwargs)
 
 
-@pytest.mark.parametrize("exec_backend", ["thread", "process"])
-def test_tool_kill_and_resume_bit_identical(tmp_path, exec_backend):
+def test_tool_kill_and_resume_bit_identical(tmp_path):
     """A rank killed mid-sequence, then resumed from the last checkpoint,
     must reproduce the uninterrupted merger tree bit for bit — including
     the tracking state carried across the restart."""
     from repro.hacc.simulation import SimulationConfig
 
     cfg = SimulationConfig(np_side=6, nsteps=8, seed=5)
-    ref = _tool_tree_runs(
-        cfg, 2, exec_backend, str(tmp_path / "ref_state")
-    )
+    ref = _tool_tree_runs(cfg, 2, str(tmp_path / "ref_state"))
 
     state = str(tmp_path / "state")
     ckpt = str(tmp_path / "ckpt")
     faults.install(faults.FaultSpec(kill_rank=1, kill_step=5, kill_mode="raise"))
     with pytest.raises(ParallelError):
-        _tool_tree_runs(cfg, 2, exec_backend, state, ckpt_dir=ckpt)
+        _tool_tree_runs(cfg, 2, state, ckpt_dir=ckpt)
     faults.clear()
     # The tool fired (and snapshotted state) at steps 2 and 4 pre-crash.
     assert any(
         f.startswith("tracking_state_") for f in os.listdir(state)
     )
 
-    resumed = _tool_tree_runs(
-        cfg, 2, exec_backend, state, ckpt_dir=ckpt, resume=True
-    )
+    resumed = _tool_tree_runs(cfg, 2, state, ckpt_dir=ckpt, resume=True)
     assert resumed.resumed_step == 4
     assert sorted(resumed["tracking"]) == [6, 8]
 
@@ -680,8 +669,8 @@ def test_tool_structure_identical_across_rank_counts(tmp_path, nranks):
     from repro.hacc.simulation import SimulationConfig
 
     cfg = SimulationConfig(np_side=6, nsteps=4, seed=3)
-    ref = _tool_tree_runs(cfg, 1, "thread", str(tmp_path / "s1"))
-    got = _tool_tree_runs(cfg, nranks, "thread", str(tmp_path / f"s{nranks}"))
+    ref = _tool_tree_runs(cfg, 1, str(tmp_path / "s1"))
+    got = _tool_tree_runs(cfg, nranks, str(tmp_path / f"s{nranks}"))
     for step in ref["tracking"]:
         assert_same_columns(
             got["tracking"][step].arrays,

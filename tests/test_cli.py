@@ -150,6 +150,41 @@ class TestSimCLI:
         # Steps 2 and 4 were analyzed before the crash; only 6 re-fires.
         assert "@ step 6" in out and "@ step 4" not in out
 
+    def test_kill_and_resume_cycle_at_one_rank(self, tmp_path, capsys, monkeypatch):
+        """At --ranks 1 the one rank runs inline in the CLI's own process:
+        the drill is the same hard-crash kill as at any rank count, yet it
+        must end in one error line and the --resume hint, not an
+        ``os._exit`` of the CLI itself."""
+        from repro import faults
+
+        armed = []
+        install = faults.install
+        monkeypatch.setattr(
+            faults, "install", lambda spec: armed.append(spec) or install(spec)
+        )
+        deck = self._deck(
+            tmp_path,
+            [{"tool": "statistics", "every": 2}],
+            sim={"np_side": 8, "nsteps": 6, "seed": 7},
+        )
+        ckpt = str(tmp_path / "ckpts")
+        common = [deck, "--ranks", "1", "--checkpoint-every", "2",
+                  "--checkpoint-dir", ckpt]
+        rc = sim_main(common + ["--fault-kill", "0:5"])
+        assert [spec.kill_mode for spec in armed] == ["exit"]
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation failed: ")
+        assert "rank 0 at step 5" in err and "--resume" in err
+        assert sorted(os.listdir(ckpt)) == [
+            "ckpt-000002.ckpt", "ckpt-000004.ckpt"
+        ]
+        rc = sim_main(common + ["--resume"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "resumed from checkpoint at step 4" in out
+        assert "@ step 6" in out and "@ step 4" not in out
+
     def test_bad_fault_kill_spec(self, tmp_path):
         deck = self._deck(tmp_path, [{"tool": "statistics"}])
         assert sim_main([deck, "--fault-kill", "nonsense"]) == 2

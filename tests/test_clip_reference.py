@@ -2,7 +2,7 @@
 
 ``tessellate`` must return the cells of :func:`clip_reference` — same
 site ids, volumes within :data:`CLIP_VOL_RTOL` — whatever the block
-count, the rank count and the execution backend.
+count and the rank count.
 """
 
 import functools
@@ -60,17 +60,12 @@ def test_matches_reference(case, nblocks):
     )
 
 
+# Several blocks per rank process (one block per rank is
+# ``test_matches_reference``); the second id predates the single backend.
 @pytest.mark.parametrize(
     "kw",
-    [
-        dict(nblocks=8, nranks=3),
-        dict(nblocks=1, exec_backend="process"),
-        dict(nblocks=2, exec_backend="process"),
-        dict(nblocks=4, exec_backend="process"),
-        dict(nblocks=4, nranks=2, exec_backend="process"),
-    ],
-    ids=("fewer-ranks", "process-1", "process-2", "process-4",
-         "process-fewer-ranks"),
+    [dict(nblocks=8, nranks=3), dict(nblocks=4, nranks=2)],
+    ids=("fewer-ranks", "process-fewer-ranks"),
 )
 def test_matches_reference_across_rank_layouts(case, kw):
     pts, domain, ghost, reference = case

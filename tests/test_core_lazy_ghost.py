@@ -4,9 +4,10 @@
 ghosts, certifies every owned star against the withheld ghosts with the
 exact empty-circumsphere criterion, and re-derives the few failing cells
 from one local patch (DESIGN.md §11).  The oracle here is the same
-function with nothing withheld (a huge ``_START_SPACINGS``; thread backend
-only: pool workers of the process backend keep the module constant they
-were forked with, which is what makes them the code under test).
+function with nothing withheld (a huge ``_START_SPACINGS``), with every
+block on one inline rank: that rank reads the patched module, while pool
+ranks keep the constant they were forked with, which is what makes them
+the code under test.
 """
 
 import importlib
@@ -29,7 +30,7 @@ def eager(*args, **kwargs):
     """The oracle: the production function with nothing withheld."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TESS, "_START_SPACINGS", 1e9)
-        return tessellate(*args, **kwargs)
+        return tessellate(*args, **{"nranks": 1, **kwargs})
 
 
 def geom_counters(fn):
@@ -93,12 +94,13 @@ def evolved():
 def one_slab(monkeypatch):
     """Pin each block's thin pass to one slab, so the shell and certificate
     counters below do not depend on this machine's core count (the slabs
-    have their own suite, tests/test_core_slabs.py)."""
+    have their own suite, tests/test_core_slabs.py).  Only an inline rank
+    sees the patch, so the tests using it run their blocks on one rank."""
     monkeypatch.setattr(TESS, "_slab_count", lambda ranks: 1)
 
 
 # ----------------------------------------------------------------------
-# (a) cell-for-cell equality across decompositions, backends, ghosts
+# (a) cell-for-cell equality across decompositions, rank counts, ghosts
 # ----------------------------------------------------------------------
 BOX = 10.0
 CLUSTERED = clustered_points(600, BOX, seed=4)
@@ -115,19 +117,21 @@ def test_equals_eager_oracle(nblocks, periodic, ghost):
     # those cases pin the withhold-nothing branch; see the 27-block test)
     kw = dict(nblocks=nblocks, ghost=ghost * SPACING, periodic=periodic)
     domain = Bounds.cube(BOX)
-    on_threads = tessellate(CLUSTERED, domain, **kw)
-    on_processes = tessellate(CLUSTERED, domain, exec_backend="process", **kw)
+    inline = tessellate(CLUSTERED, domain, nranks=1, **kw)
+    on_processes = tessellate(CLUSTERED, domain, **kw)
     want = eager(CLUSTERED, domain, **kw)
-    assert_same_cells(on_threads, want)
+    assert_same_cells(inline, want)
     assert_same_cells(on_processes, want)
 
 
 def test_enclosed_block_of_a_non_periodic_domain():
-    # Only the center block of 3x3x3 has ghosts on all six sides.
+    # Only the center block of 3x3x3 has ghosts on all six sides.  What
+    # matters is the block geometry, not one rank per block: 3 ranks hold
+    # 9 blocks each.
     domain = Bounds.cube(BOX)
     pts = np.random.default_rng(11).uniform(0.0, BOX, size=(2000, 3))
     kw = dict(nblocks=27, ghost=3 * BOX / 2000 ** (1.0 / 3.0), periodic=False)
-    lazy, counters = geom_counters(lambda: tessellate(pts, domain, **kw))
+    lazy, counters = geom_counters(lambda: tessellate(pts, domain, nranks=3, **kw))
     assert counters["ghosts_withheld"] > 0
     assert_same_cells(lazy, eager(pts, domain, **kw))
 
@@ -176,7 +180,7 @@ def test_trace_shows_where_compute_went(evolved):
 def test_certificate_silent_on_near_uniform_field(evolved, one_slab):
     snaps, domain = evolved
     pos, ids = snaps[4]
-    run = lambda: tessellate(pos, domain, nblocks=2, ghost=4.0, ids=ids)
+    run = lambda: tessellate(pos, domain, nblocks=2, nranks=1, ghost=4.0, ids=ids)
     lazy, counters = geom_counters(run)
     assert counters["ghosts_withheld"] > 0
     assert counters["certificate_violations"] == 0

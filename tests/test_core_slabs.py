@@ -27,11 +27,12 @@ TESS = importlib.import_module("repro.core.tessellate")
 
 
 def slabbed(count, *args, **kwargs):
-    """``tessellate`` with every block's thin pass given ``count`` slabs
-    (thread backend: the ranks read the patched module)."""
+    """``tessellate`` with every block's thin pass given ``count`` slabs,
+    all blocks on one inline rank: it reads the patched module, which pool
+    ranks forked before the patch never see."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TESS, "_slab_count", lambda ranks: count)
-        return tessellate(*args, **kwargs)
+        return tessellate(*args, **{"nranks": 1, **kwargs})
 
 
 def slabbed_counters(count, *args, **kwargs):

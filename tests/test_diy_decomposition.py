@@ -167,6 +167,64 @@ class TestLocate:
             assert d.block(int(g)).core.contains(p)
 
 
+def _face_points(d):
+    """Coordinates on, and one ulp either side of, every block face of
+    ``d`` (domain faces included), plus just outside the domain, crossed
+    over the three axes."""
+    lo, hi = d.domain.as_arrays()
+    per_axis = []
+    for axis, g in enumerate(d.grid):
+        faces = lo[axis] + d.domain.sizes[axis] / g * np.arange(g + 1)
+        faces[-1] = hi[axis]
+        near = np.concatenate(
+            [faces, np.nextafter(faces, -np.inf), np.nextafter(faces, np.inf),
+             [lo[axis] - 1e-300, -0.0 + lo[axis], hi[axis] + 1e-9]]
+        )
+        if not d.periodic[axis]:  # locate refuses points outside
+            near = near[(near >= lo[axis]) & (near <= hi[axis])]
+        per_axis.append(near)
+    return np.stack(np.meshgrid(*per_axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+class TestLocateFrom:
+    """``locate_from(gid, points)`` is ``locate(points)`` bit for bit, for
+    every block, on every face and one ulp either side of it."""
+
+    @pytest.mark.parametrize(
+        "box, grid, periodic",
+        [
+            (8.0, (2, 2, 2), True),
+            (10.0, (3, 2, 1), (True, False, True)),
+            (7.3, (3, 3, 3), False),
+            # inexact cells: (p - lo) / cell rounds across a face one ulp
+            # before it (1.0 / 6, 7.3 / 7) or one ulp after it (0.7 / 4,
+            # 1.0 / 9), and 7.3 / (7.3 / 7) rounds below 7, so a point at
+            # the periodic upper face has a grid coordinate inside block 6
+            (7.3, (7, 1, 1), True),
+            (1.0, (6, 9, 1), True),
+            (0.7, (4, 8, 1), False),
+        ],
+    )
+    def test_equals_locate_on_block_faces(self, box, grid, periodic):
+        d = Decomposition(Bounds.cube(box), grid, periodic=periodic)
+        pts = _face_points(d)
+        want = d.locate(pts)
+        for gid in range(d.nblocks):
+            np.testing.assert_array_equal(d.locate_from(gid, pts), want)
+
+    def test_equals_locate_on_random_and_wrapped_points(self):
+        d = Decomposition(Bounds.cube(5.0, origin=-2.0), (2, 3, 2))
+        pts = np.random.default_rng(1).uniform(-7.0, 8.0, size=(2000, 3))
+        want = d.locate(pts)
+        for gid in range(d.nblocks):
+            np.testing.assert_array_equal(d.locate_from(gid, pts), want)
+
+    def test_rejects_outside_nonperiodic_domain_like_locate(self):
+        d = Decomposition(Bounds.cube(8.0), (2, 1, 1), periodic=False)
+        with pytest.raises(ValueError, match="outside the non-periodic"):
+            d.locate_from(0, np.array([[1.0, 1.0, 1.0], [8.5, 1.0, 1.0]]))
+
+
 class TestGidValidation:
     def test_block_rejects_bad_gid(self):
         d = Decomposition(Bounds.cube(8.0), (2, 2, 2))

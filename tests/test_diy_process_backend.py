@@ -2,8 +2,9 @@
 
 Covers the transport layer in isolation (protocol-5 encode/decode, the
 pooled shared-memory allocator, lease-based recycling) and the forked
-backend end to end: collectives matching the thread backend, shared-memory
-movement of large arrays, failure propagation, and deadlock timeouts.
+ranks end to end: collectives matching their serially computed answers,
+shared-memory movement of large arrays, failure propagation, and deadlock
+timeouts.
 """
 
 import pickle
@@ -184,75 +185,101 @@ def _collective_workout(comm):
     return out
 
 
-def _strip_timing(stats):
-    return {
-        k: v
-        for k, v in stats.items()
-        if k
-        not in ("recv_wait_s", "barrier_wait_s", "shm_msgs_sent", "shm_bytes_sent")
-    }
+def _serial_workout(n):
+    """What :func:`_collective_workout` must return on each of ``n`` ranks,
+    computed without message passing (the array sums are exact integers,
+    so no summation order can change them)."""
+    base = float(np.arange(20_000, dtype=np.float64).sum())
+    return [
+        {
+            "gathered": [2 * r for r in range(n)] if rank == 0 else None,
+            "allreduced": sum(base + 20_000 * r for r in range(n)),
+            "exscan": sum(range(1, rank + 1)) if rank else None,
+            "alltoall": [(src, rank) for src in range(n)],
+            "sparse": [(rank - 1) % n],
+            "bcast_sum": base,
+        }
+        for rank in range(n)
+    ]
+
+
+_WORKOUT_CALLS = {
+    "bcast": 1, "gather": 1, "allreduce": 2, "exscan": 1, "alltoall": 1,
+    "sparse_alltoall": 1, "barrier": 1,
+}  # sparse_alltoall's header round is the second allreduce
+
+
+def _concat_ranks(comm):
+    return comm.allreduce(f"<{comm.rank}>", op=_concat)
+
+
+def _concat(a, b):
+    return a + b
+
+
+def _bcast_large(comm):
+    arr = comm.bcast(np.zeros(100_000) if comm.rank == 0 else None)
+    assert arr.shape == (100_000,)
+    comm.barrier()
+    return comm.stats.shm_msgs_sent, comm.stats.shm_bytes_sent
+
+
+def _allreduce_large(comm):
+    comm.allreduce(np.zeros(100_000))
+    return comm.stats.shm_msgs_sent
+
+
+def _ping_pong(comm, rounds):
+    import time
+
+    peer = 1 - comm.rank
+    for i in range(rounds):
+        if comm.rank == 0:
+            comm._send(np.full(50_000, i, dtype=np.float64), peer, i)
+            reply = comm._recv(peer, i)
+            assert reply[0] == -i
+        else:
+            got = comm._recv(peer, i)
+            assert got[0] == i
+            del got  # drop the shm view so the lease goes idle
+            comm._send(np.full(50_000, -i, dtype=np.float64), peer, i)
+        time.sleep(0.06)  # let the receiver thread reap idle leases
+    comm.barrier()
+    return comm._world.pool.created
 
 
 class TestProcessCollectives:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
-    def test_matches_thread_backend(self, n):
-        thread = run_parallel(n, _collective_workout, backend="thread")
-        process = run_parallel(n, _collective_workout, backend="process")
-        for t, p in zip(thread, process):
-            t_stats, p_stats = t.pop("stats"), p.pop("stats")
-            assert t == p
-            # Identical traffic pattern: same message/byte counters and the
-            # same per-collective call counts on both transports.
-            assert _strip_timing(t_stats) == _strip_timing(p_stats)
+    def test_matches_serial_answer(self, n):
+        results = run_parallel(n, _collective_workout)
+        stats = [r.pop("stats") for r in results]
+        assert results == _serial_workout(n)
+        for s in stats:
+            assert s["collective_calls"] == _WORKOUT_CALLS
+        # Every message sent was received, byte for byte.
+        assert sum(s["msgs_sent"] for s in stats) == sum(
+            s["msgs_recv"] for s in stats
+        )
+        assert sum(s["bytes_sent"] for s in stats) == sum(
+            s["bytes_recv"] for s in stats
+        )
 
     def test_noncommutative_op_rank_order(self):
-        def worker(comm):
-            return comm.allreduce(f"<{comm.rank}>", op=lambda a, b: a + b)
-
-        (r0, *rest) = run_parallel(4, worker, backend="process")
+        (r0, *rest) = run_parallel(4, _concat_ranks)
         assert r0 == "<0><1><2><3>"
         assert all(r == r0 for r in rest)
 
     def test_large_payloads_use_shared_memory(self):
-        def worker(comm):
-            arr = comm.bcast(np.zeros(100_000) if comm.rank == 0 else None)
-            assert arr.shape == (100_000,)
-            comm.barrier()
-            return comm.stats.shm_msgs_sent, comm.stats.shm_bytes_sent
-
-        results = run_parallel(2, worker, backend="process")
+        results = run_parallel(2, _bcast_large)
         assert results[0][0] >= 1
         assert results[0][1] >= 800_000
 
-    def test_thread_backend_never_uses_shared_memory(self):
-        def worker(comm):
-            comm.allreduce(np.zeros(100_000))
-            return comm.stats.shm_msgs_sent
-
-        assert run_parallel(2, worker, backend="thread") == [0, 0]
+    def test_inline_rank_never_uses_shared_memory(self):
+        assert run_parallel(1, _allreduce_large) == [0]
 
     def test_segment_recycling_bounds_pool_growth(self):
         rounds = 10
-
-        def worker(comm):
-            import time
-
-            peer = 1 - comm.rank
-            for i in range(rounds):
-                if comm.rank == 0:
-                    comm._send(np.full(50_000, i, dtype=np.float64), peer, i)
-                    reply = comm._recv(peer, i)
-                    assert reply[0] == -i
-                else:
-                    got = comm._recv(peer, i)
-                    assert got[0] == i
-                    del got  # drop the shm view so the lease goes idle
-                    comm._send(np.full(50_000, -i, dtype=np.float64), peer, i)
-                time.sleep(0.06)  # let the receiver thread reap idle leases
-            comm.barrier()
-            return comm._world.pool.created
-
-        created = run_parallel(2, worker, backend="process")
+        created = run_parallel(2, _ping_pong, rounds)
         # Without recycling each rank would create `rounds` segments.
         assert all(c < rounds for c in created)
 
@@ -265,7 +292,7 @@ class TestProcessFailures:
             comm.barrier()
 
         with pytest.raises(ParallelError) as exc:
-            run_parallel(4, worker, backend="process")
+            run_parallel(4, worker)
         assert exc.value.rank == 2
         assert "boom in child" in str(exc.value)
 
@@ -276,7 +303,7 @@ class TestProcessFailures:
             comm.bcast(None, root=0)  # waits on rank 0, which never sends
 
         with pytest.raises(ParallelError) as exc:
-            run_parallel(2, worker, backend="process")
+            run_parallel(2, worker)
         assert exc.value.rank == 0
 
     def test_deadlock_times_out(self):
@@ -285,36 +312,41 @@ class TestProcessFailures:
                 comm.bcast(None, root=1)  # rank 1 never joins
 
         with pytest.raises(ParallelError):
-            run_parallel(2, worker, backend="process", recv_timeout=1.5)
+            run_parallel(2, worker, recv_timeout=1.5)
 
     def test_unpicklable_result_reported_not_hung(self):
         def worker(comm):
             return lambda: None  # cannot cross the result pipe
 
         with pytest.raises(ParallelError):
-            run_parallel(2, worker, backend="process")
+            run_parallel(2, worker)
 
 
 class TestBackendSelection:
+    """``backend=`` survives only as a shim: ``"process"`` at any rank
+    count, ``"thread"`` at 1 rank (inline either way); the rest of what it
+    rejects is in ``tests/test_one_backend.py``."""
+
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_parallel(2, lambda comm: None, backend="mpi")
+        with pytest.raises(ValueError, match="ranks are processes"):
+            run_parallel(2, _pid_and_size, backend="mpi")
 
     def test_process_single_rank_runs_inline(self):
         import os
 
-        pid = os.getpid()
-        results = run_parallel(
-            1, lambda comm: (os.getpid(), comm.size), backend="process"
-        )
-        assert results == [(pid, 1)]
+        for backend in ("process", "thread"):
+            results = run_parallel(1, _pid_and_size, backend=backend)
+            assert results == [(os.getpid(), 1)]
 
     def test_process_ranks_are_distinct_processes(self):
         import os
 
-        def worker(comm):
-            return os.getpid()
-
-        pids = run_parallel(3, worker, backend="process")
+        pids = [pid for pid, _ in run_parallel(3, _pid_and_size, backend="process")]
         assert len(set(pids)) == 3
         assert os.getpid() not in pids
+
+
+def _pid_and_size(comm):
+    import os
+
+    return os.getpid(), comm.size

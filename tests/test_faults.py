@@ -1,8 +1,9 @@
 """Fault-injection tests: rank kills, shm reclaim, kill-and-resume.
 
-Exercises :mod:`repro.faults` end to end: a rank killed mid-simulation on
-both execution backends (with bounded detection on the process backend),
-and bit-identical resume from the last checkpoint via
+Exercises :mod:`repro.faults` end to end: a rank killed mid-simulation
+(raised, or a hard exit detected within a bound; never a hard exit of the
+process that armed the injector), and bit-identical resume from the last
+checkpoint via
 :func:`repro.hacc.simulation.run_with_recovery`.  Torn checkpoint writes
 are covered in ``tests/test_robustness.py``.
 """
@@ -47,22 +48,34 @@ class TestFaultSpec:
         assert faults.active() is None
 
 
+def _sim_worker(comm, cfg):
+    sim = HACCSimulation(cfg, comm=comm)
+    sim.run()
+    return sim.local
+
+
 class TestRankKill:
-    def test_thread_backend_kill_at_step(self):
+    def test_kill_at_step_raises(self):
         cfg = SimulationConfig(np_side=8, nsteps=4, seed=11)
         faults.install(
             faults.FaultSpec(kill_rank=1, kill_step=3, kill_mode="raise")
         )
-
-        def worker(comm):
-            sim = HACCSimulation(cfg, comm=comm)
-            sim.run()
-
         with pytest.raises(ParallelError) as exc:
-            run_parallel(2, worker)
+            run_parallel(2, _sim_worker, cfg)
         assert exc.value.rank == 1
         assert isinstance(exc.value.original, faults.RankKilledError)
         assert "step 3" in str(exc.value.original)
+
+    def test_exit_mode_raises_in_the_arming_process(self):
+        """An inline rank runs in the process that armed the injector: a
+        hard exit there would take the caller (a CLI, this test run) down
+        with it, so the kill raises instead."""
+        cfg = SimulationConfig(np_side=8, nsteps=4, seed=11)
+        faults.install(
+            faults.FaultSpec(kill_rank=0, kill_step=3, kill_mode="exit")
+        )
+        with pytest.raises(faults.RankKilledError, match="step 3"):
+            run_parallel(1, _sim_worker, cfg)
 
     def test_process_backend_kill_detected_within_bound(self):
         """A child dying via os._exit must surface as ParallelError naming
@@ -72,14 +85,9 @@ class TestRankKill:
             faults.FaultSpec(kill_rank=1, kill_step=2, kill_mode="exit",
                              kill_exitcode=87)
         )
-
-        def worker(comm):
-            sim = HACCSimulation(cfg, comm=comm)
-            sim.run()
-
         t0 = time.perf_counter()
         with pytest.raises(ParallelError) as exc:
-            run_parallel(2, worker, backend="process", recv_timeout=60.0)
+            run_parallel(2, _sim_worker, cfg, recv_timeout=60.0)
         elapsed = time.perf_counter() - t0
         assert exc.value.rank == 1
         assert isinstance(exc.value.original, RankDiedError)
@@ -118,10 +126,7 @@ class TestShmReclaim:
                 faults.FaultSpec(kill_rank=1, kill_step=2, kill_mode="exit")
             )
             with pytest.raises(ParallelError) as exc:
-                run_parallel(
-                    2, _shm_heavy_sim_worker, cfg,
-                    backend="process", recv_timeout=60.0,
-                )
+                run_parallel(2, _shm_heavy_sim_worker, cfg, recv_timeout=60.0)
             faults.clear()
             assert isinstance(exc.value.original, RankDiedError)
             # Every round's pool (and its /dev/shm segments, including the
@@ -129,47 +134,33 @@ class TestShmReclaim:
             assert self._repro_segments() == baseline, f"round {round_no}"
 
 
+def _recover_worker(comm, cfg, ckpt_dir, resume):
+    sim = run_with_recovery(
+        cfg, comm, checkpoint_dir=ckpt_dir, checkpoint_every=2, resume=resume,
+    )
+    return sim.local, sim.recovery.resumed_step
+
+
 class TestKillAndResume:
     CFG = SimulationConfig(np_side=8, nsteps=6, seed=7)
 
-    def _reference(self, nranks):
-        def worker(comm):
-            sim = HACCSimulation(self.CFG, comm=comm)
-            sim.run()
-            return sim.local
-
-        return run_parallel(nranks, worker)
-
-    def _recover(self, nranks, backend, ckpt_dir, resume):
-        def worker(comm):
-            sim = run_with_recovery(
-                self.CFG, comm, checkpoint_dir=ckpt_dir,
-                checkpoint_every=2, resume=resume,
-            )
-            return sim.local, sim.recovery.resumed_step
-
-        return run_parallel(nranks, worker, backend=backend)
-
-    @pytest.mark.parametrize("backend,kill_mode", [
-        ("thread", "raise"),
-        ("process", "exit"),
-    ])
-    def test_resume_is_bit_identical(self, tmp_path, backend, kill_mode):
+    @pytest.mark.parametrize("kill_mode", ["raise", "exit"])
+    def test_resume_is_bit_identical(self, tmp_path, kill_mode):
         ckpt_dir = str(tmp_path / "ckpts")
-        reference = self._reference(2)
+        reference = run_parallel(2, _sim_worker, self.CFG)
 
         faults.install(
             faults.FaultSpec(kill_rank=1, kill_step=5, kill_mode=kill_mode)
         )
         with pytest.raises(ParallelError):
-            self._recover(2, backend, ckpt_dir, resume=False)
+            run_parallel(2, _recover_worker, self.CFG, ckpt_dir, False)
         faults.clear()
 
         # Checkpoints for steps 2 and 4 must have survived the crash.
         names = sorted(os.listdir(ckpt_dir))
         assert names == ["ckpt-000002.ckpt", "ckpt-000004.ckpt"]
 
-        results = self._recover(2, backend, ckpt_dir, resume=True)
+        results = run_parallel(2, _recover_worker, self.CFG, ckpt_dir, True)
         for rank, (local, resumed_step) in enumerate(results):
             assert resumed_step == 4
             ref = reference[rank]

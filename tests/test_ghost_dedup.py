@@ -5,7 +5,7 @@ The old dedup key concatenated the rounded positions with
 int64 ids silently collide in exactly the production id spaces the
 ROADMAP targets.  The fix dedups on an integer-exact (quantized position,
 id) key; these tests pin both the 2**63-adjacent behavior and the
-bit-identical small-id semantics, on both execution backends.
+bit-identical small-id semantics across process ranks.
 """
 
 import numpy as np
@@ -84,8 +84,7 @@ def _exchange_worker(comm, pts, ids, decomp, ghost):
     return gpos.copy(), gids.copy()
 
 
-@pytest.mark.parametrize("exec_backend", ["thread", "process"])
-def test_exchange_with_huge_ids_matches_small_ids(exec_backend):
+def test_exchange_with_huge_ids_matches_small_ids():
     """End-to-end: the exchange yields the same ghost sets whether ids are
     small or offset into the float-lossy range above 2**53."""
     rng = np.random.default_rng(5)
@@ -95,10 +94,10 @@ def test_exchange_with_huge_ids_matches_small_ids(exec_backend):
     decomp = Decomposition.regular(Bounds.cube(10.0), 4, periodic=True)
 
     got_small = run_parallel(
-        4, _exchange_worker, pts, small, decomp, 2.5, backend=exec_backend
+        4, _exchange_worker, pts, small, decomp, 2.5
     )
     got_huge = run_parallel(
-        4, _exchange_worker, pts, huge, decomp, 2.5, backend=exec_backend
+        4, _exchange_worker, pts, huge, decomp, 2.5
     )
     for (spos, sids), (hpos, hids) in zip(got_small, got_huge):
         assert len(sids) > 0  # the exchange actually produced ghosts

@@ -4,12 +4,24 @@ import pytest
 
 from repro.hacc import SimulationConfig
 from repro.insitu import (
+    TOOL_REGISTRY,
     CosmologyToolsFramework,
     FrameworkConfig,
     ToolConfig,
     run_simulation_with_tools,
 )
 from repro.insitu.tools import AnalysisTool
+
+
+# Registered when pytest imports this module, before any test forks rank
+# processes: a registration made inside a test would reach only the
+# calling process, not the pool's ranks forked before it.
+@CosmologyToolsFramework.register
+class _CountTool(AnalysisTool):
+    name = "particle_count"
+
+    def run(self, sim, step, a, comm, context=None):
+        return comm.allreduce(len(sim.local))
 
 
 class TestToolConfig:
@@ -169,14 +181,7 @@ class TestFramework:
         assert cat.num_halos >= 1  # structure has formed by z=0
 
     def test_custom_tool_registration(self):
-        @CosmologyToolsFramework.register
-        class CountTool(AnalysisTool):
-            name = "particle_count"
-
-            def run(self, sim, step, a, comm, context=None):
-                n = len(sim.local)
-                return n if comm is None else comm.allreduce(n)
-
+        assert TOOL_REGISTRY["particle_count"] is _CountTool
         cfg = SimulationConfig(np_side=8, nsteps=2, seed=4)
         results = run_simulation_with_tools(
             cfg, {"tools": [{"tool": "particle_count"}]}, nranks=2

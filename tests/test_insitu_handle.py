@@ -25,8 +25,6 @@ from repro.insitu import (
 
 from .tracking_reference import assert_same_columns
 
-BACKENDS = ["thread", "process"]
-
 #: Bytes an analysis firing may send per rank, per global cell, beyond the
 #: tessellation's own ghost exchange and file write.
 ANALYSIS_BYTES_PER_CELL = 64
@@ -51,19 +49,16 @@ def cull_tree_1rank():
     return run_simulation_with_tools(CULL_CFG, CULL_DECK)["tracking"][12]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("nranks", [1, 2, 4])
-def test_tracking_follows_the_culled_tessellation(
-    cull_tree_1rank, nranks, backend
-):
+def test_tracking_follows_the_culled_tessellation(cull_tree_1rank, nranks):
     """Tracking labels the tessellation tool's (culled) cells at every
     rank count — it used to re-tessellate without the tool's ``vmin`` on
     2+ ranks and lose the split."""
     assert (cull_tree_1rank.num_tracks, cull_tree_1rank.num_events) == (2, 3)
     assert cull_tree_1rank.counts()["split"] == 1
-    got = run_simulation_with_tools(
-        CULL_CFG, CULL_DECK, nranks=nranks, backend=backend
-    )["tracking"][12]
+    got = run_simulation_with_tools(CULL_CFG, CULL_DECK, nranks=nranks)[
+        "tracking"
+    ][12]
     assert_same_columns(got.arrays, cull_tree_1rank.arrays, volumes_rtol=1e-9)
 
 
@@ -155,13 +150,11 @@ def _traffic_worker(comm, compute_minkowski: bool):
     return out
 
 
-def _run_observed(nranks, backend, compute_minkowski):
+def _run_observed(nranks, compute_minkowski):
     observe.reset_all()
     observe.enable()
     try:
-        per_rank = run_parallel(
-            nranks, _traffic_worker, compute_minkowski, backend=backend
-        )
+        per_rank = run_parallel(nranks, _traffic_worker, compute_minkowski)
         assemblies = observe.registry().counter("insitu.mesh_assemblies").value
     finally:
         observe.disable()
@@ -169,10 +162,9 @@ def _run_observed(nranks, backend, compute_minkowski):
     return per_rank, assemblies
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("nranks", [2, 4])
-def test_analysis_traffic_per_firing(nranks, backend):
-    per_rank, assemblies = _run_observed(nranks, backend, False)
+def test_analysis_traffic_per_firing(nranks):
+    per_rank, assemblies = _run_observed(nranks, False)
     firings = per_rank[0]
     assert sorted(firings) == [4, 8]
     for step in firings:
@@ -185,9 +177,8 @@ def test_analysis_traffic_per_firing(nranks, backend):
     assert assemblies == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_minkowski_assembles_once_per_firing(backend):
-    per_rank, assemblies = _run_observed(2, backend, True)
+def test_minkowski_assembles_once_per_firing():
+    per_rank, assemblies = _run_observed(2, True)
     assert assemblies == len(per_rank[0]) == 2
 
 
@@ -210,9 +201,8 @@ def _handle_worker(comm):
     return summary, (handle.site_ids(), handle.volumes()), handle.block
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_handle_columns_match_the_joined_mesh(backend):
-    per_rank = run_parallel(3, _handle_worker, backend=backend)
+def test_handle_columns_match_the_joined_mesh():
+    per_rank = run_parallel(3, _handle_worker)
     summaries = {s for s, _, _ in per_rank}
     assert len(summaries) == 1
     joined = Tessellation(
@@ -230,10 +220,9 @@ def test_handle_columns_match_the_joined_mesh(backend):
 # ----------------------------------------------------------------------
 # void catalogs equal find_voids on the joined tessellation
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("nranks", [1, 2, 4])
 @pytest.mark.parametrize("cull", [None, 0.6])
-def test_insitu_voids_match_joined_tessellation(nranks, backend, cull):
+def test_insitu_voids_match_joined_tessellation(nranks, cull):
     results = run_simulation_with_tools(
         SimulationConfig(np_side=10, nsteps=8, seed=2),
         {"tools": [
@@ -243,7 +232,6 @@ def test_insitu_voids_match_joined_tessellation(nranks, backend, cull):
              "params": {"vmin_fraction": 0.6, "min_cells": 2}},
         ]},
         nranks=nranks,
-        backend=backend,
     )
     found = 0
     for step, tess in results["tessellation"].items():

@@ -259,11 +259,10 @@ def _span_worker(comm):
 
 
 class TestCrossRankMerge:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("nranks", [1, 2, 4])
-    def test_span_round_trip(self, backend, nranks):
+    def test_span_round_trip(self, nranks):
         observe.enable()
-        results = run_parallel(nranks, _span_worker, backend=backend)
+        results = run_parallel(nranks, _span_worker)
         assert results == list(range(nranks))
         events = [ev for ev in trace.raw_events() if ev[trace.NAME] == "unit"]
         assert {ev[trace.RANK] for ev in events} == set(range(nranks))
@@ -274,9 +273,8 @@ class TestCrossRankMerge:
         for rank in range(nranks):
             assert gauges[f"mem.peak_rss_bytes{{rank={rank}}}"] > 0
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_disabled_run_records_nothing(self, backend):
-        results = run_parallel(2, _span_worker, backend=backend)
+    def test_disabled_run_records_nothing(self):
+        results = run_parallel(2, _span_worker)
         assert results == [0, 1]
         assert trace.num_events() == 0
         assert len(observe.registry()) == 0
@@ -307,10 +305,9 @@ def _gather_worker(comm):
 
 
 class TestFullRunTracing:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_tessellation_phases_traced(self, backend):
+    def test_tessellation_phases_traced(self):
         observe.enable()
-        run_parallel(2, _tess_worker, backend=backend)
+        run_parallel(2, _tess_worker)
         names = {ev[trace.NAME] for ev in trace.raw_events()}
         assert {"exchange", "compute", "output"} <= names
         crit = observe.phase_criticals()
@@ -320,8 +317,7 @@ class TestFullRunTracing:
         assert hists["tess.compute_s{rank=0}"]["count"] == 1
         assert hists["tess.compute_s{rank=1}"]["count"] == 1
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_simulation_acceptance_spans(self, backend, tmp_path):
+    def test_simulation_acceptance_spans(self, tmp_path):
         from repro.hacc import SimulationConfig
         from repro.insitu import run_simulation_with_tools
 
@@ -331,7 +327,7 @@ class TestFullRunTracing:
             {"tool": "tessellation", "every": 2, "params": {"ghost": 2.0}},
         ]}
         run_simulation_with_tools(
-            cfg, spec, nranks=2, backend=backend,
+            cfg, spec, nranks=2,
             checkpoint_dir=str(tmp_path), checkpoint_every=2,
         )
         names = {ev[trace.NAME] for ev in trace.raw_events()}
@@ -346,9 +342,9 @@ class TestFullRunTracing:
 
     def test_shm_send_events_on_process_backend(self):
         observe.enable()
-        run_parallel(2, _gather_worker, backend="process")
+        run_parallel(2, _gather_worker)
         shm = [ev for ev in trace.raw_events() if ev[trace.NAME] == "shm-send"]
-        assert shm, "expected shm-send spans on the process backend"
+        assert shm, "expected shm-send spans between forked ranks"
         assert all(ev[trace.ATTRS]["bytes"] > 0 for ev in shm)
 
 

@@ -67,7 +67,7 @@ class TestPublicSurfaces:
 
     def test_no_geometry_backend_selector(self):
         """One local Voronoi engine: no tessellation entry point takes a
-        geometry ``backend`` (``exec_backend`` is the SPMD substrate)."""
+        geometry ``backend`` (nor an SPMD one: ranks are processes)."""
         core = importlib.import_module("repro.core")
         insitu = importlib.import_module("repro.insitu")
         for fn in (

@@ -6,36 +6,36 @@ import struct
 import numpy as np
 import pytest
 
-import repro.diy.comm as comm_mod
 from repro.diy.comm import ParallelError, run_parallel
 from repro.diy.mpi_io import BlockFileReader, pack_arrays, write_blocks
 
 
+def _gather_without_rank_1(comm):
+    if comm.rank == 0:
+        comm.gather("x", root=0)  # rank 1 never contributes
+
+
+def _rank_0_skips_bcast(comm):
+    if comm.rank == 0:
+        return None  # skips the bcast entirely
+    return comm.bcast(None, root=0)  # blocks on the missing root
+
+
 class TestDeadlockDetection:
-    def test_recv_without_sender_times_out(self, monkeypatch):
+    """The short receive timeout is passed in: pool ranks were forked
+    before any module state could be patched."""
+
+    def test_recv_without_sender_times_out(self):
         """A matched receive that can never complete must raise, not hang."""
-        monkeypatch.setattr(comm_mod, "_DEFAULT_TIMEOUT", 0.2)
-
-        def worker(comm):
-            if comm.rank == 0:
-                comm.gather("x", root=0)  # rank 1 never contributes
-
         with pytest.raises(ParallelError) as exc:
-            run_parallel(2, worker)
+            run_parallel(2, _gather_without_rank_1, recv_timeout=0.2)
         assert isinstance(exc.value.original, TimeoutError)
         assert "deadlock" in str(exc.value.original)
 
-    def test_mismatched_collectives_detected(self, monkeypatch):
+    def test_mismatched_collectives_detected(self):
         """One rank skipping a collective wedges its peers — detected."""
-        monkeypatch.setattr(comm_mod, "_DEFAULT_TIMEOUT", 0.2)
-
-        def worker(comm):
-            if comm.rank == 0:
-                return None  # skips the bcast entirely
-            return comm.bcast(None, root=0)  # blocks on the missing root
-
         with pytest.raises(ParallelError):
-            run_parallel(2, worker)
+            run_parallel(2, _rank_0_skips_bcast, recv_timeout=0.2)
 
 
 class TestCorruptedBlockFiles:
