@@ -165,7 +165,7 @@ class _Mesh:
 
     @classmethod
     def of(cls, tess: Tessellation) -> "_Mesh":
-        blocks = tess.blocks or [VoronoiBlock.from_cells(0, tess.domain, [])]
+        blocks = tess.blocks or [VoronoiBlock.empty(0, tess.domain)]
         pool = np.cumsum([0] + [b.num_vertices for b in blocks[:-1]])
         stored = np.cumsum([0] + [len(b.face_vertices) for b in blocks[:-1]])
         cat = np.concatenate

@@ -12,7 +12,6 @@ In situ mode (inside an SPMD region, with distributed particles)::
 """
 
 from .accuracy import MatchResult, match_tessellations
-from .cell import VoronoiCell
 from .culling import early_cull_mask, sphere_diameter_for_volume
 from .data_model import BlockSizeReport, VoronoiBlock
 from .ghost import exchange_ghost_particles, exchange_ghost_particles_multi
@@ -28,7 +27,6 @@ from .timing import PhaseTimer, TessTimings
 __all__ = [
     "MatchResult",
     "match_tessellations",
-    "VoronoiCell",
     "early_cull_mask",
     "sphere_diameter_for_volume",
     "BlockSizeReport",

@@ -15,7 +15,10 @@ memory a block holds:
 * ``volumes``/``areas``   (ncells,) float64
 
 (the int32 arrays widen to int64 past 2**31 entries,
-:func:`connectivity_index_dtype`).  On disk the connectivity is stored
+:func:`connectivity_index_dtype`).  This is the only cell representation:
+cell ``i`` is row ``i`` of the per-cell columns and the face slice
+``cell_face_offsets[i]:cell_face_offsets[i + 1]``, and everything else per
+cell is derived from these columns.  On disk the connectivity is stored
 narrower — counts instead of offsets, neighbour ids as deltas, every array
 in the narrowest integer dtype its values need — and decoded back to
 exactly these arrays; :mod:`repro.core.tess_io` owns that payload.
@@ -32,8 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diy.bounds import Bounds
-from ..geometry.voronoi_delaunay import segment_gather
-from .cell import VoronoiCell
 
 __all__ = ["VoronoiBlock", "BlockSizeReport", "connectivity_index_dtype",
            "narrowest_int_dtype", "index_in_sorted", "isin_sorted"]
@@ -145,64 +146,21 @@ class VoronoiBlock:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_cells(
-        cls,
-        gid: int,
-        extents: Bounds,
-        cells: list[VoronoiCell],
-        dedup_decimals: int = 9,
-    ) -> "VoronoiBlock":
-        """Assemble a block, deduplicating vertices shared between cells.
-
-        Vertices are merged by rounded coordinates (``dedup_decimals``); in
-        HACC runs each Voronoi vertex is shared by ~5 cells, which this
-        recovers without needing exact topology from the backends.
-        """
-        vert_index: dict[tuple[float, ...], int] = {}
-        vertices: list[np.ndarray] = []
-        face_vertices: list[int] = []
-        face_offsets = [0]
-        face_neighbors: list[int] = []
-        cell_face_offsets = [0]
-
-        for cell in cells:
-            local_map = np.empty(len(cell.vertices), dtype=np.int64)
-            rounded = np.round(cell.vertices, dedup_decimals)
-            for i, key_arr in enumerate(rounded):
-                key = tuple(key_arr)
-                j = vert_index.get(key)
-                if j is None:
-                    j = len(vertices)
-                    vertices.append(cell.vertices[i])
-                    vert_index[key] = j
-                local_map[i] = j
-            for face, nb in zip(cell.faces, cell.neighbor_ids):
-                face_vertices.extend(int(v) for v in local_map[face])
-                face_offsets.append(len(face_vertices))
-                face_neighbors.append(int(nb))
-            cell_face_offsets.append(len(face_neighbors))
-
-        idx_dtype = connectivity_index_dtype(
-            max(len(face_vertices), len(vertices))
-        )
+    def empty(cls, gid: int, extents: Bounds) -> "VoronoiBlock":
+        """A block that owns no cells."""
+        idx = connectivity_index_dtype(0)
         return cls(
             gid=gid,
             extents=extents,
-            vertices=(
-                np.asarray(vertices) if vertices else np.empty((0, 3))
-            ),
-            face_vertices=np.asarray(face_vertices, dtype=idx_dtype),
-            face_offsets=np.asarray(face_offsets, dtype=idx_dtype),
-            face_neighbors=np.asarray(face_neighbors, dtype=np.int64),
-            cell_face_offsets=np.asarray(cell_face_offsets, dtype=idx_dtype),
-            sites=(
-                np.asarray([c.site for c in cells])
-                if cells
-                else np.empty((0, 3))
-            ),
-            site_ids=np.asarray([c.site_id for c in cells], dtype=np.int64),
-            volumes=np.asarray([c.volume for c in cells]),
-            areas=np.asarray([c.area for c in cells]),
+            vertices=np.empty((0, 3)),
+            face_vertices=np.empty(0, dtype=idx),
+            face_offsets=np.zeros(1, dtype=idx),
+            face_neighbors=np.empty(0, dtype=np.int64),
+            cell_face_offsets=np.zeros(1, dtype=idx),
+            sites=np.empty((0, 3)),
+            site_ids=np.empty(0, dtype=np.int64),
+            volumes=np.empty(0),
+            areas=np.empty(0),
         )
 
     @classmethod
@@ -251,29 +209,6 @@ class VoronoiBlock:
             areas=areas,
         )
 
-    def take(self, cells: np.ndarray) -> "VoronoiBlock":
-        """The block restricted to ``cells`` (cell indices, in the order
-        given), with the vertex pool compacted to what they reference."""
-        cells = np.asarray(cells, dtype=np.int64)
-        cell_off = self.cell_face_offsets.astype(np.int64)
-        counts = cell_off[cells + 1] - cell_off[cells]
-        faces = segment_gather(cell_off[cells], counts)
-        face_off = self.face_offsets.astype(np.int64)
-        lengths = face_off[faces + 1] - face_off[faces]
-        return VoronoiBlock.from_rows(
-            self.gid,
-            self.extents,
-            self.vertices,
-            self.face_vertices[segment_gather(face_off[faces], lengths)],
-            lengths,
-            self.face_neighbors[faces],
-            counts,
-            self.sites[cells],
-            self.site_ids[cells],
-            self.volumes[cells],
-            self.areas[cells],
-        )
-
     # ------------------------------------------------------------------
     @property
     def num_cells(self) -> int:
@@ -286,49 +221,6 @@ class VoronoiBlock:
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
-
-    def faces_of_cell(self, i: int) -> list[np.ndarray]:
-        """Vertex-index cycles of cell ``i`` (into the block vertex pool)."""
-        out = []
-        for f in range(self.cell_face_offsets[i], self.cell_face_offsets[i + 1]):
-            out.append(
-                self.face_vertices[self.face_offsets[f] : self.face_offsets[f + 1]]
-            )
-        return out
-
-    def neighbors_of_cell(self, i: int) -> np.ndarray:
-        """Global neighbor ids of cell ``i``, one per face."""
-        return self.face_neighbors[
-            self.cell_face_offsets[i] : self.cell_face_offsets[i + 1]
-        ]
-
-    def cells(self) -> list[VoronoiCell]:
-        """Rebuild per-cell records (copies; for analysis convenience)."""
-        out = []
-        for i in range(self.num_cells):
-            faces_global = self.faces_of_cell(i)
-            used = (
-                np.unique(np.concatenate(faces_global))
-                if faces_global
-                else np.empty(0, np.int64)
-            )
-            remap = {int(v): j for j, v in enumerate(used)}
-            faces = [
-                np.asarray([remap[int(v)] for v in f], dtype=np.int64)
-                for f in faces_global
-            ]
-            out.append(
-                VoronoiCell(
-                    site_id=int(self.site_ids[i]),
-                    site=self.sites[i].copy(),
-                    vertices=self.vertices[used].copy(),
-                    faces=faces,
-                    neighbor_ids=self.neighbors_of_cell(i).copy(),
-                    volume=float(self.volumes[i]),
-                    area=float(self.areas[i]),
-                )
-            )
-        return out
 
     # ------------------------------------------------------------------
     # statistics used by the paper's data-model discussion

@@ -1,9 +1,9 @@
 """tess file I/O: parallel write, full or subset read (paper §III-C2).
 
-One tessellation is one DIY block file (see :mod:`repro.diy.mpi_io`): every
-rank writes its block payload at an exclusive-scan offset, and the footer
-indexes blocks by gid.  Each payload also records the global domain so a
-reader needs nothing else.  This module is the only one that knows the
+One tessellation is one DIY block file (see :mod:`repro.diy.mpi_io`): the
+ranks write their block payloads in gid order, and the footer indexes
+blocks by gid.  Each payload also records the global domain so a reader
+needs nothing else.  This module is the only one that knows the
 payload; everything else sees the in-memory
 :class:`~repro.core.data_model.VoronoiBlock`.
 
@@ -19,10 +19,11 @@ per block) the connectivity is lossless but narrow:
 ===================  =================================================
 
 ``gid``, ``extents``, ``domain``, ``vertices``, ``sites``, ``site_ids``,
-``volumes`` and ``areas`` are stored as they are in memory.  Payloads
-written before v3 (v2) hold the in-memory connectivity arrays instead;
-:func:`block_from_payload` tells the two apart by key set, checks either
-against the mesh invariants, and returns the same block.
+``volumes`` and ``areas`` are stored as they are in memory.
+:func:`block_from_payload` reads only this key set, checks the decoded
+arrays against the mesh invariants, and refuses anything else (an older
+payload that stored the in-memory offsets, a HACC checkpoint, foreign
+arrays) as not a tess payload.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ __all__ = [
     "scan_block_extents",
 ]
 
-_COMMON = {"gid", "extents", "domain", "vertices", "face_vertices",
-           "sites", "site_ids", "volumes", "areas"}
-_V2_KEYS = _COMMON | {"face_offsets", "cell_face_offsets", "face_neighbors"}
-_V3_KEYS = _COMMON | {"face_lengths", "cell_faces", "neighbor_deltas"}
+_PAYLOAD_KEYS = {"gid", "extents", "domain", "vertices", "face_vertices",
+                 "face_lengths", "cell_faces", "neighbor_deltas", "sites",
+                 "site_ids", "volumes", "areas"}
 
 
 def _narrow(values: np.ndarray, kind: str) -> np.ndarray:
@@ -105,9 +105,9 @@ def _ints(where: str, arrays: dict, names: tuple[str, ...]) -> None:
             )
 
 
-def _check(where: str, arrays: dict, off_names: tuple[str, str]) -> None:
-    """Mesh invariants of the in-memory arrays; ``off_names`` name the
-    stored arrays the two offset arrays came from, for the message."""
+def _check(where: str, arrays: dict) -> None:
+    """Mesh invariants of the decoded arrays; an offset array is named in
+    the message by the stored counts it came from."""
 
     def fail(name: str, what: str):
         raise CheckpointError(f"{where}: {name} {what}")
@@ -120,16 +120,14 @@ def _check(where: str, arrays: dict, off_names: tuple[str, str]) -> None:
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             fail(name, f"has shape {arrays[name].shape}, expected {shape}")
-    _ints(where, arrays, ("site_ids", "face_vertices", "face_neighbors",
-                          "face_offsets", "cell_face_offsets"))
     for key, name, parts, total in (
-        ("face_offsets", off_names[0], nf, nfv),
-        ("cell_face_offsets", off_names[1], nc, nf),
+        ("face_offsets", "face_lengths", nf, nfv),
+        ("cell_face_offsets", "cell_faces", nc, nf),
     ):
         off = arrays[key]
         if len(off) != parts + 1:
             fail(name, f"covers {len(off) - 1} items, expected {parts}")
-        if off[0] != 0 or off[-1] != total or np.any(off[1:] < off[:-1]):
+        if off[-1] != total or np.any(off[1:] < off[:-1]):
             fail(name, f"must address entries [0, {total}) in order, "
                        f"addresses [{off[0]}, {off[-1]})")
     fv = arrays["face_vertices"]
@@ -152,30 +150,28 @@ def block_from_payload(
         arrays = _unpack(blob, where)
     finally:
         del blob  # the arrays are copies; see _unpack
-    if set(arrays) == _V3_KEYS:
-        _ints(where, arrays, ("face_lengths", "cell_faces"))
-        for key, name in (("face_offsets", "face_lengths"),
-                          ("cell_face_offsets", "cell_faces")):
-            counts = np.cumsum(arrays.pop(name), dtype=np.int64)
-            arrays[key] = np.concatenate(([0], counts))
-        arrays["face_neighbors"] = arrays.pop("neighbor_deltas")
-        _check(where, arrays, ("face_lengths", "cell_faces"))
-        # the in-memory dtype rule of every block constructor, so a decoded
-        # block has the written block's dtypes
-        idx = connectivity_index_dtype(
-            max(len(arrays["face_vertices"]), len(arrays["vertices"]))
-        )
-        for key in ("face_vertices", "face_offsets", "cell_face_offsets"):
-            arrays[key] = arrays[key].astype(idx)
-        arrays["face_neighbors"] = np.repeat(
-            arrays["site_ids"], np.diff(arrays["cell_face_offsets"])
-        ) + arrays["face_neighbors"].astype(np.int64)
-    elif set(arrays) == _V2_KEYS:
-        _check(where, arrays, ("face_offsets", "cell_face_offsets"))
-    else:
+    if set(arrays) != _PAYLOAD_KEYS:
         raise CheckpointError(
             f"{where}: not a tess payload (arrays {sorted(arrays)})"
         )
+    _ints(where, arrays, ("face_vertices", "face_lengths", "cell_faces",
+                          "neighbor_deltas", "site_ids"))
+    for key, name in (("face_offsets", "face_lengths"),
+                      ("cell_face_offsets", "cell_faces")):
+        counts = np.cumsum(arrays.pop(name), dtype=np.int64)
+        arrays[key] = np.concatenate(([0], counts))
+    arrays["face_neighbors"] = arrays.pop("neighbor_deltas")
+    _check(where, arrays)
+    # the in-memory dtype rule of every block constructor, so a decoded
+    # block has the written block's dtypes
+    idx = connectivity_index_dtype(
+        max(len(arrays["face_vertices"]), len(arrays["vertices"]))
+    )
+    for key in ("face_vertices", "face_offsets", "cell_face_offsets"):
+        arrays[key] = arrays[key].astype(idx)
+    arrays["face_neighbors"] = np.repeat(
+        arrays["site_ids"], np.diff(arrays["cell_face_offsets"])
+    ) + arrays["face_neighbors"].astype(np.int64)
     dom = arrays.pop("domain")
     return VoronoiBlock.from_arrays(arrays), Bounds.from_arrays(dom[0], dom[1])
 

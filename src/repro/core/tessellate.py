@@ -26,7 +26,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from ..diy.comm import Communicator, run_parallel
 from ..diy.decomposition import Decomposition
 from ..diy.exchange import Assignment
 from ..geometry.voronoi_delaunay import DelaunayVoronoi, segment_gather
-from .cell import VoronoiCell
 from .culling import early_cull_mask
 from .data_model import VoronoiBlock
 from .ghost import exchange_ghost_particles_multi
@@ -134,7 +132,7 @@ def _tessellate_block_flat(
     owned_positions = np.atleast_2d(np.asarray(owned_positions, dtype=float))
     n_owned = len(owned_positions)
     if n_owned == 0:
-        return VoronoiBlock.from_cells(gid, extents, [])
+        return VoronoiBlock.empty(gid, extents)
     all_points = (
         np.concatenate([owned_positions, np.atleast_2d(ghost_positions)])
         if len(ghost_positions)
@@ -418,7 +416,7 @@ def _block_from_flat(
         keep &= fv.volumes[sites] <= vmax
     kept = sites[keep]
     if len(kept) == 0:
-        return VoronoiBlock.from_cells(gid, extents, []), kept
+        return VoronoiBlock.empty(gid, extents), kept
 
     # Ridge ids around each kept cell, concatenated in cell order.
     counts = (
@@ -582,11 +580,6 @@ class Tessellation:
     def total_volume(self) -> float:
         """Sum of kept cell volumes."""
         return float(self.volumes().sum())
-
-    def cells(self) -> Iterator[VoronoiCell]:
-        """Iterate all cells (rebuilt per block)."""
-        for b in self.blocks:
-            yield from b.cells()
 
     def write(self, path: str) -> int:
         """Serial write of all blocks to one tess file; returns file size."""

@@ -10,9 +10,9 @@ calling thread.  Each rank executes the same function with its own
 
 The communicator offers exactly the collectives the pipeline calls, with
 mpi4py's lowercase (object, pickle-level) names — ``barrier``/``bcast``/
-``gather``/``allreduce``/``exscan``/``alltoall`` plus
-``sparse_alltoall`` for the neighbour exchange — so porting the library
-onto real MPI is a mechanical substitution of the communicator object.
+``gather``/``allreduce``/``alltoall`` plus ``sparse_alltoall`` for the
+neighbour exchange — so porting the library onto real MPI is a
+mechanical substitution of the communicator object.
 There is no user point-to-point channel: the collectives' private
 send/receive is the only message path.
 
@@ -29,8 +29,8 @@ Design notes
   Every collective call reserves its own block of tags, so concurrent
   rounds never match each other's traffic.
 * Collectives are flat trees — binomial trees for the rooted operations
-  (``bcast``/``gather``), recursive doubling for ``allreduce``/``exscan``
-  — so every rank sends/receives O(log P) messages.  Reduction ops must
+  (``bcast``/``gather``), recursive doubling for ``allreduce`` — so
+  every rank sends/receives O(log P) messages.  Reduction ops must
   be associative; commutativity is *not* required (operands always
   combine in rank order, as MPI specifies).
 * Collectives must be called by all ranks in the same order, exactly as in
@@ -477,33 +477,6 @@ class Communicator:
             k <<= 1
             rnd += 1
         return acc
-
-    def exscan(self, value: Any, op: Callable[[Any, Any], Any] = None) -> Any:
-        """Exclusive prefix reduction; rank 0 receives ``None``.
-
-        Recursive-doubling distributed scan: rank r learns progressively
-        earlier contiguous segments and prepends them, so non-commutative
-        ops are safe.  Used by the parallel writer to turn per-rank byte
-        counts into file offsets, exactly as DIY does with ``MPI_Exscan``.
-        """
-        self._count("exscan")
-        op = op or operator.add
-        tag = self._next_coll_tag()
-        rank, size = self._rank, self.size
-        result = None  # exclusive prefix over ranks [x, rank)
-        acc = value  # reduction of a contiguous range ending at this rank
-        stride = 1
-        rnd = 0
-        while stride < size:
-            if rank + stride < size:
-                self._send(acc, rank + stride, tag + rnd)
-            if rank - stride >= 0:
-                other = self._recv(rank - stride, tag + rnd)
-                result = other if result is None else op(other, result)
-                acc = op(other, acc)
-            stride <<= 1
-            rnd += 1
-        return result
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Exchange ``objs[d]`` to each rank ``d``; returns items received

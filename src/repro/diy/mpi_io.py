@@ -1,11 +1,13 @@
 """Single-file blocked I/O in the style of DIY's parallel writer.
 
 All blocks of a decomposition are written into **one file**: a fixed header,
-then each block's serialized payload at an exclusive-scan byte offset, then a
-footer index of ``(gid, offset, size, crc32)`` records and a trailing pointer
-to the footer.  On real MPI this is ``MPI_File_write_at_all``; here each rank
-performs positioned writes (``os.pwrite``) on a private descriptor into the
-shared file, which keeps the exact offset arithmetic and collective
+then the blocks' serialized payloads in gid order, then a footer index of
+``(gid, offset, size, crc32)`` records and a trailing pointer to the
+footer.  The layout depends only on the payloads, not on which rank held
+which block, so the same blocks make the same bytes at any rank count.  On
+real MPI this is ``MPI_File_write_at_all``; here each rank performs
+positioned writes (``os.pwrite``) on a private descriptor into the shared
+file, which keeps the exact offset arithmetic and collective
 structure of the original — ranks are OS processes
 (:func:`~repro.diy.comm.run_parallel`), and nothing but the communicator
 and the file are shared between them.
@@ -35,11 +37,11 @@ File layout (version 2)::
     offset 0        magic  b"DIYB"  (4 bytes)
     4               version u32
     8               nblocks u64
-    16              block payloads, tightly packed in gid order of write
+    16              block payloads, tightly packed in gid order
     footer_offset   nblocks x (gid u64, offset u64, size u64, crc32 u32)
     end-16          footer_offset u64, footer_crc32 u32, magic b"DIYE"
 
-Version-1 files (no checksums, 8-byte trailer) remain readable.
+Any other version (version 1 had no checksums) is refused.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -71,9 +74,6 @@ _VERSION = 2
 _HEADER = struct.Struct("<4sIQ")
 _INDEX_ENTRY = struct.Struct("<QQQI")
 _TRAILER = struct.Struct("<QI4s")
-# Version-1 layout (kept readable): no CRCs, bare footer-offset trailer.
-_INDEX_ENTRY_V1 = struct.Struct("<QQQ")
-_TRAILER_V1 = struct.Struct("<Q")
 
 HEADER_SIZE = _HEADER.size
 
@@ -148,9 +148,10 @@ def write_blocks(
 ) -> int:
     """Collectively write per-rank ``(gid, payload)`` blocks to one file.
 
-    Every rank passes its own blocks; offsets are computed with an exclusive
-    scan of per-rank byte totals, each rank writes its payloads at its own
-    offsets, and rank 0 writes the header, footer index, and trailer.
+    Every rank passes its own blocks.  One allreduce gives every rank each
+    block's ``(gid, size, crc32)``; payloads are laid out in gid order, each
+    rank writes its own at their offsets, and rank 0 writes the header,
+    footer index, and trailer.
 
     The write is crash-consistent (see module docs): all bytes go to
     ``path + ".tmp"``, which rank 0 atomically renames over ``path`` only
@@ -161,21 +162,28 @@ def write_blocks(
     """
     path = os.fspath(path)
     tmp = path + ".tmp"
-    local_size = sum(len(b) for _, b in blocks)
-    start = comm.exscan(local_size)
-    offset = HEADER_SIZE + (0 if start is None else int(start))
-
     # Rank 0 creates/truncates the *temp* file before anyone writes into it;
-    # the destination stays untouched until the final atomic rename.
+    # the destination stays untouched until the final atomic rename.  The
+    # allreduce below cannot complete on any rank before rank 0 joins it,
+    # so it also orders this truncation before every rank's writes.
     if comm.rank == 0:
         with open(tmp, "wb"):
             pass
-    comm.barrier()
+    entries = sorted(
+        comm.allreduce([(gid, len(b), zlib.crc32(b)) for gid, b in blocks])
+    )
+    nblocks = nblocks_total if nblocks_total is not None else len(entries)
+    if len(entries) != nblocks:
+        raise ValueError(f"expected {nblocks} blocks in file, wrote {len(entries)}")
+    gids = [g for g, _, _ in entries]
+    if gids != list(range(nblocks)):
+        raise ValueError(f"block gids must be 0..{nblocks - 1}, got {gids}")
+    offsets = list(accumulate((size for _, size, _ in entries), initial=HEADER_SIZE))
+    footer_offset = offsets[-1]
 
     inj = faults.active()
     tear = inj.torn_write(comm.rank) if inj is not None else None
 
-    index_entries: list[tuple[int, int, int, int]] = []
     fd = os.open(tmp, os.O_WRONLY)
     try:
         if tear is not None:
@@ -183,42 +191,28 @@ def write_blocks(
             # (so the tear is really on disk), then crash this rank.
             if blocks:
                 gid, payload = blocks[0]
-                os.pwrite(fd, payload[: int(len(payload) * tear)], offset)
+                os.pwrite(fd, payload[: int(len(payload) * tear)], offsets[gid])
             os.fsync(fd)
             inj.crash_write(comm.rank)  # raises or os._exit; never returns
         for gid, payload in blocks:
-            written = os.pwrite(fd, payload, offset)
+            written = os.pwrite(fd, payload, offsets[gid])
             if written != len(payload):
                 raise IOError(
                     f"short write for block {gid}: {written} of {len(payload)} bytes"
                 )
-            index_entries.append((gid, offset, len(payload), zlib.crc32(payload)))
-            offset += len(payload)
         os.fsync(fd)
     finally:
         os.close(fd)
-
-    all_entries = comm.gather(index_entries, root=0)
-    # One tree allreduce carries both footer inputs (bytes and block count).
-    total_payload, total_blocks = comm.allreduce(
-        (local_size, len(blocks)), op=lambda a, b: (a[0] + b[0], a[1] + b[1])
-    )
-    footer_offset = HEADER_SIZE + int(total_payload)
-    nblocks = nblocks_total if nblocks_total is not None else int(total_blocks)
+    comm.barrier()  # every payload is durable before the footer names it
 
     if comm.rank == 0:
-        flat = sorted((e for per_rank in all_entries for e in per_rank))
-        if len(flat) != nblocks:
-            raise ValueError(
-                f"expected {nblocks} blocks in file, wrote {len(flat)}"
-            )
-        gids = [g for g, _, _, _ in flat]
-        if gids != list(range(nblocks)):
-            raise ValueError(f"block gids must be 0..{nblocks - 1}, got {gids}")
         fd = os.open(tmp, os.O_WRONLY)
         try:
             os.pwrite(fd, _HEADER.pack(_MAGIC, _VERSION, nblocks), 0)
-            footer = b"".join(_INDEX_ENTRY.pack(*e) for e in flat)
+            footer = b"".join(
+                _INDEX_ENTRY.pack(gid, off, size, crc)
+                for (gid, size, crc), off in zip(entries, offsets)
+            )
             os.pwrite(fd, footer, footer_offset)
             os.pwrite(
                 fd,
@@ -248,7 +242,7 @@ class _IndexEntry:
     gid: int
     offset: int
     size: int
-    crc: int | None  # None for version-1 files (no checksum recorded)
+    crc: int
 
 
 class BlockFileReader:
@@ -276,7 +270,7 @@ class BlockFileReader:
 
     def _load_index(self) -> None:
         file_size = os.fstat(self._fd).st_size
-        if file_size < HEADER_SIZE + _TRAILER_V1.size:
+        if file_size < HEADER_SIZE:
             raise CheckpointError(
                 f"{self.path}: truncated block file ({file_size} bytes, "
                 f"header alone is {HEADER_SIZE})"
@@ -287,32 +281,23 @@ class BlockFileReader:
             raise CheckpointError(
                 f"{self.path}: not a DIY block file (magic {magic!r})"
             )
-        if version not in (1, _VERSION):
+        if version != _VERSION:
             raise CheckpointError(f"{self.path}: unsupported version {version}")
-        self.version = int(version)
         self.nblocks = int(nblocks)
-
-        entry_struct = _INDEX_ENTRY if self.version == 2 else _INDEX_ENTRY_V1
-        trailer_struct = _TRAILER if self.version == 2 else _TRAILER_V1
-        if file_size < HEADER_SIZE + trailer_struct.size:
+        if file_size < HEADER_SIZE + _TRAILER.size:
             raise CheckpointError(
                 f"{self.path}: truncated block file ({file_size} bytes)"
             )
-        trailer = os.pread(
-            self._fd, trailer_struct.size, file_size - trailer_struct.size
-        )
-        if self.version == 2:
-            footer_offset, footer_crc, end_magic = trailer_struct.unpack(trailer)
-            if end_magic != _END_MAGIC:
-                raise CheckpointError(
-                    f"{self.path}: missing end-of-file marker (torn or "
-                    f"truncated write)"
-                )
-        else:
-            (footer_offset,) = trailer_struct.unpack(trailer)
-            footer_crc = None
-        footer_size = self.nblocks * entry_struct.size
-        expected_size = footer_offset + footer_size + trailer_struct.size
+
+        trailer = os.pread(self._fd, _TRAILER.size, file_size - _TRAILER.size)
+        footer_offset, footer_crc, end_magic = _TRAILER.unpack(trailer)
+        if end_magic != _END_MAGIC:
+            raise CheckpointError(
+                f"{self.path}: missing end-of-file marker (torn or "
+                f"truncated write)"
+            )
+        footer_size = self.nblocks * _INDEX_ENTRY.size
+        expected_size = footer_offset + footer_size + _TRAILER.size
         if footer_offset < HEADER_SIZE or expected_size != file_size:
             raise CheckpointError(
                 f"{self.path}: footer index at {footer_offset} for "
@@ -325,21 +310,17 @@ class BlockFileReader:
                 f"{self.path}: short footer read ({len(footer)} of "
                 f"{footer_size} bytes)"
             )
-        if footer_crc is not None and zlib.crc32(footer) != footer_crc:
+        if zlib.crc32(footer) != footer_crc:
             raise CheckpointError(
                 f"{self.path}: footer CRC mismatch (torn or corrupted write)"
             )
         self.file_size = int(file_size)
         # Content-derived identity of this file: the footer CRC covers every
         # payload's (gid, offset, size, crc32) record, so any change to any
-        # block changes the tag.  V1 files have no stored CRC; the computed
-        # one serves the same purpose.
-        self.footer_crc = int(zlib.crc32(footer))
+        # block changes the tag.
+        self.footer_crc = int(footer_crc)
         self._index: dict[int, _IndexEntry] = {}
-        for i in range(self.nblocks):
-            rec = entry_struct.unpack_from(footer, i * entry_struct.size)
-            gid, off, size = int(rec[0]), int(rec[1]), int(rec[2])
-            crc = int(rec[3]) if self.version == 2 else None
+        for gid, off, size, crc in _INDEX_ENTRY.iter_unpack(footer):
             if off < HEADER_SIZE or off + size > footer_offset:
                 raise CheckpointError(
                     f"{self.path}: block {gid} spans [{off}, {off + size}) "
@@ -402,7 +383,7 @@ class BlockFileReader:
                 self._fd, self.file_size, prot=mmap.PROT_READ
             )
         view = memoryview(self._mmap)[entry.offset : entry.offset + entry.size]
-        if verify and entry.crc is not None and zlib.crc32(view) != entry.crc:
+        if verify and zlib.crc32(view) != entry.crc:
             raise CheckpointError(
                 f"{self.path}: CRC mismatch for block {gid} (payload corrupted)"
             )
@@ -410,7 +391,7 @@ class BlockFileReader:
 
     def read_block(self, gid: int, verify: bool = True) -> bytes:
         """Raw payload bytes of block ``gid`` (CRC-checked unless ``verify``
-        is False or the file predates checksums)."""
+        is False)."""
         try:
             entry = self._index[gid]
         except KeyError:
@@ -421,7 +402,7 @@ class BlockFileReader:
                 f"{self.path}: short read for block {gid} ({len(blob)} of "
                 f"{entry.size} bytes)"
             )
-        if verify and entry.crc is not None and zlib.crc32(blob) != entry.crc:
+        if verify and zlib.crc32(blob) != entry.crc:
             raise CheckpointError(
                 f"{self.path}: CRC mismatch for block {gid} (payload corrupted)"
             )

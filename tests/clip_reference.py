@@ -14,10 +14,11 @@ import itertools
 
 import numpy as np
 
-from repro.core import Tessellation, VoronoiBlock, VoronoiCell
+from repro.core import Tessellation
 from repro.core.culling import sphere_diameter_for_volume
 from repro.diy.bounds import Bounds
 
+from .cell_reference import VoronoiCell, from_cells
 from .clip_voronoi import VoronoiCellGeometry, voronoi_cells_clip
 
 #: Relative volume tolerance between production and the clip reference on
@@ -48,7 +49,7 @@ def clip_reference(
         pts, ids, images[near], image_ids[near], container=domain.grown(ghost)
     )
     return Tessellation(
-        domain=domain, blocks=[VoronoiBlock.from_cells(0, domain, cells)]
+        domain=domain, blocks=[from_cells(0, domain, cells)]
     )
 
 

@@ -16,6 +16,8 @@ from repro.analysis.components import ComponentLabeling
 from repro.core.data_model import VoronoiBlock
 from repro.core.tessellate import Tessellation
 
+from .cell_reference import neighbors_of_cell
+
 
 class UnionFind:
     """Union-find over arbitrary hashable keys with path compression."""
@@ -83,7 +85,7 @@ def block_edges(
         if sid not in kept:
             continue
         nodes.append(sid)
-        for nb in block.neighbors_of_cell(i):
+        for nb in neighbors_of_cell(block, i):
             nb = int(nb)
             if nb >= 0 and nb in kept:
                 edges.append((sid, nb))

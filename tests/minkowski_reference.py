@@ -27,6 +27,8 @@ from repro.analysis.components import ComponentLabeling
 from repro.analysis.minkowski import MinkowskiFunctionals
 from repro.core.tessellate import Tessellation
 
+from .cell_reference import faces_of_cell, neighbors_of_cell
+
 _KEY_DECIMALS = 8
 
 
@@ -90,7 +92,7 @@ def minkowski_reference(
             vol[comp] += float(block.volumes[i])
             ncells[comp] += 1
             site = block.sites[i]
-            for f_local, nb in zip(block.faces_of_cell(i), block.neighbors_of_cell(i)):
+            for f_local, nb in zip(faces_of_cell(block, i), neighbors_of_cell(block, i)):
                 nb = int(nb)
                 pts = block.vertices[f_local]
                 if nb >= 0 and label_of.get(nb) == comp:

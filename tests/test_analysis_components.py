@@ -214,6 +214,16 @@ class TestConnectedComponents:
         assert partition(l1) == partition(l8)
 
 
+def _labeling_at_root(comm, decomp, pts, ids, vmin):
+    """Module-level (so it leases the rank pool): tessellate this rank's
+    share of ``pts`` and label the components at rank 0."""
+    mine = decomp.locate(pts) == comm.rank
+    block, _, _ = tessellate_distributed(
+        comm, decomp, pts[mine], ids[mine], ghost=4.0
+    )
+    return connected_components_at_root(comm, block, vmin=vmin)
+
+
 class TestDistributedComponents:
     def test_matches_serial(self):
         domain = Bounds.cube(10.0)
@@ -223,15 +233,7 @@ class TestDistributedComponents:
         serial = tessellate(pts, domain, nblocks=1, ghost=4.0)
         vmin = float(np.quantile(serial.volumes(), 0.5))
         ref = connected_components(serial, vmin=vmin)
-
-        def worker(comm):
-            mine = decomp.locate(pts) == comm.rank
-            block, _, _ = tessellate_distributed(
-                comm, decomp, pts[mine], ids[mine], ghost=4.0
-            )
-            return connected_components_at_root(comm, block, vmin=vmin)
-
-        labelings = run_parallel(4, worker)
+        labelings = run_parallel(4, _labeling_at_root, decomp, pts, ids, vmin)
         # Rank 0 holds the global labeling, the others nothing.
         assert all(lab is None for lab in labelings[1:])
         lab = labelings[0]

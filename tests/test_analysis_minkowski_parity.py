@@ -26,9 +26,10 @@ from repro import observe
 from repro.analysis.components import ComponentLabeling, connected_components
 from repro.analysis.minkowski import minkowski_functionals
 from repro.analysis.voids import find_voids
-from repro.core import Tessellation, VoronoiBlock, VoronoiCell, tessellate
+from repro.core import Tessellation, tessellate
 from repro.diy.bounds import Bounds
 
+from .cell_reference import VoronoiCell, from_cells, neighbors_of_cell
 from .clip_polyhedron import ConvexPolyhedron
 from .minkowski_reference import minkowski_reference
 
@@ -102,7 +103,7 @@ def cube_cell(site_id, lo, side, extra_faces=()):
 
 
 def hand_built(cells, domain):
-    return Tessellation(domain=domain, blocks=[VoronoiBlock.from_cells(0, domain, cells)])
+    return Tessellation(domain=domain, blocks=[from_cells(0, domain, cells)])
 
 
 class TestParity:
@@ -129,7 +130,7 @@ class TestParity:
         tess = poisson()
         block = tess.blocks[0]
         a = int(block.site_ids[0])
-        b = int(next(n for n in block.neighbors_of_cell(0) if n >= 0))
+        b = int(next(n for n in neighbors_of_cell(block, 0) if n >= 0))
         (mk,) = check(
             tess, ComponentLabeling(np.array(sorted([a, b])), np.array([0, 0]))
         )
@@ -243,7 +244,7 @@ def straddles(tess, members):
         for i, sid in enumerate(block.site_ids):
             if sid not in members:
                 continue
-            for nb in block.neighbors_of_cell(i):
+            for nb in neighbors_of_cell(block, i):
                 if nb in members and (
                     np.abs(sites[pos[int(nb)]] - block.sites[i]) > BOX / 2
                 ).any():

@@ -15,6 +15,8 @@ from repro.analysis.statistics import (
 )
 from repro.analysis.voids import find_voids, volume_threshold_for_fraction
 
+from .cell_reference import neighbors_of_cell
+
 
 def uniform_tess(n=400, size=10.0, seed=0, nblocks=1):
     rng = np.random.default_rng(seed)
@@ -56,9 +58,8 @@ class TestMinkowskiSingleCell:
 
     def test_cube_analytics(self):
         """A hand-built single-cube 'tessellation' has exact functionals."""
-        from repro.core.cell import VoronoiCell
-        from repro.core.data_model import VoronoiBlock
         from repro.core.tessellate import Tessellation
+        from .cell_reference import VoronoiCell, from_cells
         from .clip_polyhedron import ConvexPolyhedron
 
         box = Bounds.cube(2.0)
@@ -72,7 +73,7 @@ class TestMinkowskiSingleCell:
             volume=8.0,
             area=24.0,
         )
-        block = VoronoiBlock.from_cells(0, box, [cell])
+        block = from_cells(0, box, [cell])
         tess = Tessellation(domain=box, blocks=[block])
         lab = ComponentLabeling(site_ids=np.array([0]), labels=np.array([0]))
         mk = minkowski_functionals(tess, lab)[0]
@@ -90,7 +91,7 @@ class TestMinkowskiSingleCell:
         # Find two adjacent cells.
         block = tess.blocks[0]
         sid_a = int(block.site_ids[0])
-        nbs = [n for n in block.neighbors_of_cell(0) if n >= 0]
+        nbs = [n for n in neighbors_of_cell(block, 0) if n >= 0]
         sid_b = int(nbs[0])
         lab = ComponentLabeling(
             site_ids=np.asarray(sorted([sid_a, sid_b])), labels=np.asarray([0, 0])

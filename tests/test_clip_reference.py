@@ -10,9 +10,10 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import Tessellation, VoronoiBlock, match_tessellations, tessellate
+from repro.core import Tessellation, match_tessellations, tessellate
 from repro.diy.bounds import Bounds
 
+from .cell_reference import from_cells, tess_cells
 from .clip_reference import CLIP_VOL_RTOL, clip_reference, tessellate_block
 
 
@@ -75,8 +76,8 @@ def test_matches_reference_across_rank_layouts(case, kw):
 def test_faces_match_reference():
     """Beyond volumes: per-cell surface area and neighbor id set."""
     pts, domain, ghost = poisson_case()
-    want = {c.site_id: c for c in reference(poisson_case).cells()}
-    cells = list(tessellate(pts, domain, nblocks=4, ghost=ghost).cells())
+    want = {c.site_id: c for c in tess_cells(reference(poisson_case))}
+    cells = list(tess_cells(tessellate(pts, domain, nblocks=4, ghost=ghost)))
     assert len(cells) == len(want) == len(pts)
     for cell in cells:
         ref = want[cell.site_id]
@@ -87,10 +88,10 @@ def test_faces_match_reference():
 def test_volume_thresholds_match_reference():
     pts, domain, ghost = poisson_case()
     vmin = 0.5 * domain.volume / len(pts)
-    kept = [c for c in reference(poisson_case).cells() if c.volume >= vmin]
+    kept = [c for c in tess_cells(reference(poisson_case)) if c.volume >= vmin]
     assert 0 < len(kept) < len(pts)
     culled = Tessellation(
-        domain=domain, blocks=[VoronoiBlock.from_cells(0, domain, kept)]
+        domain=domain, blocks=[from_cells(0, domain, kept)]
     )
     assert_all_cells_match(
         tessellate(pts, domain, nblocks=2, ghost=ghost, vmin=vmin), culled

@@ -5,7 +5,6 @@ import pytest
 
 from repro.diy.bounds import Bounds
 from repro.core import tessellate
-from repro.core.cell import VoronoiCell
 from repro.core.data_model import (
     BlockSizeReport,
     VoronoiBlock,
@@ -14,6 +13,12 @@ from repro.core.data_model import (
     isin_sorted,
 )
 
+from .cell_reference import (
+    VoronoiCell,
+    block_cells,
+    from_cells,
+    neighbors_of_cell,
+)
 from .clip_polyhedron import ConvexPolyhedron
 from .clip_reference import cell_from_geometry
 from .clip_voronoi import VoronoiCellGeometry
@@ -34,7 +39,13 @@ def cube_cell(site_id: int, origin: float, size: float = 1.0) -> VoronoiCell:
 
 class TestFromCells:
     def test_empty(self):
-        b = VoronoiBlock.from_cells(0, Bounds.cube(1.0), [])
+        b = VoronoiBlock.empty(0, Bounds.cube(1.0))
+        # the arrays (dtype and shape) an empty cell list assembles to, so
+        # an empty block writes the same bytes either way
+        for name, arr in from_cells(0, Bounds.cube(1.0), []).to_arrays().items():
+            got = b.to_arrays()[name]
+            assert got.dtype == arr.dtype and got.shape == arr.shape, name
+            np.testing.assert_array_equal(got, arr)
         assert b.num_cells == 0
         assert b.num_faces == 0
         assert b.num_vertices == 0
@@ -43,7 +54,7 @@ class TestFromCells:
         assert b.vertex_sharing() == 0.0
 
     def test_single_cube(self):
-        b = VoronoiBlock.from_cells(0, Bounds.cube(2.0), [cube_cell(7, 0.0)])
+        b = from_cells(0, Bounds.cube(2.0), [cube_cell(7, 0.0)])
         assert b.num_cells == 1
         assert b.num_faces == 6
         assert b.num_vertices == 8
@@ -52,13 +63,13 @@ class TestFromCells:
         assert b.vertex_sharing() == pytest.approx(24 / 8)
         np.testing.assert_array_equal(b.site_ids, [7])
         np.testing.assert_array_equal(
-            np.sort(b.neighbors_of_cell(0)), np.arange(6) + 100
+            np.sort(neighbors_of_cell(b, 0)), np.arange(6) + 100
         )
 
     def test_adjacent_cubes_share_vertices(self):
         """Two unit cubes sharing a face pool their common 4 vertices."""
         cells = [cube_cell(1, 0.0), cube_cell(2, 1.0)]
-        b = VoronoiBlock.from_cells(0, Bounds.cube(3.0), cells)
+        b = from_cells(0, Bounds.cube(3.0), cells)
         # 8 + 8 corners with 4 shared (the cubes touch at one corner-face?
         # origin 0 cube spans [0,1]^3, origin 1 spans [1,2]^3: they share
         # exactly one corner point (1,1,1).
@@ -67,8 +78,8 @@ class TestFromCells:
 
     def test_cells_roundtrip(self):
         cells = [cube_cell(3, 0.0), cube_cell(9, 2.0)]
-        b = VoronoiBlock.from_cells(1, Bounds.cube(4.0), cells)
-        back = b.cells()
+        b = from_cells(1, Bounds.cube(4.0), cells)
+        back = block_cells(b)
         assert [c.site_id for c in back] == [3, 9]
         for orig, rec in zip(cells, back):
             assert rec.volume == pytest.approx(orig.volume)
@@ -84,7 +95,7 @@ class TestFromCells:
 
     def test_to_from_arrays_roundtrip(self):
         cells = [cube_cell(5, 0.0)]
-        b = VoronoiBlock.from_cells(2, Bounds.cube(2.0), cells)
+        b = from_cells(2, Bounds.cube(2.0), cells)
         back = VoronoiBlock.from_arrays(b.to_arrays())
         assert back.gid == 2
         assert back.extents == b.extents
@@ -94,7 +105,7 @@ class TestFromCells:
 
 class TestConnectivityDtype:
     def test_small_blocks_stay_int32(self):
-        b = VoronoiBlock.from_cells(0, Bounds.cube(2.0), [cube_cell(7, 0.0)])
+        b = from_cells(0, Bounds.cube(2.0), [cube_cell(7, 0.0)])
         assert b.face_vertices.dtype == np.int32
         assert b.face_offsets.dtype == np.int32
         assert b.cell_face_offsets.dtype == np.int32
@@ -108,7 +119,7 @@ class TestConnectivityDtype:
     def test_from_arrays_roundtrips_wide_dtype(self):
         """A block assembled with int64 connectivity must survive the
         to_arrays/from_arrays cycle without silent renarrowing."""
-        b = VoronoiBlock.from_cells(0, Bounds.cube(2.0), [cube_cell(7, 0.0)])
+        b = from_cells(0, Bounds.cube(2.0), [cube_cell(7, 0.0)])
         arrays = b.to_arrays()
         for name in ("face_vertices", "face_offsets", "cell_face_offsets"):
             arrays[name] = arrays[name].astype(np.int64)
@@ -118,45 +129,6 @@ class TestConnectivityDtype:
         assert back.cell_face_offsets.dtype == np.int64
         again = VoronoiBlock.from_arrays(back.to_arrays())
         assert again.face_vertices.dtype == np.int64
-
-
-class TestTake:
-    @staticmethod
-    def cells_by_id(block):
-        return {c.site_id: c for c in block.cells()}
-
-    @staticmethod
-    def assert_cell_equal(a, b):
-        np.testing.assert_array_equal(a.site, b.site)
-        np.testing.assert_array_equal(a.neighbor_ids, b.neighbor_ids)
-        assert a.volume == b.volume and a.area == b.area
-        assert len(a.faces) == len(b.faces)
-        for fa, fb in zip(a.faces, b.faces):
-            np.testing.assert_array_equal(a.vertices[fa], b.vertices[fb])
-
-    def real_block(self):
-        pts = np.random.default_rng(5).uniform(0, 6.0, size=(120, 3))
-        return tessellate(pts, Bounds.cube(6.0), nblocks=1, ghost=3.0).blocks[0]
-
-    def test_take_selects_reorders_and_compacts(self):
-        block = self.real_block()
-        picked = np.array([17, 3, 88, 4])
-        sub = block.take(picked)
-        np.testing.assert_array_equal(sub.site_ids, block.site_ids[picked])
-        np.testing.assert_array_equal(sub.volumes, block.volumes[picked])
-        assert sub.num_vertices == len(np.unique(sub.face_vertices))
-        assert sub.num_vertices < block.num_vertices
-        assert sub.face_vertices.dtype == np.int32
-        want = self.cells_by_id(block)
-        for cell in sub.cells():
-            self.assert_cell_equal(cell, want[cell.site_id])
-
-    def test_take_nothing_and_everything(self):
-        block = self.real_block()
-        assert block.take(np.empty(0, dtype=np.int64)).num_cells == 0
-        same = block.take(np.arange(block.num_cells))
-        for name, arr in block.to_arrays().items():
-            np.testing.assert_array_equal(same.to_arrays()[name], arr)
 
 
 class TestIsinSorted:

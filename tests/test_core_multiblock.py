@@ -14,6 +14,14 @@ from repro.core.ghost import (
 )
 
 
+def _per_rank_ghosts(comm, decomp, pts, ids, owners):
+    """Module-level (so it leases the rank pool): one block per rank."""
+    mine = owners == comm.rank
+    return exchange_ghost_particles(
+        decomp, comm, comm.rank, pts[mine], ids[mine], ghost=2.0
+    )
+
+
 class TestMultiGhostExchange:
     def test_matches_per_block_exchange(self):
         """One rank holding all blocks must see the same ghosts the
@@ -24,14 +32,7 @@ class TestMultiGhostExchange:
         pts = rng.uniform(0, 8, size=(400, 3))
         ids = np.arange(400, dtype=np.int64)
         owners = decomp.locate(pts)
-
-        def per_rank(comm):
-            mine = owners == comm.rank
-            return exchange_ghost_particles(
-                decomp, comm, comm.rank, pts[mine], ids[mine], ghost=2.0
-            )
-
-        reference = run_parallel(4, per_rank)
+        reference = run_parallel(4, _per_rank_ghosts, decomp, pts, ids, owners)
 
         def serial(comm):
             assignment = Assignment(4, 1)

@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.core.ghost import exchange_ghost_particles
 
+from .cell_reference import tess_cells
 from .clip_reference import tessellate_block
 
 
@@ -22,23 +23,36 @@ def random_points(n: int, size: float, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0, size, size=(n, 3))
 
 
+# Module-level workers: picklable by reference, so they lease the rank pool.
+def _ghosts_with_ids(comm, decomp):
+    gid = comm.rank
+    lo, hi = decomp.block(gid).core.as_arrays()
+    rng = np.random.default_rng(gid)
+    pos = rng.uniform(lo, hi, size=(100, 3))
+    ids = np.arange(100) + gid * 1000
+    return exchange_ghost_particles(decomp, comm, gid, pos, ids, ghost=1.5)
+
+
+def _zero_ghosts(comm, decomp):
+    pos = random_points(10, 4.0, comm.rank)
+    return exchange_ghost_particles(
+        decomp, comm, comm.rank, pos, np.arange(10), ghost=0.0
+    )
+
+
+def _own_block(comm, decomp, pts, ids):
+    mine = decomp.locate(pts) == comm.rank
+    block, _, _ = tessellate_distributed(
+        comm, decomp, pts[mine], ids[mine], ghost=3.5
+    )
+    return block
+
+
 class TestGhostExchange:
     def test_ghosts_carry_ids(self):
         domain = Bounds.cube(8.0)
         decomp = Decomposition(domain, (2, 1, 1), periodic=True)
-
-        def worker(comm):
-            gid = comm.rank
-            lo, hi = decomp.block(gid).core.as_arrays()
-            rng = np.random.default_rng(gid)
-            pos = rng.uniform(lo, hi, size=(100, 3))
-            ids = np.arange(100) + gid * 1000
-            gpos, gids = exchange_ghost_particles(
-                decomp, comm, gid, pos, ids, ghost=1.5
-            )
-            return gpos, gids
-
-        out = run_parallel(2, worker)
+        out = run_parallel(2, _ghosts_with_ids, decomp)
         # Block 0's ghosts came from block 1 (ids 1000+) and periodic images
         # of its own particles (grid is 2x1x1 so y/z seams are self-links).
         gpos0, gids0 = out[0]
@@ -50,14 +64,7 @@ class TestGhostExchange:
     def test_zero_ghost_returns_empty(self):
         domain = Bounds.cube(8.0)
         decomp = Decomposition(domain, (2, 1, 1), periodic=True)
-
-        def worker(comm):
-            pos = random_points(10, 4.0, comm.rank)
-            return exchange_ghost_particles(
-                decomp, comm, comm.rank, pos, np.arange(10), ghost=0.0
-            )
-
-        for gpos, gids in run_parallel(2, worker):
+        for gpos, gids in run_parallel(2, _zero_ghosts, decomp):
             assert len(gpos) == 0 and len(gids) == 0
 
     def test_negative_ghost_rejected(self):
@@ -210,15 +217,7 @@ class TestDistributedInSitu:
         decomp = Decomposition.regular(domain, 4, periodic=True)
         pts = random_points(400, 8.0, seed=15)
         ids = np.arange(400, dtype=np.int64)
-
-        def worker(comm):
-            mine = decomp.locate(pts) == comm.rank
-            block, timings, nbytes = tessellate_distributed(
-                comm, decomp, pts[mine], ids[mine], ghost=3.5
-            )
-            return block
-
-        blocks = run_parallel(4, worker)
+        blocks = run_parallel(4, _own_block, decomp, pts, ids)
         total = sum(b.num_cells for b in blocks)
         assert total == 400
         vol = sum(float(b.volumes.sum()) for b in blocks)
@@ -279,7 +278,7 @@ class TestTessellationContainer:
         domain = Bounds.cube(8.0)
         pts = random_points(100, 8.0, seed=19)
         tess = tessellate(pts, domain, nblocks=2, ghost=2.5)
-        cells = list(tess.cells())
+        cells = list(tess_cells(tess))
         assert len(cells) == tess.num_cells
         v1 = sorted(c.volume for c in cells)
         v2 = sorted(tess.volumes())

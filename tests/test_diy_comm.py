@@ -176,10 +176,6 @@ def _allreduce_max(comm):
     return comm.allreduce(comm.rank + 1, op=max)
 
 
-def _exscan(comm):
-    return comm.exscan(comm.rank + 1)
-
-
 def _alltoall(comm):
     return comm.alltoall([(comm.rank, dst) for dst in range(comm.size)])
 
@@ -223,10 +219,6 @@ class TestCollectives:
 
     def test_allreduce_custom_op(self):
         assert run_parallel(5, _allreduce_max) == [5] * 5
-
-    def test_exscan(self):
-        # sizes 1,2,3,4 -> offsets None,1,3,6
-        assert run_parallel(4, _exscan) == [None, 1, 3, 6]
 
     def test_alltoall(self):
         out = run_parallel(3, _alltoall)

@@ -56,14 +56,6 @@ def _allreduce_vector(comm):
     return comm.allreduce(np.full(4, float(comm.rank + 1)))
 
 
-def _exscan_concat(comm):
-    return comm.exscan(f"[{comm.rank}]", op=_concat)
-
-
-def _exscan_bytes(comm):
-    return comm.exscan(100 * (comm.rank + 1))
-
-
 def _bcast_msgs_sent(comm):
     s0 = comm.stats.snapshot()
     comm.bcast("x" if comm.rank == 0 else None, root=0)
@@ -103,21 +95,6 @@ class TestTreeVsLinearOracles:
         total = n * (n + 1) / 2
         for row in run_parallel(n, _allreduce_vector):
             np.testing.assert_allclose(row, total)
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_exscan_non_commutative(self, n):
-        out = run_parallel(n, _exscan_concat)
-        assert out[0] is None
-        for r in range(1, n):
-            assert out[r] == _fold(_concat, [f"[{i}]" for i in range(r)])
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_exscan_offsets(self, n):
-        """The parallel-writer use case: byte counts to file offsets."""
-        out = run_parallel(n, _exscan_bytes)
-        assert out[0] is None
-        for r in range(1, n):
-            assert out[r] == sum(100 * (i + 1) for i in range(r))
 
     def test_tree_message_counts_logarithmic(self):
         """The busiest rank sends O(log P), not O(P); the tree has P-1 edges."""

@@ -1,5 +1,7 @@
 """Tests for the blocked single-file I/O (repro.diy.mpi_io)."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.diy.comm import run_parallel
 from repro.diy.mpi_io import (
     BlockFileReader,
+    CheckpointError,
     pack_arrays,
     unpack_arrays,
     write_blocks,
@@ -57,16 +60,38 @@ class TestArrayContainer:
             np.testing.assert_array_equal(out[k], arrays[k])
 
 
+# Module-level workers: picklable by reference, so they lease the rank pool.
+def _write_filled(comm, path, nblocks):
+    gids = list(range(comm.rank, nblocks, comm.size))
+    blocks = [(g, pack_arrays({"data": np.full(g + 1, float(g))})) for g in gids]
+    return write_blocks(path, comm, blocks, nblocks_total=nblocks)
+
+
+def _write_with_gap(comm, path):
+    blocks = [(0, b"x"), (2, b"y")]  # gid 1 missing
+    return write_blocks(path, comm, blocks, nblocks_total=3)
+
+
+def _write_random(comm, path, nblocks):
+    gids = list(range(comm.rank, nblocks, comm.size))
+    blocks = [
+        (g, pack_arrays({"v": np.random.default_rng(g).normal(size=1000)}))
+        for g in gids
+    ]
+    return write_blocks(path, comm, blocks, nblocks_total=nblocks)
+
+
+def _read_own_blocks(comm, path, nblocks):
+    with BlockFileReader(path) as r:
+        return {
+            g: float(r.read_block_arrays(g)["data"][0])
+            for g in range(comm.rank, nblocks, comm.size)
+        }
+
+
 class TestBlockFile:
     def _write(self, path, nranks, nblocks):
-        def f(comm):
-            gids = list(range(comm.rank, nblocks, comm.size))
-            blocks = [
-                (g, pack_arrays({"data": np.full(g + 1, float(g))})) for g in gids
-            ]
-            return write_blocks(path, comm, blocks, nblocks_total=nblocks)
-
-        return run_parallel(nranks, f)
+        return run_parallel(nranks, _write_filled, path, nblocks)
 
     @pytest.mark.parametrize("nranks,nblocks", [(1, 1), (1, 4), (2, 4), (4, 4), (3, 7)])
     def test_write_read_roundtrip(self, tmp_path, nranks, nblocks):
@@ -94,29 +119,30 @@ class TestBlockFile:
         with pytest.raises(ValueError, match="magic"):
             BlockFileReader(path)
 
+    def test_version_1_file_rejected(self, tmp_path):
+        """Version 1 (no CRCs, 8-byte trailer) is not read: every payload
+        a reader hands out has been CRC-checked."""
+        payload = pack_arrays({"data": np.arange(3.0)})
+        header = struct.pack("<4sIQ", b"DIYB", 1, 1)
+        footer_offset = len(header) + len(payload)
+        path = tmp_path / "v1.diy"
+        path.write_bytes(
+            header
+            + payload
+            + struct.pack("<QQQ", 0, len(header), len(payload))
+            + struct.pack("<Q", footer_offset)
+        )
+        with pytest.raises(CheckpointError, match=r"v1\.diy: unsupported version 1"):
+            BlockFileReader(path)
+
     def test_incomplete_gid_coverage_rejected(self, tmp_path):
-        path = tmp_path / "gap.diy"
-
-        def f(comm):
-            blocks = [(0, b"x"), (2, b"y")]  # gid 1 missing
-            return write_blocks(path, comm, blocks, nblocks_total=3)
-
         with pytest.raises(Exception):
-            run_parallel(1, f)
+            run_parallel(1, _write_with_gap, tmp_path / "gap.diy")
 
     def test_concurrent_block_payloads_do_not_overlap(self, tmp_path):
         path = tmp_path / "big.diy"
         nblocks = 8
-
-        def f(comm):
-            gids = list(range(comm.rank, nblocks, comm.size))
-            blocks = [
-                (g, pack_arrays({"v": np.random.default_rng(g).normal(size=1000)}))
-                for g in gids
-            ]
-            return write_blocks(path, comm, blocks, nblocks_total=nblocks)
-
-        run_parallel(4, f)
+        run_parallel(4, _write_random, path, nblocks)
         with BlockFileReader(path) as r:
             for g in range(nblocks):
                 expect = np.random.default_rng(g).normal(size=1000)
@@ -133,14 +159,6 @@ class TestBlockFile:
     def test_parallel_read_from_ranks(self, tmp_path):
         path = tmp_path / "p.diy"
         self._write(path, 2, 4)
-
-        def reader(comm):
-            with BlockFileReader(path) as r:
-                return {
-                    g: float(r.read_block_arrays(g)["data"][0])
-                    for g in range(comm.rank, 4, comm.size)
-                }
-
-        out = run_parallel(2, reader)
+        out = run_parallel(2, _read_own_blocks, path, 4)
         merged = {**out[0], **out[1]}
         assert merged == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}

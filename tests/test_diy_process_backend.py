@@ -172,7 +172,6 @@ def _collective_workout(comm):
         "bcast": comm.bcast({"root": 0, "arr": big} if rank == 0 else None),
         "gathered": comm.gather(rank * 2, root=0),
         "allreduced": comm.allreduce(float(big.sum())),
-        "exscan": comm.exscan(rank + 1),
         "alltoall": comm.alltoall([(rank, d) for d in range(size)]),
         "sparse": sorted(
             comm.sparse_alltoall({(rank + 1) % size: np.full(5000, rank)})
@@ -194,7 +193,6 @@ def _serial_workout(n):
         {
             "gathered": [2 * r for r in range(n)] if rank == 0 else None,
             "allreduced": sum(base + 20_000 * r for r in range(n)),
-            "exscan": sum(range(1, rank + 1)) if rank else None,
             "alltoall": [(src, rank) for src in range(n)],
             "sparse": [(rank - 1) % n],
             "bcast_sum": base,
@@ -204,7 +202,7 @@ def _serial_workout(n):
 
 
 _WORKOUT_CALLS = {
-    "bcast": 1, "gather": 1, "allreduce": 2, "exscan": 1, "alltoall": 1,
+    "bcast": 1, "gather": 1, "allreduce": 2, "alltoall": 1,
     "sparse_alltoall": 1, "barrier": 1,
 }  # sparse_alltoall's header round is the second allreduce
 

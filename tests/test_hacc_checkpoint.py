@@ -18,18 +18,39 @@ from repro.hacc.checkpoint import (
 )
 
 
+# Module-level workers: picklable by reference, so they lease the rank pool.
+def _write_after(comm, cfg, path, steps, scalar_ids=False):
+    """Step ``steps`` times and checkpoint (with ``scalar[i] = ids[i]`` in
+    f8 when ``scalar_ids``); returns the file size and the expansion."""
+    sim = HACCSimulation(cfg, comm=comm)
+    for _ in range(steps):
+        sim.step()
+    if scalar_ids:
+        size = write_checkpoint(path, comm, sim,
+                                scalar=sim.local.ids.astype(float),
+                                precision="f8")
+    else:
+        size = write_checkpoint(path, comm, sim)
+    return size, sim.a
+
+
+def _restarted_count(comm, cfg, path):
+    return len(restart_simulation(path, cfg, comm=comm).local)
+
+
+def _restarted_scalar_count(comm, cfg, path):
+    sim = restart_simulation(path, cfg, comm=comm)
+    assert sim.cell_density is not None
+    assert len(sim.cell_density) == len(sim.local)
+    np.testing.assert_array_equal(sim.cell_density, sim.local.ids.astype(float))
+    return len(sim.local)
+
+
 class TestCheckpointFormat:
     def test_roundtrip_and_size(self, tmp_path):
         cfg = SimulationConfig(np_side=8, nsteps=6, seed=1)
         path = str(tmp_path / "c.ckpt")
-
-        def worker(comm):
-            sim = HACCSimulation(cfg, comm=comm)
-            for _ in range(3):
-                sim.step()
-            return write_checkpoint(path, comm, sim), sim.a
-
-        sizes = run_parallel(2, worker)
+        sizes = run_parallel(2, _write_after, cfg, path, 3)
         particles, scalar, a, step, np_side = read_checkpoint(path)
         assert len(particles) == 512
         assert sorted(particles.ids) == list(range(512))
@@ -101,19 +122,8 @@ class TestRestart:
     def test_restart_with_different_rank_count(self, tmp_path):
         cfg = SimulationConfig(np_side=8, nsteps=4, seed=5)
         path = str(tmp_path / "r.ckpt")
-
-        def writer(comm):
-            sim = HACCSimulation(cfg, comm=comm)
-            sim.step()
-            write_checkpoint(path, comm, sim)
-
-        run_parallel(2, writer)
-
-        def reader(comm):
-            sim = restart_simulation(path, cfg, comm=comm)
-            return len(sim.local)
-
-        counts = run_parallel(4, reader)
+        run_parallel(2, _write_after, cfg, path, 1)
+        counts = run_parallel(4, _restarted_count, cfg, path)
         assert sum(counts) == 512
 
     def test_mismatched_config_rejected(self, tmp_path):
@@ -134,28 +144,11 @@ class TestRestart:
         rank count differs from the writing one."""
         cfg = SimulationConfig(np_side=8, nsteps=4, seed=12)
         path = str(tmp_path / "s.ckpt")
-
-        def writer(comm):
-            sim = HACCSimulation(cfg, comm=comm)
-            sim.step()
-            # A scalar that identifies its particle: scalar[i] = ids[i].
-            write_checkpoint(path, comm, sim,
-                             scalar=sim.local.ids.astype(float),
-                             precision="f8")
-
-        run_parallel(2, writer)
-
-        def reader(comm):
-            sim = restart_simulation(path, cfg, comm=comm)
-            assert sim.cell_density is not None
-            assert len(sim.cell_density) == len(sim.local)
-            np.testing.assert_array_equal(
-                sim.cell_density, sim.local.ids.astype(float)
-            )
-            return len(sim.local)
-
+        # A scalar that identifies its particle: scalar[i] = ids[i].
+        run_parallel(2, _write_after, cfg, path, 1, True)
         for nranks in (2, 4):  # same and different rank count
-            assert sum(run_parallel(nranks, reader)) == 512
+            counts = run_parallel(nranks, _restarted_scalar_count, cfg, path)
+            assert sum(counts) == 512
 
     def test_one_rank_step_keeps_the_restart_annotation(self, tmp_path):
         """At one rank no particle changes owner, so a step after a restart
@@ -223,13 +216,7 @@ class TestCheckpointValidation:
     def test_find_latest_skips_invalid_checkpoints(self, tmp_path):
         cfg = SimulationConfig(np_side=8, nsteps=6, seed=13)
         ckpt_dir = str(tmp_path)
-
-        def writer(comm):
-            sim = HACCSimulation(cfg, comm=comm)
-            sim.step(); sim.step()
-            write_checkpoint(checkpoint_path(ckpt_dir, 2), comm, sim)
-
-        run_parallel(2, writer)
+        run_parallel(2, _write_after, cfg, checkpoint_path(ckpt_dir, 2), 2)
         # A newer checkpoint that is garbage (e.g. assembled from a torn
         # write of the pre-CRC format) must be skipped, not crash the scan.
         with open(checkpoint_path(ckpt_dir, 4), "wb") as fh:

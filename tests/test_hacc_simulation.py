@@ -16,6 +16,18 @@ from repro.hacc import (
 from repro.hacc.mesh import cic_deposit, density_contrast
 
 
+# Module-level workers: picklable by reference, so they lease the rank pool.
+def _owns_its_particles(comm, cfg):
+    sim = HACCSimulation(cfg, comm=comm)
+    sim.run()
+    owners = sim.decomposition.locate(sim.positions_mpc())
+    return bool(np.all(owners == sim.gid)), len(sim.local)
+
+
+def _num_global(comm, cfg):
+    return HACCSimulation(cfg, comm=comm).num_global()
+
+
 class TestParticleSet:
     def test_shapes_enforced(self):
         with pytest.raises(ValueError):
@@ -136,14 +148,7 @@ class TestSimulation:
 
     def test_parallel_ownership_invariant(self):
         cfg = SimulationConfig(np_side=8, nsteps=5, seed=2)
-
-        def worker(comm):
-            sim = HACCSimulation(cfg, comm=comm)
-            sim.run()
-            owners = sim.decomposition.locate(sim.positions_mpc())
-            return bool(np.all(owners == sim.gid)), len(sim.local)
-
-        out = run_parallel(4, worker)
+        out = run_parallel(4, _owns_its_particles, cfg)
         assert all(ok for ok, _ in out)
         assert sum(n for _, n in out) == 512
 
@@ -201,12 +206,7 @@ class TestSimulation:
 
     def test_num_global(self):
         cfg = SimulationConfig(np_side=8, nsteps=1)
-
-        def worker(comm):
-            sim = HACCSimulation(cfg, comm=comm)
-            return sim.num_global()
-
-        assert run_parallel(2, worker) == [512, 512]
+        assert run_parallel(2, _num_global, cfg) == [512, 512]
 
 
 class TestParticleSetEdgeCases:

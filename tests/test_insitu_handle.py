@@ -67,10 +67,7 @@ def test_tracking_follows_the_culled_tessellation(cull_tree_1rank, nranks):
 # ----------------------------------------------------------------------
 TRAFFIC_CFG = SimulationConfig(np_side=10, nsteps=8, seed=3)
 MESH_TYPES = (VoronoiBlock, Tessellation, DistributedTessellation)
-COLLECTIVES = (
-    "gather", "bcast", "allreduce", "alltoall",
-    "sparse_alltoall", "exscan",
-)
+COLLECTIVES = ("gather", "bcast", "allreduce", "alltoall", "sparse_alltoall")
 
 
 def _chain_deck(compute_minkowski: bool = False) -> dict:

@@ -90,3 +90,18 @@ class TestPublicSurfaces:
         ):
             assert "kernel" not in inspect.signature(fn).parameters, fn
         assert "mesh" not in inspect.signature(geometry.DelaunayVoronoi).parameters
+
+    def test_one_cell_representation(self):
+        """The CSR ``VoronoiBlock`` is the only cell type: no per-cell
+        record, no cell-list constructor or iterator, no subset copy."""
+        core = importlib.import_module("repro.core")
+        assert "VoronoiCell" not in core.__all__
+        assert not hasattr(core, "VoronoiCell")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.cell")
+        for name in ("from_cells", "cells", "take", "faces_of_cell",
+                     "neighbors_of_cell"):
+            assert not hasattr(core.VoronoiBlock, name), name
+        assert not hasattr(core.Tessellation, "cells")
+        empty = core.VoronoiBlock.empty(3, repro.Bounds.cube(1.0))
+        assert (empty.gid, empty.num_cells, empty.num_faces) == (3, 0, 0)

@@ -1,5 +1,6 @@
-"""The tess block payload: lossless round trips, narrow dtypes, v2 files,
-file size, and hostile block files (foreign payloads, broken CSR)."""
+"""The tess block payload: lossless round trips, narrow dtypes, file size,
+bytes independent of the rank count, and hostile block files (foreign or
+older payloads, broken CSR)."""
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_real_blocks_roundtrip_exactly(tmp_path_factory, seed, n, nblocks,
 
 
 def test_empty_block(tmp_path):
-    empty = VoronoiBlock.from_cells(0, Bounds.cube(1.0), [])
+    empty = VoronoiBlock.empty(0, Bounds.cube(1.0))
     _, back = _roundtrip(tmp_path, [empty])
     _assert_same(back, [empty])
     assert back[0].num_cells == 0
@@ -162,8 +163,22 @@ def test_connectivity_is_stored_narrow(tmp_path):
         assert stored[name].dtype == np.float64
 
 
-def test_v2_payload_reads_back_equal(tmp_path):
-    """Files written before the narrow payload stay readable."""
+@pytest.mark.parametrize("nranks", (2, 8))
+def test_file_bytes_do_not_depend_on_the_rank_count(tmp_path, nranks):
+    """Blocks sit in gid order, whichever rank held them: 8 blocks on 2
+    ranks (4 each, round-robin) write the 1-rank file byte for byte."""
+    points = np.random.default_rng(9).uniform(0.0, 4.0, size=(600, 3))
+    paths = {r: str(tmp_path / f"r{r}.tess") for r in (1, nranks)}
+    for r, path in paths.items():
+        tessellate(points, Bounds.cube(4.0), nblocks=8, nranks=r,
+                   output_path=path)
+    with open(paths[1], "rb") as one, open(paths[nranks], "rb") as many:
+        assert one.read() == many.read()
+
+
+def test_v2_payload_is_refused(tmp_path):
+    """A payload holding the in-memory offset arrays (the layout before the
+    narrow payload) is not a tess payload any more."""
     points = np.random.default_rng(6).uniform(0.0, 4.0, size=(300, 3))
     tess = tessellate(points, Bounds.cube(4.0), nblocks=2)
     lo, hi = tess.domain.as_arrays()
@@ -174,9 +189,13 @@ def test_v2_payload_reads_back_equal(tmp_path):
         payloads.append(pack_arrays(arrays))
     path = tmp_path / "v2.tess"
     _write_payloads(path, payloads)
-    back = read_tessellation(str(path))
-    assert back.domain == tess.domain
-    _assert_same(back.blocks, tess.blocks)
+    for read in _readers(path):
+        with pytest.raises(
+            CheckpointError,
+            match=r"v2\.tess: block 0: not a tess payload \(arrays \[.*"
+                  r"'cell_face_offsets'.*\]\)",
+        ):
+            read()
 
 
 @pytest.fixture(scope="module")
@@ -244,19 +263,14 @@ def test_foreign_arrays_are_not_a_tess_file(tmp_path):
         block_from_payload(b"\x00garbage")
 
 
-def _tampered(tmp_path, version, edit):
+def _tampered(tmp_path, edit):
     """A two-block file whose block 1 payload went through ``edit``."""
     points = np.random.default_rng(8).uniform(0.0, 4.0, size=(200, 3))
     tess = tessellate(points, Bounds.cube(4.0), nblocks=2)
     path = tmp_path / "t.tess"
     tess.write(str(path))
-    if version == 3:
-        with BlockFileReader(str(path)) as reader:
-            stored = [reader.read_block_arrays(g) for g in range(2)]
-    else:
-        lo, hi = tess.domain.as_arrays()
-        stored = [dict(b.to_arrays(), domain=np.stack([lo, hi]))
-                  for b in tess.blocks]
+    with BlockFileReader(str(path)) as reader:
+        stored = [reader.read_block_arrays(g) for g in range(2)]
     edit(stored[1])
     _write_payloads(path, [pack_arrays(a) for a in stored])
     return path
@@ -285,6 +299,13 @@ def _drop_last(name):
     return edit
 
 
+def _as_float(name):
+    def edit(arrays):
+        arrays[name] = arrays[name].astype(np.float64)
+
+    return edit
+
+
 def _wrap_counts(name):
     """Counts that still sum to the right length modulo 2**64."""
 
@@ -295,32 +316,30 @@ def _wrap_counts(name):
     return edit
 
 
+# Case numbers start at 7: cases 0-6 broke the v2 payload, which is no
+# longer read (test_v2_payload_is_refused).
 _HOSTILE = [
-    (2, _bump_last("face_offsets", 4), "face_offsets"),
-    (2, _set_first("face_offsets", 3), "face_offsets"),
-    (2, _bump_last("cell_face_offsets"), "cell_face_offsets"),
-    (2, _set_first("face_vertices", 10**6), "face_vertices"),
-    (2, _set_first("face_vertices", -1), "face_vertices"),
-    (2, _drop_last("volumes"), "volumes"),
-    (2, _drop_last("face_neighbors"), "face_offsets"),
-    (3, _bump_last("face_lengths"), "face_lengths"),
-    (3, _bump_last("cell_faces"), "cell_faces"),
-    (3, _drop_last("cell_faces"), "cell_faces"),
-    (3, _wrap_counts("cell_faces"), "cell_faces"),
-    (3, _wrap_counts("face_lengths"), "face_lengths"),
-    (3, _drop_last("neighbor_deltas"), "face_lengths"),
-    (3, _set_first("face_vertices", 10**6), "face_vertices"),
-    (3, _drop_last("sites"), "sites"),
-    (3, _drop_last("areas"), "areas"),
+    (_bump_last("face_lengths"), "face_lengths"),
+    (_bump_last("cell_faces"), "cell_faces"),
+    (_drop_last("cell_faces"), "cell_faces"),
+    (_wrap_counts("cell_faces"), "cell_faces"),
+    (_wrap_counts("face_lengths"), "face_lengths"),
+    (_drop_last("neighbor_deltas"), "face_lengths"),
+    (_set_first("face_vertices", 10**6), "face_vertices"),
+    (_drop_last("sites"), "sites"),
+    (_drop_last("areas"), "areas"),
+    (_set_first("face_vertices", -1), "face_vertices"),
+    (_drop_last("volumes"), "volumes"),
+    (_as_float("neighbor_deltas"), "neighbor_deltas"),
 ]
 
 
 @pytest.mark.parametrize(
-    "version, edit, array", _HOSTILE,
-    ids=[f"v{v}-{i}-{a}" for i, (v, _, a) in enumerate(_HOSTILE)],
+    "edit, array", _HOSTILE,
+    ids=[f"v3-{i}-{a}" for i, (_, a) in enumerate(_HOSTILE, start=7)],
 )
-def test_inconsistent_payload_is_rejected(tmp_path, version, edit, array):
-    path = _tampered(tmp_path, version, edit)
+def test_inconsistent_payload_is_rejected(tmp_path, edit, array):
+    path = _tampered(tmp_path, edit)
     read_blocks(str(path), [0])  # block 0 is intact
     for read in _readers(path, gid=1):
         with pytest.raises(CheckpointError, match=rf"t\.tess: block 1: {array}"):
