@@ -57,11 +57,12 @@ class DelaunayMesh:
         (DTFE, Schaap 2007): the density estimate at a point is
         ``4 / (star volume)`` in 3D.
         """
-        vols = self.volumes()
-        out = np.zeros(len(self.points))
-        for k in range(4):
-            np.add.at(out, self.tetrahedra[:, k], vols)
-        return out
+        # column-major: each sum in the order of one np.add.at per column
+        return np.bincount(
+            self.tetrahedra.T.ravel(),
+            weights=np.tile(self.volumes(), 4),
+            minlength=len(self.points),
+        )
 
 
 def delaunay(points: np.ndarray) -> DelaunayMesh:

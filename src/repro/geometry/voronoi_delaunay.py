@@ -2,9 +2,10 @@
 
 :class:`DelaunayVoronoi` is the one engine the tessellation pipeline runs
 (the paper's "local cells" step, Fig. 5).  It derives the whole diagram
-from one ``scipy.spatial.Delaunay`` — pure ndarrays (``simplices``,
-``neighbors``), so every later stage is an array pass with no per-cell
-Python geometry:
+from one Delaunay triangulation — the compiled kernel of
+:mod:`repro._native`, or ``scipy.spatial.Delaunay`` without a compiler —
+as pure ndarrays (tets, neighbors), so every later stage is an array
+pass with no per-cell Python geometry:
 
 * Voronoi vertices are the circumcenters of the Delaunay tetrahedra —
   one batched Cramer solve over all tets;
@@ -31,20 +32,17 @@ Python geometry:
   independent clip reference the tests hold it to
   (``tests/clip_voronoi.py``: "no wall face remains").
 
-The per-ring order/dedup/Newell work runs in a compiled C kernel when
-:mod:`repro._native` can build one (it fuses ~15 NumPy passes into one
-loop); otherwise an equivalent vectorized NumPy path is taken.  Both
-paths are exercised by the parity tests.
-
-Qhull's int32 ``simplices`` are promoted to int64 on entry (PR 5's
-id-safety rule: downstream CSR indices must not wrap at 2**31).
+The per-ring order/dedup/Newell work runs in a compiled C kernel too
+(it fuses ~15 NumPy passes into one loop), else in equivalent NumPy;
+the parity tests cover both.  Tets arrive as int64 (downstream CSR
+indices must not wrap at 2**31).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import _native
+from .. import _native, observe
 from ..diy.bounds import Bounds
 
 __all__ = ["DelaunayVoronoi", "segment_gather", "tet_circumcenters"]
@@ -419,6 +417,7 @@ class DelaunayVoronoi:
 
     def _init_degenerate(self, n: int) -> None:
         self.used_fallback = True
+        self._tets = self._neighbors = np.empty((0, 4), dtype=np.int64)
         self.vertices = np.empty((0, 3))
         self.ridge_sites = np.empty((0, 2), dtype=np.int64)
         self.ridge_flat = np.empty(0, dtype=np.int64)
@@ -512,23 +511,28 @@ class DelaunayVoronoi:
 
     # ------------------------------------------------------------------
     def _triangulate(self, pts: np.ndarray):
-        """Return int64 ``(tets, neighbors, coplanar)`` from one qhull run
-        (with a joggle fallback on degenerate input)."""
-        from scipy.spatial import Delaunay, QhullError
+        """Return int64 ``(tets, neighbors, coplanar)`` from the compiled
+        Bowyer–Watson kernel (all ``None`` when no four points are
+        affinely independent), or without it from one qhull run, with a
+        joggle fallback on degenerate input."""
+        native = _native.lib() is not None
+        with observe.span("triangulate", cat="geometry", points=len(pts),
+                          kernel="native" if native else "qhull"):
+            if native:
+                return _native.delaunay(pts) or (None, None, None)
+            from scipy.spatial import Delaunay, QhullError
 
-        try:
-            tri = Delaunay(pts)
-        except QhullError:
             try:
-                tri = Delaunay(pts, qhull_options="Qbb Qc Qz QJ")
-                self.used_fallback = True
+                tri = Delaunay(pts)
             except QhullError:
-                return None, None, None
-        return (
-            tri.simplices.astype(np.int64),
-            tri.neighbors.astype(np.int64),
-            np.asarray(tri.coplanar, dtype=np.int64),
-        )
+                try:
+                    tri = Delaunay(pts, qhull_options="Qbb Qc Qz QJ")
+                    self.used_fallback = True
+                except QhullError:
+                    return None, None, None
+            return (tri.simplices.astype(np.int64),
+                    tri.neighbors.astype(np.int64),
+                    np.asarray(tri.coplanar, dtype=np.int64))
 
     def _order_and_dedup_rings(
         self, pts, ridge_sites, fl_flat, fl_offsets, fl_rid, f_lengths, eps
@@ -689,12 +693,4 @@ class DelaunayVoronoi:
         """The underlying triangulation as a :class:`DelaunayMesh`."""
         from .delaunay import DelaunayMesh
 
-        if self.num_tets == 0:
-            return DelaunayMesh(
-                points=self.points,
-                tetrahedra=np.empty((0, 4), dtype=np.int64),
-                neighbors=np.empty((0, 4), dtype=np.int64),
-            )
-        return DelaunayMesh(
-            points=self.points, tetrahedra=self._tets, neighbors=self._neighbors
-        )
+        return DelaunayMesh(self.points, self._tets, self._neighbors)

@@ -127,6 +127,7 @@ class process_worker:  # noqa: N801 - factory-style callable, keeps old name
         if self.trace_enabled:
             trace.enable(self.trace_capacity)
         trace.reset()
+        trace.set_process_rank(comm.rank)
         registry().reset()
         result = self.func(comm, *args, **kwargs)
         rank_finished(comm)

@@ -58,6 +58,9 @@ NAME, RANK, T0, T1, CPU, CAT, ATTRS = range(7)
 
 _enabled = False
 _capacity = DEFAULT_CAPACITY
+#: the rank this process runs (a forked rank sets its own): where a span
+#: that names no rank is filed
+_process_rank = 0
 _buffers: dict[int, "_RingBuffer"] = {}
 _lock = threading.Lock()
 
@@ -160,15 +163,24 @@ def reset() -> None:
         _buffers.clear()
 
 
-def span(name: str, rank: int = 0, cat: str = "app", **attrs: Any):
-    """Context manager timing ``name`` on ``rank``.
+def set_process_rank(rank: int) -> None:
+    """File the spans that name no rank under ``rank``, this process's."""
+    global _process_rank
+    _process_rank = rank
+
+
+def span(name: str, rank: int | None = None, cat: str = "app", **attrs: Any):
+    """Context manager timing ``name`` on ``rank`` (default: the rank this
+    process runs).
 
     Returns a shared no-op when tracing is disabled, so instrumented code
     pays one flag check.  ``attrs`` become the span's Chrome-trace ``args``.
     """
     if not _enabled:
         return _NOOP
-    return _Span(name, rank, cat, attrs or None)
+    return _Span(
+        name, _process_rank if rank is None else rank, cat, attrs or None
+    )
 
 
 def record(

@@ -6,6 +6,8 @@ import pytest
 from repro.diy.bounds import Bounds
 from repro.core import tessellate
 from repro.analysis.dtfe import dtfe_density, dtfe_grid, voronoi_density
+from repro.analysis.dtfe import _padded_periodic
+from repro.geometry import delaunay
 
 
 def grid_points(n, size, jitter, seed=0):
@@ -16,6 +18,20 @@ def grid_points(n, size, jitter, seed=0):
 
 
 class TestDTFEDensity:
+    def test_star_volumes_equal_add_at_bit_for_bit(self):
+        # the padded periodic mesh dtfe_density triangulates
+        size = 8.0
+        domain = Bounds.cube(size)
+        pts, _ = _padded_periodic(
+            grid_points(8, size, jitter=0.3, seed=7), domain, 0.15 * size
+        )
+        mesh = delaunay(pts)
+        want = np.zeros(len(pts))
+        for k in range(4):
+            np.add.at(want, mesh.tetrahedra[:, k], mesh.volumes())
+        got = mesh.vertex_star_volumes()
+        assert got.tobytes() == want.tobytes()
+
     def test_uniformish_field_near_mean_density(self):
         size = 8.0
         pts = grid_points(8, size, jitter=0.15, seed=1)
