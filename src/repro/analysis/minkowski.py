@@ -18,9 +18,11 @@ thickness ``T = 3V/S``, breadth ``B = S/C``, length ``L = C/(4 pi)``
 (all equal to R for a sphere of radius R), used to classify voids,
 filaments, and walls.
 
-The kernel is flat: every step is a whole-array operation on the blocks'
-CSR connectivity (``face_vertices``/``face_offsets``/``face_neighbors``/
-``cell_face_offsets``), with no loop over cells, faces or edges.
+The kernel is flat: every step is a whole-array operation on CSR
+connectivity, with no loop over cells, faces or edges.  It reads the
+sub-meshes of the parts — a rank's block in situ, or every block of a
+tessellation — joined in block order: the member cells and those of
+their faces that can bound a component or cross the seam.
 
 1. Cells are labelled with one sorted lookup against the labeling;
    boundary faces are those whose neighbor is absent (``< 0``) or carries
@@ -52,12 +54,14 @@ face-centre offset by minimum image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .. import observe
-from ..core.data_model import VoronoiBlock, index_in_sorted
+from ..core.data_model import VoronoiBlock, connectivity_index_dtype, index_in_sorted
 from ..core.tessellate import Tessellation
 from ..diy.bounds import Bounds, minimum_image
 from ..geometry.voronoi_delaunay import segment_gather
@@ -150,51 +154,94 @@ def _labels(ids: np.ndarray, labeling: ComponentLabeling) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Mesh:
-    """Every block of a tessellation as one CSR mesh: vertex and face
-    indices offset past the blocks before them."""
+    """Member cells and the faces of theirs the kernel reads, as CSR with
+    a compacted vertex pool: one part's (:meth:`part`), or every part's
+    side by side (:meth:`join`)."""
 
+    domain: Bounds
     ids: np.ndarray
     sites: np.ndarray
     volumes: np.ndarray
-    vertices: np.ndarray
-    face_vertices: np.ndarray
-    face_starts: np.ndarray
+    cell_faces: np.ndarray
     face_lengths: np.ndarray
     face_neighbors: np.ndarray
-    face_owner: np.ndarray
+    face_vertices: np.ndarray
+    vertices: np.ndarray
 
     @classmethod
-    def of(cls, tess: Tessellation) -> "_Mesh":
-        blocks = tess.blocks or [VoronoiBlock.empty(0, tess.domain)]
-        pool = np.cumsum([0] + [b.num_vertices for b in blocks[:-1]])
-        stored = np.cumsum([0] + [len(b.face_vertices) for b in blocks[:-1]])
-        cat = np.concatenate
-        ids = cat([b.site_ids for b in blocks]).astype(np.int64, copy=False)
-        cell_faces = cat([np.diff(b.cell_face_offsets) for b in blocks])
-        return cls(
-            ids=ids,
-            sites=cat([b.sites for b in blocks]),
-            volumes=cat([b.volumes for b in blocks]),
-            vertices=cat([b.vertices for b in blocks]),
-            face_vertices=cat(
-                [b.face_vertices.astype(np.int64) + p for b, p in zip(blocks, pool)]
-            ),
-            face_starts=cat(
-                [b.face_offsets[:-1].astype(np.int64) + s for b, s in zip(blocks, stored)]
-            ),
-            face_lengths=cat([np.diff(b.face_offsets) for b in blocks]).astype(np.int64),
-            face_neighbors=cat([b.face_neighbors for b in blocks]).astype(np.int64),
-            face_owner=np.repeat(np.arange(len(ids)), cell_faces),
+    def part(
+        cls, blocks: Sequence[VoronoiBlock], key: np.ndarray, domain: Bounds
+    ) -> "_Mesh":
+        """The sub-mesh of the cells of ``blocks`` with ``key >= 0`` (one
+        key per cell, in block order; adjacent cells of one key must be of
+        one component).  A member's face is dropped when its neighbour is
+        a same-key cell here and the two sites do not straddle the box
+        (the ``far`` test of :func:`_seam_axes`): it is interior to the
+        component wherever the parts are joined."""
+        whole = cls.join(
+            [
+                cls(domain, b.site_ids, b.sites, b.volumes,
+                    np.diff(b.cell_face_offsets), np.diff(b.face_offsets),
+                    b.face_neighbors, b.face_vertices, b.vertices)
+                for b in blocks or [VoronoiBlock.empty(0, domain)]
+            ]
         )
+        ids, sites, owner = whole.ids, whole.sites, whole.face_owner
+        order = np.argsort(ids, kind="stable")
+        pos, found = index_in_sorted(whole.face_neighbors, ids[order])
+        other, own = order[pos], key[owner]
+        sent = own >= 0
+        inner = np.flatnonzero(sent & found & (key[other] == own))
+        apart = np.abs(sites[other[inner]] - sites[owner[inner]]) > domain.sizes / 2
+        sent[inner[~apart.any(axis=1)]] = False
+        sent = np.flatnonzero(sent)
+        lengths = whole.face_lengths
+        gathered = whole.face_vertices[
+            segment_gather((np.cumsum(lengths) - lengths)[sent], lengths[sent])
+        ]
+        used = np.zeros(len(whole.vertices), dtype=bool)
+        used[gathered] = True
+        member = key >= 0
+        return cls(
+            domain=domain,
+            ids=ids[member],
+            sites=sites[member],
+            volumes=whole.volumes[member],
+            cell_faces=np.bincount(owner[sent], minlength=len(ids))[member],
+            face_lengths=lengths[sent],
+            face_neighbors=whole.face_neighbors[sent],
+            face_vertices=(np.cumsum(used) - 1)[gathered].astype(
+                connectivity_index_dtype(len(used))
+            ),
+            vertices=whole.vertices[used],
+        )
+
+    @classmethod
+    def join(cls, parts: Sequence["_Mesh"]) -> "_Mesh":
+        """The parts side by side, in order."""
+        cat = {
+            f.name: np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(cls)[1:]
+        }
+        pool = np.cumsum([0] + [len(p.vertices) for p in parts])
+        cat["face_vertices"] = np.concatenate(
+            [p.face_vertices.astype(np.int64) + o for p, o in zip(parts, pool)]
+        )
+        return cls(domain=parts[0].domain, **cat)
+
+    @cached_property
+    def face_owner(self) -> np.ndarray:
+        """Cell index of each face."""
+        return np.repeat(np.arange(len(self.ids)), self.cell_faces)
 
     def face_points(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated vertex cycles of ``faces`` and their lengths."""
         lengths = self.face_lengths[faces]
-        gather = segment_gather(self.face_starts[faces], lengths)
-        return self.vertices[self.face_vertices[gather]], lengths
+        starts = (np.cumsum(self.face_lengths) - self.face_lengths)[faces]
+        return self.vertices[self.face_vertices[segment_gather(starts, lengths)]], lengths
 
 
-def _seam_axes(mesh: _Mesh, faces: np.ndarray, domain: Bounds) -> np.ndarray:
+def _seam_axes(mesh: _Mesh, faces: np.ndarray) -> np.ndarray:
     """Axes on which one of ``faces`` — each between two cells of one
     component — crosses the periodic box (see the module docstring)."""
     order = np.argsort(mesh.ids, kind="stable")
@@ -202,7 +249,7 @@ def _seam_axes(mesh: _Mesh, faces: np.ndarray, domain: Bounds) -> np.ndarray:
     faces = faces[found]
     other = mesh.sites[order[pos[found]]]
     site = mesh.sites[mesh.face_owner[faces]]
-    half = domain.sizes / 2
+    half = mesh.domain.sizes / 2
     far = (np.abs(other - site) > half).any(axis=1)
     faces, other, site = faces[far], other[far], site[far]
     pts, lengths = mesh.face_points(faces)
@@ -248,17 +295,31 @@ def _weld(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def minkowski_functionals(
     tess: Tessellation, labeling: ComponentLabeling
 ) -> list[MinkowskiFunctionals]:
-    """Compute functionals for every component of ``labeling``.
+    """Compute functionals for every component of ``labeling``: the
+    kernel on one part holding every block of ``tess``, keyed by label.
 
     The boundary surface is assembled across blocks by welding Voronoi
     vertices on quantised coordinates: the same vertex appears bitwise
     (or near-bitwise) identically in adjacent blocks, and modulo the box
     across the periodic seam.
     """
+    if labeling.num_components == 0:
+        return []
+    key = _labels(tess.site_ids(), labeling)
+    return _functionals(
+        _Mesh.join([_Mesh.part(tess.blocks, key, tess.domain)]), labeling
+    )
+
+
+def _functionals(
+    mesh: _Mesh, labeling: ComponentLabeling
+) -> list[MinkowskiFunctionals]:
+    """The kernel: functionals of every component of ``labeling`` from
+    the joined sub-meshes of every part (steps 1-5 of the module
+    docstring)."""
     ncomp = labeling.num_components
     if ncomp == 0:
         return []
-    mesh = _Mesh.of(tess)
 
     # 1. labels, volumes, boundary faces
     cell_label = _labels(mesh.ids, labeling)
@@ -269,9 +330,7 @@ def minkowski_functionals(
     num_cells = np.bincount(cell_label[member], minlength=ncomp)
     own = cell_label[mesh.face_owner]
     across = _labels(mesh.face_neighbors, labeling)
-    periodic = _seam_axes(
-        mesh, np.flatnonzero((own >= 0) & (across == own)), tess.domain
-    )
+    periodic = _seam_axes(mesh, np.flatnonzero((own >= 0) & (across == own)))
     faces = np.flatnonzero((own >= 0) & (across != own))
 
     # 2. face geometry; zero-area sliver faces are dropped
@@ -295,7 +354,7 @@ def minkowski_functionals(
     # 3. weld vertices per component
     vert_comp = np.repeat(face_comp, lengths)
     welded, vid = _weld(
-        np.column_stack([vert_comp, _weld_keys(pts, tess.domain, periodic)])
+        np.column_stack([vert_comp, _weld_keys(pts, mesh.domain, periodic)])
     )
 
     # 4. pair edges on packed keys; the stable sort keeps occurrences in
@@ -315,7 +374,7 @@ def minkowski_functionals(
     ends = rounded[nxt[first]]
     length = _norm(ends - rounded[first])
     offset = center[face_of[second]] - 0.5 * (rounded[first] + ends)
-    offset = np.where(periodic, minimum_image(offset, tess.domain), offset)
+    offset = np.where(periodic, minimum_image(offset, mesh.domain), offset)
     ang = np.arccos(np.clip(_dot(n1, n2), -1.0, 1.0))
     # convex edge: the other face's centre lies below this face's plane
     dihedral = 0.5 * length * np.where(_dot(n1, offset) < 0.0, ang, -ang)

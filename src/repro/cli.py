@@ -384,7 +384,13 @@ def _describe(result) -> str:
         top = masses[:3].tolist() if result.num_halos else []
         return f"{result.num_halos} halos, largest {top}"
     if isinstance(result, VoidCatalog):
-        return f"{result.num_voids} voids at vmin={result.vmin:.4g}"
+        line = f"{result.num_voids} voids at vmin={result.vmin:.4g}"
+        shapes = [v.minkowski for v in result.voids if v.minkowski is not None]
+        if shapes:
+            chi = sum(m.euler_characteristic for m in shapes)
+            area = sum(m.surface_area for m in shapes)
+            line += f", Minkowski chi sum {chi}, S total {area:.4g}"
+        return line
     if isinstance(result, Histogram):
         return (
             f"histogram n={result.n_samples} skew={result.skewness:.2f} "

@@ -599,8 +599,9 @@ class DistributedTessellation:
     the ``(site id, volume)`` columns of every block in gid order (16
     B/cell), so :meth:`site_ids`, :meth:`volumes` and :meth:`total_volume`
     there are bit-identical to the assembled :class:`Tessellation`'s.
-    Build one with :meth:`collect`; :meth:`assemble` gathers the geometry
-    when a consumer truly needs the whole mesh.
+    Build one with :meth:`collect`.  Every in situ consumer reads
+    :attr:`block` where it lives; only the driver joins the blocks, after
+    the parallel region (:meth:`join_blocks`).
     """
 
     domain: Bounds
@@ -655,17 +656,6 @@ class DistributedTessellation:
     def total_volume(self) -> float:
         """Sum of kept cell volumes (every rank)."""
         return self.total
-
-    def assemble(self, comm: Communicator) -> Tessellation | None:
-        """Collective: gather every block into the full :class:`Tessellation`
-        on rank 0 (``None`` elsewhere); counted as
-        ``insitu.mesh_assemblies``."""
-        blocks = comm.gather(self.block, root=0)
-        if comm.rank != 0:
-            return None
-        if observe.enabled():
-            observe.registry().counter("insitu.mesh_assemblies").inc()
-        return self.join_blocks(blocks)
 
     def join_blocks(self, blocks: list[VoronoiBlock]) -> Tessellation:
         """The :class:`Tessellation` of every rank's block (e.g. the

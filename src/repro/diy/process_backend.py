@@ -420,11 +420,14 @@ def _pool_main(
         # first messages.  Post-flush, clearing here is race-free: the
         # mailbox holds only this task's leftovers.
         world.end_task()
+        # Decide before reporting: once the parent has every status, a peer
+        # may take and fail the *next* task, setting the same shared flag.
+        last = abort_mp.is_set() or task_conn is None
         _send_status(result_conn, status)
         # Drop the last local references to result payloads before teardown
         # so shm-backed arrays die and their mappings close cleanly.
         del status
-        if abort_mp.is_set() or task_conn is None:
+        if last:
             break  # invalidated (the parent reaps this worker) or one-shot
     world.shutdown()
     _close_all((task_conn, result_conn))
@@ -481,11 +484,12 @@ def _await_results(
         abort_all()
         errors.append(ParallelError(rank, exc))
 
-    def died(rank: int) -> RankDiedError:
-        return RankDiedError(
-            f"rank {rank} process died without a result "
-            f"(exit code {procs[rank].exitcode})"
-        )
+    def died(rank: int) -> RuntimeError:
+        # A worker that exited 0 ran _pool_main to its end: it left on
+        # another rank's failure, a casualty of the abort, not its cause.
+        code = procs[rank].exitcode
+        kind = _AbortedError if code == 0 else RankDiedError
+        return kind(f"rank {rank} process died without a result (exit code {code})")
 
     while pending:
         ready = connection.wait(list(pending), timeout=_DETECT_POLL_S)

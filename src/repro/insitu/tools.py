@@ -8,10 +8,9 @@ reads the upstream output where it lives and never gathers or rebuilds
 it: the tessellation tool returns a
 :class:`~repro.core.tessellate.DistributedTessellation` (this rank's block,
 replicated totals, and on rank 0 the ``(site id, volume)`` columns), and
-the void finder, cell statistics and tracking tools read that block.  No
-rank holds the whole mesh and nothing is tessellated twice per step; the
-only exception is ``VoidFinderTool(compute_minkowski=True)``, which
-assembles the mesh on rank 0.  The analysis products (void catalogs,
+the void finder (Minkowski functionals included), cell statistics and
+tracking tools read that block.  No rank holds the whole mesh and nothing
+is tessellated twice per step.  The analysis products (void catalogs,
 histograms, merger trees, halo catalogs, DTFE frames) are small and
 identical on every rank.  A serial run is the 1-rank run: every tool has
 one path, the same at every rank count, and always gets a communicator.
@@ -272,13 +271,12 @@ class VoidFinderTool(AnalysisTool):
     Consumes the tessellation tool's result when it ran earlier at the same
     step (list it first in the config); otherwise tessellates its own
     block.  It runs the fully distributed path on the rank-local block —
-    one gather of component-merge rows and kept-cell volumes, the catalog
+    one gather of component-merge rows, kept-cell volumes and, with
+    ``compute_minkowski``, the kept cells' Minkowski sub-mesh; the catalog
     built on rank 0 and broadcast — without ever gathering the global
-    mesh (paper §V's point).  ``vmin_fraction``
-    applies the paper's fraction-of-volume-range threshold rule; an
-    absolute ``vmin`` wins if both are set.  Minkowski functionals still
-    need the assembled tessellation: requesting them assembles it on rank
-    0, which finds the voids and broadcasts the catalog.
+    mesh (paper §V's point).  ``vmin_fraction`` applies the paper's
+    fraction-of-volume-range threshold rule; an absolute ``vmin`` wins if
+    both are set.
     """
 
     ghost: float = 4.0
@@ -308,34 +306,16 @@ class VoidFinderTool(AnalysisTool):
         comm: Communicator,
         context: dict[str, Any] | None = None,
     ):
-        from ..analysis.voids import (
-            find_voids,
-            find_voids_distributed,
-            volume_threshold_for_fraction,
-        )
+        from ..analysis.voids import find_voids_distributed
 
-        tess = _tessellation(context, sim, step, a, comm, self.ghost)
-        if not self.compute_minkowski:
-            return find_voids_distributed(
-                comm,
-                tess.block,
-                vmin=self.vmin,
-                vmin_fraction=self.vmin_fraction,
-                min_cells=self.min_cells,
-            )
-        tess = tess.assemble(comm)
-        catalog = None
-        if tess is not None:
-            vmin = self.vmin
-            if vmin is None:
-                vmin = volume_threshold_for_fraction(tess, self.vmin_fraction)
-            catalog = find_voids(
-                tess,
-                vmin=vmin,
-                min_cells=self.min_cells,
-                compute_minkowski=self.compute_minkowski,
-            )
-        return comm.bcast(catalog, root=0)
+        return find_voids_distributed(
+            comm,
+            _tessellation(context, sim, step, a, comm, self.ghost),
+            vmin=self.vmin,
+            vmin_fraction=self.vmin_fraction,
+            min_cells=self.min_cells,
+            compute_minkowski=self.compute_minkowski,
+        )
 
 
 @dataclass

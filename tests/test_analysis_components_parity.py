@@ -19,7 +19,7 @@ from repro.analysis.components import (
     connected_components_at_root,
 )
 from repro.analysis.voids import find_voids, find_voids_distributed
-from repro.core import tessellate, tessellate_distributed
+from repro.core import DistributedTessellation, tessellate, tessellate_distributed
 from repro.diy.bounds import Bounds
 from repro.diy.comm import run_parallel
 from repro.diy.decomposition import Decomposition
@@ -160,11 +160,13 @@ def test_distributed_matches_oracle(seam_case, nranks):
 
 def _voids_worker(comm, pts, ids, decomp, vmin_fraction):
     mine = decomp.locate(pts) == comm.rank
-    block, _, _ = tessellate_distributed(
-        comm, decomp, pts[mine], ids[mine], ghost=4.0
+    handle = DistributedTessellation.collect(
+        comm,
+        decomp.domain,
+        *tessellate_distributed(comm, decomp, pts[mine], ids[mine], ghost=4.0),
     )
     return find_voids_distributed(
-        comm, block, vmin_fraction=vmin_fraction, min_cells=2
+        comm, handle, vmin_fraction=vmin_fraction, min_cells=2
     )
 
 

@@ -7,6 +7,10 @@ shape the kernel has special cases for: block counts, hand-built
 cells, a percolating component, empty and foreign labelings, zero-area
 faces and a lattice full of coplanar faces.
 
+The same kernel runs in situ: each rank cuts its block's sub-mesh and
+the root joins them, on the seam-percolating sponge and the lattice at
+1/2/4/8 ranks.
+
 The seam tests pin the periodic welding: functionals do not change under
 a periodic shift of the input, and where no seam is involved (a
 non-periodic box, or a component that stays clear of the box faces) the
@@ -25,9 +29,16 @@ from hypothesis import strategies as st
 from repro import observe
 from repro.analysis.components import ComponentLabeling, connected_components
 from repro.analysis.minkowski import minkowski_functionals
-from repro.analysis.voids import find_voids
-from repro.core import Tessellation, tessellate
+from repro.analysis.voids import find_voids, find_voids_distributed
+from repro.core import (
+    DistributedTessellation,
+    Tessellation,
+    tessellate,
+    tessellate_distributed,
+)
 from repro.diy.bounds import Bounds
+from repro.diy.comm import run_parallel
+from repro.diy.decomposition import Decomposition
 
 from .cell_reference import VoronoiCell, from_cells, neighbors_of_cell
 from .clip_polyhedron import ConvexPolyhedron
@@ -65,25 +76,37 @@ def at_quantile(tess, q):
     return connected_components(tess, vmin=float(np.quantile(tess.volumes(), q)))
 
 
+def poisson_points(n=400, seed=7):
+    return np.random.default_rng(seed).uniform(0.0, BOX, size=(n, 3))
+
+
 @functools.cache
 def poisson(n=400, seed=7, nblocks=1, shift=0.0, periodic=True):
-    pts = np.random.default_rng(seed).uniform(0.0, BOX, size=(n, 3))
     return tessellate(
-        np.mod(pts + shift, BOX), Bounds.cube(BOX), nblocks=nblocks, ghost=4.0,
-        periodic=periodic,
+        np.mod(poisson_points(n, seed) + shift, BOX), Bounds.cube(BOX),
+        nblocks=nblocks, ghost=4.0, periodic=periodic,
     )
 
 
-def lattice():
+LATTICE_SIDE = 7
+
+
+def lattice_points():
     """The phd-code fixture of SNIPPETS.md in 3D: a cubic lattice with a
     perturbed interior -- exact cosphericity outside, coplanar faces
     everywhere on it."""
-    n = 7
+    n = LATTICE_SIDE
     g = np.arange(n) + 0.5
     pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     inner = np.all((pts > 0.25 * n) & (pts < 0.75 * n), axis=1)
     pts[inner] += 0.2 * np.random.default_rng(5).uniform(-1, 1, (inner.sum(), 3))
-    return tessellate(pts, Bounds.cube(float(n)), nblocks=2, ghost=2.5)
+    return pts
+
+
+def lattice():
+    return tessellate(
+        lattice_points(), Bounds.cube(float(LATTICE_SIDE)), nblocks=2, ghost=2.5
+    )
 
 
 def cube_cell(site_id, lo, side, extra_faces=()):
@@ -250,6 +273,64 @@ def straddles(tess, members):
                 ).any():
                     return True
     return False
+
+
+def _distributed_voids_worker(comm, pts, domain, ghost, vmin):
+    """One rank of :func:`find_voids_distributed` with Minkowski
+    functionals, on block ``gid == rank`` of ``pts``."""
+    decomp = Decomposition.regular(domain, comm.size, periodic=True)
+    mine = decomp.locate(pts) == comm.rank
+    handle = DistributedTessellation.collect(
+        comm,
+        domain,
+        *tessellate_distributed(
+            comm, decomp, pts[mine], np.flatnonzero(mine), ghost=ghost
+        ),
+    )
+    catalog = find_voids_distributed(
+        comm, handle, vmin=vmin, compute_minkowski=True
+    )
+    return catalog, handle.block
+
+
+#: (points, box side, ghost, volume quantile): the sponge percolating
+#: across the seam of ``test_percolating_component``, and the lattice.
+DISTRIBUTED_CASES = {
+    "sponge": (poisson_points, BOX, 4.0, 0.5),
+    "lattice": (lattice_points, float(LATTICE_SIDE), 2.5, 0.6),
+}
+
+
+@pytest.mark.parametrize("nranks", (1, 2, 4, 8))
+@pytest.mark.parametrize("case", sorted(DISTRIBUTED_CASES))
+def test_distributed_voids_match_reference(case, nranks):
+    """In situ functionals — each rank cuts its block's sub-mesh, the root
+    joins them — equal ``find_voids`` on the joined blocks bit for bit,
+    and the dict reference to ``PARITY_RTOL``."""
+    points, side, ghost, q = DISTRIBUTED_CASES[case]
+    pts, domain = points(), Bounds.cube(side)
+    vmin = float(
+        np.quantile(tessellate(pts, domain, ghost=ghost).volumes(), q)
+    )
+    per_rank = run_parallel(
+        nranks, _distributed_voids_worker, pts, domain, ghost, vmin
+    )
+    joined = Tessellation(
+        domain=domain,
+        blocks=sorted((b for _, b in per_rank), key=lambda b: b.gid),
+    )
+    want = find_voids(joined, vmin=vmin, compute_minkowski=True)
+    ref = minkowski_reference(joined, connected_components(joined, vmin=vmin))
+    for got, _ in per_rank:
+        assert [v.minkowski for v in got.voids] == [
+            v.minkowski for v in want.voids
+        ]
+    voids = sorted(per_rank[0][0].voids, key=lambda v: v.label)
+    assert_parity([v.minkowski for v in voids], [ref[v.label] for v in voids])
+    if case == "sponge":
+        big = max(voids, key=lambda v: v.num_cells).minkowski
+        assert big.num_cells > 0.4 * joined.num_cells
+        assert big.euler_characteristic < 0
 
 
 def test_counters_and_span():

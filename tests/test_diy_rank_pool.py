@@ -10,6 +10,9 @@ a failed spawn — leaves live child processes behind.
 """
 
 import os
+import pickle
+import time
+from multiprocessing import Pipe
 
 import numpy as np
 import pytest
@@ -54,9 +57,15 @@ def _collective_worker(comm, seed):
     return float(echoed.sum()), total, gathered, os.getpid()
 
 
-def _raise_on_rank1(comm):
+def _rank_worker(comm):
+    return comm.rank
+
+
+def _raise_on_rank1(comm, mark=None):
     if comm.rank == 1:
         raise ValueError("injected failure")
+    if mark is not None:
+        open(mark, "w").close()
     comm.barrier()
 
 
@@ -135,6 +144,55 @@ class TestPoolInvalidation:
         assert pool_counters["invalidations"] == before + 1
         replacement = run_parallel(2, _pid_worker, backend="process")
         assert set(healthy).isdisjoint(replacement)
+
+    def test_rank_lingering_after_its_report_takes_the_next_task(
+        self, monkeypatch, tmp_path
+    ):
+        """Rank 0 lingers after reporting a healthy task, so rank 1 takes
+        the next task and fails it first: rank 0 must still take that
+        task, not read the failure's abort flag as its own and quit."""
+        from repro.diy import process_backend
+
+        original = process_backend._send_status
+
+        def lingering(conn, status):
+            original(conn, status)
+            if status == ("ok", 0):
+                time.sleep(0.5)
+
+        # The pool forks after this, so its workers inherit the seam.
+        monkeypatch.setattr(process_backend, "_send_status", lingering)
+        assert run_parallel(2, _rank_worker) == [0, 1]
+        took = tmp_path / "rank0-took-the-task"
+        with pytest.raises(ParallelError) as exc:
+            run_parallel(2, _raise_on_rank1, str(took))
+        assert took.exists()
+        assert exc.value.rank == 1
+        assert isinstance(exc.value.original, ValueError)
+
+    @pytest.mark.parametrize("code, blamed", [(0, 1), (87, 0)])
+    def test_clean_exit_is_a_casualty_not_the_cause(self, code, blamed):
+        """Rank 0 left without a result, rank 1 raised.  Exit code 0 means
+        rank 0 ran its worker loop to its end, so the region is rank 1's;
+        a crash (nonzero exit) still counts as a cause."""
+        from repro.diy.process_backend import _await_results, _raise_first
+
+        class Exited:
+            exitcode = code
+
+            def join(self, timeout=None):
+                pass
+
+        dead, dead_end = Pipe(duplex=False)
+        dead_end.close()
+        raised, raised_end = Pipe(duplex=False)
+        raised_end.send_bytes(pickle.dumps(("err", ValueError("injected"))))
+        _, errors = _await_results(
+            [Exited(), Exited()], {dead: 0, raised: 1}, lambda: None, 1.0
+        )
+        with pytest.raises(ParallelError) as exc:
+            _raise_first(errors)
+        assert exc.value.rank == blamed
 
     def test_invalidation_sweeps_pool_segments(self):
         baseline = _repro_segments()

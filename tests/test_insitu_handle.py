@@ -1,10 +1,12 @@
 """The in situ data flow: the tessellation tool hands every other tool a
-rank-local :class:`DistributedTessellation`, the assembled mesh never
-travels between ranks, and no tool tessellates twice per step."""
+rank-local :class:`DistributedTessellation`, no block or tessellation
+travels between ranks (Minkowski firings included), and no tool
+tessellates twice per step."""
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -124,9 +126,9 @@ def _refuse_meshes(comm) -> None:
 
 def _traffic_worker(comm, compute_minkowski: bool):
     """One rank: run the chain deck, return per firing this rank's bytes
-    sent beyond its tessellation's own, and the global cell count."""
-    if not compute_minkowski:
-        _refuse_meshes(comm)
+    sent beyond its tessellation's own, the global cell count, and the
+    pickled size of this rank's block."""
+    _refuse_meshes(comm)
     fw = CosmologyToolsFramework(
         FrameworkConfig.from_dict(_chain_deck(compute_minkowski)),
         registry={**TOOL_REGISTRY, "mark": _Mark},
@@ -142,8 +144,12 @@ def _traffic_worker(comm, compute_minkowski: bool):
     out = {}
     for step, (sent0, tess0) in fw.results["mark"].items():
         sent1, tess1 = ends[step]
-        cells = fw.results["tessellation"][step].num_cells
-        out[step] = ((sent1 - sent0) - (tess1 - tess0), cells)
+        handle = fw.results["tessellation"][step]
+        out[step] = (
+            (sent1 - sent0) - (tess1 - tess0),
+            handle.num_cells,
+            len(pickle.dumps(handle.block)),
+        )
     return out
 
 
@@ -151,32 +157,40 @@ def _run_observed(nranks, compute_minkowski):
     observe.reset_all()
     observe.enable()
     try:
-        per_rank = run_parallel(nranks, _traffic_worker, compute_minkowski)
-        assemblies = observe.registry().counter("insitu.mesh_assemblies").value
+        return run_parallel(nranks, _traffic_worker, compute_minkowski)
     finally:
         observe.disable()
         observe.reset_all()
-    return per_rank, assemblies
 
 
 @pytest.mark.parametrize("nranks", [2, 4])
 def test_analysis_traffic_per_firing(nranks):
-    per_rank, assemblies = _run_observed(nranks, False)
+    per_rank = _run_observed(nranks, False)
     firings = per_rank[0]
     assert sorted(firings) == [4, 8]
     for step in firings:
         for rank, rows in enumerate(per_rank):
-            analysis_bytes, cells = rows[step]
+            analysis_bytes, cells, _ = rows[step]
             assert cells == TRAFFIC_CFG.np_side ** 3
             assert analysis_bytes < ANALYSIS_BYTES_PER_CELL * cells, (
                 f"rank {rank} step {step}: {analysis_bytes / cells:.1f} B/cell"
             )
-    assert assemblies == 0
 
 
-def test_minkowski_assembles_once_per_firing():
-    per_rank, assemblies = _run_observed(2, True)
-    assert assemblies == len(per_rank[0]) == 2
+@pytest.mark.parametrize("nranks", [2, 4])
+def test_minkowski_firing_sends_less_than_its_block(nranks):
+    """A Minkowski firing hands no collective a block or a tessellation,
+    and each non-root rank sends less per firing — every tool of the
+    chain included — than gathering the mesh to rank 0 shipped: its
+    pickled block, and those of the ranks it relays in the binomial
+    gather (rank ``r`` forwards ``r .. r + lowbit(r) - 1``)."""
+    per_rank = _run_observed(nranks, True)
+    assert sorted(per_rank[0]) == [4, 8]
+    for rank, rows in enumerate(per_rank[1:], start=1):
+        relayed = range(rank, min(rank + (rank & -rank), nranks))
+        for step, (analysis_bytes, _, _) in rows.items():
+            assembled = sum(per_rank[r][step][2] for r in relayed)
+            assert analysis_bytes < assembled, (rank, step)
 
 
 # ----------------------------------------------------------------------
@@ -218,15 +232,20 @@ def test_handle_columns_match_the_joined_mesh():
 # void catalogs equal find_voids on the joined tessellation
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("nranks", [1, 2, 4])
-@pytest.mark.parametrize("cull", [None, 0.6])
-def test_insitu_voids_match_joined_tessellation(nranks, cull):
+@pytest.mark.parametrize(
+    "cull, compute_minkowski",
+    [(None, False), (0.6, False), (None, True), (0.6, True)],
+    ids=["None", "0.6", "None-minkowski", "0.6-minkowski"],
+)
+def test_insitu_voids_match_joined_tessellation(nranks, cull, compute_minkowski):
     results = run_simulation_with_tools(
         SimulationConfig(np_side=10, nsteps=8, seed=2),
         {"tools": [
             {"tool": "tessellation", "every": 4,
              "params": {"ghost": 4.0, "vmin": cull}},
             {"tool": "void_finder", "every": 4,
-             "params": {"vmin_fraction": 0.6, "min_cells": 2}},
+             "params": {"vmin_fraction": 0.6, "min_cells": 2,
+                        "compute_minkowski": compute_minkowski}},
         ]},
         nranks=nranks,
     )
@@ -235,7 +254,8 @@ def test_insitu_voids_match_joined_tessellation(nranks, cull):
         assert isinstance(tess, Tessellation)
         got = results["void_finder"][step]
         want = find_voids(
-            tess, vmin=volume_threshold_for_fraction(tess, 0.6), min_cells=2
+            tess, vmin=volume_threshold_for_fraction(tess, 0.6), min_cells=2,
+            compute_minkowski=compute_minkowski,
         )
         assert got.vmin == want.vmin
         assert got.num_voids == want.num_voids
@@ -243,6 +263,8 @@ def test_insitu_voids_match_joined_tessellation(nranks, cull):
         for g, w in zip(got.voids, want.voids):
             np.testing.assert_array_equal(g.site_ids, w.site_ids)
             assert g.volume == w.volume  # same cells, same summation order
+            assert (g.minkowski is None) == (not compute_minkowski)
+            assert g.minkowski == w.minkowski  # every field, bit for bit
     assert found >= 3
 
 

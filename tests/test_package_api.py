@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -105,3 +106,12 @@ class TestPublicSurfaces:
         assert not hasattr(core.Tessellation, "cells")
         empty = core.VoronoiBlock.empty(3, repro.Bounds.cube(1.0))
         assert (empty.gid, empty.num_cells, empty.num_faces) == (3, 0, 0)
+
+    def test_no_mesh_assembly_in_situ(self):
+        """In situ consumers read each rank's block where it lives: the
+        handle cannot gather the mesh, and nothing counts assemblies."""
+        core = importlib.import_module("repro.core")
+        assert not hasattr(core.DistributedTessellation, "assemble")
+        src = pathlib.Path(repro.__file__).parent
+        for path in sorted(src.rglob("*.py")):
+            assert "insitu.mesh_assemblies" not in path.read_text(), path
