@@ -1,19 +1,19 @@
 """On-demand compiled C kernels for the geometry hot path.
 
 The Voronoi engine's work is one 3-D Delaunay triangulation per block
-(or slab, or repair patch) and per-ring loops NumPy cannot fuse (gather
--> project -> sort -> dedup -> Newell is ~15 array passes over ~6 ring
-entries per ridge).  Both live in ``voronoi_kernels.c``: an incremental
-Bowyer–Watson triangulation with exact, filtered predicates and
-index-order tie-breaks (:func:`delaunay`), and the circumcenter, ring
-and CSR loops.  The file is compiled on first use with whatever C
-compiler the host has (``cc``/``gcc``/``clang``) — there is no build
-step and no new dependency.  The build starts on a thread when this
-module is imported, so the compiler runs while the importing program
-sets up, and the first :func:`lib` call waits for what is left.  The
-shared object is cached under ``~/.cache/repro-native/`` keyed by a hash
-of the source and the compiler, so every process after the first just
-``dlopen``s it.
+(or slab, or repair patch) and one pass from it to the diagram, whose
+ring loops NumPy cannot fuse (~15 array passes).  Both live in
+``voronoi_kernels.c``: an incremental Bowyer–Watson triangulation with
+exact, filtered predicates and index-order tie-breaks
+(:func:`triangulate`), and :meth:`Triangulation.cells`, every array of
+the engine from the live triangulation in one call.  The file is
+compiled on first use with whatever C compiler the host has
+(``cc``/``gcc``/``clang``) — there is no build step and no new
+dependency.  The build starts on a thread when this module is imported,
+so the compiler runs while the importing program sets up, and the first
+:func:`lib` call waits for what is left.  The shared object is cached
+under ``~/.cache/repro-native/`` keyed by a hash of the source and the
+compiler, so every process after the first just ``dlopen``s it.
 
 Everything degrades gracefully: if no compiler is found, compilation
 fails, or ``REPRO_NO_NATIVE=1`` is set, :func:`lib` returns ``None``
@@ -35,7 +35,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["lib", "available", "build_error", "delaunay"]
+__all__ = ["lib", "available", "build_error", "triangulate", "delaunay"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "voronoi_kernels.c")
@@ -103,22 +103,17 @@ def _declare(dll: ctypes.CDLL) -> ctypes.CDLL:
     dll.tet_circumcenters.argtypes = [f64, i64, ctypes.c_int64, f64]
     dll.tet_circumcenters.restype = ctypes.c_int64
 
-    dll.order_rings.argtypes = [
-        f64, f64, i64, i64, i64, ctypes.c_int64, ctypes.c_double,
-        i64, i64, f64, u8,
-    ]
-    dll.order_rings.restype = ctypes.c_int64
-
-    dll.fill_cell_ridges.argtypes = [i64, ctypes.c_int64, i64, i64]
-    dll.fill_cell_ridges.restype = None
-
-    i32 = np.ctypeslib.ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
     dll.dt_build.argtypes = [f64, ctypes.c_int64, i64, ctypes.c_int64, i64]
     dll.dt_build.restype = ctypes.c_void_p
-    dll.dt_fetch.argtypes = [ctypes.c_void_p, i32, i32, i64]
-    dll.dt_fetch.restype = None
+    dll.dt_fetch.argtypes = [ctypes.c_void_p, i64, i64, i64]
+    dll.dt_fetch.restype = ctypes.c_int64
     dll.dt_free.argtypes = [ctypes.c_void_p]
     dll.dt_free.restype = None
+    dll.dt_cells.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, f64, ctypes.c_double, ctypes.c_int,
+        i64, i64, f64, i64, i64, i64, f64, f64, f64, u8, i64, i64, i64,
+    ]
+    dll.dt_cells.restype = ctypes.c_int
     return dll
 
 
@@ -208,15 +203,70 @@ _SPREAD = ((16, 0x0000FF0000FF), (8, 0x00F00F00F00F),
            (4, 0x0C30C30C30C3), (2, 0x249249249249))
 
 
-def delaunay(points: np.ndarray):
+class Triangulation:
+    """A Delaunay triangulation the compiled kernel holds: one
+    :func:`triangulate` call, freed when its ``with`` block ends."""
+
+    def __init__(self, dll, handle, points: np.ndarray, sizes: np.ndarray):
+        self._dll, self._handle, self.points = dll, handle, points
+        self._slots, self._duplicates = int(sizes[0]), int(sizes[1])
+
+    def __enter__(self) -> "Triangulation":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._dll.dt_free(self._handle)
+
+    def cells(self, owned, lo, hi, eps2: float, fixup) -> dict:
+        """Every array of ``DelaunayVoronoi`` by name, from one kernel pass
+        (``dt_cells``) over the rings of edges with an ``owned`` end (a
+        mask, or ``None``), cells in ``[lo, hi]``, ring vertices merged
+        within ``sqrt(eps2)``.  ``fixup(vertices, points, sorted_tets,
+        bad)`` re-solves circumcenters the kernel could not (singular
+        slivers) before it builds the rings."""
+        n, slots = len(self.points), self._slots
+        mask = None if owned is None or owned.all() else owned.astype(np.uint8)
+        # bounds: m <= slots, R <= 2m (a ring has 3+ tets), entries <= 6m
+        out = dict(
+            _tets=np.empty((slots, 4), dtype=np.int64),
+            _neighbors=np.empty((slots, 4), dtype=np.int64),
+            vertices=np.empty((slots, 3)),
+            ridge_sites=np.empty((2 * slots, 2), dtype=np.int64),
+            ridge_offsets=np.empty(2 * slots + 1, dtype=np.int64),
+            ridge_flat=np.empty(6 * slots, dtype=np.int64),
+            ridge_areas=np.empty(2 * slots),
+            volumes=np.empty(n),
+            areas=np.empty(n),
+            complete=np.empty(n, dtype=np.uint8),
+            cell_ridges_offsets=np.empty(n + 1, dtype=np.int64),
+            cell_ridges_flat=np.empty(4 * slots, dtype=np.int64),
+        )
+        sizes = np.zeros(5, dtype=np.int64)  # m, R, ring entries, dropped, merged
+        args = (self._handle, None if mask is None else mask.ctypes.data,
+                np.concatenate([lo, hi]).astype(np.float64), eps2)
+        status = self._dll.dt_cells(*args, 0, *out.values(), sizes)
+        if status == 1:
+            vertices, tets = out["vertices"][: sizes[0]], out["_tets"][: sizes[0]]
+            fixup(vertices, self.points, np.sort(tets, axis=1),
+                  ~np.isfinite(vertices).all(axis=1))
+            status = self._dll.dt_cells(*args, 1, *out.values(), sizes)
+        if status:
+            raise MemoryError("native Voronoi cells: out of memory")
+        m, R, total, dropped, merged = (int(k) for k in sizes)
+        for name, size in (("_tets", m), ("_neighbors", m), ("vertices", m),
+                           ("ridge_sites", R), ("ridge_offsets", R + 1),
+                           ("ridge_flat", total), ("ridge_areas", R),
+                           ("cell_ridges_flat", 2 * R)):
+            out[name] = out[name][:size]
+        out["complete"] = out["complete"].view(bool)
+        return dict(out, merged_sites=merged, degenerate_ridges_dropped=dropped)
+
+
+def triangulate(points: np.ndarray) -> Triangulation | None:
     """Delaunay tetrahedralization of ``(n, 3)`` float64 points by the
     compiled Bowyer–Watson kernel (exact predicates, ties broken by
-    index order): int64 ``(tets, neighbors, duplicates)``, every tet
-    positively oriented, ``neighbors[t, k]`` the tet opposite vertex
-    ``k`` or -1 across a hull face, ``duplicates`` one ``(point, -1,
-    representative)`` row per exact duplicate left out.  ``None`` when
-    no four points are affinely independent (or the kernel is not
-    built)."""
+    index order), held by the kernel.  ``None`` when no four points are
+    affinely independent (or the kernel is not built)."""
     dll = lib()
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if dll is None or len(pts) < 4:
@@ -237,22 +287,26 @@ def delaunay(points: np.ndarray):
         if sizes[2] == -1:
             raise MemoryError("native Delaunay: out of memory")
         raise RuntimeError("native Delaunay: a point-location walk did not end")
-    try:
-        verts = np.empty((sizes[0], 4), dtype=np.int32)
-        nbrs = np.empty((sizes[0], 4), dtype=np.int32)
-        dups = np.empty((sizes[1], 2), dtype=np.int64)
-        dll.dt_fetch(handle, verts, nbrs, dups)
-    finally:
-        dll.dt_free(handle)
-    # keep the live finite tets (a deleted slot has vertex -2, an
-    # infinite tet vertex -1), renumbered in slot order
-    finite = (verts >= 0).all(axis=1)
-    number = np.full(len(verts), -1, dtype=np.int64)
-    number[finite] = np.arange(int(finite.sum()))
-    duplicates = np.full((len(dups), 3), -1, dtype=np.int64)
-    duplicates[:, 0] = dups[:, 0]
-    duplicates[:, 2] = dups[:, 1]
-    return verts[finite].astype(np.int64), number[nbrs[finite]], duplicates
+    return Triangulation(dll, handle, pts, sizes)
+
+
+def delaunay(points: np.ndarray):
+    """The :func:`triangulate` tets as int64 ``(tets, neighbors,
+    duplicates)``: every tet positively oriented, ``neighbors[t, k]``
+    the tet opposite vertex ``k`` or -1 across a hull face,
+    ``duplicates`` one ``(point, -1, representative)`` row per exact
+    duplicate left out.  ``None`` when :func:`triangulate` is."""
+    tri = triangulate(points)
+    if tri is None:
+        return None
+    tets = np.empty((tri._slots, 4), dtype=np.int64)
+    nbrs = np.empty((tri._slots, 4), dtype=np.int64)
+    duplicates = np.empty((tri._duplicates, 3), dtype=np.int64)
+    with tri:
+        m = tri._dll.dt_fetch(tri._handle, tets, nbrs, duplicates)
+    if m < 0:
+        raise MemoryError("native Delaunay: out of memory")
+    return tets[:m], nbrs[:m], duplicates
 
 
 os.register_at_fork(after_in_child=_fresh_lock_after_fork)

@@ -12,188 +12,155 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-/* Circumcenters of tetrahedra by Cramer's rule on the 3x3 system that
- * equates the center's squared distance to vertex 0 and vertex k.
- * Exactly singular (degenerate sliver) tets get NaN centers; the
- * caller re-solves those rows by least squares.  Returns the number of
- * non-finite centers written. */
+/* The circumcenter of tet t (4 point indices) by Cramer's rule on the
+ * 3x3 system that equates the center's squared distance to vertex 0 and
+ * vertex k.  0 when it is not finite (an exactly singular sliver). */
+static int circumcenter(const double *pts, const int64_t *t, double *out)
+{
+    const double *a = pts + 3 * t[0];
+    double r[3][3], b[3];
+    for (int k = 0; k < 3; k++) {
+        const double *p = pts + 3 * t[k + 1];
+        double dx = p[0] - a[0], dy = p[1] - a[1], dz = p[2] - a[2];
+        r[k][0] = dx; r[k][1] = dy; r[k][2] = dz;
+        b[k] = 0.5 * (dx * dx + dy * dy + dz * dz);
+    }
+    double c23x = r[1][1] * r[2][2] - r[1][2] * r[2][1];
+    double c23y = r[1][2] * r[2][0] - r[1][0] * r[2][2];
+    double c23z = r[1][0] * r[2][1] - r[1][1] * r[2][0];
+    double det = r[0][0] * c23x + r[0][1] * c23y + r[0][2] * c23z;
+    double c31x = r[2][1] * r[0][2] - r[2][2] * r[0][1];
+    double c31y = r[2][2] * r[0][0] - r[2][0] * r[0][2];
+    double c31z = r[2][0] * r[0][1] - r[2][1] * r[0][0];
+    double c12x = r[0][1] * r[1][2] - r[0][2] * r[1][1];
+    double c12y = r[0][2] * r[1][0] - r[0][0] * r[1][2];
+    double c12z = r[0][0] * r[1][1] - r[0][1] * r[1][0];
+    double inv = 1.0 / det;
+    double x = (b[0] * c23x + b[1] * c31x + b[2] * c12x) * inv;
+    double y = (b[0] * c23y + b[1] * c31y + b[2] * c12y) * inv;
+    double z = (b[0] * c23z + b[1] * c31z + b[2] * c12z) * inv;
+    out[0] = x + a[0];
+    out[1] = y + a[1];
+    out[2] = z + a[2];
+    return isfinite(x) && isfinite(y) && isfinite(z);
+}
+
+/* Circumcenters of m tets.  Exactly singular (degenerate sliver) tets
+ * get NaN centers; the caller re-solves those rows by least squares.
+ * Returns the number of non-finite centers written. */
 int64_t tet_circumcenters(const double *pts, const int64_t *tets,
                           int64_t m, double *out)
 {
     int64_t bad = 0;
-    for (int64_t t = 0; t < m; t++) {
-        const double *a = pts + 3 * tets[4 * t];
-        double r[3][3], b[3];
-        for (int k = 0; k < 3; k++) {
-            const double *p = pts + 3 * tets[4 * t + k + 1];
-            double dx = p[0] - a[0], dy = p[1] - a[1], dz = p[2] - a[2];
-            r[k][0] = dx; r[k][1] = dy; r[k][2] = dz;
-            b[k] = 0.5 * (dx * dx + dy * dy + dz * dz);
-        }
-        double c23x = r[1][1] * r[2][2] - r[1][2] * r[2][1];
-        double c23y = r[1][2] * r[2][0] - r[1][0] * r[2][2];
-        double c23z = r[1][0] * r[2][1] - r[1][1] * r[2][0];
-        double det = r[0][0] * c23x + r[0][1] * c23y + r[0][2] * c23z;
-        double c31x = r[2][1] * r[0][2] - r[2][2] * r[0][1];
-        double c31y = r[2][2] * r[0][0] - r[2][0] * r[0][2];
-        double c31z = r[2][0] * r[0][1] - r[2][1] * r[0][0];
-        double c12x = r[0][1] * r[1][2] - r[0][2] * r[1][1];
-        double c12y = r[0][2] * r[1][0] - r[0][0] * r[1][2];
-        double c12z = r[0][0] * r[1][1] - r[0][1] * r[1][0];
-        double inv = 1.0 / det;
-        double x = (b[0] * c23x + b[1] * c31x + b[2] * c12x) * inv;
-        double y = (b[0] * c23y + b[1] * c31y + b[2] * c12y) * inv;
-        double z = (b[0] * c23z + b[1] * c31z + b[2] * c12z) * inv;
-        out[3 * t] = x + a[0];
-        out[3 * t + 1] = y + a[1];
-        out[3 * t + 2] = z + a[2];
-        if (!isfinite(x) || !isfinite(y) || !isfinite(z))
-            bad++;
-    }
+    for (int64_t t = 0; t < m; t++)
+        bad += !circumcenter(pts, tets + 4 * t, out + 3 * t);
     return bad;
 }
 
-/* Angle-order each dual ridge ring, merge coincident circumcenters,
- * and accumulate the Newell area — one fused pass over the rings.
+#define STACK_L 64
+
+/* Angle-order one dual ridge ring, merge coincident circumcenters and
+ * take the Newell area.
  *
- * Inputs: verts = per-tet circumcenters, pts = sites, sites = (R, 2)
- * site pairs, fl_flat/offsets = CSR of unordered tet ids per ring,
- * eps2 = squared coincidence tolerance.
- *
- * Outputs (caller-allocated): out_flat (>= total entries) receives the
- * compacted ordered tet ids; out_len[r], areas[r], keep[r] per ring.
- * Returns the total number of kept entries.
+ * verts = per-tet circumcenters, p0/p1 = the ridge's two sites, ids =
+ * the ring's L tet ids, eps2 = squared coincidence tolerance, heap =
+ * room for 5 L doubles when L > STACK_L.  Writes the kept, ordered tet
+ * ids to out and the area to *area; returns how many were kept (0 when
+ * fewer than three remain: the ring is dropped).
  *
  * Ring ordering uses a pseudo-angle (monotonic in atan2, no libm
  * call); the in-plane basis is unnormalized (u = axis x helper,
  * v = axis x u) — an anisotropic positive scaling of the two axes,
  * which preserves angular order.  A vertex coincident with its cyclic
  * predecessor *in sorted order* is dropped (the NumPy rule: an
- * all-coincident ring drops every vertex), and rings left with fewer
- * than three vertices are dropped entirely. */
-int64_t order_rings(const double *verts, const double *pts,
-                    const int64_t *sites, const int64_t *fl_flat,
-                    const int64_t *offsets, int64_t R, double eps2,
-                    int64_t *out_flat, int64_t *out_len,
-                    double *areas, unsigned char *keep)
+ * all-coincident ring drops every vertex).  The Newell sum runs over
+ * absolute vertex positions, as the NumPy fallback's does. */
+static int64_t ring(const double *verts, const double *p0, const double *p1,
+                    const int64_t *ids, int64_t L, double eps2, double *heap,
+                    int64_t *out, double *area)
 {
-#define STACK_L 64
     double t_s[STACK_L], px_s[STACK_L], py_s[STACK_L], pz_s[STACK_L];
     int idx_s[STACK_L];
-    int64_t total = 0;
-
-    for (int64_t rr = 0; rr < R; rr++) {
-        int64_t start = offsets[rr];
-        int64_t L = offsets[rr + 1] - start;
-        double *t = t_s, *px = px_s, *py = py_s, *pz = pz_s;
-        int *idx = idx_s;
-        double *heap = NULL;
-        if (L > STACK_L) {
-            heap = malloc((size_t)L * (4 * sizeof(double) + sizeof(int)));
-            t = heap;
-            px = heap + L;
-            py = heap + 2 * L;
-            pz = heap + 3 * L;
-            idx = (int *)(heap + 4 * L);
-        }
-
-        const double *p0 = pts + 3 * sites[2 * rr];
-        const double *p1 = pts + 3 * sites[2 * rr + 1];
-        double ax = p1[0] - p0[0], ay = p1[1] - p0[1], az = p1[2] - p0[2];
-        /* u = axis x (e_y if |ax| dominates else e_x) */
-        double ux, uy, uz;
-        if (ax * ax > 0.81 * (ax * ax + ay * ay + az * az)) {
-            ux = -az; uy = 0.0; uz = ax;     /* axis x e_y */
-        } else {
-            ux = 0.0; uy = az; uz = -ay;     /* axis x e_x */
-        }
-        double vx = ay * uz - az * uy;
-        double vy = az * ux - ax * uz;
-        double vz = ax * uy - ay * ux;
-
-        double cx = 0.0, cy = 0.0, cz = 0.0;
-        for (int64_t i = 0; i < L; i++) {
-            const double *vv = verts + 3 * fl_flat[start + i];
-            px[i] = vv[0]; py[i] = vv[1]; pz[i] = vv[2];
-            cx += vv[0]; cy += vv[1]; cz += vv[2];
-        }
-        cx /= L; cy /= L; cz /= L;
-
-        for (int64_t i = 0; i < L; i++) {
-            double rx = px[i] - cx, ry = py[i] - cy, rz = pz[i] - cz;
-            double x = rx * ux + ry * uy + rz * uz;
-            double y = rx * vx + ry * vy + rz * vz;
-            double den = fabs(x) + fabs(y);
-            double pa = den > 0.0 ? x / den : 0.0;   /* [-1, 1] */
-            t[i] = y >= 0.0 ? 1.0 - pa : pa - 3.0;   /* monotonic in angle */
-            idx[i] = (int)i;
-        }
-        /* insertion sort by pseudo-angle (rings are tiny) */
-        for (int64_t i = 1; i < L; i++) {
-            int id = idx[i];
-            double key = t[id];
-            int64_t j = i;
-            while (j > 0 && t[idx[j - 1]] > key) {
-                idx[j] = idx[j - 1];
-                j--;
-            }
-            idx[j] = id;
-        }
-        /* drop vertices coincident with their cyclic predecessor */
-        int64_t kept = 0;
-        int64_t wrote = total;
-        double nx = 0.0, ny = 0.0, nz = 0.0;
-        double fx = 0.0, fy = 0.0, fz = 0.0;   /* first kept vertex */
-        double lx = 0.0, ly = 0.0, lz = 0.0;   /* last kept vertex */
-        for (int64_t i = 0; i < L; i++) {
-            int cur = idx[i];
-            int prv = idx[(i + L - 1) % L];
-            double dx = px[cur] - px[prv];
-            double dy = py[cur] - py[prv];
-            double dz = pz[cur] - pz[prv];
-            if (dx * dx + dy * dy + dz * dz <= eps2)
-                continue;
-            if (kept > 0) {
-                nx += ly * pz[cur] - lz * py[cur];
-                ny += lz * px[cur] - lx * pz[cur];
-                nz += lx * py[cur] - ly * px[cur];
-            } else {
-                fx = px[cur]; fy = py[cur]; fz = pz[cur];
-            }
-            lx = px[cur]; ly = py[cur]; lz = pz[cur];
-            out_flat[wrote + kept] = fl_flat[start + cur];
-            kept++;
-        }
-        if (kept >= 3) {
-            nx += ly * fz - lz * fy;   /* closing edge */
-            ny += lz * fx - lx * fz;
-            nz += lx * fy - ly * fx;
-            areas[rr] = 0.5 * sqrt(nx * nx + ny * ny + nz * nz);
-            out_len[rr] = kept;
-            keep[rr] = 1;
-            total += kept;
-        } else {
-            areas[rr] = 0.0;
-            out_len[rr] = 0;
-            keep[rr] = 0;
-        }
-        if (heap)
-            free(heap);
+    double *t = t_s, *px = px_s, *py = py_s, *pz = pz_s;
+    int *idx = idx_s;
+    if (L > STACK_L) {
+        t = heap;
+        px = heap + L;
+        py = heap + 2 * L;
+        pz = heap + 3 * L;
+        idx = (int *)(heap + 4 * L);
     }
-    return total;
-#undef STACK_L
-}
 
-/* Counting sort of ridge ids by site: fills the cell -> ridge CSR
- * (cursor[] must enter holding the per-cell offsets; it is consumed).
- * Side-0 entries are written before side-1 entries for every cell
- * (the NumPy fallback's stable-sort layout). */
-void fill_cell_ridges(const int64_t *sites, int64_t R,
-                      int64_t *cursor, int64_t *out)
-{
-    for (int side = 0; side < 2; side++)
-        for (int64_t r = 0; r < R; r++)
-            out[cursor[sites[2 * r + side]]++] = r;
+    double ax = p1[0] - p0[0], ay = p1[1] - p0[1], az = p1[2] - p0[2];
+    /* u = axis x (e_y if |ax| dominates else e_x) */
+    double ux, uy, uz;
+    if (ax * ax > 0.81 * (ax * ax + ay * ay + az * az)) {
+        ux = -az; uy = 0.0; uz = ax;     /* axis x e_y */
+    } else {
+        ux = 0.0; uy = az; uz = -ay;     /* axis x e_x */
+    }
+    double vx = ay * uz - az * uy;
+    double vy = az * ux - ax * uz;
+    double vz = ax * uy - ay * ux;
+
+    double cx = 0.0, cy = 0.0, cz = 0.0;
+    for (int64_t i = 0; i < L; i++) {
+        const double *vv = verts + 3 * ids[i];
+        px[i] = vv[0]; py[i] = vv[1]; pz[i] = vv[2];
+        cx += vv[0]; cy += vv[1]; cz += vv[2];
+    }
+    cx /= L; cy /= L; cz /= L;
+
+    for (int64_t i = 0; i < L; i++) {
+        double rx = px[i] - cx, ry = py[i] - cy, rz = pz[i] - cz;
+        double x = rx * ux + ry * uy + rz * uz;
+        double y = rx * vx + ry * vy + rz * vz;
+        double den = fabs(x) + fabs(y);
+        double pa = den > 0.0 ? x / den : 0.0;   /* [-1, 1] */
+        t[i] = y >= 0.0 ? 1.0 - pa : pa - 3.0;   /* monotonic in angle */
+        idx[i] = (int)i;
+    }
+    /* insertion sort by pseudo-angle (rings are tiny) */
+    for (int64_t i = 1; i < L; i++) {
+        int id = idx[i];
+        double key = t[id];
+        int64_t j = i;
+        while (j > 0 && t[idx[j - 1]] > key) {
+            idx[j] = idx[j - 1];
+            j--;
+        }
+        idx[j] = id;
+    }
+    /* drop vertices coincident with their cyclic predecessor */
+    int64_t kept = 0;
+    double nx = 0.0, ny = 0.0, nz = 0.0;
+    double fx = 0.0, fy = 0.0, fz = 0.0;   /* first kept vertex */
+    double lx = 0.0, ly = 0.0, lz = 0.0;   /* last kept vertex */
+    for (int64_t i = 0; i < L; i++) {
+        int cur = idx[i];
+        int prv = idx[i ? i - 1 : L - 1];
+        double dx = px[cur] - px[prv];
+        double dy = py[cur] - py[prv];
+        double dz = pz[cur] - pz[prv];
+        if (dx * dx + dy * dy + dz * dz <= eps2)
+            continue;
+        if (kept > 0) {
+            nx += ly * pz[cur] - lz * py[cur];
+            ny += lz * px[cur] - lx * pz[cur];
+            nz += lx * py[cur] - ly * px[cur];
+        } else {
+            fx = px[cur]; fy = py[cur]; fz = pz[cur];
+        }
+        lx = px[cur]; ly = py[cur]; lz = pz[cur];
+        out[kept++] = ids[cur];
+    }
+    if (kept < 3)
+        return 0;
+    nx += ly * fz - lz * fy;   /* closing edge */
+    ny += lz * fx - lx * fz;
+    nz += lx * fy - ly * fx;
+    *area = 0.5 * sqrt(nx * nx + ny * ny + nz * nz);
+    return kept;
 }
 
 /* ------------------------------------------------------------------ *
@@ -239,9 +206,15 @@ static inline void two_prod(double a, double b, double *x, double *y)
     *x = p;
 }
 
+/* The exact routines below run only when a float filter cannot decide
+ * (tens of calls per 30 000 points on the benchmark decks): COLD keeps
+ * them small and off the hot paths, and ~0.2 s off the cold build. */
+#define COLD __attribute__((cold))
+
 /* Expansions: nonoverlapping components in increasing magnitude, zeros
  * dropped; the sign is the last component's.  h = e + f: */
-static int esum(int m, const double *e, int n, const double *f, double *h)
+COLD static int esum(int m, const double *e, int n, const double *f,
+                     double *h)
 {
     int i = 0, j = 0, k = 0;
     double q, r;
@@ -259,7 +232,7 @@ static int esum(int m, const double *e, int n, const double *f, double *h)
 }
 
 /* h = e * b */
-static int escale(int m, const double *e, double b, double *h)
+COLD static int escale(int m, const double *e, double b, double *h)
 {
     double q, s, r, hi, lo;
     int k = 0;
@@ -283,7 +256,7 @@ static int escale(int m, const double *e, double b, double *h)
 /* det of the m x m matrix with rows (q_i[4 - m], ..., q_i[2], 1),
  * exactly, by expansion along its first column: m = 4 is
  * det[x y z 1] = -orient (at most 96 components).  ws: 256 m doubles */
-static int odet(const double *const *q, int m, double *h, double *ws)
+COLD static int odet(const double *const *q, int m, double *h, double *ws)
 {
     if (m == 1) {
         h[0] = 1.0;
@@ -334,7 +307,7 @@ static int orient(const double *a, const double *b, const double *c,
 /* sign of the lifted det[x y z |p|^2 1] over rows q[0..4], exactly:
  * sum_i (-1)^(i+1) |q_i|^2 det[x y z 1](the other four rows).
  * ws: 15000 doubles */
-static int insphere_exact(const double *const *q, double *ws)
+COLD static int insphere_exact(const double *const *q, double *ws)
 {
     double *acc = ws, *tmp = ws + 5760, *term = ws + 11520, *o = ws + 12672;
     double *part = ws + 12768, *l = ws + 13920, *sq = ws + 13928;  /* 16 */
@@ -405,7 +378,7 @@ typedef struct {
     int64_t *bnd, *dup;  /* cavity boundary faces 4 tet + slot; (e, rep) */
     int64_t *hkey;       /* edge -> 4 new tet + slot, live at this stamp */
     int32_t *hval, *hstamp;
-    int64_t ntet, cap, nfreed, ndup, hcap;
+    int64_t n, ntet, cap, nfreed, ndup, hcap;
     int32_t stamp, last;
     double *ws;
 } DT;
@@ -622,6 +595,7 @@ DT *dt_build(const double *pts, int64_t n, const int64_t *order,
     if (d == NULL)
         return NULL;
     d->p = pts;
+    d->n = n;
     d->cap = cap;
     d->v = malloc(4 * cap * sizeof(int32_t));
     d->nb = malloc(4 * cap * sizeof(int32_t));
@@ -698,11 +672,320 @@ DT *dt_build(const double *pts, int64_t n, const int64_t *order,
     return d;
 }
 
-/* Copy out the tet slots: vertices and neighbours (sizes[0], 4), a
- * deleted slot's vertex 0 is -2; duplicate pairs (sizes[1], 2). */
-void dt_fetch(const DT *d, int32_t *v, int32_t *nb, int64_t *dup)
+/* Number the live finite tets in slot order (a deleted slot has vertex
+ * -2, an infinite tet vertex -1): number[slot], -1 for the others.
+ * Returns how many there are. */
+static int64_t number_tets(const DT *d, int32_t *number)
 {
-    memcpy(v, d->v, (size_t)(4 * d->ntet) * sizeof(int32_t));
-    memcpy(nb, d->nb, (size_t)(4 * d->ntet) * sizeof(int32_t));
-    memcpy(dup, d->dup, (size_t)(2 * d->ndup) * sizeof(int64_t));
+    int64_t m = 0;
+    for (int64_t s = 0; s < d->ntet; s++)
+        number[s] = d->v[4 * s] >= 0 && inf_slot(d->v + 4 * s) < 0
+                  ? (int32_t)m++ : -1;
+    return m;
 }
+
+/* Copy out the live finite tets, numbered in slot order: vertices and
+ * neighbours (m, 4), -1 across a hull face; one (point, -1,
+ * representative) row per duplicate.  Returns m, or -1 out of memory. */
+int64_t dt_fetch(const DT *d, int64_t *tets, int64_t *nbrs, int64_t *dup)
+{
+    int32_t *number = malloc(d->ntet * sizeof(int32_t));
+    if (number == NULL)
+        return -1;
+    int64_t m = number_tets(d, number);
+    for (int64_t s = 0; s < d->ntet; s++)
+        for (int k = 0; k < 4 && number[s] >= 0; k++) {
+            tets[4 * number[s] + k] = d->v[4 * s + k];
+            nbrs[4 * number[s] + k] = number[d->nb[4 * s + k]];
+        }
+    for (int64_t i = 0; i < d->ndup; i++) {
+        dup[3 * i] = d->dup[2 * i];
+        dup[3 * i + 1] = -1;
+        dup[3 * i + 2] = d->dup[2 * i + 1];
+    }
+    free(number);
+    return m;
+}
+
+/* ------------------------------------------------------------------ *
+ * The Voronoi diagram of a built triangulation: dt_cells and its phases.
+ *
+ * Compiled at -O1: the loops below are scalar (gathers, scatters and
+ * short rings), and -O2 on them bought ~3 % of this pass for ~0.1 s
+ * more of a ~0.9 s cold build.  Phases are kept out of line: one large
+ * function costs the compiler more than its parts. */
+#pragma GCC push_options
+#pragma GCC optimize ("O1")
+#define PHASE static __attribute__((noinline))
+
+static const int tet_edge[6][2] = {{0, 1}, {0, 2}, {0, 3},
+                                   {1, 2}, {1, 3}, {2, 3}};
+
+/* One pass over the live finite tets, renumbered in slot order
+ * (number[slot], -1 for the others): tets, nbrs, vertices (unless
+ * given), per tet the bit mask of its hull faces, per site flags (1 in
+ * a tet, 2 on the hull, 4 next to a vertex outside box) and count[lo +
+ * 1] += the edges kept with low end lo.  Returns how many circumcenters
+ * are not finite. */
+PHASE int64_t tet_pass(const DT *d, const int32_t *number,
+                       const unsigned char *owned, const double *box,
+                       int given, int64_t *tets, int64_t *nbrs,
+                       double *vertices, unsigned char *hull,
+                       unsigned char *flags, int64_t *count)
+{
+    const double *lo = box, *hi = box + 3;
+    int64_t bad = 0;
+    for (int64_t s = 0, t = 0; s < d->ntet; s++) {
+        if (number[s] < 0)
+            continue;
+        int64_t *tv = tets + 4 * t, q[4];
+        unsigned char h = 0;
+        for (int k = 0; k < 4; k++) {
+            q[k] = tv[k] = d->v[4 * s + k];
+            nbrs[4 * t + k] = number[d->nb[4 * s + k]];
+            h |= (nbrs[4 * t + k] < 0) << k;
+        }
+        hull[t] = h;
+        if (!given) {
+            /* index order: a sorting network, no branches */
+#define CSWAP(i, j) { int64_t x = q[i] < q[j] ? q[i] : q[j]; \
+                      q[j] = q[i] < q[j] ? q[j] : q[i]; q[i] = x; }
+            CSWAP(0, 1) CSWAP(2, 3) CSWAP(0, 2) CSWAP(1, 3) CSWAP(1, 2)
+#undef CSWAP
+            bad += !circumcenter(d->p, q, vertices + 3 * t);
+        }
+        const double *c = vertices + 3 * t;
+        unsigned char f = c[0] >= lo[0] && c[0] <= hi[0] && c[1] >= lo[1]
+                       && c[1] <= hi[1] && c[2] >= lo[2] && c[2] <= hi[2]
+                        ? 1 : 5;
+        for (int k = 0; k < 4; k++)
+            flags[tv[k]] |= f | (h & ~(1 << k) ? 2 : 0);
+        for (int e = 0; e < 6; e++) {
+            int64_t a = tv[tet_edge[e][0]], b = tv[tet_edge[e][1]];
+            if (owned == NULL || owned[a] || owned[b])
+                count[(a < b ? a : b) + 1]++;
+        }
+        t++;
+    }
+    return bad;
+}
+
+/* The kept edges' incidences (hi << 32 | tet) bucketed by their low
+ * end, tets ascending in each: bucket lo is inc[start[lo]:start[lo+1]]
+ * (start enters holding the buckets' starts at start[lo + 1]). */
+PHASE void bucket(const int64_t *tets, int64_t m, const unsigned char *owned,
+                  int64_t *start, uint64_t *inc)
+{
+    for (int64_t t = 0; t < m; t++) {
+        const int64_t *tv = tets + 4 * t;
+        for (int e = 0; e < 6; e++) {
+            int64_t a = tv[tet_edge[e][0]], b = tv[tet_edge[e][1]];
+            if (owned == NULL || owned[a] || owned[b])
+                inc[start[(a < b ? a : b) + 1]++] =
+                    (uint64_t)(a < b ? b : a) << 32 | (uint64_t)t;
+        }
+    }
+}
+
+/* Group one bucket into its rings: the ng distinct high ends ascending
+ * in ghi, ring g's tets (ascending) at ids[at[g]:at[g + 1]].  group[] is
+ * scratch per site. */
+PHASE int64_t rings_of(const uint64_t *bk, int64_t len, int32_t *group,
+                       int64_t *ghi, int64_t *at, int64_t *ids)
+{
+    int64_t ng = 0;
+    for (int64_t i = 0; i < len; i++) {   /* count per high end */
+        int64_t b = (int64_t)(bk[i] >> 32);
+        if (group[b] >= ng || ghi[group[b]] != b) {
+            group[b] = (int32_t)ng;
+            ghi[ng] = b;
+            at[++ng] = 0;
+        }
+        at[group[b] + 1]++;
+    }
+    for (int64_t i = 1; i < ng; i++) {   /* sort the ends */
+        int64_t b = ghi[i], c = at[i + 1], j = i;
+        for (; j > 0 && ghi[j - 1] > b; j--) {
+            ghi[j] = ghi[j - 1];
+            at[j + 1] = at[j];
+        }
+        ghi[j] = b;
+        at[j + 1] = c;
+    }
+    at[0] = 0;
+    for (int64_t g = 0; g < ng; g++) {
+        group[ghi[g]] = (int32_t)g;
+        at[g + 1] += at[g];
+    }
+    for (int64_t i = len - 1; i >= 0; i--)   /* lay out, keeping order */
+        ids[--at[group[bk[i] >> 32] + 1]] = (int64_t)(bk[i] & 0xffffffffu);
+    for (int64_t g = 0; g < ng; g++)   /* at[g + 1] started ring g */
+        at[g] = at[g + 1];
+    at[ng] = len;
+    return ng;
+}
+
+/* Whether a hull face holds edge (a, b): a face k of a ring tet whose
+ * neighbour is -1 and whose opposite vertex is neither end. */
+static int open_ring(const int64_t *tets, const unsigned char *hull,
+                     const int64_t *ids, int64_t L, int64_t a, int64_t b)
+{
+    for (int64_t i = 0; i < L; i++) {
+        int64_t t = ids[i];
+        if (hull[t])
+            for (int k = 0; k < 4; k++)
+                if (hull[t] >> k & 1 && tets[4 * t + k] != a
+                    && tets[4 * t + k] != b)
+                    return 1;
+    }
+    return 0;
+}
+
+/* site -> ridges: a counting sort, side-0 entries before side-1 ones */
+PHASE void cell_csr(const int64_t *ridge_sites, int64_t R, int64_t n,
+                    int64_t *offsets, int64_t *cursor, int64_t *flat)
+{
+    memset(offsets, 0, (n + 1) * sizeof(int64_t));
+    for (int64_t r = 0; r < 2 * R; r++)
+        offsets[ridge_sites[r] + 1]++;
+    for (int64_t s = 0; s < n; s++)
+        offsets[s + 1] += offsets[s];
+    memcpy(cursor, offsets, n * sizeof(int64_t));
+    for (int side = 0; side < 2; side++)
+        for (int64_t r = 0; r < R; r++)
+            flat[cursor[ridge_sites[2 * r + side]]++] = r;
+}
+
+/* The Voronoi diagram of a built triangulation, in one pass: every
+ * array repro.geometry.voronoi_delaunay.DelaunayVoronoi exposes, with
+ * the NumPy fallback's numbering, order and summation order.
+ *
+ * - tets / nbrs (m, 4): the live finite tets renumbered in slot order,
+ *   a neighbour of -1 across a hull face;
+ * - vertices (m, 3): circumcenters solved from each tet's vertices in
+ *   index order (so a tet has the same center bits in any triangulation
+ *   listing its points in the same relative order); with given = 1 the
+ *   caller's are used instead (after it re-solved the singular ones);
+ * - rings: the tets around each Delaunay edge (lo, hi), edges in key
+ *   order lo * n + hi and each ring's tets ascending, skipping edges with
+ *   no owned endpoint (owned may be NULL: all owned) and hull edges (an
+ *   edge of a face whose neighbour is -1); each ring is ordered by ring()
+ *   and kept if three vertices remain: ridge_sites (R, 2),
+ *   ridge_offsets (R + 1), ridge_flat, ridge_areas (R);
+ * - volumes / areas (n): bisector pyramids A * d / 6 and ridge areas
+ *   summed per site over side-0 ridges, then side-1 ones, in ridge order;
+ * - complete (n): off the hull, every incident circumcenter inside box
+ *   (lo[3], hi[3]); a duplicate site (absent from the tets) takes its
+ *   representative's hull flag;
+ * - cell_offsets (n + 1) / cell_flat (2R): per site its ridges, side-0
+ *   entries before side-1 ones, each in ridge order.
+ *
+ * Outputs are caller-allocated for m <= the slot count, R <= 2m and
+ * ring entries <= 6m.  sizes = {m, R, ring entries, rings dropped,
+ * sites merged}.  Returns 0, 1 when a circumcenter is not finite (with
+ * tets and vertices written: re-solve those rows, call again with
+ * given = 1), or -1 out of memory. */
+int dt_cells(const DT *d, const unsigned char *owned, const double *box,
+             double eps2, int given, int64_t *tets, int64_t *nbrs,
+             double *vertices, int64_t *ridge_sites, int64_t *ridge_offsets,
+             int64_t *ridge_flat, double *ridge_areas, double *volumes,
+             double *areas, unsigned char *complete, int64_t *cell_offsets,
+             int64_t *cell_flat, int64_t *sizes)
+{
+    const double *pts = d->p;
+    const int64_t n = d->n;
+    int64_t m = 0, R = 0, total = 0, dropped = 0, merged = 0, most = 0;
+    int status = -1;
+    int32_t *number = malloc(d->ntet * sizeof(int32_t));
+    unsigned char *hull = malloc(d->ntet);
+    unsigned char *flags = calloc(n, 1);
+    int64_t *start = calloc(n + 1, sizeof(int64_t));
+    int32_t *group = calloc(n, sizeof(int32_t));
+    double *side1 = calloc(2 * n, sizeof(double));
+    uint64_t *inc = NULL;
+    int64_t *ids = NULL, *ghi = NULL;
+    double *ws = NULL;
+    if (!number || !hull || !flags || !start || !group || !side1)
+        goto out;
+
+    sizes[0] = m = number_tets(d, number);
+    if (tet_pass(d, number, owned, box, given, tets, nbrs, vertices, hull,
+                 flags, start)) {
+        status = 1;
+        goto out;
+    }
+    for (int64_t s = 0; s < n; s++) {
+        most = start[s + 1] > most ? start[s + 1] : most;
+        start[s + 1] += start[s];
+    }
+    inc = malloc((start[n] + 1) * sizeof(uint64_t));
+    ids = malloc((most + 1) * sizeof(int64_t));
+    ghi = malloc(2 * (most + 2) * sizeof(int64_t));
+    ws = malloc(5 * (most + 1) * sizeof(double));
+    if (!inc || !ids || !ghi || !ws)
+        goto out;
+    memmove(start + 1, start, n * sizeof(int64_t));
+    bucket(tets, m, owned, start, inc);
+
+    double *vol1 = side1, *area1 = side1 + n;
+    int64_t *at = ghi + most + 1;
+    ridge_offsets[0] = 0;
+    memset(volumes, 0, n * sizeof(double));
+    memset(areas, 0, n * sizeof(double));
+    for (int64_t a = 0; a < n; a++) {
+        int64_t ng = rings_of(inc + start[a], start[a + 1] - start[a], group,
+                              ghi, at, ids);
+        for (int64_t g = 0; g < ng; g++) {
+            int64_t b = ghi[g], L = at[g + 1] - at[g];
+            if (open_ring(tets, hull, ids + at[g], L, a, b))
+                continue;
+            double area;
+            const double *pa = pts + 3 * a, *pb = pts + 3 * b;
+            int64_t kept = ring(vertices, pa, pb, ids + at[g], L, eps2, ws,
+                                ridge_flat + total, &area);
+            if (kept == 0) {
+                dropped++;
+                continue;
+            }
+            double dx = pb[0] - pa[0], dy = pb[1] - pa[1], dz = pb[2] - pa[2];
+            double pyramid = area * sqrt(dx * dx + dy * dy + dz * dz) / 6.0;
+            volumes[a] += pyramid;
+            vol1[b] += pyramid;
+            areas[a] += area;
+            area1[b] += area;
+            ridge_sites[2 * R] = a;
+            ridge_sites[2 * R + 1] = b;
+            ridge_areas[R] = area;
+            total += kept;
+            ridge_offsets[++R] = total;
+        }
+    }
+    for (int64_t s = 0; s < n; s++) {
+        volumes[s] += vol1[s];
+        areas[s] += area1[s];
+    }
+    cell_csr(ridge_sites, R, n, cell_offsets, start, cell_flat);
+
+    /* complete: in a tet, off the hull, no vertex outside; a duplicate
+     * (in no tet) takes its representative's hull flag */
+    for (int64_t s = 0; s < n; s++) {
+        complete[s] = flags[s] == 1;
+        merged += !(flags[s] & 1);
+    }
+    for (int64_t i = 0; i < d->ndup; i++) {
+        int64_t e = d->dup[2 * i], rep = d->dup[2 * i + 1];
+        if (!(flags[e] & 1))
+            complete[e] = !(flags[rep] & 2);
+    }
+    sizes[1] = R;
+    sizes[2] = total;
+    sizes[3] = dropped;
+    sizes[4] = merged;
+    status = 0;
+out:
+    free(number); free(hull); free(flags); free(start); free(group);
+    free(side1); free(inc); free(ids); free(ghi); free(ws);
+    return status;
+}
+
+#pragma GCC pop_options

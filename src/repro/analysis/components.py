@@ -177,7 +177,7 @@ def connected_components(
 
 def _local_rows(
     blocks: Sequence[VoronoiBlock], vmin: float | None, vmax: float | None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One part's rows for :func:`_merge_rows`, as packed int64 pairs.
 
     A part is the blocks one labeling pass holds: a rank's own block, or
@@ -186,10 +186,14 @@ def _local_rows(
     neighbor id)`` row per face of a kept cell whose neighbor the part
     does not own (it may be kept elsewhere; a neighbor owned here and not
     kept is kept nowhere).  Also returns the kept cells' volumes, aligned
-    with the first rows.
+    with the first rows, and the lookup of the kept cells' neighbours:
+    ``(looked, here, cell)`` masks the faces looked up (in block order),
+    which of those have theirs in the part, and its cell index there.
     """
     if not blocks:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0)
+        no = np.empty(0, dtype=bool)
+        lookup = (no, no, np.empty(0, dtype=np.int64))
+        return np.empty((0, 2), dtype=np.int64), np.empty(0), lookup
     volumes = np.concatenate([b.volumes for b in blocks])
     keep = np.ones(len(volumes), dtype=bool)
     if vmin is not None:
@@ -221,7 +225,8 @@ def _local_rows(
             np.stack([sids[src[~owned]], dst[~owned]], axis=1),
         ]
     )
-    return np.ascontiguousarray(rows, dtype=np.int64), volumes[kept]
+    lookup = (fmask, owned, nbr)
+    return np.ascontiguousarray(rows, dtype=np.int64), volumes[kept], lookup
 
 
 def _merge_rows(parts: list[np.ndarray]) -> ComponentLabeling:
@@ -263,7 +268,7 @@ def connected_components_at_root(
     shipped through the tree gather; no Python tuple lists cross ranks.
     """
     with observe.span("components-local", rank=comm.rank, cat="analysis"):
-        rows, _ = _local_rows([block], vmin, vmax)
+        rows, _, _ = _local_rows([block], vmin, vmax)
     with observe.span("components-merge", rank=comm.rank, cat="analysis"):
         gathered = comm.gather(rows, root=0)
         return _merge_rows(gathered) if comm.rank == 0 else None

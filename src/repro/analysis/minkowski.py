@@ -170,14 +170,17 @@ class _Mesh:
 
     @classmethod
     def part(
-        cls, blocks: Sequence[VoronoiBlock], key: np.ndarray, domain: Bounds
+        cls, blocks: Sequence[VoronoiBlock], key: np.ndarray, domain: Bounds,
+        lookup: tuple[np.ndarray, ...] | None = None,
     ) -> "_Mesh":
         """The sub-mesh of the cells of ``blocks`` with ``key >= 0`` (one
         key per cell, in block order; adjacent cells of one key must be of
         one component).  A member's face is dropped when its neighbour is
         a same-key cell here and the two sites do not straddle the box
         (the ``far`` test of :func:`_seam_axes`): it is interior to the
-        component wherever the parts are joined."""
+        component wherever the parts are joined.  ``lookup`` is the
+        neighbour lookup :func:`~repro.analysis.components._local_rows`
+        made over ``blocks``, when it covers the members' faces."""
         whole = cls.join(
             [
                 cls(domain, b.site_ids, b.sites, b.volumes,
@@ -187,12 +190,18 @@ class _Mesh:
             ]
         )
         ids, sites, owner = whole.ids, whole.sites, whole.face_owner
-        order = np.argsort(ids, kind="stable")
-        pos, found = index_in_sorted(whole.face_neighbors, ids[order])
-        other, own = order[pos], key[owner]
+        if lookup is None:  # the cell of each face's neighbour here, or -1
+            order = np.argsort(ids, kind="stable")
+            pos, found = index_in_sorted(whole.face_neighbors, ids[order])
+            across = np.where(found, order[pos], -1)
+        else:
+            looked, here, cell = lookup
+            across = np.full(len(owner), -1)
+            across[np.flatnonzero(looked)[here]] = cell[here]
+        own = key[owner]
         sent = own >= 0
-        inner = np.flatnonzero(sent & found & (key[other] == own))
-        apart = np.abs(sites[other[inner]] - sites[owner[inner]]) > domain.sizes / 2
+        inner = np.flatnonzero(sent & (across >= 0) & (key[across] == own))
+        apart = np.abs(sites[across[inner]] - sites[owner[inner]]) > domain.sizes / 2
         sent[inner[~apart.any(axis=1)]] = False
         sent = np.flatnonzero(sent)
         lengths = whole.face_lengths

@@ -39,10 +39,6 @@ class Histogram:
     n_clipped: int
 
     @property
-    def bin_width(self) -> float:
-        return float(self.edges[1] - self.edges[0])
-
-    @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 

@@ -99,11 +99,12 @@ def _void_part(
     """One part: the :func:`_local_rows` of ``blocks`` at ``vmin`` and, with
     ``minkowski``, the kept cells' sub-mesh — one key for them all, as
     face-adjacent kept cells of a part are of one void."""
-    rows, vols = _local_rows(blocks, vmin, None)
+    rows, vols, lookup = _local_rows(blocks, vmin, None)
     if not minkowski:
         return rows, vols, None
     volumes = np.concatenate([np.empty(0)] + [b.volumes for b in blocks])
-    return rows, vols, _Mesh.part(blocks, np.where(volumes >= vmin, 0, -1), domain)
+    key = np.where(volumes >= vmin, 0, -1)
+    return rows, vols, _Mesh.part(blocks, key, domain, lookup)
 
 
 def _void_catalog(

@@ -163,52 +163,6 @@ class VoronoiBlock:
             areas=np.empty(0),
         )
 
-    @classmethod
-    def from_rows(
-        cls,
-        gid: int,
-        extents: Bounds,
-        vertex_pool: np.ndarray,
-        face_vertices: np.ndarray,
-        face_lengths: np.ndarray,
-        face_neighbors: np.ndarray,
-        cell_face_counts: np.ndarray,
-        sites: np.ndarray,
-        site_ids: np.ndarray,
-        volumes: np.ndarray,
-        areas: np.ndarray,
-    ) -> "VoronoiBlock":
-        """Assemble a block from concatenated per-cell rows.
-
-        ``face_vertices`` indexes ``vertex_pool``; the pool is compacted to
-        the vertices actually referenced (pool order kept).  Connectivity
-        indices stay int32 while they fit and widen to int64 beyond 2**31
-        entries (silent wraparound otherwise).
-        """
-        used = np.zeros(len(vertex_pool), dtype=bool)
-        used[face_vertices] = True
-        idx_dtype = connectivity_index_dtype(
-            max(len(face_vertices), int(used.sum()))
-        )
-        renumber = np.cumsum(used) - 1
-
-        def offsets(lengths):
-            return np.concatenate([[0], np.cumsum(lengths)]).astype(idx_dtype)
-
-        return cls(
-            gid=gid,
-            extents=extents,
-            vertices=vertex_pool[used],
-            face_vertices=renumber[face_vertices].astype(idx_dtype),
-            face_offsets=offsets(face_lengths),
-            face_neighbors=np.asarray(face_neighbors, dtype=np.int64),
-            cell_face_offsets=offsets(cell_face_counts),
-            sites=sites,
-            site_ids=site_ids,
-            volumes=volumes,
-            areas=areas,
-        )
-
     # ------------------------------------------------------------------
     @property
     def num_cells(self) -> int:

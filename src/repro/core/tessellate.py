@@ -36,7 +36,7 @@ from ..diy.decomposition import Decomposition
 from ..diy.exchange import Assignment
 from ..geometry.voronoi_delaunay import DelaunayVoronoi, segment_gather
 from .culling import early_cull_mask
-from .data_model import VoronoiBlock
+from .data_model import VoronoiBlock, connectivity_index_dtype
 from .ghost import exchange_ghost_particles_multi
 from .tess_io import write_tessellation
 from .timing import PhaseTimer, TessTimings, credit_cpu
@@ -110,7 +110,7 @@ def _tessellate_block_flat(
     ghosts exchanged at thickness ``ghost`` (steps 2-3 of the pipeline).
 
     Fully vectorized: the block's vertex pool and CSR rows come straight
-    from the engine's flat arrays (:func:`_block_from_flat`).
+    from the engines' flat arrays (:func:`_assemble`).
 
     The engine triangulates lazily (DESIGN.md §11): owned points plus the
     ghosts within :data:`_START_SPACINGS` of the core first, the deeper
@@ -142,10 +142,10 @@ def _tessellate_block_flat(
         [np.asarray(owned_ids, dtype=np.int64), np.asarray(ghost_ids, dtype=np.int64)]
     )
 
-    def assemble(fv, sites, subset=slice(None), **observed):
-        return _block_from_flat(
-            fv, sites, all_points[subset], local_to_global[subset], gid,
-            extents, vmin, vmax, **observed,
+    def assemble(pieces, **observed):
+        return _assemble(
+            pieces, all_points, local_to_global, gid, extents, vmin, vmax,
+            **observed,
         )
 
     start = _START_SPACINGS * (extents.volume / n_owned) ** (1.0 / 3.0)
@@ -171,7 +171,7 @@ def _tessellate_block_flat(
             fv = DelaunayVoronoi(
                 all_points, container, owned=np.arange(len(all_points)) < n_owned
             )
-        block = assemble(fv, np.arange(n_owned))[0]
+        block = assemble([(fv, np.arange(n_owned), None)])
     return block
 
 
@@ -278,7 +278,11 @@ def _thin_block(
     if len(parts) > 1:
         counts["slabs"] = len(parts)
 
-    repaired = []  # (block, owned index of each of its cells)
+    pieces = []  # (engine, sites it answers for, block index of its sites)
+    for (subset, owned, _), (fv, violated, _) in zip(parts, certified):
+        sound = owned.copy()
+        sound[violated] = False
+        pieces.append((fv, np.flatnonzero(sound), subset))
     if len(bad):
         with observe.span("repair", rank=rank, cat="core"):
             # Whatever points are added, the neighbors of site b afterwards
@@ -297,92 +301,12 @@ def _thin_block(
             if pfv.degenerate:
                 return abandon(*engines, pfv)
             counts["patch_points"] = len(patch)
-            fixed, fixed_kept = assemble(pfv, np.searchsorted(patch, bad), patch)
-            repaired.append((fixed, patch[fixed_kept]))
-    pieces = []
-    for k, ((subset, owned, _), (fv, violated, _)) in enumerate(
-        zip(parts, certified)
-    ):
-        sound = owned.copy()
-        sound[violated] = False
-        block, kept = assemble(
-            fv, np.flatnonzero(sound), subset, **(counts if k == 0 else {})
-        )
-        pieces.append((block, subset[kept]))
-    return _weld(pieces + repaired)
+            pieces.append((pfv, np.searchsorted(patch, bad), patch))
+    return assemble(pieces, **counts)
 
 
-def _weld(pieces: list[tuple[VoronoiBlock, np.ndarray]]) -> VoronoiBlock:
-    """The cells of ``(block, owned index of each cell)`` pieces as one
-    block in owned order.
-
-    Every piece's vertex pool holds circumcenters solved in one index
-    order, so a vertex on a seam between pieces (slab and slab, sound
-    cell and repaired cell) has the same bits in each: it is welded onto
-    its first occurrence, and the pool lists it once.
-    """
-    filled = [p for p in pieces if p[0].num_cells]
-    if len(filled) <= 1:
-        return (filled or pieces)[0][0]
-    blocks = [block for block, _ in filled]
-
-    def keys(vertices):  # one wrapping uint64 hash per coordinate row
-        bits = np.ascontiguousarray(vertices).view(np.uint64)
-        return (
-            bits[:, 0] * np.uint64(0x9E3779B97F4A7C15)
-            + bits[:, 1] * np.uint64(0xC2B2AE3D27D4EB4F)
-            + bits[:, 2]
-        )
-
-    pool = blocks[0].vertices
-    face_vertices = [blocks[0].face_vertices]
-    for block in blocks[1:]:
-        pool_keys = keys(pool)
-        by_key = np.argsort(pool_keys)
-        twin = by_key[
-            np.minimum(
-                np.searchsorted(pool_keys[by_key], keys(block.vertices)),
-                len(pool) - 1,
-            )
-        ]
-        seen = (pool[twin] == block.vertices).all(axis=1)
-        index = np.where(seen, twin, len(pool) + np.cumsum(~seen) - 1)
-        pool = np.concatenate([pool, block.vertices[~seen]])
-        face_vertices.append(index[block.face_vertices])
-
-    def joined(name):
-        return np.concatenate([getattr(b, name) for b in blocks])
-
-    def starts_and_lengths(name):  # CSR offsets of the joined pieces
-        offsets = [getattr(b, name).astype(np.int64) for b in blocks]
-        lengths = np.concatenate([np.diff(o) for o in offsets])
-        return np.concatenate([[0], np.cumsum(lengths)[:-1]]), lengths
-
-    # Gather the joined rows in owned order once (no intermediate block).
-    order = np.argsort(np.concatenate([i for _, i in filled]), kind="stable")
-    cell_start, cell_faces = starts_and_lengths("cell_face_offsets")
-    faces = segment_gather(cell_start[order], cell_faces[order])
-    face_start, face_length = starts_and_lengths("face_offsets")
-    return VoronoiBlock.from_rows(
-        blocks[0].gid,
-        blocks[0].extents,
-        pool,
-        np.concatenate(face_vertices)[
-            segment_gather(face_start[faces], face_length[faces])
-        ],
-        face_length[faces],
-        joined("face_neighbors")[faces],
-        cell_faces[order],
-        joined("sites")[order],
-        joined("site_ids")[order],
-        joined("volumes")[order],
-        joined("areas")[order],
-    )
-
-
-def _block_from_flat(
-    fv,
-    sites: np.ndarray,
+def _assemble(
+    pieces: list[tuple[DelaunayVoronoi, np.ndarray, np.ndarray | None]],
     all_points: np.ndarray,
     local_to_global: np.ndarray,
     gid: int,
@@ -390,15 +314,112 @@ def _block_from_flat(
     vmin: float | None,
     vmax: float | None,
     **observed: int,
-) -> tuple[VoronoiBlock, np.ndarray]:
-    """Assemble a :class:`VoronoiBlock` from a flat geometry engine.
+) -> VoronoiBlock:
+    """The block of the cells engines answer for, rows in owned order.
 
-    Shared by the full pass, the thin pass slabs and the repair patch.
-    ``sites`` are the ascending site indices whose cells this engine
-    answers for (the rest come from another triangulation); ``observed``
-    are further ``geom.*`` counters to publish.  Returns the block and the
-    site indices of its cells.
+    ``pieces`` are ``(engine, sites, subset)``: the ascending engine sites
+    whose cells it answers for, and the block index of each engine site
+    (``None``: the block's points) — the full pass, or each slab of a
+    thin pass and the repair patch.  ``observed`` are further ``geom.*``
+    counters, published with the first piece.  Engines solve
+    circumcenters in one index order, so a seam vertex has the same bits
+    in each piece: :func:`_weld` lists it once.
     """
+    rows = []
+    for k, (fv, sites, subset) in enumerate(pieces):
+        kept = _kept_cells(fv, sites, vmin, vmax, **(observed if k == 0 else {}))
+        if len(kept):
+            rows.append((fv, kept, subset))
+    if not rows:
+        return VoronoiBlock.empty(gid, extents)
+
+    faces = []  # per piece: the ridge of each face, faces per cell, and
+    # the block index of each cell and of the site across each face
+    for fv, kept, subset in rows:
+        counts = (
+            fv.cell_ridges_offsets[kept + 1] - fv.cell_ridges_offsets[kept]
+        )
+        rids = fv.cell_ridges_flat[
+            segment_gather(fv.cell_ridges_offsets[kept], counts)
+        ]
+        pair = fv.ridge_sites[rids]  # across: the pair, less the cell itself
+        other = pair[:, 0] + pair[:, 1] - np.repeat(kept, counts)
+        if subset is not None:  # engine site -> block index
+            kept, other = subset[kept], subset[other]
+        faces.append((rids, counts, kept, other))
+    ring_lengths = [np.diff(fv.ridge_offsets) for fv, _, _ in rows]
+    face_lengths = [n[f[0]] for n, f in zip(ring_lengths, faces)]
+    # (every pool vertex is on some face: the face count bounds both)
+    idx = connectivity_index_dtype(sum(int(f.sum()) for f in face_lengths))
+
+    pool = None
+    flat, starts, base = [], [], 0
+    for (fv, _, _), (rids, *_), n in zip(rows, faces, ring_lengths):
+        on_face = np.zeros(len(n), dtype=bool)
+        on_face[rids] = True
+        used = np.zeros(len(fv.vertices), dtype=bool)
+        used[fv.ridge_flat[np.repeat(on_face, n)]] = True
+        index, pool = _weld(pool, fv.vertices[used])
+        to_pool = np.zeros(len(used), dtype=idx)
+        to_pool[used] = index
+        flat.append(to_pool[fv.ridge_flat])
+        starts.append(fv.ridge_offsets[rids] + base)
+        base += len(fv.ridge_flat)
+
+    counts, owned, other = (np.concatenate([f[k] for f in faces]) for k in (1, 2, 3))
+    # Gather the rows in owned order once.
+    order = np.argsort(owned, kind="stable")
+    face = segment_gather((np.cumsum(counts) - counts)[order], counts[order])
+    face_lengths = np.concatenate(face_lengths)[face]
+    gather = segment_gather(
+        np.concatenate(starts)[face], face_lengths, connectivity_index_dtype(base)
+    )
+    owned = owned[order]
+    return VoronoiBlock(
+        gid=gid,
+        extents=extents,
+        vertices=pool,
+        face_vertices=np.concatenate(flat)[gather],
+        face_offsets=np.concatenate([[0], np.cumsum(face_lengths)]).astype(idx),
+        face_neighbors=local_to_global[other[face]],
+        cell_face_offsets=np.concatenate([[0], np.cumsum(counts[order])]).astype(idx),
+        sites=all_points[owned],
+        site_ids=local_to_global[owned],
+        volumes=np.concatenate([fv.volumes[kept] for fv, kept, _ in rows])[order],
+        areas=np.concatenate([fv.areas[kept] for fv, kept, _ in rows])[order],
+    )
+
+
+def _weld(pool: np.ndarray | None, vertices: np.ndarray):
+    """``(index, pool)``: each of ``vertices`` found in ``pool`` by its
+    bits, else appended; ``index`` is its position in the new pool."""
+    if pool is None:
+        return np.arange(len(vertices)), vertices
+
+    def keys(rows):  # one wrapping uint64 hash per coordinate row
+        bits = np.ascontiguousarray(rows).view(np.uint64)
+        return (
+            bits[:, 0] * np.uint64(0x9E3779B97F4A7C15)
+            + bits[:, 1] * np.uint64(0xC2B2AE3D27D4EB4F)
+            + bits[:, 2]
+        )
+
+    pool_keys = keys(pool)
+    by_key = np.argsort(pool_keys)
+    wanted = keys(vertices)
+    ask = np.argsort(wanted)  # sorted needles: a cache-friendly search
+    at = np.empty(len(wanted), dtype=np.int64)
+    at[ask] = np.searchsorted(pool_keys[by_key], wanted[ask])
+    twin = by_key[np.minimum(at, len(pool) - 1)]
+    twin_xyz, xyz = pool[twin].T, vertices.T  # (compared column-wise)
+    seen = (twin_xyz[0] == xyz[0]) & (twin_xyz[1] == xyz[1]) & (twin_xyz[2] == xyz[2])
+    index = np.where(seen, twin, len(pool) + np.cumsum(~seen) - 1)
+    return index, np.concatenate([pool, vertices[~seen]])
+
+
+def _kept_cells(fv, sites, vmin, vmax, **observed) -> np.ndarray:
+    """The ``sites`` of engine ``fv`` whose cells the block keeps:
+    complete, and within ``[vmin, vmax]``."""
     keep = fv.complete[sites]
     if observe.enabled():
         _observe_geometry(fv, int(keep.sum()), **observed)
@@ -414,40 +435,7 @@ def _block_from_flat(
         keep &= fv.volumes[sites] >= vmin
     if vmax is not None:
         keep &= fv.volumes[sites] <= vmax
-    kept = sites[keep]
-    if len(kept) == 0:
-        return VoronoiBlock.empty(gid, extents), kept
-
-    # Ridge ids around each kept cell, concatenated in cell order.
-    counts = (
-        fv.cell_ridges_offsets[kept + 1] - fv.cell_ridges_offsets[kept]
-    ).astype(np.int64)
-    rids = fv.cell_ridges_flat[segment_gather(fv.cell_ridges_offsets[kept], counts)]
-
-    # Face cycles: concatenate each ridge's ordered vertex cycle.
-    face_lengths = (fv.ridge_offsets[rids + 1] - fv.ridge_offsets[rids]).astype(
-        np.int64
-    )
-    face_vertices = fv.ridge_flat[segment_gather(fv.ridge_offsets[rids], face_lengths)]
-
-    # Neighbor site across each face, lifted to global particle ids.
-    pair = fv.ridge_sites[rids]
-    other = np.where(pair[:, 0] == np.repeat(kept, counts), pair[:, 1], pair[:, 0])
-
-    block = VoronoiBlock.from_rows(
-        gid,
-        extents,
-        fv.vertices,
-        face_vertices,
-        face_lengths,
-        local_to_global[other],
-        counts,
-        all_points[kept],
-        local_to_global[kept],
-        fv.volumes[kept],
-        fv.areas[kept],
-    )
-    return block, kept
+    return sites[keep]
 
 
 def tessellate_distributed(

@@ -309,14 +309,22 @@ class Decomposition:
         """
         self._check_gid(gid)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        # Chebyshev (see the scalar variant): within radius of a box iff
+        # within it along every axis.  A block's links share at most
+        # three intervals per axis: each axis mask is computed once.
+        near = {}
         out = []
         for link in self._blocks[gid].links:
             nb = self._blocks[link.gid].core
             shift = -periodic_translation(np.asarray(link.wrap), self.domain)
             lo, hi = nb.as_arrays()
-            lo, hi = lo + shift, hi + shift
-            d = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-            mask = d.max(axis=1) <= radius  # Chebyshev: see scalar variant
+            mask = np.ones(len(pts), dtype=bool)
+            for key in zip(range(len(lo)), lo + shift, hi + shift):
+                if key not in near:
+                    x = pts[:, key[0]]
+                    d = np.maximum(np.maximum(key[1] - x, x - key[2]), 0.0)
+                    near[key] = d <= radius
+                mask &= near[key]
             out.append((link, mask))
         return out
 

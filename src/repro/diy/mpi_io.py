@@ -359,10 +359,6 @@ class BlockFileReader:
         """
         return f"{self.nblocks:x}-{self.file_size:x}-{self.footer_crc:08x}"
 
-    def block_sizes(self) -> dict[int, int]:
-        """Payload byte size per gid (from the footer index; no I/O)."""
-        return {gid: e.size for gid, e in self._index.items()}
-
     def read_block_view(self, gid: int, verify: bool = True) -> memoryview:
         """Zero-copy ``memoryview`` of block ``gid`` over an mmap'd file.
 

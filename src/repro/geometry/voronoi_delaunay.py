@@ -8,11 +8,11 @@ as pure ndarrays (tets, neighbors), so every later stage is an array
 pass with no per-cell Python geometry:
 
 * Voronoi vertices are the circumcenters of the Delaunay tetrahedra —
-  one batched Cramer solve over all tets;
+  one Cramer solve per tet;
 * each tet contributes its 6 edges; grouping the 6m (edge -> tet)
-  incidences by edge key collects, per Delaunay edge, the ring of tets
-  whose circumcenters are exactly the dual ridge polygon of that
-  site pair;
+  incidences by edge key ``lo * n + hi`` (each ring's tets ascending)
+  collects, per Delaunay edge, the ring of tets whose circumcenters are
+  exactly the dual ridge polygon of that site pair;
 * a ridge is finite iff its Delaunay edge is interior — hull edges (the
   edges of faces with ``neighbors == -1``) dualize to unbounded ridges,
   and hull *sites* are the unbounded cells;
@@ -32,9 +32,10 @@ pass with no per-cell Python geometry:
   independent clip reference the tests hold it to
   (``tests/clip_voronoi.py``: "no wall face remains").
 
-The per-ring order/dedup/Newell work runs in a compiled C kernel too
-(it fuses ~15 NumPy passes into one loop), else in equivalent NumPy;
-the parity tests cover both.  Tets arrive as int64 (downstream CSR
+With the compiled kernels all of this is one pass over the kernel's
+live triangulation (:meth:`repro._native.Triangulation.cells`, span
+``cells``), else ~15 NumPy passes over qhull's (:meth:`_numpy_cells`);
+the tests run both on one triangulation.  Tets are int64 (downstream CSR
 indices must not wrap at 2**31).
 """
 
@@ -63,13 +64,17 @@ _FACE_EDGES = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
 _COINCIDENT_RTOL = 1e-9
 
 
-def segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices gathering CSR segments ``[starts[i], starts[i]+lengths[i])``."""
+def segment_gather(
+    starts: np.ndarray, lengths: np.ndarray, dtype=np.int64
+) -> np.ndarray:
+    """Indices gathering CSR segments ``[starts[i], starts[i]+lengths[i])``
+    (of ``dtype``: the narrowest that holds them halves the memory)."""
     total = int(lengths.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     out_starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
-    return np.repeat(starts - out_starts, lengths) + np.arange(total)
+    shift = (starts - out_starts).astype(dtype, copy=False)
+    return np.repeat(shift, lengths) + np.arange(total, dtype=dtype)
 
 
 def _lstsq_fixup(centers, pts, tets, bad):
@@ -181,11 +186,31 @@ class DelaunayVoronoi:
         if n < 5:
             self._init_degenerate(n)
             return
-
-        tets, nbrs, coplanar = self._triangulate(pts)
-        if tets is None:
+        native = _native.lib() is not None
+        with observe.span("triangulate", cat="geometry", points=n,
+                          kernel="native" if native else "qhull"):
+            tri = _native.triangulate(pts) if native else self._qhull(pts)
+        if tri is None:
             self._init_degenerate(n)
             return
+        lo, hi = box.as_arrays()
+        eps = _COINCIDENT_RTOL * float(np.linalg.norm(hi - lo))
+        with observe.span("cells", cat="geometry", points=n):
+            if native:
+                self._kernel_cells(tri, owned, lo, hi, eps)
+            else:
+                self._numpy_cells(*tri, owned, lo, hi, eps)
+
+    def _kernel_cells(self, tri, owned, lo, hi, eps) -> None:
+        """Every array from one kernel pass over its triangulation."""
+        with tri:
+            self.__dict__.update(tri.cells(owned, lo, hi, eps * eps, _lstsq_fixup))
+        self.num_tets = len(self._tets)
+
+    def _numpy_cells(self, tets, nbrs, coplanar, owned, lo, hi, eps) -> None:
+        """Every array by NumPy passes over ``(tets, nbrs, coplanar)``."""
+        pts = self.points
+        n = len(pts)
         # Qhull's Qz option (used by the joggle fallback) can leave a
         # synthetic point-at-infinity (index >= n) in the simplices on
         # degenerate input.  Drop those tets — their faces dualize to
@@ -214,9 +239,10 @@ class DelaunayVoronoi:
         self.vertices = tet_circumcenters(pts, np.sort(tets, axis=1))
 
         # ---- group tets by Delaunay edge: the dual ridge rings ----------
-        # 6 edges per tet, keyed lo*n + hi.  When key and tet id fit in
-        # one int64, pack them and sort *values* (roughly twice as fast
-        # as argsort + two gathers); else argsort the keys.
+        # 6 edges per tet, keyed lo*n + hi, each ring's tets ascending.
+        # When key and tet id fit in one int64, pack them and sort
+        # *values* (roughly twice as fast as argsort + two gathers); else
+        # argsort the keys stably.
         ev = tets[:, _TET_EDGES]  # (m, 6, 2)
         elo = np.minimum(ev[..., 0], ev[..., 1]).ravel()
         ehi = np.maximum(ev[..., 0], ev[..., 1]).ravel()
@@ -234,7 +260,7 @@ class DelaunayVoronoi:
             ekey = packed >> shift
             tet_of = packed & ((np.int64(1) << shift) - 1)
         else:
-            order = np.argsort(ekey)
+            order = np.argsort(ekey, kind="stable")
             ekey = ekey[order]
             tet_of = tet_of[order]
         # (ekey[:1] == ekey[:1] is [True], or empty when no edge is left)
@@ -263,37 +289,14 @@ class DelaunayVoronoi:
         ridge_sites[:, 0] = f_keys // n
         ridge_sites[:, 1] = f_keys % n
         # ring tet ids, rings contiguous: ridge r is fl_flat[off[r]:off[r+1]]
-        fl_flat = np.ascontiguousarray(
-            tet_of[np.repeat(finite, ring_lengths)]
-        )
+        fl_flat = tet_of[np.repeat(finite, ring_lengths)]
         fl_offsets = np.concatenate([[0], np.cumsum(f_lengths)])
 
-        lo, hi = box.as_arrays()
-        eps = _COINCIDENT_RTOL * float(np.linalg.norm(hi - lo))
-        native = _native.lib()
         if R == 0:
             self.ridge_sites = np.empty((0, 2), dtype=np.int64)
             self.ridge_flat = np.empty(0, dtype=np.int64)
             self.ridge_offsets = np.zeros(1, dtype=np.int64)
             self.ridge_areas = np.empty(0)
-        elif native is not None:
-            out_flat = np.empty(len(fl_flat), dtype=np.int64)
-            out_len = np.empty(R, dtype=np.int64)
-            areas = np.empty(R)
-            keep = np.empty(R, dtype=np.uint8)
-            total = native.order_rings(
-                self.vertices, pts, np.ascontiguousarray(ridge_sites),
-                fl_flat, fl_offsets, R, eps * eps,
-                out_flat, out_len, areas, keep,
-            )
-            keep = keep.view(bool)
-            self.ridge_flat = out_flat[:total]
-            self.ridge_offsets = np.concatenate(
-                [[0], np.cumsum(out_len[keep])]
-            )
-            self.ridge_sites = ridge_sites[keep]
-            self.ridge_areas = areas[keep]
-            self.degenerate_ridges_dropped = R - len(self.ridge_sites)
         else:
             fl_rid = np.repeat(np.arange(R, dtype=np.int64), f_lengths)
             (
@@ -349,10 +352,11 @@ class DelaunayVoronoi:
         cell_in = np.ones(n, dtype=bool)
         if not c_in.all():
             cell_in[tets[~c_in].ravel()] = False
-        # Sites absent from the triangulation: qhull folds exact duplicates
-        # (and near-coplanar merges) into a representative vertex; they
-        # share its cell, mirroring Voronoi's shared point_region (zero
-        # volume, no ridges — the representative carries the metrics).
+        # Sites absent from the triangulation: exact duplicates (and
+        # qhull's near-coplanar merges) folded into a representative
+        # vertex; they share its cell, mirroring Voronoi's shared
+        # point_region (zero volume, no ridges — the representative
+        # carries the metrics).
         in_tri = np.zeros(n, dtype=bool)
         in_tri[tets.ravel()] = True
         missing = ~in_tri
@@ -372,36 +376,16 @@ class DelaunayVoronoi:
             self.complete[:] = False
 
         # ---- CSR: site -> valid ridge ids -------------------------------
-        if R > 0:
-            counts = np.bincount(
-                self.ridge_sites[:, 0], minlength=n
-            ) + np.bincount(self.ridge_sites[:, 1], minlength=n)
-            self.cell_ridges_offsets = np.concatenate(
-                [[0], np.cumsum(counts)]
-            ).astype(np.int64)
-            self.cell_ridges_flat = np.empty(2 * R, dtype=np.int64)
-            if native is not None:
-                cursor = self.cell_ridges_offsets[:-1].copy()
-                native.fill_cell_ridges(
-                    np.ascontiguousarray(self.ridge_sites), R,
-                    cursor, self.cell_ridges_flat,
-                )
-            else:
-                sites_both = np.concatenate(
-                    [self.ridge_sites[:, 0], self.ridge_sites[:, 1]]
-                )
-                rid_both = np.concatenate(
-                    [np.arange(R), np.arange(R)]
-                ).astype(np.int64)
-                # Stable sort by site: side-0 entries precede side-1
-                # entries within each cell, each in ridge order (the
-                # native kernel's layout).
-                self.cell_ridges_flat = rid_both[
-                    np.argsort(sites_both, kind="stable")
-                ]
-        else:
-            self.cell_ridges_offsets = np.zeros(n + 1, dtype=np.int64)
-            self.cell_ridges_flat = np.empty(0, dtype=np.int64)
+        # Stable sort by site: side-0 entries precede side-1 entries
+        # within each cell, each in ridge order.
+        counts = np.bincount(self.ridge_sites.ravel(), minlength=n)
+        self.cell_ridges_offsets = np.concatenate(
+            [[0], np.cumsum(counts)]
+        ).astype(np.int64)
+        rid_both = np.tile(np.arange(R, dtype=np.int64), 2)
+        self.cell_ridges_flat = rid_both[
+            np.argsort(self.ridge_sites.T.ravel(), kind="stable")
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -510,35 +494,29 @@ class DelaunayVoronoi:
         return out
 
     # ------------------------------------------------------------------
-    def _triangulate(self, pts: np.ndarray):
-        """Return int64 ``(tets, neighbors, coplanar)`` from the compiled
-        Bowyer–Watson kernel (all ``None`` when no four points are
-        affinely independent), or without it from one qhull run, with a
-        joggle fallback on degenerate input."""
-        native = _native.lib() is not None
-        with observe.span("triangulate", cat="geometry", points=len(pts),
-                          kernel="native" if native else "qhull"):
-            if native:
-                return _native.delaunay(pts) or (None, None, None)
-            from scipy.spatial import Delaunay, QhullError
+    def _qhull(self, pts: np.ndarray):
+        """int64 ``(tets, neighbors, coplanar)`` from one qhull run, with a
+        joggle fallback on degenerate input; ``None`` when even that
+        fails."""
+        from scipy.spatial import Delaunay, QhullError
 
+        try:
+            tri = Delaunay(pts)
+        except QhullError:
             try:
-                tri = Delaunay(pts)
+                tri = Delaunay(pts, qhull_options="Qbb Qc Qz QJ")
+                self.used_fallback = True
             except QhullError:
-                try:
-                    tri = Delaunay(pts, qhull_options="Qbb Qc Qz QJ")
-                    self.used_fallback = True
-                except QhullError:
-                    return None, None, None
-            return (tri.simplices.astype(np.int64),
-                    tri.neighbors.astype(np.int64),
-                    np.asarray(tri.coplanar, dtype=np.int64))
+                return None
+        return (tri.simplices.astype(np.int64),
+                tri.neighbors.astype(np.int64),
+                np.asarray(tri.coplanar, dtype=np.int64))
 
     def _order_and_dedup_rings(
         self, pts, ridge_sites, fl_flat, fl_offsets, fl_rid, f_lengths, eps
     ):
-        """NumPy fallback: angle-order each tet ring and merge coincident
-        circumcenters (the compiled kernel's semantics, vectorized).
+        """Angle-order each tet ring and merge coincident circumcenters
+        (the compiled kernel's ``ring``, vectorized).
 
         Returns ``(ridge_flat, ridge_offsets, keep_ridge)`` with rings of
         fewer than three distinct vertices dropped (``keep_ridge`` masks

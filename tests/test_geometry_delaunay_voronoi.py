@@ -331,6 +331,114 @@ class TestNativeFallback:
         )
 
 
+@pytest.mark.skipif(not _native.available(), reason="native kernels not built")
+class TestKernelCells:
+    """The kernel's one pass over its triangulation (``dt_cells``) against
+    the NumPy branch run on the *same* triangulation: equal integer arrays
+    (numbering, ring order, merges, CSR), floats within 1e-12 (the two
+    sum ring areas in different orders)."""
+
+    INTS = ("_tets", "_neighbors", "ridge_sites", "ridge_offsets",
+            "ridge_flat", "cell_ridges_offsets", "cell_ridges_flat",
+            "complete", "num_tets", "merged_sites",
+            "degenerate_ridges_dropped")
+    FLOATS = ("vertices", "ridge_areas", "volumes", "areas")
+
+    @classmethod
+    def check(cls, monkeypatch, pts, box, owned=None):
+        fused = DelaunayVoronoi(pts, box, owned=owned)
+
+        def numpy_cells(self, tri, owned, lo, hi, eps):
+            with tri:  # the kernel's tets again, as arrays
+                self._numpy_cells(*_native.delaunay(self.points), owned, lo, hi, eps)
+
+        with monkeypatch.context() as m:
+            m.setattr(DelaunayVoronoi, "_kernel_cells", numpy_cells)
+            ref = DelaunayVoronoi(pts, box, owned=owned)
+        for name in cls.INTS:
+            got, want = getattr(fused, name), getattr(ref, name)
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert np.asarray(got).dtype == np.asarray(want).dtype, name
+        for name in cls.FLOATS:
+            np.testing.assert_allclose(
+                getattr(fused, name), getattr(ref, name), rtol=1e-12,
+                atol=0, err_msg=name,
+            )
+        return fused
+
+    @pytest.mark.parametrize("owned", ("none", "scattered", "all"))
+    def test_owned_subsets(self, monkeypatch, owned):
+        pts = poisson(300, 10.0, 71)
+        mask = {
+            "none": np.zeros(300, dtype=bool),
+            "scattered": np.arange(300) % 3 == 1,
+            "all": np.ones(300, dtype=bool),
+        }[owned]
+        dv = self.check(monkeypatch, pts, Bounds.cube(10.0), mask)
+        assert (dv.num_ridges > 0) == mask.any()
+
+    def test_hull_sites(self, monkeypatch):
+        # the sites of an open point set's hull have unbounded cells, and
+        # the box cuts off more
+        pts = poisson(200, 8.0, 72)
+        dv = self.check(monkeypatch, pts, Bounds.cube(8.0))
+        assert 0 < dv.complete.sum() < len(pts) - len(np.unique(dv._hull_faces()))
+
+    def test_exact_duplicates(self, monkeypatch):
+        base = poisson(120, 6.0, 73)
+        pts = np.concatenate([base, base[::12]])
+        dv = self.check(monkeypatch, pts, Bounds.cube(6.0))
+        assert dv.merged_sites == 10
+
+    def test_lattice_rings_with_coincident_circumcenters(self, monkeypatch):
+        side = np.arange(5, dtype=float) + 0.5
+        g = np.meshgrid(side, side, side, indexing="ij")
+        pts = np.column_stack([a.ravel() for a in g])
+        dv = self.check(monkeypatch, pts, Bounds.cube(5.0))
+        # coincident circumcenters were merged within rings, and whole
+        # rings of them dropped
+        assert dv.degenerate_ridges_dropped > 0
+        assert len(np.unique(dv.vertices, axis=0)) < dv.num_tets
+
+    def test_singular_circumcenter_is_refit(self, monkeypatch):
+        # a square with one corner lifted by a subnormal height: the
+        # sliver's Cramer determinant has no finite reciprocal, so the
+        # kernel hands its circumcenter to the least-squares fixup once
+        from repro.geometry import voronoi_delaunay
+
+        refits, fixup = [], voronoi_delaunay._lstsq_fixup
+
+        def counted(centers, pts, tets, bad):
+            refits.append(int(bad.sum()))
+            fixup(centers, pts, tets, bad)
+
+        monkeypatch.setattr(voronoi_delaunay, "_lstsq_fixup", counted)
+        pts = np.array(
+            [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1e-310], [0.5, 0.5, 0.8],
+             [0.5, 0.5, -0.8], [0.5, -0.7, 0], [1.7, 0.5, 0], [0.5, 1.7, 0],
+             [-0.7, 0.5, 0]],
+        )
+        box = Bounds.from_arrays(np.full(3, -2.0), np.full(3, 3.0))
+        dv = self.check(monkeypatch, pts, box)
+        assert refits[0] == 1 and np.isfinite(dv.vertices).all()
+
+    def test_ring_longer_than_the_stack_buffer(self, monkeypatch):
+        # 80 sites around the axis through two poles: the poles' ridge is
+        # one ring of 80 tets, each with its own circumcenter
+        rng = np.random.default_rng(74)
+        t = np.linspace(0, 2 * np.pi, 80, endpoint=False)
+        r = 1.5 + rng.uniform(-1e-4, 1e-4, 80)
+        ring = np.column_stack([3 + r * np.cos(t), 3 + r * np.sin(t), np.full(80, 3.0)])
+        poles = np.array([[3.0, 3.0, 2.7], [3.0, 3.0, 3.3]])
+        extra = rng.uniform(0, 6, size=(400, 3))
+        extra = extra[np.hypot(extra[:, 0] - 3, extra[:, 1] - 3) > 2.0][:60]
+        pts = np.concatenate([poles, ring, extra])
+        dv = self.check(monkeypatch, pts, Bounds.cube(6.0))
+        poles_ridge = np.flatnonzero((dv.ridge_sites == [0, 1]).all(axis=1))
+        assert len(poles_ridge) == 1
+        assert len(dv.ridge_cycle(int(poles_ridge[0]))) == 80
+
+
 class TestOwnedOnly:
     """``owned=`` drops ghost-ghost ridges and nothing an owned cell
     reads — with the native kernels and on the NumPy fallback."""

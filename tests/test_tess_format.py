@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import tessellate
-from repro.core.data_model import VoronoiBlock
+from repro.core.data_model import VoronoiBlock, connectivity_index_dtype
 from repro.core.tess_io import (
     block_from_payload,
     read_blocks,
@@ -62,21 +62,30 @@ def _stored(path, gid=0):
 
 def _block(pool, faces, cells, site_ids, gid=0):
     """A block from explicit rows: ``faces`` lists vertex cycles and their
-    neighbour ids, ``cells`` the face count of each cell."""
+    neighbour ids, ``cells`` the face count of each cell.  The pool is
+    compacted to the vertices the faces use, in pool order."""
     ncells = len(cells)
     rng = np.random.default_rng(len(pool))
-    return VoronoiBlock.from_rows(
-        gid,
-        Bounds.cube(1.0),
-        pool,
-        np.concatenate([f for f, _ in faces]).astype(np.int64),
-        np.asarray([len(f) for f, _ in faces]),
-        np.asarray([nb for _, nb in faces], dtype=np.int64),
-        np.asarray(cells),
-        rng.uniform(size=(ncells, 3)),
-        np.asarray(site_ids, dtype=np.int64),
-        rng.uniform(size=ncells),
-        rng.uniform(size=ncells),
+    face_vertices = np.concatenate([f for f, _ in faces]).astype(np.int64)
+    used = np.zeros(len(pool), dtype=bool)
+    used[face_vertices] = True
+    idx = connectivity_index_dtype(max(len(face_vertices), int(used.sum())))
+
+    def offsets(lengths):
+        return np.concatenate([[0], np.cumsum(lengths)]).astype(idx)
+
+    return VoronoiBlock(
+        gid=gid,
+        extents=Bounds.cube(1.0),
+        vertices=pool[used],
+        face_vertices=(np.cumsum(used) - 1)[face_vertices].astype(idx),
+        face_offsets=offsets([len(f) for f, _ in faces]),
+        face_neighbors=np.asarray([nb for _, nb in faces], dtype=np.int64),
+        cell_face_offsets=offsets(cells),
+        sites=rng.uniform(size=(ncells, 3)),
+        site_ids=np.asarray(site_ids, dtype=np.int64),
+        volumes=rng.uniform(size=ncells),
+        areas=rng.uniform(size=ncells),
     )
 
 
