@@ -18,7 +18,7 @@ from .checkpoint import (
 from .cosmology import LCDM, PLANCK_LIKE
 from .initial_conditions import zeldovich_ics
 from .integrator import TimeStepper, compute_accelerations, kdk_step
-from .mesh import cic_deposit, cic_gather, density_contrast
+from .mesh import cic_deposit, density_contrast
 from .particles import ParticleSet
 from .poisson import accelerations_from_delta
 from .power_spectrum import (
@@ -47,7 +47,6 @@ __all__ = [
     "compute_accelerations",
     "kdk_step",
     "cic_deposit",
-    "cic_gather",
     "density_contrast",
     "ParticleSet",
     "accelerations_from_delta",

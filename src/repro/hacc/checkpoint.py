@@ -242,10 +242,12 @@ def restart_simulation(
     verified; physics parameters are the caller's responsibility, exactly
     as with HACC input decks).  When the restart rank count equals the
     writing rank count, each rank takes its own block's particles *in
-    stored order*, so resuming an ``"f8"``-precision checkpoint reproduces
-    the uninterrupted run bit for bit; otherwise particles are
-    redistributed under the current decomposition.  ``comm=None``
-    restarts on the 1-rank communicator.
+    stored order*; otherwise particles are redistributed under the
+    current decomposition.  Either way, resuming an ``"f8"``-precision
+    checkpoint reproduces the uninterrupted run bit for bit: the first
+    step recomputes the force the uninterrupted run carried, and the
+    order-free deposit gives the same bits.  ``comm=None`` restarts on
+    the 1-rank communicator.
 
     The per-particle scalar annotation (the Voronoi cell density of the
     paper's §V proposal) is redistributed alongside the particles and

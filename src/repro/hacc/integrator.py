@@ -8,9 +8,9 @@ units, momenta ``p = a^2 dx/dt * t0/r0`` with ``t0 = 1/H0``) are
 
 the standard particle-mesh formulation (Kravtsov's PM notes; HACC's
 long-range solver integrates the same system).  One :func:`kdk_step`
-advances the particles from ``a`` to ``a + da`` with a half-kick /
-full-drift / half-kick scheme, recomputing the force at the midpoint drift
-position for second-order accuracy.
+advances the particles from ``a_at(k)`` to ``a_at(k + 1)`` by half-kick /
+full-drift / half-kick with one force per step: the closing kick's force
+opens the next step, carried by the caller as HACC carries its PM force.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .cosmology import LCDM
-from .mesh import cic_deposit, cic_gather, density_contrast
+from .mesh import EXACT_CELL_MASS, CICStencil, density_contrast, wrap
 from .particles import ParticleSet
 from .poisson import accelerations_from_delta
 
@@ -42,13 +42,17 @@ def compute_accelerations(
     mesh and must return the *global* mass mesh — this is the hook the
     parallel simulation uses to allreduce per-rank deposits.
     """
-    mass = cic_deposit(positions, ng)
+    stencil = CICStencil(positions, ng)
+    mass = stencil.deposit()
     if density_callback is not None:
         mass = density_callback(mass)
+    if mass.max() >= EXACT_CELL_MASS:  # partial sums never exceed the max
+        raise OverflowError(
+            f"cell mass {mass.max():g} >= {EXACT_CELL_MASS:g}, the exact-deposit bound"
+        )
     delta = density_contrast(mass)
-    prefactor = 1.5 * cosmo.omega_m / a
-    g_mesh = accelerations_from_delta(delta, prefactor, deconvolve=deconvolve)
-    return cic_gather(g_mesh, positions)
+    g_mesh = accelerations_from_delta(delta, 1.5 * cosmo.omega_m / a, deconvolve)
+    return stencil.gather(g_mesh)
 
 
 def _f(cosmo: LCDM, a: float) -> float:
@@ -59,37 +63,33 @@ def kdk_step(
     particles: ParticleSet,
     ng: int,
     cosmo: LCDM,
-    a: float,
-    da: float,
+    stepper: TimeStepper,
+    k: int,
+    force: np.ndarray | None,
     deconvolve: bool = False,
     density_callback: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
-    """Advance ``particles`` in place from ``a`` to ``a + da`` (KDK).
+) -> np.ndarray:
+    """Advance ``particles`` in place from step ``k`` to ``k + 1`` (KDK).
 
-    Returns the new scale factor.  Positions are wrapped back into
-    ``[0, ng)`` after the drift.
+    ``force`` is the acceleration at the current positions and
+    ``stepper.a_at(k)`` (the previous step's return value), or ``None`` to
+    compute it.  Returns the closing force, at the new positions (wrapped
+    into ``[0, ng)``) and ``stepper.a_at(k + 1)``.
     """
-    if da <= 0:
-        raise ValueError(f"da must be positive, got {da}")
+    a, da, a_new = stepper.a_at(k), stepper.da, stepper.a_at(k + 1)
     a_mid = a + 0.5 * da
-
-    # Half kick at a.
-    g = compute_accelerations(
-        particles.positions, ng, cosmo, a, deconvolve, density_callback
-    )
-    particles.velocities += 0.5 * da * _f(cosmo, a) * g
-
-    # Full drift at the midpoint.
+    if force is None:
+        force = compute_accelerations(
+            particles.positions, ng, cosmo, a, deconvolve, density_callback
+        )
+    particles.velocities += 0.5 * da * _f(cosmo, a) * force
     particles.positions += da * _f(cosmo, a_mid) / a_mid**2 * particles.velocities
-    np.mod(particles.positions, ng, out=particles.positions)
-
-    # Half kick at a + da with the updated density.
-    a_new = a + da
-    g = compute_accelerations(
+    wrap(particles.positions, ng)
+    force = compute_accelerations(
         particles.positions, ng, cosmo, a_new, deconvolve, density_callback
     )
-    particles.velocities += 0.5 * da * _f(cosmo, a_new) * g
-    return a_new
+    particles.velocities += 0.5 * da * _f(cosmo, a_new) * force
+    return force
 
 
 @dataclass

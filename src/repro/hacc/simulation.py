@@ -10,10 +10,12 @@ Parallelization strategy (a documented substitution for HACC's distributed
 FFT): per-rank CIC deposits are **allreduced into a replicated global
 mesh**, every rank runs the identical spectral solve, and forces are
 gathered locally.  At the mesh sizes this reproduction targets (<= 128^3)
-the replicated mesh is cheap, results are bitwise rank-count-independent,
-and the particle side — which is what tess consumes — has exactly HACC's
-structure: block-owned particles, periodic wrapping, and post-drift
-migration to neighbor ranks.
+the replicated mesh is cheap; the deposit's fixed-point weights
+(:mod:`repro.hacc.mesh`) make its sum exact in any order, so results are
+bitwise rank-count-independent.  The particle side — which is what tess
+consumes — has exactly HACC's structure: block-owned particles, periodic
+wrapping, and post-drift migration to neighbor ranks.  Each step evaluates
+the PM force once; its closing force is carried to open the next step.
 
 In situ analysis hooks fire at selected steps with the live particle state,
 which is how the cosmology-tools framework (:mod:`repro.insitu`) attaches.
@@ -37,6 +39,9 @@ from .cosmology import LCDM, PLANCK_LIKE
 from .initial_conditions import zeldovich_ics
 from .integrator import TimeStepper, kdk_step
 from .particles import ParticleSet
+
+#: annotation key under which the carried force rides through migration
+_FORCE = "force"
 
 __all__ = [
     "SimulationConfig",
@@ -160,6 +165,9 @@ class HACCSimulation:
         self.gid = comm.rank
         self.block = self.decomposition.block(self.gid)
         self.stepper = TimeStepper(config.a_init, config.a_final, config.nsteps)
+        #: the last closing force, aligned with :attr:`local`; ``None``
+        #: (recompute at the next step) whenever :attr:`local` is replaced.
+        self._force: np.ndarray | None = None
         self.a = config.a_init
         self.step_index = 0
         self.step_records: list[StepRecord] = []
@@ -185,6 +193,18 @@ class HACCSimulation:
                 == self.gid
             )
             self.local = ics.select(mine)
+
+    @property
+    def local(self) -> ParticleSet:
+        """This rank's particles (grid units).  Assigning a new set drops
+        the carried force, so the next step recomputes it; do not mutate
+        positions in place between steps."""
+        return self._local
+
+    @local.setter
+    def local(self, particles: ParticleSet) -> None:
+        self._local = particles
+        self._force = None
 
     # ------------------------------------------------------------------
     # unit helpers
@@ -223,46 +243,58 @@ class HACCSimulation:
         with _trace.span(
             "step", rank=self.gid, cat="sim", step=self.step_index + 1
         ):
-            self.a = kdk_step(
-                self.local,
+            self._force = kdk_step(
+                self._local,
                 self.config.mesh_size,
                 self.config.cosmo,
-                self.stepper.a_at(self.step_index),
-                self.stepper.da,
+                self.stepper,
+                self.step_index,
+                self._force,
                 deconvolve=self.config.deconvolve,
                 density_callback=self._global_mass_mesh,
             )
             self.step_index += 1
+            self.a = self.stepper.a_at(self.step_index)
             self._migrate()
         self.step_records.append(
             StepRecord(self.step_index, self.a, time.perf_counter() - t0)
         )
         if observe.enabled():
-            p = self.local
+            p = self._local
             observe.registry().gauge(
                 "mem.particle_bytes", rank=self.gid
             ).set_max(
                 p.positions.nbytes + p.velocities.nbytes + p.ids.nbytes
+                + self._force.nbytes
             )
 
     def _migrate(self) -> None:
-        """Send particles that drifted out of this block to their owners.
+        """Send particles that drifted out of this block to their owners,
+        each with its carried force.
 
-        :attr:`local` is rebuilt, and :attr:`cell_density` dropped, only
-        when a particle left or arrived; otherwise both stay as they are.
+        :attr:`local` and the force are rebuilt, and :attr:`cell_density`
+        dropped, only when a particle left or arrived; otherwise all three
+        stay as they are.
         """
         owners = self.decomposition.locate_from(self.gid, self.positions_mpc())
         staying = owners == self.gid
+        local = self._local
+        carried = ParticleSet(
+            local.positions,
+            local.velocities,
+            local.ids,
+            {**local.annotations, _FORCE: self._force},
+        )
         outbox = [
             ParticleSet.empty() if rank == self.gid
-            else self.local.select(owners == rank)
+            else carried.select(owners == rank)
             for rank in range(self.comm.size)
         ]
         arrivals = [p for p in self.comm.alltoall(outbox) if len(p)]
         if arrivals or not staying.all():
-            self.local = ParticleSet.concatenate(
-                [self.local.select(staying)] + arrivals
-            )
+            moved = ParticleSet.concatenate([carried.select(staying)] + arrivals)
+            self._force = moved.annotations.pop(_FORCE)
+            self._local = moved
             # The annotation indexes the pre-migration particle order; drop
             # it rather than silently misalign it.
             self.cell_density = None
@@ -319,8 +351,8 @@ def run_with_recovery(
     restarts from the newest checkpoint in the directory that passes full
     validation — torn files from a mid-write crash are skipped — and hooks
     for already-completed steps (in situ analysis included) are *not*
-    re-fired.  The default ``"f8"`` precision makes a same-rank-count
-    resume reproduce the uninterrupted run bit for bit.  ``comm=None`` is
+    re-fired.  The default ``"f8"`` precision makes a resume at any rank
+    count reproduce the uninterrupted run bit for bit.  ``comm=None`` is
     the 1-rank run.
 
     Returns the finished simulation; ``sim.recovery`` is a

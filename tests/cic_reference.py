@@ -3,12 +3,16 @@
 :func:`repro.hacc.mesh.cic_deposit` accumulates all eight trilinear corners
 with one ``np.bincount``.  The direct ``np.add.at`` scatter is the obvious
 way to write the same deposit, so it stays as the oracle
-``tests/test_hacc_mesh_poisson.py`` compares against.
+``tests/test_hacc_mesh_poisson.py`` compares against.  It rounds each
+corner weight to a multiple of ``WEIGHT_QUANTUM`` exactly as the stencil
+does; the rounding is part of the deposit's definition.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.hacc.mesh import WEIGHT_QUANTUM
 
 __all__ = ["cic_deposit_add_at"]
 
@@ -28,5 +32,6 @@ def cic_deposit_add_at(
     for ix, wx in ((i0[:, 0], g[:, 0]), (i1[:, 0], f[:, 0])):
         for iy, wy in ((i0[:, 1], g[:, 1]), (i1[:, 1], f[:, 1])):
             for iz, wz in ((i0[:, 2], g[:, 2]), (i1[:, 2], f[:, 2])):
-                np.add.at(out, (ix, iy, iz), w * wx * wy * wz)
+                corner = np.rint(wx * wy * wz / WEIGHT_QUANTUM) * WEIGHT_QUANTUM
+                np.add.at(out, (ix, iy, iz), w * corner)
     return out

@@ -5,7 +5,7 @@ import pytest
 
 from repro.diy.comm import run_parallel
 from repro.diy.mpi_io import write_blocks
-from repro.hacc import HACCSimulation, SimulationConfig
+from repro.hacc import HACCSimulation, ParticleSet, SimulationConfig
 from repro.hacc.checkpoint import (
     BYTES_PER_PARTICLE,
     CheckpointError,
@@ -32,6 +32,18 @@ def _write_after(comm, cfg, path, steps, scalar_ids=False):
     else:
         size = write_checkpoint(path, comm, sim)
     return size, sim.a
+
+
+def _resumed_to_end(comm, cfg, path):
+    sim = restart_simulation(path, cfg, comm=comm)
+    sim.run()
+    return sim.local
+
+
+def _run_to_end(comm, cfg):
+    sim = HACCSimulation(cfg, comm=comm)
+    sim.run()
+    return sim.local
 
 
 def _restarted_count(comm, cfg, path):
@@ -125,6 +137,25 @@ class TestRestart:
         run_parallel(2, _write_after, cfg, path, 1)
         counts = run_parallel(4, _restarted_count, cfg, path)
         assert sum(counts) == 512
+
+    def test_f8_resume_at_another_rank_count_is_exact(self, tmp_path):
+        """The checkpoint holds no force: the resumed run recomputes the
+        opening force, and the order-free deposit makes it the carried one
+        bit for bit at any rank count."""
+        cfg = SimulationConfig(np_side=8, nsteps=8, seed=4)
+        path = str(tmp_path / "f8.ckpt")
+        run_parallel(2, _write_after, cfg, path, 4, True)
+
+        def final(parts):
+            p = ParticleSet.concatenate(parts)
+            order = np.argsort(p.ids)
+            return p.positions[order], p.velocities[order]
+
+        want = final(run_parallel(2, _run_to_end, cfg))
+        for nranks in (1, 2, 4):
+            got = final(run_parallel(nranks, _resumed_to_end, cfg, path))
+            assert np.array_equal(got[0], want[0]), nranks
+            assert np.array_equal(got[1], want[1]), nranks
 
     def test_mismatched_config_rejected(self, tmp_path):
         cfg = SimulationConfig(np_side=8, nsteps=2, seed=6)
