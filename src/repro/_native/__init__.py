@@ -8,17 +8,19 @@ exact, filtered predicates and index-order tie-breaks
 (:func:`triangulate`), and :meth:`Triangulation.cells`, every array of
 the engine from the live triangulation in one call.  The file is
 compiled on first use with whatever C compiler the host has
-(``cc``/``gcc``/``clang``) — there is no build step and no new
-dependency.  The build starts on a thread when this module is imported,
-so the compiler runs while the importing program sets up, and the first
-:func:`lib` call waits for what is left.  The shared object is cached
-under ``~/.cache/repro-native/`` keyed by a hash of the source and the
-compiler, so every process after the first just ``dlopen``s it.
+(``$CC``, else ``cc``/``gcc``/``clang``) — there is no build step and no
+new dependency.  The build starts on a thread when this module is
+imported, so the compiler runs while the importing program sets up, and
+the first :func:`lib` call waits for what is left.  The shared object is
+cached under ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-native/``)
+keyed by a hash of the source and the compiler, so every process after
+the first just ``dlopen``s it.
 
-Everything degrades gracefully: if no compiler is found, compilation
-fails, or ``REPRO_NO_NATIVE=1`` is set, :func:`lib` returns ``None``
-and callers take their equivalent paths — qhull (``scipy.spatial``) for
-the triangulation, NumPy for the loops (the parity tests cover both).
+The kernel is required: there is no second engine.  If no compiler is
+found or compilation fails, :func:`lib` returns ``None``,
+:func:`build_error` says why, and the first geometry call
+(:func:`triangulate`) raises one ``RuntimeError`` that names the
+compiler tried, ``CC``, the cache directory and the build failure.
 This module must never raise at import time.
 """
 
@@ -45,17 +47,15 @@ _lib = None
 _tried = False
 _error: str | None = None
 #: first use may come from several threads at once (a block's slabs): one
-#: builds, the others wait for its answer instead of taking the NumPy path
+#: builds, the others wait for its answer instead of finding no kernel
 #: meanwhile
 _first_use = threading.Lock()
 
 
 def _cache_dir() -> str:
-    root = os.environ.get("REPRO_NATIVE_CACHE") or os.path.join(
+    return os.environ.get("REPRO_NATIVE_CACHE") or os.path.join(
         os.path.expanduser("~"), ".cache", "repro-native"
     )
-    os.makedirs(root, exist_ok=True)
-    return root
 
 
 def _compiler() -> str | None:
@@ -74,6 +74,7 @@ def _build() -> ctypes.CDLL:
     key = hashlib.sha256(
         src + cc.encode() + " ".join(_CFLAGS).encode()
     ).hexdigest()[:16]
+    os.makedirs(_cache_dir(), exist_ok=True)
     so_path = os.path.join(_cache_dir(), f"voronoi_kernels-{key}.so")
     if not os.path.exists(so_path):
         # Build into a temp file and rename into place: atomic on POSIX,
@@ -100,9 +101,6 @@ def _declare(dll: ctypes.CDLL) -> ctypes.CDLL:
     i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
-    dll.tet_circumcenters.argtypes = [f64, i64, ctypes.c_int64, f64]
-    dll.tet_circumcenters.restype = ctypes.c_int64
-
     dll.dt_build.argtypes = [f64, ctypes.c_int64, i64, ctypes.c_int64, i64]
     dll.dt_build.restype = ctypes.c_void_p
     dll.dt_fetch.argtypes = [ctypes.c_void_p, i64, i64, i64]
@@ -118,20 +116,37 @@ def _declare(dll: ctypes.CDLL) -> ctypes.CDLL:
 
 
 def lib():
-    """The loaded kernel library, or ``None`` if unavailable."""
+    """The loaded kernel library, or ``None`` if it could not be built."""
     global _lib, _tried, _error
     if not _tried:
         with _first_use:
             if not _tried:
-                if os.environ.get("REPRO_NO_NATIVE"):
-                    _error = "disabled by REPRO_NO_NATIVE"
-                else:
-                    try:
-                        _lib = _declare(_build())
-                    except Exception as exc:  # noqa: BLE001 - fallback by design
-                        _error = f"{type(exc).__name__}: {exc}"
+                try:
+                    _lib = _declare(_build())
+                except Exception as exc:  # noqa: BLE001 - raised by triangulate()
+                    _error = _unbuilt(exc)
                 _tried = True
     return _lib
+
+
+def _unbuilt(exc: Exception) -> str:
+    """:func:`triangulate`'s error without the kernel: what was tried,
+    where, and what broke."""
+    failure = f"{type(exc).__name__}: {exc}"
+    said = getattr(exc, "stderr", None)  # the compiler's own words
+    if said:
+        failure += "\n" + said.decode(errors="replace").strip()[-2000:]
+    cc = os.environ.get("CC")
+    return (
+        "the compiled geometry kernel (repro/_native/voronoi_kernels.c) "
+        "is required and could not be built.\n"
+        f"  compiler tried: {_compiler() or 'none found'} "
+        f"(CC={cc!r}; else cc, gcc, clang on PATH)\n"
+        f"  cache directory: {_cache_dir()} "
+        "(REPRO_NATIVE_CACHE, else ~/.cache/repro-native)\n"
+        f"  build failure: {failure}\n"
+        "Set CC to a working C compiler (or install one) and run again."
+    )
 
 
 def _build_in_background() -> None:
@@ -139,8 +154,6 @@ def _build_in_background() -> None:
     another core while the caller's imports and set-up go on, and the
     first :func:`lib` call waits only for what is left of it.  Exit
     waits for the thread, so no half-built file is left behind."""
-    if os.environ.get("REPRO_NO_NATIVE"):
-        return
     builder = threading.Thread(target=lib, name="repro-native-build",
                                daemon=True)
     try:
@@ -266,10 +279,13 @@ def triangulate(points: np.ndarray) -> Triangulation | None:
     """Delaunay tetrahedralization of ``(n, 3)`` float64 points by the
     compiled Bowyer–Watson kernel (exact predicates, ties broken by
     index order), held by the kernel.  ``None`` when no four points are
-    affinely independent (or the kernel is not built)."""
+    affinely independent; ``RuntimeError`` (:func:`build_error`'s
+    account) when the kernel could not be built."""
     dll = lib()
+    if dll is None:
+        raise RuntimeError(_error)
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    if dll is None or len(pts) < 4:
+    if len(pts) < 4:
         return None
     if len(pts) >= 2**28:  # tet ids are int32
         raise ValueError(f"native Delaunay: {len(pts)} points is too many")

@@ -1,11 +1,12 @@
 /* Compiled kernels for the Delaunay-direct Voronoi engine hot path.
  *
  * Built on demand by repro._native (gcc -O3 -shared) and loaded via
- * ctypes; repro.geometry.voronoi_delaunay falls back to equivalent
- * NumPy code when no compiler is available.  Both paths are covered by
- * the parity tests, so this file must mirror the NumPy semantics
- * exactly — in particular the cyclic-predecessor coincidence rule and
- * the Newell area accumulated over absolute vertex positions.
+ * ctypes; repro.geometry.voronoi_delaunay has no other engine.  The
+ * parity tests hold dt_cells to a NumPy oracle on the same
+ * triangulation (tests/voronoi_cells_reference.py), so this file must
+ * keep its semantics exactly — in particular the cyclic-predecessor
+ * coincidence rule and the Newell area accumulated over absolute
+ * vertex positions.
  */
 
 #include <math.h>
@@ -45,18 +46,6 @@ static int circumcenter(const double *pts, const int64_t *t, double *out)
     return isfinite(x) && isfinite(y) && isfinite(z);
 }
 
-/* Circumcenters of m tets.  Exactly singular (degenerate sliver) tets
- * get NaN centers; the caller re-solves those rows by least squares.
- * Returns the number of non-finite centers written. */
-int64_t tet_circumcenters(const double *pts, const int64_t *tets,
-                          int64_t m, double *out)
-{
-    int64_t bad = 0;
-    for (int64_t t = 0; t < m; t++)
-        bad += !circumcenter(pts, tets + 4 * t, out + 3 * t);
-    return bad;
-}
-
 #define STACK_L 64
 
 /* Angle-order one dual ridge ring, merge coincident circumcenters and
@@ -74,7 +63,7 @@ int64_t tet_circumcenters(const double *pts, const int64_t *tets,
  * which preserves angular order.  A vertex coincident with its cyclic
  * predecessor *in sorted order* is dropped (the NumPy rule: an
  * all-coincident ring drops every vertex).  The Newell sum runs over
- * absolute vertex positions, as the NumPy fallback's does. */
+ * absolute vertex positions, as the NumPy oracle's does. */
 static int64_t ring(const double *verts, const double *p0, const double *p1,
                     const int64_t *ids, int64_t L, double eps2, double *heap,
                     int64_t *out, double *area)
@@ -858,7 +847,7 @@ PHASE void cell_csr(const int64_t *ridge_sites, int64_t R, int64_t n,
 
 /* The Voronoi diagram of a built triangulation, in one pass: every
  * array repro.geometry.voronoi_delaunay.DelaunayVoronoi exposes, with
- * the NumPy fallback's numbering, order and summation order.
+ * the NumPy oracle's numbering, order and summation order.
  *
  * - tets / nbrs (m, 4): the live finite tets renumbered in slot order,
  *   a neighbour of -1 across a hull face;

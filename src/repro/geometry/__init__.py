@@ -9,11 +9,10 @@ bisector clipping, no qhull) lives with the tests, in
 """
 
 from .delaunay import DelaunayMesh, delaunay
-from .voronoi_delaunay import DelaunayVoronoi, tet_circumcenters
+from .voronoi_delaunay import DelaunayVoronoi
 
 __all__ = [
     "DelaunayMesh",
     "delaunay",
     "DelaunayVoronoi",
-    "tet_circumcenters",
 ]

@@ -4,7 +4,7 @@ The paper notes (§II-B) that the Delaunay tessellation is simply the dual of
 the Voronoi diagram: Delaunay cells have input points at their vertices,
 Voronoi cells contain them in their interiors, and each Voronoi vertex is
 the circumcenter of a Delaunay tetrahedron
-(:func:`repro.geometry.voronoi_delaunay.tet_circumcenters`).  This module
+(:attr:`repro.geometry.voronoi_delaunay.DelaunayVoronoi.vertices`).  This module
 exposes the Delaunay side — the star volumes the DTFE density estimator in
 :mod:`repro.analysis.dtfe` divides by.
 """

@@ -2,10 +2,9 @@
 
 :class:`DelaunayVoronoi` is the one engine the tessellation pipeline runs
 (the paper's "local cells" step, Fig. 5).  It derives the whole diagram
-from one Delaunay triangulation — the compiled kernel of
-:mod:`repro._native`, or ``scipy.spatial.Delaunay`` without a compiler —
-as pure ndarrays (tets, neighbors), so every later stage is an array
-pass with no per-cell Python geometry:
+from one Delaunay triangulation by the compiled kernel of
+:mod:`repro._native`, as pure ndarrays (tets, neighbors), so every later
+stage is an array pass with no per-cell Python geometry:
 
 * Voronoi vertices are the circumcenters of the Delaunay tetrahedra —
   one Cramer solve per tet;
@@ -32,10 +31,10 @@ pass with no per-cell Python geometry:
   independent clip reference the tests hold it to
   (``tests/clip_voronoi.py``: "no wall face remains").
 
-With the compiled kernels all of this is one pass over the kernel's
-live triangulation (:meth:`repro._native.Triangulation.cells`, span
-``cells``), else ~15 NumPy passes over qhull's (:meth:`_numpy_cells`);
-the tests run both on one triangulation.  Tets are int64 (downstream CSR
+All of this is one pass over the kernel's live triangulation
+(:meth:`repro._native.Triangulation.cells`, span ``cells``); the tests
+hold it to the same steps as NumPy passes on the same triangulation
+(``tests/voronoi_cells_reference.py``).  Tets are int64 (downstream CSR
 indices must not wrap at 2**31).
 """
 
@@ -46,18 +45,12 @@ import numpy as np
 from .. import _native, observe
 from ..diy.bounds import Bounds
 
-__all__ = ["DelaunayVoronoi", "segment_gather", "tet_circumcenters"]
+__all__ = ["DelaunayVoronoi", "segment_gather"]
 
-#: the 6 vertex pairs (edges) of a tetrahedron
-_TET_EDGES = np.array(
-    [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], dtype=np.int64
-)
 #: vertex triples of the face opposite each tet vertex (scipy convention)
 _TET_FACES = np.array(
     [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], dtype=np.int64
 )
-#: the 3 vertex pairs (edges) of a triangular face
-_FACE_EDGES = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
 
 #: relative tolerance (of the container diagonal) under which two ring
 #: circumcenters are the same Voronoi vertex
@@ -78,50 +71,14 @@ def segment_gather(
 
 
 def _lstsq_fixup(centers, pts, tets, bad):
-    """Re-solve the exactly singular tets (NaN/inf centers) one by one."""
+    """Re-solve the exactly singular tets (NaN/inf centers) one by one:
+    the far-away center of a degenerate sliver is merged or culled by the
+    coincidence tolerance later."""
     for i in np.flatnonzero(bad):
         a = pts[tets[i, 0]]
         rows = pts[tets[i, 1:]] - a
         rhs = 0.5 * np.einsum("ij,ij->i", rows, rows)
         centers[i] = np.linalg.lstsq(rows, rhs, rcond=None)[0] + a
-
-
-def tet_circumcenters(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Circumcenters of tetrahedra: batched Cramer's rule.
-
-    Row ``k`` of the per-tet system equates the center's distance to
-    vertex 0 and vertex ``k+1``.  Exactly singular systems (degenerate
-    slivers) fall back to least squares; the resulting far-away center
-    is merged/culled by the coincidence tolerance later.
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    tets = np.ascontiguousarray(tets, dtype=np.int64)
-    native = _native.lib()
-    if native is not None:
-        out = np.empty((len(tets), 3))
-        nbad = native.tet_circumcenters(points, tets, len(tets), out)
-        if nbad:
-            _lstsq_fixup(
-                out, points, tets, ~np.isfinite(out).all(axis=1)
-            )
-        return out
-
-    a = points[tets[:, 0]]
-    rows = np.stack([points[tets[:, k]] - a for k in (1, 2, 3)], axis=1)
-    rhs = 0.5 * np.einsum("ijk,ijk->ij", rows, rows)
-    c23 = np.cross(rows[:, 1], rows[:, 2])
-    c31 = np.cross(rows[:, 2], rows[:, 0])
-    c12 = np.cross(rows[:, 0], rows[:, 1])
-    det = np.einsum("ij,ij->i", rows[:, 0], c23)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        centers = (
-            rhs[:, :1] * c23 + rhs[:, 1:2] * c31 + rhs[:, 2:] * c12
-        ) / det[:, None]
-    centers += a
-    bad = ~np.isfinite(centers).all(axis=1)
-    if bad.any():
-        _lstsq_fixup(centers, points, tets, bad)
-    return centers
 
 
 class DelaunayVoronoi:
@@ -160,15 +117,20 @@ class DelaunayVoronoi:
         Rows of unowned sites in ``volumes``/``areas``/the cell CSR are
         then partial and must not be read; the triangulation and
         ``vertices`` (one circumcenter per tet) are unaffected.
+
+    Without the compiled kernel the constructor raises
+    :func:`repro._native.triangulate`'s ``RuntimeError``.
     """
 
     #: Delaunay tetrahedra behind the diagram.
     num_tets: int = 0
     #: ridges discarded as coincident-circumcenter slivers.
     degenerate_ridges_dropped: int = 0
-    #: True when the engine fell back to joggled input or an empty diagram.
+    #: True when the diagram is empty: fewer than 5 sites, or no four of
+    #: them affinely independent (set only by ``_init_degenerate``).
     used_fallback: bool = False
-    #: sites qhull folded into a representative vertex (exact duplicates).
+    #: exact duplicate sites the kernel left out of the triangulation;
+    #: each shares its representative's cell (no ridges, zero volume).
     merged_sites: int = 0
 
     def __init__(
@@ -186,213 +148,24 @@ class DelaunayVoronoi:
         if n < 5:
             self._init_degenerate(n)
             return
-        native = _native.lib() is not None
-        with observe.span("triangulate", cat="geometry", points=n,
-                          kernel="native" if native else "qhull"):
-            tri = _native.triangulate(pts) if native else self._qhull(pts)
+        with observe.span("triangulate", cat="geometry", points=n):
+            tri = _native.triangulate(pts)
         if tri is None:
             self._init_degenerate(n)
             return
         lo, hi = box.as_arrays()
         eps = _COINCIDENT_RTOL * float(np.linalg.norm(hi - lo))
-        with observe.span("cells", cat="geometry", points=n):
-            if native:
-                self._kernel_cells(tri, owned, lo, hi, eps)
-            else:
-                self._numpy_cells(*tri, owned, lo, hi, eps)
-
-    def _kernel_cells(self, tri, owned, lo, hi, eps) -> None:
-        """Every array from one kernel pass over its triangulation."""
-        with tri:
+        with observe.span("cells", cat="geometry", points=n), tri:
             self.__dict__.update(tri.cells(owned, lo, hi, eps * eps, _lstsq_fixup))
         self.num_tets = len(self._tets)
-
-    def _numpy_cells(self, tets, nbrs, coplanar, owned, lo, hi, eps) -> None:
-        """Every array by NumPy passes over ``(tets, nbrs, coplanar)``."""
-        pts = self.points
-        n = len(pts)
-        # Qhull's Qz option (used by the joggle fallback) can leave a
-        # synthetic point-at-infinity (index >= n) in the simplices on
-        # degenerate input.  Drop those tets — their faces dualize to
-        # nothing real — remapping severed neighbor links to -1 so the
-        # touched sites register as unbounded below.
-        synth = (tets >= n).any(axis=1)
-        if synth.any():
-            remap = np.full(len(tets) + 1, -1, dtype=np.int64)
-            remap[np.flatnonzero(~synth)] = np.arange(int((~synth).sum()))
-            tets = tets[~synth]
-            nbrs = remap[nbrs[~synth]]
-            if len(tets) == 0:
-                self._init_degenerate(n)
-                return
-        tets = np.ascontiguousarray(tets)
-        m = len(tets)
-        self.num_tets = m
-        self._tets = tets
-        self._neighbors = nbrs
-
-        # ---- dual vertices: all circumcenters, one batched solve --------
-        # Solved from each tet's vertices in index order, not qhull's: a
-        # tet then has the same circumcenter, bit for bit, in any
-        # triangulation that lists its points in the same relative order
-        # (a block's thin pass, repair patch and full pass all do).
-        self.vertices = tet_circumcenters(pts, np.sort(tets, axis=1))
-
-        # ---- group tets by Delaunay edge: the dual ridge rings ----------
-        # 6 edges per tet, keyed lo*n + hi, each ring's tets ascending.
-        # When key and tet id fit in one int64, pack them and sort
-        # *values* (roughly twice as fast as argsort + two gathers); else
-        # argsort the keys stably.
-        ev = tets[:, _TET_EDGES]  # (m, 6, 2)
-        elo = np.minimum(ev[..., 0], ev[..., 1]).ravel()
-        ehi = np.maximum(ev[..., 0], ev[..., 1]).ravel()
-        ekey = elo * n + ehi
-        tet_of = np.repeat(np.arange(m, dtype=np.int64), 6)
-        if owned is not None and not owned.all():
-            # Ghost-ghost edges dualize to ridges no owned cell touches.
-            owned_edge = owned[elo] | owned[ehi]
-            ekey = ekey[owned_edge]
-            tet_of = tet_of[owned_edge]
-        shift = int(m).bit_length()
-        if (n * n) >> (63 - shift) == 0:
-            packed = (ekey << shift) | tet_of
-            packed.sort()
-            ekey = packed >> shift
-            tet_of = packed & ((np.int64(1) << shift) - 1)
-        else:
-            order = np.argsort(ekey, kind="stable")
-            ekey = ekey[order]
-            tet_of = tet_of[order]
-        # (ekey[:1] == ekey[:1] is [True], or empty when no edge is left)
-        ring_starts = np.flatnonzero(
-            np.concatenate([ekey[:1] == ekey[:1], ekey[1:] != ekey[:-1]])
-        )
-        ring_lengths = np.diff(np.concatenate([ring_starts, [len(ekey)]]))
-        edge_keys = ekey[ring_starts]
-
-        # ---- unboundedness from convex-hull incidence -------------------
-        # neighbors == -1 marks hull facets; their vertices are the
-        # unbounded sites and their edges dualize to unbounded ridges.
-        hull_faces = self._hull_faces()
-        hull_sites = np.unique(hull_faces)
-        fe = hull_faces[:, _FACE_EDGES]
-        hull_keys = np.unique(
-            np.minimum(fe[..., 0], fe[..., 1]) * n
-            + np.maximum(fe[..., 0], fe[..., 1])
-        )
-        finite = ~np.isin(edge_keys, hull_keys, assume_unique=True)
-
-        f_lengths = ring_lengths[finite]
-        f_keys = edge_keys[finite]
-        R = len(f_keys)
-        ridge_sites = np.empty((R, 2), dtype=np.int64)
-        ridge_sites[:, 0] = f_keys // n
-        ridge_sites[:, 1] = f_keys % n
-        # ring tet ids, rings contiguous: ridge r is fl_flat[off[r]:off[r+1]]
-        fl_flat = tet_of[np.repeat(finite, ring_lengths)]
-        fl_offsets = np.concatenate([[0], np.cumsum(f_lengths)])
-
-        if R == 0:
-            self.ridge_sites = np.empty((0, 2), dtype=np.int64)
-            self.ridge_flat = np.empty(0, dtype=np.int64)
-            self.ridge_offsets = np.zeros(1, dtype=np.int64)
-            self.ridge_areas = np.empty(0)
-        else:
-            fl_rid = np.repeat(np.arange(R, dtype=np.int64), f_lengths)
-            (
-                self.ridge_flat,
-                self.ridge_offsets,
-                keep_ridge,
-            ) = self._order_and_dedup_rings(
-                pts, ridge_sites, fl_flat, fl_offsets, fl_rid, f_lengths, eps
-            )
-            self.ridge_sites = ridge_sites[keep_ridge]
-            self.degenerate_ridges_dropped = R - len(self.ridge_sites)
-            # segmented Newell area over the ordered rings
-            opts = self.vertices[self.ridge_flat]
-            nxt_idx = np.arange(len(self.ridge_flat)) + 1
-            nxt_idx[self.ridge_offsets[1:] - 1] = self.ridge_offsets[:-1]
-            cr = np.cross(opts, opts[nxt_idx])
-            area_vec = (
-                np.add.reduceat(cr, self.ridge_offsets[:-1], axis=0) * 0.5
-            )
-            self.ridge_areas = np.sqrt(
-                np.einsum("ij,ij->i", area_vec, area_vec)
-            )
-        R = len(self.ridge_sites)
-
-        # ---- bisector-pyramid volumes + surface areas -------------------
-        if R > 0:
-            d = np.linalg.norm(
-                pts[self.ridge_sites[:, 1]] - pts[self.ridge_sites[:, 0]],
-                axis=1,
-            )
-            pyramid = self.ridge_areas * d / 6.0
-            self.volumes = np.bincount(
-                self.ridge_sites[:, 0], weights=pyramid, minlength=n
-            ) + np.bincount(
-                self.ridge_sites[:, 1], weights=pyramid, minlength=n
-            )
-            self.areas = np.bincount(
-                self.ridge_sites[:, 0], weights=self.ridge_areas, minlength=n
-            ) + np.bincount(
-                self.ridge_sites[:, 1], weights=self.ridge_areas, minlength=n
-            )
-        else:
-            self.ridge_areas = np.empty(0)
-            self.volumes = np.zeros(n)
-            self.areas = np.zeros(n)
-
-        # ---- completeness -----------------------------------------------
-        # Bounded iff not on the convex hull; inside iff every incident
-        # circumcenter (== every cell vertex, by duality) is in the box.
-        bounded = np.ones(n, dtype=bool)
-        bounded[hull_sites] = False
-        c_in = np.all((self.vertices >= lo) & (self.vertices <= hi), axis=1)
-        cell_in = np.ones(n, dtype=bool)
-        if not c_in.all():
-            cell_in[tets[~c_in].ravel()] = False
-        # Sites absent from the triangulation: exact duplicates (and
-        # qhull's near-coplanar merges) folded into a representative
-        # vertex; they share its cell, mirroring Voronoi's shared
-        # point_region (zero volume, no ridges — the representative
-        # carries the metrics).
-        in_tri = np.zeros(n, dtype=bool)
-        in_tri[tets.ravel()] = True
-        missing = ~in_tri
-        self.merged_sites = int(missing.sum())
-        if self.merged_sites:
-            bounded_m = np.zeros(n, dtype=bool)
-            if len(coplanar):
-                cop = coplanar[coplanar[:, 0] < n]
-                rep = np.minimum(cop[:, 2], n - 1)
-                bounded_m[cop[:, 0]] = bounded[rep]
-            bounded[missing] = bounded_m[missing]
-            cell_in[missing] = True
-        self.complete = bounded & cell_in
-        if self.used_fallback:
-            # Joggled output is qhull-run-specific noise on exactly
-            # degenerate input; never certify cells from it.
-            self.complete[:] = False
-
-        # ---- CSR: site -> valid ridge ids -------------------------------
-        # Stable sort by site: side-0 entries precede side-1 entries
-        # within each cell, each in ridge order.
-        counts = np.bincount(self.ridge_sites.ravel(), minlength=n)
-        self.cell_ridges_offsets = np.concatenate(
-            [[0], np.cumsum(counts)]
-        ).astype(np.int64)
-        rid_both = np.tile(np.arange(R, dtype=np.int64), 2)
-        self.cell_ridges_flat = rid_both[
-            np.argsort(self.ridge_sites.T.ravel(), kind="stable")
-        ]
 
     # ------------------------------------------------------------------
     @property
     def degenerate(self) -> bool:
-        """True when the input was degenerate (joggled or empty diagram,
-        coincident circumcenters, duplicate sites): how qhull broke the
-        ties is specific to this run's point set and order."""
+        """True when the input was degenerate (an empty diagram, rings of
+        coincident circumcenters dropped, duplicate sites): cells there
+        rest on the kernel's index-order tie-breaks, which the thin
+        pass's float certificate and repair patch do not reproduce."""
         return bool(
             self.used_fallback
             or self.degenerate_ridges_dropped
@@ -492,81 +265,6 @@ class DelaunayVoronoi:
                 np.maximum.reduceat(d2, bounds)
             )
         return out
-
-    # ------------------------------------------------------------------
-    def _qhull(self, pts: np.ndarray):
-        """int64 ``(tets, neighbors, coplanar)`` from one qhull run, with a
-        joggle fallback on degenerate input; ``None`` when even that
-        fails."""
-        from scipy.spatial import Delaunay, QhullError
-
-        try:
-            tri = Delaunay(pts)
-        except QhullError:
-            try:
-                tri = Delaunay(pts, qhull_options="Qbb Qc Qz QJ")
-                self.used_fallback = True
-            except QhullError:
-                return None
-        return (tri.simplices.astype(np.int64),
-                tri.neighbors.astype(np.int64),
-                np.asarray(tri.coplanar, dtype=np.int64))
-
-    def _order_and_dedup_rings(
-        self, pts, ridge_sites, fl_flat, fl_offsets, fl_rid, f_lengths, eps
-    ):
-        """Angle-order each tet ring and merge coincident circumcenters
-        (the compiled kernel's ``ring``, vectorized).
-
-        Returns ``(ridge_flat, ridge_offsets, keep_ridge)`` with rings of
-        fewer than three distinct vertices dropped (``keep_ridge`` masks
-        the surviving rings in the input ridge order).
-        """
-        axis = pts[ridge_sites[:, 1]] - pts[ridge_sites[:, 0]]
-        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-        helper = np.zeros_like(axis)
-        use_y = np.abs(axis[:, 0]) > 0.9
-        helper[use_y, 1] = 1.0
-        helper[~use_y, 0] = 1.0
-        u = np.cross(axis, helper)
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v = np.cross(axis, u)
-
-        vpts = self.vertices[fl_flat]
-        centers = (
-            np.add.reduceat(vpts, fl_offsets[:-1], axis=0)
-            / f_lengths[:, None]
-        )
-        rel = vpts - centers[fl_rid]
-        ang = np.arctan2(
-            np.einsum("ij,ij->i", rel, v[fl_rid]),
-            np.einsum("ij,ij->i", rel, u[fl_rid]),
-        )
-        # One argsort of a composite float key instead of a two-key lexsort
-        # (~10x cheaper): ring id in the integer part, normalized angle in
-        # the fraction.  Fractional resolution at R ~ 2^17 rings is ~1e-10
-        # rad; ties at that scale are coincident vertices, merged below.
-        comp = fl_rid + (ang + np.pi) / (2.0 * np.pi + 1e-6)
-        order = np.argsort(comp, kind="stable")
-        sflat = fl_flat[order]
-        spts = vpts[order]
-
-        # A vertex coincident with its cyclic predecessor is the same
-        # Voronoi vertex: cospherical sites triangulate into tet fans that
-        # share one circumcenter, and keeping the duplicates would turn
-        # lattice ridges into degenerate polygons.
-        prev = np.arange(len(sflat)) - 1
-        prev[fl_offsets[:-1]] = fl_offsets[1:] - 1
-        dd = spts - spts[prev]
-        keep = np.einsum("ij,ij->i", dd, dd) > eps * eps
-        new_len = np.add.reduceat(keep.astype(np.int64), fl_offsets[:-1])
-        keep_ridge = new_len >= 3
-        keep &= keep_ridge[fl_rid]
-        return (
-            sflat[keep],
-            np.concatenate([[0], np.cumsum(new_len[keep_ridge])]),
-            keep_ridge,
-        )
 
     # ------------------------------------------------------------------
     def star_violations(

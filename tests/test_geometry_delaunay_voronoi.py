@@ -7,9 +7,12 @@ halfspace clipping, no qhull): identical complete masks, identical
 per-cell neighbor sets, and volumes/areas matching to 1e-9 relative — on
 clean Poisson inputs, on the jittered grid of the simulation's initial
 conditions and on degenerate inputs (lattices, cocircular rings,
-coplanar/collinear sets, duplicates), with and without the native C
-kernels.  ``tests/test_clip_reference.py`` does the same end to end
-through :func:`repro.core.tessellate.tessellate`.
+coplanar/collinear sets, duplicates).  ``TestKernelCells`` holds the
+kernel's cells pass to the NumPy oracle
+(``tests/voronoi_cells_reference.py``) on the same triangulation, and
+``TestQhullOracle`` the engine to the oracle on qhull's.
+``tests/test_clip_reference.py`` does the same end to end through
+:func:`repro.core.tessellate.tessellate`.
 """
 
 import numpy as np
@@ -20,10 +23,11 @@ from hypothesis import strategies as st
 from repro import _native
 from repro.diy.bounds import Bounds
 from repro.core.tessellate import tessellate
-from repro.geometry.voronoi_delaunay import DelaunayVoronoi, tet_circumcenters
+from repro.geometry.voronoi_delaunay import DelaunayVoronoi
 
 from .clip_reference import CLIP_VOL_RTOL
 from .clip_voronoi import voronoi_cells_clip
+from .voronoi_cells_reference import reference_diagram
 
 
 def poisson(n, size, seed):
@@ -112,11 +116,8 @@ class TestStructure:
 
     def test_circumcenters_equidistant(self):
         pts = poisson(120, 6.0, 3)
-        from scipy.spatial import Delaunay
-
-        tri = Delaunay(pts)
-        tets = tri.simplices.astype(np.int64)
-        centers = tet_circumcenters(pts, tets)
+        dv = DelaunayVoronoi(pts, Bounds.cube(6.0))
+        tets, centers = dv.mesh.tetrahedra, dv.vertices
         for k in range(4):
             d = pts[tets[:, k]] - centers
             r = np.sqrt(np.einsum("ij,ij->i", d, d))
@@ -265,7 +266,7 @@ class TestDegenerate:
             assert np.all(dv.volumes == 0)
 
 
-class TestNativeFallback:
+class TestNativeLoader:
     def test_loader_reports_state(self):
         # Whichever way this host resolved, the two accessors agree.
         if _native.available():
@@ -274,9 +275,9 @@ class TestNativeFallback:
             assert _native.build_error()
 
     def test_concurrent_first_use_gets_one_answer(self, monkeypatch):
-        # Slabs and thread-backend ranks may reach the loader together; a
-        # thread that saw the first one start must wait for its answer,
-        # not take the NumPy path (whose sums differ in the last bits).
+        # Slabs and several ranks may reach the loader together; a thread
+        # that saw the first one start must wait for its answer, not find
+        # no kernel and raise meanwhile.
         import threading
 
         want = _native.lib()
@@ -298,45 +299,89 @@ class TestNativeFallback:
         assert all((lib is None) == (want is None) for lib in got)
         assert len({id(lib) for lib in got}) == 1
 
-    def test_numpy_fallback_parity(self, monkeypatch):
+    def test_without_a_compiler_the_first_geometry_call_says_why(self, tmp_path):
+        # CC names a "compiler" that fails and the cache is empty: the
+        # import still works, and the first geometry call raises the one
+        # error naming the compiler, CC and the cache directory.
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        cache = tmp_path / "cache"
+        script = """
+import numpy as np
+import repro.geometry
+from repro import _native
+from repro.core.tessellate import tessellate
+from repro.diy.bounds import Bounds
+from repro.geometry import DelaunayVoronoi
+assert not _native.available() and _native.build_error()
+pts = np.random.default_rng(0).uniform(0, 4.0, size=(50, 3))
+for call in (DelaunayVoronoi, tessellate):
+    try:
+        call(pts, Bounds.cube(4.0))
+    except RuntimeError as exc:
+        assert str(exc) == _native.build_error(), exc
+        print("raised by", call.__name__)
+print(_native.build_error())
+"""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, CC="false", REPRO_NATIVE_CACHE=str(cache),
+                   PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        raised = run.stdout.splitlines()[:2]
+        assert raised == ["raised by DelaunayVoronoi", "raised by tessellate"]
+        assert list(cache.iterdir()) == []  # no half-built file left
+        said = run.stdout
+        assert "compiler tried: false" in said
+        assert "CC='false'" in said
+        assert f"cache directory: {cache}" in said
+        assert "REPRO_NATIVE_CACHE" in said
+        assert "returned non-zero exit status" in said
+        assert "ctypes" not in said
+
+
+class TestQhullOracle:
+    def test_engine_matches_oracle_on_qhull_triangulation(self):
+        # The NumPy oracle on qhull's triangulation: cells cross-checked
+        # against an independent triangulator.
+        from scipy.spatial import Delaunay
+
         pts = poisson(300, 10.0, 21)
         box = Bounds.cube(10.0)
-        with_native = DelaunayVoronoi(pts, box)
-        monkeypatch.setattr(_native, "_lib", None)
-        monkeypatch.setattr(_native, "_tried", True)
-        assert not _native.available()
-        without = DelaunayVoronoi(pts, box)
-        np.testing.assert_array_equal(with_native.complete, without.complete)
-        np.testing.assert_array_equal(
-            with_native.ridge_offsets, without.ridge_offsets
+        engine = DelaunayVoronoi(pts, box)
+        qhull = Delaunay(pts)
+        ref = reference_diagram(
+            pts, box, triangulation=(qhull.simplices, qhull.neighbors,
+                                     qhull.coplanar),
         )
-        np.testing.assert_array_equal(
-            with_native.ridge_sites, without.ridge_sites
-        )
-        # The two paths number their tets (so the Voronoi vertices) each
-        # their own way, and solve circumcenters in different orders:
-        # every ring's circumcenters, in ring order, agree to 1e-9.
+        np.testing.assert_array_equal(engine.complete, ref.complete)
+        np.testing.assert_array_equal(engine.ridge_offsets, ref.ridge_offsets)
+        np.testing.assert_array_equal(engine.ridge_sites, ref.ridge_sites)
+        # The two triangulations number their tets (so the Voronoi
+        # vertices) each their own way: every ring's circumcenters, in
+        # ring order, agree to 1e-9.
         np.testing.assert_allclose(
-            with_native.vertices[with_native.ridge_flat],
-            without.vertices[without.ridge_flat],
+            engine.vertices[engine.ridge_flat],
+            ref.vertices[ref.ridge_flat],
             rtol=1e-9,
         )
-        # Native and NumPy paths sum ring areas in different orders, so
+        # The kernel and the oracle sum ring areas in different orders, so
         # bitwise equality is not expected — 1e-9 relative is the contract.
-        np.testing.assert_allclose(
-            with_native.ridge_areas, without.ridge_areas, rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            with_native.volumes, without.volumes, rtol=1e-9
-        )
+        np.testing.assert_allclose(engine.ridge_areas, ref.ridge_areas, rtol=1e-9)
+        np.testing.assert_allclose(engine.volumes, ref.volumes, rtol=1e-9)
 
 
-@pytest.mark.skipif(not _native.available(), reason="native kernels not built")
 class TestKernelCells:
     """The kernel's one pass over its triangulation (``dt_cells``) against
-    the NumPy branch run on the *same* triangulation: equal integer arrays
-    (numbering, ring order, merges, CSR), floats within 1e-12 (the two
-    sum ring areas in different orders)."""
+    the NumPy oracle (``tests/voronoi_cells_reference.py``) run on the
+    *same* triangulation: equal integer arrays (numbering, ring order,
+    merges, CSR), floats within 1e-12 (the two sum ring areas in
+    different orders)."""
 
     INTS = ("_tets", "_neighbors", "ridge_sites", "ridge_offsets",
             "ridge_flat", "cell_ridges_offsets", "cell_ridges_flat",
@@ -345,16 +390,9 @@ class TestKernelCells:
     FLOATS = ("vertices", "ridge_areas", "volumes", "areas")
 
     @classmethod
-    def check(cls, monkeypatch, pts, box, owned=None):
+    def check(cls, pts, box, owned=None):
         fused = DelaunayVoronoi(pts, box, owned=owned)
-
-        def numpy_cells(self, tri, owned, lo, hi, eps):
-            with tri:  # the kernel's tets again, as arrays
-                self._numpy_cells(*_native.delaunay(self.points), owned, lo, hi, eps)
-
-        with monkeypatch.context() as m:
-            m.setattr(DelaunayVoronoi, "_kernel_cells", numpy_cells)
-            ref = DelaunayVoronoi(pts, box, owned=owned)
+        ref = reference_diagram(pts, box, owned)
         for name in cls.INTS:
             got, want = getattr(fused, name), getattr(ref, name)
             np.testing.assert_array_equal(got, want, err_msg=name)
@@ -367,34 +405,34 @@ class TestKernelCells:
         return fused
 
     @pytest.mark.parametrize("owned", ("none", "scattered", "all"))
-    def test_owned_subsets(self, monkeypatch, owned):
+    def test_owned_subsets(self, owned):
         pts = poisson(300, 10.0, 71)
         mask = {
             "none": np.zeros(300, dtype=bool),
             "scattered": np.arange(300) % 3 == 1,
             "all": np.ones(300, dtype=bool),
         }[owned]
-        dv = self.check(monkeypatch, pts, Bounds.cube(10.0), mask)
+        dv = self.check(pts, Bounds.cube(10.0), mask)
         assert (dv.num_ridges > 0) == mask.any()
 
-    def test_hull_sites(self, monkeypatch):
+    def test_hull_sites(self):
         # the sites of an open point set's hull have unbounded cells, and
         # the box cuts off more
         pts = poisson(200, 8.0, 72)
-        dv = self.check(monkeypatch, pts, Bounds.cube(8.0))
+        dv = self.check(pts, Bounds.cube(8.0))
         assert 0 < dv.complete.sum() < len(pts) - len(np.unique(dv._hull_faces()))
 
-    def test_exact_duplicates(self, monkeypatch):
+    def test_exact_duplicates(self):
         base = poisson(120, 6.0, 73)
         pts = np.concatenate([base, base[::12]])
-        dv = self.check(monkeypatch, pts, Bounds.cube(6.0))
+        dv = self.check(pts, Bounds.cube(6.0))
         assert dv.merged_sites == 10
 
-    def test_lattice_rings_with_coincident_circumcenters(self, monkeypatch):
+    def test_lattice_rings_with_coincident_circumcenters(self):
         side = np.arange(5, dtype=float) + 0.5
         g = np.meshgrid(side, side, side, indexing="ij")
         pts = np.column_stack([a.ravel() for a in g])
-        dv = self.check(monkeypatch, pts, Bounds.cube(5.0))
+        dv = self.check(pts, Bounds.cube(5.0))
         # coincident circumcenters were merged within rings, and whole
         # rings of them dropped
         assert dv.degenerate_ridges_dropped > 0
@@ -419,10 +457,10 @@ class TestKernelCells:
              [-0.7, 0.5, 0]],
         )
         box = Bounds.from_arrays(np.full(3, -2.0), np.full(3, 3.0))
-        dv = self.check(monkeypatch, pts, box)
+        dv = self.check(pts, box)
         assert refits[0] == 1 and np.isfinite(dv.vertices).all()
 
-    def test_ring_longer_than_the_stack_buffer(self, monkeypatch):
+    def test_ring_longer_than_the_stack_buffer(self):
         # 80 sites around the axis through two poles: the poles' ridge is
         # one ring of 80 tets, each with its own circumcenter
         rng = np.random.default_rng(74)
@@ -433,7 +471,7 @@ class TestKernelCells:
         extra = rng.uniform(0, 6, size=(400, 3))
         extra = extra[np.hypot(extra[:, 0] - 3, extra[:, 1] - 3) > 2.0][:60]
         pts = np.concatenate([poles, ring, extra])
-        dv = self.check(monkeypatch, pts, Bounds.cube(6.0))
+        dv = self.check(pts, Bounds.cube(6.0))
         poles_ridge = np.flatnonzero((dv.ridge_sites == [0, 1]).all(axis=1))
         assert len(poles_ridge) == 1
         assert len(dv.ridge_cycle(int(poles_ridge[0]))) == 80
@@ -441,22 +479,20 @@ class TestKernelCells:
 
 class TestOwnedOnly:
     """``owned=`` drops ghost-ghost ridges and nothing an owned cell
-    reads — with the native kernels and on the NumPy fallback."""
+    reads — in the engine and in the NumPy oracle."""
 
     @pytest.fixture(params=("native", "numpy"))
-    def kernels(self, request, monkeypatch):
-        if request.param == "numpy":
-            monkeypatch.setattr(_native, "_lib", None)
-            monkeypatch.setattr(_native, "_tried", True)
-        elif not _native.available():
-            pytest.skip("native kernels unavailable")
+    def diagram(self, request):
+        return {"native": DelaunayVoronoi, "numpy": reference_diagram}[
+            request.param
+        ]
 
     @staticmethod
-    def check_owned_rows(owned):
+    def check_owned_rows(diagram, owned):
         pts = poisson(400, 10.0, 61)
         box = Bounds.cube(10.0)
-        full = DelaunayVoronoi(pts, box)
-        part = DelaunayVoronoi(pts, box, owned=owned)
+        full = diagram(pts, box)
+        part = diagram(pts, box, owned=owned)
         # the triangulation and its circumcenters are untouched
         np.testing.assert_array_equal(part.mesh.tetrahedra, full.mesh.tetrahedra)
         np.testing.assert_array_equal(part.vertices, full.vertices)
@@ -483,17 +519,17 @@ class TestOwnedOnly:
                 )
 
     @pytest.mark.parametrize("n_owned", (1, 120, 399, 400))
-    def test_owned_rows_identical(self, kernels, n_owned):
-        self.check_owned_rows(np.arange(400) < n_owned)
+    def test_owned_rows_identical(self, diagram, n_owned):
+        self.check_owned_rows(diagram, np.arange(400) < n_owned)
 
-    def test_scattered_owned_rows_identical(self, kernels):
+    def test_scattered_owned_rows_identical(self, diagram):
         # a slab of a block owns sites interleaved with its shell's
-        self.check_owned_rows(np.arange(400) % 3 == 1)
+        self.check_owned_rows(diagram, np.arange(400) % 3 == 1)
 
-    def test_no_owned_edge_left(self, kernels):
+    def test_no_owned_edge_left(self, diagram):
         # every site "owned" is the plain call; none owned leaves no ridge
         pts = poisson(50, 4.0, 62)
-        dv = DelaunayVoronoi(pts, Bounds.cube(4.0), owned=np.zeros(50, bool))
+        dv = diagram(pts, Bounds.cube(4.0), owned=np.zeros(50, bool))
         assert dv.num_ridges == 0 and dv.num_tets > 0
         assert dv.cell_ridges_offsets[-1] == 0
 

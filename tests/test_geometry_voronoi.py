@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.diy.bounds import Bounds
 from repro.geometry.delaunay import delaunay
-from repro.geometry.voronoi_delaunay import tet_circumcenters
 
 from .clip_voronoi import voronoi_cells_clip
+from .voronoi_cells_reference import circumcenters
 
 
 def grid_points(n: int, size: float, jitter: float, seed: int = 0) -> np.ndarray:
@@ -127,7 +127,7 @@ class TestDelaunayDuality:
         pts = grid_points(4, 8.0, jitter=0.3, seed=9)
         box = Bounds.cube(8.0)
         mesh = delaunay(pts)
-        centers = tet_circumcenters(pts, mesh.tetrahedra)
+        centers = circumcenters(pts, mesh.tetrahedra)
         cells = [c for c in voronoi_cells_clip(pts, box) if c.complete]
         # Every vertex of a complete Voronoi cell is some circumcenter.
         some = cells[: min(10, len(cells))]
@@ -139,7 +139,7 @@ class TestDelaunayDuality:
     def test_circumradius_equidistance(self):
         pts = np.random.default_rng(10).uniform(0, 5, size=(50, 3))
         mesh = delaunay(pts)
-        centers = tet_circumcenters(pts, mesh.tetrahedra)
+        centers = circumcenters(pts, mesh.tetrahedra)
         radii = np.linalg.norm(centers - pts[mesh.tetrahedra[:, 0]], axis=1)
         for t in range(0, mesh.num_tetrahedra, 7):
             for k in range(4):
