@@ -1,12 +1,13 @@
 """On-demand compiled C kernels for the geometry hot path.
 
 The Voronoi engine's work is one 3-D Delaunay triangulation per block
-(or slab, or repair patch) and one pass from it to the diagram, whose
-ring loops NumPy cannot fuse (~15 array passes).  Both live in
-``voronoi_kernels.c``: an incremental Bowyer–Watson triangulation with
-exact, filtered predicates and index-order tie-breaks
-(:func:`triangulate`), and :meth:`Triangulation.cells`, every array of
-the engine from the live triangulation in one call.  The file is
+(or slab) and one pass from it to the diagram, whose ring loops NumPy
+cannot fuse (~15 array passes).  Both live in ``voronoi_kernels.c``: an
+incremental Bowyer–Watson triangulation with exact, filtered predicates
+and index-order tie-breaks (:func:`triangulate`), which a slab's thin
+pass extends by the points that change its owned cells
+(:meth:`Triangulation.certify`), and :meth:`Triangulation.cells`, every
+array of the engine from the live triangulation in one call.  The file is
 compiled on first use with whatever C compiler the host has
 (``$CC``, else ``cc``/``gcc``/``clang``) — there is no build step and no
 new dependency.  The build starts on a thread when this module is
@@ -101,8 +102,11 @@ def _declare(dll: ctypes.CDLL) -> ctypes.CDLL:
     i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
-    dll.dt_build.argtypes = [f64, ctypes.c_int64, i64, ctypes.c_int64, i64]
+    dll.dt_build.argtypes = [f64, ctypes.c_int64, i64, ctypes.c_int64,
+                             ctypes.c_int64, i64]
     dll.dt_build.restype = ctypes.c_void_p
+    dll.dt_certify.argtypes = [ctypes.c_void_p, u8, i64, ctypes.c_int64, i64]
+    dll.dt_certify.restype = None
     dll.dt_fetch.argtypes = [ctypes.c_void_p, i64, i64, i64]
     dll.dt_fetch.restype = ctypes.c_int64
     dll.dt_free.argtypes = [ctypes.c_void_p]
@@ -182,12 +186,8 @@ def build_error() -> str | None:
     return _error
 
 
-def _insertion_order(pts: np.ndarray) -> np.ndarray:
-    """BRIO (Amenta, Choi and Rote 2003): round ``r`` of ``R`` holds about
-    ``n / 2**(R - r)`` points, each round in Morton order.  A point's
-    round comes from a hash of its coordinates, so the order is the same
-    on every run, and exact duplicates share a key: a stable sort puts
-    the lowest index of each duplicate set first."""
+def _morton(pts: np.ndarray) -> np.ndarray:
+    """Morton codes of ``pts`` over their bounding box, 16 bits per axis."""
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo
     cells = (pts - lo) / np.where(span > 0, span, 1.0) * 65535.0
@@ -197,6 +197,16 @@ def _insertion_order(pts: np.ndarray) -> np.ndarray:
         for shift, mask in _SPREAD:
             x = (x | (x << np.uint64(shift))) & np.uint64(mask)
         code |= x << np.uint64(axis)
+    return code
+
+
+def _insertion_order(pts: np.ndarray) -> np.ndarray:
+    """BRIO (Amenta, Choi and Rote 2003): round ``r`` of ``R`` holds about
+    ``n / 2**(R - r)`` points, each round in Morton order.  A point's
+    round comes from a hash of its coordinates, so the order is the same
+    on every run, and exact duplicates share a key: a stable sort puts
+    the lowest index of each duplicate set first."""
+    code = _morton(pts)
     bits = np.ascontiguousarray(pts + 0.0).view(np.uint64)  # -0.0 as 0.0
     h = np.full(len(pts), 0x9E3779B97F4A7C15, dtype=np.uint64)
     for axis in range(3):
@@ -229,6 +239,22 @@ class Triangulation:
 
     def __exit__(self, *exc) -> None:
         self._dll.dt_free(self._handle)
+
+    def certify(self, owned: np.ndarray, unseen: np.ndarray) -> tuple[int, int]:
+        """Make the cells of the ``owned`` sites those of the triangulation
+        of every point: each ``unseen`` point (masks over :attr:`points`;
+        the triangulation holds none of these) is tested with the exact
+        conflict predicate and inserted when it would change an owned star
+        (``dt_certify``).  Returns ``(points inserted, owned sites whose
+        star changed)``."""
+        cand = np.flatnonzero(unseen)
+        cand = cand[np.argsort(_morton(self.points[cand]), kind="stable")]
+        sizes = np.zeros(5, dtype=np.int64)
+        self._dll.dt_certify(self._handle, owned.astype(np.uint8), cand,
+                             len(cand), sizes)
+        _check(sizes[2])
+        self._slots, self._duplicates = int(sizes[0]), int(sizes[1])
+        return int(sizes[3]), int(sizes[4])
 
     def cells(self, owned, lo, hi, eps2: float, fixup) -> dict:
         """Every array of ``DelaunayVoronoi`` by name, from one kernel pass
@@ -275,34 +301,40 @@ class Triangulation:
         return dict(out, merged_sites=merged, degenerate_ridges_dropped=dropped)
 
 
-def triangulate(points: np.ndarray) -> Triangulation | None:
+def _check(status) -> None:
+    if status == -1:
+        raise MemoryError("native Delaunay: out of memory")
+    if status:
+        raise RuntimeError("native Delaunay: a point-location walk did not end")
+
+
+def triangulate(points: np.ndarray, subset: np.ndarray | None = None
+                ) -> Triangulation | None:
     """Delaunay tetrahedralization of ``(n, 3)`` float64 points by the
     compiled Bowyer–Watson kernel (exact predicates, ties broken by
-    index order), held by the kernel.  ``None`` when no four points are
-    affinely independent; ``RuntimeError`` (:func:`build_error`'s
-    account) when the kernel could not be built."""
+    index order), held by the kernel: of all of them, or of the points
+    ``subset`` names (its tets then hold those indices, so ties break as
+    in the full set).  ``None`` when no four points are affinely
+    independent; ``RuntimeError`` (:func:`build_error`'s account) when
+    the kernel could not be built."""
     dll = lib()
     if dll is None:
         raise RuntimeError(_error)
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    if len(pts) < 4:
-        return None
     if len(pts) >= 2**28:  # tet ids are int32
         raise ValueError(f"native Delaunay: {len(pts)} points is too many")
-    order = _insertion_order(pts)
+    held = np.arange(len(pts)) if subset is None else np.asarray(subset, np.int64)
+    if len(held) < 4:
+        return None
+    order = held[_insertion_order(pts[held])]
     sizes = np.zeros(3, dtype=np.int64)
-    cap = 8 * len(pts) + 64  # ~6.7 finite tets per point, and the hull
-    while True:
-        handle = dll.dt_build(pts, len(pts), order, cap, sizes)
-        if sizes[2] != 3:
-            break
-        cap *= 4  # a triangulation that is not linear in n: try again
+    # ~6.7 finite tets per point, and the hull; the kernel grows past it
+    handle = dll.dt_build(pts, len(pts), order, len(order),
+                          8 * len(order) + 64, sizes)
     if not handle:
         if sizes[2] == 1:
             return None
-        if sizes[2] == -1:
-            raise MemoryError("native Delaunay: out of memory")
-        raise RuntimeError("native Delaunay: a point-location walk did not end")
+        _check(sizes[2])
     return Triangulation(dll, handle, pts, sizes)
 
 

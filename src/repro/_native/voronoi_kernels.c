@@ -13,10 +13,15 @@
 #include <stdint.h>
 #include <stdlib.h>
 
+#define EPS 1.1102230246251565e-16   /* 2^-53 */
+
 /* The circumcenter of tet t (4 point indices) by Cramer's rule on the
  * 3x3 system that equates the center's squared distance to vertex 0 and
- * vertex k.  0 when it is not finite (an exactly singular sliver). */
-static int circumcenter(const double *pts, const int64_t *t, double *out)
+ * vertex k.  0 when it is not finite (an exactly singular sliver).  With
+ * err, also a forward error bound of each coordinate (generous in its
+ * constants), and 0 when the system is too close to singular for one. */
+static int circumcenter(const double *pts, const int64_t *t, double *out,
+                        double *err)
 {
     const double *a = pts + 3 * t[0];
     double r[3][3], b[3];
@@ -43,6 +48,14 @@ static int circumcenter(const double *pts, const int64_t *t, double *out)
     out[0] = x + a[0];
     out[1] = y + a[1];
     out[2] = z + a[2];
+    if (err) {   /* terms <= l^4 over det, each rounded a few times */
+        double l = 0.0, o = fmax(fmax(fabs(x), fabs(y)), fabs(z));
+        for (int k = 0; k < 9; k++)
+            l = fmax(l, fabs(r[k / 3][k % 3]));
+        *err = 512.0 * EPS * (l * l * l * (l + o) / fabs(det) + o);
+        if (!(384.0 * EPS * l * l * l < fabs(det)))
+            return 0;
+    }
     return isfinite(x) && isfinite(y) && isfinite(z);
 }
 
@@ -168,13 +181,13 @@ static int64_t ring(const double *verts, const double *p0, const double *p1,
  * caller's: BRIO rounds in Morton order, duplicates lowest index first).
  * An exact duplicate is not inserted but reported with the copy it
  * repeats.  Reentrant: all state lives in the handle dt_build returns;
- * its arrays are sized once, for the caller's tet capacity. */
+ * its per-tet arrays start at the caller's tet capacity and double
+ * when an insertion needs more. */
 
 #include <string.h>
 
 #define INF (-1)   /* the infinite vertex */
 #define DEAD (-2)  /* vertex 0 of a deleted tet */
-#define EPS 1.1102230246251565e-16   /* 2^-53 */
 #define O3D_BOUND ((7.0 + 56.0 * EPS) * EPS)
 #define ISP_BOUND ((16.0 + 224.0 * EPS) * EPS)
 
@@ -426,59 +439,53 @@ static int conflict(DT *d, int32_t t, int32_t e)
     return s < 0;
 }
 
-/* Visibility walk from the last new tet to one in conflict with e: a
- * finite tet whose closure holds e, or an infinite one whose hull face e
- * lies strictly beyond.  *rep: the vertex e duplicates, else -1.
- * -1 if the walk does not end (it must, in a Delaunay triangulation). */
-static int32_t locate(DT *d, int32_t e, int32_t *rep)
+/* Visibility walk from the last new tet to one in conflict with e, in
+ * *t: a finite tet whose closure holds e, or an infinite one whose hull
+ * face e lies strictly beyond.  If e repeats a vertex of it, the pair is
+ * recorded as a duplicate and *t = -1.  0, or -2 if the walk does not
+ * end (it must, in a Delaunay triangulation). */
+static int locate(DT *d, int32_t e, int32_t *t)
 {
     const double *p = PT(d, e);
-    int32_t t = d->last, prev = -1;
-    int i = inf_slot(V(d, t));
-    if (i >= 0)
-        t = NB(d, t)[i];
-    *rep = -1;
+    int32_t prev = -1;
+    int i = inf_slot(V(d, d->last));
+    *t = i >= 0 ? NB(d, d->last)[i] : d->last;
     for (int64_t steps = 0; steps <= d->ntet; steps++) {
-        const int32_t *v = V(d, t);
+        const int32_t *v = V(d, *t);
         if (inf_slot(v) >= 0)
-            return t;
+            return 0;
         int k = (int)(steps + e), s = 0;
         for (; s < 4; s++, k++) {
             const double *w[4] = {PT(d, v[0]), PT(d, v[1]), PT(d, v[2]),
                                   PT(d, v[3])};
             w[k & 3] = p;
-            if (NB(d, t)[k & 3] != prev && orient(w[0], w[1], w[2], w[3]) < 0)
+            if (NB(d, *t)[k & 3] != prev && orient(w[0], w[1], w[2], w[3]) < 0)
                 break;
         }
         if (s == 4) {
-            for (int j = 0; j < 4; j++)
-                if (!memcmp(PT(d, v[j]), p, 3 * sizeof(double)))
-                    *rep = v[j];
-            return t;
+            for (int j = 0; j < 4 && *t >= 0; j++)
+                if (!memcmp(PT(d, v[j]), p, 3 * sizeof(double))) {
+                    d->dup[2 * d->ndup] = e;
+                    d->dup[2 * d->ndup++ + 1] = v[j];
+                    *t = -1;
+                }
+            return 0;
         }
-        prev = t;
-        t = NB(d, t)[k & 3];
+        prev = *t;
+        *t = NB(d, *t)[k & 3];
     }
-    return -1;
+    return -2;
 }
 
-/* Insert point e: grow the conflict cavity from the located tet, make
- * one new tet per boundary face (recorded in the dead cavity tet's
- * neighbour slot), then link the new tets' faces through e by an edge
- * hash of at least 4 slots per boundary face.  0 done, 3 out of tet
- * slots, -1 out of memory, -2 the walk did not end. */
-static int insert(DT *d, int32_t e)
+/* The conflict cavity of e by breadth-first search from tet t (only the
+ * marks change): its tets in cavity[0, *ncav), its boundary faces (4 tet
+ * + slot) in bnd[0, *nbnd). */
+static void cavity(DT *d, int32_t e, int32_t t, int64_t *ncav, int64_t *nbnd)
 {
-    int32_t rep, t = locate(d, e, &rep);
-    if (t < 0)
-        return -2;
-    if (rep >= 0) {
-        d->dup[2 * d->ndup] = e;
-        d->dup[2 * d->ndup++ + 1] = rep;
-        return 0;
-    }
     int32_t in = 2 * ++d->stamp, out = in + 1;
-    int64_t nstack = 1, ncav = 1, nbnd = 0;
+    int64_t nstack = 1;
+    *ncav = 1;
+    *nbnd = 0;
     d->mark[t] = in;
     d->stack[0] = d->cavity[0] = t;
     while (nstack) {
@@ -490,16 +497,40 @@ static int insert(DT *d, int32_t e)
             if (d->mark[o] != out) {
                 if (conflict(d, o, e)) {
                     d->mark[o] = in;
-                    d->stack[nstack++] = d->cavity[ncav++] = o;
+                    d->stack[nstack++] = d->cavity[(*ncav)++] = o;
                     continue;
                 }
                 d->mark[o] = out;
             }
-            d->bnd[nbnd++] = 4 * (int64_t)c + k;
+            d->bnd[(*nbnd)++] = 4 * (int64_t)c + k;
         }
     }
-    if (d->ntet + nbnd - d->nfreed > d->cap)
-        return 3;
+}
+
+/* Room for at least need tet slots: every per-slot array grows to twice
+ * that (new marks zero).  0, or -1 out of memory. */
+static int grow(DT *d, int64_t need)
+{
+    int64_t cap = 2 * need;
+#define GROW(a, k) { void *p = realloc(d->a, (k) * cap * sizeof *d->a); \
+                     if (p == NULL) { return -1; } d->a = p; }
+    GROW(v, 4) GROW(nb, 4) GROW(bnd, 4) GROW(mark, 1) GROW(freed, 1)
+    GROW(stack, 1) GROW(cavity, 1)
+#undef GROW
+    memset(d->mark + d->cap, 0, (cap - d->cap) * sizeof *d->mark);
+    d->cap = cap;
+    return 0;
+}
+
+/* Replace the cavity cavity() left by the tets joining e to its boundary
+ * faces: one new tet per face (recorded in the dead cavity tet's
+ * neighbour slot), then the new tets' faces through e linked by an edge
+ * hash of at least 4 slots per boundary face.  0, or -1 out of memory. */
+static int fill(DT *d, int32_t e, int64_t ncav, int64_t nbnd)
+{
+    if (d->ntet + nbnd - d->nfreed > d->cap
+        && grow(d, d->ntet + nbnd - d->nfreed))
+        return -1;
     for (int64_t b = 0; b < nbnd; b++) {
         int32_t c = (int32_t)(d->bnd[b] >> 2), k = d->bnd[b] & 3;
         int32_t n = d->nfreed ? d->freed[--d->nfreed] : (int32_t)d->ntet++;
@@ -571,12 +602,12 @@ void dt_free(DT *d)
     free(d->hval); free(d->hstamp); free(d);
 }
 
-/* Triangulate n points, inserted in the given order, in at most cap tet
- * slots.  sizes[0] = tet slots used, sizes[1] = duplicates, sizes[2] =
- * status: 0 built, 1 refused (no four affinely independent points),
- * 3 out of slots, -1 out of memory, -2 a walk did not end.  The handle,
- * or NULL unless built. */
-DT *dt_build(const double *pts, int64_t n, const int64_t *order,
+/* A handle on n points that triangulates the m of them order lists,
+ * inserted in that order, starting with cap tet slots.  sizes[0] = tet
+ * slots used, sizes[1] = duplicates, sizes[2] = status: 0 built, 1
+ * refused (no four affinely independent points), -1 out of memory, -2 a
+ * walk did not end.  The handle, or NULL unless built. */
+DT *dt_build(const double *pts, int64_t n, const int64_t *order, int64_t m,
              int64_t cap, int64_t *sizes)
 {
     DT *d = calloc(1, sizeof(DT));
@@ -610,7 +641,7 @@ DT *dt_build(const double *pts, int64_t n, const int64_t *order,
     for (int k = 0; k < 9; k++)
         off[k / 3][k % 3] = a[k % 3]
                           + (k / 3 == k % 3 ? 1.0 + fabs(a[k % 3]) : 0.0);
-    for (int64_t i = 1; i < n && s[3] < 0; i++) {
+    for (int64_t i = 1; i < m && s[3] < 0; i++) {
         const double *q = PT(d, order[i]);
         if (s[1] < 0) {
             if (memcmp(q, a, 3 * sizeof(double)))
@@ -646,10 +677,14 @@ DT *dt_build(const double *pts, int64_t n, const int64_t *order,
         for (int j = 0; j < 4; j++)
             nb[j] = j == k ? 0 : 1 + (j == x ? y : j == y ? x : j);
     }
-    for (int64_t i = 0; i < n && !status; i++) {
-        int32_t e = (int32_t)order[i];
-        if (e != s[0] && e != s[1] && e != s[2] && e != s[3])
-            status = insert(d, e);
+    for (int64_t i = 0; i < m && !status; i++) {
+        int32_t e = (int32_t)order[i], t;
+        int64_t ncav, nbnd;
+        if (e == s[0] || e == s[1] || e == s[2] || e == s[3]
+            || (status = locate(d, e, &t)) || t < 0)
+            continue;
+        cavity(d, e, t, &ncav, &nbnd);
+        status = fill(d, e, ncav, nbnd);
     }
     sizes[0] = d->ntet;
     sizes[1] = d->ndup;
@@ -659,6 +694,77 @@ DT *dt_build(const double *pts, int64_t n, const int64_t *order,
         return NULL;
     }
     return d;
+}
+
+/* Certify the owned sites' stars (owned[n]) against k candidates, points
+ * the handle does not hold, in Morton order: locate each from the last
+ * one's tet and insert it when its conflict cavity holds a tet with an
+ * owned vertex (adding points only shrinks a cell, so one pass is exact).
+ * Unless an owned site is on the hull (or a sphere has no error bound),
+ * a candidate outside the box of the owned stars' circumspheres
+ * conflicts with none and is skipped.  A duplicate of a held point is
+ * recorded as one.  sizes = {tet slots, duplicates, status as
+ * dt_build's, points inserted, owned sites in their cavities}. */
+void dt_certify(DT *d, const unsigned char *owned, const int64_t *cand,
+                int64_t k, int64_t *sizes)
+{
+    double lo[3] = {INFINITY, INFINITY, INFINITY}, c[3], err;
+    double hi[3] = {-INFINITY, -INFINITY, -INFINITY};
+    int every = 0, status = 0;
+    int64_t inserted = 0, repaired = 0;
+    unsigned char *seen = calloc(d->n, 1);
+    for (int64_t s = 0; s < d->ntet; s++) {
+        const int32_t *v = V(d, s);
+        int64_t q[4] = {v[0], v[1], v[2], v[3]}, mine = 0;
+        for (int j = 0; j < 4 && v[0] != DEAD; j++)
+            mine |= v[j] >= 0 && owned[v[j]];
+        if (!mine)
+            continue;
+        if ((every = inf_slot(v) >= 0 || !circumcenter(d->p, q, c, &err)))
+            break;
+        /* the exact sphere lies within r + 2 |error| of c */
+        const double *a = PT(d, q[0]);
+        double r = sqrt((a[0] - c[0]) * (a[0] - c[0])
+                        + (a[1] - c[1]) * (a[1] - c[1])
+                        + (a[2] - c[2]) * (a[2] - c[2]));
+        for (int j = 0; j < 3; j++) {
+            double pad = (r + 6.0 * err) * (1.0 + 8.0 * EPS)
+                       + 4.0 * EPS * (fabs(c[j]) + r);
+            lo[j] = fmin(lo[j], c[j] - pad);
+            hi[j] = fmax(hi[j], c[j] + pad);
+        }
+    }
+    for (int64_t i = 0; i < k && !status && seen; i++) {
+        int32_t e = (int32_t)cand[i], t;
+        const double *p = PT(d, e);
+        if (!every && (p[0] < lo[0] || p[0] > hi[0] || p[1] < lo[1]
+                       || p[1] > hi[1] || p[2] < lo[2] || p[2] > hi[2]))
+            continue;
+        if ((status = locate(d, e, &t)) || t < 0)
+            continue;
+        int64_t ncav, nbnd, hit = 0;
+        cavity(d, e, t, &ncav, &nbnd);
+        for (int64_t m = 0; m < 4 * ncav; m++) {
+            int32_t x = V(d, d->cavity[m / 4])[m % 4];
+            if (x >= 0 && owned[x]) {
+                hit = 1;
+                repaired += !seen[x];
+                seen[x] = 1;
+            }
+        }
+        if (hit) {
+            status = fill(d, e, ncav, nbnd);
+            inserted++;
+        } else {
+            d->last = t;
+        }
+    }
+    sizes[0] = d->ntet;
+    sizes[1] = d->ndup;
+    sizes[2] = seen ? status : -1;
+    sizes[3] = inserted;
+    sizes[4] = repaired;
+    free(seen);
 }
 
 /* Number the live finite tets in slot order (a deleted slot has vertex
@@ -741,7 +847,7 @@ PHASE int64_t tet_pass(const DT *d, const int32_t *number,
                       q[j] = q[i] < q[j] ? q[j] : q[i]; q[i] = x; }
             CSWAP(0, 1) CSWAP(2, 3) CSWAP(0, 2) CSWAP(1, 3) CSWAP(1, 2)
 #undef CSWAP
-            bad += !circumcenter(d->p, q, vertices + 3 * t);
+            bad += !circumcenter(d->p, q, vertices + 3 * t, NULL);
         }
         const double *c = vertices + 3 * t;
         unsigned char f = c[0] >= lo[0] && c[0] <= hi[0] && c[1] >= lo[1]
@@ -883,7 +989,7 @@ int dt_cells(const DT *d, const unsigned char *owned, const double *box,
 {
     const double *pts = d->p;
     const int64_t n = d->n;
-    int64_t m = 0, R = 0, total = 0, dropped = 0, merged = 0, most = 0;
+    int64_t m = 0, R = 0, total = 0, dropped = 0, most = 0;
     int status = -1;
     int32_t *number = malloc(d->ntet * sizeof(int32_t));
     unsigned char *hull = malloc(d->ntet);
@@ -957,10 +1063,8 @@ int dt_cells(const DT *d, const unsigned char *owned, const double *box,
 
     /* complete: in a tet, off the hull, no vertex outside; a duplicate
      * (in no tet) takes its representative's hull flag */
-    for (int64_t s = 0; s < n; s++) {
+    for (int64_t s = 0; s < n; s++)
         complete[s] = flags[s] == 1;
-        merged += !(flags[s] & 1);
-    }
     for (int64_t i = 0; i < d->ndup; i++) {
         int64_t e = d->dup[2 * i], rep = d->dup[2 * i + 1];
         if (!(flags[e] & 1))
@@ -969,7 +1073,7 @@ int dt_cells(const DT *d, const unsigned char *owned, const double *box,
     sizes[1] = R;
     sizes[2] = total;
     sizes[3] = dropped;
-    sizes[4] = merged;
+    sizes[4] = d->ndup;
     status = 0;
 out:
     free(number); free(hull); free(flags); free(start); free(group);

@@ -76,10 +76,12 @@ def _observe_geometry(fv, n_complete: int, **counts: int) -> None:
     """Surface geometry counters so traces attribute compute time to
     mesh size (geom.* metrics; merged across ranks by the bridge).
     Called once per engine built, so ``geom.points_triangulated`` sums
-    every triangulation a block needed; ``counts`` adds further
-    ``geom.<name>`` counters."""
+    the points of every triangulation a block needed; ``counts`` adds
+    further ``geom.<name>`` counters.  A no-op unless observing."""
+    if not observe.enabled():
+        return
     reg = observe.registry()
-    reg.counter("geom.points_triangulated").inc(fv.num_sites)
+    reg.counter("geom.points_triangulated").inc(fv.points_triangulated)
     reg.counter("geom.tets").inc(fv.num_tets)
     reg.counter("geom.finite_ridges").inc(fv.num_ridges)
     reg.counter("geom.complete_cells").inc(n_complete)
@@ -114,12 +116,12 @@ def _tessellate_block_flat(
 
     The engine triangulates lazily (DESIGN.md §11): owned points plus the
     ghosts within :data:`_START_SPACINGS` of the core first, the deeper
-    ghosts withheld; the exact empty-circumsphere certificate
-    (:meth:`DelaunayVoronoi.star_violations`) then names the owned cells a
-    withheld ghost would change, and those are re-derived from one local
-    patch over all points in hand.  The cells returned are the cells of
-    the triangulation of everything; when nothing can be withheld (or the
-    input is degenerate) that triangulation is what runs.
+    ghosts withheld; the kernel then tests every withheld point against
+    the owned stars with its exact conflict predicate and inserts the
+    ones that would change an owned cell into the same triangulation.
+    The cells returned are the cells of the triangulation of everything;
+    when nothing can be withheld (or the input has duplicate sites or no
+    diagram) that triangulation is what runs.
 
     That thin pass runs as up to ``slabs`` slabs on as many threads
     (:func:`_slab_parts`, at least :data:`_MIN_SLAB_SITES` owned sites
@@ -153,14 +155,9 @@ def _tessellate_block_flat(
     depth = np.maximum(lo - all_points, all_points - hi).max(axis=1)
     withheld = depth > start
     withheld[:n_owned] = False
-    # Where ghosts do not enclose the block (a non-periodic domain face)
-    # owned sites sit on the hull and no local patch bounds their
-    # neighbors: nothing is gained by withholding.
-    ghosts = all_points[n_owned:]
-    enclosed = ((ghosts < lo).any(axis=0) & (ghosts > hi).any(axis=0)).all()
 
     block = None
-    if enclosed and withheld.any():
+    if withheld.any():
         parts = _slab_parts(
             all_points, n_owned, withheld, start, extents,
             max(1, min(slabs, n_owned // _MIN_SLAB_SITES)),
@@ -171,7 +168,7 @@ def _tessellate_block_flat(
             fv = DelaunayVoronoi(
                 all_points, container, owned=np.arange(len(all_points)) < n_owned
             )
-        block = assemble([(fv, np.arange(n_owned), None)])
+        block = assemble([(fv, np.arange(n_owned))])
     return block
 
 
@@ -182,19 +179,16 @@ def _slab_parts(
     start: float,
     extents: Bounds,
     count: int,
-) -> list[tuple[np.ndarray, np.ndarray, Bounds]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """The thin pass cut into ``count`` slabs across the block's longest
-    axis, with equal owned counts: ``(subset, owned, safe_box)`` per slab.
+    axis, with equal owned counts: ``(subset, owned)`` per slab.
 
-    ``subset`` lists, in block order, the points a slab triangulates: its
-    owned sites plus every point not ``withheld`` within ``start`` of the
-    slab along the axis (the same shell depth the block keeps on its other
-    sides, here drawn from the neighbouring slabs' owned sites too);
-    ``owned`` masks the slab's own sites in it.  Each slab's triangulation
-    then sees its points in the block's relative order, so a tet two
-    slabs share has the same circumcenter bits in both.  ``safe_box`` is
-    the block's core grown by ``start``, narrowed to the slab: no point
-    outside ``subset`` lies in it.  One slab is the unsliced thin pass.
+    ``subset`` lists, in block order, the points a slab triangulates
+    first: its owned sites plus every point not ``withheld`` within
+    ``start`` of the slab along the axis (the same shell depth the block
+    keeps on its other sides, here drawn from the neighbouring slabs'
+    owned sites too); ``owned`` masks the slab's own sites among the
+    block's points.  One slab is the unsliced thin pass.
     """
     lo, hi = extents.as_arrays()
     axis = int(np.argmax(hi - lo))
@@ -202,111 +196,68 @@ def _slab_parts(
     cuts = np.sort(x[:n_owned])[np.arange(1, count) * n_owned // count]
     slab_of = np.searchsorted(cuts, x[:n_owned], side="right")
     edges = np.concatenate([[-np.inf], cuts, [np.inf]])
-    safe_box = extents.grown(start)
     parts = []
     for k in range(count):
         below, above = edges[k] - start, edges[k + 1] + start
         subset = np.flatnonzero(~withheld & (x >= below) & (x <= above))
-        owned = subset < n_owned
-        owned[owned] = slab_of[subset[owned]] == k
-        if not owned.any():
-            continue  # tied cut coordinates left this slab no site
-        slo, shi = safe_box.as_arrays()
-        slo[axis] = max(slo[axis], below)
-        shi[axis] = min(shi[axis], above)
-        parts.append((subset, owned, Bounds.from_arrays(slo, shi)))
+        owned = np.zeros(len(all_points), dtype=bool)
+        owned[:n_owned] = slab_of == k
+        if owned.any():  # tied cut coordinates can leave a slab no site
+            parts.append((subset, owned))
     return parts
 
 
 def _thin_block(
     all_points: np.ndarray,
     withheld: np.ndarray,
-    parts: list[tuple[np.ndarray, np.ndarray, Bounds]],
+    parts: list[tuple[np.ndarray, np.ndarray]],
     container: Bounds,
     assemble,
     rank: int,
 ) -> VoronoiBlock | None:
-    """The block from triangulations without the ``withheld`` ghosts:
-    thin pass and certificate per slab of ``parts`` (one thread each),
-    then one local repair (DESIGN.md §11).  ``None`` when only the
-    triangulation of everything will do — degenerate input, or a violated
-    owned site on a thin hull."""
-    from scipy.spatial import cKDTree
+    """The block from one triangulation per slab of ``parts`` (one thread
+    each): the slab's points, then the withheld and other slabs' points
+    that change its owned cells (DESIGN.md §11).  ``None`` when only the
+    triangulation of everything will do: duplicate sites, or a slab with
+    no diagram."""
 
-    def abandon(*engines):
-        if observe.enabled():
-            for engine in engines:
-                _observe_geometry(engine, 0)
-
-    def certify(part):
-        subset, owned, safe = part
+    def thin(part):
+        subset, owned = part
         with observe.span("thin-pass", rank=rank, cat="core"):
-            fv = DelaunayVoronoi(all_points[subset], container, owned=owned)
-        if fv.degenerate:
-            return fv, None, 0
-        # A slab's candidates are every point it did not triangulate:
-        # withheld ghosts and the other slabs' sites beyond its shell.
-        unseen = np.ones(len(all_points), dtype=bool)
-        unseen[subset] = False
-        with observe.span("certificate", rank=rank, cat="core"):
-            return (fv, *fv.star_violations(owned, all_points[unseen], safe))
+            return DelaunayVoronoi(all_points, container, owned=owned, subset=subset)
 
     def lent(part):  # a slab on a pool thread, and the CPU it took
         cpu0 = time.thread_time()
-        return certify(part), time.thread_time() - cpu0
+        return thin(part), time.thread_time() - cpu0
 
     # The calling thread takes the first slab itself: one thread (and one
     # malloc arena holding its high-water mark) fewer.
     with ThreadPoolExecutor(max(1, len(parts) - 1)) as threads:
         others = [threads.submit(lent, part) for part in parts[1:]]
-        certified = [certify(parts[0])]
+        engines = [thin(parts[0])]
         for job in others:
-            result, cpu = job.result()
-            certified.append(result)
+            fv, cpu = job.result()
+            engines.append(fv)
             credit_cpu(cpu)
-    engines = [fv for fv, _, _ in certified]
-    if any(bad is None for _, bad, _ in certified):
-        return abandon(*engines)
-    bad = np.sort(
-        np.concatenate([p[0][b] for p, (_, b, _) in zip(parts, certified)])
-    )
+    if any(fv.used_fallback or fv.merged_sites for fv in engines):
+        for fv in engines:
+            _observe_geometry(fv, 0)
+        return None
     counts = dict(
         ghosts_withheld=int(withheld.sum()),
-        certificate_violations=sum(hits for _, _, hits in certified),
-        cells_repaired=len(bad), patch_points=0,
+        points_inserted=sum(fv.points_inserted for fv in engines),
+        cells_repaired=sum(fv.cells_repaired for fv in engines),
     )
     if len(parts) > 1:
         counts["slabs"] = len(parts)
-
-    pieces = []  # (engine, sites it answers for, block index of its sites)
-    for (subset, owned, _), (fv, violated, _) in zip(parts, certified):
-        sound = owned.copy()
-        sound[violated] = False
-        pieces.append((fv, np.flatnonzero(sound), subset))
-    if len(bad):
-        with observe.span("repair", rank=rank, cat="core"):
-            # Whatever points are added, the neighbors of site b afterwards
-            # lie inside the circumspheres of its thin star: b's star in
-            # the patch those spheres select is its star among all points.
-            spheres = [fv.star_spheres(b) for fv, b, _ in certified if len(b)]
-            centers = np.concatenate([c for c, _ in spheres])
-            radii = np.concatenate([r for _, r in spheres])
-            if not np.isfinite(radii).all():
-                return abandon(*engines)  # a hull site: its patch has no bound
-            near = cKDTree(all_points).query_ball_point(
-                centers, radii * (1.0 + 1e-9)
-            )
-            patch = np.union1d(np.concatenate(list(near)), bad)
-            pfv = DelaunayVoronoi(all_points[patch], container)
-            if pfv.degenerate:
-                return abandon(*engines, pfv)
-            counts["patch_points"] = len(patch)
-            pieces.append((pfv, np.searchsorted(patch, bad), patch))
-    return assemble(pieces, **counts)
+    return assemble(
+        [(fv, np.flatnonzero(owned)) for fv, (_, owned) in zip(engines, parts)],
+        **counts,
+    )
 
 
 def _assemble(
-    pieces: list[tuple[DelaunayVoronoi, np.ndarray, np.ndarray | None]],
+    pieces: list[tuple[DelaunayVoronoi, np.ndarray]],
     all_points: np.ndarray,
     local_to_global: np.ndarray,
     gid: int,
@@ -317,25 +268,24 @@ def _assemble(
 ) -> VoronoiBlock:
     """The block of the cells engines answer for, rows in owned order.
 
-    ``pieces`` are ``(engine, sites, subset)``: the ascending engine sites
-    whose cells it answers for, and the block index of each engine site
-    (``None``: the block's points) — the full pass, or each slab of a
-    thin pass and the repair patch.  ``observed`` are further ``geom.*``
-    counters, published with the first piece.  Engines solve
-    circumcenters in one index order, so a seam vertex has the same bits
-    in each piece: :func:`_weld` lists it once.
+    ``pieces`` are ``(engine, sites)``: the ascending block indices of
+    the sites whose cells the engine answers for — the full pass, or each
+    slab of a thin pass.  ``observed`` are further ``geom.*`` counters,
+    published with the first piece.  Engines solve circumcenters in one
+    index order, so a seam vertex has the same bits in each piece:
+    :func:`_weld` lists it once.
     """
     rows = []
-    for k, (fv, sites, subset) in enumerate(pieces):
+    for k, (fv, sites) in enumerate(pieces):
         kept = _kept_cells(fv, sites, vmin, vmax, **(observed if k == 0 else {}))
         if len(kept):
-            rows.append((fv, kept, subset))
+            rows.append((fv, kept))
     if not rows:
         return VoronoiBlock.empty(gid, extents)
 
     faces = []  # per piece: the ridge of each face, faces per cell, and
     # the block index of each cell and of the site across each face
-    for fv, kept, subset in rows:
+    for fv, kept in rows:
         counts = (
             fv.cell_ridges_offsets[kept + 1] - fv.cell_ridges_offsets[kept]
         )
@@ -344,17 +294,15 @@ def _assemble(
         ]
         pair = fv.ridge_sites[rids]  # across: the pair, less the cell itself
         other = pair[:, 0] + pair[:, 1] - np.repeat(kept, counts)
-        if subset is not None:  # engine site -> block index
-            kept, other = subset[kept], subset[other]
         faces.append((rids, counts, kept, other))
-    ring_lengths = [np.diff(fv.ridge_offsets) for fv, _, _ in rows]
+    ring_lengths = [np.diff(fv.ridge_offsets) for fv, _ in rows]
     face_lengths = [n[f[0]] for n, f in zip(ring_lengths, faces)]
     # (every pool vertex is on some face: the face count bounds both)
     idx = connectivity_index_dtype(sum(int(f.sum()) for f in face_lengths))
 
     pool = None
     flat, starts, base = [], [], 0
-    for (fv, _, _), (rids, *_), n in zip(rows, faces, ring_lengths):
+    for (fv, _), (rids, *_), n in zip(rows, faces, ring_lengths):
         on_face = np.zeros(len(n), dtype=bool)
         on_face[rids] = True
         used = np.zeros(len(fv.vertices), dtype=bool)
@@ -385,8 +333,8 @@ def _assemble(
         cell_face_offsets=np.concatenate([[0], np.cumsum(counts[order])]).astype(idx),
         sites=all_points[owned],
         site_ids=local_to_global[owned],
-        volumes=np.concatenate([fv.volumes[kept] for fv, kept, _ in rows])[order],
-        areas=np.concatenate([fv.areas[kept] for fv, kept, _ in rows])[order],
+        volumes=np.concatenate([fv.volumes[kept] for fv, kept in rows])[order],
+        areas=np.concatenate([fv.areas[kept] for fv, kept in rows])[order],
     )
 
 
@@ -421,8 +369,7 @@ def _kept_cells(fv, sites, vmin, vmax, **observed) -> np.ndarray:
     """The ``sites`` of engine ``fv`` whose cells the block keeps:
     complete, and within ``[vmin, vmax]``."""
     keep = fv.complete[sites]
-    if observe.enabled():
-        _observe_geometry(fv, int(keep.sum()), **observed)
+    _observe_geometry(fv, int(keep.sum()), **observed)
     if vmin is not None and keep.any():
         # Step 3c: conservative early cull on the max vertex separation
         # (isodiametric bound) before the exact threshold — any cell it

@@ -47,11 +47,6 @@ from ..diy.bounds import Bounds
 
 __all__ = ["DelaunayVoronoi", "segment_gather"]
 
-#: vertex triples of the face opposite each tet vertex (scipy convention)
-_TET_FACES = np.array(
-    [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], dtype=np.int64
-)
-
 #: relative tolerance (of the container diagonal) under which two ring
 #: circumcenters are the same Voronoi vertex
 _COINCIDENT_RTOL = 1e-9
@@ -117,6 +112,11 @@ class DelaunayVoronoi:
         Rows of unowned sites in ``volumes``/``areas``/the cell CSR are
         then partial and must not be read; the triangulation and
         ``vertices`` (one circumcenter per tet) are unaffected.
+    subset:
+        When given (with ``owned``), the points to triangulate first; each
+        other one is inserted if it would change an owned star (the exact
+        :meth:`repro._native.Triangulation.certify`), so the owned cells
+        are those of all ``points``.  Sites keep their ``points`` index.
 
     Without the compiled kernel the constructor raises
     :func:`repro._native.triangulate`'s ``RuntimeError``.
@@ -132,31 +132,45 @@ class DelaunayVoronoi:
     #: exact duplicate sites the kernel left out of the triangulation;
     #: each shares its representative's cell (no ridges, zero volume).
     merged_sites: int = 0
+    #: points the triangulation holds; with ``subset``, the points the
+    #: certificate inserted and the owned sites whose star they changed.
+    points_triangulated: int = 0
+    points_inserted: int = 0
+    cells_repaired: int = 0
 
     def __init__(
         self,
         points: np.ndarray,
         box: Bounds,
         owned: np.ndarray | None = None,
+        subset: np.ndarray | None = None,
     ):
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must be (n, 3), got {pts.shape}")
         n = len(pts)
-        self.points = pts
-        self.box = box
-        if n < 5:
+        self.points, self.box = pts, box
+        held = self.points_triangulated = n if subset is None else len(subset)
+        if held < 5:
             self._init_degenerate(n)
             return
-        with observe.span("triangulate", cat="geometry", points=n):
-            tri = _native.triangulate(pts)
+        with observe.span("triangulate", cat="geometry", points=held):
+            tri = _native.triangulate(pts, subset)
         if tri is None:
             self._init_degenerate(n)
             return
         lo, hi = box.as_arrays()
         eps = _COINCIDENT_RTOL * float(np.linalg.norm(hi - lo))
-        with observe.span("cells", cat="geometry", points=n), tri:
-            self.__dict__.update(tri.cells(owned, lo, hi, eps * eps, _lstsq_fixup))
+        with tri:
+            if subset is not None:
+                unseen = np.ones(n, dtype=bool)
+                unseen[subset] = False
+                with observe.span("certificate", cat="core"):
+                    inserted, self.cells_repaired = tri.certify(owned, unseen)
+                self.points_inserted = inserted
+                self.points_triangulated += inserted
+            with observe.span("cells", cat="geometry", points=held):
+                self.__dict__.update(tri.cells(owned, lo, hi, eps * eps, _lstsq_fixup))
         self.num_tets = len(self._tets)
 
     # ------------------------------------------------------------------
@@ -164,8 +178,7 @@ class DelaunayVoronoi:
     def degenerate(self) -> bool:
         """True when the input was degenerate (an empty diagram, rings of
         coincident circumcenters dropped, duplicate sites): cells there
-        rest on the kernel's index-order tie-breaks, which the thin
-        pass's float certificate and repair patch do not reproduce."""
+        rest on the kernel's index-order tie-breaks."""
         return bool(
             self.used_fallback
             or self.degenerate_ridges_dropped
@@ -265,103 +278,6 @@ class DelaunayVoronoi:
                 np.maximum.reduceat(d2, bounds)
             )
         return out
-
-    # ------------------------------------------------------------------
-    def star_violations(
-        self, owned: np.ndarray, candidates: np.ndarray, safe_box: Bounds | None = None
-    ) -> tuple[np.ndarray, int]:
-        """Owned sites (``owned``: bool mask over the sites) whose cell
-        would change if ``candidates`` were added to the triangulation and
-        could be complete afterwards.
-
-        The exact Delaunay criterion: the star of a site survives the
-        insertion of a point set iff no point lies inside the circumsphere
-        of an incident tet and none lies beyond an incident hull facet (an
-        infinite sphere; some point does iff the site leaves the hull).
-        A star vertex that does survive stays a vertex of the site's
-        cell; if it lies outside :attr:`box`, or the site stays on the
-        hull, the cell is incomplete before and after and the site is not
-        reported.
-
-        ``safe_box`` is a box known to hold no candidate: spheres inside
-        it are skipped before the nearest-candidate query.  The sphere
-        test is conservative (a point within ``1e-9`` relative of a
-        sphere counts as inside).
-
-        Returns the sorted violated owned site indices and the number of
-        spheres (and hull sites turned interior) found violated.
-        """
-        from scipy.spatial import cKDTree
-
-        if self.num_tets == 0 or len(candidates) == 0:
-            return np.empty(0, dtype=np.int64), 0
-        tets, pts = self._tets, self.points
-        n = len(pts)
-        incident = np.flatnonzero(owned[tets].any(axis=1))
-        centers = self.vertices[incident]
-        radii = self._circumradii(incident)
-        hit = np.isinf(radii)  # a sliver without a center: assume the worst
-        probe = ~hit
-        if safe_box is not None:
-            lo, hi = safe_box.as_arrays()
-            rr = radii[:, None]
-            probe &= ((centers - rr < lo) | (centers + rr > hi)).any(axis=1)
-        if probe.any():
-            nearest, _ = cKDTree(candidates).query(centers[probe])
-            hit[probe] = nearest <= radii[probe] * (1.0 + 1e-9)
-        violated = np.zeros(n, dtype=bool)
-        violated[tets[incident[hit]].ravel()] = True
-        hits = int(hit.sum())
-        # Surviving vertices outside the box: incomplete either way.
-        lo, hi = self.box.as_arrays()
-        outside = ~np.all((centers >= lo) & (centers <= hi), axis=1)
-        doomed = np.zeros(n, dtype=bool)
-        doomed[tets[incident[outside & ~hit]].ravel()] = True
-
-        # An owned site on this hull either stays on the hull of all the
-        # points (unbounded either way) or becomes interior (its star
-        # changes, and nothing bounds where its neighbors are).
-        hull_faces = self._hull_faces()
-        hull_owned = np.unique(hull_faces[owned[hull_faces]])
-        if len(hull_owned):
-            from scipy.spatial import ConvexHull
-
-            stays = np.zeros(n + len(candidates), dtype=bool)
-            stays[ConvexHull(np.concatenate([pts, candidates])).vertices] = True
-            stays = stays[hull_owned]
-            doomed[hull_owned[stays]] = True
-            violated[hull_owned[~stays]] = True
-            hits += int((~stays).sum())
-        return np.flatnonzero(violated & ~doomed & owned), hits
-
-    def _circumradii(self, tets) -> np.ndarray:
-        """Circumradius of the selected tets; ``inf`` where a sliver has
-        no finite circumcenter."""
-        d = self.vertices[tets] - self.points[self._tets[tets, 0]]
-        radii = np.sqrt(np.einsum("ij,ij->i", d, d))
-        radii[~np.isfinite(radii)] = np.inf
-        return radii
-
-    def _hull_faces(self) -> np.ndarray:
-        """Vertex triples ``(B, 3)`` of the triangulation's hull facets."""
-        bt, bk = np.nonzero(self._neighbors == -1)
-        return self._tets[bt[:, None], _TET_FACES[bk]]
-
-    def star_spheres(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Circumspheres ``(centers, radii)`` of the tets incident to
-        ``sites``.  A site's cell is the convex hull of its star's
-        circumcenters, so whatever points are added to the triangulation,
-        each of its Delaunay neighbors afterwards lies in one of these
-        balls.  One radius is ``inf`` when a site is on the hull."""
-        wanted = np.zeros(len(self.points), dtype=bool)
-        wanted[sites] = True
-        star = wanted[self._tets].any(axis=1)
-        centers = self.vertices[star]
-        radii = self._circumradii(star)
-        if wanted[self._hull_faces()].any():
-            centers = np.concatenate([centers, self.points[sites[:1]]])
-            radii = np.append(radii, np.inf)
-        return centers, radii
 
     # ------------------------------------------------------------------
     @property

@@ -10,6 +10,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro import observe
 from repro.core import Tessellation, match_tessellations, tessellate
 from repro.diy.bounds import Bounds
 
@@ -34,6 +35,22 @@ def lattice_case():
     inner = np.all((pts > 0.25 * n) & (pts < 0.75 * n), axis=1)
     pts[inner] += 0.2 * np.random.default_rng(5).uniform(-1, 1, (inner.sum(), 3))
     return pts, Bounds.cube(float(n)), 2.5
+
+
+def cubic_lattice(n):
+    """``n``^3 sites at the cell centers of a unit grid: every cell's
+    eight corners are cospherical."""
+    g = np.arange(n) + 0.5
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    return pts, Bounds.cube(float(n)), 2.5
+
+
+def lattice_6():
+    return cubic_lattice(6)
+
+
+def lattice_12():
+    return cubic_lattice(12)
 
 
 @functools.cache
@@ -110,3 +127,23 @@ def test_reference_culls_like_a_filter():
         c.site_id for c in everything if vmin <= c.volume <= vmax
     ]
     assert 0 < len(culled) < len(everything)
+
+
+@pytest.mark.parametrize("case_fn", (lattice_case, lattice_6, lattice_12))
+@pytest.mark.parametrize("nblocks", (1, 2, 4, 8))
+def test_lattices_take_the_thin_pass(case_fn, nblocks):
+    # cospherical ties break by block index in the thin pass as in the
+    # triangulation of everything: no lattice falls back to it
+    pts, domain, ghost = case_fn()
+    observe.enable()
+    try:
+        observe.reset_all()
+        tess = tessellate(pts, domain, nblocks=nblocks, ghost=ghost, nranks=1)
+        counters = observe.registry().as_dict()["counters"]
+        spans = [name for name, *_ in observe.trace.raw_events()]
+    finally:
+        observe.disable()
+        observe.reset_all()
+    assert counters["geom.ghosts_withheld"] > 0
+    assert spans.count("thin-pass") >= nblocks and "full-pass" not in spans
+    assert_all_cells_match(tess, reference(case_fn))

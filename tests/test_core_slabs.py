@@ -3,8 +3,9 @@
 ``_tessellate_block_flat`` cuts the thin pass of a block with enough owned
 sites into slabs across its longest axis and triangulates each slab on its
 own thread (DESIGN.md §11).  A slab's seam is certified like the ghost
-shell, a violated seam cell goes to the one repair patch, and the slabs'
-cells are welded on bit-identical circumcenters.  The oracle is the same
+shell: the other slabs' sites that would change a seam cell are
+inserted into the slab's triangulation, and the slabs' cells are welded
+on bit-identical circumcenters.  The oracle is the same
 function at one slab, and "identical" means bit for bit, face by face.
 """
 
@@ -50,7 +51,10 @@ def slabbed_counters(count, *args, **kwargs):
     }
 
 
-def assert_identical(got, want):
+def assert_identical(got, want, welded=True):
+    """Bit-identical cells.  ``welded=False``: where tets share a
+    circumcenter (a lattice), a pool may list it once per tet, so compare
+    the pools' distinct vertices instead of their lengths."""
     assert [b.gid for b in got.blocks] == [b.gid for b in want.blocks]
     for a, b in zip(got.blocks, want.blocks):
         for name in (
@@ -65,7 +69,12 @@ def assert_identical(got, want):
         np.testing.assert_array_equal(
             a.vertices[a.face_vertices], b.vertices[b.face_vertices]
         )
-        assert a.num_vertices == b.num_vertices
+        if welded:
+            assert a.num_vertices == b.num_vertices
+        else:
+            np.testing.assert_array_equal(
+                np.unique(a.vertices, axis=0), np.unique(b.vertices, axis=0)
+            )
 
 
 @pytest.fixture(scope="module")
@@ -104,14 +113,14 @@ def test_cells_identical_for_any_slab_count(evolved, step, nblocks):
 
 def test_seam_cells_are_certified_and_repaired(evolved):
     # The seams add certificate work the one-slab pass does not have: the
-    # repairs they cause must still give the cells of the uncut pass.
+    # points they insert must still give the cells of the uncut pass.
     snaps, domain = evolved
     pos, ids = snaps[12]
     kw = dict(nblocks=1, ghost=4.0, ids=ids)
     want, one = slabbed_counters(1, pos, domain, **kw)
     got, four = slabbed_counters(4, pos, domain, **kw)
     assert four["cells_repaired"] > one["cells_repaired"]
-    assert four["certificate_violations"] > one["certificate_violations"]
+    assert four["points_inserted"] > one["points_inserted"]
     assert four["ghosts_withheld"] == one["ghosts_withheld"]
     assert_identical(got, want)
 
@@ -141,13 +150,10 @@ def test_clustered_blocks(periodic):
     )
     want = slabbed(1, CLUSTERED, Bounds.cube(BOX), **kw)
     got, counters = slabbed_counters(3, CLUSTERED, Bounds.cube(BOX), **kw)
-    # a periodic block is cut (a block too small for two slabs adds
-    # nothing to the counter); a non-periodic domain face leaves a block
-    # unenclosed, and the full pass, which is never cut, runs there
-    if periodic:
-        assert counters["slabs"] >= 2
-    else:
-        assert "slabs" not in counters
+    # a block is cut (a block too small for two slabs adds nothing to the
+    # counter), with or without ghosts beyond a domain face: an owned site
+    # on the hull is certified like any other
+    assert counters["slabs"] >= 2
     assert_identical(got, want)
 
 
@@ -169,14 +175,16 @@ def test_slabs_hold_a_minimum_of_owned_sites():
     assert counters["slabs"] == 1500 // TESS._MIN_SLAB_SITES
 
 
-def test_lattice_abandons_every_slab_for_the_full_pass():
+def test_lattice_runs_the_thin_pass_in_every_slab():
+    # cospherical ties break by block index in every slab, as in the
+    # triangulation of everything
     g = np.arange(12) + 0.5
     pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     got, counters = slabbed_counters(3, pts, Bounds.cube(12.0), ghost=2.5)
-    assert "slabs" not in counters and "ghosts_withheld" not in counters
+    assert counters["slabs"] == 3 and counters["ghosts_withheld"] > 0
     assert got.num_cells == len(pts)
     np.testing.assert_allclose(got.volumes(), 1.0, rtol=1e-9)
-    assert_identical(got, slabbed(1, pts, Bounds.cube(12.0), ghost=2.5))
+    assert_identical(got, slabbed(1, pts, Bounds.cube(12.0), ghost=2.5), welded=False)
 
 
 def test_each_slab_runs_on_its_own_thread(evolved, monkeypatch):
@@ -185,10 +193,10 @@ def test_each_slab_runs_on_its_own_thread(evolved, monkeypatch):
     engine = TESS.DelaunayVoronoi
     threads = []
 
-    def spy(points, box, owned=None):
-        if owned is not None and not owned.all():  # a thin-pass slab
+    def spy(points, box, owned=None, subset=None):
+        if subset is not None:  # a thin-pass slab
             threads.append(threading.get_ident())
-        return engine(points, box, owned=owned)
+        return engine(points, box, owned=owned, subset=subset)
 
     monkeypatch.setattr(TESS, "DelaunayVoronoi", spy)
     slabbed(3, pos, domain, nblocks=1, ghost=4.0, ids=ids)

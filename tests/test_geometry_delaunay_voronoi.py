@@ -420,7 +420,9 @@ class TestKernelCells:
         # the box cuts off more
         pts = poisson(200, 8.0, 72)
         dv = self.check(pts, Bounds.cube(8.0))
-        assert 0 < dv.complete.sum() < len(pts) - len(np.unique(dv._hull_faces()))
+        tet, slot = np.nonzero(dv._neighbors == -1)  # the hull faces
+        hull = dv._tets[tet][np.arange(4) != slot[:, None]]
+        assert 0 < dv.complete.sum() < len(pts) - len(np.unique(hull))
 
     def test_exact_duplicates(self):
         base = poisson(120, 6.0, 73)

@@ -8,9 +8,11 @@ The walk below fails, naming file and line, on any of:
 
 * the string ``REPRO_NO_NATIVE`` anywhere under ``src/`` (the switch that
   turned the kernel off);
-* ``Delaunay`` or ``QhullError`` from ``scipy.spatial`` in
-  ``geometry/voronoi_delaunay.py`` (a qhull triangulation beside the
-  kernel's);
+* any ``scipy.spatial`` import or attribute (``Delaunay``, ``QhullError``,
+  ``cKDTree``, ``ConvexHull``, ...) in ``geometry/voronoi_delaunay.py``
+  or ``core/tessellate.py`` (a second geometry engine beside the
+  kernel's triangulation, which also certifies and repairs the thin
+  pass);
 * a ``_native.lib()`` compared with ``None`` outside ``repro/_native/``
   (a caller choosing its own path when the kernel is missing).
 
@@ -25,7 +27,9 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 ENGINE = "repro/geometry/voronoi_delaunay.py"
-QHULL = {"Delaunay", "QhullError"}
+#: the modules that compute a block's cells: the kernel is their only
+#: geometry
+KERNEL_ONLY = {ENGINE, "repro/core/tessellate.py"}
 
 
 class _Forks(ast.NodeVisitor):
@@ -35,14 +39,21 @@ class _Forks(ast.NodeVisitor):
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
-        if self.relpath == ENGINE and module.startswith("scipy.spatial"):
-            for alias in node.names:
-                if alias.name in QHULL:
-                    self.hits.append((node.lineno, f"scipy.spatial.{alias.name}"))
+        for alias in node.names:
+            name = f"{module}.{alias.name}"
+            if self.relpath in KERNEL_ONLY and _spatial(name):
+                self.hits.append((node.lineno, name))
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if self.relpath in KERNEL_ONLY and _spatial(alias.name):
+                self.hits.append((node.lineno, alias.name))
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self.relpath == ENGINE and node.attr in QHULL:
-            self.hits.append((node.lineno, f"scipy.spatial.{node.attr}"))
+        name = _dotted(node)
+        if self.relpath in KERNEL_ONLY and name and _spatial(name):
+            self.hits.append((node.lineno, name))
+            return
         self.generic_visit(node)
 
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -56,6 +67,20 @@ class _Forks(ast.NodeVisitor):
         ):
             self.hits.append((node.lineno, "_native.lib() tested against None"))
         self.generic_visit(node)
+
+
+def _spatial(name: str) -> bool:
+    return name == "scipy.spatial" or name.startswith("scipy.spatial.")
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` of a chain of attributes on a name, else ``None``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
 
 
 def _is_lib_call(node: ast.AST) -> bool:
@@ -92,15 +117,25 @@ def test_detector_flags_second_paths():
     ]
     qhull = "from scipy.spatial import Delaunay, QhullError, cKDTree"
     assert geometry_forks(qhull, ENGINE) == [
-        (1, "scipy.spatial.Delaunay"), (1, "scipy.spatial.QhullError")
+        (1, "scipy.spatial.Delaunay"), (1, "scipy.spatial.QhullError"),
+        (1, "scipy.spatial.cKDTree"),
     ]
     assert geometry_forks("tri = scipy.spatial.Delaunay(p)", ENGINE) == [
         (1, "scipy.spatial.Delaunay")
     ]
-    # qhull stays fine elsewhere (the benchmark probe, the tests' oracle
-    # parity), and the engine may keep its cKDTree and ConvexHull
+    # the tessellation's certificate and repair have no KD-tree or hull
+    # of their own either, however they are imported
+    tess = "repro/core/tessellate.py"
+    for source, what in (
+        ("from scipy.spatial import ConvexHull", "scipy.spatial.ConvexHull"),
+        ("import scipy.spatial", "scipy.spatial"),
+        ("from scipy import spatial", "scipy.spatial"),
+        ("t = scipy.spatial.cKDTree(p)", "scipy.spatial.cKDTree"),
+    ):
+        assert geometry_forks("\n" + source, tess) == [(2, what)], source
+    # scipy.spatial stays fine elsewhere (the benchmark probe, the tests'
+    # oracle parity, DTFE)
     assert geometry_forks(qhull, "repro/analysis/dtfe.py") == []
-    assert geometry_forks("from scipy.spatial import cKDTree", ENGINE) == []
     fork = "native = _native.lib() is not None\nif repro._native.lib() is None:\n    pass"
     assert geometry_forks(fork, "repro/core/tessellate.py") == [
         (1, "_native.lib() tested against None"),
@@ -124,6 +159,6 @@ def test_one_geometry_path_under_src():
     ]
     assert not hits, (
         "the compiled kernel is the one geometry engine: no switch to turn "
-        "it off, no qhull triangulation in the engine, no caller-side "
-        f"fallback when it is missing: {hits}"
+        "it off, no scipy.spatial in the engine or the tessellation, no "
+        f"caller-side fallback when it is missing: {hits}"
     )
